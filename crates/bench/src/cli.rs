@@ -44,7 +44,7 @@ pub struct BenchArgs {
     /// `interp`).
     pub backend: ExecBackend,
     /// Middle-end optimization level for the compiled backend
-    /// (`--opt 0|1|2`, default `2`; ignored by the interpreter, which
+    /// (`--opt 0|2`, default `2`; ignored by the interpreter, which
     /// is always the unoptimized oracle).
     pub opt: OptLevel,
     /// Persist (or, with `--replay`, re-render) raw observation traces.
@@ -150,9 +150,9 @@ impl BenchArgs {
                     out.given.backend = true;
                 }
                 "--opt" => {
-                    let v = it.next().ok_or("--opt needs `0`, `1` or `2`")?;
+                    let v = it.next().ok_or("--opt needs `0` or `2`")?;
                     out.opt = OptLevel::parse(&v)
-                        .ok_or_else(|| format!("bad --opt value `{v}` (0|1|2)"))?;
+                        .ok_or_else(|| format!("bad --opt value `{v}` (0|2)"))?;
                     out.given.opt = true;
                 }
                 "--traces" => out.traces = true,
@@ -175,7 +175,7 @@ fn usage(d: &Driver) -> String {
     format!(
         "{} — {}\n\n\
          usage: {} [--jobs N] [--out DIR] [--runs N] [--seed N]\n\
-                     [--backend interp|compiled] [--opt 0|1|2]\n\
+                     [--backend interp|compiled] [--opt 0|2]\n\
                      [--traces] [--replay] [--trace-out PATH] [--metrics]\n\
                      [--force]\n\n\
          --jobs N    worker threads for the sweep (default: all cores)\n\
@@ -291,13 +291,8 @@ pub fn replay_flag_conflicts(
     Ok(())
 }
 
-/// Entry point used by each `src/bin/` wrapper: parses
-/// `std::env::args()` and drives `driver_name`.
-pub fn main_for(driver_name: &str) -> ExitCode {
-    run_driver(driver_name, std::env::args().skip(1))
-}
-
-/// Runs one driver with the given (already split) flag list.
+/// Runs one driver with the given (already split) flag list: the
+/// engine behind `ocelotc bench <driver>`.
 pub fn run_driver(driver_name: &str, args: impl IntoIterator<Item = String>) -> ExitCode {
     let Some(d) = drivers::by_name(driver_name) else {
         eprintln!("error: unknown driver `{driver_name}`");
@@ -499,15 +494,12 @@ mod tests {
             OptLevel::O2,
             "full optimization is the default"
         );
-        for (flag, want) in [
-            ("0", OptLevel::O0),
-            ("1", OptLevel::O1),
-            ("2", OptLevel::O2),
-        ] {
+        for (flag, want) in [("0", OptLevel::O0), ("2", OptLevel::O2)] {
             let a = BenchArgs::parse(strings(&["--opt", flag])).unwrap();
             assert_eq!(a.opt, want);
         }
         assert!(BenchArgs::parse(strings(&["--opt"])).is_err());
+        assert!(BenchArgs::parse(strings(&["--opt", "1"])).is_err());
         assert!(BenchArgs::parse(strings(&["--opt", "3"])).is_err());
         assert!(BenchArgs::parse(strings(&["--opt", "fast"])).is_err());
     }

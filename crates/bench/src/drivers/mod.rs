@@ -12,9 +12,8 @@
 //!   table/figure **purely from the artifact**, so `--replay` can
 //!   re-emit any artifact from disk without re-running a single cell.
 //!
-//! The registry ([`all`] / [`by_name`]) backs both the per-driver
-//! binaries in `src/bin/` and the `ocelotc bench` subcommand; the
-//! shared flag surface lives in [`crate::cli`].
+//! The registry ([`all`] / [`by_name`]) backs the `ocelotc bench`
+//! subcommand; the shared flag surface lives in [`crate::cli`].
 
 mod ablation;
 mod figures;

@@ -483,7 +483,7 @@ const FLEET_USAGE: &str = "\
 fleet — million-device scenario sweep on one shared compiled program
 
 usage: ocelotc fleet [--app NAME] [--devices N] [--runs N] [--seed N]
-                     [--jobs N] [--backend interp|compiled] [--opt 0|1|2]
+                     [--jobs N] [--backend interp|compiled] [--opt 0|2]
                      [--scenario NAME[@seed]]... [--out DIR]
                      [--fingerprint PATH | --no-fingerprint]
                      [--trace-out PATH] [--metrics] [--overhead-check]
@@ -560,9 +560,9 @@ fn parse_fleet_args(args: &[String]) -> Result<FleetArgs, String> {
                 }
             }
             "--opt" => {
-                let v = it.next().ok_or("--opt needs `0`, `1` or `2`")?;
+                let v = it.next().ok_or("--opt needs `0` or `2`")?;
                 out.opt =
-                    OptLevel::parse(v).ok_or_else(|| format!("bad --opt value `{v}` (0|1|2)"))?;
+                    OptLevel::parse(v).ok_or_else(|| format!("bad --opt value `{v}` (0|2)"))?;
             }
             "--backend" => {
                 let v = it.next().ok_or("--backend needs `interp` or `compiled`")?;

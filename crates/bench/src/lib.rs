@@ -23,14 +23,13 @@
 //! | `fleet` | extension — fleet-scale device sweep on one shared compiled program |
 //! | `serve` | extension — incremental re-verification latency over a recorded edit trace |
 //!
-//! Run them with `cargo run -p ocelot-bench --bin <name> --release`.
-//! Every binary accepts `--jobs N` (shard the sweep across a
+//! Run them with `cargo run --release --bin ocelotc -- bench <name>`.
+//! Every driver accepts `--jobs N` (shard the sweep across a
 //! hand-rolled work-stealing [`pool`]), `--out DIR` (persist a
 //! versioned JSON [`artifact`]), `--replay` (re-emit the table/figure
 //! purely from the persisted artifact), and — on uniform cell sweeps —
 //! `--traces` (persist the raw per-cell observation logs as a
 //! replayable [`traces`] artifact) — see `docs/bench.md` and [`cli`].
-//! The same drivers are reachable as `ocelotc bench <driver>`.
 
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

@@ -155,19 +155,25 @@ fn steal_half<'a, T>(
     queues: &[JobDeque<'a, T>],
     me: usize,
 ) -> Option<VecDeque<(usize, Job<'a, T>)>> {
-    // Pick the fullest victim by a cheap scan; lengths may shift under
-    // us, which is fine — we re-check under the victim's lock.
-    let mut order: Vec<usize> = (0..queues.len()).filter(|&i| i != me).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(queues[i].lock().unwrap().len()));
-    for victim in order {
+    // Snapshot each length once and pick the fullest (lowest index on
+    // ties). Other workers pop concurrently, so a snapshot may be stale;
+    // re-check under the victim's lock and rescan if it drained. Jobs
+    // never spawn jobs, so an all-empty snapshot means nothing is left.
+    loop {
+        let mut best: Option<(usize, usize)> = None;
+        for i in (0..queues.len()).filter(|&i| i != me) {
+            let len = queues[i].lock().unwrap().len();
+            if len > 0 && best.map_or(true, |(l, _)| len > l) {
+                best = Some((len, i));
+            }
+        }
+        let (_, victim) = best?;
         let mut q = queues[victim].lock().unwrap();
         let len = q.len();
-        if len == 0 {
-            continue;
+        if len > 0 {
+            return Some(q.split_off(len - len.div_ceil(2)));
         }
-        return Some(q.split_off(len - len.div_ceil(2)));
     }
-    None
 }
 
 #[cfg(test)]
@@ -187,6 +193,27 @@ mod tests {
             assert_eq!(run_jobs(jobs(37), w), expect, "workers={w}");
         }
         assert_eq!(run_jobs(jobs(0), 4), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn empty_jobs_under_heavy_stealing_never_panic() {
+        // Thousands of no-op jobs keep every worker stealing while the
+        // victims' deques shrink underneath the victim scan: the
+        // contention that once broke a sort-based scan's total order and
+        // panicked. The 40-worker case gives the scan more than 20
+        // victims, past the length where std's sort checks the order.
+        for round in 0..40 {
+            for w in [8, 16, 40] {
+                let jobs: Vec<Job<'static, usize>> = (0..4_000usize)
+                    .map(|i| Box::new(move || i) as Job<'static, usize>)
+                    .collect();
+                let out = run_jobs(jobs, w);
+                assert!(
+                    out.iter().copied().eq(0..4_000),
+                    "round {round}, workers={w}"
+                );
+            }
+        }
     }
 
     #[test]

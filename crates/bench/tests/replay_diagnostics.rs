@@ -157,7 +157,7 @@ fn flags_without_replay_are_untouched_by_the_cross_check() {
         "--backend",
         "interp",
         "--opt",
-        "1",
+        "0",
     ]);
     assert!(e.given.backend && e.given.opt && e.given.jobs && e.given.runs && e.given.seed);
 }

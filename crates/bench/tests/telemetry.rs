@@ -1,6 +1,7 @@
 //! Telemetry-inertness suites: enabling the tracing and metrics pillars
-//! must not change a single artifact byte, and the metrics pillar must
-//! stay within the documented ≤5% throughput overhead budget.
+//! must not change a single artifact byte, and (in an ignored,
+//! wall-clock test) the metrics pillar must stay within the documented
+//! ≤5% throughput overhead budget.
 //!
 //! Telemetry state is process-global, so every test here serializes on
 //! one mutex and restores the off-state before releasing it.
@@ -122,8 +123,12 @@ fn fleet_trace_round_trips_with_the_expected_span_names() {
 /// three sweeps and the whole comparison retries before failing — a
 /// genuine regression (a probe on a hot path that stopped being one
 /// relaxed load) fails every attempt, a scheduler hiccup does not.
+/// Still a wall-clock ratio a loaded machine can miss, so it stays out
+/// of the default test run; CI holds the same budget with
+/// `ocelotc fleet --overhead-limit 5`.
 #[test]
-fn metrics_overhead_stays_within_five_percent() {
+#[ignore = "wall-clock ratio; run alone in release with --ignored"]
+fn metrics_overhead_within_five_percent_on_a_quiet_machine() {
     let _guard = serial();
     telemetry(false);
     let mut spec = small_fleet();

@@ -6,6 +6,19 @@
 //! falls below a trigger threshold. The trigger is set high enough that
 //! the remaining energy always completes a JIT checkpoint — the same
 //! assumption Samoyed and the paper make.
+//!
+//! [`CostModel::price`] is the one place an IR operation or terminator
+//! is priced in cycles. Its callers differ only in the [`Facts`] they
+//! supply: the simulator derives them from live machine state, the
+//! worst-case analysis passes the most expensive facts a site admits,
+//! and the minimum-cost analysis the cheapest. The price is monotone in
+//! its facts (an NV store costs no less than a volatile one, a logged
+//! store no less than an unlogged one, an outer region entry no less
+//! than a nested one, a call no less for a costlier callee body) as long
+//! as `nv_write >= alu` and `ckpt_base >= alu`, which is what makes
+//! "minimum ≤ charged ≤ worst case" hold.
+
+use ocelot_ir::{Op, Terminator};
 
 /// Per-operation costs, in CPU cycles.
 ///
@@ -98,6 +111,120 @@ impl CostModel {
     pub fn log_cycles(&self, words: usize) -> u64 {
         self.log_word * words as u64
     }
+
+    /// Cycles one operation or terminator costs, given the facts that
+    /// decide its price. Only `Assign` reads [`Facts::store`], only
+    /// `AtomStart` reads [`Facts::entry`], and only `Call` reads
+    /// [`Facts::callee_cycles`]; every other price is fixed by the
+    /// instruction alone.
+    #[inline]
+    pub fn price(&self, at: Priced<'_>, facts: Facts) -> u64 {
+        match at {
+            Priced::Op(op) => match op {
+                Op::Skip | Op::Annot { .. } => 1,
+                Op::Bind { .. } | Op::AtomEnd { .. } => self.alu,
+                Op::Assign { .. } => {
+                    let write = if facts.store.nv {
+                        self.nv_write
+                    } else {
+                        self.alu
+                    };
+                    write + if facts.store.logged { self.log_word } else { 0 }
+                }
+                Op::Input { sensor, .. } => self.input_cycles(sensor),
+                Op::Call { .. } => self.call.saturating_add(facts.callee_cycles),
+                Op::Output { args, .. } => self.output_word * (1 + args.len() as u64),
+                Op::AtomStart { .. } => match facts.entry {
+                    Entry::Nested => self.alu,
+                    Entry::Outer {
+                        volatile_words,
+                        omega_words,
+                    } => self.checkpoint_cycles(volatile_words) + self.log_cycles(omega_words),
+                },
+            },
+            Priced::Term(t) => match t {
+                Terminator::Jump(_) => self.alu / 2 + 1,
+                Terminator::Branch { .. } => self.alu,
+                Terminator::Ret(_) => self.call / 2,
+            },
+        }
+    }
+}
+
+/// What [`CostModel::price`] prices: an instruction's operation or a
+/// block's terminator.
+#[derive(Debug, Clone, Copy)]
+pub enum Priced<'a> {
+    /// An instruction.
+    Op(&'a Op),
+    /// A block terminator.
+    Term(&'a Terminator),
+}
+
+/// The facts that decide an operation's price. The default is the
+/// cheapest case: a volatile unlogged store, a nested region entry, and
+/// a call whose callee body is charged separately (as the simulator
+/// charges it, instruction by instruction).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Facts {
+    /// Where an `Assign` writes.
+    pub store: Store,
+    /// How an `AtomStart` enters its region.
+    pub entry: Entry,
+    /// Cycles of the callee body a `Call` pays on top of the call
+    /// overhead.
+    pub callee_cycles: u64,
+}
+
+impl Facts {
+    /// Facts for a store.
+    pub fn store(nv: bool, logged: bool) -> Self {
+        Facts {
+            store: Store { nv, logged },
+            ..Facts::default()
+        }
+    }
+
+    /// Facts for a region entry.
+    pub fn entry(entry: Entry) -> Self {
+        Facts {
+            entry,
+            ..Facts::default()
+        }
+    }
+
+    /// Facts for a call whose callee body costs `cycles`.
+    pub fn callee(cycles: u64) -> Self {
+        Facts {
+            callee_cycles: cycles,
+            ..Facts::default()
+        }
+    }
+}
+
+/// Where a store writes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Store {
+    /// Non-volatile memory (otherwise a volatile frame slot).
+    pub nv: bool,
+    /// The store also copies one word into a region's undo log.
+    pub logged: bool,
+}
+
+/// How an `AtomStart` enters its region.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Entry {
+    /// Already inside a region: a nesting-counter bump.
+    #[default]
+    Nested,
+    /// An outer entry: checkpoint the volatile state, then eagerly
+    /// undo-log the region's ω set.
+    Outer {
+        /// Words of volatile state checkpointed.
+        volatile_words: usize,
+        /// Words of ω logged.
+        omega_words: usize,
+    },
 }
 
 /// What the comparator reports after consuming energy.
@@ -202,6 +329,43 @@ mod tests {
         assert!(c.input > 100 * c.alu, "sampling dwarfs compute");
         assert!(c.ckpt_base > 10 * c.alu);
         assert_eq!(c.cycles_to_us(8), 1, "8 cycles at 8 MHz = 1 µs");
+    }
+
+    #[test]
+    fn price_is_monotone_in_its_facts() {
+        use ocelot_ir::ast::Expr;
+        use ocelot_ir::{Place, RegionId};
+        let c = CostModel::default();
+        let store = Op::Assign {
+            place: Place::Var("x".into()),
+            src: Expr::Int(1),
+        };
+        let price_store = |nv, logged| c.price(Priced::Op(&store), Facts::store(nv, logged));
+        assert!(price_store(false, false) <= price_store(true, false));
+        assert!(price_store(true, false) <= price_store(true, true));
+        assert!(price_store(false, false) <= price_store(false, true));
+
+        let start = Op::AtomStart {
+            region: RegionId(0),
+        };
+        let nested = c.price(Priced::Op(&start), Facts::entry(Entry::Nested));
+        let outer = |volatile_words, omega_words| {
+            let e = Entry::Outer {
+                volatile_words,
+                omega_words,
+            };
+            c.price(Priced::Op(&start), Facts::entry(e))
+        };
+        assert!(nested <= outer(0, 0));
+        assert!(outer(0, 0) <= outer(3, 0) && outer(3, 0) <= outer(3, 2));
+
+        let call = Op::Call {
+            dst: None,
+            callee: ocelot_ir::FuncId(0),
+            args: vec![],
+        };
+        assert_eq!(c.price(Priced::Op(&call), Facts::default()), c.call);
+        assert_eq!(c.price(Priced::Op(&call), Facts::callee(5)), c.call + 5);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! [`sensors`] whose changes make freshness/consistency violations
 //! observable.
 //!
-//! This crate is deliberately independent of the IR and runtime: it
-//! models joules, microseconds, and sensor values only.
+//! This crate is deliberately independent of the runtime: it models
+//! joules, microseconds, and sensor values. Its one view of the IR is
+//! [`energy::CostModel::price`], the cycle price of each IR operation
+//! that the simulator and the static analyses all share.
 //!
 //! ## Examples
 //!

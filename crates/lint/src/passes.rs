@@ -103,7 +103,7 @@ pub fn lint_compiled(
     let sm = SourceMap::new(src);
     let det = DetectorConfig::from_policies(&compiled.policies);
     let feas = FeasAnalysis::new(p, &opts.costs).map_err(|e| LintError(e.to_string()))?;
-    let mut wcet = WcetAnalysis::new(p, &opts.costs, &compiled.regions);
+    let wcet = WcetAnalysis::new(p, &opts.costs, &compiled.regions);
 
     let span_of = |r: InstrRef| -> Span {
         p.span_of(r)
@@ -116,18 +116,9 @@ pub fn lint_compiled(
     let mut report = Report::default();
 
     dead_policies(compiled, &label, &mut report);
-    freshness_windows(
-        p,
-        compiled,
-        &det,
-        &feas,
-        &mut wcet,
-        opts,
-        &label,
-        &mut report,
-    );
+    freshness_windows(p, &det, &feas, &wcet, opts, &label, &mut report);
     redundant_checks(p, compiled, &det, &label, &mut report);
-    energy_regions(compiled, &feas, &mut wcet, opts, &label, &mut report);
+    energy_regions(compiled, &feas, &wcet, opts, &label, &mut report);
 
     report.normalize();
     Ok(report)
@@ -177,13 +168,11 @@ fn dead_policies(
 
 /// OC001/OC002/OC005: expiry windows against min/max collect-to-use
 /// path costs, and obligations blocked behind unbounded loops.
-#[allow(clippy::too_many_arguments)]
 fn freshness_windows(
     p: &Program,
-    compiled: &Compiled,
     det: &DetectorConfig,
     feas: &FeasAnalysis<'_>,
-    wcet: &mut WcetAnalysis<'_>,
+    wcet: &WcetAnalysis<'_>,
     opts: &LintOptions,
     label: &impl Fn(InstrRef, String) -> Label,
     out: &mut Report,
@@ -222,21 +211,14 @@ fn freshness_windows(
                 let mut any_same_run = false;
                 let mut any_bounded = false;
                 for uctx in &uctxs {
-                    for c in [
-                        feas.min_chain_to_use(ch, uctx, *site, EdgeSet::All),
-                        feas.min_chain_to_use_cross_run(ch, uctx, *site),
-                    ]
-                    .into_iter()
-                    .flatten()
-                    {
+                    let same_run = feas.min_chain_to_use(ch, uctx, *site, EdgeSet::All);
+                    let cross_run = feas.min_chain_to_use_cross_run(ch, uctx, *site);
+                    for c in [same_run, cross_run].into_iter().flatten() {
                         min_cycles = Some(min_cycles.map_or(c, |m: u64| m.min(c)));
                     }
-                    if feas
-                        .min_chain_to_use(ch, uctx, *site, EdgeSet::All)
-                        .is_some()
-                    {
+                    if same_run.is_some() {
                         any_same_run = true;
-                        if let Some(c) = max_chain_to_use(wcet, &opts.costs, ch, uctx, *site) {
+                        if let Some(c) = wcet.worst_chain_to_use(ch, uctx, *site) {
                             max_cycles = Some(max_cycles.map_or(c, |m: u64| m.max(c)));
                         }
                     }
@@ -303,7 +285,6 @@ fn freshness_windows(
             }
         }
     }
-    let _ = compiled;
     out.findings.extend(worst.into_values().map(|(_, f)| f));
 }
 
@@ -318,70 +299,6 @@ fn keep_worst(
         _ => {
             worst.insert(key, (weight, f));
         }
-    }
-}
-
-/// Worst-case same-run collect-to-use cycles, composed from WCET path
-/// segments along the chain's ascent and the use context's descent.
-/// `None` when any segment has no single-attempt bound (unbounded loop,
-/// endpoints straddling a loop nest) — the OC002 warning is then
-/// silently skipped rather than guessed at.
-fn max_chain_to_use(
-    wcet: &mut WcetAnalysis<'_>,
-    costs: &CostModel,
-    chain: &[InstrRef],
-    uctx: &[InstrRef],
-    use_at: InstrRef,
-) -> Option<u64> {
-    let calls = &chain[..chain.len() - 1];
-    let d = calls
-        .iter()
-        .zip(uctx.iter())
-        .take_while(|(a, b)| a == b)
-        .count();
-    let mut total = 0u64;
-    for site in chain.iter().skip(d + 1).rev() {
-        let after = wcet_after(wcet, *site)?;
-        let exit = wcet.exit_point(site.func);
-        total = total.saturating_add(wcet.between(site.func, after, exit).ok()?);
-    }
-    let mut func = chain[d].func;
-    let mut cur = wcet_after(wcet, chain[d])?;
-    for site in &uctx[d..] {
-        if site.func != func {
-            return None;
-        }
-        let before = wcet_point(wcet, *site)?;
-        total = total
-            .saturating_add(wcet.between(func, cur, before).ok()?)
-            .saturating_add(costs.call);
-        func = callee_of(wcet.program(), *site)?;
-        let entry = wcet.program().func(func).entry;
-        cur = Point::new(entry, 0);
-    }
-    if use_at.func != func {
-        return None;
-    }
-    let before = wcet_point(wcet, use_at)?;
-    Some(total.saturating_add(wcet.between(func, cur, before).ok()?))
-}
-
-fn wcet_point(w: &WcetAnalysis<'_>, at: InstrRef) -> Option<Point> {
-    let f = w.program().func(at.func);
-    f.find_label(at.label).map(|(b, i)| Point::new(b, i))
-}
-
-fn wcet_after(w: &WcetAnalysis<'_>, at: InstrRef) -> Option<Point> {
-    let f = w.program().func(at.func);
-    f.find_label(at.label).map(|(b, i)| Point::new(b, i + 1))
-}
-
-fn callee_of(p: &Program, site: InstrRef) -> Option<ocelot_ir::FuncId> {
-    let f = p.func(site.func);
-    let (b, i) = f.find_label(site.label)?;
-    match &f.block(b).instrs.get(i)?.op {
-        ocelot_ir::Op::Call { callee, .. } => Some(*callee),
-        _ => None,
     }
 }
 
@@ -436,7 +353,7 @@ fn redundant_checks(
 fn energy_regions(
     compiled: &Compiled,
     feas: &FeasAnalysis<'_>,
-    wcet: &mut WcetAnalysis<'_>,
+    wcet: &WcetAnalysis<'_>,
     opts: &LintOptions,
     label: &impl Fn(InstrRef, String) -> Label,
     out: &mut Report,

@@ -9,32 +9,31 @@
 //! non-termination risk §7 of the paper calls out).
 //!
 //! Soundness direction is therefore inverted relative to WCET: every
-//! per-operation cost here is a **lower bound** on what the runtime
-//! charges (no undo-log surcharges, atomic entry priced as the nested
-//! case, calls add the callee's *cheapest* body). The runtime converts
-//! cycles to microseconds per charge with a rounding-up division, and
-//! `Σ ceil(xᵢ) ≥ ceil(Σ xᵢ)`, so
+//! instruction is priced by [`CostModel::price`], the function the
+//! runtime charges through, under the *cheapest* facts the site admits
+//! (no undo-log words, region entry as the nested case, calls add the
+//! callee's cheapest body), and the price is monotone in its facts. The
+//! runtime converts cycles to microseconds per charge with a rounding-up
+//! division, and `Σ ceil(xᵢ) ≥ ceil(Σ xᵢ)`, so
 //! `CostModel::cycles_to_us(min_path_cycles)` lower-bounds the
 //! microseconds any execution can take along any collect-to-use path.
 //!
-//! Minimum path costs are shortest paths over the block graph with
-//! non-negative node weights (Dijkstra); loops never help a shortest
-//! path, so no trip-count reasoning is needed. A `bounded_only` variant
-//! removes the back edges of loops the [`crate::bounds`] analysis
-//! cannot bound — a use reachable from its collection *only* through
-//! such a back edge has an obligation no progress argument can
+//! Minimum path costs are shortest paths over the shared block graph
+//! with non-negative node weights (Dijkstra); loops never help a
+//! shortest path, so no trip-count reasoning is needed. A `bounded_only`
+//! variant removes the back edges of loops the [`crate::bounds`]
+//! analysis cannot bound — a use reachable from its collection *only*
+//! through such a back edge has an obligation no progress argument can
 //! discharge (the linter's unbounded-loop-blocks-obligation pass).
 
-use crate::bounds::{loop_bound, LoopBound};
 use crate::error::ProgressError;
-use ocelot_analysis::dom::{DomTree, Point};
-use ocelot_analysis::loops::LoopForest;
-use ocelot_hw::energy::CostModel;
+use crate::graph::{block_graphs, chain_to_use, point_of, points, BlockGraph, Run};
+use ocelot_analysis::dom::Point;
+use ocelot_hw::energy::{CostModel, Facts, Priced};
 use ocelot_ir::callgraph::CallGraph;
-use ocelot_ir::cfg::Cfg;
-use ocelot_ir::{BlockId, FuncId, Function, InstrRef, Label, Op, Place, Program, Terminator};
+use ocelot_ir::{BlockId, FuncId, Function, InstrRef, Op, Place, Program};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Which CFG edges a minimum-path query may traverse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,22 +49,13 @@ pub enum EdgeSet {
 pub struct FeasAnalysis<'p> {
     p: &'p Program,
     costs: CostModel,
+    graphs: Vec<BlockGraph>,
+    /// Cheapest full execution of each block including its terminator,
+    /// indexed `[func][block]`.
+    block_min: Vec<Vec<u64>>,
     /// Cheapest complete execution of each function, entry through the
     /// returning terminator, indexed by `FuncId`.
     func_min: Vec<u64>,
-    graphs: HashMap<FuncId, FuncGraph>,
-}
-
-/// Per-function block graph with minimum block costs.
-struct FuncGraph {
-    /// Cheapest full execution of each block including its terminator.
-    block_cost: BTreeMap<BlockId, u64>,
-    succs: BTreeMap<BlockId, Vec<BlockId>>,
-    /// Back edges (latch → header) of loops whose trip count the
-    /// bounds analysis cannot recover.
-    unbounded_back: BTreeSet<(BlockId, BlockId)>,
-    /// Blocks ending in `ret`.
-    exit_blocks: BTreeSet<BlockId>,
 }
 
 impl<'p> FeasAnalysis<'p> {
@@ -76,26 +66,28 @@ impl<'p> FeasAnalysis<'p> {
     /// Fails on a cyclic call graph (recursion has no finite best case
     /// either; `ocelot_ir::validate` rejects it upstream).
     pub fn new(p: &'p Program, costs: &CostModel) -> Result<Self, ProgressError> {
-        let cg = CallGraph::new(p);
-        let order = cg.topo_callees_first(p).map_err(|_| {
+        let order = CallGraph::new(p).topo_callees_first(p).map_err(|_| {
             ProgressError::unsupported("minimum-cost analysis requires an acyclic call graph")
         })?;
         let mut this = FeasAnalysis {
             p,
             costs: costs.clone(),
+            graphs: block_graphs(p),
+            block_min: vec![Vec::new(); p.funcs.len()],
             func_min: vec![0; p.funcs.len()],
-            graphs: HashMap::new(),
         };
         // Callees before callers, so call costs resolve to finished minima.
         for func in order {
-            let graph = this.build_graph(func);
             let f = p.func(func);
+            this.block_min[func.0 as usize] = f
+                .blocks
+                .iter()
+                .map(|b| this.range_min(f, b.id, 0, usize::MAX))
+                .collect();
             let entry = Point::new(f.entry, 0);
-            let min = this
-                .min_to_exit_in(&graph, f, entry, EdgeSet::All)
+            this.func_min[func.0 as usize] = this
+                .min_to_exit(func, entry, EdgeSet::All)
                 .unwrap_or(u64::MAX);
-            this.func_min[func.0 as usize] = min;
-            this.graphs.insert(func, graph);
         }
         Ok(this)
     }
@@ -108,8 +100,7 @@ impl<'p> FeasAnalysis<'p> {
     /// The `(block, index)` position of `label` in its function, as a
     /// [`Point`] (the terminator sits at `index == instrs.len()`).
     pub fn point_of(&self, at: InstrRef) -> Option<Point> {
-        let f = self.p.func(at.func);
-        f.find_label(at.label).map(|(b, i)| Point::new(b, i))
+        point_of(self.p, at)
     }
 
     /// Minimum cycles from `from` (inclusive) to `to` (exclusive)
@@ -117,7 +108,6 @@ impl<'p> FeasAnalysis<'p> {
     /// is unreachable from `from`.
     pub fn min_between(&self, func: FuncId, from: Point, to: Point, edges: EdgeSet) -> Option<u64> {
         let f = self.p.func(func);
-        let g = &self.graphs[&func];
         if from.block == to.block && from.index <= to.index {
             // The straight-line segment is always the cheapest option:
             // any detour re-executes it plus a non-negative cycle.
@@ -125,15 +115,9 @@ impl<'p> FeasAnalysis<'p> {
         }
         let suffix = self.range_min(f, from.block, from.index, usize::MAX);
         let prefix = self.range_min(f, to.block, 0, to.index);
-        let dist = self.dijkstra_to(g, to.block, edges);
-        let mut best: Option<u64> = None;
-        for s in self.edge_succs(g, from.block, edges) {
-            if let Some(&d) = dist.get(&s) {
-                let cand = suffix.saturating_add(d).saturating_add(prefix);
-                best = Some(best.map_or(cand, |b: u64| b.min(cand)));
-            }
-        }
-        best
+        let dist = self.dijkstra(func, edges, |b| (b == to.block).then_some(0));
+        self.via_succs(func, from.block, edges, &dist)
+            .map(|d| suffix.saturating_add(d).saturating_add(prefix))
     }
 
     /// Minimum cycles from `from` (inclusive) through a returning
@@ -141,14 +125,19 @@ impl<'p> FeasAnalysis<'p> {
     /// reachable under `edges`.
     pub fn min_to_exit(&self, func: FuncId, from: Point, edges: EdgeSet) -> Option<u64> {
         let f = self.p.func(func);
-        let g = &self.graphs[&func];
-        self.min_to_exit_in(g, f, from, edges)
-    }
-
-    /// Minimum cycles from the entry of `func` to `to` (exclusive).
-    pub fn min_from_entry(&self, func: FuncId, to: Point, edges: EdgeSet) -> Option<u64> {
-        let f = self.p.func(func);
-        self.min_between(func, Point::new(f.entry, 0), to, edges)
+        let g = &self.graphs[func.0 as usize];
+        let suffix = self.range_min(f, from.block, from.index, usize::MAX);
+        if g.exit_blocks().contains(&from.block) {
+            return Some(suffix);
+        }
+        let block_min = &self.block_min[func.0 as usize];
+        let dist = self.dijkstra(func, edges, |b| {
+            g.exit_blocks()
+                .contains(&b)
+                .then(|| block_min[b.0 as usize])
+        });
+        self.via_succs(func, from.block, edges, &dist)
+            .map(|d| suffix.saturating_add(d))
     }
 
     // ------------------------------------------------------------------
@@ -158,12 +147,8 @@ impl<'p> FeasAnalysis<'p> {
     /// Minimum cycles between executing the input that ends `chain`
     /// (the call sites from `main`, then the input instruction) and
     /// reaching `use_at` under calling context `use_ctx`, without the
-    /// run restarting in between. `None` when no same-run continuation
-    /// exists under `edges`.
-    ///
-    /// The input's own cost is excluded (its timestamp is taken while
-    /// it executes); the use instruction's cost is likewise excluded
-    /// (the expiry check fires on arrival).
+    /// run restarting in between. `None` when no
+    /// same-run continuation exists under `edges`.
     pub fn min_chain_to_use(
         &self,
         chain: &[InstrRef],
@@ -171,28 +156,7 @@ impl<'p> FeasAnalysis<'p> {
         use_at: InstrRef,
         edges: EdgeSet,
     ) -> Option<u64> {
-        if chain.is_empty() {
-            return None;
-        }
-        let calls = &chain[..chain.len() - 1];
-        // Longest common call-stack prefix: the divergence frame.
-        let d = calls
-            .iter()
-            .zip(use_ctx.iter())
-            .take_while(|(a, b)| a == b)
-            .count();
-        // Ascend out of every frame below the divergence frame; frame j
-        // resumes just after `chain[j]` and must reach its `ret`.
-        let mut total = 0u64;
-        for site in chain.iter().skip(d + 1).rev() {
-            let after = self.after(*site)?;
-            total = total.saturating_add(self.min_to_exit(site.func, after, edges)?);
-        }
-        // Now in `chain[d].func` just after `chain[d]` (which is the
-        // input itself when the collect frame is a prefix of the use's).
-        let cur = self.after(chain[d])?;
-        let rest = self.descend(chain[d].func, cur, &use_ctx[d..], use_at, edges)?;
-        Some(total.saturating_add(rest))
+        self.chain_min(chain, use_ctx, use_at, Run::Same, edges)
     }
 
     /// Minimum cycles between the input ending `chain` and `use_at`
@@ -205,253 +169,115 @@ impl<'p> FeasAnalysis<'p> {
         use_ctx: &[InstrRef],
         use_at: InstrRef,
     ) -> Option<u64> {
-        if chain.is_empty() {
-            return None;
-        }
-        let mut total = 0u64;
-        for site in chain.iter().rev() {
-            let after = self.after(*site)?;
-            total = total.saturating_add(self.min_to_exit(site.func, after, EdgeSet::All)?);
-        }
-        let entry = Point::new(self.p.func(self.p.main).entry, 0);
-        let rest = self.descend(self.p.main, entry, use_ctx, use_at, EdgeSet::All)?;
-        Some(total.saturating_add(rest))
+        self.chain_min(chain, use_ctx, use_at, Run::Next, EdgeSet::All)
     }
 
-    /// Descend from `cur` in `func` through the call sites of `ctx`
-    /// down to just before `use_at`.
-    fn descend(
+    fn chain_min(
         &self,
-        mut func: FuncId,
-        mut cur: Point,
-        ctx: &[InstrRef],
+        chain: &[InstrRef],
+        use_ctx: &[InstrRef],
         use_at: InstrRef,
+        run: Run,
         edges: EdgeSet,
     ) -> Option<u64> {
-        let mut total = 0u64;
-        for site in ctx {
-            if site.func != func {
-                return None; // malformed context for this site
-            }
-            let before = self.point_of(*site)?;
-            total = total
-                .saturating_add(self.min_between(func, cur, before, edges)?)
-                .saturating_add(self.costs.call);
-            let f = self.p.func(func);
-            let (b, i) = f.find_label(site.label)?;
-            let Op::Call { callee, .. } = &f.block(b).instrs.get(i)?.op else {
-                return None;
-            };
-            func = *callee;
-            cur = Point::new(self.p.func(func).entry, 0);
-        }
-        if use_at.func != func {
-            return None;
-        }
-        let before = self.point_of(use_at)?;
-        Some(total.saturating_add(self.min_between(func, cur, before, edges)?))
+        chain_to_use(
+            self.p,
+            &self.costs,
+            chain,
+            use_ctx,
+            use_at,
+            run,
+            |func, from, to| match to {
+                Some(to) => self.min_between(func, from, to, edges),
+                None => self.min_to_exit(func, from, edges),
+            },
+        )
     }
 
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
 
-    /// The point just after the instruction `at`.
-    fn after(&self, at: InstrRef) -> Option<Point> {
-        let f = self.p.func(at.func);
-        f.find_label(at.label).map(|(b, i)| Point::new(b, i + 1))
-    }
-
-    fn min_to_exit_in(
+    /// The cheapest `dist` over the successors of `b` admissible under
+    /// `edges`.
+    fn via_succs(
         &self,
-        g: &FuncGraph,
-        f: &Function,
-        from: Point,
+        func: FuncId,
+        b: BlockId,
         edges: EdgeSet,
+        dist: &BTreeMap<BlockId, u64>,
     ) -> Option<u64> {
-        if g.exit_blocks.contains(&from.block) {
-            return Some(self.range_min(f, from.block, from.index, usize::MAX));
-        }
-        let suffix = self.range_min(f, from.block, from.index, usize::MAX);
-        let dist = self.dijkstra_to_exits(g, edges);
-        let mut best: Option<u64> = None;
-        for s in self.edge_succs(g, from.block, edges) {
-            if let Some(&d) = dist.get(&s) {
-                let cand = suffix.saturating_add(d);
-                best = Some(best.map_or(cand, |b: u64| b.min(cand)));
-            }
-        }
-        best
+        let g = &self.graphs[func.0 as usize];
+        g.cfg
+            .succs(b)
+            .iter()
+            .filter(|&&s| edges == EdgeSet::All || !g.is_unbounded_back(b, s))
+            .filter_map(|s| dist.get(s).copied())
+            .min()
     }
 
-    /// Successors of `b` admissible under `edges`.
-    fn edge_succs(&self, g: &FuncGraph, b: BlockId, edges: EdgeSet) -> Vec<BlockId> {
-        g.succs
-            .get(&b)
-            .map(|ss| {
-                ss.iter()
-                    .copied()
-                    .filter(|s| edges == EdgeSet::All || !g.unbounded_back.contains(&(b, *s)))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// `dist[b]` = cheapest execution from the start of `b` to the
-    /// start of `target` (full cost of every block strictly before it).
-    fn dijkstra_to(
-        &self,
-        g: &FuncGraph,
-        target: BlockId,
-        edges: EdgeSet,
-    ) -> BTreeMap<BlockId, u64> {
-        self.dijkstra(g, edges, |b| (b == target).then_some(0))
-    }
-
-    /// `dist[b]` = cheapest execution from the start of `b` through the
-    /// nearest returning terminator (inclusive).
-    fn dijkstra_to_exits(&self, g: &FuncGraph, edges: EdgeSet) -> BTreeMap<BlockId, u64> {
-        self.dijkstra(g, edges, |b| {
-            g.exit_blocks.contains(&b).then(|| g.block_cost[&b])
-        })
-    }
-
-    /// Generic single-target Dijkstra on the reversed block graph with
-    /// node weights. `seed(b)` gives a block's distance when it is a
-    /// target (its own cost if execution must pass through it).
+    /// Single-target Dijkstra on the reversed block graph of `func` with
+    /// node weights: `dist[b]` is the cheapest execution from the start
+    /// of `b` to a target. `seed(b)` gives a block's distance when it is
+    /// a target (its own cost if execution must pass through it).
     fn dijkstra(
         &self,
-        g: &FuncGraph,
+        func: FuncId,
         edges: EdgeSet,
         seed: impl Fn(BlockId) -> Option<u64>,
     ) -> BTreeMap<BlockId, u64> {
+        let g = &self.graphs[func.0 as usize];
+        let block_min = &self.block_min[func.0 as usize];
         let mut dist: BTreeMap<BlockId, u64> = BTreeMap::new();
         let mut heap: BinaryHeap<(Reverse<u64>, BlockId)> = BinaryHeap::new();
-        for &b in g.block_cost.keys() {
+        for b in (0..block_min.len()).map(|i| BlockId(i as u32)) {
             if let Some(d0) = seed(b) {
                 dist.insert(b, d0);
                 heap.push((Reverse(d0), b));
-            }
-        }
-        // Reverse edges: preds of settled nodes improve.
-        let mut rev: BTreeMap<BlockId, Vec<BlockId>> = BTreeMap::new();
-        for (&u, vs) in &g.succs {
-            for &v in vs {
-                if edges == EdgeSet::BoundedOnly && g.unbounded_back.contains(&(u, v)) {
-                    continue;
-                }
-                rev.entry(v).or_default().push(u);
             }
         }
         while let Some((Reverse(d), b)) = heap.pop() {
             if dist.get(&b) != Some(&d) {
                 continue;
             }
-            if let Some(ps) = rev.get(&b) {
-                for &p in ps {
-                    let nd = d.saturating_add(g.block_cost[&p]);
-                    if dist.get(&p).map_or(true, |&old| nd < old) {
-                        dist.insert(p, nd);
-                        heap.push((Reverse(nd), p));
-                    }
+            // Predecessors of a settled node improve.
+            for &p in g.cfg.preds(b) {
+                if edges == EdgeSet::BoundedOnly && g.is_unbounded_back(p, b) {
+                    continue;
+                }
+                let nd = d.saturating_add(block_min[p.0 as usize]);
+                if dist.get(&p).map_or(true, |&old| nd < old) {
+                    dist.insert(p, nd);
+                    heap.push((Reverse(nd), p));
                 }
             }
         }
         dist
     }
 
-    /// Minimum cost of points `[lo, hi)` of one block; `instrs.len()`
-    /// is the terminator, and `hi` saturates past it.
+    /// Minimum cost of points `[lo, hi)` of one block.
     fn range_min(&self, f: &Function, b: BlockId, lo: usize, hi: usize) -> u64 {
-        let blk = f.block(b);
-        let mut total = 0u64;
-        for i in lo..hi.min(blk.instrs.len() + 1) {
-            let c = if i < blk.instrs.len() {
-                self.min_op_cost(f, &blk.instrs[i].op)
-            } else {
-                min_term_cost(&self.costs, &blk.term)
-            };
-            total = total.saturating_add(c);
-        }
-        total
+        points(f, b, lo, hi)
+            .map(|(_, at)| self.cheapest_price(f, at))
+            .fold(0, u64::saturating_add)
     }
 
-    /// Lower bound on the runtime's charge for one operation: no
-    /// undo-log surcharges, region entry priced as the nested (ALU)
-    /// case, calls add the callee's cheapest body.
-    fn min_op_cost(&self, f: &Function, op: &Op) -> u64 {
-        match op {
-            Op::Skip | Op::Annot { .. } => 1,
-            Op::Bind { .. } => self.costs.alu,
-            Op::Assign { place, .. } => match place {
-                Place::Var(x) if is_local_slot(f, x) => self.costs.alu,
-                Place::Var(_) | Place::Index(..) | Place::Deref(_) => self.costs.nv_write,
-            },
-            Op::Input { sensor, .. } => self.costs.input_cycles(sensor),
-            Op::Call { callee, .. } => self
-                .costs
-                .call
-                .saturating_add(self.func_min[callee.0 as usize]),
-            Op::Output { args, .. } => self.costs.output_word * (1 + args.len() as u64),
-            Op::AtomStart { .. } | Op::AtomEnd { .. } => self.costs.alu,
-        }
-    }
-
-    fn build_graph(&self, func: FuncId) -> FuncGraph {
-        let f = self.p.func(func);
-        let cfg = Cfg::new(f);
-        let dom = DomTree::dominators(f, &cfg);
-        let loops = LoopForest::new(f, &cfg, &dom);
-        let mut unbounded_back = BTreeSet::new();
-        for l in loops.loops() {
-            if matches!(loop_bound(f, l), LoopBound::Unknown(_)) {
-                for &latch in cfg.preds(l.header) {
-                    if l.contains(latch) {
-                        unbounded_back.insert((latch, l.header));
-                    }
-                }
+    /// The least the runtime can charge at one site: [`CostModel::price`]
+    /// under the best-case facts. A store to a declared local (or any
+    /// parameter; for by-ref parameters an undo-log word is only an
+    /// upper-bound extra) is volatile, anything else an NV write; no
+    /// store pays an undo-log word; a region entry is the nested case;
+    /// a call adds the callee's cheapest body.
+    fn cheapest_price(&self, f: &Function, at: Priced<'_>) -> u64 {
+        let facts = match at {
+            Priced::Op(Op::Assign { place, .. }) => {
+                Facts::store(!matches!(place, Place::Var(x) if f.declares(x)), false)
             }
-        }
-        let mut block_cost = BTreeMap::new();
-        let mut succs = BTreeMap::new();
-        let mut exit_blocks = BTreeSet::new();
-        for b in &f.blocks {
-            block_cost.insert(b.id, self.range_min(f, b.id, 0, usize::MAX));
-            succs.insert(b.id, cfg.succs(b.id).to_vec());
-            if matches!(b.term, Terminator::Ret(_)) {
-                exit_blocks.insert(b.id);
-            }
-        }
-        FuncGraph {
-            block_cost,
-            succs,
-            unbounded_back,
-            exit_blocks,
-        }
+            Priced::Op(Op::Call { callee, .. }) => Facts::callee(self.func_min[callee.0 as usize]),
+            _ => Facts::default(),
+        };
+        self.costs.price(at, facts)
     }
-}
-
-/// Minimum cost of a terminator (the runtime's charge is deterministic
-/// per terminator kind, so this equals the WCET figure).
-fn min_term_cost(costs: &CostModel, t: &Terminator) -> u64 {
-    match t {
-        Terminator::Jump(_) => costs.alu / 2 + 1,
-        Terminator::Branch { .. } => costs.alu,
-        Terminator::Ret(_) => costs.call / 2,
-    }
-}
-
-/// True when writes to `x` inside `f` stay volatile this frame (a local
-/// or any parameter — for by-ref parameters the runtime charges an ALU
-/// write and possibly an undo-log entry; the log is an upper-bound
-/// extra, so the lower bound is the ALU cost alone).
-fn is_local_slot(f: &Function, x: &str) -> bool {
-    f.locals.iter().any(|l| l == x) || f.params.iter().any(|p| p.name == x)
-}
-
-/// Convenience: the [`Point`] of `label` inside `f`, if present.
-pub fn point_in(f: &Function, label: Label) -> Option<Point> {
-    f.find_label(label).map(|(b, i)| Point::new(b, i))
 }
 
 #[cfg(test)]
@@ -521,7 +347,7 @@ mod tests {
         .unwrap();
         let a = analysis(&p);
         let regions = ocelot_core::collect_regions(&p).unwrap();
-        let mut w = crate::wcet::WcetAnalysis::new(&p, &CostModel::default(), &regions);
+        let w = crate::wcet::WcetAnalysis::new(&p, &CostModel::default(), &regions);
         let min = a.func_min(p.main);
         let max = w.func_wcet(p.main).unwrap();
         assert!(

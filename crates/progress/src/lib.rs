@@ -10,7 +10,10 @@
 //!    checkpoint must save, per function and for the whole program;
 //! 2. [`WcetAnalysis`] — worst-case active cycles of any single attempt
 //!    of a region body (branch maxima, bounded-loop multiplication,
-//!    callee inlining), mirroring the runtime's cost accounting;
+//!    callee inlining), and [`FeasAnalysis`], its best-case counterpart:
+//!    both fold over one shared block graph per function and price every
+//!    instruction through the runtime's own
+//!    [`CostModel::price`](ocelot_hw::energy::CostModel::price);
 //! 3. [`ProgressReport`] — per-region energy budgets, feasibility
 //!    verdicts against a concrete
 //!    [`Capacitor`](ocelot_hw::energy::Capacitor), and the minimum
@@ -46,6 +49,7 @@
 pub mod bounds;
 pub mod error;
 pub mod feas;
+mod graph;
 pub mod report;
 pub mod stack;
 pub mod wcet;

@@ -101,7 +101,7 @@ impl ProgressReport {
         regions: &[RegionInfo],
         costs: &CostModel,
     ) -> Result<Self, ProgressError> {
-        let mut w = WcetAnalysis::new(p, costs, regions);
+        let w = WcetAnalysis::new(p, costs, regions);
         let mut budgets = Vec::with_capacity(regions.len());
         for info in regions {
             let entry_cycles = w.region_entry_cycles(info);

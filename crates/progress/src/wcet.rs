@@ -1,64 +1,60 @@
 //! Worst-case active-cycle analysis.
 //!
 //! Computes a static upper bound on the cycles any single execution
-//! attempt can spend between two program points, using the same
-//! per-operation cost model the runtime charges. Branches take the more
-//! expensive arm, bounded loops multiply their worst iteration by the
-//! recovered trip count, and calls add the callee's whole-body bound.
+//! attempt can spend between two program points. Every instruction is
+//! priced by [`CostModel::price`], the function the runtime charges
+//! through, with the most expensive facts the site admits. Branches take
+//! the more expensive arm, bounded loops multiply their worst iteration
+//! by the recovered trip count, and calls add the callee's whole-body
+//! bound; the fold runs over the block graph it shares with the
+//! minimum-cost analysis.
 //!
 //! The bound is *sound with respect to the runtime*: for every
 //! continuous-power execution, the cycles the `ocelot-runtime` machine
 //! charges along the analyzed path are at most the value computed here
 //! (an integration property test checks exactly this). Conservatism
 //! comes from three places: both branch arms are maximized, every
-//! non-volatile write inside an atomic region is assumed to pay an
-//! undo-log entry (the runtime logs each location once), and checkpoint
-//! sizes use the worst-case stack model of [`crate::stack`].
+//! non-volatile write inside an atomic region is priced with an
+//! undo-log word (the runtime logs each location once), and region
+//! entries are priced as outer entries that checkpoint the worst-case
+//! stack of [`crate::stack`].
 
-use crate::bounds::{loop_bound, LoopBound};
+use crate::bounds::LoopBound;
 use crate::error::ProgressError;
+use crate::graph::{block_graphs, chain_to_use, points, BlockGraph, Run};
 use crate::stack::StackModel;
-use ocelot_analysis::dom::{DomTree, Point};
-use ocelot_analysis::loops::{LoopForest, NaturalLoop};
+use ocelot_analysis::dom::Point;
+use ocelot_analysis::loops::NaturalLoop;
 use ocelot_core::{covered_refs, RegionInfo};
-use ocelot_hw::energy::CostModel;
-use ocelot_ir::cfg::Cfg;
-use ocelot_ir::{BlockId, FuncId, Function, InstrRef, Op, Place, Program, RegionId, Terminator};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use ocelot_hw::energy::{CostModel, Entry, Facts, Priced};
+use ocelot_ir::callgraph::CallGraph;
+use ocelot_ir::{BlockId, FuncId, Function, InstrRef, Label, Op, Place, Program, RegionId};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Worst-case cycle analysis over one program.
 pub struct WcetAnalysis<'p> {
     p: &'p Program,
     costs: CostModel,
     stack: StackModel,
+    graphs: Vec<BlockGraph>,
     /// Instructions that execute inside some atomic region (including
     /// transitively-called function bodies): NV writes there pay an
     /// undo-log entry.
     covered: BTreeSet<InstrRef>,
     /// Eager undo-log size per region.
     omega: BTreeMap<RegionId, usize>,
-    memo: HashMap<FuncId, u64>,
-    in_progress: BTreeSet<FuncId>,
-}
-
-/// Per-function derived structures, built once per query.
-struct FuncCtx<'f> {
-    f: &'f Function,
-    cfg: Cfg,
-    loops: LoopForest,
-}
-
-impl<'f> FuncCtx<'f> {
-    fn new(f: &'f Function) -> Self {
-        let cfg = Cfg::new(f);
-        let dom = DomTree::dominators(f, &cfg);
-        let loops = LoopForest::new(f, &cfg, &dom);
-        FuncCtx { f, cfg, loops }
-    }
+    /// Worst-case complete execution of each function, entry through
+    /// the returning terminator, indexed by `FuncId`.
+    func_wcet: Vec<Result<u64, ProgressError>>,
 }
 
 impl<'p> WcetAnalysis<'p> {
     /// Builds the analysis for `p` with its atomic regions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` has recursive calls (rejected by validation before
+    /// any analysis runs; see [`StackModel::new`]).
     pub fn new(p: &'p Program, costs: &CostModel, regions: &[RegionInfo]) -> Self {
         let mut covered = BTreeSet::new();
         let mut omega = BTreeMap::new();
@@ -66,15 +62,26 @@ impl<'p> WcetAnalysis<'p> {
             covered.extend(covered_refs(p, r));
             omega.insert(r.id, r.omega_words);
         }
-        WcetAnalysis {
+        let mut this = WcetAnalysis {
             p,
             costs: costs.clone(),
             stack: StackModel::new(p),
+            graphs: block_graphs(p),
             covered,
             omega,
-            memo: HashMap::new(),
-            in_progress: BTreeSet::new(),
+            func_wcet: vec![Ok(0); p.funcs.len()],
+        };
+        // Callees before callers, so every call looks up a finished
+        // bound, never a placeholder.
+        let order = CallGraph::new(p)
+            .topo_callees_first(p)
+            .expect("validated programs are non-recursive");
+        for func in order {
+            let f = p.func(func);
+            let bound = this.between(func, Point::new(f.entry, 0), this.exit_point(func));
+            this.func_wcet[func.0 as usize] = bound;
         }
+        this
     }
 
     /// The stack model used for checkpoint sizing.
@@ -82,38 +89,15 @@ impl<'p> WcetAnalysis<'p> {
         &self.stack
     }
 
-    /// The analyzed program.
-    pub fn program(&self) -> &'p Program {
-        self.p
-    }
-
     /// Worst-case cycles for one complete execution of `func` (entry
     /// through the returning terminator), including all callees.
     ///
     /// # Errors
     ///
-    /// Fails on unbounded loops, irreducible flow, or (defensively)
-    /// recursion.
-    pub fn func_wcet(&mut self, func: FuncId) -> Result<u64, ProgressError> {
-        if let Some(&c) = self.memo.get(&func) {
-            return Ok(c);
-        }
-        if !self.in_progress.insert(func) {
-            return Err(ProgressError::unsupported(format!(
-                "recursive call cycle through `{}`",
-                self.p.func(func).name
-            )));
-        }
-        let f = self.p.func(func);
-        let ctx = FuncCtx::new(f);
-        let from = Point::new(f.entry, 0);
-        let to = Point::new(f.exit, f.block(f.exit).instrs.len() + 1);
-        let result = self.path_cost(&ctx, from, to);
-        self.in_progress.remove(&func);
-        if let Ok(c) = result {
-            self.memo.insert(func, c);
-        }
-        result
+    /// Fails on unbounded loops or irreducible flow in `func` or any
+    /// function it calls.
+    pub fn func_wcet(&self, func: FuncId) -> Result<u64, ProgressError> {
+        self.func_wcet[func.0 as usize].clone()
     }
 
     /// Worst-case cycles of one attempt of a region's *body*: from just
@@ -123,7 +107,7 @@ impl<'p> WcetAnalysis<'p> {
     ///
     /// Fails on unbounded loops, irreducible flow, or a region whose
     /// start and end lie in different loop nests.
-    pub fn region_body_wcet(&mut self, info: &RegionInfo) -> Result<u64, ProgressError> {
+    pub fn region_body_wcet(&self, info: &RegionInfo) -> Result<u64, ProgressError> {
         let f = self.p.func(info.func);
         let (sb, si) = f
             .find_label(info.start.label)
@@ -131,40 +115,88 @@ impl<'p> WcetAnalysis<'p> {
         let (eb, ei) = f
             .find_label(info.end.label)
             .ok_or_else(|| ProgressError::unsupported("region end label not found"))?;
-        let ctx = FuncCtx::new(f);
         // From after the start marker, through the end marker inclusive
         // (the commit itself costs one ALU op).
-        self.path_cost(&ctx, Point::new(sb, si + 1), Point::new(eb, ei + 1))
+        self.between(info.func, Point::new(sb, si + 1), Point::new(eb, ei + 1))
     }
 
     /// Worst-case cycles along any single-attempt path from `from`
     /// (inclusive) to `to` (exclusive) within `func`; `to.index` may be
-    /// `instrs.len() + 1` to include the terminator. The public face of
-    /// the internal path query, for callers (the linter) that need
-    /// upper bounds on segments other than whole regions.
+    /// `instrs.len() + 1` to include the terminator of `to.block`.
     ///
     /// # Errors
     ///
     /// Fails on unbounded loops, irreducible flow, or endpoints in
     /// different loop nests (no single-attempt forward path).
-    pub fn between(&mut self, func: FuncId, from: Point, to: Point) -> Result<u64, ProgressError> {
+    pub fn between(&self, func: FuncId, from: Point, to: Point) -> Result<u64, ProgressError> {
         let f = self.p.func(func);
-        let ctx = FuncCtx::new(f);
-        self.path_cost(&ctx, from, to)
+        let g = &self.graphs[func.0 as usize];
+        let from_ctx = loop_context(g, from.block);
+        let to_ctx = loop_context(g, to.block);
+        if from.block == to.block {
+            if from.index > to.index {
+                return Err(ProgressError::unsupported(
+                    "path end precedes its start within one block",
+                ));
+            }
+            return self.range_cost(f, from.block, from.index, to.index);
+        }
+        if from_ctx != to_ctx {
+            return Err(ProgressError::unsupported(format!(
+                "path endpoints lie in different loop nests in `{}` \
+                 (a region must not straddle a loop boundary)",
+                f.name
+            )));
+        }
+
+        let suffix = self.range_cost(f, from.block, from.index, usize::MAX)?;
+        let prefix = self.range_cost(f, to.block, 0, to.index)?;
+        let middle = self.dag_longest_path(f, g, &from_ctx, from.block, to.block)?;
+        Ok(suffix.saturating_add(middle).saturating_add(prefix))
     }
 
     /// The exit point of `func`: past the terminator of its landing-pad
     /// block, suitable as the `to` of [`Self::between`].
-    pub fn exit_point(&self, func: FuncId) -> Point {
+    fn exit_point(&self, func: FuncId) -> Point {
         let f = self.p.func(func);
         Point::new(f.exit, f.block(f.exit).instrs.len() + 1)
     }
 
-    /// Cycles to enter a region: checkpoint the worst-case volatile
-    /// state of the host function plus the eager undo log of `ω`.
+    /// Worst-case same-run cycles between the input ending `chain` and
+    /// reaching `use_at` under calling context `use_ctx`, composed by the
+    /// same walk as [`FeasAnalysis::min_chain_to_use`](crate::FeasAnalysis::min_chain_to_use).
+    /// `None` when any segment has no single-attempt bound (unbounded
+    /// loop, endpoints straddling a loop nest).
+    pub fn worst_chain_to_use(
+        &self,
+        chain: &[InstrRef],
+        use_ctx: &[InstrRef],
+        use_at: InstrRef,
+    ) -> Option<u64> {
+        chain_to_use(
+            self.p,
+            &self.costs,
+            chain,
+            use_ctx,
+            use_at,
+            Run::Same,
+            |func, from, to| {
+                let to = to.unwrap_or_else(|| self.exit_point(func));
+                self.between(func, from, to).ok()
+            },
+        )
+    }
+
+    /// Cycles to enter a region: the price of an outer entry that
+    /// checkpoints the worst-case volatile state of the host function
+    /// and eagerly undo-logs `ω`.
     pub fn region_entry_cycles(&self, info: &RegionInfo) -> u64 {
-        let words = self.stack.entry_words(info.func);
-        self.costs.checkpoint_cycles(words) + self.costs.log_cycles(info.omega_words)
+        let entry = Entry::Outer {
+            volatile_words: self.stack.entry_words(info.func),
+            omega_words: info.omega_words,
+        };
+        let start = Op::AtomStart { region: info.id };
+        self.costs.price(Priced::Op(&start), Facts::entry(entry))
     }
 
     /// Cycles of the worst-case JIT checkpoint anywhere in the program —
@@ -179,45 +211,12 @@ impl<'p> WcetAnalysis<'p> {
     // Path cost
     // ------------------------------------------------------------------
 
-    /// Worst-case cycles along any execution path from `from` (inclusive)
-    /// to `to` (exclusive). `to.index` may be `instrs.len() + 1` to
-    /// include the terminator of `to.block`.
-    fn path_cost(
-        &mut self,
-        ctx: &FuncCtx<'_>,
-        from: Point,
-        to: Point,
-    ) -> Result<u64, ProgressError> {
-        let from_ctx = loop_context(&ctx.loops, from.block);
-        let to_ctx = loop_context(&ctx.loops, to.block);
-        if from.block == to.block {
-            if from.index > to.index {
-                return Err(ProgressError::unsupported(
-                    "path end precedes its start within one block",
-                ));
-            }
-            return self.range_cost(ctx.f, from.block, from.index, to.index);
-        }
-        if from_ctx != to_ctx {
-            return Err(ProgressError::unsupported(format!(
-                "path endpoints lie in different loop nests in `{}` \
-                 (a region must not straddle a loop boundary)",
-                ctx.f.name
-            )));
-        }
-
-        let blen = ctx.f.block(from.block).instrs.len();
-        let suffix = self.range_cost(ctx.f, from.block, from.index, blen + 1)?;
-        let prefix = self.range_cost(ctx.f, to.block, 0, to.index)?;
-        let middle = self.dag_longest_path(ctx, &from_ctx, from.block, to.block)?;
-        Ok(suffix.saturating_add(middle).saturating_add(prefix))
-    }
-
     /// Longest path through the loop-condensed DAG from `from` to `to`,
     /// summing the full cost of every *intermediate* node.
     fn dag_longest_path(
-        &mut self,
-        ctx: &FuncCtx<'_>,
+        &self,
+        f: &Function,
+        g: &BlockGraph,
         context_headers: &BTreeSet<BlockId>,
         from: BlockId,
         to: BlockId,
@@ -225,7 +224,7 @@ impl<'p> WcetAnalysis<'p> {
         // Node representative: the header of the outermost condensable
         // loop containing the block, or the block itself.
         let node_of = |b: BlockId| -> BlockId {
-            ctx.loops
+            g.loops
                 .loops_containing(b)
                 .into_iter()
                 .find(|l| !context_headers.contains(&l.header))
@@ -244,15 +243,15 @@ impl<'p> WcetAnalysis<'p> {
         // back edges into context loops (a path between two points of
         // the same iteration never takes the back edge).
         let mut succs: BTreeMap<BlockId, BTreeSet<BlockId>> = BTreeMap::new();
-        for b in ctx.f.blocks.iter().map(|b| b.id) {
+        for b in f.blocks.iter().map(|b| b.id) {
             let u = node_of(b);
-            for &s in ctx.cfg.succs(b) {
+            for &s in g.cfg.succs(b) {
                 let v = node_of(s);
                 if u == v {
                     continue;
                 }
                 let is_context_back_edge = context_headers.contains(&s)
-                    && ctx.loops.loops_containing(b).iter().any(|l| l.header == s);
+                    && g.loops.loops_containing(b).iter().any(|l| l.header == s);
                 if is_context_back_edge {
                     continue;
                 }
@@ -271,11 +270,14 @@ impl<'p> WcetAnalysis<'p> {
                 queue.extend(vs.iter().copied());
             }
         }
-        if !reach.contains(&n_to) {
-            return Err(ProgressError::unsupported(format!(
+        let no_path = || {
+            ProgressError::unsupported(format!(
                 "no forward path between the analyzed points in `{}`",
-                ctx.f.name
-            )));
+                f.name
+            ))
+        };
+        if !reach.contains(&n_to) {
+            return Err(no_path());
         }
 
         // Kahn topological order over the reachable subgraph.
@@ -311,7 +313,7 @@ impl<'p> WcetAnalysis<'p> {
         }
         if topo.len() != reach.len() {
             return Err(ProgressError::Irreducible {
-                func: ctx.f.name.clone(),
+                func: f.name.clone(),
             });
         }
 
@@ -323,7 +325,7 @@ impl<'p> WcetAnalysis<'p> {
             let u_cost = if u == n_from {
                 0
             } else {
-                self.node_cost(ctx, context_headers, u)?
+                self.node_cost(f, g, context_headers, u)?
             };
             if let Some(vs) = succs.get(&u) {
                 for &v in vs {
@@ -333,63 +335,60 @@ impl<'p> WcetAnalysis<'p> {
                 }
             }
         }
-        dist.get(&n_to).copied().ok_or_else(|| {
-            ProgressError::unsupported(format!(
-                "no forward path between the analyzed points in `{}`",
-                ctx.f.name
-            ))
-        })
+        dist.get(&n_to).copied().ok_or_else(no_path)
     }
 
     /// Cost of one condensed node: a plain block's full cost, or a
     /// condensed loop's bounded total.
     fn node_cost(
-        &mut self,
-        ctx: &FuncCtx<'_>,
+        &self,
+        f: &Function,
+        g: &BlockGraph,
         context_headers: &BTreeSet<BlockId>,
         node: BlockId,
     ) -> Result<u64, ProgressError> {
-        let condensed: Option<&NaturalLoop> = ctx
+        let condensed: Option<&NaturalLoop> = g
             .loops
             .loops_containing(node)
             .into_iter()
             .find(|l| !context_headers.contains(&l.header));
         match condensed {
-            Some(l) if l.header == node => self.loop_cost(ctx, l),
+            Some(l) if l.header == node => self.loop_cost(f, g, l),
             // A non-header block inside a condensed loop never becomes a
             // node, so `node` is plain.
-            _ => {
-                let blen = ctx.f.block(node).instrs.len();
-                self.range_cost(ctx.f, node, 0, blen + 1)
-            }
+            _ => self.range_cost(f, node, 0, usize::MAX),
         }
     }
 
     /// Total worst-case cost of a bounded loop: `k + 1` header checks
     /// plus `k` worst iterations (body through latch).
-    fn loop_cost(&mut self, ctx: &FuncCtx<'_>, l: &NaturalLoop) -> Result<u64, ProgressError> {
-        let k = match loop_bound(ctx.f, l) {
-            LoopBound::Exact(k) => k,
+    fn loop_cost(
+        &self,
+        f: &Function,
+        g: &BlockGraph,
+        l: &NaturalLoop,
+    ) -> Result<u64, ProgressError> {
+        let k = match g.bound(l.header) {
+            LoopBound::Exact(k) => *k,
             LoopBound::Unknown(detail) => {
                 return Err(ProgressError::UnboundedLoop {
-                    func: ctx.f.name.clone(),
-                    detail,
+                    func: f.name.clone(),
+                    detail: detail.clone(),
                 })
             }
         };
-        let hlen = ctx.f.block(l.header).instrs.len();
-        let header_cost = self.range_cost(ctx.f, l.header, 0, hlen + 1)?;
+        let header_cost = self.range_cost(f, l.header, 0, usize::MAX)?;
         if k == 0 {
             return Ok(header_cost);
         }
-        let body_entries: Vec<BlockId> = ctx
+        let body_entries: Vec<BlockId> = g
             .cfg
             .succs(l.header)
             .iter()
             .copied()
             .filter(|s| l.contains(*s))
             .collect();
-        let latches: Vec<BlockId> = ctx
+        let latches: Vec<BlockId> = g
             .cfg
             .preds(l.header)
             .iter()
@@ -401,14 +400,14 @@ impl<'p> WcetAnalysis<'p> {
                 "loop at block {} of `{}` has {} entries and {} latches \
                  (expected exactly one of each)",
                 l.header.0,
-                ctx.f.name,
+                f.name,
                 body_entries.len(),
                 latches.len()
             )));
         };
-        let latch_len = ctx.f.block(latch).instrs.len();
-        let iter = self.path_cost(
-            ctx,
+        let latch_len = f.block(latch).instrs.len();
+        let iter = self.between(
+            f.id,
             Point::new(body_entry, 0),
             Point::new(latch, latch_len + 1),
         )?;
@@ -417,111 +416,74 @@ impl<'p> WcetAnalysis<'p> {
             .saturating_add(iter.saturating_mul(k)))
     }
 
-    /// Cost of points `[lo, hi)` of one block; index `instrs.len()` is
-    /// the terminator.
+    /// Worst-case cost of points `[lo, hi)` of one block.
     fn range_cost(
-        &mut self,
+        &self,
         f: &Function,
         b: BlockId,
         lo: usize,
         hi: usize,
     ) -> Result<u64, ProgressError> {
-        let blk = f.block(b);
-        let mut total = 0u64;
-        for i in lo..hi.min(blk.instrs.len() + 1) {
-            let c = if i < blk.instrs.len() {
-                let inst = &blk.instrs[i];
-                self.op_cost(
-                    f,
-                    InstrRef {
-                        func: f.id,
-                        label: inst.label,
-                    },
-                    &inst.op,
-                )?
-            } else {
-                term_cost(&self.costs, &blk.term)
-            };
-            total = total.saturating_add(c);
-        }
-        Ok(total)
-    }
-
-    /// Static worst-case cost of one operation, mirroring the runtime's
-    /// dynamic charging (including hidden dynamic undo-log costs inside
-    /// regions).
-    fn op_cost(&mut self, f: &Function, at: InstrRef, op: &Op) -> Result<u64, ProgressError> {
-        let in_region = self.covered.contains(&at);
-        let log_extra = if in_region { self.costs.log_word } else { 0 };
-        Ok(match op {
-            Op::Skip | Op::Annot { .. } => 1,
-            Op::Bind { .. } => self.costs.alu,
-            Op::Assign { place, .. } => match place {
-                Place::Var(x) if is_static_local(f, x) => {
-                    if is_by_ref_param(f, x) {
-                        // The runtime charges an ALU write but may
-                        // undo-log the referenced global.
-                        self.costs.alu + log_extra
-                    } else {
-                        self.costs.alu
-                    }
-                }
-                Place::Var(_) | Place::Index(..) | Place::Deref(_) => {
-                    self.costs.nv_write + log_extra
-                }
-            },
-            Op::Input { sensor, .. } => self.costs.input_cycles(sensor),
-            Op::Call { callee, .. } => {
-                let body = self.func_wcet(*callee)?;
-                self.costs.call.saturating_add(body)
-            }
-            Op::Output { args, .. } => self.costs.output_word * (1 + args.len() as u64),
-            Op::AtomStart { region } => {
-                // Charged as an outer entry even when nested (the runtime
-                // charges only an ALU bump when already atomic) — sound
-                // for functions reached both inside and outside regions.
-                let words = self.stack.entry_words(f.id);
-                let omega = self.omega.get(region).copied().unwrap_or(0);
-                self.costs.checkpoint_cycles(words) + self.costs.log_cycles(omega)
-            }
-            Op::AtomEnd { .. } => self.costs.alu,
+        points(f, b, lo, hi).try_fold(0u64, |total, (label, at)| {
+            Ok(total.saturating_add(self.worst_price(f, label, at)?))
         })
     }
-}
 
-/// Cost of a terminator, mirroring the runtime.
-fn term_cost(costs: &CostModel, t: &Terminator) -> u64 {
-    match t {
-        Terminator::Jump(_) => costs.alu / 2 + 1,
-        Terminator::Branch { .. } => costs.alu,
-        Terminator::Ret(_) => costs.call / 2,
+    /// The most the runtime can charge at one site: [`CostModel::price`]
+    /// under the worst-case facts. A store to anything but a declared
+    /// local is an NV write; inside a region, every NV write, and every
+    /// store through a by-ref parameter that may reach a global, pays an
+    /// undo-log word. A region entry is priced as an outer entry even
+    /// when nested (the runtime charges only an ALU bump when already
+    /// atomic), which is sound for functions reached both inside and
+    /// outside regions. A call adds the callee's whole-body bound.
+    fn worst_price(
+        &self,
+        f: &Function,
+        label: Label,
+        at: Priced<'_>,
+    ) -> Result<u64, ProgressError> {
+        let facts = match at {
+            Priced::Op(Op::Assign { place, .. }) => {
+                let logged = self.covered.contains(&InstrRef { func: f.id, label });
+                match place {
+                    Place::Var(x) if f.declares(x) => {
+                        Facts::store(false, logged && f.is_by_ref_param(x))
+                    }
+                    Place::Var(_) | Place::Index(..) | Place::Deref(_) => {
+                        Facts::store(true, logged)
+                    }
+                }
+            }
+            Priced::Op(Op::Call { callee, .. }) => Facts::callee(self.func_wcet(*callee)?),
+            Priced::Op(Op::AtomStart { region }) => Facts::entry(Entry::Outer {
+                volatile_words: self.stack.entry_words(f.id),
+                omega_words: self.omega.get(region).copied().unwrap_or(0),
+            }),
+            _ => Facts::default(),
+        };
+        Ok(self.costs.price(at, facts))
     }
 }
 
 /// The headers of every loop containing `b`.
-fn loop_context(loops: &LoopForest, b: BlockId) -> BTreeSet<BlockId> {
-    loops.loops_containing(b).iter().map(|l| l.header).collect()
-}
-
-/// True when writes to `x` inside `f` stay volatile (a bound local or a
-/// parameter).
-fn is_static_local(f: &Function, x: &str) -> bool {
-    f.locals.iter().any(|l| l == x) || f.params.iter().any(|p| p.name == x)
-}
-
-fn is_by_ref_param(f: &Function, x: &str) -> bool {
-    f.params.iter().any(|p| p.name == x && p.by_ref)
+fn loop_context(g: &BlockGraph, b: BlockId) -> BTreeSet<BlockId> {
+    g.loops
+        .loops_containing(b)
+        .iter()
+        .map(|l| l.header)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocelot_ir::compile;
+    use ocelot_ir::{compile, Terminator};
 
     fn wcet_main(src: &str) -> u64 {
         let p = compile(src).unwrap();
         let regions = ocelot_core::collect_regions(&p).unwrap();
-        let mut w = WcetAnalysis::new(&p, &CostModel::default(), &regions);
+        let w = WcetAnalysis::new(&p, &CostModel::default(), &regions);
         w.func_wcet(p.main).unwrap()
     }
 
@@ -596,7 +558,7 @@ mod tests {
         .unwrap();
         let regions = ocelot_core::collect_regions(&p).unwrap();
         let costs = CostModel::default();
-        let mut w = WcetAnalysis::new(&p, &costs, &regions);
+        let w = WcetAnalysis::new(&p, &costs, &regions);
         let body = w.region_body_wcet(&regions[0]).unwrap();
         // input + nv write + dynamic log + commit, at least.
         assert!(body >= costs.input + costs.nv_write + costs.log_word + costs.alu);
@@ -619,7 +581,7 @@ mod tests {
         .unwrap();
         let regions = ocelot_core::collect_regions(&p).unwrap();
         let costs = CostModel::default();
-        let mut w = WcetAnalysis::new(&p, &costs, &regions);
+        let w = WcetAnalysis::new(&p, &costs, &regions);
         let body = w.region_body_wcet(&regions[0]).unwrap();
         // One attempt is one iteration's worth, not 50.
         assert!(body < 2 * (costs.input + 2 * costs.output_word) + 100);
@@ -645,7 +607,7 @@ mod tests {
                 );
             }
         }
-        let mut w = WcetAnalysis::new(&p, &CostModel::default(), &[]);
+        let w = WcetAnalysis::new(&p, &CostModel::default(), &[]);
         let err = w.func_wcet(p.main).unwrap_err();
         assert!(matches!(err, ProgressError::UnboundedLoop { .. }), "{err}");
     }
@@ -669,7 +631,7 @@ mod tests {
                 *op = BinOp::Le;
             }
         }
-        let mut w = WcetAnalysis::new(&p, &CostModel::default(), &[]);
+        let w = WcetAnalysis::new(&p, &CostModel::default(), &[]);
         w.func_wcet(p.main)
             .expect("`$rep <= 2` is a bounded counter loop");
     }
@@ -703,12 +665,12 @@ mod tests {
         // identity, not merely "some accepted bound".
         let reference = {
             let p = compile("sensor s; fn main() { repeat 3 { let v = in(s); } }").unwrap();
-            let mut w = WcetAnalysis::new(&p, &CostModel::default(), &[]);
+            let w = WcetAnalysis::new(&p, &CostModel::default(), &[]);
             w.func_wcet(p.main).unwrap()
         };
         let mut p = compile("sensor s; fn main() { repeat 2 { let v = in(s); } }").unwrap();
         rewrite_header(&mut p, BinOp::Le, 0);
-        let mut w = WcetAnalysis::new(&p, &CostModel::default(), &[]);
+        let w = WcetAnalysis::new(&p, &CostModel::default(), &[]);
         let bound = w.func_wcet(p.main).expect("`<=` header is accepted");
         assert_eq!(
             bound, reference,
@@ -719,7 +681,7 @@ mod tests {
     #[test]
     fn while_loop_is_reported_unbounded() {
         let p = compile("nv g = 2; fn main() { while g > 0 { g = g - 1; } }").unwrap();
-        let mut w = WcetAnalysis::new(&p, &CostModel::default(), &[]);
+        let w = WcetAnalysis::new(&p, &CostModel::default(), &[]);
         match w.func_wcet(p.main) {
             Err(ProgressError::UnboundedLoop { func, .. }) => assert_eq!(func, "main"),
             other => panic!("expected unbounded-loop error, got {other:?}"),
@@ -764,7 +726,7 @@ mod tests {
             effects: Default::default(),
             omega_words: 0,
         };
-        let mut w = WcetAnalysis::new(&p, &CostModel::default(), &[]);
+        let w = WcetAnalysis::new(&p, &CostModel::default(), &[]);
         let err = w.region_body_wcet(&info).unwrap_err();
         assert!(
             matches!(err, ProgressError::Unsupported { .. }),

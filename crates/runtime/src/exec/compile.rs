@@ -41,10 +41,11 @@
 //! [`CExpr::DynVar`], which run the interpreter's own resolution path.
 
 use super::OptLevel;
-use crate::machine::{eval_binop, static_op_cost, static_term_cost, Machine};
+use crate::machine::{eval_binop, Machine};
 use ocelot_analysis::chains::ChainId;
 use ocelot_analysis::dom::{point_dominates, DomTree, Point};
 use ocelot_analysis::FuncSsa;
+use ocelot_hw::energy::{Facts, Priced};
 use ocelot_ir::ast::{Arg, BinOp, Expr, UnOp};
 use ocelot_ir::cfg::Cfg;
 use ocelot_ir::{BlockId, FuncId, Function, InstrRef, Label, Op, Place, RegionId, Terminator};
@@ -126,7 +127,7 @@ pub(crate) struct Step<'p> {
     /// The paper's `(f, ℓ)` site, pre-built.
     pub(crate) iref: InstrRef,
     /// Cycle cost: pre-computed, or state-dependent.
-    pub(crate) cost: Cost,
+    pub(crate) cost: Cost<'p>,
     /// Which breakdown counter the cycles land in.
     pub(crate) cat: Cat,
     /// True when detector checks, expiry checks, or fresh-use logging
@@ -146,7 +147,7 @@ pub(crate) struct Step<'p> {
 
 /// A step's cycle cost.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Cost {
+pub(crate) enum Cost<'p> {
     /// State-independent: cycles and their µs conversion, fixed at
     /// compile time.
     Static {
@@ -156,8 +157,9 @@ pub(crate) enum Cost {
         us: u64,
     },
     /// Depends on machine state (`startatom` checkpoints the live
-    /// stack; stores through references depend on the binding).
-    Dynamic,
+    /// stack; stores through references depend on the binding): priced
+    /// per execution by `Machine::op_cost`, as the interpreter does.
+    Dynamic(&'p Op),
 }
 
 /// Breakdown category of a step's cycles (mirrors the interpreter's
@@ -502,7 +504,7 @@ impl<'p> Cx<'_, 'p> {
         &self,
         f: &'p Function,
         label: ocelot_ir::Label,
-        cost: Cost,
+        cost: Cost<'p>,
         cat: Cat,
         action: Action<'p>,
     ) -> Step<'p> {
@@ -521,7 +523,9 @@ impl<'p> Cx<'_, 'p> {
         }
     }
 
-    fn fixed(&self, cycles: u64) -> Cost {
+    /// A cost fixed at compile time: `at` priced under `facts`.
+    fn fixed(&self, at: Priced<'_>, facts: Facts) -> Cost<'p> {
+        let cycles = self.m.core.costs.price(at, facts);
         Cost::Static {
             cycles,
             us: self.m.core.costs.cycles_to_us(cycles),
@@ -557,7 +561,7 @@ impl<'p> Cx<'_, 'p> {
     /// the non-volatile fallback, which a later run could read.
     fn store_src(&self, f: &'p Function, label: Label, var: &str, src: &'p Expr) -> CExpr<'p> {
         let facts = self.facts(f);
-        if self.m.opt >= OptLevel::O1
+        if self.m.opt == OptLevel::O2
             && facts.dead_defs.contains(&label)
             && facts.always_bound.contains(var)
         {
@@ -658,10 +662,11 @@ impl<'p> Cx<'_, 'p> {
         label: ocelot_ir::Label,
         op: &'p Op,
     ) -> Step<'p> {
-        let c = &self.m.core.costs;
-        // One source of truth for state-independent costs: the same
-        // formulas the interpreter charges.
-        let fixed_op = || self.fixed(static_op_cost(c, op).expect("op has a static cost"));
+        // Every cost comes from the one price function the interpreter
+        // charges through; stores the compiler classifies statically
+        // supply their facts here, the rest are priced per execution.
+        let fixed_op = || self.fixed(Priced::Op(op), Facts::default());
+        let fixed_store = |nv| self.fixed(Priced::Op(op), Facts::store(nv, false));
         let (cost, cat, action) = match op {
             Op::Skip | Op::Annot { .. } => (fixed_op(), Cat::Compute, Action::Skip),
             Op::Bind { var, src } => (
@@ -694,7 +699,7 @@ impl<'p> Cx<'_, 'p> {
                             .slot(f.id, x)
                             .expect("declared locals have layout slots");
                         (
-                            self.fixed(c.alu),
+                            fixed_store(false),
                             Cat::Compute,
                             Action::AssignLocal {
                                 slot,
@@ -707,7 +712,7 @@ impl<'p> Cx<'_, 'p> {
                     Place::Var(x) if f.declares(x) => {
                         let src_c = self.expr(f, label, src);
                         (
-                            Cost::Dynamic,
+                            Cost::Dynamic(op),
                             Cat::Compute,
                             Action::AssignDyn {
                                 place,
@@ -722,7 +727,7 @@ impl<'p> Cx<'_, 'p> {
                         Some(slot) => {
                             let src_c = self.expr(f, label, src);
                             (
-                                self.fixed(c.nv_write),
+                                fixed_store(true),
                                 Cat::Compute,
                                 Action::AssignGlobal {
                                     slot,
@@ -737,7 +742,7 @@ impl<'p> Cx<'_, 'p> {
                         None => {
                             let src_c = self.expr(f, label, src);
                             (
-                                Cost::Dynamic,
+                                Cost::Dynamic(op),
                                 Cat::Compute,
                                 Action::AssignDyn {
                                     place,
@@ -749,7 +754,7 @@ impl<'p> Cx<'_, 'p> {
                     // A by-ref parameter reassignment is invalid in
                     // validated programs; run it dynamically.
                     Place::Var(_) => (
-                        Cost::Dynamic,
+                        Cost::Dynamic(op),
                         Cat::Compute,
                         Action::AssignDyn {
                             place,
@@ -760,7 +765,7 @@ impl<'p> Cx<'_, 'p> {
                         let src_c = self.expr(f, label, src);
                         let idx_c = self.expr(f, label, i);
                         (
-                            self.fixed(c.nv_write),
+                            fixed_store(true),
                             Cat::Compute,
                             Action::AssignIndex {
                                 name: a,
@@ -777,7 +782,7 @@ impl<'p> Cx<'_, 'p> {
                     Place::Deref(x) => {
                         let src_c = self.expr(f, label, src);
                         (
-                            Cost::Dynamic,
+                            Cost::Dynamic(op),
                             Cat::Compute,
                             Action::AssignDeref {
                                 var: x,
@@ -835,7 +840,7 @@ impl<'p> Cx<'_, 'p> {
                 },
             ),
             Op::AtomStart { region } => (
-                Cost::Dynamic,
+                Cost::Dynamic(op),
                 Cat::Checkpoint,
                 Action::AtomStart { region: *region },
             ),
@@ -852,7 +857,7 @@ impl<'p> Cx<'_, 'p> {
         // The cost is derived from the *original* terminator, so a
         // folded constant branch still charges Branch cycles — only the
         // host-side condition evaluation disappears.
-        let cost = self.fixed(static_term_cost(&self.m.core.costs, t));
+        let cost = self.fixed(Priced::Term(t), Facts::default());
         let action = match t {
             Terminator::Jump(b) => Action::Jump(*b),
             Terminator::Branch {
@@ -861,7 +866,7 @@ impl<'p> Cx<'_, 'p> {
                 else_bb,
             } => {
                 let c = self.expr(f, label, cond);
-                if let (true, CExpr::Const(k)) = (self.m.opt >= OptLevel::O1, &c) {
+                if let (true, CExpr::Const(k)) = (self.m.opt == OptLevel::O2, &c) {
                     Action::Jump(if *k != 0 { *then_bb } else { *else_bb })
                 } else {
                     Action::Branch {
@@ -891,7 +896,7 @@ impl<'p> Cx<'_, 'p> {
                 // SSA constant propagation: a use reached only by one
                 // constant-valued def (whose taint is provably pure)
                 // reads the literal directly.
-                if self.m.opt >= OptLevel::O1 {
+                if self.m.opt == OptLevel::O2 {
                     if let Some(k) = self.facts(f).const_uses.get(&(label, x.clone())) {
                         return CExpr::Const(*k);
                     }
@@ -919,7 +924,7 @@ impl<'p> Cx<'_, 'p> {
             Expr::Binary(op, l, r) => {
                 let (lc, rc) = (self.expr(f, label, l), self.expr(f, label, r));
                 if let (true, CExpr::Const(a), CExpr::Const(b)) =
-                    (self.m.opt >= OptLevel::O1, &lc, &rc)
+                    (self.m.opt == OptLevel::O2, &lc, &rc)
                 {
                     return CExpr::Const(eval_binop(*op, *a, *b));
                 }
@@ -927,7 +932,7 @@ impl<'p> Cx<'_, 'p> {
             }
             Expr::Unary(op, x) => {
                 let xc = self.expr(f, label, x);
-                if let (true, CExpr::Const(a)) = (self.m.opt >= OptLevel::O1, &xc) {
+                if let (true, CExpr::Const(a)) = (self.m.opt == OptLevel::O2, &xc) {
                     return CExpr::Const(match op {
                         UnOp::Neg => a.wrapping_neg(),
                         UnOp::Not => (*a == 0) as i64,
@@ -1173,7 +1178,7 @@ mod tests {
                         }
                         Action::AtomStart { .. } => {
                             assert_eq!(bt.totals.len, 0, "region entry re-costs from live state");
-                            assert!(matches!(s.cost, Cost::Dynamic));
+                            assert!(matches!(s.cost, Cost::Dynamic(_)));
                             saw_atom_break = true;
                         }
                         _ => {}
@@ -1371,9 +1376,9 @@ mod tests {
     }
 
     #[test]
-    fn constants_propagate_and_fold_at_o1() {
+    fn constants_propagate_and_fold_at_o2() {
         let p = irc("fn main() { let a = 2; let b = a * 3 + 1; out(log, b); }").unwrap();
-        let m = machine_for(&p).with_opt(OptLevel::O1);
+        let m = machine_for(&p).with_opt(OptLevel::O2);
         let cp = compile(&m);
         // `b`'s definition folds to the literal 7, and the output reads
         // it back as a propagated constant.
@@ -1413,14 +1418,14 @@ mod tests {
     #[test]
     fn constant_branches_straighten_to_jumps_keeping_branch_cost() {
         let p = irc("nv g = 0; fn main() { let a = 1; if a { g = 2; } else { g = 3; } }").unwrap();
-        let m = machine_for(&p).with_opt(OptLevel::O1);
+        let m = machine_for(&p).with_opt(OptLevel::O2);
         let cp = compile(&m);
         let m0 = machine_for(&p).with_opt(OptLevel::O0);
         let cp0 = compile(&m0);
         let mut saw_fold = false;
-        let main_o1 = &cp.funcs[p.main.0 as usize].blocks;
+        let main_o2 = &cp.funcs[p.main.0 as usize].blocks;
         let main_o0 = &cp0.funcs[p.main.0 as usize].blocks;
-        for (b1, b0) in main_o1.iter().zip(main_o0) {
+        for (b1, b0) in main_o2.iter().zip(main_o0) {
             for (s1, s0) in b1.steps.iter().zip(&b0.steps) {
                 if let Action::Branch { .. } = s0.action {
                     if let Action::Jump(t) = s1.action {
@@ -1447,7 +1452,7 @@ mod tests {
     #[test]
     fn dead_stores_to_always_bound_locals_shrink_to_const_zero() {
         // `a` is never read again: the stored value is unobservable, so
-        // O1 shrinks the source to a literal (the slot write itself is
+        // O2 shrinks the source to a literal (the slot write itself is
         // kept — binding state and checkpoint size must not change).
         let p = irc("nv g = 5; fn main() { let a = g; out(log, 1); }").unwrap();
         let zero_binds = |opt: OptLevel| {
@@ -1470,7 +1475,7 @@ mod tests {
         // level; the shrink adds `a`'s.
         assert_eq!(zero_binds(OptLevel::O0), 1, "O0 keeps the full store");
         assert_eq!(
-            zero_binds(OptLevel::O1),
+            zero_binds(OptLevel::O2),
             2,
             "the dead read of g was dropped"
         );
@@ -1481,17 +1486,15 @@ mod tests {
         // g's dependency set is never observed (no output or fresh use
         // reads it), so stores to it may skip the taint walk at O2.
         let p = irc("sensor s; nv g = 0; fn main() { let v = in(s); g = g + v; }").unwrap();
-        for opt in [OptLevel::O0, OptLevel::O1] {
-            let m = machine_for(&p).with_opt(opt);
-            let cp = compile(&m);
-            assert!(
-                main_actions(&cp, &p)
-                    .iter()
-                    .flat_map(|a| action_exprs(a))
-                    .all(|e| !contains_pure_of(e)),
-                "PureOf is an O2-only rewrite"
-            );
-        }
+        let m0 = machine_for(&p).with_opt(OptLevel::O0);
+        let cp0 = compile(&m0);
+        assert!(
+            main_actions(&cp0, &p)
+                .iter()
+                .flat_map(|a| action_exprs(a))
+                .all(|e| !contains_pure_of(e)),
+            "PureOf is an O2-only rewrite"
+        );
         let m2 = machine_for(&p).with_opt(OptLevel::O2);
         let cp2 = compile(&m2);
         assert!(
@@ -1541,7 +1544,6 @@ mod tests {
         assert!(checked > 0, "the fresh use is a check site");
         assert_eq!(elidable, checked, "the dominated probe is elidable");
         assert_eq!(count_elidable(OptLevel::O0), (checked, 0));
-        assert_eq!(count_elidable(OptLevel::O1), (checked, 0));
     }
 
     #[test]

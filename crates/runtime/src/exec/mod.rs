@@ -85,27 +85,24 @@ impl ExecBackend {
 /// unoptimized oracle every level is differentially tested against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum OptLevel {
-    /// Direct 1:1 compilation of the lowered IR (the PR 3 backend).
+    /// Direct 1:1 compilation of the lowered IR.
     O0,
     /// SSA-driven constant propagation and folding, constant-branch
-    /// straightening, and dead-store shrinking.
-    O1,
-    /// Everything in `O1`, plus taint-free evaluation of expressions
-    /// whose dependency sets are provably empty or unobservable, and
-    /// elision of dynamic check probes that are dominated by the
-    /// collections they require.
+    /// straightening, dead-store shrinking, taint-free evaluation of
+    /// expressions whose dependency sets are provably empty or
+    /// unobservable, and elision of dynamic check probes that are
+    /// dominated by the collections they require.
     #[default]
     O2,
 }
 
 impl OptLevel {
-    /// Stable numeric name (`"0"`/`"1"`/`"2"`), used by `--opt` and
+    /// Stable numeric name (`"0"`/`"2"`), used by `--opt` and
     /// persisted nowhere (artifacts are opt-level independent by
     /// construction).
     pub fn name(&self) -> &'static str {
         match self {
             OptLevel::O0 => "0",
-            OptLevel::O1 => "1",
             OptLevel::O2 => "2",
         }
     }
@@ -114,15 +111,14 @@ impl OptLevel {
     pub fn parse(name: &str) -> Option<OptLevel> {
         match name {
             "0" => Some(OptLevel::O0),
-            "1" => Some(OptLevel::O1),
             "2" => Some(OptLevel::O2),
             _ => None,
         }
     }
 
     /// All levels, unoptimized first.
-    pub fn all() -> [OptLevel; 3] {
-        [OptLevel::O0, OptLevel::O1, OptLevel::O2]
+    pub fn all() -> [OptLevel; 2] {
+        [OptLevel::O0, OptLevel::O2]
     }
 
     /// Dense index for per-level caches.
@@ -132,7 +128,7 @@ impl OptLevel {
 
     /// The CI knob: reads `OCELOT_OPT`. Unset (or set to the empty
     /// string) means the default level; a non-empty value must be
-    /// `0`/`1`/`2`. Test suites that exercise the compiled backend at
+    /// `0` or `2`. Test suites that exercise the compiled backend at
     /// "whatever level CI asked for" construct their machines with this.
     ///
     /// An invalid non-empty value **aborts the process** (exit code 2)
@@ -158,7 +154,7 @@ impl OptLevel {
             Some(v) => OptLevel::parse(v).ok_or_else(|| {
                 format!(
                     "invalid OCELOT_OPT value `{v}`: accepted values are \
-                     `0`, `1` or `2` (or unset for the default level)"
+                     `0` or `2` (or unset for the default level)"
                 )
             }),
         }
@@ -184,6 +180,7 @@ mod tests {
             assert_eq!(OptLevel::parse(o.name()), Some(o));
             assert_eq!(o.index(), i);
         }
+        assert_eq!(OptLevel::parse("1"), None, "O1 was folded into O2");
         assert_eq!(OptLevel::parse("3"), None);
         assert_eq!(OptLevel::default(), OptLevel::O2);
     }
@@ -199,12 +196,12 @@ mod tests {
 
     #[test]
     fn env_level_rejects_unparsable_values_naming_the_accepted_ones() {
-        for bad in ["O2", "3", "fast", " 2", "two"] {
+        for bad in ["O2", "1", "3", "fast", " 2", "two"] {
             let err = OptLevel::level_from_env_value(Some(bad))
                 .expect_err("an invalid non-empty OCELOT_OPT must not fall back silently");
             assert!(err.contains(bad), "names the offending value: {err}");
             assert!(
-                err.contains("`0`, `1` or `2`"),
+                err.contains("`0` or `2`"),
                 "names the accepted values: {err}"
             );
         }

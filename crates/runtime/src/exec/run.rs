@@ -162,8 +162,8 @@ impl<'p> Machine<'p> {
                 self.dev.stats.on_time_us += us;
                 self.supply.consume(self.core.costs.cycles_to_nj(cycles))
             }
-            Cost::Dynamic => {
-                let cycles = self.dynamic_cost(&step.action);
+            Cost::Dynamic(op) => {
+                let cycles = self.op_cost(op);
                 self.book_breakdown(step, cycles);
                 self.charge(cycles)
             }
@@ -200,17 +200,6 @@ impl<'p> Machine<'p> {
             compile::Cat::Input => self.dev.stats.breakdown.input += cycles,
             compile::Cat::Output => self.dev.stats.breakdown.output += cycles,
             compile::Cat::Checkpoint => self.dev.stats.breakdown.checkpoint += cycles,
-        }
-    }
-
-    /// State-dependent costs — charged through the same shared helpers
-    /// the interpreter's `op_cost` uses.
-    fn dynamic_cost(&self, action: &Action<'p>) -> u64 {
-        match action {
-            Action::AtomStart { region } => self.atom_start_cost(*region),
-            Action::AssignDeref { var, .. } => self.deref_write_cost(var),
-            Action::AssignDyn { place, .. } => self.assign_place_cost(place),
-            _ => unreachable!("only state-dependent actions carry Cost::Dynamic"),
         }
     }
 

@@ -42,7 +42,7 @@ use ocelot_analysis::dom::{point_dominates, DomTree, Point};
 use ocelot_analysis::taint::Prov;
 use ocelot_analysis::{ProgramSsa, ValueFlow};
 use ocelot_core::{PolicyKind, PolicySet, RegionInfo};
-use ocelot_hw::energy::{CostModel, PowerEvent};
+use ocelot_hw::energy::{CostModel, Entry, Facts, PowerEvent, Priced};
 use ocelot_hw::power::PowerSupply;
 use ocelot_hw::sensors::Environment;
 use ocelot_ir::ast::{Arg, BinOp, Expr, UnOp};
@@ -254,7 +254,7 @@ pub struct MachineCore<'p> {
     /// this core, one per [`OptLevel`], each built once on the first
     /// compiled run at that level. Machines with injector targets
     /// compile privately (injection sites are baked into steps).
-    pub(crate) shared_compiled: [OnceLock<Arc<CompiledProgram<'p>>>; 3],
+    pub(crate) shared_compiled: [OnceLock<Arc<CompiledProgram<'p>>>; 2],
 }
 
 /// The per-device mutable half of a [`Machine`]: non-volatile memory,
@@ -633,7 +633,7 @@ impl<'p> MachineCore<'p> {
             flow,
             reclass,
             elidable_sites,
-            shared_compiled: [OnceLock::new(), OnceLock::new(), OnceLock::new()],
+            shared_compiled: [OnceLock::new(), OnceLock::new()],
         }
     }
 }
@@ -1037,7 +1037,7 @@ impl<'p> Machine<'p> {
             WorkItem::Inst(block.instrs[top_index].op.clone())
         };
         let cycles = match &work {
-            WorkItem::Term(t) => static_term_cost(&self.core.costs, t),
+            WorkItem::Term(t) => self.core.costs.price(Priced::Term(t), Facts::default()),
             WorkItem::Inst(op) => self.op_cost(op),
         };
         match &work {
@@ -1073,61 +1073,53 @@ impl<'p> Machine<'p> {
         }
     }
 
+    /// Cycles `op` costs in the current machine state: the shared
+    /// [`CostModel::price`] over the facts this state decides. Both
+    /// backends' state-dependent steps are charged here.
     pub(crate) fn op_cost(&self, op: &Op) -> u64 {
-        match op {
-            Op::Assign { place, .. } => self.assign_place_cost(place),
-            Op::AtomStart { region } => self.atom_start_cost(*region),
-            _ => static_op_cost(&self.core.costs, op).expect("only Assign/AtomStart are dynamic"),
-        }
+        let facts = match op {
+            Op::Assign { place, .. } => Facts::store(self.store_is_nv(place), false),
+            Op::AtomStart { region } => Facts::entry(self.region_entry(*region)),
+            // The callee's body is charged as it runs.
+            _ => Facts::default(),
+        };
+        self.core.costs.price(Priced::Op(op), facts)
     }
 
-    /// Cost of a store to `place` in the current frame — dynamic
-    /// because an unbound destination (or a reference into a global)
-    /// pays the NV write. Shared by both backends' dynamic-cost paths.
-    pub(crate) fn assign_place_cost(&self, place: &Place) -> u64 {
+    /// Whether a store to `place` in the current frame hits non-volatile
+    /// memory: an unbound destination or a reference into a global does.
+    /// The undo-log word is charged separately, on the first logged
+    /// write ([`Machine::nv_write_scalar`]).
+    fn store_is_nv(&self, place: &Place) -> bool {
         match place {
-            Place::Var(x) if !self.is_local(x) => {
-                // Always-bound locals (every read dominated by a write)
-                // bind their volatile slot on first store instead of
-                // leaking to NV — the store-reclassification fix. This
-                // is also what the WCET analysis already assumes when
-                // it charges declared-local stores at ALU cost.
-                if self.reclassified_local(x) {
-                    self.core.costs.alu
-                } else {
-                    self.core.costs.nv_write
-                }
-            }
-            Place::Index(..) => self.core.costs.nv_write,
-            Place::Deref(x) => self.deref_write_cost(x),
-            _ => self.core.costs.alu,
+            // Always-bound locals (every read dominated by a write) bind
+            // their volatile slot on first store instead of leaking to
+            // NV — the store-reclassification fix. This is also what the
+            // WCET analysis assumes when it prices declared-local stores
+            // as volatile.
+            Place::Var(x) if !self.is_local(x) => !self.reclassified_local(x),
+            Place::Var(_) => false,
+            Place::Index(..) => true,
+            Place::Deref(x) => matches!(self.ref_target(x), Some(RefTarget::Global(_))),
         }
     }
 
-    /// Cost of a store through reference parameter `x` (globals pay the
-    /// NV write; locals stay volatile).
-    pub(crate) fn deref_write_cost(&self, x: &str) -> u64 {
-        match self.ref_target(x) {
-            Some(RefTarget::Global(_)) => self.core.costs.nv_write,
-            _ => self.core.costs.alu,
-        }
-    }
-
-    /// Cost of entering `region`: a counter bump when already atomic
-    /// (Atom-Start-Inner), otherwise the checkpoint of the live
+    /// How entering `region` is priced: a counter bump when already
+    /// atomic (Atom-Start-Inner), otherwise the checkpoint of the live
     /// volatile state plus the eager ω log.
-    pub(crate) fn atom_start_cost(&self, region: RegionId) -> u64 {
+    fn region_entry(&self, region: RegionId) -> Entry {
         if matches!(self.dev.ctx, Ctx::Atom { .. }) {
-            self.core.costs.alu
+            Entry::Nested
         } else {
-            let omega = self
-                .core
-                .region_omega
-                .get(&region)
-                .map(|l| l.len())
-                .unwrap_or(0);
-            self.core.costs.checkpoint_cycles(self.dev.vol.words())
-                + self.core.costs.log_cycles(omega)
+            Entry::Outer {
+                volatile_words: self.dev.vol.words(),
+                omega_words: self
+                    .core
+                    .region_omega
+                    .get(&region)
+                    .map(|l| l.len())
+                    .unwrap_or(0),
+            }
         }
     }
 
@@ -1960,34 +1952,6 @@ impl<'p> Machine<'p> {
                 }
             }
         }
-    }
-}
-
-/// State-independent cycle cost of `op`, or `None` for the two
-/// operations whose cost depends on live machine state (`Assign`,
-/// whose destination decides volatile vs NV, and `AtomStart`, which
-/// checkpoints the live stack). The single source of the cost formulas
-/// for both the interpreter ([`Machine::op_cost`]) and the compiled
-/// backend's pre-computation ([`crate::exec`]).
-pub(crate) fn static_op_cost(costs: &CostModel, op: &Op) -> Option<u64> {
-    Some(match op {
-        Op::Skip | Op::Annot { .. } => 1,
-        Op::Bind { .. } => costs.alu,
-        Op::Assign { .. } | Op::AtomStart { .. } => return None,
-        Op::Input { sensor, .. } => costs.input_cycles(sensor),
-        Op::Call { .. } => costs.call,
-        Op::Output { args, .. } => costs.output_word * (1 + args.len() as u64),
-        Op::AtomEnd { .. } => costs.alu,
-    })
-}
-
-/// Cycle cost of a terminator — shared by the interpreter's step loop
-/// and the compiled backend's pre-computation.
-pub(crate) fn static_term_cost(costs: &CostModel, t: &Terminator) -> u64 {
-    match t {
-        Terminator::Jump(_) => costs.alu / 2 + 1,
-        Terminator::Branch { .. } => costs.alu,
-        Terminator::Ret(_) => costs.call / 2,
     }
 }
 

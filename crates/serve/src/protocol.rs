@@ -218,7 +218,7 @@ fn run_shape(req: &Json) -> Result<(u64, ExecBackend, OptLevel), String> {
         Some(v) => {
             let n = v.as_u64().ok_or("`opt` must be an integer")?;
             OptLevel::parse(&n.to_string())
-                .ok_or_else(|| format!("invalid opt level {n} (accepted: 0, 1, 2)"))?
+                .ok_or_else(|| format!("invalid opt level {n} (accepted: 0, 2)"))?
         }
     };
     Ok((runs, backend, opt))

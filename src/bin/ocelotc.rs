@@ -27,7 +27,7 @@
 //!     --jit                     skip region inference (JIT-only build)
 //!     --backend <interp|compiled> execution engine (default interp);
 //!                               identical results, compiled is faster
-//!     --opt <0|1|2>             compiled-engine optimization level
+//!     --opt <0|2>               compiled-engine optimization level
 //!                               (default 2, or $OCELOT_OPT; identical
 //!                               results at every level)
 //!     --tics <µs>               JIT + TICS-style expiry window with
@@ -708,7 +708,7 @@ fn cmd_run(program: Program, opts: &[String]) -> ExitCode {
             },
             "--opt" => match it.next().map(|v| ocelot::runtime::OptLevel::parse(v)) {
                 Some(Some(l)) => opt = l,
-                _ => return usage_err("--opt needs `0`, `1` or `2`"),
+                _ => return usage_err("--opt needs `0` or `2`"),
             },
             "--tics" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(w) => {

@@ -28,14 +28,30 @@ fn invalid_ocelot_opt_aborts_with_a_diagnostic() {
     assert!(stderr.contains("OCELOT_OPT"), "names the knob: {stderr}");
     assert!(stderr.contains("`O2`"), "echoes the bad value: {stderr}");
     assert!(
-        stderr.contains("`0`, `1` or `2`"),
+        stderr.contains("`0` or `2`"),
+        "names the accepted values: {stderr}"
+    );
+}
+
+#[test]
+fn removed_level_one_is_rejected_like_any_invalid_value() {
+    let out = ocelotc()
+        .args(["fleet", "--help"])
+        .env("OCELOT_OPT", "1")
+        .output()
+        .expect("runs ocelotc");
+    assert_eq!(out.status.code(), Some(2), "OCELOT_OPT=1 names no level");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("`1`"), "echoes the bad value: {stderr}");
+    assert!(
+        stderr.contains("`0` or `2`"),
         "names the accepted values: {stderr}"
     );
 }
 
 #[test]
 fn valid_and_empty_ocelot_opt_values_are_accepted() {
-    for value in ["0", "1", "2", ""] {
+    for value in ["0", "2", ""] {
         let out = ocelotc()
             .args(["fleet", "--help"])
             .env("OCELOT_OPT", value)

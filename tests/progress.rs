@@ -1,9 +1,10 @@
 //! Cross-validation of the static forward-progress analysis against the
 //! dynamic machine (§5.3 / §10):
 //!
-//! * **soundness** — the static worst-case cycle bound dominates the
-//!   cycles the runtime actually charges, on the six paper benchmarks
-//!   and on randomly generated programs;
+//! * **soundness** — the cycles the runtime actually charges lie
+//!   between the static minimum and the static worst-case bound, on the
+//!   six paper benchmarks and on randomly generated programs (all three
+//!   price instructions through one `CostModel::price`);
 //! * **prediction** — a statically-feasible capacitor really completes
 //!   every region, and a region the analysis calls infeasible really
 //!   livelocks on the simulated hardware.
@@ -13,14 +14,21 @@ mod common;
 use common::{arb_program, gen_environment_constant};
 use ocelot::hw::harvest::Harvester;
 use ocelot::prelude::*;
-use ocelot::progress::{ProgressReport, WcetAnalysis};
+use ocelot::progress::{FeasAnalysis, ProgressReport, WcetAnalysis};
 use proptest::prelude::*;
 
 /// Static worst-case cycles for one full run of `main`.
 fn static_bound(built: &ocelot::runtime::Built) -> u64 {
-    let mut w = WcetAnalysis::new(&built.program, &CostModel::default(), &built.regions);
+    let w = WcetAnalysis::new(&built.program, &CostModel::default(), &built.regions);
     w.func_wcet(built.program.main)
         .expect("benchmarks have bounded loops")
+}
+
+/// Static best-case cycles for one full run of `main`.
+fn static_min(built: &ocelot::runtime::Built) -> u64 {
+    FeasAnalysis::new(&built.program, &CostModel::default())
+        .expect("validated programs are non-recursive")
+        .func_min(built.program.main)
 }
 
 /// Dynamic cycles of one continuous-power run.
@@ -48,10 +56,17 @@ fn static_bound_dominates_dynamic_on_all_benchmarks() {
             };
             let built = build(program, model).unwrap();
             let bound = static_bound(&built);
+            let min = static_min(&built);
             let actual = dynamic_cycles(&built, bench.environment(7));
             assert!(
                 actual <= bound,
                 "{} under {}: dynamic {actual} exceeds static bound {bound}",
+                bench.name,
+                model.name(),
+            );
+            assert!(
+                min <= actual,
+                "{} under {}: static minimum {min} exceeds dynamic {actual}",
                 bench.name,
                 model.name(),
             );
@@ -224,7 +239,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Soundness on arbitrary generated programs: the runtime never
-    /// charges more cycles than the static bound. Monotone-counter
+    /// charges more cycles than the static bound, nor fewer than the
+    /// static minimum. Monotone-counter
     /// `while` loops are bounded like `repeat`s; only the
     /// tainted-condition shape (whose `&&` header defeats counter
     /// recovery) must be *refused* with an unbounded-loop error —
@@ -236,7 +252,7 @@ proptest! {
     ) {
         let program = compile(&p.source).unwrap();
         let built = build(program, ExecModel::Ocelot).unwrap();
-        let mut w = WcetAnalysis::new(&built.program, &CostModel::default(), &built.regions);
+        let w = WcetAnalysis::new(&built.program, &CostModel::default(), &built.regions);
         match w.func_wcet(built.program.main) {
             Ok(bound) => {
                 prop_assert!(
@@ -249,6 +265,12 @@ proptest! {
                     actual <= bound,
                     "dynamic {} exceeds static bound {} for:\n{}",
                     actual, bound, p.source
+                );
+                let min = static_min(&built);
+                prop_assert!(
+                    min <= actual,
+                    "static minimum {} exceeds dynamic {} for:\n{}",
+                    min, actual, p.source
                 );
             }
             Err(ocelot::progress::ProgressError::UnboundedLoop { .. }) => {
