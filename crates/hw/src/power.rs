@@ -32,26 +32,21 @@ pub trait PowerSupply: Send {
         false
     }
 
-    /// Draws the energy of a whole pre-costed instruction batch in one
-    /// call — the compiled execution backend charges straight-line
-    /// blocks this way instead of once per instruction.
+    /// Draws `draws` in order, one [`PowerSupply::consume`] each, and
+    /// stops at the first draw that reports [`PowerEvent::LowPower`],
+    /// returning its index (`None`: every draw fit).
     ///
-    /// A single batched draw is only exact when the comparator cannot
-    /// trip mid-batch, so callers must batch only on supplies whose
-    /// [`PowerSupply::is_continuous`] is true; on a finite supply the
-    /// per-instruction draw sequence determines *which* instruction the
-    /// low-power interrupt lands on, and collapsing it would move the
-    /// checkpoint. The default forwards to [`PowerSupply::consume`] and
-    /// makes that contract self-enforcing: batching a finite supply is
-    /// a caller bug, caught by a debug assertion rather than by a
-    /// silently relocated checkpoint.
-    fn consume_batch(&mut self, energy_nj: f64) -> PowerEvent {
-        debug_assert!(
-            self.is_continuous(),
-            "batched energy draws are only exact on continuous supplies \
-             (per-instruction draws decide where the comparator trips)"
-        );
-        self.consume(energy_nj)
+    /// This is how the compiled execution backend charges a pre-costed
+    /// run of instructions: the draw sequence, and so the instruction
+    /// the comparator trips on, is exactly the per-instruction one —
+    /// draws after the trip are never made. The default loop calls
+    /// `consume` statically (each implementor gets its own copy), so a
+    /// caller holding a `dyn PowerSupply` pays one virtual call per run
+    /// instead of one per instruction.
+    fn consume_run(&mut self, draws: &[f64]) -> Option<usize> {
+        draws
+            .iter()
+            .position(|&nj| self.consume(nj) == PowerEvent::LowPower)
     }
 }
 
@@ -70,6 +65,10 @@ impl PowerSupply for ContinuousPower {
 
     fn is_continuous(&self) -> bool {
         true
+    }
+
+    fn consume_run(&mut self, _draws: &[f64]) -> Option<usize> {
+        None
     }
 }
 
@@ -245,29 +244,121 @@ mod tests {
         }
         assert!(p.is_continuous());
         assert_eq!(p.recharge(), 0);
-        assert_eq!(p.consume_batch(1e12), PowerEvent::Ok);
+        assert_eq!(p.consume_run(&[1e12, 1e12]), None);
     }
 
-    #[test]
-    fn batched_draw_equals_split_draw_on_continuous_power() {
-        // The batching contract: on a continuous supply one batched
-        // draw and any per-instruction split of it are indistinguishable.
-        let mut a = ContinuousPower;
-        let mut b = ContinuousPower;
-        assert_eq!(a.consume_batch(30.0), PowerEvent::Ok);
-        for _ in 0..3 {
-            assert_eq!(b.consume(10.0), PowerEvent::Ok);
+    /// The stored energy of each supply, compared bit for bit between a
+    /// batched and a sequential copy.
+    trait Level {
+        fn level(&self) -> f64;
+    }
+
+    impl Level for ContinuousPower {
+        fn level(&self) -> f64 {
+            0.0
         }
     }
 
+    impl Level for HarvestedPower {
+        fn level(&self) -> f64 {
+            self.capacitor.level_nj()
+        }
+    }
+
+    impl Level for ScriptedPower {
+        fn level(&self) -> f64 {
+            self.current
+        }
+    }
+
+    impl Level for RandomPower {
+        fn level(&self) -> f64 {
+            self.current
+        }
+    }
+
+    /// The reference for [`PowerSupply::consume_run`]: one `consume`
+    /// per draw, stopping at the first trip.
+    fn sequential(p: &mut impl PowerSupply, draws: &[f64]) -> Option<usize> {
+        for (i, &nj) in draws.iter().enumerate() {
+            if p.consume(nj) == PowerEvent::LowPower {
+                return Some(i);
+            }
+        }
+        None
+    }
+
+    /// Drives a batched and a sequential copy of `supply` through the
+    /// same draws: an empty run, a run that trips on its first draw,
+    /// then seeded random runs. After every trip some rounds keep
+    /// drawing in the reserve zone before both copies recharge. Returns
+    /// the number of trips seen.
+    fn assert_run_matches_sequential<P>(supply: P, mean_nj: f64) -> usize
+    where
+        P: PowerSupply + Level + Clone,
+    {
+        let mut batched = supply.clone();
+        let mut seq = supply;
+        let mut trips = 0;
+        let step = |batched: &mut P, seq: &mut P, draws: &[f64], what: &str| {
+            let got = batched.consume_run(draws);
+            assert_eq!(got, sequential(seq, draws), "{what}: trip index");
+            assert_eq!(
+                batched.level().to_bits(),
+                seq.level().to_bits(),
+                "{what}: level after {draws:?}"
+            );
+            got
+        };
+        let before = batched.level().to_bits();
+        assert_eq!(step(&mut batched, &mut seq, &[], "empty run"), None);
+        assert_eq!(
+            batched.level().to_bits(),
+            before,
+            "an empty run draws nothing"
+        );
+
+        let mut rng = StdRng::seed_from_u64(7);
+        for round in 0..400 {
+            let draws: Vec<f64> = if round == 0 {
+                // Trips on draw 0 unless the supply cannot fail; the
+                // draws after it must not be made.
+                vec![1e9, 1.0, 1.0]
+            } else {
+                let len = rng.gen_range(0..24usize);
+                (0..len)
+                    .map(|_| rng.gen_range(0.0..2.0 * mean_nj))
+                    .collect()
+            };
+            let Some(at) = step(&mut batched, &mut seq, &draws, "run") else {
+                continue;
+            };
+            trips += 1;
+            if round == 0 {
+                assert_eq!(at, 0, "the first draw tripped");
+            }
+            if round % 3 == 0 {
+                let tail: Vec<f64> = (0..5).map(|_| rng.gen_range(0.0..mean_nj)).collect();
+                step(&mut batched, &mut seq, &tail, "reserve-zone run");
+            }
+            assert_eq!(batched.recharge(), seq.recharge(), "off-time");
+            assert_eq!(batched.level().to_bits(), seq.level().to_bits());
+        }
+        trips
+    }
+
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "continuous supplies"))]
-    fn batched_draw_on_a_finite_supply_is_a_caller_bug() {
-        // The compiled backend gates batching on `is_continuous`; a
-        // caller that forgets the gate trips the debug assertion
-        // instead of silently moving the comparator trip point.
-        let mut p = ScriptedPower::new(vec![10.0], 5);
-        assert_eq!(p.consume_batch(11.0), PowerEvent::LowPower);
+    fn consume_run_equals_sequential_draws_on_every_supply() {
+        assert_eq!(assert_run_matches_sequential(ContinuousPower, 1e6), 0);
+        let harvested = HarvestedPower::new(
+            Capacitor::new(26_000.0, 2_600.0),
+            Harvester::powercast_noisy(3),
+        )
+        .with_boot_jitter(5, 0.4);
+        assert!(assert_run_matches_sequential(harvested, 400.0) > 20);
+        let scripted = ScriptedPower::new(vec![10.0, 3_000.0, 50.0, 9_000.0, 1.0], 5);
+        assert!(assert_run_matches_sequential(scripted, 300.0) >= 5);
+        assert!(assert_run_matches_sequential(RandomPower::new(2_000.0, 50, 11), 200.0) > 20);
     }
 
     #[test]

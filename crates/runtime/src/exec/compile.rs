@@ -27,12 +27,14 @@
 //!   check, or fresh-use trace logging can fire here, and whether the
 //!   pathological injector targets this instruction;
 //! * **batches** — for every entry offset into a block, the maximal run
-//!   of pure-compute steps whose energy can be drawn in one
-//!   [`ocelot_hw::power::PowerSupply::consume_batch`] call on a
-//!   continuous supply. Since locals are slot-addressed, a run no
-//!   longer stops at the block edge: it follows unconditional jumps
-//!   into the batchable prefix of the target block (cycle-guarded), so
-//!   straight-line code split across blocks still charges once.
+//!   of pure-compute steps the run loop may take without per-step
+//!   supervision, plus each step's precomputed nJ draw; a segment's
+//!   draws go to [`ocelot_hw::power::PowerSupply::consume_run`] as one
+//!   slice, bit-identical to the per-step draws. Since locals are
+//!   slot-addressed, a run no longer stops at the block edge: it
+//!   follows unconditional jumps into the batchable prefix of the
+//!   target block (cycle-guarded), so straight-line code split across
+//!   blocks still batches as one run.
 //!
 //! The classification is exact for lowered programs: alpha-renaming
 //! guarantees locals never shadow globals and are bound before any
@@ -71,6 +73,12 @@ pub(crate) struct CompiledFunc<'p> {
 pub(crate) struct CompiledBlock<'p> {
     /// `instrs.len() + 1` steps; the last is the terminator.
     pub(crate) steps: Vec<Step<'p>>,
+    /// `nj[i]` is step `i`'s energy draw, `cycles_to_nj` of its static
+    /// cycles (0 for a dynamic cost, which never batches): the batch
+    /// path hands these slices to
+    /// [`ocelot_hw::power::PowerSupply::consume_run`], bit-identical to
+    /// the per-step draw.
+    pub(crate) nj: Vec<f64>,
     /// `batches[i]` describes the maximal batchable run starting at
     /// step `i` (`len == 0`: step `i` must go through the checked
     /// per-step path).
@@ -395,8 +403,9 @@ pub(crate) enum CExpr<'p> {
     /// an empty dependency set. Emitted at `O2` where the optimizer
     /// proved the dependency set is empty anyway (value purity) or can
     /// never reach an observation (dependency liveness) or is dropped
-    /// by the consumer (branch conditions, store indices) — the
-    /// taint-free fast path.
+    /// by the consumer (store indices) — the taint-free fast path. A
+    /// local store of one writes its slot in place. (Branch conditions
+    /// need no wrapper: the run loop always evaluates them by value.)
     PureOf(Box<CExpr<'p>>),
 }
 
@@ -496,8 +505,15 @@ impl<'p> Cx<'_, 'p> {
             .map(|(i, inst)| self.instr(f, binds, Point::new(b.id, i), inst.label, &inst.op))
             .collect();
         steps.push(self.terminator(f, b.term_label, &b.term));
+        let nj = steps
+            .iter()
+            .map(|s| match s.cost {
+                Cost::Static { cycles, .. } => self.m.core.costs.cycles_to_nj(cycles),
+                Cost::Dynamic(_) => 0.0,
+            })
+            .collect();
         let batches = intra_block_batches(&steps);
-        CompiledBlock { steps, batches }
+        CompiledBlock { steps, nj, batches }
     }
 
     fn step(
@@ -870,9 +886,9 @@ impl<'p> Cx<'_, 'p> {
                     Action::Jump(if *k != 0 { *then_bb } else { *else_bb })
                 } else {
                     Action::Branch {
-                        // Both backends branch on the value alone; the
+                        // Evaluated by value at every level: the
                         // condition's dependency set is never observed.
-                        cond: self.wrap_o2(c, || true),
+                        cond: c,
                         then_bb: *then_bb,
                         else_bb: *else_bb,
                     }
@@ -1159,6 +1175,38 @@ mod tests {
             b0.totals.len,
             "segment lengths add up"
         );
+    }
+
+    #[test]
+    fn branch_arm_batches_continue_through_the_join() {
+        // The then-arm ends in a jump to the join block, whose straight
+        // line ends in a jump to the exit pad: the arm's batch carries
+        // both as continuation segments, each with its own draw slice.
+        let p = irc("nv g = 0; nv h = 0; fn main() { let a = 1; \
+             if g == 0 { a = a + 2; let b = a * 3; h = b; } else { a = a + 5; } \
+             let c = a + 1; let d = c * 2; h = h + d; out(log, d); }")
+        .unwrap();
+        let m = machine_for(&p);
+        let cp = compile(&m);
+        let blocks = &cp.funcs[p.main.0 as usize].blocks;
+        let (bi, b) = blocks
+            .iter()
+            .enumerate()
+            .map(|(bi, b)| (bi, &b.batches[0]))
+            .max_by_key(|(_, b)| b.cont.len())
+            .unwrap();
+        assert!(b.cont.len() >= 2, "block {bi} continues twice: {b:?}");
+        for (blk, len) in &b.cont {
+            let cb = &blocks[blk.0 as usize];
+            assert!(*len as usize <= cb.steps.len());
+            assert_eq!(cb.nj.len(), cb.steps.len());
+        }
+        for (s, nj) in blocks[bi].steps.iter().zip(&blocks[bi].nj) {
+            let Cost::Static { cycles, .. } = s.cost else {
+                continue;
+            };
+            assert_eq!(nj.to_bits(), m.core.costs.cycles_to_nj(cycles).to_bits());
+        }
     }
 
     #[test]

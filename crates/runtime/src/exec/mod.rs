@@ -19,10 +19,15 @@
 //! * detector/fresh-use check sites and injector targets become
 //!   per-step booleans, so unchecked steps skip the lookups entirely;
 //! * maximal runs of "pure compute" steps are pre-grouped into
-//!   *batches* whose energy is drawn in one
-//!   [`ocelot_hw::power::PowerSupply::consume_batch`] call — taken only
-//!   on continuous supplies, where the comparator cannot trip mid-run,
-//!   so per-instruction failure semantics are preserved exactly.
+//!   *batches* whose per-instruction energy draws are handed to the
+//!   supply in one [`ocelot_hw::power::PowerSupply::consume_run`] call
+//!   per segment. The supply makes the same draws in the same order and
+//!   reports which one tripped the comparator, so batching is exact on
+//!   every supply: a power failure lands on the same instruction as in
+//!   the interpreter;
+//! * at O2, local stores and branch conditions whose dependency sets
+//!   are provably empty or unobservable are evaluated by value only,
+//!   with no taint temporary built.
 //!
 //! The seam between the backends is semantic, not structural: anything
 //! *checked or observable* — inputs, outputs, detector checks, region

@@ -2,26 +2,40 @@
 //!
 //! Mirrors `Machine::step` attempt-for-attempt — injector check, cost
 //! charge, detector checks, execute — but over pre-resolved
-//! [`Step`]s, and lifts maximal pure-compute runs into single batched
-//! charges when the supply is continuous (see [`super::compile`] for
-//! what makes a step batchable). Everything checked or observable
-//! delegates to the shared `Machine` helpers, so both backends execute
-//! the paper's semantics through one implementation.
+//! [`Step`]s, and lifts maximal pure-compute runs into batches (see
+//! [`super::compile`] for what makes a step batchable). A batch draws
+//! its steps' energy through
+//! [`ocelot_hw::power::PowerSupply::consume_run`], which stops at the
+//! draw that trips the comparator, so on any supply the batch fails on
+//! the same instruction, with the same booking and attempt count, as
+//! the per-step loop. Everything checked or observable delegates to the
+//! shared `Machine` helpers, so both backends execute the paper's
+//! semantics through one implementation.
 
-use super::compile::{
-    self, Action, ArgBind, Batch, CExpr, CompiledBlock, Cost, LocalDst, RefArgPlan, Step,
-};
+use super::compile::{self, Action, ArgBind, Batch, CExpr, Cost, LocalDst, RefArgPlan, Step};
 use super::CompiledProgram;
 use crate::machine::{eval_binop, Machine, RunOutcome};
-use crate::memory::{RefTarget, RetSlot, Tainted};
+use crate::memory::{Frame, RefTarget, RetSlot, Tainted};
 use crate::obs::Obs;
 use ocelot_hw::energy::PowerEvent;
 use ocelot_ir::ast::UnOp;
-use ocelot_ir::FuncId;
+use ocelot_ir::{BlockId, FuncId};
 use std::sync::Arc;
 
-/// Breakdown/charge bookkeeping for one whole batch: the same totals
-/// the interpreter accumulates per instruction, applied in one shot.
+/// How a batch ended.
+enum Batched {
+    /// Every step ran.
+    Ran,
+    /// `main` returned from the batch's last step.
+    Returned,
+    /// The comparator tripped; `attempts` steps were tried, the last of
+    /// which failed.
+    Failed {
+        /// Attempts counted toward the step budget.
+        attempts: u64,
+    },
+}
+
 impl<'p> Machine<'p> {
     /// Runs `main` once on the compiled engine. Counts *attempts*
     /// exactly like the interpreter's `run_once`, so `StepLimit`
@@ -45,32 +59,35 @@ impl<'p> Machine<'p> {
         }
         let cp = Arc::clone(self.compiled.as_ref().expect("just compiled"));
         let violations_before = self.dev.stats.violations;
-        // Batched draws are exact only when the comparator cannot trip
-        // mid-run (see `PowerSupply::consume_batch`).
-        let batching = self.supply.is_continuous();
         // Check elision leans on bit monotonicity: bits are only cleared
         // by power failure, so a supply that can fail mid-run (or an
         // injector that forces failures, or a TICS window whose expiry
         // probe elision would also skip) keeps every probe dynamic.
-        self.elide_checks =
-            batching && self.injector_targets.is_empty() && self.expiry_window.is_none();
+        self.elide_checks = self.supply.is_continuous()
+            && self.injector_targets.is_empty()
+            && self.expiry_window.is_none();
         let mut steps = 0u64;
         loop {
-            if batching {
-                if let Some(top) = self.dev.vol.top() {
-                    let (func, block, index) = (top.func, top.block, top.index);
-                    let cb = &cp.funcs[func.0 as usize].blocks[block.0 as usize];
-                    let batch = &cb.batches[index];
-                    // Take the fast path only when every attempt in the
-                    // run fits under the step budget, so the limit lands
-                    // on the same instruction as the per-step loop.
-                    if batch.totals.len > 0 && steps + u64::from(batch.totals.len) <= max_steps {
-                        steps += u64::from(batch.totals.len);
-                        if self.exec_batch(&cp, func, cb, index, batch) {
-                            return self.complete_run(violations_before);
+            if let Some(top) = self.dev.vol.top() {
+                let (func, block, index) = (top.func, top.block, top.index);
+                let cb = &cp.funcs[func.0 as usize].blocks[block.0 as usize];
+                let batch = &cb.batches[index];
+                // Take the fast path only when every attempt in the run
+                // fits under the step budget, so the limit lands on the
+                // same instruction as the per-step loop.
+                let len = u64::from(batch.totals.len);
+                if len > 0 && steps + len <= max_steps {
+                    match self.exec_batch(&cp, func, block, index, batch) {
+                        Batched::Returned => return self.complete_run(violations_before),
+                        Batched::Ran => steps += len,
+                        Batched::Failed { attempts } => {
+                            steps += attempts;
+                            if let Some(region) = self.dev.livelocked {
+                                return RunOutcome::Livelock { region };
+                            }
                         }
-                        continue;
                     }
+                    continue;
                 }
             }
             steps += 1;
@@ -86,53 +103,79 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Charges a whole batch (possibly spanning unconditional jumps) in
-    /// one draw, then runs its steps flat-out. Returns true when `main`
-    /// returned.
+    /// Runs a whole batch (possibly spanning unconditional jumps) with
+    /// per-instruction failure semantics. Every step's energy is drawn
+    /// first, in step order, with one
+    /// [`ocelot_hw::power::PowerSupply::consume_run`] per segment. With
+    /// no trip, the batch totals are booked in one shot and the steps
+    /// run flat-out. With a trip at step `j`, the steps before `j` run
+    /// with per-step booking, step `j` is booked and the power fails
+    /// before it takes effect — exactly where the per-step loop would
+    /// have failed, since no batchable step reads the clock or the
+    /// supply.
     fn exec_batch(
         &mut self,
         cp: &CompiledProgram<'p>,
         func: FuncId,
-        cb: &CompiledBlock<'p>,
+        block: BlockId,
         start: usize,
         batch: &Batch,
-    ) -> bool {
-        self.dev.stats.breakdown.compute += batch.totals.compute_cycles;
-        self.dev.stats.breakdown.output += batch.totals.output_cycles;
-        self.dev.stats.on_cycles += batch.totals.cycles;
-        self.dev.now_us += batch.totals.us;
-        self.dev.stats.on_time_us += batch.totals.us;
-        // On a continuous supply this cannot report LowPower; the value
-        // is ignored for the same reason the interpreter ignores
-        // `consume` results after completion.
-        let _ = self
-            .supply
-            .consume_batch(self.core.costs.cycles_to_nj(batch.totals.cycles));
-        for step in &cb.steps[start..start + batch.head as usize] {
-            self.dev.tau += 1;
-            self.dev.stats.instructions += 1;
-            if self.exec_action(step) {
-                return true;
+    ) -> Batched {
+        let blocks = &cp.funcs[func.0 as usize].blocks;
+        // The head segment, then each continuation segment: the jump
+        // that ended the previous segment repositions the frame at the
+        // segment's offset 0.
+        let segments = std::iter::once((block, start..start + batch.head as usize))
+            .chain(batch.cont.iter().map(|&(blk, len)| (blk, 0..len as usize)));
+        let mut trip = None;
+        let mut drawn = 0;
+        for (blk, r) in segments.clone() {
+            if let Some(j) = self
+                .supply
+                .consume_run(&blocks[blk.0 as usize].nj[r.clone()])
+            {
+                trip = Some(drawn + j);
+                break;
             }
+            drawn += r.len();
         }
-        // Continuation segments: the jump that ended the previous
-        // segment repositioned the frame at the segment's offset 0.
-        for (blk, len) in &batch.cont {
-            let cb2 = &cp.funcs[func.0 as usize].blocks[blk.0 as usize];
+        if trip.is_none() {
+            let t = &batch.totals;
+            self.dev.stats.breakdown.compute += t.compute_cycles;
+            self.dev.stats.breakdown.output += t.output_cycles;
+            self.dev.stats.on_cycles += t.cycles;
+            self.dev.now_us += t.us;
+            self.dev.stats.on_time_us += t.us;
+        }
+        let mut k = 0;
+        for (blk, r) in segments {
             debug_assert_eq!(
                 self.dev.vol.top().map(|t| (t.func, t.block, t.index)),
-                Some((func, *blk, 0)),
+                Some((func, blk, r.start)),
                 "the followed jump landed where the batch plan expected"
             );
-            for step in &cb2.steps[..*len as usize] {
+            for step in &blocks[blk.0 as usize].steps[r] {
+                if let Some(j) = trip {
+                    let Cost::Static { cycles, us } = step.cost else {
+                        unreachable!("batched steps have static costs")
+                    };
+                    self.book_static(step, cycles, us);
+                    if k == j {
+                        self.power_fail();
+                        return Batched::Failed {
+                            attempts: j as u64 + 1,
+                        };
+                    }
+                }
                 self.dev.tau += 1;
                 self.dev.stats.instructions += 1;
                 if self.exec_action(step) {
-                    return true;
+                    return Batched::Returned;
                 }
+                k += 1;
             }
         }
-        false
+        Batched::Ran
     }
 
     /// One checked attempt, mirroring the interpreter's `step` stage
@@ -156,10 +199,7 @@ impl<'p> Machine<'p> {
         //    effect.
         let low = match step.cost {
             Cost::Static { cycles, us } => {
-                self.book_breakdown(step, cycles);
-                self.dev.stats.on_cycles += cycles;
-                self.dev.now_us += us;
-                self.dev.stats.on_time_us += us;
+                self.book_static(step, cycles, us);
                 self.supply.consume(self.core.costs.cycles_to_nj(cycles))
             }
             Cost::Dynamic(op) => {
@@ -194,6 +234,15 @@ impl<'p> Machine<'p> {
         self.exec_action(step)
     }
 
+    /// Books a static-cost attempt: its breakdown category, cycles and
+    /// time, as [`Machine::charge`] does before drawing the energy.
+    fn book_static(&mut self, step: &Step<'p>, cycles: u64, us: u64) {
+        self.book_breakdown(step, cycles);
+        self.dev.stats.on_cycles += cycles;
+        self.dev.now_us += us;
+        self.dev.stats.on_time_us += us;
+    }
+
     fn book_breakdown(&mut self, step: &Step<'p>, cycles: u64) {
         match step.cat {
             compile::Cat::Compute => self.dev.stats.breakdown.compute += cycles,
@@ -212,11 +261,13 @@ impl<'p> Machine<'p> {
                 self.advance();
             }
             Action::Bind { dst, src } => {
-                let v = self.ceval(src);
-                let top = self.dev.vol.top_mut().expect("frame exists");
                 match dst {
-                    LocalDst::Slot(s) => top.set_slot(*s, v),
-                    LocalDst::Spill(name) => top.set_extra(name, v),
+                    LocalDst::Slot(s) => self.store_slot(*s, src),
+                    LocalDst::Spill(name) => {
+                        let v = self.ceval(src);
+                        let top = self.dev.vol.top_mut().expect("frame exists");
+                        top.set_extra(name, v);
+                    }
                 }
                 self.advance();
             }
@@ -226,13 +277,17 @@ impl<'p> Machine<'p> {
                 bind,
                 src,
             } => {
-                let v = self.ceval(src);
-                let top = self.dev.vol.top_mut().expect("frame exists");
+                let top = self.dev.vol.top().expect("frame exists");
                 if *bind || top.get_slot(*slot).is_some() {
                     // A reclassified always-bound local binds its slot
                     // on first store (dead-on-reboot by SSA liveness).
-                    top.set_slot(*slot, v);
-                } else if let Some(t) = top.refs.get(*var).cloned() {
+                    self.store_slot(*slot, src);
+                    self.advance();
+                    return false;
+                }
+                let v = self.ceval(src);
+                let top = self.dev.vol.top_mut().expect("frame exists");
+                if let Some(t) = top.refs.get(*var).cloned() {
                     // Unreachable in validated programs (classification
                     // excludes by-ref params), kept for exactness.
                     self.write_target(&t, v);
@@ -385,9 +440,11 @@ impl<'p> Machine<'p> {
                 then_bb,
                 else_bb,
             } => {
-                let v = self.ceval(cond);
+                // Both backends branch on the value alone; the
+                // condition's dependency set is never observed.
+                let v = self.ceval_value(cond);
                 let top = self.dev.vol.top_mut().expect("frame exists");
-                top.block = if v.value != 0 { *then_bb } else { *else_bb };
+                top.block = if v != 0 { *then_bb } else { *else_bb };
                 top.index = 0;
             }
             Action::Ret(e) => {
@@ -409,6 +466,25 @@ impl<'p> Machine<'p> {
             }
         }
         false
+    }
+
+    /// Stores `src` into the active frame's `slot`. A [`CExpr::PureOf`]
+    /// source — O2 proved its dependency set empty or unobservable — is
+    /// evaluated by value only and written in place, with no taint set
+    /// built or copied.
+    fn store_slot(&mut self, slot: u32, src: &CExpr<'p>) {
+        match src {
+            CExpr::PureOf(e) => {
+                let v = self.ceval_value(e);
+                let top = self.dev.vol.top_mut().expect("frame exists");
+                top.set_slot_pure(slot, v);
+            }
+            _ => {
+                let v = self.ceval(src);
+                let top = self.dev.vol.top_mut().expect("frame exists");
+                top.set_slot(slot, v);
+            }
+        }
     }
 
     /// Resolves a pre-classified by-ref argument against the live
@@ -482,13 +558,17 @@ impl<'p> Machine<'p> {
                     Some(s) => self.dev.nv.read_idx_slot(*s, i.value),
                     None => self.dev.nv.read_idx(name, i.value),
                 };
-                v.deps.extend(i.deps);
+                v.deps.extend(i.deps.iter().copied());
                 v
             }
             CExpr::Binary(op, l, r) => {
-                let a = self.ceval(l);
+                // The left operand's set is owned: extend it in place
+                // rather than cloning it as `Tainted::combine` would.
+                let mut a = self.ceval(l);
                 let b = self.ceval(r);
-                Tainted::combine(eval_binop(*op, a.value, b.value), &a, &b)
+                a.value = eval_binop(*op, a.value, b.value);
+                a.deps.extend(b.deps.iter().copied());
+                a
             }
             CExpr::Unary(op, x) => {
                 let a = self.ceval(x);
@@ -509,19 +589,23 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Value-only twin of [`Runner::ceval`]: computes the same `i64`
-    /// without touching dependency sets. Only reachable under
-    /// [`CExpr::PureOf`], i.e. when the O2 flow analysis justified
-    /// dropping the taint.
+    /// Value-only twin of [`Machine::ceval`]: computes the same `i64`
+    /// without touching dependency sets. Reached under [`CExpr::PureOf`],
+    /// i.e. when the O2 flow analysis justified dropping the taint, and
+    /// for branch conditions, whose taint is never observed.
     fn ceval_value(&self, e: &CExpr<'p>) -> i64 {
+        self.value_in(self.dev.vol.top(), e)
+    }
+
+    /// [`Machine::ceval_value`] against the active frame `top`, looked
+    /// up once per expression instead of once per local read.
+    fn value_in(&self, top: Option<&Frame>, e: &CExpr<'p>) -> i64 {
         match e {
             CExpr::Const(n) => *n,
-            CExpr::Local { slot, name } => {
-                match self.dev.vol.top().and_then(|t| t.get_slot(*slot)) {
-                    Some(v) => v.value,
-                    None => self.read_var(name).value,
-                }
-            }
+            CExpr::Local { slot, name } => match top.and_then(|t| t.get_slot(*slot)) {
+                Some(v) => v.value,
+                None => self.read_var(name).value,
+            },
             CExpr::RefParam(x) => match self.ref_target(x) {
                 Some(t) => self.read_target(&t).value,
                 None => self.read_var(x).value,
@@ -533,22 +617,36 @@ impl<'p> Machine<'p> {
                 None => self.dev.nv.read(x).value,
             },
             CExpr::Index { name, slot, idx } => {
-                let i = self.ceval_value(idx);
+                let i = self.operand(top, idx);
                 match slot {
                     Some(s) => self.dev.nv.read_idx_slot_value(*s, i),
                     None => self.dev.nv.read_idx_value(name, i),
                 }
             }
-            CExpr::Binary(op, l, r) => eval_binop(*op, self.ceval_value(l), self.ceval_value(r)),
+            CExpr::Binary(op, l, r) => eval_binop(*op, self.operand(top, l), self.operand(top, r)),
             CExpr::Unary(op, x) => {
-                let a = self.ceval_value(x);
+                let a = self.operand(top, x);
                 match op {
                     UnOp::Neg => a.wrapping_neg(),
                     UnOp::Not => (a == 0) as i64,
                 }
             }
             CExpr::RefArg => 0,
-            CExpr::PureOf(e) => self.ceval_value(e),
+            CExpr::PureOf(e) => self.value_in(top, e),
+        }
+    }
+
+    /// An operand of [`Machine::value_in`]: constants and bound locals,
+    /// most operands, are read in place; anything else recurses.
+    #[inline(always)]
+    fn operand(&self, top: Option<&Frame>, e: &CExpr<'p>) -> i64 {
+        match e {
+            CExpr::Const(n) => *n,
+            CExpr::Local { slot, .. } => match top.and_then(|t| t.get_slot(*slot)) {
+                Some(v) => v.value,
+                None => self.value_in(top, e),
+            },
+            _ => self.value_in(top, e),
         }
     }
 }

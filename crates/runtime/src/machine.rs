@@ -292,6 +292,10 @@ pub struct DeviceState {
     /// Pooled undo log: region entry takes it, commit returns it, so
     /// the log's capacity is reused instead of re-allocated per entry.
     pub(crate) spare_log: UndoLog,
+    /// Pooled volatile snapshot: region entry and the JIT checkpoint
+    /// copy the stack into it, commit and run resets return it, so a
+    /// reboot reuses the snapshot's frames instead of boxing a clone.
+    pub(crate) spare_snap: Option<Box<VolState>>,
     /// Dynamic consistency-check probes actually executed (detector
     /// check sites reached and resolved against the bit vector). Not
     /// part of [`Stats`]: the optimizing backend elides provably
@@ -322,6 +326,7 @@ impl Default for DeviceState {
             chain_times: Vec::new(),
             expiry_restarts_this_run: 0,
             spare_log: UndoLog::default(),
+            spare_snap: None,
             checks_probed: 0,
             nv_scalar_writes: 0,
         }
@@ -342,7 +347,7 @@ impl DeviceState {
                 self.frame_pool.push(f);
             }
         }
-        self.ctx = Ctx::Jit(None);
+        self.release_ctx();
         self.bitvec.clear();
         self.obs.reset();
         self.tau = 0;
@@ -354,9 +359,35 @@ impl DeviceState {
         self.chain_times.clear();
         self.chain_times.resize(core.chains.len(), None);
         self.expiry_restarts_this_run = 0;
-        self.spare_log.clear();
         self.checks_probed = 0;
         self.nv_scalar_writes = 0;
+    }
+
+    /// Returns to the boot JIT context, handing the open context's
+    /// snapshot and undo log back to their pools.
+    pub(crate) fn release_ctx(&mut self) {
+        match std::mem::replace(&mut self.ctx, Ctx::Jit(None)) {
+            Ctx::Jit(saved) => self.pool_snap(saved),
+            Ctx::Atom { snap, mut log, .. } => {
+                self.pool_snap(Some(snap));
+                log.clear();
+                self.spare_log = log;
+            }
+        }
+    }
+
+    /// Copies the live volatile stack into `into` (a context's previous
+    /// snapshot) or else into the pooled snapshot box.
+    fn snapshot_into(&mut self, into: Option<Box<VolState>>) -> Box<VolState> {
+        let mut snap = into.or_else(|| self.spare_snap.take()).unwrap_or_default();
+        (*snap).clone_from(&self.vol);
+        snap
+    }
+
+    fn pool_snap(&mut self, snap: Option<Box<VolState>>) {
+        if snap.is_some() {
+            self.spare_snap = snap;
+        }
     }
 }
 
@@ -961,10 +992,8 @@ impl<'p> Machine<'p> {
 
     /// Resets per-run state (both backends share this preamble).
     pub(crate) fn reset_run(&mut self) {
-        self.dev.vol = VolState {
-            frames: vec![Frame::at_entry(&self.core.layouts, self.core.p.main)],
-        };
-        self.dev.ctx = Ctx::Jit(None);
+        self.restart_main();
+        self.dev.release_ctx();
         self.injector_fired.clear();
         self.dev.consecutive_reexecs = 0;
         self.dev.livelocked = None;
@@ -1238,18 +1267,29 @@ impl<'p> Machine<'p> {
         ocelot_telemetry::metrics::MITIGATION_RESTARTS.incr();
         self.dev.stats.expiry_restarts += 1;
         self.dev.expiry_restarts_this_run += 1;
-        match std::mem::replace(&mut self.dev.ctx, Ctx::Jit(None)) {
-            Ctx::Atom { mut log, .. } => {
-                log.apply(&mut self.dev.nv);
-                self.dev.obs.abort_region();
-                log.clear();
-                self.dev.spare_log = log;
-            }
-            Ctx::Jit(saved) => self.dev.ctx = Ctx::Jit(saved),
+        if let Ctx::Atom { log, .. } = &self.dev.ctx {
+            log.apply(&mut self.dev.nv);
+            self.dev.obs.abort_region();
+            self.dev.release_ctx();
         }
-        self.dev.vol = VolState {
-            frames: vec![Frame::at_entry(&self.core.layouts, self.core.p.main)],
+        self.restart_main();
+    }
+
+    /// Resets the volatile stack to a fresh `main` frame at its entry,
+    /// recycling the stack's frames.
+    fn restart_main(&mut self) {
+        while let Some(f) = self.dev.vol.frames.pop() {
+            self.recycle_frame(f);
+        }
+        let (layouts, main) = (&self.core.layouts, self.core.p.main);
+        let frame = match self.dev.frame_pool.pop() {
+            Some(mut f) => {
+                f.reuse_at_entry(layouts, main);
+                f
+            }
+            None => Frame::at_entry(layouts, main),
         };
+        self.dev.vol.frames.push(frame);
     }
 
     /// The dynamic provenance chain ending at `input_ref`: the call
@@ -1278,7 +1318,9 @@ impl<'p> Machine<'p> {
                 // JIT-LowPower: checkpoint volatile state from the
                 // comparator reserve, then shut down.
                 let words = self.dev.vol.words();
-                *saved = Some(Box::new(self.dev.vol.clone()));
+                let prev = saved.take();
+                let snap = self.dev.snapshot_into(prev);
+                self.dev.ctx = Ctx::Jit(Some(snap));
                 self.dev.stats.jit_checkpoints += 1;
                 self.dev.stats.ckpt_words += words as u64;
                 let c = self.core.costs.checkpoint_cycles(words);
@@ -1307,15 +1349,9 @@ impl<'p> Machine<'p> {
         match &mut self.dev.ctx {
             Ctx::Jit(saved) => {
                 match saved {
-                    Some(snap) => {
-                        self.dev.vol = (**snap).clone();
-                    }
-                    None => {
-                        // Boot context: restart the program run.
-                        self.dev.vol = VolState {
-                            frames: vec![Frame::at_entry(&self.core.layouts, self.core.p.main)],
-                        };
-                    }
+                    Some(snap) => self.dev.vol.clone_from(snap),
+                    // Boot context: restart the program run.
+                    None => self.restart_main(),
                 }
                 let words = self.dev.vol.words();
                 let c = self.core.costs.restore_cycles(words);
@@ -1331,7 +1367,7 @@ impl<'p> Machine<'p> {
                 // Atom-Reboot: N ◁ L, restore snapshot, natom := 0.
                 log.apply(&mut self.dev.nv);
                 *natom = 0;
-                self.dev.vol = (**snap).clone();
+                self.dev.vol.clone_from(snap);
                 self.dev.obs.abort_region();
                 self.dev.obs.begin_region();
                 self.dev.stats.region_reexecs += 1;
@@ -1513,7 +1549,7 @@ impl<'p> Machine<'p> {
 
     pub(crate) fn atom_start(&mut self, region: RegionId) {
         match &mut self.dev.ctx {
-            Ctx::Jit(_) => {
+            Ctx::Jit(saved) => {
                 // Atom-Start-Outer: snapshot volatiles, eagerly log ω.
                 // The pooled log keeps its capacity across entries; the
                 // ω set is iterated in place with pre-resolved slots.
@@ -1538,7 +1574,10 @@ impl<'p> Machine<'p> {
                     }
                 }
                 self.dev.stats.log_words += new_words;
-                let snap = Box::new(self.dev.vol.clone());
+                // The JIT checkpoint is superseded: its box takes the
+                // region-entry snapshot.
+                let prev = saved.take();
+                let snap = self.dev.snapshot_into(prev);
                 self.dev.stats.region_entries += 1;
                 self.dev.stats.ckpt_words += self.dev.vol.words() as u64;
                 self.dev.obs.begin_region();
@@ -1583,11 +1622,7 @@ impl<'p> Machine<'p> {
             self.dev.obs.commit_region();
             self.dev.stats.region_commits += 1;
             self.dev.consecutive_reexecs = 0;
-            if let Ctx::Atom { mut log, .. } = std::mem::replace(&mut self.dev.ctx, Ctx::Jit(None))
-            {
-                log.clear();
-                self.dev.spare_log = log;
-            }
+            self.dev.release_ctx();
         }
     }
 

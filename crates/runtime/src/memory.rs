@@ -108,6 +108,14 @@ impl Deps {
         }
     }
 
+    /// Empties the set (a spilled set returns to the inline form).
+    pub(crate) fn clear(&mut self) {
+        match &mut self.0 {
+            DepsRepr::Inline { len, .. } => *len = 0,
+            DepsRepr::Heap(_) => *self = Deps::new(),
+        }
+    }
+
     /// Iterates the timestamps in ascending order.
     pub fn iter(&self) -> DepsIter<'_> {
         match &self.0 {
@@ -635,7 +643,7 @@ pub enum RetSlot {
 /// model's "no block scoping" quirk, where an in-scope-but-unbound
 /// local stores non-volatile. The frame's checkpoint footprint counts
 /// only bound slots, exactly like the name-keyed map it replaces.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Frame {
     /// The executing function.
     pub func: FuncId,
@@ -658,6 +666,36 @@ pub struct Frame {
     /// The call instruction that created this frame (`None` for the
     /// bottom frame); the dynamic provenance chain is read off these.
     pub call_site: Option<ocelot_ir::InstrRef>,
+}
+
+impl Clone for Frame {
+    fn clone(&self) -> Self {
+        Frame {
+            func: self.func,
+            block: self.block,
+            index: self.index,
+            slots: self.slots.clone(),
+            bound: self.bound,
+            extra: self.extra.clone(),
+            refs: self.refs.clone(),
+            ret_dst: self.ret_dst.clone(),
+            call_site: self.call_site,
+        }
+    }
+
+    /// Copies `source` into this frame, reusing its slot vector (the
+    /// checkpoint and restore paths clone whole stacks per reboot).
+    fn clone_from(&mut self, source: &Self) {
+        self.func = source.func;
+        self.block = source.block;
+        self.index = source.index;
+        self.slots.clone_from(&source.slots);
+        self.bound = source.bound;
+        self.extra.clone_from(&source.extra);
+        self.refs.clone_from(&source.refs);
+        self.ret_dst.clone_from(&source.ret_dst);
+        self.call_site = source.call_site;
+    }
 }
 
 impl Frame {
@@ -709,6 +747,24 @@ impl Frame {
         ret_dst: Option<RetSlot>,
         call_site: ocelot_ir::InstrRef,
     ) {
+        self.reset(func, entry, nslots, ret_dst, Some(call_site));
+    }
+
+    /// Re-initializes this frame as [`Frame::at_entry`] would build it,
+    /// keeping its allocations.
+    pub(crate) fn reuse_at_entry(&mut self, layouts: &FrameLayouts, func: FuncId) {
+        let l = layouts.layout(func);
+        self.reset(func, l.entry, l.len(), None, None);
+    }
+
+    fn reset(
+        &mut self,
+        func: FuncId,
+        entry: BlockId,
+        nslots: usize,
+        ret_dst: Option<RetSlot>,
+        call_site: Option<ocelot_ir::InstrRef>,
+    ) {
         self.func = func;
         self.block = entry;
         self.index = 0;
@@ -718,7 +774,7 @@ impl Frame {
         self.extra.clear();
         self.refs.clear();
         self.ret_dst = ret_dst;
-        self.call_site = Some(call_site);
+        self.call_site = call_site;
     }
 
     /// The bound value of `slot`, or `None` while unbound.
@@ -743,6 +799,26 @@ impl Frame {
         *cell = Some(v);
     }
 
+    /// Binds (or rebinds) `slot` to the untainted `value`, in place:
+    /// the same binding as `set_slot(slot, Tainted::pure(value))`
+    /// without building a temporary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is outside the frame's layout.
+    pub(crate) fn set_slot_pure(&mut self, slot: u32, value: i64) {
+        match &mut self.slots[slot as usize] {
+            Some(t) => {
+                t.value = value;
+                t.deps.clear();
+            }
+            cell @ None => {
+                *cell = Some(Tainted::pure(value));
+                self.bound += 1;
+            }
+        }
+    }
+
     /// A binding outside the layout (hand-built IR only).
     pub fn get_extra(&self, name: &str) -> Option<&Tainted> {
         self.extra.get(name)
@@ -762,10 +838,25 @@ impl Frame {
 
 /// The whole volatile machine state: the call stack. Lost on power
 /// failure unless checkpointed.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, PartialEq, Eq, Default)]
 pub struct VolState {
     /// Call frames, bottom first.
     pub frames: Vec<Frame>,
+}
+
+impl Clone for VolState {
+    fn clone(&self) -> Self {
+        VolState {
+            frames: self.frames.clone(),
+        }
+    }
+
+    /// Copies `source` frame by frame into the frames already here, so a
+    /// pooled snapshot (or the live stack on restore) keeps its slot
+    /// vectors.
+    fn clone_from(&mut self, source: &Self) {
+        self.frames.clone_from(&source.frames);
+    }
 }
 
 impl VolState {
@@ -1020,5 +1111,44 @@ mod tests {
         vol.top_mut().unwrap().set_extra("ghost", Tainted::pure(9));
         assert_eq!(vol.words(), base + 4 + 2);
         assert_eq!(vol.top().unwrap().get_extra("ghost").unwrap().value, 9);
+    }
+
+    #[test]
+    fn pure_slot_stores_and_snapshot_copies_match_their_plain_forms() {
+        let p = compile("fn f(a) { let b = a; } fn main() { let x = 1; let y = 2; }").unwrap();
+        let layouts = FrameLayouts::new(&p);
+        let (x, y) = (
+            layouts.slot(p.main, "x").unwrap(),
+            layouts.slot(p.main, "y").unwrap(),
+        );
+        let mut plain = Frame::at_entry(&layouts, p.main);
+        let mut pure = plain.clone();
+        // A spilled dependency set (past the inline capacity) and an
+        // unbound slot: the in-place store must empty the one and bind
+        // the other, exactly like a store of `Tainted::pure`.
+        let wide = Tainted {
+            value: 5,
+            deps: (0..20).collect(),
+        };
+        plain.set_slot(x, wide.clone());
+        pure.set_slot(x, wide);
+        plain.set_slot(x, Tainted::pure(7));
+        pure.set_slot_pure(x, 7);
+        plain.set_slot(y, Tainted::pure(8));
+        pure.set_slot_pure(y, 8);
+        assert_eq!(pure, plain);
+        assert_eq!(pure.words(), plain.words());
+
+        // `clone_from` into stacks of other shapes (more frames, fewer
+        // frames, other slot counts) yields the source exactly.
+        let callee = p.func_by_name("f").unwrap();
+        let src = VolState {
+            frames: vec![plain.clone(), Frame::at_entry(&layouts, callee)],
+        };
+        for frames in [vec![], vec![pure.clone()], vec![pure.clone(); 3]] {
+            let mut dst = VolState { frames };
+            dst.clone_from(&src);
+            assert_eq!(dst, src);
+        }
     }
 }

@@ -110,10 +110,13 @@ impl ObsLog {
     /// Commits buffered events (region ended).
     pub fn commit_region(&mut self) {
         self.buffering = false;
-        let pending = std::mem::take(&mut self.pending);
-        for o in pending {
+        // Drained rather than taken, so the buffer keeps its capacity
+        // for the next region.
+        let mut pending = std::mem::take(&mut self.pending);
+        for o in pending.drain(..) {
             self.push_committed(o);
         }
+        self.pending = pending;
     }
 
     /// Discards buffered events (region rolled back).

@@ -8,14 +8,16 @@
 //! assert the two backends agree on statistics, committed traces, and
 //! run outcomes — step for step, not just in aggregate.
 
-use ocelot_hw::energy::CostModel;
-use ocelot_hw::power::{ContinuousPower, PowerSupply, ScriptedPower};
+use ocelot_hw::energy::{Capacitor, CostModel};
+use ocelot_hw::power::{ContinuousPower, HarvestedPower, PowerSupply, ScriptedPower};
 use ocelot_hw::sensors::{Environment, Signal};
+use ocelot_hw::Harvester;
 use ocelot_ir::{compile, Program};
 use ocelot_runtime::machine::{pathological_targets, Machine, RunOutcome};
 use ocelot_runtime::obs::Obs;
-use ocelot_runtime::ExecBackend;
+use ocelot_runtime::{DeviceState, ExecBackend, ExecModel, MachineCore, OptLevel};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn build(
     src: &str,
@@ -572,4 +574,155 @@ fn repeated_multi_path_stacks_rebuild_dynamic_chains_identically() {
     let deep: Vec<_> = distinct.iter().filter(|c| c.len() == 3).collect();
     assert_eq!(deep[0][2], deep[1][2], "same input op at the bottom");
     assert_ne!(deep[0][..2], deep[1][..2], "different call paths");
+}
+
+/// Runs `runs` attempts on a fresh device attached to `core`.
+fn run_on_core(
+    core: &Arc<MachineCore<'_>>,
+    env: Environment,
+    supply: Box<dyn PowerSupply>,
+    backend: ExecBackend,
+    opt: OptLevel,
+    runs: u64,
+) -> RunResult {
+    let mut m = Machine::from_core(Arc::clone(core), DeviceState::default(), env, supply)
+        .with_backend(backend)
+        .with_opt(opt);
+    let outcome = (0..runs).map(|_| m.run_once(1_000_000)).collect();
+    RunResult {
+        outcome,
+        stats: m.stats().clone(),
+        trace: m.take_trace(),
+    }
+}
+
+#[test]
+fn batch_continuations_fail_at_every_offset() {
+    // The then-arm's batch follows its jump into the join block and on
+    // into the exit pad: three segments, each drawn as its own slice.
+    // Walking a scripted budget up one nanojoule at a time (every step
+    // costs at least 2 nJ) trips the comparator on every step of every
+    // segment, under JIT checkpointing and inside an atomic region,
+    // where the trip rolls the region back and re-executes it.
+    let body = "let a = 1; \
+                if g == 0 { a = a + 2; let b = a * 3; h = b; } else { a = a + 5; } \
+                let c = a + 1; let d = c * 2; h = h + d; out(log, d);";
+    let decls = "nv g = 0; nv h = 0;";
+    for (mode, src) in [
+        ("jit", format!("{decls} fn main() {{ {body} }}")),
+        (
+            "atomic",
+            format!("{decls} fn main() {{ atomic {{ {body} }} }}"),
+        ),
+    ] {
+        let (p, policies, regions) = build(&src);
+        let env = Environment::new();
+        let costs = CostModel::default();
+        let core = Arc::new(MachineCore::build(
+            &p,
+            &regions,
+            policies,
+            &env,
+            costs.clone(),
+        ));
+        for opt in OptLevel::all() {
+            let mk = |supply: Box<dyn PowerSupply>, backend| {
+                run_on_core(&core, env.clone(), supply, backend, opt, 1)
+            };
+            let clean = mk(Box::new(ContinuousPower), ExecBackend::Interp);
+            let total_nj = costs.cycles_to_nj(clean.stats.on_cycles).ceil() as u64;
+            let mut failed_at = BTreeSet::new();
+            for budget in 1..=total_nj {
+                let scripted = || Box::new(ScriptedPower::new(vec![budget as f64], 500));
+                let interp = mk(scripted(), ExecBackend::Interp);
+                let compiled = mk(scripted(), ExecBackend::Compiled);
+                let at = format!("{mode} O{} budget {budget}", opt.name());
+                assert_eq!(interp.outcome, compiled.outcome, "{at}");
+                assert_eq!(interp.stats, compiled.stats, "{at}");
+                assert_eq!(interp.trace, compiled.trace, "{at}");
+                assert_eq!(interp.stats.reboots, 1, "{at} failed exactly once");
+                // Where the failure landed: the re-executed prefix of the
+                // region, the checkpointed footprint, and the failed
+                // step's cycles (charged once more on the retry).
+                failed_at.insert((
+                    interp.stats.instructions,
+                    interp.stats.ckpt_words,
+                    interp.stats.on_cycles,
+                ));
+            }
+            // Under JIT, 10 of the 13 offsets are told apart (a jump and
+            // the step after it can share a footprint and a price);
+            // inside the region every step re-executes one more step
+            // than the offset before it, so all of them are.
+            let min = if mode == "jit" {
+                10
+            } else {
+                clean.stats.instructions as usize
+            };
+            assert!(
+                failed_at.len() >= min,
+                "{mode} O{}: the walk reached {} offsets: {failed_at:?}",
+                opt.name(),
+                failed_at.len()
+            );
+        }
+    }
+}
+
+#[test]
+fn harvested_boot_jitter_apps_agree_across_the_registry() {
+    // Every app on every registry scenario (all harvested, with boot
+    // jitter), plus the evaluation's own bank driven directly: the
+    // compiled engine at O2 batches through real comparator trips, so
+    // its stats and committed traces must match the interpreter's run
+    // for run, not only in the fleet aggregate.
+    let mut reboots = 0;
+    let mut reexecs = 0;
+    for bench in ocelot_apps::all_with_extensions() {
+        let built = ocelot_runtime::build(bench.annotated(), ExecModel::Ocelot).unwrap();
+        let mut check = |at: String,
+                         env: Environment,
+                         supply: &dyn Fn() -> Box<dyn PowerSupply>| {
+            let core = Arc::new(MachineCore::build(
+                &built.program,
+                &built.regions,
+                built.policies.clone(),
+                &env,
+                CostModel::default(),
+            ));
+            let mk = |backend| run_on_core(&core, env.clone(), supply(), backend, OptLevel::O2, 3);
+            let interp = mk(ExecBackend::Interp);
+            let compiled = mk(ExecBackend::Compiled);
+            assert_eq!(interp.outcome, compiled.outcome, "{at}");
+            assert_eq!(interp.stats, compiled.stats, "{at}");
+            assert_eq!(interp.trace, compiled.trace, "{at}");
+            reboots += interp.stats.reboots;
+            reexecs += interp.stats.region_reexecs;
+        };
+        for (i, sc) in ocelot_scenario::all().into_iter().enumerate() {
+            let sc = sc.reseeded(40 + i as u64);
+            check(
+                format!("{} on {}", bench.name, sc.name),
+                sc.environment(),
+                &|| sc.supply(),
+            );
+        }
+        check(
+            format!("{} on the bank", bench.name),
+            bench.environment(7),
+            &|| {
+                Box::new(
+                    HarvestedPower::new(
+                        Capacitor::new(26_000.0, 2_600.0),
+                        Harvester::powercast_noisy(7),
+                    )
+                    .with_boot_jitter(7 ^ 0x9E37, 0.4),
+                )
+            },
+        );
+    }
+    assert!(
+        reboots > 100 && reexecs > 0,
+        "the sweep failed often enough to matter: {reboots} reboots, {reexecs} re-executions"
+    );
 }
