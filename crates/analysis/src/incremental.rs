@@ -25,13 +25,19 @@
 //! the difference (held by the equivalence tests here and byte-identity
 //! tests in the serve layer).
 //!
+//! [`assemble`] is the one callees-first loop behind both uses of the
+//! cache: [`FlowCache::run`] feeds it its own entries and stores the
+//! misses, while a caller holding several caches (the serve layer's
+//! `lint`, over every open document) feeds it a lookup across all of
+//! them and stores nothing.
+//!
 //! [`FuncCache`] generalizes the same keying for other per-function
 //! results (the serve layer caches per-function loop/progress bounds
 //! with it).
 
 use crate::taint::{analyze_function, FuncFlow, TaintAnalysis};
 use ocelot_ir::print::function_to_string;
-use ocelot_ir::{CallGraph, Program};
+use ocelot_ir::{CallGraph, FuncId, Program};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -100,6 +106,51 @@ pub fn input_fingerprints(p: &Program) -> Vec<u64> {
     keys
 }
 
+/// Runs the taint analysis over `p` callees-first, taking each
+/// function's flow from `lookup(name, fingerprint)` when it answers and
+/// computing it with the per-function fixpoint otherwise. The fingerprint is
+/// the function's [`input_fingerprints`] entry, so any flow a lookup
+/// keyed this way returns is valid verbatim and the result equals
+/// [`TaintAnalysis::run`] exactly.
+///
+/// Returns the analysis, the reuse statistics, and the functions whose
+/// flows were computed fresh with their fingerprints — what a cache
+/// stores to answer the next lookup.
+///
+/// # Panics
+///
+/// Panics on recursive programs; run [`ocelot_ir::validate()`] first.
+pub fn assemble<'c>(
+    p: &Program,
+    lookup: impl Fn(&str, u64) -> Option<&'c FuncFlow>,
+) -> (TaintAnalysis, IncrementalStats, Vec<(FuncId, u64)>) {
+    let cg = CallGraph::new(p);
+    let order = cg
+        .topo_callees_first(p)
+        .expect("taint analysis requires an acyclic call graph");
+    let keys = input_fingerprints(p);
+
+    let mut flows: Vec<FuncFlow> = vec![FuncFlow::default(); p.funcs.len()];
+    let mut misses = Vec::new();
+    for f in order {
+        let func = p.func(f);
+        let key = keys[f.0 as usize];
+        flows[f.0 as usize] = match lookup(&func.name, key) {
+            Some(flow) => flow.clone(),
+            None => {
+                misses.push((f, key));
+                analyze_function(p, func, &flows)
+            }
+        };
+    }
+    let stats = IncrementalStats {
+        funcs: p.funcs.len(),
+        analyzed: misses.len(),
+        reused: p.funcs.len() - misses.len(),
+    };
+    (TaintAnalysis::from_flows(p, flows), stats, misses)
+}
+
 /// What one incremental pass did: how much work the cache saved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IncrementalStats {
@@ -135,40 +186,25 @@ impl FlowCache {
     /// Panics on recursive programs; run [`ocelot_ir::validate()`]
     /// first.
     pub fn run(&mut self, p: &Program) -> (TaintAnalysis, IncrementalStats) {
-        let cg = CallGraph::new(p);
-        let order = cg
-            .topo_callees_first(p)
-            .expect("taint analysis requires an acyclic call graph");
-        let keys = input_fingerprints(p);
-
-        let mut flows: Vec<FuncFlow> = vec![FuncFlow::default(); p.funcs.len()];
-        let mut stats = IncrementalStats {
-            funcs: p.funcs.len(),
-            analyzed: 0,
-            reused: 0,
-        };
-        for f in order {
-            let func = p.func(f);
-            let key = keys[f.0 as usize];
-            match self.entries.get(&func.name) {
-                Some((cached_key, flow)) if *cached_key == key => {
-                    stats.reused += 1;
-                    flows[f.0 as usize] = flow.clone();
-                }
-                _ => {
-                    stats.analyzed += 1;
-                    let flow = analyze_function(p, func, &flows);
-                    self.entries.insert(func.name.clone(), (key, flow.clone()));
-                    flows[f.0 as usize] = flow;
-                }
-            }
+        let (taint, stats, misses) = assemble(p, |name, key| self.get(name, key));
+        for (f, key) in misses {
+            let flow = taint.flows[f.0 as usize].clone();
+            self.entries.insert(p.func(f).name.clone(), (key, flow));
         }
         // Drop entries for functions the edit removed, so the cache
         // tracks the document instead of growing monotonically.
         self.entries
             .retain(|name, _| p.funcs.iter().any(|f| &f.name == name));
+        (taint, stats)
+    }
 
-        (TaintAnalysis::from_flows(p, flows), stats)
+    /// The cached flow of function `name` when its fingerprint is
+    /// `key`.
+    pub fn get(&self, name: &str, key: u64) -> Option<&FuncFlow> {
+        match self.entries.get(name) {
+            Some((cached_key, flow)) if *cached_key == key => Some(flow),
+            _ => None,
+        }
     }
 
     /// Cached functions (for cache-statistics surfaces).

@@ -129,6 +129,12 @@ impl Session {
     pub fn cached_funcs(&self) -> usize {
         self.cache.len()
     }
+
+    /// The document's per-function flow cache, for callers that
+    /// assemble an analysis from it without storing into it.
+    pub fn flows(&self) -> &FlowCache {
+        &self.cache
+    }
 }
 
 /// From-scratch verification of `src`: no cache, plain

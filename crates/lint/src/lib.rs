@@ -47,7 +47,7 @@ pub mod diag;
 pub mod passes;
 
 pub use diag::{Code, Finding, Label, Report, Severity, ALL_CODES};
-pub use passes::{lint_compiled, lint_source, LintError, LintOptions};
+pub use passes::{lint_compiled, lint_program, lint_source, LintError, LintOptions};
 
 #[cfg(test)]
 mod tests {

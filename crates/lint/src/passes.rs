@@ -28,6 +28,7 @@
 use crate::diag::{Code, Finding, Label, Report};
 use ocelot_analysis::chains::{all_contexts, unique_contexts};
 use ocelot_analysis::dom::Point;
+use ocelot_analysis::taint::TaintAnalysis;
 use ocelot_core::{Compiled, PolicyKind};
 use ocelot_hw::energy::CostModel;
 use ocelot_ir::span::{SourceMap, Span};
@@ -84,11 +85,34 @@ impl std::error::Error for LintError {}
 /// [`LintError`] when `src` does not compile or the transform fails —
 /// the program never had a runnable form, so there is nothing to lint.
 pub fn lint_source(src: &str, opts: &LintOptions) -> Result<Report, LintError> {
-    let _span = ocelot_telemetry::span!("lint");
     let p0 = ocelot_ir::compile(src).map_err(|e| LintError(e.to_string()))?;
-    let compiled =
-        ocelot_core::ocelot_transform(p0.clone()).map_err(|e| LintError(e.to_string()))?;
-    lint_compiled(&p0, &compiled, src, opts)
+    // Validation precedes the analysis, which requires an acyclic call
+    // graph.
+    ocelot_ir::validate(&p0).map_err(|e| LintError(e.to_string()))?;
+    let taint = TaintAnalysis::run(&p0);
+    lint_program(&p0, &taint, src, opts)
+}
+
+/// Lints the compiled-but-untransformed program `p0` of `src`, given
+/// its taint analysis: runs the transform on `taint`, then
+/// [`lint_compiled`]. `taint` must equal `TaintAnalysis::run(p0)` — an
+/// incrementally assembled analysis
+/// (`ocelot_analysis::incremental::assemble`) does by construction, so
+/// the report is the one [`lint_source`] renders.
+///
+/// # Errors
+///
+/// [`LintError`] when the transform fails.
+pub fn lint_program(
+    p0: &Program,
+    taint: &TaintAnalysis,
+    src: &str,
+    opts: &LintOptions,
+) -> Result<Report, LintError> {
+    let _span = ocelot_telemetry::span!("lint");
+    let compiled = ocelot_core::ocelot_transform_with(p0.clone(), taint)
+        .map_err(|e| LintError(e.to_string()))?;
+    lint_compiled(p0, &compiled, src, opts)
 }
 
 /// Lints an already-transformed program; `p0` is the pre-erasure form

@@ -21,7 +21,9 @@
 //!   a `doc` re-verify incrementally: only functions whose body
 //!   fingerprint changed are re-analyzed
 //!   ([`ocelot_analysis::incremental`]), which is what makes a one-line
-//!   edit orders of magnitude cheaper than a full re-analysis.
+//!   edit orders of magnitude cheaper than a full re-analysis; `lint`
+//!   requests assemble their analysis from every open document's
+//!   flows without storing into them.
 //!
 //! Responses carry no timing, so they are byte-identical across worker
 //! counts, warm/cold caches, and execution backends — held by the
@@ -44,7 +46,9 @@ use ocelot_bench::verify::{edited_source, percentile, workload_source, EditTrace
 
 /// End-to-end smoke: boots a server on an ephemeral port, replays a
 /// small edit-trace workload through a real TCP client (verify with a
-/// `doc`, submit, run, sweep, stats), checks every response, and shuts
+/// `doc` and lint each edit, submit, run, sweep, stats), checks every
+/// response — each lint report byte for byte against an in-process
+/// [`ocelot_lint::lint_source`] — and shuts
 /// the server down cleanly. Returns a human-readable report including
 /// the client-observed p50/p99 re-verify latency.
 ///
@@ -108,6 +112,7 @@ fn self_test_against(addr: std::net::SocketAddr) -> Result<String, String> {
                 "edit {n} re-analyzed {analyzed} functions (expected the edited worker + main)"
             ));
         }
+        lint_matches_in_process(&mut client, &src, n)?;
     }
     latencies_ns.sort_unstable();
 
@@ -158,7 +163,7 @@ fn self_test_against(addr: std::net::SocketAddr) -> Result<String, String> {
     expect_ok(&down, "shutdown")?;
 
     Ok(format!(
-        "serve self-test passed: {} edits re-verified incrementally over TCP\n\
+        "serve self-test passed: {} edits re-verified incrementally and linted over TCP\n\
          re-verify latency: p50 {:.3} ms, p99 {:.3} ms\n\
          programs cached: {}, cores built: {}, clean shutdown\n",
         trace.edits,
@@ -167,4 +172,36 @@ fn self_test_against(addr: std::net::SocketAddr) -> Result<String, String> {
         stats.get("programs").and_then(Json::as_u64).unwrap_or(0),
         stats.get("cores").and_then(Json::as_u64).unwrap_or(0),
     ))
+}
+
+/// Lints `src` through the server — which assembles the analysis from
+/// the open document's flows — and checks the report against an
+/// in-process [`ocelot_lint::lint_source`] byte for byte.
+fn lint_matches_in_process(client: &mut Client, src: &str, edit: usize) -> Result<(), String> {
+    const WINDOW_US: u64 = 100_000;
+    let resp = client.request(&Json::obj(vec![
+        ("op", Json::str("lint")),
+        ("source", Json::str(src)),
+        ("window_us", Json::u64(WINDOW_US)),
+    ]))?;
+    let served = resp
+        .get("report")
+        .ok_or_else(|| format!("lint of edit {edit}: {resp:?}"))?
+        .render_compact()
+        .map_err(|e| format!("render: {e}"))?;
+    let opts = ocelot_lint::LintOptions {
+        window_us: Some(WINDOW_US),
+        ..ocelot_lint::LintOptions::default()
+    };
+    let report =
+        ocelot_lint::lint_source(src, &opts).map_err(|e| format!("lint of edit {edit}: {e}"))?;
+    let local = ocelot_bench::lintfmt::to_json(&report)
+        .render_compact()
+        .map_err(|e| format!("render: {e}"))?;
+    if served != local {
+        return Err(format!(
+            "lint of edit {edit}: served report differs from lint_source"
+        ));
+    }
+    Ok(())
 }

@@ -31,10 +31,12 @@
 //! `verify` with a `doc` name re-verifies incrementally against that
 //! document's per-function flow cache (see
 //! `ocelot_analysis::incremental`); without one it verifies from
-//! scratch. `run`/`sweep` accept scenario specs (`name` or `name@seed`)
+//! scratch. `lint` reads the flows of every open document and
+//! analyzes only the functions none of them holds. `run`/`sweep` accept scenario specs (`name` or `name@seed`)
 //! and report the machine's violation/mitigation statistics.
 
 use crate::cache::ProgramCache;
+use ocelot_analysis::incremental::assemble;
 use ocelot_bench::artifact::stats_to_json;
 use ocelot_bench::harness::MAX_STEPS;
 use ocelot_bench::json::Json;
@@ -317,6 +319,14 @@ fn op_sweep(state: &mut ServerState, req: &Json) -> OpResult {
 /// is a pure function of program and knobs, and normalization makes it
 /// byte-stable, so the cached answer is indistinguishable from a fresh
 /// one — the same timing-free contract every other op keeps.
+///
+/// On a report-cache miss the taint analysis is assembled from the
+/// per-function flows every open document has cached
+/// ([`ocelot_analysis::incremental::assemble`]), analyzing only the
+/// functions none of them holds, and nothing is stored back — so an
+/// editor that verifies a document and then lints the same source
+/// re-analyzes nothing. The assembled analysis equals a from-scratch
+/// one, so the report bytes equal `ocelotc lint`'s.
 fn op_lint(state: &mut ServerState, req: &Json) -> OpResult {
     let src = req_str(req, "source")?;
     let window = match req.get("window_us") {
@@ -350,7 +360,15 @@ fn op_lint(state: &mut ServerState, req: &Json) -> OpResult {
         capacity_nj: capacity,
         ..ocelot_lint::LintOptions::default()
     };
-    let report = ocelot_lint::lint_source(src, &opts).map_err(|e| format!("lint: {e}"))?;
+    // Fingerprinting needs an acyclic call graph: validate first.
+    ocelot_ir::validate(&p).map_err(|e| format!("lint: {e}"))?;
+    let docs = &state.docs;
+    let (taint, _, _) = assemble(&p, |name, fingerprint| {
+        docs.values()
+            .find_map(|doc| doc.flows().get(name, fingerprint))
+    });
+    let report =
+        ocelot_lint::lint_program(&p, &taint, src, &opts).map_err(|e| format!("lint: {e}"))?;
     let json = ocelot_bench::lintfmt::to_json(&report);
     state.lints.insert(key, json.clone());
     state.lints_misses += 1;

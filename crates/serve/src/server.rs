@@ -1,19 +1,31 @@
 //! The TCP server and its in-process client.
 //!
-//! Hand-rolled on `std::net` only: a nonblocking accept loop on its own
-//! thread, one handler thread per connection, and one
+//! Hand-rolled on `std::net` only: a blocking accept loop on its own
+//! thread, handler threads that each serve one connection at a time and
+//! are reused across connections, and one
 //! `Mutex<ServerState>` guarding the caches — request *handling* is
 //! serialized (which is what makes responses deterministic), while a
 //! `sweep`'s simulations still fan out over the work-stealing pool
 //! inside the handler. Backpressure is a bounded in-flight counter:
 //! past the bound a request is answered `server busy` immediately
 //! instead of queueing without limit.
+//!
+//! Stopping (the `shutdown` op or [`ServerHandle::stop`]) sets a flag
+//! and wakes the accept loop with one loopback connection, which the
+//! loop drops. A handler thread that finishes a connection parks until
+//! the loop hands it the next one, so a client that connects once per
+//! request is served by threads that already run, and that allocate
+//! from malloc arenas already warm, instead of by a new thread whose
+//! start races the previous handler's exit. Each request and response
+//! line goes out in one write on a `TCP_NODELAY` socket, so a
+//! connection kept open across requests never waits on a delayed ACK.
 
 use crate::protocol::{handle_request, Outcome, ServerState};
 use ocelot_bench::json::{self, Json};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -42,11 +54,49 @@ impl Default for ServeConfig {
     }
 }
 
+/// The server's stop flag and how to wake the accept loop, which
+/// blocks in `accept` until a connection arrives.
+struct Stopper {
+    flag: AtomicBool,
+    /// A connectable address of the listener: the bound one, with an
+    /// unspecified IP replaced by the loopback of the same family.
+    wake: SocketAddr,
+}
+
+impl Stopper {
+    fn new(bound: SocketAddr) -> Self {
+        let mut wake = bound;
+        if bound.ip().is_unspecified() {
+            wake.set_ip(match bound.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        Stopper {
+            flag: AtomicBool::new(false),
+            wake,
+        }
+    }
+
+    fn stopped(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+
+    /// Sets the flag; the first call also connects once to the
+    /// listener so the accept loop returns and sees it.
+    fn stop(&self) {
+        if !self.flag.swap(true, Ordering::SeqCst) {
+            // A failed connect means the loop has already exited.
+            let _ = TcpStream::connect(self.wake);
+        }
+    }
+}
+
 /// A running server: its bound address and shutdown handle.
 pub struct ServerHandle {
     /// The actually-bound address (resolves port 0).
     pub addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stopper>,
     accept_thread: JoinHandle<()>,
 }
 
@@ -54,7 +104,7 @@ impl ServerHandle {
     /// Asks the accept loop to stop and waits for it (connection
     /// handlers exit when their streams close).
     pub fn stop(self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.stop();
         let _ = self.accept_thread.join();
     }
 
@@ -73,8 +123,7 @@ impl ServerHandle {
 pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(Stopper::new(addr));
     let state = Arc::new(Mutex::new(ServerState::new(
         config.jobs,
         config.max_programs,
@@ -84,23 +133,42 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
 
     let accept_stop = Arc::clone(&stop);
     let accept_thread = std::thread::spawn(move || {
+        let idle: Arc<Idle> = Arc::new(Mutex::new(Some(Vec::new())));
         let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-        while !accept_stop.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let state = Arc::clone(&state);
-                    let stop = Arc::clone(&accept_stop);
-                    let inflight = Arc::clone(&inflight);
-                    handlers.push(std::thread::spawn(move || {
-                        handle_connection(stream, &state, &stop, &inflight, max_inflight);
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => break,
+        loop {
+            let accepted = listener.accept();
+            // Checked after every accept: a stop request wakes the loop
+            // with a connection of its own, dropped here unanswered.
+            if accept_stop.stopped() {
+                break;
             }
-            handlers.retain(|h| !h.is_finished());
+            let Ok((stream, _)) = accepted else { break };
+            // The most recently parked handler takes the connection; a
+            // new one starts only when every handler is busy.
+            let parked = idle.lock().ok().and_then(|mut v| v.as_mut()?.pop());
+            let stream = match parked {
+                Some(tx) => match tx.send(stream) {
+                    Ok(()) => continue,
+                    Err(unsent) => unsent.0,
+                },
+                None => stream,
+            };
+            let state = Arc::clone(&state);
+            let stop = Arc::clone(&accept_stop);
+            let inflight = Arc::clone(&inflight);
+            let idle = Arc::clone(&idle);
+            handlers.push(std::thread::spawn(move || {
+                let mut next = Some(stream);
+                while let Some(stream) = next {
+                    handle_connection(stream, &state, &stop, &inflight, max_inflight);
+                    next = park(&idle);
+                }
+            }));
+        }
+        // Dropping the parked senders ends every parked handler's wait;
+        // a busy one exits when its connection ends.
+        if let Ok(mut v) = idle.lock() {
+            v.take();
         }
         for h in handlers {
             let _ = h.join();
@@ -114,6 +182,25 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
+/// Handler threads parked between connections, most recently parked
+/// last; `None` once the server has stopped.
+type Idle = Mutex<Option<Vec<Sender<TcpStream>>>>;
+
+/// Parks the calling handler thread until the accept loop hands it a
+/// connection; `None` once the server stops.
+fn park(idle: &Idle) -> Option<TcpStream> {
+    let (tx, rx) = mpsc::channel();
+    idle.lock().ok()?.as_mut()?.push(tx);
+    rx.recv().ok()
+}
+
+/// Renders `v` as one line (text plus newline) for a single write.
+fn line_of(v: &Json) -> Result<String, String> {
+    let mut text = v.render_compact().map_err(|e| format!("render: {e}"))?;
+    text.push('\n');
+    Ok(text)
+}
+
 /// One connection: read request lines, write response lines, until EOF
 /// or server shutdown.
 ///
@@ -124,12 +211,13 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
 fn handle_connection(
     stream: TcpStream,
     state: &Mutex<ServerState>,
-    stop: &AtomicBool,
+    stop: &Stopper,
     inflight: &AtomicUsize,
     max_inflight: usize,
 ) {
     if stream
         .set_read_timeout(Some(Duration::from_millis(50)))
+        .and_then(|()| stream.set_nodelay(true))
         .is_err()
     {
         return;
@@ -142,7 +230,7 @@ fn handle_connection(
     // The partial line accumulated so far: a timeout can fire mid-line,
     // and `read_line` keeps whatever it already consumed in the buffer.
     let mut line = String::new();
-    while !stop.load(Ordering::SeqCst) {
+    while !stop.stopped() {
         match reader.read_line(&mut line) {
             Ok(0) => break,                          // EOF
             Ok(_) if !line.ends_with('\n') => break, // EOF without newline: drop the fragment
@@ -160,12 +248,12 @@ fn handle_connection(
             continue;
         }
         let resp = respond(&request, state, stop, inflight, max_inflight);
-        let text = resp.render_compact().unwrap_or_else(|e| {
+        let text = line_of(&resp).unwrap_or_else(|e| {
             // Unreachable for the timing-free integer/string payloads
             // the protocol emits, but never kill the connection over it.
-            format!("{{\"ok\": false, \"error\": \"render: {e}\"}}")
+            format!("{{\"ok\": false, \"error\": \"{e}\"}}\n")
         });
-        if writer.write_all(text.as_bytes()).is_err() || writer.write_all(b"\n").is_err() {
+        if writer.write_all(text.as_bytes()).is_err() {
             break;
         }
         let _ = writer.flush();
@@ -176,7 +264,7 @@ fn handle_connection(
 fn respond(
     line: &str,
     state: &Mutex<ServerState>,
-    stop: &AtomicBool,
+    stop: &Stopper,
     inflight: &AtomicUsize,
     max_inflight: usize,
 ) -> Json {
@@ -210,7 +298,7 @@ fn respond(
     };
     inflight.fetch_sub(1, Ordering::SeqCst);
     if outcome == Outcome::Shutdown {
-        stop.store(true, Ordering::SeqCst);
+        stop.stop();
     }
     resp
 }
@@ -229,6 +317,7 @@ impl Client {
     /// I/O errors from connecting.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client {
             reader: BufReader::new(stream),
@@ -243,10 +332,9 @@ impl Client {
     ///
     /// One-line messages for I/O failures or a closed connection.
     pub fn request_line(&mut self, req: &Json) -> Result<String, String> {
-        let text = req.render_compact().map_err(|e| format!("render: {e}"))?;
+        let text = line_of(req)?;
         self.writer
             .write_all(text.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
             .and_then(|()| self.writer.flush())
             .map_err(|e| format!("send: {e}"))?;
         let mut line = String::new();

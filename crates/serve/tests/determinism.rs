@@ -5,7 +5,9 @@
 //! be identical whatever the worker count, whether an answer came from
 //! a cold compile or a warm cache, and on either execution backend.
 
+use ocelot_bench::genprog::SourceGen;
 use ocelot_bench::json::Json;
+use ocelot_bench::verify::{edited_source, EditTrace};
 use ocelot_serve::{serve, Client, ServeConfig};
 
 const SRC: &str = "sensor temp; sensor pres; nv total = 0; \
@@ -229,4 +231,109 @@ fn self_test_passes_end_to_end() {
     let report = ocelot_serve::self_test().expect("self test");
     assert!(report.contains("self-test passed"), "{report}");
     assert!(report.contains("p50"), "{report}");
+}
+
+fn lint_req(src: &str, window_us: u64) -> Json {
+    Json::obj(vec![
+        ("op", Json::str("lint")),
+        ("source", Json::str(src)),
+        ("window_us", Json::u64(window_us)),
+        ("capacity_nj", Json::u64(26_000)),
+    ])
+}
+
+#[test]
+fn lint_after_doc_verify_answers_byte_identical_to_a_cold_server() {
+    // Server A verifies a program in a document and then lints one, so
+    // its lint assembles the analysis from the document's cached flows;
+    // server B only lints, from no cache at all. Every lint line —
+    // `cached` member included — must match. The edit trace lints
+    // what it verified; the last pair lints a program whose functions
+    // share their names, not their bodies, with the verified one.
+    let trace = EditTrace {
+        funcs: 3,
+        edits: 4,
+        seed: 5,
+    };
+    let mut pairs: Vec<(String, String)> = (0..=trace.edits)
+        .map(|n| (edited_source(&trace, n), edited_source(&trace, n)))
+        .collect();
+    pairs.push((SourceGen::generate(1), SourceGen::generate(2)));
+    let lint_all = |client: &mut Client, linted: &str, first: bool| {
+        let mut lines = Vec::new();
+        for window in [50, 100_000] {
+            lines.push(client.request_line(&lint_req(linted, window)).unwrap());
+        }
+        // A repeat answers from the report cache.
+        if first {
+            lines.push(client.request_line(&lint_req(linted, 50)).unwrap());
+        }
+        lines
+    };
+
+    let warm = boot(2);
+    let mut ca = Client::connect(warm.addr).expect("connect");
+    let mut warm_lines = Vec::new();
+    for (n, (verified, linted)) in pairs.iter().enumerate() {
+        let resp = ca
+            .request(&Json::obj(vec![
+                ("op", Json::str("verify")),
+                ("doc", Json::str("d")),
+                ("source", Json::str(verified)),
+            ]))
+            .expect("verify");
+        assert_eq!(
+            resp.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{resp:?}"
+        );
+        warm_lines.extend(lint_all(&mut ca, linted, n == 0));
+    }
+    warm.stop();
+
+    let cold = boot(2);
+    let mut cb = Client::connect(cold.addr).expect("connect");
+    let mut cold_lines = Vec::new();
+    for (n, (_, linted)) in pairs.iter().enumerate() {
+        cold_lines.extend(lint_all(&mut cb, linted, n == 0));
+    }
+    cold.stop();
+    assert_eq!(warm_lines, cold_lines);
+    assert!(warm_lines[0].contains("\"OC00"), "{}", warm_lines[0]);
+}
+
+#[test]
+fn lint_error_lines_are_pinned() {
+    let handle = boot(1);
+    let mut client = Client::connect(handle.addr).expect("connect");
+    // An open document whose flows a lint lookup walks past.
+    client
+        .request(&Json::obj(vec![
+            ("op", Json::str("verify")),
+            ("doc", Json::str("d")),
+            ("source", Json::str(SRC)),
+        ]))
+        .expect("verify");
+    let recursive = client
+        .request_line(&lint_req("sensor s; fn main() { main(); }", 50))
+        .unwrap();
+    let broken = client
+        .request_line(&lint_req("fn main() { let x = ; }", 50))
+        .unwrap();
+    // The server is still up after both.
+    let pong = client
+        .request(&Json::obj(vec![("op", Json::str("ping"))]))
+        .unwrap();
+    handle.stop();
+    assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
+    assert_eq!(
+        recursive,
+        "{\"ok\": false, \"error\": \"lint: invalid program: recursive call cycle \
+         involving `main` (recursion is not supported)\"}"
+    );
+    assert_eq!(
+        broken,
+        "{\"ok\": false, \"error\": \"compile: parse error at 20..21: expected expression, \
+         found `;`\"}"
+    );
 }

@@ -85,7 +85,8 @@
 //!                               busy` replies (default 32)
 //!     --self-test               boot on an ephemeral port, replay an
 //!                               edit-trace workload through a real
-//!                               client, report, and exit
+//!                               client (verifying and linting each
+//!                               edit), report, and exit
 //!     --trace-out <path>        record per-request `serve.request`
 //!                               spans and write the Chrome trace when
 //!                               the server stops
