@@ -16,7 +16,7 @@
 //!   learn whether the placement enforces the annotations.
 
 use crate::policy::{build_policies, Policy, PolicyId, PolicySet};
-use crate::region::{collect_regions, covered_refs};
+use crate::region::{collect_regions, covered_refs, RegionInfo};
 use ocelot_analysis::taint::TaintAnalysis;
 use ocelot_ir::{InstrRef, Program, RegionId};
 use std::collections::BTreeSet;
@@ -80,6 +80,16 @@ pub fn check_regions(
     policies: &PolicySet,
 ) -> Result<CheckReport, crate::error::CoreError> {
     let regions = collect_regions(p)?;
+    Ok(check_with_regions(p, &regions, policies))
+}
+
+/// [`check_regions`] over regions the caller already collected from
+/// `p`, so the transform walks each region's effects once.
+pub(crate) fn check_with_regions(
+    p: &Program,
+    regions: &[RegionInfo],
+    policies: &PolicySet,
+) -> CheckReport {
     let coverage: Vec<(RegionId, BTreeSet<InstrRef>)> =
         regions.iter().map(|r| (r.id, covered_refs(p, r))).collect();
 
@@ -124,7 +134,7 @@ pub fn check_regions(
             }),
         }
     }
-    Ok(report)
+    report
 }
 
 /// The operations a region must cover for a policy: input operations

@@ -6,7 +6,7 @@
 //!          ─▶ collect region ω ─▶ self-check (Theorem 1's judgments)
 //! ```
 
-use crate::check::{check_regions, CheckReport};
+use crate::check::{check_regions, check_with_regions, CheckReport};
 use crate::error::CoreError;
 use crate::infer::{infer_atomics, Inference};
 use crate::policy::{build_policies, PolicyMap, PolicySet};
@@ -79,7 +79,7 @@ pub fn ocelot_transform_with(
     program.erase_annotations();
     ocelot_ir::validate(&program)?;
     let regions = collect_regions(&program)?;
-    let check = check_regions(&program, &policies)?;
+    let check = check_with_regions(&program, &regions, &policies);
     if !check.passes() {
         return Err(CoreError::infer(format!(
             "inferred regions failed the atomic-region check: {}",

@@ -46,11 +46,11 @@ pub struct CacheCounters {
 }
 
 /// One cached program: its leaked build and per-scenario cores.
-pub struct ProgramEntry {
+struct ProgramEntry {
     /// The transformed program and its runtime metadata.
-    pub built: &'static Built,
+    built: &'static Built,
     /// The verdict recorded at submission time.
-    pub verdict: Verdict,
+    verdict: Verdict,
     /// Shared read-only cores, one per scenario name.
     cores: HashMap<&'static str, Arc<MachineCore<'static>>>,
 }
@@ -74,21 +74,21 @@ impl ProgramCache {
     }
 
     /// Compiles, verifies, and caches `src`, or reuses the entry if the
-    /// same program was submitted before. Returns the program hash and
-    /// whether the entry was already cached.
+    /// same program was submitted before. Returns the program hash,
+    /// whether the entry was already cached, and its verdict.
     ///
     /// # Errors
     ///
     /// One-line messages for compile/validation/transform failures and
     /// for a full cache.
-    pub fn submit(&mut self, src: &str) -> Result<(u64, bool), String> {
+    pub fn submit(&mut self, src: &str) -> Result<(u64, bool, Verdict), String> {
         let p = ocelot_ir::compile(src).map_err(|e| format!("compile: {e}"))?;
         ocelot_ir::validate(&p).map_err(|e| format!("validate: {e}"))?;
         let hash = program_hash(&p);
-        if self.entries.contains_key(&hash) {
+        if let Some(entry) = self.entries.get(&hash) {
             self.counters.programs_hits += 1;
             metrics::SERVE_PROGRAMS_HIT.incr();
-            return Ok((hash, true));
+            return Ok((hash, true, entry.verdict.clone()));
         }
         if self.entries.len() >= self.max {
             return Err(format!(
@@ -115,7 +115,7 @@ impl ProgramCache {
             hash,
             ProgramEntry {
                 built,
-                verdict,
+                verdict: verdict.clone(),
                 cores: HashMap::new(),
             },
         );
@@ -124,12 +124,7 @@ impl ProgramCache {
         // hits nor misses.
         self.counters.programs_misses += 1;
         metrics::SERVE_PROGRAMS_MISS.incr();
-        Ok((hash, false))
-    }
-
-    /// The cached entry for `hash`, if any.
-    pub fn entry(&self, hash: u64) -> Option<&ProgramEntry> {
-        self.entries.get(&hash)
+        Ok((hash, false, verdict))
     }
 
     /// The shared core for (`hash`, `sc`'s scenario), building and
@@ -194,33 +189,34 @@ mod tests {
     #[test]
     fn resubmission_hits_the_cache() {
         let mut c = ProgramCache::new(4);
-        let (h1, cached1) = c.submit(SRC).unwrap();
-        let (h2, cached2) = c.submit(SRC).unwrap();
+        let (h1, cached1, v1) = c.submit(SRC).unwrap();
+        let (h2, cached2, v2) = c.submit(SRC).unwrap();
         assert_eq!(h1, h2);
         assert!(!cached1);
         assert!(cached2);
         assert_eq!(c.counts(), (1, 0));
-        let v = &c.entry(h1).unwrap().verdict;
-        assert!(v.passes);
-        assert_eq!(v.source_hash, h1);
+        assert!(v1.passes);
+        assert_eq!(v1.source_hash, h1);
+        assert_eq!(v1, v2, "a cached submission answers the stored verdict");
     }
 
     #[test]
     fn full_cache_refuses_new_programs_but_keeps_serving_cached_ones() {
         let mut c = ProgramCache::new(1);
-        let (h, _) = c.submit(SRC).unwrap();
+        let (h, _, _) = c.submit(SRC).unwrap();
         let other = SRC.replace("log", "uart");
         let err = c.submit(&other).unwrap_err();
         assert!(err.contains("cache full"), "{err}");
         assert!(err.contains("--max-programs"), "{err}");
-        assert!(c.submit(SRC).unwrap().1, "cached entry still served");
-        assert!(c.entry(h).is_some());
+        let (again, cached, _) = c.submit(SRC).unwrap();
+        assert!(cached, "cached entry still served");
+        assert_eq!(again, h);
     }
 
     #[test]
     fn cores_are_shared_per_scenario_name_across_seeds() {
         let mut c = ProgramCache::new(4);
-        let (h, _) = c.submit(SRC).unwrap();
+        let (h, _, _) = c.submit(SRC).unwrap();
         let sc = ocelot_scenario::parse("rf-lab").unwrap();
         let a = c.core(h, &sc).unwrap();
         let b = c.core(h, &sc.reseeded(99)).unwrap();

@@ -48,7 +48,8 @@ use ocelot_bench::verify::{edited_source, percentile, workload_source, EditTrace
 /// small edit-trace workload through a real TCP client (verify with a
 /// `doc` and lint each edit, submit, run, sweep, stats), checks every
 /// response — each lint report byte for byte against an in-process
-/// [`ocelot_lint::lint_source`] — and shuts
+/// [`ocelot_lint::lint_source`], and each `run`/`sweep` line against
+/// the same request on the interpreter — and shuts
 /// the server down cleanly. Returns a human-readable report including
 /// the client-observed p50/p99 re-verify latency.
 ///
@@ -126,22 +127,28 @@ fn self_test_against(addr: std::net::SocketAddr) -> Result<String, String> {
         .get("program")
         .and_then(Json::as_u64)
         .ok_or("submit response has no program hash")?;
-    let run = client.request(&Json::obj(vec![
-        ("op", Json::str("run")),
-        ("program", Json::u64(hash)),
-        ("scenario", Json::str("rf-lab")),
-        ("runs", Json::u64(1)),
-    ]))?;
+    let run = default_matches_oracle(
+        &mut client,
+        "run",
+        vec![
+            ("program", Json::u64(hash)),
+            ("scenario", Json::str("rf-lab")),
+            ("runs", Json::u64(1)),
+        ],
+    )?;
     expect_ok(&run, "run")?;
-    let sweep = client.request(&Json::obj(vec![
-        ("op", Json::str("sweep")),
-        ("program", Json::u64(hash)),
-        (
-            "scenarios",
-            Json::Arr(vec![Json::str("rf-lab"), Json::str("office-day")]),
-        ),
-        ("runs", Json::u64(1)),
-    ]))?;
+    let sweep = default_matches_oracle(
+        &mut client,
+        "sweep",
+        vec![
+            ("program", Json::u64(hash)),
+            (
+                "scenarios",
+                Json::Arr(vec![Json::str("rf-lab"), Json::str("office-day")]),
+            ),
+            ("runs", Json::u64(1)),
+        ],
+    )?;
     expect_ok(&sweep, "sweep")?;
     let stats = client.request(&Json::obj(vec![("op", Json::str("stats"))]))?;
     expect_ok(&stats, "stats")?;
@@ -172,6 +179,28 @@ fn self_test_against(addr: std::net::SocketAddr) -> Result<String, String> {
         stats.get("programs").and_then(Json::as_u64).unwrap_or(0),
         stats.get("cores").and_then(Json::as_u64).unwrap_or(0),
     ))
+}
+
+/// Sends the `op` (`run` or `sweep`) request with `members` on the
+/// default engine, and again with `"backend": "interp"`: the interpreter
+/// is the semantics oracle, so the two response lines must match byte
+/// for byte.
+fn default_matches_oracle(
+    client: &mut Client,
+    op: &str,
+    members: Vec<(&'static str, Json)>,
+) -> Result<Json, String> {
+    let mut req = vec![("op", Json::str(op))];
+    req.extend(members);
+    let line = client.request_line(&Json::obj(req.clone()))?;
+    let mut oracle = req;
+    oracle.push(("backend", Json::str("interp")));
+    if client.request_line(&Json::obj(oracle))? != line {
+        return Err(format!(
+            "{op}: the default engine answered differently from the interpreter"
+        ));
+    }
+    ocelot_bench::json::parse(&line).map_err(|e| format!("{op}: bad response: {e}"))
 }
 
 /// Lints `src` through the server — which assembles the analysis from

@@ -32,8 +32,12 @@
 //! document's per-function flow cache (see
 //! `ocelot_analysis::incremental`); without one it verifies from
 //! scratch. `lint` reads the flows of every open document and
-//! analyzes only the functions none of them holds. `run`/`sweep` accept scenario specs (`name` or `name@seed`)
-//! and report the machine's violation/mitigation statistics.
+//! analyzes only the functions none of them holds. `run`/`sweep` accept
+//! scenario specs (`name` or `name@seed`) and report the machine's
+//! violation/mitigation statistics. They simulate on the compiled
+//! engine at the default opt level (O2) unless the request names a
+//! `backend`/`opt`; `"backend": "interp"` selects the interpreter, the
+//! semantics oracle, which answers the same bytes.
 
 use crate::cache::ProgramCache;
 use ocelot_analysis::incremental::assemble;
@@ -160,13 +164,7 @@ fn req_str<'a>(req: &'a Json, key: &str) -> Result<&'a str, String> {
 
 fn op_submit(state: &mut ServerState, req: &Json) -> OpResult {
     let src = req_str(req, "source")?;
-    let (hash, cached) = state.cache.submit(src)?;
-    let verdict = state
-        .cache
-        .entry(hash)
-        .expect("just inserted")
-        .verdict
-        .clone();
+    let (hash, cached, verdict) = state.cache.submit(src)?;
     Ok(vec![
         ("program", Json::u64(hash)),
         ("cached", Json::Bool(cached)),
@@ -203,16 +201,19 @@ fn op_verify(state: &mut ServerState, req: &Json) -> OpResult {
     ])
 }
 
-/// Resolves the run-shaping members shared by `run` and `sweep`.
+/// Resolves the run-shaping members shared by `run` and `sweep`. The
+/// engine defaults to the compiled backend, as `ocelotc fleet` does:
+/// it answers the same bytes as the interpreter (`"backend":
+/// "interp"`, the semantics oracle), and every run shares the core's
+/// compiled program at its opt level.
 fn run_shape(req: &Json) -> Result<(u64, ExecBackend, OptLevel), String> {
     let runs = req
         .get("runs")
         .and_then(Json::as_u64)
         .unwrap_or(DEFAULT_RUNS);
     let backend = match req.get("backend").and_then(Json::as_str) {
-        None => ExecBackend::Interp,
+        None | Some("compiled") => ExecBackend::Compiled,
         Some("interp") => ExecBackend::Interp,
-        Some("compiled") => ExecBackend::Compiled,
         Some(b) => return Err(format!("unknown backend `{b}` (known: interp, compiled)")),
     };
     let opt = match req.get("opt") {
@@ -226,7 +227,7 @@ fn run_shape(req: &Json) -> Result<(u64, ExecBackend, OptLevel), String> {
     Ok((runs, backend, opt))
 }
 
-/// Simulates one scenario cell on a shared core and packs its cell
+/// Simulates one scenario cell on a shared core and returns its stats
 /// object. Violation/mitigation statistics come from the machine's
 /// detectors — the enforcement half of the server's answer.
 fn simulate_cell(
@@ -249,11 +250,7 @@ fn simulate_cell(
         // same rule the per-cell harness and fleet use.
         m.run_once(MAX_STEPS);
     }
-    Ok(Json::obj(vec![
-        ("scenario", Json::str(spec)),
-        ("runs", Json::u64(runs)),
-        ("stats", stats_to_json(m.stats())),
-    ]))
+    Ok(stats_to_json(m.stats()))
 }
 
 fn op_run(state: &mut ServerState, req: &Json) -> OpResult {
@@ -266,8 +263,7 @@ fn op_run(state: &mut ServerState, req: &Json) -> OpResult {
     let (runs, backend, opt) = run_shape(req)?;
     let sc = ocelot_scenario::parse(spec)?;
     let core = state.cache.core(hash, &sc)?;
-    let cell = simulate_cell(core, spec, seed, runs, backend, opt)?;
-    let stats = cell.get("stats").expect("cell has stats").clone();
+    let stats = simulate_cell(core, spec, seed, runs, backend, opt)?;
     Ok(vec![("scenario", Json::str(spec)), ("stats", stats)])
 }
 
@@ -303,8 +299,14 @@ fn op_sweep(state: &mut ServerState, req: &Json) -> OpResult {
     let work: Vec<Job<'_, Result<Json, String>>> = prepared
         .into_iter()
         .map(|(spec, core)| {
-            Box::new(move || simulate_cell(core, spec, None, runs, backend, opt))
-                as Job<'_, Result<Json, String>>
+            Box::new(move || {
+                let stats = simulate_cell(core, spec, None, runs, backend, opt)?;
+                Ok(Json::obj(vec![
+                    ("scenario", Json::str(spec)),
+                    ("runs", Json::u64(runs)),
+                    ("stats", stats),
+                ]))
+            }) as Job<'_, Result<Json, String>>
         })
         .collect();
     let cells = run_jobs(work, state.jobs)

@@ -71,10 +71,13 @@
 //!                               --no-fingerprint to skip
 //! ocelotc serve [opts]          always-on enforcement server: clients
 //!                               speak line-delimited JSON over TCP
-//!                               (submit / verify / run / sweep, see
-//!                               docs/serve.md); programs, analysis
+//!                               (submit / verify / lint / run / sweep,
+//!                               see docs/serve.md); programs, analysis
 //!                               results, and per-scenario machine
-//!                               cores stay cached between requests
+//!                               cores stay cached between requests;
+//!                               run / sweep simulate on the compiled
+//!                               engine at O2 unless a request names
+//!                               `"backend": "interp"`
 //!     --addr <host:port>        bind address (default 127.0.0.1:7433;
 //!                               port 0 picks an ephemeral port)
 //!     --jobs <n>                worker threads for sweep fan-out
@@ -86,7 +89,8 @@
 //!     --self-test               boot on an ephemeral port, replay an
 //!                               edit-trace workload through a real
 //!                               client (verifying and linting each
-//!                               edit), report, and exit
+//!                               edit, and checking run / sweep against
+//!                               the interpreter), report, and exit
 //!     --trace-out <path>        record per-request `serve.request`
 //!                               spans and write the Chrome trace when
 //!                               the server stops

@@ -285,3 +285,47 @@ fn region_ids_are_globally_unique() {
         assert_eq!(seen.len(), c.regions.len(), "{}", b.name);
     }
 }
+
+#[test]
+fn transform_regions_and_check_equal_the_public_entry_points() {
+    // The transform collects regions once and checks against them; the
+    // result must equal collecting and checking the transformed program
+    // afresh through the public functions.
+    let mut sources: Vec<(String, String)> = ocelot::apps::all_with_extensions()
+        .iter()
+        .map(|b| (b.name.to_string(), b.annotated_src.to_string()))
+        .collect();
+    for entry in std::fs::read_dir("examples/programs").unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "oc") {
+            let src = std::fs::read_to_string(&path).unwrap();
+            sources.push((path.display().to_string(), src));
+        }
+    }
+    for seed in 1..=50 {
+        sources.push((
+            format!("genprog seed {seed}"),
+            ocelot_bench::genprog::SourceGen::generate(seed),
+        ));
+    }
+    let mut transformed = 0;
+    for (name, src) in &sources {
+        let Ok(c) = ocelot_transform(compile(src).unwrap()) else {
+            continue;
+        };
+        transformed += 1;
+        let regions = ocelot::core::collect_regions(&c.program).unwrap();
+        assert_eq!(
+            format!("{:?}", c.regions),
+            format!("{regions:?}"),
+            "{name}: regions"
+        );
+        let check = ocelot::core::check_regions(&c.program, &c.policies).unwrap();
+        assert_eq!(
+            format!("{:?}", c.check),
+            format!("{check:?}"),
+            "{name}: check report"
+        );
+    }
+    assert!(transformed >= 60, "only {transformed} programs transformed");
+}
