@@ -1,21 +1,27 @@
 //! Incrementally-maintained analysis results: per-function entries
 //! keyed by function-body fingerprints, so re-verifying a program after
-//! a one-line edit recomputes only the functions whose analysis inputs
-//! actually changed.
+//! an edit recomputes only the functions whose analysis inputs actually
+//! changed.
 //!
 //! The expensive half of [`TaintAnalysis::run`] is the per-function
 //! flow fixpoint; its structure makes it cacheable by construction:
 //! each [`FuncFlow`] depends only on the function's own body, the
 //! program's declaration header (sensors and globals), and the flows of
-//! its direct callees — nothing about callers. The cache key
-//! ([`input_fingerprints`]) therefore folds a function's printed body
-//! (labels, block structure, parameter modes, callee names), its
-//! positional [`ocelot_ir::FuncId`] (provenance chains carry positional
-//! ids, so an id shift must invalidate), the declaration header, and
-//! the keys of its direct callees — closing the fingerprint
-//! transitively over the whole callee subtree. Labels are
-//! function-unique in this IR, so an edit in one function never shifts
-//! labels (and hence fingerprints) in another.
+//! its direct callees — nothing about callers. Nor does it depend on any
+//! literal value: the analysis tracks which inputs a value depends on,
+//! never the value itself. The cache key ([`input_fingerprints`])
+//! therefore folds a function's printed body *modulo literal values*
+//! (labels, block structure, names, sensors, channels, callees,
+//! parameter modes and annotations, with every `Int`/`Bool` literal
+//! printed as a placeholder), its positional [`ocelot_ir::FuncId`]
+//! (provenance chains carry positional ids, so an id shift must
+//! invalidate), the declaration header, and the keys of its direct
+//! callees — closing the fingerprint transitively over the whole callee
+//! subtree. Labels are function-unique in this IR, so an edit in one
+//! function never shifts labels (and hence fingerprints) in another.
+//!
+//! So a constant edit re-analyzes nothing, and a structural edit
+//! re-analyzes the edited function and its transitive callers.
 //!
 //! The cheap tail — context enumeration and the stored-global fixpoint
 //! — is recomputed from the (cached or fresh) flows by
@@ -30,58 +36,72 @@
 //! misses, while a caller holding several caches (the serve layer's
 //! `lint`, over every open document) feeds it a lookup across all of
 //! them and stores nothing.
-//!
-//! [`FuncCache`] generalizes the same keying for other per-function
-//! results (the serve layer caches per-function loop/progress bounds
-//! with it).
 
 use crate::taint::{analyze_function, FuncFlow, TaintAnalysis};
-use ocelot_ir::print::function_to_string;
+use ocelot_ir::print::{write_function, Literals};
 use ocelot_ir::{CallGraph, FuncId, Program};
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+
+/// An FNV-1a accumulator, written to as a [`fmt::Write`] sink so text
+/// is hashed as it is rendered.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf29ce484222325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+
+    /// Folds another 64-bit value into the accumulator.
+    fn fold(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+}
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.bytes(s.as_bytes());
+        Ok(())
+    }
+}
 
 /// FNV-1a over bytes: the workspace's no-deps stable fingerprint.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// Folds another 64-bit value into an FNV-1a accumulator.
-fn fold(h: u64, v: u64) -> u64 {
-    let mut h = h;
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    let mut h = Fnv::new();
+    h.bytes(bytes);
+    h.0
 }
 
 /// The program-level declaration header every function's analysis can
 /// observe: sensors and non-volatile globals, in declaration order.
 fn decl_signature(p: &Program) -> u64 {
-    let mut s = String::new();
+    let mut h = Fnv::new();
     for sensor in &p.sensors {
-        let _ = writeln!(s, "sensor {sensor};");
+        let _ = writeln!(h, "sensor {sensor};");
     }
     for g in &p.globals {
-        let _ = writeln!(s, "nv {} {:?};", g.name, g.array_len);
+        let _ = writeln!(h, "nv {} {:?};", g.name, g.array_len);
     }
-    fnv1a(s.as_bytes())
+    h.0
 }
 
 /// Per-function input fingerprints, indexed by [`ocelot_ir::FuncId`]
 /// position: everything the per-function flow analysis reads about
 /// function `i`, transitively including its callee subtree.
 ///
-/// Two programs assigning a function equal fingerprints have equal
-/// printed bodies, equal positional ids, equal declaration headers, and
-/// recursively equal callee subtrees — which makes the cached
-/// [`FuncFlow`] (labels, provenance chains and all) valid verbatim.
+/// Two programs assigning a function equal fingerprints have bodies
+/// that print alike modulo literal values ([`Literals::Masked`], through
+/// the canonical printer's own code), equal positional ids, equal
+/// declaration headers, and recursively equal callee subtrees — which
+/// makes the cached [`FuncFlow`] (labels, provenance chains and all)
+/// valid verbatim, because the flow analysis reads no literal value.
 ///
 /// # Panics
 ///
@@ -94,14 +114,15 @@ pub fn input_fingerprints(p: &Program) -> Vec<u64> {
     let decl = decl_signature(p);
     let mut keys = vec![0u64; p.funcs.len()];
     for f in order {
-        let body = function_to_string(p, p.func(f));
-        let mut h = fold(fnv1a(body.as_bytes()), decl);
-        h = fold(h, u64::from(f.0));
+        let mut h = Fnv::new();
+        let _ = write_function(&mut h, p, p.func(f), Literals::Masked);
+        h.fold(decl);
+        h.fold(u64::from(f.0));
         for edge in cg.callees(f) {
-            h = fold(h, u64::from(edge.callee.0));
-            h = fold(h, keys[edge.callee.0 as usize]);
+            h.fold(u64::from(edge.callee.0));
+            h.fold(keys[edge.callee.0 as usize]);
         }
-        keys[f.0 as usize] = h;
+        keys[f.0 as usize] = h.0;
     }
     keys
 }
@@ -218,57 +239,6 @@ impl FlowCache {
     }
 }
 
-/// A generic per-function result cache with the same name + fingerprint
-/// keying as [`FlowCache`], for analysis results that are a pure
-/// function of one function's body (per-function progress/loop bounds,
-/// say). The caller supplies the fingerprint — [`input_fingerprints`]
-/// for anything reading callee summaries, or a plain body hash for
-/// strictly local results.
-#[derive(Debug)]
-pub struct FuncCache<T> {
-    entries: HashMap<String, (u64, T)>,
-}
-
-impl<T> Default for FuncCache<T> {
-    fn default() -> Self {
-        FuncCache {
-            entries: HashMap::new(),
-        }
-    }
-}
-
-impl<T: Clone> FuncCache<T> {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the cached value for `name` when its fingerprint still
-    /// matches, otherwise computes, stores and returns it. The boolean
-    /// reports whether the cache hit.
-    pub fn get_or_insert(
-        &mut self,
-        name: &str,
-        fingerprint: u64,
-        build: impl FnOnce() -> T,
-    ) -> (T, bool) {
-        match self.entries.get(name) {
-            Some((key, v)) if *key == fingerprint => (v.clone(), true),
-            _ => {
-                let v = build();
-                self.entries
-                    .insert(name.to_string(), (fingerprint, v.clone()));
-                (v, false)
-            }
-        }
-    }
-
-    /// Drops entries whose name is not in `live` (edit removed them).
-    pub fn retain_names(&mut self, live: &[&str]) {
-        self.entries.retain(|name, _| live.contains(&name.as_str()));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,17 +340,139 @@ mod tests {
         assert_eq!(cache.len(), 4);
     }
 
+    /// Every literal position the printer renders, plus a by-ref
+    /// helper, a spare callee, annotations and a bounded loop.
+    const LITERALS: &str = r#"
+        sensor temp; sensor pres;
+        nv total = 0;
+        nv hist[4];
+        fn keep(&o, v) { return v; }
+        fn bias() { return 4; }
+        fn other() { return 4; }
+        fn read_pres() { let q = in(pres); return q; }
+        fn main() {
+            let a = in(temp);
+            fresh(a);
+            let b = read_pres();
+            consistent(b, 1);
+            let k = 5;
+            k = 6;
+            hist[1] = a;
+            let h = hist[2];
+            let m = bias();
+            keep(&k, 2);
+            let on = true;
+            out(log, a, 7);
+            if a > 9 { total = total + a; }
+            repeat 3 { total = total + b; }
+            while total > 0 @bound 8 { total = total - 1; }
+            out(log, h, m, on);
+        }
+    "#;
+
+    /// Warms a cache on `LITERALS`, re-assembles the analysis of the
+    /// edited program from it, checks the result equals a from-scratch
+    /// run, and returns the names of the functions it re-analyzed.
+    fn misses(edited: &Program) -> Vec<String> {
+        let mut cache = FlowCache::new();
+        cache.run(&program(LITERALS));
+        let (taint, stats, misses) = assemble(edited, |name, key| cache.get(name, key));
+        assert_eq!(
+            taint,
+            TaintAnalysis::run(edited),
+            "reuse changed the analysis"
+        );
+        assert_eq!(stats.analyzed, misses.len());
+        misses
+            .into_iter()
+            .map(|(f, _)| edited.func(f).name.clone())
+            .collect()
+    }
+
+    fn edited(pairs: &[(&str, &str)]) -> Program {
+        let mut src = LITERALS.to_string();
+        for (from, to) in pairs {
+            assert!(src.contains(from), "`{from}` not in the base program");
+            src = src.replacen(from, to, 1);
+        }
+        program(&src)
+    }
+
     #[test]
-    fn func_cache_reuses_by_fingerprint() {
-        let mut cache: FuncCache<u64> = FuncCache::new();
-        let (v, hit) = cache.get_or_insert("f", 1, || 10);
-        assert_eq!((v, hit), (10, false));
-        let (v, hit) = cache.get_or_insert("f", 1, || unreachable!("must reuse"));
-        assert_eq!((v, hit), (10, true));
-        let (v, hit) = cache.get_or_insert("f", 2, || 20);
-        assert_eq!((v, hit), (20, false));
-        cache.retain_names(&[]);
-        let (_, hit) = cache.get_or_insert("f", 2, || 30);
-        assert!(!hit, "retain_names dropped the entry");
+    fn literal_only_edits_reuse_every_flow() {
+        let edits = [
+            ("let k = 5;", "let k = 50;"),                           // bind
+            ("k = 6;", "k = 60;"),                                   // assign
+            ("hist[1] = a;", "hist[3] = a;"),                        // array-index place
+            ("let h = hist[2];", "let h = hist[0];"),                // array-index expression
+            ("keep(&k, 2);", "keep(&k, 20);"),                       // call argument
+            ("out(log, a, 7);", "out(log, a, 70);"),                 // output argument
+            ("if a > 9", "if a > 90"),                               // branch condition
+            ("fn bias() { return 4; }", "fn bias() { return 44; }"), // return value
+            ("let on = true;", "let on = false;"),                   // Bool literal
+            ("repeat 3", "repeat 30"),                               // repeat count (a compare)
+            ("nv total = 0;", "nv total = 9;"),                      // global initializer
+        ];
+        for edit in edits {
+            assert_eq!(misses(&edited(&[edit])), Vec::<String>::new(), "{edit:?}");
+        }
+        assert_eq!(misses(&edited(&edits)), Vec::<String>::new(), "all at once");
+    }
+
+    /// Applies `pairs` to `LITERALS` and checks `func` is re-analyzed.
+    fn assert_misses(what: &str, pairs: &[(&str, &str)], func: &str) {
+        let missed = misses(&edited(pairs));
+        assert!(
+            missed.iter().any(|f| f == func),
+            "{what}: re-analyzed {missed:?}, not `{func}`"
+        );
+    }
+
+    #[test]
+    fn non_literal_edits_miss() {
+        let rename = [
+            ("let h = hist[2];", "let w = hist[2];"),
+            ("out(log, h, m, on);", "out(log, w, m, on);"),
+        ];
+        assert_misses("renamed variable", &rename, "main");
+        let sensor = ("let q = in(pres);", "let q = in(temp);");
+        assert_misses("sensor", &[sensor], "read_pres");
+        let channel = ("out(log, a, 7);", "out(alarm, a, 7);");
+        assert_misses("channel", &[channel], "main");
+        let callee = ("let m = bias();", "let m = other();");
+        assert_misses("callee", &[callee], "main");
+        let by_value = [
+            ("fn keep(&o, v)", "fn keep(o, v)"),
+            ("keep(&k, 2);", "keep(k, 2);"),
+        ];
+        assert_misses("by-ref vs by-value", &by_value, "keep");
+        let kind = ("fresh(a);", "consistent(a, 1);");
+        assert_misses("annotation kind", &[kind], "main");
+        let set = ("consistent(b, 1);", "consistent(b, 2);");
+        assert_misses("consistent-set id", &[set], "main");
+        assert_misses("@bound", &[("@bound 8", "@bound 9")], "main");
+        let added = ("let k = 5;", "let k = 5; skip;");
+        assert_misses("added instruction", &[added], "main");
+        assert_misses("literal to variable", &[("k = 6;", "k = a;")], "main");
+    }
+
+    #[test]
+    fn swapped_branch_target_misses() {
+        let mut p = program(LITERALS);
+        let main = p.main.0 as usize;
+        let swapped = p.funcs[main]
+            .blocks
+            .iter_mut()
+            .find_map(|b| match &mut b.term {
+                ocelot_ir::Terminator::Branch {
+                    then_bb, else_bb, ..
+                } => {
+                    std::mem::swap(then_bb, else_bb);
+                    Some(())
+                }
+                _ => None,
+            });
+        assert!(swapped.is_some(), "main has a branch");
+        assert_eq!(misses(&p), vec!["main".to_string()]);
     }
 }

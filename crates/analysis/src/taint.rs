@@ -281,6 +281,16 @@ fn enumerate_contexts(p: &Program, cg: &CallGraph) -> Vec<Vec<Prov>> {
 // Per-function flow analysis
 // ---------------------------------------------------------------------
 
+/// The per-function flow of `f`, given the flows of its callees.
+///
+/// Invariant: the result depends on no literal value. Taint comes from
+/// the variables an expression reads (`expr_reads`, `op_reads`), the
+/// control structure, and the callee flows — never from an `Int` or
+/// `Bool` operand, so a branch on a constant is as tainted as its
+/// variable operands and no constant path is pruned.
+/// [`crate::incremental::input_fingerprints`] keys cached flows on
+/// bodies modulo literal values and relies on this; the literal-edit
+/// tests in `incremental` and the `literal_reuse` sweep hold it.
 pub(crate) fn analyze_function(p: &Program, f: &Function, flows: &[FuncFlow]) -> FuncFlow {
     let cfg = Cfg::new(f);
     let pdom = DomTree::post_dominators(f, &cfg);

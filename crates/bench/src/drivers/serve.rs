@@ -167,8 +167,8 @@ mod tests {
         assert_eq!(a.driver, "serve");
         assert_eq!(a.cells.len(), 5);
         for c in &a.cells {
-            // The one-line edit re-analyzes the edited worker + main.
-            assert!(cell_u64(c, "analyzed").unwrap() <= 2);
+            // Each edit changes one constant: nothing is re-analyzed.
+            assert_eq!(cell_u64(c, "analyzed").unwrap(), 0);
             let v = Verdict::from_json(c.get("verdict").unwrap()).unwrap();
             assert!(v.passes);
         }

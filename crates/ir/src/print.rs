@@ -1,87 +1,151 @@
 //! Pretty-printing of lowered programs, for debugging and golden tests.
+//!
+//! Every renderer writes through one set of `write_*` functions into
+//! any [`fmt::Write`] sink, so a caller can hash a function as it is
+//! printed ([`write_function`]) instead of building the text first.
+//! [`Literals::Masked`] prints the same text with every literal value
+//! replaced by a placeholder: the incremental analysis keys each
+//! function on that form, so the key cannot miss a field the canonical
+//! form shows.
 
 use crate::ast::{Arg, Expr};
-use crate::ir::{Function, Op, Place, Program, Terminator};
-use std::fmt::Write as _;
+use crate::ir::{AnnotKind, Function, Op, Place, Program, Terminator};
+use std::fmt::{self, Write};
 
-/// Renders an expression in surface syntax.
-pub fn expr_to_string(e: &Expr) -> String {
+/// How the printer renders `Expr::Int` and `Expr::Bool` values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Literals {
+    /// As written: the canonical form.
+    Shown,
+    /// Each as `#`, which no identifier, keyword or other printed
+    /// token spells, so a masked literal cannot print like any other
+    /// expression.
+    Masked,
+}
+
+/// Writes an expression in surface syntax.
+fn write_expr<W: Write>(w: &mut W, e: &Expr, lits: Literals) -> fmt::Result {
     match e {
-        Expr::Int(n) => n.to_string(),
-        Expr::Bool(b) => b.to_string(),
-        Expr::Var(x) => x.clone(),
-        Expr::Deref(x) => format!("*{x}"),
-        Expr::Ref(x) => format!("&{x}"),
-        Expr::Index(a, i) => format!("{a}[{}]", expr_to_string(i)),
-        Expr::Binary(op, l, r) => {
-            format!("({} {} {})", expr_to_string(l), op, expr_to_string(r))
+        Expr::Int(_) | Expr::Bool(_) if lits == Literals::Masked => w.write_char('#'),
+        Expr::Int(n) => write!(w, "{n}"),
+        Expr::Bool(b) => write!(w, "{b}"),
+        Expr::Var(x) => w.write_str(x),
+        Expr::Deref(x) => write!(w, "*{x}"),
+        Expr::Ref(x) => write!(w, "&{x}"),
+        Expr::Index(a, i) => {
+            write!(w, "{a}[")?;
+            write_expr(w, i, lits)?;
+            w.write_char(']')
         }
-        Expr::Unary(op, x) => format!("{op}{}", expr_to_string(x)),
+        Expr::Binary(op, l, r) => {
+            w.write_char('(')?;
+            write_expr(w, l, lits)?;
+            write!(w, " {op} ")?;
+            write_expr(w, r, lits)?;
+            w.write_char(')')
+        }
+        Expr::Unary(op, x) => {
+            write!(w, "{op}")?;
+            write_expr(w, x, lits)
+        }
     }
 }
 
-fn arg_to_string(a: &Arg) -> String {
-    match a {
-        Arg::Value(e) => expr_to_string(e),
-        Arg::Ref(x) => format!("&{x}"),
+/// Renders an expression in surface syntax.
+pub fn expr_to_string(e: &Expr) -> String {
+    let mut s = String::new();
+    let _ = write_expr(&mut s, e, Literals::Shown);
+    s
+}
+
+/// Writes `items` separated by `", "`.
+fn write_list<W: Write, T>(
+    w: &mut W,
+    items: &[T],
+    mut item: impl FnMut(&mut W, &T) -> fmt::Result,
+) -> fmt::Result {
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            w.write_str(", ")?;
+        }
+        item(w, x)?;
+    }
+    Ok(())
+}
+
+/// Writes one IR operation.
+fn write_op<W: Write>(w: &mut W, p: &Program, op: &Op, lits: Literals) -> fmt::Result {
+    match op {
+        Op::Skip => w.write_str("skip"),
+        Op::Bind { var, src } => {
+            write!(w, "let {var} = ")?;
+            write_expr(w, src, lits)
+        }
+        Op::Assign { place, src } => {
+            match place {
+                Place::Var(x) => w.write_str(x)?,
+                Place::Index(a, i) => {
+                    write!(w, "{a}[")?;
+                    write_expr(w, i, lits)?;
+                    w.write_char(']')?;
+                }
+                Place::Deref(x) => write!(w, "*{x}")?,
+            }
+            w.write_str(" = ")?;
+            write_expr(w, src, lits)
+        }
+        Op::Input { var, sensor } => write!(w, "let {var} = in({sensor})"),
+        Op::Call { dst, callee, args } => {
+            if let Some(d) = dst {
+                write!(w, "let {d} = ")?;
+            }
+            write!(w, "{}(", p.func(*callee).name)?;
+            write_list(w, args, |w, a| match a {
+                Arg::Value(e) => write_expr(w, e, lits),
+                Arg::Ref(x) => write!(w, "&{x}"),
+            })?;
+            w.write_char(')')
+        }
+        Op::Output { channel, args } => {
+            write!(w, "out({channel}")?;
+            if !args.is_empty() {
+                w.write_str(", ")?;
+                write_list(w, args, |w, e| write_expr(w, e, lits))?;
+            }
+            w.write_char(')')
+        }
+        Op::Annot { kind, var } => match kind {
+            AnnotKind::Fresh => write!(w, "fresh({var})"),
+            AnnotKind::Consistent(id) => write!(w, "consistent({var}, {id})"),
+            AnnotKind::Bound(k) => write!(w, "@bound({k})"),
+        },
+        Op::AtomStart { region } => write!(w, "startatom(r{})", region.0),
+        Op::AtomEnd { region } => write!(w, "endatom(r{})", region.0),
     }
 }
 
 /// Renders one IR operation.
 pub fn op_to_string(p: &Program, op: &Op) -> String {
-    match op {
-        Op::Skip => "skip".into(),
-        Op::Bind { var, src } => format!("let {var} = {}", expr_to_string(src)),
-        Op::Assign { place, src } => {
-            let lhs = match place {
-                Place::Var(x) => x.clone(),
-                Place::Index(a, i) => format!("{a}[{}]", expr_to_string(i)),
-                Place::Deref(x) => format!("*{x}"),
-            };
-            format!("{lhs} = {}", expr_to_string(src))
-        }
-        Op::Input { var, sensor } => format!("let {var} = in({sensor})"),
-        Op::Call { dst, callee, args } => {
-            let args: Vec<_> = args.iter().map(arg_to_string).collect();
-            let call = format!("{}({})", p.func(*callee).name, args.join(", "));
-            match dst {
-                Some(d) => format!("let {d} = {call}"),
-                None => call,
-            }
-        }
-        Op::Output { channel, args } => {
-            let args: Vec<_> = args.iter().map(expr_to_string).collect();
-            if args.is_empty() {
-                format!("out({channel})")
-            } else {
-                format!("out({channel}, {})", args.join(", "))
-            }
-        }
-        Op::Annot { kind, var } => match kind {
-            crate::ir::AnnotKind::Fresh => format!("fresh({var})"),
-            crate::ir::AnnotKind::Consistent(id) => format!("consistent({var}, {id})"),
-            crate::ir::AnnotKind::Bound(k) => format!("@bound({k})"),
-        },
-        Op::AtomStart { region } => format!("startatom(r{})", region.0),
-        Op::AtomEnd { region } => format!("endatom(r{})", region.0),
-    }
+    let mut s = String::new();
+    let _ = write_op(&mut s, p, op, Literals::Shown);
+    s
 }
 
-/// Renders one function with block structure and labels.
-pub fn function_to_string(p: &Program, f: &Function) -> String {
-    let mut s = String::new();
-    let params: Vec<_> = f
-        .params
-        .iter()
-        .map(|q| {
-            if q.by_ref {
-                format!("&{}", q.name)
-            } else {
-                q.name.clone()
-            }
-        })
-        .collect();
-    let _ = writeln!(s, "fn {}({}) {{", f.name, params.join(", "));
+/// Writes one function with block structure and labels.
+pub fn write_function<W: Write>(
+    w: &mut W,
+    p: &Program,
+    f: &Function,
+    lits: Literals,
+) -> fmt::Result {
+    write!(w, "fn {}(", f.name)?;
+    write_list(w, &f.params, |w, q| {
+        if q.by_ref {
+            w.write_char('&')?;
+        }
+        w.write_str(&q.name)
+    })?;
+    w.write_str(") {\n")?;
     for b in &f.blocks {
         let marks = if b.id == f.entry && b.id == f.exit {
             " (entry, exit)"
@@ -92,28 +156,39 @@ pub fn function_to_string(p: &Program, f: &Function) -> String {
         } else {
             ""
         };
-        let _ = writeln!(s, "  bb{}:{marks}", b.id.0);
+        writeln!(w, "  bb{}:{marks}", b.id.0)?;
         for inst in &b.instrs {
-            let _ = writeln!(s, "    l{}: {}", inst.label.0, op_to_string(p, &inst.op));
+            write!(w, "    l{}: ", inst.label.0)?;
+            write_op(w, p, &inst.op, lits)?;
+            w.write_char('\n')?;
         }
-        let term = match &b.term {
-            Terminator::Jump(t) => format!("jump bb{}", t.0),
+        write!(w, "    l{}: ", b.term_label.0)?;
+        match &b.term {
+            Terminator::Jump(t) => write!(w, "jump bb{}", t.0)?,
             Terminator::Branch {
                 cond,
                 then_bb,
                 else_bb,
-            } => format!(
-                "br {} ? bb{} : bb{}",
-                expr_to_string(cond),
-                then_bb.0,
-                else_bb.0
-            ),
-            Terminator::Ret(Some(e)) => format!("ret {}", expr_to_string(e)),
-            Terminator::Ret(None) => "ret".into(),
-        };
-        let _ = writeln!(s, "    l{}: {term}", b.term_label.0);
+            } => {
+                w.write_str("br ")?;
+                write_expr(w, cond, lits)?;
+                write!(w, " ? bb{} : bb{}", then_bb.0, else_bb.0)?;
+            }
+            Terminator::Ret(Some(e)) => {
+                w.write_str("ret ")?;
+                write_expr(w, e, lits)?;
+            }
+            Terminator::Ret(None) => w.write_str("ret")?,
+        }
+        w.write_char('\n')?;
     }
-    let _ = writeln!(s, "}}");
+    w.write_str("}\n")
+}
+
+/// Renders one function with block structure and labels.
+pub fn function_to_string(p: &Program, f: &Function) -> String {
+    let mut s = String::new();
+    let _ = write_function(&mut s, p, f, Literals::Shown);
     s
 }
 
@@ -134,7 +209,7 @@ pub fn program_to_string(p: &Program) -> String {
         }
     }
     for f in &p.funcs {
-        s.push_str(&function_to_string(p, f));
+        let _ = write_function(&mut s, p, f, Literals::Shown);
     }
     s
 }

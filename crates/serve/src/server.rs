@@ -24,9 +24,10 @@ use crate::protocol::{handle_request, Outcome, ServerState};
 use ocelot_bench::json::{self, Json};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -260,7 +261,23 @@ fn handle_connection(
     }
 }
 
+/// A failed response, echoing the request's `id` when it has one.
+fn error_response(req: &Json, error: &str) -> Json {
+    let mut pairs = Vec::new();
+    if let Some(id) = req.get("id") {
+        pairs.push(("id", id.clone()));
+    }
+    pairs.push(("ok", Json::Bool(false)));
+    pairs.push(("error", Json::str(error)));
+    Json::obj(pairs)
+}
+
 /// Parses and dispatches one request line under the in-flight bound.
+///
+/// No request can take the server down with it: a panic while handling
+/// is answered as a failed response, later requests take the state
+/// from a lock it poisoned, and the in-flight count drops on every
+/// path.
 fn respond(
     line: &str,
     state: &Mutex<ServerState>,
@@ -279,28 +296,36 @@ fn respond(
     };
     if inflight.fetch_add(1, Ordering::SeqCst) >= max_inflight {
         inflight.fetch_sub(1, Ordering::SeqCst);
-        let mut pairs = Vec::new();
-        if let Some(id) = req.get("id") {
-            pairs.push(("id", id.clone()));
-        }
-        pairs.push(("ok", Json::Bool(false)));
-        pairs.push((
-            "error",
-            Json::str(&format!(
-                "server busy ({max_inflight} requests in flight): retry"
-            )),
-        ));
-        return Json::obj(pairs);
+        return error_response(
+            &req,
+            &format!("server busy ({max_inflight} requests in flight): retry"),
+        );
     }
-    let (resp, outcome) = {
-        let mut guard = state.lock().expect("server state poisoned");
+    let handled = panic::catch_unwind(AssertUnwindSafe(|| {
+        // A panic poisons the lock but cannot leave a wrong answer
+        // behind: every cache entry is inserted whole, after the work
+        // that computed it, so at worst an entry is missing or a
+        // statistic is off by one.
+        let mut guard = state.lock().unwrap_or_else(PoisonError::into_inner);
         handle_request(&mut guard, &req)
-    };
+    }));
     inflight.fetch_sub(1, Ordering::SeqCst);
-    if outcome == Outcome::Shutdown {
-        stop.stop();
+    match handled {
+        Ok((resp, outcome)) => {
+            if outcome == Outcome::Shutdown {
+                stop.stop();
+            }
+            resp
+        }
+        Err(payload) => {
+            let what = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("unknown panic");
+            error_response(&req, &format!("internal error: {what}"))
+        }
     }
-    resp
 }
 
 /// A line-delimited JSON client for one server connection.
@@ -353,5 +378,41 @@ impl Client {
     pub fn request(&mut self, req: &Json) -> Result<Json, String> {
         let line = self.request_line(req)?;
         json::parse(&line).map_err(|e| format!("bad response: {e}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_poisoned_state_still_answers_and_releases_its_slot() {
+        let state = Arc::new(Mutex::new(ServerState::new(1, 4)));
+        let holder = Arc::clone(&state);
+        let died = std::thread::spawn(move || {
+            let _guard = holder.lock().unwrap();
+            panic!("handler died holding the state");
+        })
+        .join();
+        assert!(died.is_err() && state.is_poisoned());
+
+        let stop = Stopper::new(SocketAddr::from((Ipv4Addr::LOCALHOST, 1)));
+        let inflight = AtomicUsize::new(0);
+        let requests = [
+            r#"{"op": "ping", "id": 3}"#,
+            r#"{"op": "ping", "id": 4}"#,
+            r#"{"op": "verify", "id": 5, "doc": "d", "source": "fn main() { out(log, 1); }"}"#,
+        ];
+        for (id, line) in (3..).zip(requests) {
+            let resp = respond(line, &state, &stop, &inflight, 4);
+            assert_eq!(
+                resp.get("ok").and_then(Json::as_bool),
+                Some(true),
+                "{resp:?}"
+            );
+            assert_eq!(resp.get("id").and_then(Json::as_u64), Some(id));
+            assert_eq!(inflight.load(Ordering::SeqCst), 0);
+        }
+        assert!(!stop.stopped());
     }
 }
