@@ -4,11 +4,11 @@
 //! backend comparison that baselines the compiled engine's speedup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ocelot_bench::harness::{bench_supply, build_for, calibrated_costs, MAX_STEPS};
+use ocelot_bench::harness::{bench_supply, build_for, calibrated_costs};
 use ocelot_hw::power::ContinuousPower;
 use ocelot_runtime::machine::Machine;
 use ocelot_runtime::model::ExecModel;
-use ocelot_runtime::{ExecBackend, OptLevel};
+use ocelot_runtime::{ExecBackend, OptLevel, MAX_STEPS};
 
 fn bench_continuous(c: &mut Criterion) {
     let mut g = c.benchmark_group("run_continuous");

@@ -31,8 +31,8 @@
 //! that strictness is what lets the determinism test compare artifacts
 //! byte-for-byte.
 
-use crate::json::{self, Json, JsonError};
 use ocelot_runtime::stats::Stats;
+use ocelot_telemetry::json::{self, Json, JsonError};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -232,92 +232,37 @@ impl Artifact {
     }
 }
 
-/// Serializes every counter of `s` (scalars in declaration order, then
-/// the breakdown) — the `"stats"` member of simulation cells.
-pub fn stats_to_json(s: &Stats) -> Json {
-    let mut pairs: Vec<(String, Json)> = s
-        .counters()
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), Json::u64(v)))
-        .collect();
-    pairs.push((
-        "breakdown".to_string(),
-        Json::Obj(
-            s.breakdown
-                .counters()
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), Json::u64(v)))
-                .collect(),
-        ),
-    ));
-    Json::Obj(pairs)
-}
+// The old home of the stats encoder, still imported by `perfbench/`.
+pub use ocelot_runtime::stats::stats_to_json;
 
-/// Inverse of [`stats_to_json`]; strict in both directions (every
-/// counter present, no unknown members).
+/// Inverse of [`stats_to_json`], and strict: the object must be exactly
+/// the encoding of the counters it carries, so a missing, duplicated,
+/// reordered, mistyped, or unknown member is an error.
 ///
 /// # Errors
 ///
-/// [`ArtifactError::Schema`] on any missing, extra, or mistyped field.
+/// [`ArtifactError::Schema`] when `v` is not a canonical stats object.
 pub fn stats_from_json(v: &Json) -> Result<Stats, ArtifactError> {
-    let pairs = v
-        .as_obj()
-        .ok_or_else(|| ArtifactError::Schema("stats is not an object".into()))?;
     let mut s = Stats::default();
-    // Distinct names seen, so duplicated keys cannot mask a missing
-    // counter (the JSON parser preserves duplicates).
-    let mut seen: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-    for (k, val) in pairs {
-        if !seen.insert(k.as_str()) {
-            return Err(ArtifactError::Schema(format!(
-                "duplicate stats member `{k}`"
-            )));
-        }
-        if k == "breakdown" {
-            let bd = val
-                .as_obj()
-                .ok_or_else(|| ArtifactError::Schema("breakdown is not an object".into()))?;
-            let mut bseen: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-            for (bk, bv) in bd {
-                if !bseen.insert(bk.as_str()) {
-                    return Err(ArtifactError::Schema(format!(
-                        "duplicate breakdown counter `{bk}`"
-                    )));
-                }
-                let n = bv.as_u64().ok_or_else(|| {
-                    ArtifactError::Schema(format!("breakdown counter `{bk}` is not a u64"))
-                })?;
-                if !s.breakdown.set_counter(bk, n) {
-                    return Err(ArtifactError::Schema(format!(
-                        "unknown breakdown counter `{bk}`"
-                    )));
+    for (k, val) in v.as_obj().unwrap_or_default() {
+        match (k.as_str(), val.as_obj()) {
+            ("breakdown", Some(bd)) => {
+                for (bk, bv) in bd {
+                    s.breakdown.set_counter(bk, bv.as_u64().unwrap_or_default());
                 }
             }
-            if bseen.len() != s.breakdown.counters().len() {
-                return Err(ArtifactError::Schema(
-                    "breakdown is missing counters".into(),
-                ));
+            _ => {
+                s.set_counter(k, val.as_u64().unwrap_or_default());
             }
-            continue;
-        }
-        let n = val
-            .as_u64()
-            .ok_or_else(|| ArtifactError::Schema(format!("stats counter `{k}` is not a u64")))?;
-        if !s.set_counter(k, n) {
-            return Err(ArtifactError::Schema(format!(
-                "unknown stats counter `{k}`"
-            )));
         }
     }
-    // `seen` holds distinct names only: exactly the counters + breakdown.
-    if seen.len() != s.counters().len() + 1 || !seen.contains("breakdown") {
-        return Err(ArtifactError::Schema(format!(
-            "stats has {} of {} members",
-            seen.len(),
-            s.counters().len() + 1
-        )));
+    if stats_to_json(&s) == *v {
+        Ok(s)
+    } else {
+        Err(ArtifactError::Schema(
+            "stats is not the canonical encoding of its counters".into(),
+        ))
     }
-    Ok(s)
 }
 
 #[cfg(test)]

@@ -18,9 +18,9 @@
 
 use crate::artifact::Artifact;
 use crate::drivers::{self, Driver, DriverOpts};
-use crate::json::Json;
-use crate::pool;
+use ocelot_runtime::pool;
 use ocelot_runtime::{ExecBackend, OptLevel};
+use ocelot_telemetry::json::Json;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -404,20 +404,9 @@ pub fn run_driver(driver_name: &str, args: impl IntoIterator<Item = String>) -> 
             }
         }
     }
-    if parsed.metrics {
-        print!(
-            "\nmetrics:\n{}",
-            ocelot_telemetry::metrics::render_snapshot()
-        );
-    }
-    if let Some(tp) = &parsed.trace_out {
-        match crate::telem::write_trace(tp) {
-            Ok(n) => eprintln!("wrote {} ({n} spans)", tp.display()),
-            Err(e) => {
-                eprintln!("error: cannot write trace: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Err(e) = ocelot_telemetry::emit(parsed.trace_out.as_deref(), parsed.metrics) {
+        eprintln!("error: cannot write trace: {e}");
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

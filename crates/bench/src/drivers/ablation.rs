@@ -9,9 +9,7 @@
 
 use super::{cell_bool, cell_f64, cell_str, cell_u64, per_bench_cells, Driver, DriverOpts};
 use crate::artifact::{Artifact, ArtifactError};
-use crate::harness::{bench_supply, build_for, calibrated_costs, whole_main_variant, MAX_STEPS};
-use crate::json::Json;
-use crate::pool::{self, Job};
+use crate::harness::{bench_supply, build_for, calibrated_costs, whole_main_variant};
 use crate::report::{ratio, Table};
 use ocelot_core::collect_regions;
 use ocelot_hw::energy::CostModel;
@@ -21,7 +19,10 @@ use ocelot_hw::{Capacitor, Harvester};
 use ocelot_progress::ProgressReport;
 use ocelot_runtime::machine::{Machine, RunOutcome};
 use ocelot_runtime::model::{build, Built, ExecModel};
+use ocelot_runtime::pool::{self, Job};
 use ocelot_runtime::samoyed::{run_scaled, ScaledApp};
+use ocelot_runtime::MAX_STEPS;
+use ocelot_telemetry::json::Json;
 
 // ---------------------------------------------------------------------
 // ablation_region_size

@@ -7,9 +7,9 @@ use super::{
 };
 use crate::artifact::{Artifact, ArtifactError};
 use crate::harness::{CellSpec, Workload};
-use crate::json::Json;
 use crate::report::{gmean, ratio, Table};
 use ocelot_runtime::model::ExecModel;
+use ocelot_telemetry::json::Json;
 
 /// Figure 7 — continuous-power runtimes normalized to JIT.
 pub static FIG7: Driver = Driver {

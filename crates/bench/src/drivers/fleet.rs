@@ -65,8 +65,8 @@ mod tests {
     use super::*;
     use crate::artifact::stats_from_json;
     use crate::fleet::FleetAggregate;
-    use crate::json::Json;
     use ocelot_runtime::ExecBackend;
+    use ocelot_telemetry::json::Json;
 
     fn small_opts() -> DriverOpts {
         DriverOpts {

@@ -6,7 +6,7 @@
 //!
 //! * `collect(&DriverOpts) -> Artifact` — enumerate the sweep's cells,
 //!   run them through the work-stealing pool ([`crate::harness`] /
-//!   [`crate::pool`]), and pack the results into a versioned
+//!   [`ocelot_runtime::pool`]), and pack the results into a versioned
 //!   [`Artifact`]. This is the only half that simulates.
 //! * `render(&Artifact) -> String` — produce the human-readable
 //!   table/figure **purely from the artifact**, so `--replay` can
@@ -20,16 +20,16 @@ mod figures;
 mod fleet;
 mod runtime_tables;
 mod scenarios;
-mod serve;
+pub mod serve;
 mod tables;
 mod tics;
 
 use crate::artifact::{Artifact, ArtifactError};
 use crate::harness::Workload;
-use crate::json::Json;
 use ocelot_runtime::model::ExecModel;
 use ocelot_runtime::stats::Stats;
 use ocelot_runtime::{ExecBackend, OptLevel};
+use ocelot_telemetry::json::Json;
 
 /// Options shared by every driver's `collect`.
 #[derive(Debug, Clone)]
@@ -151,11 +151,11 @@ pub(crate) fn per_bench_cells(
 ) -> Vec<Json> {
     let benches = ocelot_apps::all();
     let job = &job;
-    let work: Vec<crate::pool::Job<'_, Json>> = benches
+    let work: Vec<ocelot_runtime::pool::Job<'_, Json>> = benches
         .iter()
-        .map(|b| Box::new(move || job(b)) as crate::pool::Job<'_, Json>)
+        .map(|b| Box::new(move || job(b)) as ocelot_runtime::pool::Job<'_, Json>)
         .collect();
-    crate::pool::run_jobs(work, jobs)
+    ocelot_runtime::pool::run_jobs(work, jobs)
 }
 
 /// The standard collect tail for uniform sweeps: runs `specs` through
@@ -236,7 +236,7 @@ pub(crate) fn cell_identity(spec: &crate::harness::CellSpec) -> Vec<(&'static st
 /// `{identity..., stats}`.
 pub(crate) fn spec_cell(spec: &crate::harness::CellSpec, stats: &Stats) -> Json {
     let mut pairs = cell_identity(spec);
-    pairs.push(("stats", crate::artifact::stats_to_json(stats)));
+    pairs.push(("stats", ocelot_runtime::stats::stats_to_json(stats)));
     Json::obj(pairs)
 }
 
@@ -281,7 +281,7 @@ pub(crate) fn sim_cell(
         ("seed", Json::u64(seed)),
     ];
     pairs.extend(workload_pairs(workload));
-    pairs.push(("stats", crate::artifact::stats_to_json(stats)));
+    pairs.push(("stats", ocelot_runtime::stats::stats_to_json(stats)));
     Json::obj(pairs)
 }
 

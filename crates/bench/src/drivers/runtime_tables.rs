@@ -5,9 +5,9 @@
 use super::{bench_names, collect_sim, collect_sim_traced, find_stats, Driver, DriverOpts};
 use crate::artifact::{Artifact, ArtifactError};
 use crate::harness::{CellSpec, Workload};
-use crate::json::Json;
 use crate::report::{pct, Table};
 use ocelot_runtime::model::ExecModel;
+use ocelot_telemetry::json::Json;
 
 /// Row order of both tables: Ocelot first, then JIT.
 const MODELS: [ExecModel; 2] = [ExecModel::Ocelot, ExecModel::Jit];

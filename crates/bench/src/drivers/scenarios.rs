@@ -11,10 +11,10 @@
 use super::{cell_stats, collect_sim, collect_sim_traced, Driver, DriverOpts};
 use crate::artifact::{Artifact, ArtifactError};
 use crate::harness::{CellSpec, Workload};
-use crate::json::Json;
 use crate::report::Table;
 use ocelot_runtime::model::ExecModel;
 use ocelot_runtime::stats::Stats;
+use ocelot_telemetry::json::Json;
 
 /// The sweep contrasts the unprotected and protected models.
 const MODELS: [ExecModel; 2] = [ExecModel::Jit, ExecModel::Ocelot];

@@ -2,10 +2,10 @@
 //! over a recorded edit-trace workload.
 //!
 //! Replays a deterministic stream of one-line single-function edits
-//! (see [`crate::verify`]) through an incremental verification
-//! [`crate::verify::Session`], timing each incremental re-verify
-//! against a from-scratch verify of the same source, and persists the
-//! per-edit measurements as a standard versioned artifact. `render`
+//! (see [`ocelot_serve::verify`]) through an incremental verification
+//! [`Session`], timing each incremental re-verify against a
+//! from-scratch verify of the same source, and persists the per-edit
+//! measurements as a standard versioned artifact. `render`
 //! reports p50/p99 latencies and the speedup purely from the artifact
 //! (`--replay` works as for every driver). Like the fleet throughput
 //! fingerprint, the recorded wall times are machine-dependent data:
@@ -14,8 +14,11 @@
 
 use super::{cell_u64, Driver, DriverOpts};
 use crate::artifact::{Artifact, ArtifactError};
-use crate::json::Json;
-use crate::verify::{replay_trace, EditTrace, Verdict, DEFAULT_TRACE};
+use ocelot_analysis::incremental::IncrementalStats;
+use ocelot_serve::verify::{
+    edit_targets, edited_source, full_verify, workload_source, EditTrace, Session, Verdict,
+};
+use ocelot_telemetry::json::Json;
 use ocelot_telemetry::percentile;
 
 /// The edit-trace latency driver.
@@ -26,6 +29,67 @@ pub static SERVE: Driver = Driver {
     render,
     collect_traced: None,
 };
+
+/// The driver-default workload shape.
+pub const DEFAULT_TRACE: EditTrace = EditTrace {
+    funcs: 36,
+    edits: 24,
+    seed: 11,
+};
+
+/// One measured edit replay: what changed, how much analysis the cache
+/// saved, the verdict hash, and the incremental vs full wall times.
+#[derive(Debug, Clone)]
+pub struct EditMeasurement {
+    /// 1-based edit index.
+    pub edit: usize,
+    /// Worker index the edit touched.
+    pub target: usize,
+    /// Cache statistics for the incremental pass.
+    pub stats: IncrementalStats,
+    /// The incremental verdict (always equal to the full one).
+    pub verdict: Verdict,
+    /// Incremental re-verification wall time.
+    pub incr_ns: u64,
+    /// From-scratch re-verification wall time.
+    pub full_ns: u64,
+}
+
+/// Replays `trace` through a fresh [`Session`], measuring each edit's
+/// incremental re-verify against a from-scratch verify and asserting
+/// verdict equality along the way.
+///
+/// # Panics
+///
+/// Panics if any generated program fails to verify or an incremental
+/// verdict ever diverges from the from-scratch one — either is a bug,
+/// not a measurement.
+pub fn replay_trace(trace: &EditTrace) -> Vec<EditMeasurement> {
+    let mut session = Session::new();
+    let base = workload_source(trace);
+    session.verify(&base).expect("base program verifies");
+    let targets = edit_targets(trace);
+    let mut out = Vec::with_capacity(trace.edits);
+    for n in 1..=trace.edits {
+        let src = edited_source(trace, n);
+        let t0 = std::time::Instant::now();
+        let (_, verdict, stats) = session.verify(&src).expect("edited program verifies");
+        let incr_ns = t0.elapsed().as_nanos() as u64;
+        let t1 = std::time::Instant::now();
+        let (_, full) = full_verify(&src).expect("full verify");
+        let full_ns = t1.elapsed().as_nanos() as u64;
+        assert_eq!(verdict, full, "incremental verdict diverged at edit {n}");
+        out.push(EditMeasurement {
+            edit: n,
+            target: targets[n - 1],
+            stats,
+            verdict,
+            incr_ns,
+            full_ns,
+        });
+    }
+    out
+}
 
 /// The trace this driver replays: the default workload shape with
 /// `--runs` scaling the edit count and `--seed` reseeding the trace.

@@ -7,8 +7,8 @@
 use super::{cell_str, cell_u64, Driver, DriverOpts};
 use crate::artifact::{Artifact, ArtifactError};
 use crate::effort::table4;
-use crate::json::Json;
 use crate::report::Table;
+use ocelot_telemetry::json::Json;
 
 /// Table 1 — benchmark characteristics.
 pub static TABLE1: Driver = Driver {

@@ -5,11 +5,11 @@
 use super::{cell_str, cell_u64, find_cell, sim_cell, Driver, DriverOpts};
 use crate::artifact::{Artifact, ArtifactError};
 use crate::harness::{bench_supply, build_for, calibrated_costs, run_cells, CellSpec, Workload};
-use crate::json::Json;
 use crate::report::Table;
 use ocelot_runtime::expiry::evaluate_expiry;
 use ocelot_runtime::machine::Machine;
 use ocelot_runtime::model::ExecModel;
+use ocelot_telemetry::json::Json;
 
 // ---------------------------------------------------------------------
 // tics_expiry — static window replay
@@ -48,7 +48,7 @@ fn collect_expiry(opts: &DriverOpts) -> Artifact {
             calibrated_costs(b),
             Box::new(bench_supply(seed)),
         );
-        m.run_for(sim_us, crate::harness::MAX_STEPS);
+        m.run_for(sim_us, ocelot_runtime::MAX_STEPS);
         let trace = m.take_trace();
         let base = evaluate_expiry(m.policies(), &trace, u64::MAX / 2);
         let windows: Vec<Json> = WINDOWS_US

@@ -22,16 +22,16 @@
 //! equals the fleet aggregates exactly (held by the oracle-equivalence
 //! suite in `tests/fleet_oracle.rs`).
 
-use crate::artifact::{stats_from_json, stats_to_json, Artifact, ArtifactError};
-use crate::harness::{build_for, calibrated_costs, CellSpec, Workload, MAX_STEPS};
-use crate::json::Json;
-use crate::pool::{self, Job};
+use crate::artifact::{stats_from_json, Artifact, ArtifactError};
+use crate::harness::{build_for, calibrated_costs, CellSpec, Workload};
 use crate::report::Table;
 use ocelot_runtime::machine::{DeviceState, Machine, MachineCore};
 use ocelot_runtime::model::ExecModel;
-use ocelot_runtime::stats::Stats;
-use ocelot_runtime::{ExecBackend, OptLevel};
+use ocelot_runtime::pool::{self, Job};
+use ocelot_runtime::stats::{stats_to_json, Stats};
+use ocelot_runtime::{ExecBackend, OptLevel, MAX_STEPS};
 use ocelot_scenario::Scenario;
+use ocelot_telemetry::json::Json;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -862,20 +862,9 @@ pub fn fleet_main(args: &[String]) -> ExitCode {
             o.overhead_pct(elapsed_ms)
         );
     }
-    if parsed.metrics {
-        print!(
-            "\nmetrics:\n{}",
-            ocelot_telemetry::metrics::render_snapshot()
-        );
-    }
-    if let Some(tp) = &parsed.trace_out {
-        match crate::telem::write_trace(tp) {
-            Ok(n) => eprintln!("wrote {} ({n} spans)", tp.display()),
-            Err(e) => {
-                eprintln!("error: cannot write trace: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Err(e) = ocelot_telemetry::emit(parsed.trace_out.as_deref(), parsed.metrics) {
+        eprintln!("error: cannot write trace: {e}");
+        return ExitCode::FAILURE;
     }
     if let Some(fp) = &parsed.fingerprint {
         match write_fingerprint(fp, &spec, parsed.jobs, elapsed_ms, overhead) {

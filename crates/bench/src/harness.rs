@@ -6,11 +6,10 @@
 //! The sweep surface is the **cell**: one (benchmark, model, seed,
 //! workload) combination. Drivers enumerate their cells up front as a
 //! [`CellSpec`] job list and hand it to [`run_cells`], which shards the
-//! list across the [`crate::pool`] work-stealing pool; results come
+//! list across the [`ocelot_runtime::pool`] work-stealing pool; results come
 //! back in job-list order, so the persisted artifact is byte-identical
 //! at every `--jobs` width.
 
-use crate::pool::{self, Job};
 use ocelot_apps::Benchmark;
 use ocelot_hw::energy::CostModel;
 use ocelot_hw::power::{ContinuousPower, HarvestedPower, PowerSupply};
@@ -18,11 +17,12 @@ use ocelot_hw::{Capacitor, Harvester};
 use ocelot_runtime::machine::{pathological_targets, Machine, RunOutcome};
 use ocelot_runtime::model::{build, Built, ExecModel};
 use ocelot_runtime::obs::Obs;
+use ocelot_runtime::pool::{self, Job};
 use ocelot_runtime::stats::Stats;
 use ocelot_runtime::{ExecBackend, OptLevel};
 
-/// Step budget per program run — generous; runs are thousands of steps.
-pub const MAX_STEPS: u64 = 5_000_000;
+// The old home of the step budget, still imported by `perfbench/`.
+pub use ocelot_runtime::MAX_STEPS;
 
 /// Per-benchmark cost model: sampling costs differ per sensor class
 /// (photoresistor integration is slow, a TPMS pressure cell is fast),

@@ -1,10 +1,11 @@
 //! # ocelot-bench
 //!
 //! The evaluation harness: everything needed to regenerate the paper's
-//! figures and tables, in parallel, with persisted results. One binary
-//! per artifact:
+//! figures and tables, in parallel, with persisted results. One driver
+//! per artifact, run as `ocelotc bench <name>` (`ocelotc bench --list`
+//! prints the registry):
 //!
-//! | Binary | Paper artifact |
+//! | Driver | Paper artifact |
 //! |---|---|
 //! | `table1` | Table 1 — benchmark characteristics |
 //! | `fig7` | Figure 7 — continuous-power runtimes (JIT / Atomics-only / Ocelot) |
@@ -23,13 +24,14 @@
 //! | `fleet` | extension — fleet-scale device sweep on one shared compiled program |
 //! | `serve` | extension — incremental re-verification latency over a recorded edit trace |
 //!
-//! Run them with `cargo run --release --bin ocelotc -- bench <name>`.
-//! Every driver accepts `--jobs N` (shard the sweep across a
-//! hand-rolled work-stealing [`pool`]), `--out DIR` (persist a
+//! Every driver accepts `--jobs N` (shard the sweep across the
+//! work-stealing [`ocelot_runtime::pool`]), `--out DIR` (persist a
 //! versioned JSON [`artifact`]), `--replay` (re-emit the table/figure
 //! purely from the persisted artifact), and — on uniform cell sweeps —
 //! `--traces` (persist the raw per-cell observation logs as a
 //! replayable [`traces`] artifact) — see `docs/bench.md` and [`cli`].
+//! The harness sits at the top of the crate graph: only the `ocelotc`
+//! binary depends on it.
 
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -41,10 +43,13 @@ pub mod effort;
 pub mod fleet;
 pub mod genprog;
 pub mod harness;
-pub mod json;
-pub mod lintfmt;
-pub mod pool;
 pub mod report;
-pub mod telem;
 pub mod traces;
-pub mod verify;
+
+// The old homes of modules that moved to the crates owning their types,
+// still imported by `perfbench/`.
+pub use ocelot_lint::json as lintfmt;
+pub use ocelot_runtime::pool;
+pub use ocelot_serve::verify;
+pub use ocelot_telemetry::chrome as telem;
+pub use ocelot_telemetry::json;

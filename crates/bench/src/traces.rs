@@ -15,10 +15,10 @@
 //! override truncates the oldest events rather than exhausting memory.
 
 use crate::artifact::{Artifact, ArtifactError};
-use crate::json::Json;
 use ocelot_ir::InstrRef;
 use ocelot_runtime::detect::{ViolationEvent, ViolationKind};
 use ocelot_runtime::obs::Obs;
+use ocelot_telemetry::json::Json;
 
 /// The artifact name (and file stem) of the trace companion of
 /// `driver`.
@@ -391,7 +391,7 @@ mod tests {
         assert_eq!(trace_from_json(&json).unwrap(), trace);
         // And through the serialized text (the on-disk path).
         let text = json.render().unwrap();
-        let back = crate::json::parse(&text).unwrap();
+        let back = ocelot_telemetry::json::parse(&text).unwrap();
         assert_eq!(trace_from_json(&back).unwrap(), trace);
     }
 

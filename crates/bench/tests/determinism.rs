@@ -12,9 +12,9 @@
 use ocelot_bench::artifact::Artifact;
 use ocelot_bench::drivers::{self, DriverOpts};
 use ocelot_bench::harness::{run_cells, CellSpec, Workload};
-use ocelot_bench::json::Json;
 use ocelot_runtime::model::ExecModel;
 use ocelot_runtime::ExecBackend;
+use ocelot_telemetry::json::Json;
 
 /// A small mixed-workload cell list touching every workload kind.
 fn mixed_cells() -> Vec<CellSpec> {

@@ -6,13 +6,13 @@
 //! TICS-style mitigation restarts (extending the 200-restart regression
 //! in `ocelot-runtime`'s machine tests to the pooled-reuse path).
 
-use ocelot_bench::harness::{build_for, calibrated_costs, MAX_STEPS};
+use ocelot_bench::harness::{build_for, calibrated_costs};
 use ocelot_hw::energy::CostModel;
 use ocelot_hw::power::{ContinuousPower, ScriptedPower};
 use ocelot_hw::sensors::{Environment, Signal};
 use ocelot_runtime::model::ExecModel;
 use ocelot_runtime::stats::Stats;
-use ocelot_runtime::{DeviceState, ExecBackend, Machine, MachineCore};
+use ocelot_runtime::{DeviceState, ExecBackend, Machine, MachineCore, MAX_STEPS};
 use std::sync::Arc;
 
 /// Runs `runs` harvested program attempts of `scenario_spec` (an

@@ -10,9 +10,9 @@
 //! `cargo test --release -p ocelot-bench --test incremental_speedup -- --ignored`.
 //! The `serve` driver records the full-length version as an artifact.
 
-use ocelot_bench::verify::{
-    edited_source, full_verify, percentile, replay_trace, EditMeasurement, EditTrace, DEFAULT_TRACE,
-};
+use ocelot_bench::drivers::serve::{replay_trace, EditMeasurement, DEFAULT_TRACE};
+use ocelot_serve::verify::{edited_source, full_verify, EditTrace};
+use ocelot_telemetry::percentile;
 
 /// A short replay of the standard edit trace.
 fn short_replay() -> (EditTrace, Vec<EditMeasurement>) {

@@ -5,7 +5,7 @@
 //! the serve-side cache and CI smoke rely on.
 
 use ocelot_bench::genprog::SourceGen;
-use ocelot_bench::lintfmt;
+use ocelot_lint::json;
 use ocelot_lint::{lint_source, LintOptions};
 use proptest::prelude::*;
 
@@ -39,14 +39,14 @@ proptest! {
                 .unwrap_or_else(|e| panic!("seed {seed}: linter failed: {e}\n{src}"));
             let again = lint_source(&src, &opts).unwrap();
             prop_assert_eq!(&first, &again, "report differs across runs (seed {})", seed);
-            let json_a = lintfmt::render_json(&first);
-            let json_b = lintfmt::render_json(&again);
+            let json_a = json::render_json(&first);
+            let json_b = json::render_json(&again);
             prop_assert_eq!(&json_a, &json_b, "JSON differs across runs (seed {})", seed);
             // The strict reader accepts everything the renderer emits,
             // and the decoded report re-encodes to the same bytes.
-            let decoded = lintfmt::from_json(&json_a)
+            let decoded = json::from_json(&json_a)
                 .unwrap_or_else(|e| panic!("seed {seed}: round-trip rejected: {e}\n{json_a}"));
-            prop_assert_eq!(&lintfmt::render_json(&decoded), &json_a);
+            prop_assert_eq!(&json::render_json(&decoded), &json_a);
         }
     }
 

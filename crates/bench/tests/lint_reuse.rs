@@ -12,10 +12,10 @@
 use ocelot_analysis::incremental::{assemble, FlowCache};
 use ocelot_analysis::taint::TaintAnalysis;
 use ocelot_bench::genprog::SourceGen;
-use ocelot_bench::lintfmt;
-use ocelot_bench::verify::{edited_source, EditTrace};
 use ocelot_ir::Program;
+use ocelot_lint::json;
 use ocelot_lint::{lint_program, lint_source, LintOptions};
+use ocelot_serve::verify::{edited_source, EditTrace};
 
 fn program(src: &str) -> Program {
     let p = ocelot_ir::compile(src).expect("compiles");
@@ -34,7 +34,7 @@ fn warmed(src: &str) -> FlowCache {
 fn check(src: &str, earlier: &str, different: &str, opts: &LintOptions) -> usize {
     let p = program(src);
     let full = TaintAnalysis::run(&p);
-    let want = lintfmt::render_json(&lint_source(src, opts).expect("lints"));
+    let want = json::render_json(&lint_source(src, opts).expect("lints"));
     let (earlier, different) = (warmed(earlier), warmed(different));
     let empty = FlowCache::new();
     let sets: [(&str, Vec<&FlowCache>); 4] = [
@@ -58,7 +58,7 @@ fn check(src: &str, earlier: &str, different: &str, opts: &LintOptions) -> usize
         }
         let got = lint_program(&p, &taint, src, opts).expect("lints");
         assert_eq!(
-            lintfmt::render_json(&got),
+            json::render_json(&got),
             want,
             "{name}: report differs from lint_source\n{src}"
         );

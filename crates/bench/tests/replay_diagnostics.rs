@@ -6,8 +6,8 @@
 
 use ocelot_bench::artifact::{Artifact, ArtifactError};
 use ocelot_bench::cli::{replay_flag_conflicts, BenchArgs};
-use ocelot_bench::json::Json;
 use ocelot_runtime::ExecBackend;
+use ocelot_telemetry::json::Json;
 use std::path::{Path, PathBuf};
 
 fn scratch_dir(name: &str) -> PathBuf {

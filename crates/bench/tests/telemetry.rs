@@ -8,9 +8,9 @@
 
 use ocelot_bench::drivers::{self, DriverOpts};
 use ocelot_bench::fleet::{fleet_artifact, run_fleet, FleetOpts, FleetSpec};
-use ocelot_bench::{json, telem};
 use ocelot_runtime::model::ExecModel;
 use ocelot_runtime::{ExecBackend, OptLevel};
+use ocelot_telemetry::{chrome, json};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -93,10 +93,10 @@ fn fleet_trace_round_trips_with_the_expected_span_names() {
 
     // Render exactly what `--trace-out` writes, then round-trip it
     // through the strict reader.
-    let doc = telem::chrome_trace(&ocelot_telemetry::drain_spans());
+    let doc = chrome::chrome_trace(&ocelot_telemetry::drain_spans());
     let text = doc.render().unwrap();
     let back = json::parse(&text).expect("strict reader accepts the trace");
-    let names = telem::span_names(&back).expect("a trace_event document");
+    let names = chrome::span_names(&back).expect("a trace_event document");
     for expected in [
         "parse",
         "analysis",

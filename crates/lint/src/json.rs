@@ -1,12 +1,11 @@
 //! JSON encoding for lint reports (`ocelotc lint --format json`, the
-//! serve `lint` op, and the CI round-trip smoke).
+//! serve `lint` op, and the CI round-trip smoke), on the workspace's
+//! one strict [`Json`] implementation.
 //!
-//! Lives here rather than in `ocelot-lint` so the linter stays free of
-//! serialization concerns and the one strict [`Json`] implementation in
-//! the workspace is shared. The encoding is *byte-stable*: a report
-//! renders to identical bytes across runs, platforms, and `--jobs`
-//! counts, because [`Report::normalize`] fixes the finding order and
-//! every field is integral or a string.
+//! The encoding is *byte-stable*: a report renders to identical bytes
+//! across runs, platforms, and `--jobs` counts, because
+//! [`Report::normalize`] fixes the finding order and every field is
+//! integral or a string.
 //!
 //! Schema (`docs/lint.md` documents it for external consumers):
 //!
@@ -22,9 +21,9 @@
 //! }
 //! ```
 
-use crate::json::{parse, Json};
+use crate::{Code, Finding, Label, Report, Severity};
 use ocelot_ir::span::Span;
-use ocelot_lint::{Code, Finding, Label, Report, Severity};
+use ocelot_telemetry::json::{parse, Json};
 
 /// Schema identifier carried in every encoded report.
 pub const SCHEMA: &str = "ocelot-lint-report";
@@ -173,7 +172,7 @@ fn label_from_json(v: &Json) -> Result<Label, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocelot_lint::{lint_source, LintOptions};
+    use crate::{lint_source, LintOptions};
 
     fn sample() -> Report {
         lint_source(

@@ -24,8 +24,7 @@
 //! Findings flow through a structured diagnostics layer ([`Report`],
 //! [`Finding`], [`Label`]) with stable codes, severities, and primary +
 //! related source [`Span`](ocelot_ir::span::Span)s, rendered as
-//! rustc-style text here and as byte-stable JSON by the bench crate's
-//! encoder.
+//! rustc-style text and as byte-stable JSON ([`json`]).
 //!
 //! ```
 //! use ocelot_lint::{lint_source, LintOptions};
@@ -44,6 +43,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod diag;
+pub mod json;
 pub mod passes;
 
 pub use diag::{Code, Finding, Label, Report, Severity, ALL_CODES};

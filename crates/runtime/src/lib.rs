@@ -42,6 +42,7 @@ pub mod machine;
 pub mod memory;
 pub mod model;
 pub mod obs;
+pub mod pool;
 pub mod samoyed;
 pub mod stats;
 
@@ -55,3 +56,8 @@ pub use model::{build, Built, ExecModel};
 pub use obs::{Obs, ObsLog};
 pub use samoyed::{run_scaled, samoyed_transform, ScaledApp, ScaledOutcome};
 pub use stats::Stats;
+
+/// Step budget per program run for every sweep in the workspace (bench
+/// drivers, fleets, serve `run`/`sweep`) — generous; runs are thousands
+/// of steps.
+pub const MAX_STEPS: u64 = 5_000_000;

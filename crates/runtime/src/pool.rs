@@ -1,13 +1,14 @@
-//! A hand-rolled work-stealing thread pool for the evaluation harness.
+//! A hand-rolled work-stealing thread pool for simulation sweeps: bench
+//! driver cells, fleet chunks, and serve `sweep` cells.
 //!
-//! The environment has no `rayon`, so sharding (benchmark, model, seed)
-//! cells across cores is done here with `std` only. The design is the
-//! classic one: every worker owns a deque seeded round-robin with job
-//! indices; a worker pops from the *front* of its own deque and, when
-//! empty, steals the *back half* of the fullest victim's deque. Jobs
-//! never spawn jobs, so termination is simply "all deques empty".
+//! The environment has no `rayon`, so sharding cells across cores is
+//! done here with `std` only. The design is the classic one: every
+//! worker owns a deque seeded round-robin with job indices; a worker
+//! pops from the *front* of its own deque and, when empty, steals the
+//! *back half* of the fullest victim's deque. Jobs never spawn jobs, so
+//! termination is simply "all deques empty".
 //!
-//! Two properties the harness depends on:
+//! Two properties every caller depends on:
 //!
 //! * **Deterministic results.** Each job writes its result into its own
 //!   index slot, so the output order equals the input order no matter

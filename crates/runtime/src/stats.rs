@@ -1,5 +1,7 @@
 //! Execution statistics: the measurements behind Figures 7–8 and
-//! Table 2.
+//! Table 2, and their JSON wire form ([`stats_to_json`]).
+
+use ocelot_telemetry::json::Json;
 
 /// Counters accumulated by a [`crate::machine::Machine`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -182,6 +184,28 @@ impl Stats {
             self.runs_with_violation as f64 / self.runs_completed as f64
         }
     }
+}
+
+/// Serializes every counter of `s` (scalars in declaration order, then
+/// the breakdown) — the `"stats"` object of bench artifact cells and of
+/// serve `run`/`sweep` responses, byte for byte.
+pub fn stats_to_json(s: &Stats) -> Json {
+    let mut pairs: Vec<(String, Json)> = s
+        .counters()
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), Json::u64(v)))
+        .collect();
+    pairs.push((
+        "breakdown".to_string(),
+        Json::Obj(
+            s.breakdown
+                .counters()
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), Json::u64(v)))
+                .collect(),
+        ),
+    ));
+    Json::Obj(pairs)
 }
 
 #[cfg(test)]

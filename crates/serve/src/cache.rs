@@ -15,8 +15,8 @@
 //! instead *refuses* new submissions past its capacity — the client
 //! gets a one-line error instead of the server growing without bound.
 
-use ocelot_bench::verify::{program_hash, Verdict};
-use ocelot_core::ocelot_transform;
+use crate::verify::{compile, program_hash, verify_program, Verdict};
+use ocelot_analysis::taint::TaintAnalysis;
 use ocelot_hw::energy::CostModel;
 use ocelot_runtime::machine::MachineCore;
 use ocelot_runtime::model::{Built, ExecModel};
@@ -82,8 +82,7 @@ impl ProgramCache {
     /// One-line messages for compile/validation/transform failures and
     /// for a full cache.
     pub fn submit(&mut self, src: &str) -> Result<(u64, bool, Verdict), String> {
-        let p = ocelot_ir::compile(src).map_err(|e| format!("compile: {e}"))?;
-        ocelot_ir::validate(&p).map_err(|e| format!("validate: {e}"))?;
+        let p = compile(src)?;
         let hash = program_hash(&p);
         if let Some(entry) = self.entries.get(&hash) {
             self.counters.programs_hits += 1;
@@ -96,15 +95,8 @@ impl ProgramCache {
                 self.max
             ));
         }
-        let c = ocelot_transform(p.clone()).map_err(|e| format!("transform: {e}"))?;
-        let verdict = Verdict {
-            source_hash: hash,
-            transformed_hash: program_hash(&c.program),
-            funcs: p.funcs.len(),
-            policies: c.policies.len(),
-            regions: c.regions.len(),
-            passes: c.check.passes(),
-        };
+        let taint = TaintAnalysis::run(&p);
+        let (c, verdict) = verify_program(hash, p, &taint)?;
         let built: &'static Built = Box::leak(Box::new(Built {
             model: ExecModel::Ocelot,
             program: c.program,

@@ -36,13 +36,15 @@
 pub mod cache;
 pub mod protocol;
 pub mod server;
+pub mod verify;
 
 pub use cache::ProgramCache;
 pub use protocol::{handle_request, Outcome, ServerState};
 pub use server::{serve, Client, ServeConfig, ServerHandle};
 
-use ocelot_bench::json::Json;
-use ocelot_bench::verify::{edited_source, percentile, workload_source, EditTrace};
+use ocelot_telemetry::json::Json;
+use ocelot_telemetry::percentile;
+use verify::{edited_source, workload_source, EditTrace};
 
 /// End-to-end smoke: boots a server on an ephemeral port, replays a
 /// small edit-trace workload through a real TCP client (verify with a
@@ -200,7 +202,7 @@ fn default_matches_oracle(
             "{op}: the default engine answered differently from the interpreter"
         ));
     }
-    ocelot_bench::json::parse(&line).map_err(|e| format!("{op}: bad response: {e}"))
+    ocelot_telemetry::json::parse(&line).map_err(|e| format!("{op}: bad response: {e}"))
 }
 
 /// Lints `src` through the server — which assembles the analysis from
@@ -224,7 +226,7 @@ fn lint_matches_in_process(client: &mut Client, src: &str, edit: usize) -> Resul
     };
     let report =
         ocelot_lint::lint_source(src, &opts).map_err(|e| format!("lint of edit {edit}: {e}"))?;
-    let local = ocelot_bench::lintfmt::to_json(&report)
+    let local = ocelot_lint::json::to_json(&report)
         .render_compact()
         .map_err(|e| format!("render: {e}"))?;
     if served != local {

@@ -40,14 +40,13 @@
 //! semantics oracle, which answers the same bytes.
 
 use crate::cache::ProgramCache;
+use crate::verify::{full_verify, program_hash, Session};
 use ocelot_analysis::incremental::assemble;
-use ocelot_bench::artifact::stats_to_json;
-use ocelot_bench::harness::MAX_STEPS;
-use ocelot_bench::json::Json;
-use ocelot_bench::pool::{run_jobs, Job};
-use ocelot_bench::verify::{full_verify, program_hash, Session};
 use ocelot_runtime::machine::{DeviceState, Machine, MachineCore};
-use ocelot_runtime::{ExecBackend, OptLevel};
+use ocelot_runtime::pool::{run_jobs, Job};
+use ocelot_runtime::stats::stats_to_json;
+use ocelot_runtime::{ExecBackend, OptLevel, MAX_STEPS};
+use ocelot_telemetry::json::Json;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -371,7 +370,7 @@ fn op_lint(state: &mut ServerState, req: &Json) -> OpResult {
     });
     let report =
         ocelot_lint::lint_program(&p, &taint, src, &opts).map_err(|e| format!("lint: {e}"))?;
-    let json = ocelot_bench::lintfmt::to_json(&report);
+    let json = ocelot_lint::json::to_json(&report);
     state.lints.insert(key, json.clone());
     state.lints_misses += 1;
     ocelot_telemetry::metrics::SERVE_LINTS_MISS.incr();
@@ -679,7 +678,7 @@ mod tests {
             assert!(at > last, "`{key}` out of order in {a}");
             last = at;
         }
-        let st = ocelot_bench::json::parse(&a).unwrap();
+        let st = ocelot_telemetry::json::parse(&a).unwrap();
         let field = |k: &str| st.get(k).and_then(Json::as_u64).unwrap();
         assert_eq!(field("programs_hits"), 0);
         assert_eq!(field("programs_misses"), 1);

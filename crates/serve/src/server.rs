@@ -19,10 +19,13 @@
 //! start races the previous handler's exit. Each request and response
 //! line goes out in one write on a `TCP_NODELAY` socket, so a
 //! connection kept open across requests never waits on a delayed ACK.
+//! A request line past [`MAX_LINE_BYTES`] gets one error line and then
+//! the connection closes, so no client can make the server buffer
+//! without bound.
 
 use crate::protocol::{handle_request, Outcome, ServerState};
-use ocelot_bench::json::{self, Json};
-use std::io::{BufRead, BufReader, Write};
+use ocelot_telemetry::json::{self, Json};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -30,6 +33,11 @@ use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// The longest request line the server reads, newline excluded: far
+/// above any program a client sends (the 36-function edit-trace source
+/// is about 100 KB), and small enough that no line exhausts memory.
+pub const MAX_LINE_BYTES: usize = 8 << 20;
 
 /// Server configuration (CLI flags of `ocelotc serve`).
 #[derive(Debug, Clone)]
@@ -48,7 +56,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:7433".into(),
-            jobs: ocelot_bench::pool::default_jobs(),
+            jobs: ocelot_runtime::pool::default_jobs(),
             max_programs: 64,
             max_inflight: 32,
         }
@@ -229,13 +237,30 @@ fn handle_connection(
     };
     let mut reader = BufReader::new(stream);
     // The partial line accumulated so far: a timeout can fire mid-line,
-    // and `read_line` keeps whatever it already consumed in the buffer.
-    let mut line = String::new();
+    // and `read_until` keeps whatever it already consumed in the buffer.
+    let mut line = Vec::new();
     while !stop.stopped() {
-        match reader.read_line(&mut line) {
-            Ok(0) => break,                          // EOF
-            Ok(_) if !line.ends_with('\n') => break, // EOF without newline: drop the fragment
-            Ok(_) => {}
+        // At most one byte past the cap, newline included, so an
+        // over-cap line is detected without buffering the rest of it.
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
+            Ok(0) => break, // EOF
+            Ok(_) if line.ends_with(b"\n") => {}
+            Ok(_) if line.len() > MAX_LINE_BYTES => {
+                let error = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                let text = line_of(&error_response(&Json::Null, &error)).unwrap_or_default();
+                let _ = writer.write_all(text.as_bytes());
+                // Close after the answer, draining at most another cap's
+                // worth (until EOF or the read timeout) so that closing
+                // on unread bytes does not reset the answer away.
+                let _ = writer.shutdown(std::net::Shutdown::Write);
+                let _ = std::io::copy(
+                    &mut reader.take(MAX_LINE_BYTES as u64),
+                    &mut std::io::sink(),
+                );
+                break;
+            }
+            Ok(_) => break, // EOF without newline: drop the fragment
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -244,7 +269,9 @@ fn handle_connection(
             }
             Err(_) => break,
         }
-        let request = std::mem::take(&mut line);
+        let Ok(request) = String::from_utf8(std::mem::take(&mut line)) else {
+            break;
+        };
         if request.trim().is_empty() {
             continue;
         }
@@ -414,5 +441,49 @@ mod tests {
             assert_eq!(inflight.load(Ordering::SeqCst), 0);
         }
         assert!(!stop.stopped());
+    }
+
+    #[test]
+    fn an_over_cap_line_is_refused_and_the_server_keeps_serving() {
+        let handle = serve(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            jobs: 1,
+            max_programs: 4,
+            max_inflight: 4,
+        })
+        .unwrap();
+        let ping = |client: &mut Client| {
+            let pong = client.request(&Json::obj(vec![("op", Json::str("ping"))]));
+            assert_eq!(pong.unwrap().get("pong"), Some(&Json::Bool(true)));
+        };
+        // A line exactly at the cap is read whole and answered.
+        let mut at_cap = Client::connect(handle.addr).unwrap();
+        let padding = " ".repeat(MAX_LINE_BYTES - r#"{"op": "ping"}"#.len());
+        let line = format!("{{\"op\": \"ping\"{padding}}}\n");
+        at_cap.writer.write_all(line.as_bytes()).unwrap();
+        let mut answer = String::new();
+        at_cap.reader.read_line(&mut answer).unwrap();
+        assert!(answer.contains("\"pong\": true"), "{answer}");
+        ping(&mut at_cap);
+
+        // One byte past it is refused with one error line, then closed.
+        let mut hostile = Client::connect(handle.addr).unwrap();
+        let mut line = vec![b'x'; MAX_LINE_BYTES + 1];
+        line.push(b'\n');
+        hostile.writer.write_all(&line).unwrap();
+        answer.clear();
+        hostile.reader.read_line(&mut answer).unwrap();
+        let resp = json::parse(&answer).unwrap();
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
+        let error = resp.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("exceeds"), "{error}");
+        answer.clear();
+        assert!(
+            matches!(hostile.reader.read_line(&mut answer), Ok(0) | Err(_)),
+            "the connection stays open: {answer}"
+        );
+
+        ping(&mut Client::connect(handle.addr).unwrap());
+        handle.stop();
     }
 }

@@ -1,5 +1,5 @@
-//! Incremental re-verification sessions and the recorded edit-trace
-//! workload behind the `serve` driver and `ocelotc serve`.
+//! Incremental re-verification sessions and the edit-trace workload
+//! that `ocelotc serve --self-test` and the `serve` bench driver replay.
 //!
 //! A [`Session`] holds one logical *document*: an
 //! [`ocelot_analysis::incremental::FlowCache`] of per-function taint
@@ -12,26 +12,24 @@
 //! a [`Verdict`] guaranteed identical to a from-scratch
 //! [`full_verify`] (the incremental assembly equals
 //! `TaintAnalysis::run` exactly; held by tests here and byte-identity
-//! tests in `crates/serve`).
+//! tests in `tests/`).
 //!
-//! The module also generates the *edit-trace workload* the `serve`
-//! driver replays: a large program of branch-heavy worker functions
-//! plus a handful of annotated sensor functions, and a deterministic
-//! stream of one-line single-function edits, each rewriting one
-//! constant. On this shape the analysis dominates parsing by a wide
-//! margin, and a constant edit reuses every cached flow, so incremental
-//! re-verification beats full re-analysis by well over the 10× the
-//! artifact reports.
+//! The *edit-trace workload* is a large program of branch-heavy worker
+//! functions plus a handful of annotated sensor functions, and a
+//! deterministic stream of one-line single-function edits, each
+//! rewriting one constant. On this shape the analysis dominates parsing
+//! by a wide margin, and a constant edit reuses every cached flow, so
+//! incremental re-verification beats full re-analysis by well over 10×.
 
-use crate::json::Json;
 use ocelot_analysis::incremental::{FlowCache, IncrementalStats};
 use ocelot_analysis::taint::TaintAnalysis;
 use ocelot_core::{ocelot_transform_with, Compiled};
 use ocelot_ir::print::program_to_string;
 use ocelot_ir::Program;
+use ocelot_telemetry::json::Json;
 
 /// FNV-1a 64 over a program's canonical printed form — the program
-/// hash `crates/serve` keys its caches by, and the hash verdicts embed
+/// hash the server keys its caches by, and the hash verdicts embed
 /// so byte-identity checks are one integer compare away.
 pub fn program_hash(p: &Program) -> u64 {
     ocelot_analysis::incremental::fnv1a(program_to_string(p).as_bytes())
@@ -86,15 +84,26 @@ impl Verdict {
     }
 }
 
-fn verdict_of(source_hash: u64, funcs: usize, compiled: &Compiled) -> Verdict {
-    Verdict {
+/// Transforms and self-checks `p`, whose submitted-program hash is
+/// `source_hash`, against `taint` — the one verification path behind
+/// [`full_verify`], [`Session::verify`] and
+/// [`crate::ProgramCache::submit`].
+pub(crate) fn verify_program(
+    source_hash: u64,
+    p: Program,
+    taint: &TaintAnalysis,
+) -> Result<(Compiled, Verdict), String> {
+    let funcs = p.funcs.len();
+    let compiled = ocelot_transform_with(p, taint).map_err(|e| format!("transform: {e}"))?;
+    let verdict = Verdict {
         source_hash,
         transformed_hash: program_hash(&compiled.program),
         funcs,
         policies: compiled.policies.len(),
         regions: compiled.regions.len(),
         passes: compiled.check.passes(),
-    }
+    };
+    Ok((compiled, verdict))
 }
 
 /// One verification document: a flow cache that survives across edits
@@ -122,9 +131,7 @@ impl Session {
         ocelot_telemetry::metrics::VERIFY_INCREMENTAL.incr();
         let p = compile(src)?;
         let (taint, stats) = self.cache.run(&p);
-        let (source_hash, funcs) = (program_hash(&p), p.funcs.len());
-        let compiled = ocelot_transform_with(p, &taint).map_err(|e| format!("transform: {e}"))?;
-        let verdict = verdict_of(source_hash, funcs, &compiled);
+        let (compiled, verdict) = verify_program(program_hash(&p), p, &taint)?;
         Ok((compiled, verdict, stats))
     }
 
@@ -152,13 +159,12 @@ pub fn full_verify(src: &str) -> Result<(Compiled, Verdict), String> {
     ocelot_telemetry::metrics::VERIFY_FULL.incr();
     let p = compile(src)?;
     let taint = TaintAnalysis::run(&p);
-    let (source_hash, funcs) = (program_hash(&p), p.funcs.len());
-    let compiled = ocelot_transform_with(p, &taint).map_err(|e| format!("transform: {e}"))?;
-    let verdict = verdict_of(source_hash, funcs, &compiled);
-    Ok((compiled, verdict))
+    verify_program(program_hash(&p), p, &taint)
 }
 
-fn compile(src: &str) -> Result<Program, String> {
+/// Compiles and validates `src`, with one-line `compile:`/`validate:`
+/// errors.
+pub(crate) fn compile(src: &str) -> Result<Program, String> {
     let p = ocelot_ir::compile(src).map_err(|e| format!("compile: {e}"))?;
     ocelot_ir::validate(&p).map_err(|e| format!("validate: {e}"))?;
     Ok(p)
@@ -181,13 +187,6 @@ pub struct EditTrace {
     /// constant.
     pub seed: u64,
 }
-
-/// The driver-default workload shape.
-pub const DEFAULT_TRACE: EditTrace = EditTrace {
-    funcs: 36,
-    edits: 24,
-    seed: 11,
-};
 
 /// SplitMix64 — the workspace's standard cheap deterministic stream.
 fn splitmix(state: &mut u64) -> u64 {
@@ -261,15 +260,21 @@ pub fn workload_source(trace: &EditTrace) -> String {
     s
 }
 
+/// The (worker, new constant) of every edit, in order.
+fn edits(trace: &EditTrace) -> impl Iterator<Item = (usize, u64)> {
+    let (funcs, mut rng) = (trace.funcs, trace.seed ^ 0xed17);
+    std::iter::repeat_with(move || {
+        let f = (splitmix(&mut rng) as usize) % funcs;
+        (f, splitmix(&mut rng) % 1000)
+    })
+}
+
 /// The source after edit `n` (1-based; edit 0 is the base program).
 /// Each edit rewrites the seeded constant on the first line of one
 /// worker — a one-line, single-function change.
 pub fn edited_source(trace: &EditTrace, n: usize) -> String {
     let mut src = workload_source(trace);
-    let mut rng = trace.seed ^ 0xed17;
-    for _ in 1..=n {
-        let f = (splitmix(&mut rng) as usize) % trace.funcs;
-        let k = splitmix(&mut rng) % 1000;
+    for (f, k) in edits(trace).take(n) {
         let open = format!("fn work{f}(v) {{\n");
         let start = src.find(&open).expect("worker present") + open.len();
         let end = start + src[start..].find('\n').expect("line end");
@@ -281,75 +286,8 @@ pub fn edited_source(trace: &EditTrace, n: usize) -> String {
 /// The worker each edit in `1..=edits` touches, in order (for artifact
 /// provenance).
 pub fn edit_targets(trace: &EditTrace) -> Vec<usize> {
-    let mut rng = trace.seed ^ 0xed17;
-    (0..trace.edits)
-        .map(|_| {
-            let f = (splitmix(&mut rng) as usize) % trace.funcs;
-            let _ = splitmix(&mut rng);
-            f
-        })
-        .collect()
+    edits(trace).take(trace.edits).map(|(f, _)| f).collect()
 }
-
-/// One measured edit replay: what changed, how much analysis the cache
-/// saved, the verdict hash, and the incremental vs full wall times.
-#[derive(Debug, Clone)]
-pub struct EditMeasurement {
-    /// 1-based edit index.
-    pub edit: usize,
-    /// Worker index the edit touched.
-    pub target: usize,
-    /// Cache statistics for the incremental pass.
-    pub stats: IncrementalStats,
-    /// The incremental verdict (always equal to the full one).
-    pub verdict: Verdict,
-    /// Incremental re-verification wall time.
-    pub incr_ns: u64,
-    /// From-scratch re-verification wall time.
-    pub full_ns: u64,
-}
-
-/// Replays `trace` through a fresh [`Session`], measuring each edit's
-/// incremental re-verify against a from-scratch verify and asserting
-/// verdict equality along the way.
-///
-/// # Panics
-///
-/// Panics if any generated program fails to verify or an incremental
-/// verdict ever diverges from the from-scratch one — either is a bug,
-/// not a measurement.
-pub fn replay_trace(trace: &EditTrace) -> Vec<EditMeasurement> {
-    let mut session = Session::new();
-    let base = workload_source(trace);
-    session.verify(&base).expect("base program verifies");
-    let targets = edit_targets(trace);
-    let mut out = Vec::with_capacity(trace.edits);
-    for n in 1..=trace.edits {
-        let src = edited_source(trace, n);
-        let t0 = std::time::Instant::now();
-        let (_, verdict, stats) = session.verify(&src).expect("edited program verifies");
-        let incr_ns = t0.elapsed().as_nanos() as u64;
-        let t1 = std::time::Instant::now();
-        let (_, full) = full_verify(&src).expect("full verify");
-        let full_ns = t1.elapsed().as_nanos() as u64;
-        assert_eq!(verdict, full, "incremental verdict diverged at edit {n}");
-        out.push(EditMeasurement {
-            edit: n,
-            target: targets[n - 1],
-            stats,
-            verdict,
-            incr_ns,
-            full_ns,
-        });
-    }
-    out
-}
-
-/// The shared nearest-rank percentile accessor — generalized into
-/// `ocelot-telemetry` alongside the log₂ [`crate::fleet::Histogram`];
-/// re-exported here because this module's callers (the serve driver,
-/// the incremental-speedup suite) historically found it here.
-pub use ocelot_telemetry::percentile;
 
 #[cfg(test)]
 mod tests {
@@ -406,13 +344,5 @@ mod tests {
         let err = Session::new().verify("fn main( {").unwrap_err();
         assert!(err.starts_with("compile:"), "{err}");
         assert_eq!(err.lines().count(), 1, "{err:?}");
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let xs = [10, 20, 30, 40];
-        assert_eq!(percentile(&xs, 50.0), 20);
-        assert_eq!(percentile(&xs, 99.0), 40);
-        assert_eq!(percentile(&[7], 50.0), 7);
     }
 }

@@ -9,9 +9,9 @@
 //! `opt 0`).
 
 use ocelot_bench::genprog::SourceGen;
-use ocelot_bench::json::Json;
 use ocelot_runtime::machine::{DeviceState, Machine, RunOutcome};
 use ocelot_serve::{handle_request, ServerState};
+use ocelot_telemetry::json::Json;
 
 /// Complete runs per cell: enough to cross reboots on the harvested
 /// scenarios, small enough to keep the suite under a second.

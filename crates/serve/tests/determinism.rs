@@ -6,9 +6,9 @@
 //! a cold compile or a warm cache, and on either execution backend.
 
 use ocelot_bench::genprog::SourceGen;
-use ocelot_bench::json::Json;
-use ocelot_bench::verify::{edited_source, EditTrace};
+use ocelot_serve::verify::{edited_source, EditTrace};
 use ocelot_serve::{serve, Client, ServeConfig};
+use ocelot_telemetry::json::Json;
 
 const SRC: &str = "sensor temp; sensor pres; nv total = 0; \
      fn main() { let a = in(temp); fresh(a); let b = in(pres); \

@@ -8,8 +8,8 @@
 //! default test run (a loaded machine can miss a wall-clock bar); CI
 //! runs it alone, in release, with `--ignored`.
 
-use ocelot_bench::json::Json;
 use ocelot_serve::{serve, Client, ServeConfig};
+use ocelot_telemetry::json::Json;
 use std::time::{Duration, Instant};
 
 #[test]

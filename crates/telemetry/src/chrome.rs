@@ -1,21 +1,18 @@
-//! Telemetry export: Chrome `trace_event` JSON out of the span buffers
-//! `ocelot-telemetry` records.
+//! Chrome `trace_event` JSON out of the span buffers [`crate::trace`]
+//! records.
 //!
-//! The telemetry crate is a dependency leaf (every pipeline crate
-//! probes into it), so it cannot use this crate's [`Json`] layer — the
-//! exporter lives here instead. The emitted document is the Trace
-//! Event Format's JSON-object form: `{"traceEvents": [...]}` with one
-//! complete (`"ph": "X"`) event per span, timestamps in microseconds
-//! since the process's trace epoch. Both Perfetto and
-//! `chrome://tracing` load it directly; the strict [`crate::json`]
-//! reader round-trips it (a CI smoke test holds that).
+//! The emitted document is the Trace Event Format's JSON-object form:
+//! `{"traceEvents": [...]}` with one complete (`"ph": "X"`) event per
+//! span, timestamps in microseconds since the process's trace epoch.
+//! Both Perfetto and `chrome://tracing` load it directly; the strict
+//! [`crate::json`] reader round-trips it (a CI smoke test holds that).
 //!
 //! Wall-clock readings appear **only** in these output files — never in
 //! schema-v1 artifacts, which must stay byte-identical with telemetry
 //! on or off.
 
 use crate::json::Json;
-use ocelot_telemetry::SpanRec;
+use crate::SpanRec;
 use std::path::Path;
 
 /// One span as a Chrome `trace_event` complete event.
@@ -47,8 +44,8 @@ pub fn chrome_trace(spans: &[SpanRec]) -> Json {
 ///
 /// One-line messages for serializer and I/O failures.
 pub fn write_trace(path: &Path) -> Result<usize, String> {
-    let spans = ocelot_telemetry::drain_spans();
-    let dropped = ocelot_telemetry::dropped_spans();
+    let spans = crate::drain_spans();
+    let dropped = crate::dropped_spans();
     if dropped > 0 {
         eprintln!("trace: {dropped} spans dropped on full buffers (trace is truncated)");
     }

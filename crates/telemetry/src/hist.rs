@@ -125,7 +125,7 @@ impl Histogram {
 
 /// The p-th percentile (nearest-rank) of a non-empty sorted sample —
 /// the exact-quantile companion to [`Histogram::percentile`], shared by
-/// the verify session and the serve driver.
+/// the serve self-test and the serve bench driver.
 ///
 /// # Panics
 ///
@@ -192,6 +192,7 @@ mod tests {
         assert_eq!(percentile(&xs, 25.1), 20);
         assert_eq!(percentile(&xs, 50.0), 20);
         assert_eq!(percentile(&xs, 75.0), 30);
+        assert_eq!(percentile(&xs, 99.0), 40);
         assert_eq!(percentile(&xs, 100.0), 40);
         assert_eq!(percentile(&[7], 50.0), 7);
     }

@@ -1,7 +1,8 @@
 //! A small hand-written JSON value, serializer, and parser.
 //!
-//! `serde` is unavailable offline, and the persisted bench artifacts
-//! (see [`crate::artifact`]) need a *byte-stable* format: the same sweep
+//! `serde` is unavailable offline, and every JSON document the
+//! workspace writes (bench artifacts, serve responses, lint reports,
+//! [`crate::chrome`] traces) needs a *byte-stable* format: the same sweep
 //! must serialize to identical bytes whether it ran on one worker or
 //! eight, today or next year. The rules that buy that stability:
 //!

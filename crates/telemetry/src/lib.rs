@@ -8,11 +8,15 @@
 //!
 //! * **Tracing** ([`trace`]): `let _s = span!("transform");` records an
 //!   RAII span into a per-thread buffer. [`trace::drain_spans`] hands
-//!   the buffers to an exporter (the Chrome `trace_event` renderer
-//!   lives in `ocelot-bench`, which owns the JSON layer).
+//!   the buffers to an exporter; [`chrome`] renders them as a Chrome
+//!   `trace_event` document.
 //! * **Metrics** ([`metrics`]): a fixed registry of per-worker-sharded
 //!   atomic counters, high-watermark gauges, and log₂ latency
 //!   histograms, snapshotted with sorted keys and stable rendering.
+//!
+//! The workspace's one strict JSON layer, [`json`], lives here too: the
+//! Chrome export is a JSON document, and every crate already links this
+//! one.
 //!
 //! Both pillars are **off by default** and cost one relaxed atomic load
 //! per probe while off. Nothing here ever feeds back into schema-v1
@@ -21,13 +25,15 @@
 //! enabled (held by tests in the bench and serve crates).
 //!
 //! This crate is a dependency leaf — `ir`, `analysis`, `core`,
-//! `runtime`, `bench`, and `serve` all probe into it, so it can depend
-//! on none of them.
+//! `runtime`, `lint`, `bench`, and `serve` all probe into it, so it can
+//! depend on none of them.
 
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
+pub mod chrome;
 pub mod hist;
+pub mod json;
 pub mod metrics;
 pub mod trace;
 
@@ -36,6 +42,24 @@ pub use trace::{
     drain_spans, dropped_spans, metrics_on, set_metrics, set_tracing, tracing_on, SpanGuard,
     SpanRec,
 };
+
+/// Emits the outputs a command's `--metrics`/`--trace-out` flags asked
+/// for: the sorted metrics snapshot to stdout, then the Chrome trace to
+/// `trace_out`, with its span count on stderr.
+///
+/// # Errors
+///
+/// A one-line message when the trace cannot be written.
+pub fn emit(trace_out: Option<&std::path::Path>, metrics: bool) -> Result<(), String> {
+    if metrics {
+        print!("\nmetrics:\n{}", metrics::render_snapshot());
+    }
+    if let Some(p) = trace_out {
+        let n = chrome::write_trace(p)?;
+        eprintln!("wrote {} ({n} spans)", p.display());
+    }
+    Ok(())
+}
 
 /// Opens an RAII span: `let _s = span!("transform");` times the
 /// enclosing scope. An optional second argument sets the Chrome-trace

@@ -12,7 +12,7 @@
 //!
 //! Timestamps are nanoseconds since a process-wide epoch (first probe
 //! wins), which is exactly the shape the Chrome `trace_event` exporter
-//! in `ocelot-bench` wants. Wall-clock readings never travel anywhere
+//! ([`crate::chrome`]) wants. Wall-clock readings never travel anywhere
 //! except trace output files.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};

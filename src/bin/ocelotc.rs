@@ -282,22 +282,11 @@ fn telemetry_start(trace_out: Option<&std::path::Path>, metrics: bool) {
 /// snapshot to stdout, the Chrome trace to `trace_out` — and reports
 /// whether everything landed.
 fn telemetry_finish(trace_out: Option<&std::path::Path>, metrics: bool) -> bool {
-    if metrics {
-        print!(
-            "\nmetrics:\n{}",
-            ocelot_telemetry::metrics::render_snapshot()
-        );
+    let emitted = ocelot_telemetry::emit(trace_out, metrics);
+    if let Err(e) = &emitted {
+        eprintln!("error: {e}");
     }
-    if let Some(p) = trace_out {
-        match ocelot_bench::telem::write_trace(p) {
-            Ok(n) => eprintln!("wrote {} ({n} spans)", p.display()),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return false;
-            }
-        }
-    }
-    true
+    emitted.is_ok()
 }
 
 fn cmd_scenario(rest: &[String]) -> ExitCode {
@@ -898,7 +887,7 @@ fn cmd_lint(rest: &[String]) -> ExitCode {
         }
     };
     if format_json {
-        print!("{}", ocelot_bench::lintfmt::render_json(&report));
+        print!("{}", ocelot_lint::json::render_json(&report));
     } else {
         print!("{}", report.render_text(path, Some(&src)));
     }
@@ -917,14 +906,14 @@ fn cmd_trace_check(rest: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let doc = match ocelot_bench::json::parse(&text) {
+    let doc = match ocelot_telemetry::json::parse(&text) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("error: {path} is not strict JSON: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let names = match ocelot_bench::telem::span_names(&doc) {
+    let names = match ocelot_telemetry::chrome::span_names(&doc) {
         Ok(n) => n,
         Err(e) => {
             eprintln!("error: {path}: {e}");
