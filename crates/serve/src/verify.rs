@@ -345,4 +345,14 @@ mod tests {
         assert!(err.starts_with("compile:"), "{err}");
         assert_eq!(err.lines().count(), 1, "{err:?}");
     }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        // The accessor the self-test summarises verify latencies with.
+        use ocelot_telemetry::percentile;
+        let xs = [10, 20, 30, 40];
+        assert_eq!(percentile(&xs, 50.0), 20);
+        assert_eq!(percentile(&xs, 99.0), 40);
+        assert_eq!(percentile(&[7], 50.0), 7);
+    }
 }
