@@ -32,7 +32,7 @@ use ocelot_runtime::stats::{stats_to_json, Stats};
 use ocelot_runtime::{ExecBackend, OptLevel, MAX_STEPS};
 use ocelot_scenario::Scenario;
 use ocelot_telemetry::json::Json;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -389,9 +389,6 @@ pub const DEFAULT_FLEET_DEVICES: u64 = 200_000;
 /// and charge-time columns show each scenario's character.
 pub const DEFAULT_FLEET_RUNS: u64 = 5;
 
-/// Default fingerprint path, relative to the working directory.
-pub const FINGERPRINT_PATH: &str = "BENCH_fleet.json";
-
 struct FleetArgs {
     app: String,
     devices: u64,
@@ -402,11 +399,8 @@ struct FleetArgs {
     opt: OptLevel,
     scenarios: Vec<String>,
     out: PathBuf,
-    fingerprint: Option<PathBuf>,
     trace_out: Option<PathBuf>,
     metrics: bool,
-    overhead_check: bool,
-    overhead_limit: Option<f64>,
     force: bool,
     help: bool,
 }
@@ -426,11 +420,8 @@ impl Default for FleetArgs {
             opt: OptLevel::from_env(),
             scenarios: Vec::new(),
             out: PathBuf::from(crate::cli::DEFAULT_OUT_DIR),
-            fingerprint: Some(PathBuf::from(FINGERPRINT_PATH)),
             trace_out: None,
             metrics: false,
-            overhead_check: false,
-            overhead_limit: None,
             force: false,
             help: false,
         }
@@ -485,9 +476,7 @@ fleet — million-device scenario sweep on one shared compiled program
 usage: ocelotc fleet [--app NAME] [--devices N] [--runs N] [--seed N]
                      [--jobs N] [--backend interp|compiled] [--opt 0|2]
                      [--scenario NAME[@seed]]... [--out DIR]
-                     [--fingerprint PATH | --no-fingerprint]
-                     [--trace-out PATH] [--metrics] [--overhead-check]
-                     [--overhead-limit PCT] [--force]
+                     [--trace-out PATH] [--metrics] [--force]
 
   --app NAME        benchmark to deploy (default: tire)
   --devices N       fleet size (default: 200000)
@@ -505,22 +494,12 @@ usage: ocelotc fleet [--app NAME] [--devices N] [--runs N] [--seed N]
   --out DIR         artifact directory for fleet.json (default:
                     target/bench-results); `ocelotc bench fleet --replay`
                     re-renders it
-  --fingerprint P   write the wall-clock throughput fingerprint to P
-                    (default: BENCH_fleet.json; kept out of the artifact
-                    so artifact bytes stay machine-independent)
-  --no-fingerprint  skip the fingerprint file
   --trace-out P     record pipeline/pool/fleet spans and write them to P
                     as Chrome trace_event JSON (load in Perfetto or
                     chrome://tracing); never touches the artifact
   --metrics         count runtime/pool telemetry metrics and print the
                     sorted snapshot after the table; never touches the
                     artifact
-  --overhead-check  run the sweep a second time with full telemetry on
-                    and record the throughput overhead in the
-                    fingerprint (telemetry_overhead_pct)
-  --overhead-limit P fail (exit 1) when the telemetry-on overhead stays
-                    above P percent after retries (implies
-                    --overhead-check; CI pins 5)
   --force           sweep even when the static lint pre-flight proves
                     the app infeasible under the scenario distribution
                     (see docs/lint.md; by default the sweep refuses)
@@ -573,28 +552,10 @@ fn parse_fleet_args(args: &[String]) -> Result<FleetArgs, String> {
                 .scenarios
                 .push(it.next().ok_or("--scenario needs a name")?.clone()),
             "--out" => out.out = PathBuf::from(it.next().ok_or("--out needs a directory")?),
-            "--fingerprint" => {
-                out.fingerprint = Some(PathBuf::from(
-                    it.next().ok_or("--fingerprint needs a path")?,
-                ));
-            }
-            "--no-fingerprint" => out.fingerprint = None,
             "--trace-out" => {
                 out.trace_out = Some(PathBuf::from(it.next().ok_or("--trace-out needs a path")?));
             }
             "--metrics" => out.metrics = true,
-            "--overhead-check" => out.overhead_check = true,
-            "--overhead-limit" => {
-                let v = it.next().ok_or("--overhead-limit needs a percentage")?;
-                let pct: f64 = v
-                    .parse()
-                    .map_err(|_| format!("bad --overhead-limit value `{v}`"))?;
-                if !pct.is_finite() || pct < 0.0 {
-                    return Err("--overhead-limit must be a non-negative percentage".into());
-                }
-                out.overhead_limit = Some(pct);
-                out.overhead_check = true;
-            }
             "--force" => out.force = true,
             "--help" | "-h" => out.help = true,
             other => return Err(format!("unknown flag `{other}`")),
@@ -627,71 +588,8 @@ pub fn fleet_artifact(spec: &FleetSpec, aggs: &[FleetAggregate]) -> Artifact {
     a
 }
 
-/// The wall-clock throughput fingerprint `ocelotc fleet` writes next to
-/// the repo (`BENCH_fleet.json` by default). Deliberately **not** part
-/// of the result artifact: elapsed time varies by machine, and the
-/// artifact must stay byte-identical across `--jobs` widths.
-pub fn fingerprint_json(spec: &FleetSpec, jobs: usize, elapsed_ms: u64) -> Json {
-    fingerprint_json_with(spec, jobs, elapsed_ms, None)
-}
-
-/// The elapsed time of a second, telemetry-enabled pass over the same
-/// sweep (`--overhead-check`), for the fingerprint's overhead fields.
-#[derive(Debug, Clone, Copy)]
-pub struct TelemetryOverhead {
-    /// Wall-clock of the telemetry-on pass, milliseconds.
-    pub on_elapsed_ms: u64,
-}
-
-impl TelemetryOverhead {
-    /// Throughput overhead of telemetry-on vs telemetry-off, percent
-    /// (negative when the on-pass happened to run faster).
-    pub fn overhead_pct(&self, off_elapsed_ms: u64) -> f64 {
-        if off_elapsed_ms == 0 {
-            return 0.0;
-        }
-        (self.on_elapsed_ms as f64 / off_elapsed_ms as f64 - 1.0) * 100.0
-    }
-}
-
-/// [`fingerprint_json`] plus the `--overhead-check` fields when a
-/// telemetry-on pass was timed.
-pub fn fingerprint_json_with(
-    spec: &FleetSpec,
-    jobs: usize,
-    elapsed_ms: u64,
-    overhead: Option<TelemetryOverhead>,
-) -> Json {
-    let device_runs = spec.device_runs();
-    let per_sec = if elapsed_ms == 0 {
-        0.0
-    } else {
-        device_runs as f64 * 1000.0 / elapsed_ms as f64
-    };
-    let mut pairs = vec![
-        ("schema_version", Json::Int(crate::artifact::SCHEMA_VERSION)),
-        ("driver", Json::str("fleet_fingerprint")),
-        ("bench", Json::str(&spec.bench)),
-        ("backend", Json::str(spec.backend.name())),
-        ("devices", Json::u64(spec.devices)),
-        ("runs_per_device", Json::u64(spec.runs)),
-        ("jobs", Json::u64(jobs as u64)),
-        ("device_runs", Json::u64(device_runs)),
-        ("elapsed_ms", Json::u64(elapsed_ms)),
-        ("device_runs_per_sec", Json::Float(per_sec)),
-    ];
-    if let Some(o) = overhead {
-        pairs.push(("telemetry_on_elapsed_ms", Json::u64(o.on_elapsed_ms)));
-        pairs.push((
-            "telemetry_overhead_pct",
-            Json::Float(o.overhead_pct(elapsed_ms)),
-        ));
-    }
-    Json::obj(pairs)
-}
-
-/// `ocelotc fleet` entry point: run the sweep, persist and render the
-/// `fleet` artifact, and write the throughput fingerprint.
+/// `ocelotc fleet` entry point: run the sweep, then persist and render
+/// the `fleet` artifact.
 pub fn fleet_main(args: &[String]) -> ExitCode {
     let parsed = match parse_fleet_args(args) {
         Ok(p) => p,
@@ -767,69 +665,6 @@ pub fn fleet_main(args: &[String]) -> ExitCode {
         },
     );
     let elapsed_ms = start.elapsed().as_millis() as u64;
-    let overhead = if parsed.overhead_check {
-        // Same sweep again with both telemetry pillars on: the timing
-        // gives the fingerprint's overhead fields, and the aggregates
-        // double as an end-to-end telemetry-inertness check. With an
-        // --overhead-limit, the on-pass is retried (min-of-3) before
-        // concluding the budget is blown, so one scheduler hiccup on a
-        // loaded machine does not fail the run.
-        ocelot_telemetry::set_tracing(true);
-        ocelot_telemetry::set_metrics(true);
-        let attempts = if parsed.overhead_limit.is_some() {
-            3
-        } else {
-            1
-        };
-        let mut on_elapsed_ms = u64::MAX;
-        for attempt in 0..attempts {
-            let on_start = Instant::now();
-            let on_aggs = run_fleet(
-                &spec,
-                FleetOpts {
-                    jobs: parsed.jobs,
-                    share_core: true,
-                },
-            );
-            let this_ms = on_start.elapsed().as_millis() as u64;
-            on_elapsed_ms = on_elapsed_ms.min(this_ms);
-            if on_aggs != aggs {
-                ocelot_telemetry::set_tracing(parsed.trace_out.is_some());
-                ocelot_telemetry::set_metrics(parsed.metrics);
-                eprintln!("error: telemetry-on sweep changed the fleet aggregates");
-                return ExitCode::FAILURE;
-            }
-            let o = TelemetryOverhead { on_elapsed_ms };
-            let over = matches!(parsed.overhead_limit,
-                Some(limit) if o.overhead_pct(elapsed_ms) > limit);
-            if !over {
-                break;
-            }
-            if attempt + 1 < attempts {
-                eprintln!(
-                    "fleet: telemetry-on pass {attempt} over the overhead limit \
-                     ({:+.2}%), retrying",
-                    o.overhead_pct(elapsed_ms)
-                );
-            }
-        }
-        ocelot_telemetry::set_tracing(parsed.trace_out.is_some());
-        ocelot_telemetry::set_metrics(parsed.metrics);
-        let o = TelemetryOverhead { on_elapsed_ms };
-        if let Some(limit) = parsed.overhead_limit {
-            if o.overhead_pct(elapsed_ms) > limit {
-                eprintln!(
-                    "error: telemetry overhead {:+.2}% exceeds the {limit}% limit \
-                     (off {elapsed_ms} ms, best on {on_elapsed_ms} ms)",
-                    o.overhead_pct(elapsed_ms)
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-        Some(o)
-    } else {
-        None
-    };
     let artifact = fleet_artifact(&spec, &aggs);
     match artifact.save(&parsed.out) {
         Ok(path) => eprintln!("wrote {}", path.display()),
@@ -855,45 +690,11 @@ pub fn fleet_main(args: &[String]) -> ExitCode {
             spec.device_runs() as f64 * 1000.0 / elapsed_ms as f64
         }
     );
-    if let Some(o) = overhead {
-        eprintln!(
-            "fleet: telemetry-on pass {:.1} s ({:+.2}% overhead)",
-            o.on_elapsed_ms as f64 / 1000.0,
-            o.overhead_pct(elapsed_ms)
-        );
-    }
     if let Err(e) = ocelot_telemetry::emit(parsed.trace_out.as_deref(), parsed.metrics) {
         eprintln!("error: cannot write trace: {e}");
         return ExitCode::FAILURE;
     }
-    if let Some(fp) = &parsed.fingerprint {
-        match write_fingerprint(fp, &spec, parsed.jobs, elapsed_ms, overhead) {
-            Ok(()) => eprintln!("wrote {}", fp.display()),
-            Err(e) => {
-                eprintln!("error: cannot write fingerprint: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     ExitCode::SUCCESS
-}
-
-/// Writes the throughput fingerprint to `path`.
-///
-/// # Errors
-///
-/// Propagates serializer and I/O failures as strings.
-pub fn write_fingerprint(
-    path: &Path,
-    spec: &FleetSpec,
-    jobs: usize,
-    elapsed_ms: u64,
-    overhead: Option<TelemetryOverhead>,
-) -> Result<(), String> {
-    let text = fingerprint_json_with(spec, jobs, elapsed_ms, overhead)
-        .render()
-        .map_err(|e| e.to_string())?;
-    std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Renders the per-scenario fleet table from an artifact's aggregates —
@@ -1152,7 +953,6 @@ mod tests {
         assert_eq!(d.runs, DEFAULT_FLEET_RUNS);
         assert_eq!(d.devices * d.runs, 1_000_000, "acceptance-scale default");
         assert_eq!(d.backend, ExecBackend::Compiled);
-        assert!(d.fingerprint.is_some());
         let a = parse_fleet_args(&strings(&[
             "--app",
             "fusion",
@@ -1170,7 +970,6 @@ mod tests {
             "rf-lab",
             "--scenario",
             "brownout@7",
-            "--no-fingerprint",
         ]))
         .unwrap();
         assert_eq!(a.app, "fusion");
@@ -1180,7 +979,6 @@ mod tests {
         assert_eq!(a.jobs, 3);
         assert_eq!(a.backend, ExecBackend::Interp);
         assert_eq!(a.scenarios, vec!["rf-lab", "brownout@7"]);
-        assert!(a.fingerprint.is_none());
         for bad in [
             vec!["--devices", "0"],
             vec!["--devices"],
@@ -1188,35 +986,13 @@ mod tests {
             vec!["--jobs", "0"],
             vec!["--backend", "jit"],
             vec!["--frobnicate"],
+            vec!["--fingerprint", "fp.json"],
+            vec!["--no-fingerprint"],
+            vec!["--overhead-check"],
+            vec!["--overhead-limit", "5"],
         ] {
             assert!(parse_fleet_args(&strings(&bad)).is_err(), "{bad:?}");
         }
-    }
-
-    #[test]
-    fn fingerprint_records_throughput() {
-        let spec = FleetSpec {
-            bench: "tire".into(),
-            model: ExecModel::Ocelot,
-            scenarios: vec!["rf-lab".into()],
-            devices: 2_000,
-            seed0: 1,
-            runs: 1,
-            backend: ExecBackend::Compiled,
-            opt: OptLevel::default(),
-        };
-        let j = fingerprint_json(&spec, 4, 500);
-        assert_eq!(j.get("device_runs").and_then(Json::as_u64), Some(2_000));
-        assert_eq!(
-            j.get("device_runs_per_sec").and_then(Json::as_f64),
-            Some(4_000.0)
-        );
-        // Zero elapsed must not divide by zero.
-        let z = fingerprint_json(&spec, 4, 0);
-        assert_eq!(
-            z.get("device_runs_per_sec").and_then(Json::as_f64),
-            Some(0.0)
-        );
     }
 
     #[test]

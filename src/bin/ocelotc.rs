@@ -66,9 +66,6 @@
 //!     --scenario <name[@seed]>  scenario distribution (repeatable;
 //!                               default: the whole registry)
 //!     --out <dir>               artifact directory
-//!     --fingerprint <path>      throughput fingerprint file
-//!                               (default BENCH_fleet.json);
-//!                               --no-fingerprint to skip
 //! ocelotc serve [opts]          always-on enforcement server: clients
 //!                               speak line-delimited JSON over TCP
 //!                               (submit / verify / lint / run / sweep,

@@ -334,3 +334,35 @@ fn bad_input_yields_error_not_panic() {
     assert!(!ok);
     assert!(stderr.contains("error"), "{stderr}");
 }
+
+#[test]
+fn fleet_writes_only_its_artifact() {
+    // A plain `ocelotc fleet` persists `<out>/fleet.json` and nothing
+    // else: no timing file lands in the working directory.
+    let dir = std::env::temp_dir().join(format!("ocelot_cli_fleet_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_ocelotc"))
+        .args(["fleet", "--devices", "9", "--runs", "1", "--jobs", "1"])
+        .args(["--out", "out"])
+        .current_dir(&dir)
+        .output()
+        .expect("ocelotc runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let names = |d: &std::path::Path| -> Vec<String> {
+        let mut v: Vec<String> = std::fs::read_dir(d)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        v.sort();
+        v
+    };
+    let (top, out_dir) = (names(&dir), names(&dir.join("out")));
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(top, ["out"]);
+    assert_eq!(out_dir, ["fleet.json"]);
+}
