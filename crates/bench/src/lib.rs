@@ -44,6 +44,7 @@ pub mod fleet;
 pub mod genprog;
 pub mod harness;
 pub mod report;
+pub mod taint_ref;
 pub mod traces;
 
 // The old homes of modules that moved to the crates owning their types,
