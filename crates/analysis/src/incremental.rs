@@ -4,7 +4,9 @@
 //! changed.
 //!
 //! The expensive half of [`TaintAnalysis::run`] is the per-function
-//! flow fixpoint; its structure makes it cacheable by construction:
+//! flow fixpoint (dense-id bitset rows, checked against the harness's
+//! reference fixpoint `ocelot_bench::taint_ref`); its structure makes
+//! it cacheable by construction:
 //! each [`FuncFlow`] depends only on the function's own body, the
 //! program's declaration header (sensors and globals), and the flows of
 //! its direct callees — nothing about callers. Nor does it depend on any

@@ -15,6 +15,17 @@
 //!    call sites from this function down to it), a parameter's entry
 //!    value, or a global's entry value. Tracks data flow and control flow
 //!    (a definition under a tainted branch is tainted, per §4.3).
+//!
+//!    The fixpoint first interns the function's locations and sources
+//!    into dense ids and compiles each block into steps over them:
+//!    strong updates, weak array updates, and per call site the
+//!    callee's `ret`, `ref_out` and `global_out` with its sources
+//!    substituted. It then iterates one bitset row per location per
+//!    block from an RPO-seeded worklist, and converts rows back to
+//!    [`TaintSet`]s only in the final recording pass. The map-of-sets
+//!    fixpoint it replaced lives on in the evaluation harness
+//!    (`ocelot_bench::taint_ref`) as the oracle this one must match
+//!    exactly.
 //! 2. **Context enumeration** — every acyclic chain of call sites from
 //!    `main` to each function.
 //! 3. **Expansion** ([`TaintAnalysis::expand`]) — resolves symbolic
@@ -47,16 +58,6 @@ pub enum TaintSource {
 
 /// A set of symbolic taint sources.
 pub type TaintSet = BTreeSet<TaintSource>;
-
-/// A memory location tracked by the per-function analysis.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum Loc {
-    Local(String),
-    DerefParam(String),
-    Global(String),
-}
-
-type State = BTreeMap<Loc, TaintSet>;
 
 /// Per-function taint-flow summary (the information content of the
 /// paper's Figure 5 function summaries).
@@ -293,194 +294,740 @@ fn enumerate_contexts(p: &Program, cg: &CallGraph) -> Vec<Vec<Prov>> {
 /// tests in `incremental` and the `literal_reuse` sweep hold it.
 pub(crate) fn analyze_function(p: &Program, f: &Function, flows: &[FuncFlow]) -> FuncFlow {
     let cfg = Cfg::new(f);
-    let pdom = DomTree::post_dominators(f, &cfg);
-    let ctrl_parents = control_dependence(f, &cfg, &pdom);
-
-    let entry_state = initial_state(p, f);
-    let mut block_in: HashMap<u32, State> = HashMap::new();
-    block_in.insert(f.entry.0, entry_state);
-
-    // Condition taint of each branch block, from the last processing pass.
-    let mut cond_taint: HashMap<u32, TaintSet> = HashMap::new();
-
-    let mut worklist: VecDeque<u32> = cfg.rpo().iter().map(|b| b.0).collect();
-    let mut guard = 0usize;
-    let budget = 64 * (f.blocks.len() + 4) * (f.blocks.len() + 4);
-    while let Some(b) = worklist.pop_front() {
-        guard += 1;
-        assert!(
-            guard <= budget.max(100_000),
-            "taint fixpoint failed to converge in `{}`",
-            f.name
-        );
-        let Some(in_state) = block_in.get(&b).cloned() else {
-            continue;
-        };
-        let ctrl = ctrl_taint_of(&ctrl_parents, &cond_taint, b);
-        let (out_state, branch_taint) =
-            transfer_block(p, f, flows, &f.blocks[b as usize], in_state, &ctrl, None);
-        if let Some(bt) = branch_taint {
-            let entry = cond_taint.entry(b).or_default();
-            let before = entry.len();
-            entry.extend(bt);
-            if entry.len() != before {
-                // Re-queue control-dependent blocks.
-                for (blk, parents) in &ctrl_parents {
-                    if parents.contains(&b) {
-                        worklist.push_back(*blk);
-                    }
-                }
-            }
-        }
-        for succ in cfg.succs(ocelot_ir::BlockId(b)) {
-            let entry = block_in.entry(succ.0).or_default();
-            let mut changed = false;
-            for (loc, taint) in &out_state {
-                let slot = entry.entry(loc.clone()).or_default();
-                let before = slot.len();
-                slot.extend(taint.iter().cloned());
-                if slot.len() != before {
-                    changed = true;
-                }
-            }
-            if changed {
-                worklist.push_back(succ.0);
-            }
-        }
-    }
-
-    // Recording pass: states are at fixpoint; walk each block once to
-    // populate the per-instruction maps.
-    let mut flow = FuncFlow::default();
-    let mut all_observed_taints: Vec<TaintSet> = Vec::new();
-    for b in cfg.rpo() {
-        let Some(in_state) = block_in.get(&b.0).cloned() else {
-            continue;
-        };
-        let ctrl = ctrl_taint_of(&ctrl_parents, &cond_taint, b.0);
-        let (out_state, branch_taint) = transfer_block(
-            p,
-            f,
-            flows,
-            &f.blocks[b.0 as usize],
-            in_state,
-            &ctrl,
-            Some(&mut flow),
-        );
-        if let Some(bt) = branch_taint {
-            all_observed_taints.push(bt);
-        }
-        let block = &f.blocks[b.0 as usize];
-        // Record uses at the terminator.
-        match &block.term {
-            Terminator::Branch { cond, .. } => {
-                for v in expr_reads(cond) {
-                    flow.var_uses.entry(v).or_default().insert(block.term_label);
-                }
-            }
-            Terminator::Ret(Some(e)) => {
-                for v in expr_reads(e) {
-                    flow.var_uses.entry(v).or_default().insert(block.term_label);
-                }
-            }
-            _ => {}
-        }
-        if b == &f.exit {
-            if let Terminator::Ret(Some(e)) = &block.term {
-                flow.ret = taint_expr(p, f, e, &out_state);
-            }
-            for param in &f.params {
-                if param.by_ref {
-                    let t = out_state
-                        .get(&Loc::DerefParam(param.name.clone()))
-                        .cloned()
-                        .unwrap_or_default();
-                    flow.ref_out.insert(param.name.clone(), t);
-                }
-            }
-            for g in &p.globals {
-                if let Some(t) = out_state.get(&Loc::Global(g.name.clone())) {
-                    let identity = TaintSet::from([TaintSource::Global(g.name.clone())]);
-                    if *t != identity {
-                        flow.global_out.insert(g.name.clone(), t.clone());
-                    }
-                }
-            }
-        }
-    }
-
-    // A by-ref parameter's incoming value was read iff its `Param`
-    // source surfaced in any observed taint set (definitions, returns,
-    // ref/global out-flows, call arguments, annotations, or branch
-    // conditions).
-    let scan = |ts: &TaintSet, out: &mut BTreeSet<String>| {
-        for s in ts {
-            if let TaintSource::Param(q) = s {
-                out.insert(q.clone());
-            }
-        }
-    };
-    let mut read_params = std::mem::take(&mut flow.ref_param_read);
-    for ts in flow
-        .def_taint
-        .values()
-        .chain(flow.annot_taint.values())
-        .chain(flow.global_out.values())
-        .chain(std::iter::once(&flow.ret))
-        .chain(all_observed_taints.iter())
-    {
-        scan(ts, &mut read_params);
-    }
-    // `ref_out[p]` trivially holds `Param(p)` when `p` was never
-    // written; surviving unread is not a read, so skip the identity
-    // entry (cross-parameter flows like `*a = *b` still count).
-    for (p_name, ts) in &flow.ref_out {
-        for s in ts {
-            if let TaintSource::Param(q) = s {
-                if q != p_name {
-                    read_params.insert(q.clone());
-                }
-            }
-        }
-    }
-    for param in &f.params {
-        if param.by_ref && read_params.contains(&param.name) {
-            flow.ref_param_read.insert(param.name.clone());
-        }
-    }
-    flow
+    let code = FuncCode::compile(p, f, flows, &cfg);
+    let fix = code.fixpoint(f, &cfg);
+    code.record(p, f, flows, &cfg, &fix)
 }
 
-fn initial_state(p: &Program, f: &Function) -> State {
-    let mut s = State::new();
-    for param in &f.params {
-        if param.by_ref {
-            s.insert(
-                Loc::DerefParam(param.name.clone()),
-                TaintSet::from([TaintSource::Param(param.name.clone())]),
-            );
+/// The kind of a memory location tracked by the per-function analysis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LocKind {
+    Local = 0,
+    DerefParam = 1,
+    Global = 2,
+}
+
+/// One function's locations and taint sources, interned into dense ids.
+/// A taint set is a bitset row of `words` u64s, bit `s` standing for
+/// `sources[s]`; a state is one row per location.
+#[derive(Default)]
+struct Ids {
+    locs: [HashMap<String, u32>; 3],
+    n_locs: u32,
+    sources: Vec<TaintSource>,
+    source_ids: HashMap<TaintSource, u32>,
+}
+
+impl Ids {
+    fn loc(&mut self, kind: LocKind, name: &str) -> u32 {
+        let map = &mut self.locs[kind as usize];
+        if let Some(&id) = map.get(name) {
+            return id;
+        }
+        let id = self.n_locs;
+        self.n_locs += 1;
+        map.insert(name.to_string(), id);
+        id
+    }
+
+    /// The location variable `name` resolves to within `f`.
+    fn var(&mut self, p: &Program, f: &Function, name: &str) -> u32 {
+        let kind = if f.params.iter().any(|q| q.name == name && q.by_ref) {
+            LocKind::DerefParam
+        } else if p.is_global(name) {
+            LocKind::Global
         } else {
-            s.insert(
-                Loc::Local(param.name.clone()),
-                TaintSet::from([TaintSource::Param(param.name.clone())]),
-            );
+            LocKind::Local
+        };
+        self.loc(kind, name)
+    }
+
+    /// The locations `e` reads; its taint is the union of their rows.
+    fn reads(&mut self, p: &Program, f: &Function, e: &Expr) -> Vec<u32> {
+        expr_reads(e).iter().map(|v| self.var(p, f, v)).collect()
+    }
+
+    fn source(&mut self, s: TaintSource) -> u32 {
+        if let Some(&id) = self.source_ids.get(&s) {
+            return id;
+        }
+        let id = self.sources.len() as u32;
+        self.sources.push(s.clone());
+        self.source_ids.insert(s, id);
+        id
+    }
+}
+
+/// `dst := consts ∪ ⋃ rows(reads) ∪ ctrl`, evaluated on one state.
+struct Update {
+    dst: u32,
+    reads: Vec<u32>,
+    consts: Vec<u32>,
+}
+
+/// One argument of a call site.
+struct ArgStep {
+    /// The locations whose union is the argument's taint.
+    reads: Vec<u32>,
+    by_value: bool,
+}
+
+/// A call site with the callee's summary substituted into the caller's
+/// ids: its `Input` sources prefixed with the site, its `Param` sources
+/// replaced by the bound arguments' locations, and its `Global` sources
+/// by the globals' locations.
+struct CallStep {
+    label: Label,
+    args: Vec<ArgStep>,
+    /// `Param` sources of by-ref parameters of `f` forwarded to a callee
+    /// that reads them.
+    forwards: Vec<u32>,
+    /// The callee's `global_out`, then `ref_out`, then (with a
+    /// destination) `ret` — all evaluated on the pre-call state, then
+    /// applied in order.
+    updates: Vec<Update>,
+    /// Whether the last update writes the call's destination.
+    defines: bool,
+}
+
+/// One instruction's effect, over dense ids.
+enum Step {
+    /// A strong update: a binding, an assignment to a variable or
+    /// through a reference, or an input.
+    Strong(Label, Update),
+    /// An array store: a weak update of the array's one abstract cell.
+    Weak(Label, Update),
+    Call(Box<CallStep>),
+    /// The annotated variable's taint, recorded only.
+    Annot(Label, u32),
+}
+
+struct BlockCode {
+    steps: Vec<Step>,
+    /// The locations a branch condition reads.
+    cond: Option<Vec<u32>>,
+    /// The locations a returned value reads.
+    ret: Option<Vec<u32>>,
+}
+
+/// A function compiled to steps over dense ids.
+struct FuncCode {
+    ids: Ids,
+    /// Words per taint row: `⌈sources / 64⌉`.
+    words: usize,
+    blocks: Vec<BlockCode>,
+    /// Per block, the branch blocks it is control-dependent on.
+    ctrl_parents: Vec<Vec<u32>>,
+    /// Per branch block, the blocks control-dependent on it, ascending.
+    ctrl_children: Vec<Vec<u32>>,
+    /// The entry state: each parameter and global holds its entry value.
+    entry: Vec<u64>,
+}
+
+/// The fixpoint's block in-states and accumulated condition taints.
+struct Fixpoint {
+    block_in: Vec<u64>,
+    reached: Vec<bool>,
+    cond: Vec<u64>,
+    /// Blocks popped off the worklist (what the convergence guard counts).
+    visits: usize,
+}
+
+/// What the recording pass collects besides the [`FuncFlow`] maps: the
+/// union of every taint observed, whose `Param` bits say which by-ref
+/// parameters' incoming values were read.
+struct Recorder {
+    flow: FuncFlow,
+    observed: Vec<u64>,
+}
+
+fn row(state: &[u64], loc: u32, words: usize) -> &[u64] {
+    &state[loc as usize * words..][..words]
+}
+
+fn row_mut(state: &mut [u64], loc: u32, words: usize) -> &mut [u64] {
+    &mut state[loc as usize * words..][..words]
+}
+
+/// `dst |= src`; whether any bit was new.
+fn or_into(dst: &mut [u64], src: &[u64]) -> bool {
+    let mut changed = 0;
+    for (d, s) in dst.iter_mut().zip(src) {
+        changed |= *s & !*d;
+        *d |= *s;
+    }
+    changed != 0
+}
+
+fn set_bit(row: &mut [u64], bit: u32) {
+    row[bit as usize / 64] |= 1 << (bit % 64);
+}
+
+fn has_bit(row: &[u64], bit: u32) -> bool {
+    row[bit as usize / 64] & (1 << (bit % 64)) != 0
+}
+
+/// Whether `bit` is the only bit set in `row`.
+fn is_only(row: &[u64], bit: u32) -> bool {
+    has_bit(row, bit) && row.iter().map(|w| w.count_ones()).sum::<u32>() == 1
+}
+
+impl Update {
+    fn eval(&self, state: &[u64], ctrl: &[u64], words: usize, out: &mut [u64]) {
+        out.copy_from_slice(ctrl);
+        for &l in &self.reads {
+            or_into(out, row(state, l, words));
+        }
+        for &s in &self.consts {
+            set_bit(out, s);
         }
     }
-    for g in &p.globals {
-        s.insert(
-            Loc::Global(g.name.clone()),
-            TaintSet::from([TaintSource::Global(g.name.clone())]),
-        );
+}
+
+impl FuncCode {
+    /// Interns `f`'s locations and sources and compiles each block.
+    fn compile(p: &Program, f: &Function, flows: &[FuncFlow], cfg: &Cfg) -> Self {
+        let mut ids = Ids::default();
+        let mut entry_bits = Vec::new();
+        for param in &f.params {
+            let kind = if param.by_ref {
+                LocKind::DerefParam
+            } else {
+                LocKind::Local
+            };
+            let loc = ids.loc(kind, &param.name);
+            entry_bits.push((loc, ids.source(TaintSource::Param(param.name.clone()))));
+        }
+        for g in &p.globals {
+            let loc = ids.loc(LocKind::Global, &g.name);
+            entry_bits.push((loc, ids.source(TaintSource::Global(g.name.clone()))));
+        }
+        let blocks: Vec<BlockCode> = f
+            .blocks
+            .iter()
+            .map(|block| compile_block(p, f, flows, block, &mut ids))
+            .collect();
+
+        let words = ids.sources.len().div_ceil(64).max(1);
+        let mut entry = vec![0u64; ids.n_locs as usize * words];
+        for (loc, src) in entry_bits {
+            let r = row_mut(&mut entry, loc, words);
+            r.fill(0);
+            set_bit(r, src);
+        }
+
+        let pdom = DomTree::post_dominators(f, cfg);
+        let ctrl_parents = control_dependence(f, cfg, &pdom);
+        let mut ctrl_children = vec![Vec::new(); f.blocks.len()];
+        for (x, parents) in ctrl_parents.iter().enumerate() {
+            for &a in parents {
+                ctrl_children[a as usize].push(x as u32);
+            }
+        }
+        FuncCode {
+            ids,
+            words,
+            blocks,
+            ctrl_parents,
+            ctrl_children,
+            entry,
+        }
     }
-    s
+
+    fn state_len(&self) -> usize {
+        self.ids.n_locs as usize * self.words
+    }
+
+    /// The control taint of block `b`: the union of the condition taints
+    /// of the branches it is control-dependent on.
+    fn ctrl_of(&self, cond: &[u64], b: u32, out: &mut [u64]) {
+        out.fill(0);
+        for &a in &self.ctrl_parents[b as usize] {
+            or_into(out, row(cond, a, self.words));
+        }
+    }
+
+    /// Iterates the block in-states to a fixpoint: an RPO-seeded
+    /// worklist, requeuing a block's successors when its out-state adds
+    /// to theirs and its control-dependent blocks, in ascending order,
+    /// when its condition taint grows.
+    fn fixpoint(&self, f: &Function, cfg: &Cfg) -> Fixpoint {
+        let w = self.words;
+        let len = self.state_len();
+        let n = f.blocks.len();
+        let mut fix = Fixpoint {
+            block_in: vec![0u64; n * len],
+            reached: vec![false; n],
+            cond: vec![0u64; n * w],
+            visits: 0,
+        };
+        fix.block_in[f.entry.0 as usize * len..][..len].copy_from_slice(&self.entry);
+        fix.reached[f.entry.0 as usize] = true;
+
+        let mut state = vec![0u64; len];
+        let mut ctrl = vec![0u64; w];
+        let mut branch = vec![0u64; w];
+        let mut scratch = Vec::new();
+        let mut worklist: VecDeque<u32> = cfg.rpo().iter().map(|b| b.0).collect();
+        let budget = 64 * (n + 4) * (n + 4);
+        while let Some(b) = worklist.pop_front() {
+            fix.visits += 1;
+            assert!(
+                fix.visits <= budget.max(100_000),
+                "taint fixpoint failed to converge in `{}`",
+                f.name
+            );
+            if !fix.reached[b as usize] {
+                continue;
+            }
+            state.copy_from_slice(&fix.block_in[b as usize * len..][..len]);
+            self.ctrl_of(&fix.cond, b, &mut ctrl);
+            self.transfer(b, &mut state, &ctrl, &mut scratch, None);
+            if let Some(reads) = &self.blocks[b as usize].cond {
+                self.union_rows(&state, reads, &mut branch);
+                if or_into(row_mut(&mut fix.cond, b, w), &branch) {
+                    worklist.extend(&self.ctrl_children[b as usize]);
+                }
+            }
+            for succ in cfg.succs(ocelot_ir::BlockId(b)) {
+                let s = succ.0 as usize;
+                fix.reached[s] = true;
+                if or_into(&mut fix.block_in[s * len..][..len], &state) {
+                    worklist.push_back(succ.0);
+                }
+            }
+        }
+        fix
+    }
+
+    fn union_rows(&self, state: &[u64], reads: &[u32], out: &mut [u64]) {
+        out.fill(0);
+        for &l in reads {
+            or_into(out, row(state, l, self.words));
+        }
+    }
+
+    fn to_set(&self, row: &[u64]) -> TaintSet {
+        let mut out = TaintSet::new();
+        for (i, &word) in row.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let s = i * 64 + bits.trailing_zeros() as usize;
+                out.insert(self.ids.sources[s].clone());
+                bits &= bits - 1;
+            }
+        }
+        out
+    }
+
+    /// Records `row` as an observed taint and converts it.
+    fn observe(&self, rec: &mut Recorder, row: &[u64]) -> TaintSet {
+        or_into(&mut rec.observed, row);
+        self.to_set(row)
+    }
+
+    /// Applies block `b`'s steps to `state` under control taint `ctrl`.
+    /// When `rec` is given, also populates the per-instruction maps of
+    /// the final [`FuncFlow`].
+    fn transfer(
+        &self,
+        b: u32,
+        state: &mut [u64],
+        ctrl: &[u64],
+        scratch: &mut Vec<u64>,
+        mut rec: Option<&mut Recorder>,
+    ) {
+        let w = self.words;
+        for step in &self.blocks[b as usize].steps {
+            match step {
+                Step::Strong(label, u) => {
+                    scratch.resize(w, 0);
+                    u.eval(state, ctrl, w, scratch);
+                    row_mut(state, u.dst, w).copy_from_slice(scratch);
+                    if let Some(rec) = rec.as_deref_mut() {
+                        let t = self.observe(rec, scratch);
+                        rec.flow.def_taint.insert(*label, t);
+                    }
+                }
+                Step::Weak(label, u) => {
+                    scratch.resize(w, 0);
+                    u.eval(state, ctrl, w, scratch);
+                    let cell = row_mut(state, u.dst, w);
+                    or_into(cell, scratch);
+                    if let Some(rec) = rec.as_deref_mut() {
+                        let t = self.observe(rec, row(state, u.dst, w));
+                        rec.flow.def_taint.insert(*label, t);
+                    }
+                }
+                Step::Call(call) => {
+                    if let Some(rec) = rec.as_deref_mut() {
+                        let mut arg = vec![0u64; w];
+                        for (i, a) in call.args.iter().enumerate() {
+                            self.union_rows(state, &a.reads, &mut arg);
+                            // A by-value argument consumes its operands;
+                            // a by-ref one counts as a read only when
+                            // forwarded to a callee that reads it.
+                            let t = if a.by_value {
+                                self.observe(rec, &arg)
+                            } else {
+                                self.to_set(&arg)
+                            };
+                            rec.flow.call_arg_taint.insert((call.label, i), t);
+                        }
+                        for &s in &call.forwards {
+                            set_bit(&mut rec.observed, s);
+                        }
+                    }
+                    scratch.resize(call.updates.len() * w, 0);
+                    for (u, out) in call.updates.iter().zip(scratch.chunks_mut(w)) {
+                        u.eval(state, ctrl, w, out);
+                    }
+                    for (u, out) in call.updates.iter().zip(scratch.chunks(w)) {
+                        row_mut(state, u.dst, w).copy_from_slice(out);
+                    }
+                    if call.defines {
+                        if let Some(rec) = rec.as_deref_mut() {
+                            let ret = &scratch[(call.updates.len() - 1) * w..];
+                            let t = self.observe(rec, ret);
+                            rec.flow.def_taint.insert(call.label, t);
+                        }
+                    }
+                }
+                Step::Annot(label, loc) => {
+                    if let Some(rec) = rec.as_deref_mut() {
+                        let t = self.observe(rec, row(state, *loc, w));
+                        rec.flow.annot_taint.insert(*label, t);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The recording pass: states are at fixpoint; walk each reached
+    /// block once to populate the per-instruction maps and, at the
+    /// exit, the function's summary.
+    fn record(
+        &self,
+        p: &Program,
+        f: &Function,
+        flows: &[FuncFlow],
+        cfg: &Cfg,
+        fix: &Fixpoint,
+    ) -> FuncFlow {
+        let w = self.words;
+        let len = self.state_len();
+        let mut rec = Recorder {
+            flow: FuncFlow::default(),
+            observed: vec![0u64; w],
+        };
+        let mut state = vec![0u64; len];
+        let mut ctrl = vec![0u64; w];
+        let mut branch = vec![0u64; w];
+        let mut scratch = Vec::new();
+        for &b in cfg.rpo() {
+            if !fix.reached[b.0 as usize] {
+                continue;
+            }
+            let block = &f.blocks[b.0 as usize];
+            record_uses(p, flows, block, &mut rec.flow);
+            state.copy_from_slice(&fix.block_in[b.0 as usize * len..][..len]);
+            self.ctrl_of(&fix.cond, b.0, &mut ctrl);
+            self.transfer(b.0, &mut state, &ctrl, &mut scratch, Some(&mut rec));
+            if let Some(reads) = &self.blocks[b.0 as usize].cond {
+                self.union_rows(&state, reads, &mut branch);
+                or_into(&mut rec.observed, &branch);
+            }
+            if b == f.exit {
+                self.record_exit(p, f, b.0, &state, &mut rec);
+            }
+        }
+
+        // A by-ref parameter's incoming value was read iff its `Param`
+        // source surfaced in any observed taint set (definitions,
+        // returns, ref/global out-flows, by-value call arguments,
+        // annotations, or branch conditions), or it was forwarded to a
+        // callee that reads it.
+        for param in f.params.iter().filter(|q| q.by_ref) {
+            if has_bit(&rec.observed, self.param_source(&param.name)) {
+                rec.flow.ref_param_read.insert(param.name.clone());
+            }
+        }
+        rec.flow
+    }
+
+    fn param_source(&self, name: &str) -> u32 {
+        self.ids.source_ids[&TaintSource::Param(name.to_string())]
+    }
+
+    /// Records the exit block's `ret`, `ref_out` and `global_out`.
+    fn record_exit(&self, p: &Program, f: &Function, b: u32, state: &[u64], rec: &mut Recorder) {
+        let w = self.words;
+        if let Some(reads) = &self.blocks[b as usize].ret {
+            let mut ret = vec![0u64; w];
+            self.union_rows(state, reads, &mut ret);
+            rec.flow.ret = self.observe(rec, &ret);
+        }
+        for param in f.params.iter().filter(|q| q.by_ref) {
+            let loc = self.ids.locs[LocKind::DerefParam as usize][&param.name];
+            let mut out = row(state, loc, w).to_vec();
+            rec.flow
+                .ref_out
+                .insert(param.name.clone(), self.to_set(&out));
+            // `ref_out[p]` trivially holds `Param(p)` when `p` was never
+            // written; surviving unread is not a read, so only other
+            // parameters' sources count (`*a = *b`).
+            let own = self.param_source(&param.name);
+            out[own as usize / 64] &= !(1 << (own % 64));
+            or_into(&mut rec.observed, &out);
+        }
+        for g in &p.globals {
+            let loc = self.ids.locs[LocKind::Global as usize][&g.name];
+            let t = row(state, loc, w);
+            if !is_only(t, self.ids.source_ids[&TaintSource::Global(g.name.clone())]) {
+                let t = self.observe(rec, t);
+                rec.flow.global_out.insert(g.name.clone(), t);
+            }
+        }
+    }
+}
+
+/// Compiles one block's instructions to steps, interning as it goes.
+fn compile_block(
+    p: &Program,
+    f: &Function,
+    flows: &[FuncFlow],
+    block: &ocelot_ir::Block,
+    ids: &mut Ids,
+) -> BlockCode {
+    let mut steps = Vec::new();
+    for inst in &block.instrs {
+        let step = match &inst.op {
+            Op::Skip | Op::AtomStart { .. } | Op::AtomEnd { .. } | Op::Output { .. } => continue,
+            Op::Bind { var, src } => {
+                let reads = ids.reads(p, f, src);
+                let dst = ids.var(p, f, var);
+                Step::Strong(
+                    inst.label,
+                    Update {
+                        dst,
+                        reads,
+                        consts: Vec::new(),
+                    },
+                )
+            }
+            Op::Assign { place, src } => {
+                let mut reads = ids.reads(p, f, src);
+                match place {
+                    Place::Var(x) => {
+                        let dst = ids.var(p, f, x);
+                        Step::Strong(
+                            inst.label,
+                            Update {
+                                dst,
+                                reads,
+                                consts: Vec::new(),
+                            },
+                        )
+                    }
+                    Place::Index(a, i) => {
+                        reads.extend(ids.reads(p, f, i));
+                        let dst = ids.loc(LocKind::Global, a);
+                        Step::Weak(
+                            inst.label,
+                            Update {
+                                dst,
+                                reads,
+                                consts: Vec::new(),
+                            },
+                        )
+                    }
+                    Place::Deref(x) => {
+                        let dst = ids.loc(LocKind::DerefParam, x);
+                        Step::Strong(
+                            inst.label,
+                            Update {
+                                dst,
+                                reads,
+                                consts: Vec::new(),
+                            },
+                        )
+                    }
+                }
+            }
+            Op::Input { var, .. } => {
+                let site = InstrRef {
+                    func: f.id,
+                    label: inst.label,
+                };
+                let input = ids.source(TaintSource::Input(vec![site]));
+                let dst = ids.var(p, f, var);
+                Step::Strong(
+                    inst.label,
+                    Update {
+                        dst,
+                        reads: Vec::new(),
+                        consts: vec![input],
+                    },
+                )
+            }
+            Op::Call { dst, callee, args } => Step::Call(Box::new(compile_call(
+                p,
+                f,
+                flows,
+                inst.label,
+                dst.as_deref(),
+                *callee,
+                args,
+                ids,
+            ))),
+            // Loop-bound markers name no variable; there is no taint
+            // to snapshot.
+            Op::Annot {
+                kind: ocelot_ir::AnnotKind::Bound(_),
+                ..
+            } => continue,
+            Op::Annot { var, .. } => Step::Annot(inst.label, ids.var(p, f, var)),
+        };
+        steps.push(step);
+    }
+    let (cond, ret) = match &block.term {
+        Terminator::Branch { cond, .. } => (Some(ids.reads(p, f, cond)), None),
+        Terminator::Ret(Some(e)) => (None, Some(ids.reads(p, f, e))),
+        _ => (None, None),
+    };
+    BlockCode { steps, cond, ret }
+}
+
+/// Compiles a call site: binds argument locations and substitutes the
+/// callee's summaries.
+#[allow(clippy::too_many_arguments)]
+fn compile_call(
+    p: &Program,
+    f: &Function,
+    flows: &[FuncFlow],
+    label: Label,
+    dst: Option<&str>,
+    callee: FuncId,
+    args: &[Arg],
+    ids: &mut Ids,
+) -> CallStep {
+    let site = InstrRef { func: f.id, label };
+    let callee_fn = p.func(callee);
+    let callee_flow = &flows[callee.0 as usize];
+    let mut arg_steps = Vec::with_capacity(args.len());
+    let mut forwards = Vec::new();
+    for (i, a) in args.iter().enumerate() {
+        arg_steps.push(match a {
+            Arg::Value(e) => ArgStep {
+                reads: ids.reads(p, f, e),
+                by_value: true,
+            },
+            Arg::Ref(x) => {
+                if f.params.iter().any(|q| q.name == *x && q.by_ref)
+                    && callee_flow
+                        .ref_param_read
+                        .contains(&callee_fn.params[i].name)
+                {
+                    forwards.push(ids.source(TaintSource::Param(x.clone())));
+                }
+                ArgStep {
+                    reads: vec![ids.var(p, f, x)],
+                    by_value: false,
+                }
+            }
+        });
+    }
+    let subst = |dst: u32, ts: &TaintSet, ids: &mut Ids| {
+        let mut u = Update {
+            dst,
+            reads: Vec::new(),
+            consts: Vec::new(),
+        };
+        for s in ts {
+            match s {
+                TaintSource::Input(suffix) => {
+                    let mut chain = vec![site];
+                    chain.extend(suffix.iter().copied());
+                    u.consts.push(ids.source(TaintSource::Input(chain)));
+                }
+                TaintSource::Param(q) => {
+                    if let Some(i) = callee_fn.params.iter().position(|pp| pp.name == *q) {
+                        u.reads.extend(&arg_steps[i].reads);
+                    }
+                }
+                TaintSource::Global(g) => u.reads.push(ids.loc(LocKind::Global, g)),
+            }
+        }
+        u
+    };
+    let mut updates = Vec::new();
+    for (g, ts) in &callee_flow.global_out {
+        let dst = ids.loc(LocKind::Global, g);
+        updates.push(subst(dst, ts, ids));
+    }
+    for (i, a) in args.iter().enumerate() {
+        if let Arg::Ref(x) = a {
+            if let Some(out_t) = callee_flow.ref_out.get(&callee_fn.params[i].name) {
+                let dst = ids.var(p, f, x);
+                updates.push(subst(dst, out_t, ids));
+            }
+        }
+    }
+    if let Some(d) = dst {
+        let dst = ids.var(p, f, d);
+        updates.push(subst(dst, &callee_flow.ret, ids));
+    }
+    CallStep {
+        label,
+        args: arg_steps,
+        forwards,
+        updates,
+        defines: dst.is_some(),
+    }
+}
+
+/// Records the labels that use each variable in `block`. A `&x`
+/// argument is a use only when the callee may read the incoming value.
+fn record_uses(p: &Program, flows: &[FuncFlow], block: &ocelot_ir::Block, flow: &mut FuncFlow) {
+    let mut uses = |vars: BTreeSet<String>, label: Label| {
+        for v in vars {
+            flow.var_uses.entry(v).or_default().insert(label);
+        }
+    };
+    for inst in &block.instrs {
+        match &inst.op {
+            Op::Annot { .. } => {}
+            Op::Call { callee, args, .. } => {
+                let callee_fn = p.func(*callee);
+                let callee_flow = &flows[callee.0 as usize];
+                for (a, param) in args.iter().zip(&callee_fn.params) {
+                    match a {
+                        Arg::Value(e) => uses(expr_reads(e), inst.label),
+                        Arg::Ref(x) => {
+                            if callee_flow.ref_param_read.contains(&param.name) {
+                                uses(BTreeSet::from([x.clone()]), inst.label);
+                            }
+                        }
+                    }
+                }
+            }
+            op => uses(op_reads(op), inst.label),
+        }
+    }
+    match &block.term {
+        Terminator::Branch { cond: e, .. } | Terminator::Ret(Some(e)) => {
+            uses(expr_reads(e), block.term_label)
+        }
+        _ => {}
+    }
 }
 
 /// Classic control-dependence: block `X` is control-dependent on branch
 /// block `A` if `X` post-dominates a successor of `A` but does not
 /// strictly post-dominate `A`. Returns, for each block, the branch
-/// blocks it is control-dependent on.
-fn control_dependence(f: &Function, cfg: &Cfg, pdom: &DomTree) -> HashMap<u32, BTreeSet<u32>> {
-    let mut deps: HashMap<u32, BTreeSet<u32>> = HashMap::new();
+/// blocks it is control-dependent on, ascending.
+fn control_dependence(f: &Function, cfg: &Cfg, pdom: &DomTree) -> Vec<Vec<u32>> {
+    let mut deps: Vec<Vec<u32>> = vec![Vec::new(); f.blocks.len()];
     for a in &f.blocks {
         if !matches!(a.term, Terminator::Branch { .. }) {
             continue;
@@ -492,273 +1039,15 @@ fn control_dependence(f: &Function, cfg: &Cfg, pdom: &DomTree) -> HashMap<u32, B
                 if Some(x) == stop {
                     break;
                 }
-                deps.entry(x.0).or_default().insert(a.id.0);
+                let parents = &mut deps[x.0 as usize];
+                if parents.last() != Some(&a.id.0) {
+                    parents.push(a.id.0);
+                }
                 cur = pdom.idom(x);
             }
         }
     }
     deps
-}
-
-fn ctrl_taint_of(
-    ctrl_parents: &HashMap<u32, BTreeSet<u32>>,
-    cond_taint: &HashMap<u32, TaintSet>,
-    b: u32,
-) -> TaintSet {
-    let mut out = TaintSet::new();
-    if let Some(parents) = ctrl_parents.get(&b) {
-        for a in parents {
-            if let Some(t) = cond_taint.get(a) {
-                out.extend(t.iter().cloned());
-            }
-        }
-    }
-    out
-}
-
-/// Resolves a variable name to its tracked location within `f`.
-fn loc_of(p: &Program, f: &Function, name: &str) -> Loc {
-    if f.params.iter().any(|q| q.name == name && q.by_ref) {
-        Loc::DerefParam(name.to_string())
-    } else if p.is_global(name) {
-        Loc::Global(name.to_string())
-    } else {
-        Loc::Local(name.to_string())
-    }
-}
-
-fn taint_of(state: &State, loc: &Loc) -> TaintSet {
-    state.get(loc).cloned().unwrap_or_default()
-}
-
-fn taint_expr(p: &Program, f: &Function, e: &Expr, state: &State) -> TaintSet {
-    let mut out = TaintSet::new();
-    for v in expr_reads(e) {
-        out.extend(taint_of(state, &loc_of(p, f, &v)));
-    }
-    out
-}
-
-/// Applies the transfer function of one block. When `record` is given,
-/// also populates the per-instruction maps of the final [`FuncFlow`].
-/// Returns the out-state and, for branch terminators, the condition
-/// taint.
-fn transfer_block(
-    p: &Program,
-    f: &Function,
-    flows: &[FuncFlow],
-    block: &ocelot_ir::Block,
-    mut state: State,
-    ctrl: &TaintSet,
-    mut record: Option<&mut FuncFlow>,
-) -> (State, Option<TaintSet>) {
-    for inst in &block.instrs {
-        // Record uses before mutating state. A `&x` argument is a use
-        // only when the callee may read the incoming value.
-        if let Some(rec) = record.as_deref_mut() {
-            match &inst.op {
-                Op::Annot { .. } => {}
-                Op::Call { callee, args, .. } => {
-                    let callee_fn = p.func(*callee);
-                    let callee_flow = &flows[callee.0 as usize];
-                    for (a, param) in args.iter().zip(&callee_fn.params) {
-                        match a {
-                            Arg::Value(e) => {
-                                for v in expr_reads(e) {
-                                    rec.var_uses.entry(v).or_default().insert(inst.label);
-                                }
-                            }
-                            Arg::Ref(x) => {
-                                if callee_flow.ref_param_read.contains(&param.name) {
-                                    rec.var_uses
-                                        .entry(x.clone())
-                                        .or_default()
-                                        .insert(inst.label);
-                                }
-                            }
-                        }
-                    }
-                }
-                op => {
-                    for v in op_reads(op) {
-                        rec.var_uses.entry(v).or_default().insert(inst.label);
-                    }
-                }
-            }
-        }
-        match &inst.op {
-            Op::Skip | Op::AtomStart { .. } | Op::AtomEnd { .. } => {}
-            Op::Bind { var, src } => {
-                let mut t = taint_expr(p, f, src, &state);
-                t.extend(ctrl.iter().cloned());
-                if let Some(rec) = record.as_deref_mut() {
-                    rec.def_taint.insert(inst.label, t.clone());
-                }
-                state.insert(loc_of(p, f, var), t);
-            }
-            Op::Assign { place, src } => {
-                let mut t = taint_expr(p, f, src, &state);
-                t.extend(ctrl.iter().cloned());
-                match place {
-                    Place::Var(x) => {
-                        if let Some(rec) = record.as_deref_mut() {
-                            rec.def_taint.insert(inst.label, t.clone());
-                        }
-                        state.insert(loc_of(p, f, x), t);
-                    }
-                    Place::Index(a, i) => {
-                        // Arrays are a single abstract cell: weak update.
-                        let mut merged = taint_of(&state, &Loc::Global(a.clone()));
-                        merged.extend(t);
-                        merged.extend(taint_expr(p, f, i, &state));
-                        if let Some(rec) = record.as_deref_mut() {
-                            rec.def_taint.insert(inst.label, merged.clone());
-                        }
-                        state.insert(Loc::Global(a.clone()), merged);
-                    }
-                    Place::Deref(x) => {
-                        if let Some(rec) = record.as_deref_mut() {
-                            rec.def_taint.insert(inst.label, t.clone());
-                        }
-                        state.insert(Loc::DerefParam(x.clone()), t);
-                    }
-                }
-            }
-            Op::Input { var, .. } => {
-                let mut t = TaintSet::from([TaintSource::Input(vec![InstrRef {
-                    func: f.id,
-                    label: inst.label,
-                }])]);
-                t.extend(ctrl.iter().cloned());
-                if let Some(rec) = record.as_deref_mut() {
-                    rec.def_taint.insert(inst.label, t.clone());
-                }
-                state.insert(loc_of(p, f, var), t);
-            }
-            Op::Call { dst, callee, args } => {
-                let site = InstrRef {
-                    func: f.id,
-                    label: inst.label,
-                };
-                let callee_fn = p.func(*callee);
-                let callee_flow = &flows[callee.0 as usize];
-                // Bind argument taints.
-                let mut arg_taints: Vec<TaintSet> = Vec::with_capacity(args.len());
-                for (i, a) in args.iter().enumerate() {
-                    let t = match a {
-                        Arg::Value(e) => taint_expr(p, f, e, &state),
-                        Arg::Ref(x) => taint_of(&state, &loc_of(p, f, x)),
-                    };
-                    if let Some(rec) = record.as_deref_mut() {
-                        rec.call_arg_taint.insert((inst.label, i), t.clone());
-                        if matches!(a, Arg::Value(_)) {
-                            // A by-value argument consumes its operands;
-                            // Param sources observed here count as reads
-                            // of the incoming value. (Ref args only count
-                            // if the callee reads them — filtered at the
-                            // end of the analysis.)
-                            for s in &t {
-                                if let TaintSource::Param(q) = s {
-                                    rec.ref_param_read.insert(q.clone());
-                                }
-                            }
-                        } else if let Arg::Ref(x) = a {
-                            // Forwarding an incoming reference: treat as a
-                            // read only if the sub-callee reads it.
-                            if f.params.iter().any(|q| q.name == *x && q.by_ref)
-                                && flows[callee.0 as usize]
-                                    .ref_param_read
-                                    .contains(&callee_fn.params[i].name)
-                            {
-                                rec.ref_param_read.insert(x.clone());
-                            }
-                        }
-                    }
-                    arg_taints.push(t);
-                }
-                let subst = |ts: &TaintSet, state: &State| -> TaintSet {
-                    let mut out = TaintSet::new();
-                    for s in ts {
-                        match s {
-                            TaintSource::Input(suffix) => {
-                                let mut chain = vec![site];
-                                chain.extend(suffix.iter().copied());
-                                out.insert(TaintSource::Input(chain));
-                            }
-                            TaintSource::Param(q) => {
-                                if let Some(i) =
-                                    callee_fn.params.iter().position(|pp| pp.name == *q)
-                                {
-                                    out.extend(arg_taints[i].iter().cloned());
-                                }
-                            }
-                            TaintSource::Global(g) => {
-                                out.extend(taint_of(state, &Loc::Global(g.clone())));
-                            }
-                        }
-                    }
-                    out
-                };
-                // Global side effects of the callee.
-                let global_updates: Vec<(String, TaintSet)> = callee_flow
-                    .global_out
-                    .iter()
-                    .map(|(g, ts)| {
-                        let mut t = subst(ts, &state);
-                        t.extend(ctrl.iter().cloned());
-                        (g.clone(), t)
-                    })
-                    .collect();
-                // By-ref out-flows.
-                let mut ref_updates: Vec<(Loc, TaintSet)> = Vec::new();
-                for (i, a) in args.iter().enumerate() {
-                    if let Arg::Ref(x) = a {
-                        let pname = &callee_fn.params[i].name;
-                        if let Some(out_t) = callee_flow.ref_out.get(pname) {
-                            let mut t = subst(out_t, &state);
-                            t.extend(ctrl.iter().cloned());
-                            ref_updates.push((loc_of(p, f, x), t));
-                        }
-                    }
-                }
-                let ret_taint = {
-                    let mut t = subst(&callee_flow.ret, &state);
-                    t.extend(ctrl.iter().cloned());
-                    t
-                };
-                for (g, t) in global_updates {
-                    state.insert(Loc::Global(g), t);
-                }
-                for (loc, t) in ref_updates {
-                    state.insert(loc, t);
-                }
-                if let Some(d) = dst {
-                    if let Some(rec) = record.as_deref_mut() {
-                        rec.def_taint.insert(inst.label, ret_taint.clone());
-                    }
-                    state.insert(loc_of(p, f, d), ret_taint);
-                }
-            }
-            Op::Output { .. } => {}
-            // Loop-bound markers name no variable; there is no taint
-            // to snapshot.
-            Op::Annot {
-                kind: ocelot_ir::AnnotKind::Bound(_),
-                ..
-            } => {}
-            Op::Annot { var, .. } => {
-                if let Some(rec) = record.as_deref_mut() {
-                    let t = taint_of(&state, &loc_of(p, f, var));
-                    rec.annot_taint.insert(inst.label, t);
-                }
-            }
-        }
-    }
-    let branch_taint = match &block.term {
-        Terminator::Branch { cond, .. } => Some(taint_expr(p, f, cond, &state)),
-        _ => None,
-    };
-    (state, branch_taint)
 }
 
 #[cfg(test)]
@@ -969,6 +1258,49 @@ mod tests {
         let uses = t.use_labels(p.main, "x");
         // Uses: the branch terminator and the output (annotation excluded).
         assert_eq!(uses.len(), 2);
+    }
+
+    #[test]
+    fn fixpoint_visit_counts_are_deterministic() {
+        // Control-dependent blocks are requeued in ascending order, so
+        // the visit count the convergence guard counts is the same on
+        // every run, not only the result. The `while` loops are a shape
+        // whose count depends on that order (requeuing in hash order
+        // varied it between runs); `tire` is a whole app.
+        let while_loops = r#"
+            sensor s0;
+            nv g0 = 3; nv g1 = 0; nv arr[4];
+            fn grab() { let v = in(s0); return v; }
+            fn main() {
+                while g0 > 0 {
+                    g0 = g0 - 1;
+                    out(log, arr[2]);
+                    g0 = (g1 * ((6 - 5) / (7 - g1)));
+                    let x0 = 10;
+                }
+                g0 = 17;
+                while g0 > 0 { g0 = g0 - 1; let x1 = grab(); }
+                let x2 = (0 - arr[0]);
+                let x3 = in(s0);
+                fresh(x3);
+                out(log, g0 + g1);
+            }
+        "#;
+        for src in [while_loops, ocelot_apps::tire::ANNOTATED] {
+            let (p, t) = analyze(src);
+            for f in &p.funcs {
+                let visits = || {
+                    let cfg = Cfg::new(f);
+                    FuncCode::compile(&p, f, &t.flows, &cfg)
+                        .fixpoint(f, &cfg)
+                        .visits
+                };
+                let first = visits();
+                for _ in 0..8 {
+                    assert_eq!(visits(), first, "visits in `{}`", f.name);
+                }
+            }
+        }
     }
 
     #[test]

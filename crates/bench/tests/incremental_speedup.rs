@@ -10,7 +10,9 @@
 //! fixpoint kept in the harness, so that speeding up the taint analysis
 //! — which makes both `Session::verify` and `full_verify` faster — can
 //! neither loosen nor break it. The purpose stays the same:
-//! re-verifying an edit must stay cheap.
+//! re-verifying an edit must stay cheap. The same test also holds the
+//! fast fixpoint to its bar: `full_verify`'s p50 must be at least 5x
+//! faster than the reference verify.
 //!
 //! The speedup is a wall-clock ratio a loaded machine can miss, so it
 //! lives in an `#[ignore]`d test run on its own in release:
@@ -85,11 +87,20 @@ fn one_line_edit_speedup_is_at_least_10x() {
         );
     }
     let p50_incr = p50(measurements.iter().map(|m| m.incr_ns).collect());
+    let p50_full = p50(measurements.iter().map(|m| m.full_ns).collect());
     let p50_ref = p50(reference);
     let speedup = p50_ref as f64 / p50_incr as f64;
-    eprintln!("p50 incremental {p50_incr} ns, reference full {p50_ref} ns: {speedup:.1}x");
+    let full_speedup = p50_ref as f64 / p50_full as f64;
+    eprintln!(
+        "p50 incremental {p50_incr} ns, full {p50_full} ns, reference full {p50_ref} ns: \
+         {speedup:.1}x and {full_speedup:.1}x"
+    );
     assert!(
         speedup >= 10.0,
         "p50 incremental {p50_incr} ns vs reference full {p50_ref} ns: {speedup:.1}x < 10x"
+    );
+    assert!(
+        full_speedup >= 5.0,
+        "p50 full {p50_full} ns vs reference full {p50_ref} ns: {full_speedup:.1}x < 5x"
     );
 }
