@@ -295,8 +295,8 @@ fn enumerate_contexts(p: &Program, cg: &CallGraph) -> Vec<Vec<Prov>> {
 pub(crate) fn analyze_function(p: &Program, f: &Function, flows: &[FuncFlow]) -> FuncFlow {
     let cfg = Cfg::new(f);
     let code = FuncCode::compile(p, f, flows, &cfg);
-    let fix = code.fixpoint(f, &cfg);
-    code.record(p, f, flows, &cfg, &fix)
+    let fix = code.fixpoint(&cfg);
+    code.record(flows, &cfg, &fix)
 }
 
 /// The kind of a memory location tracked by the per-function analysis.
@@ -310,15 +310,27 @@ enum LocKind {
 /// One function's locations and taint sources, interned into dense ids.
 /// A taint set is a bitset row of `words` u64s, bit `s` standing for
 /// `sources[s]`; a state is one row per location.
-#[derive(Default)]
-struct Ids {
+struct Ids<'a> {
+    p: &'a Program,
+    f: &'a Function,
     locs: [HashMap<String, u32>; 3],
     n_locs: u32,
     sources: Vec<TaintSource>,
     source_ids: HashMap<TaintSource, u32>,
 }
 
-impl Ids {
+impl<'a> Ids<'a> {
+    fn new(p: &'a Program, f: &'a Function) -> Self {
+        Ids {
+            p,
+            f,
+            locs: Default::default(),
+            n_locs: 0,
+            sources: Vec::new(),
+            source_ids: HashMap::new(),
+        }
+    }
+
     fn loc(&mut self, kind: LocKind, name: &str) -> u32 {
         let map = &mut self.locs[kind as usize];
         if let Some(&id) = map.get(name) {
@@ -331,10 +343,10 @@ impl Ids {
     }
 
     /// The location variable `name` resolves to within `f`.
-    fn var(&mut self, p: &Program, f: &Function, name: &str) -> u32 {
-        let kind = if f.params.iter().any(|q| q.name == name && q.by_ref) {
+    fn var(&mut self, name: &str) -> u32 {
+        let kind = if self.f.params.iter().any(|q| q.name == name && q.by_ref) {
             LocKind::DerefParam
-        } else if p.is_global(name) {
+        } else if self.p.is_global(name) {
             LocKind::Global
         } else {
             LocKind::Local
@@ -343,8 +355,8 @@ impl Ids {
     }
 
     /// The locations `e` reads; its taint is the union of their rows.
-    fn reads(&mut self, p: &Program, f: &Function, e: &Expr) -> Vec<u32> {
-        expr_reads(e).iter().map(|v| self.var(p, f, v)).collect()
+    fn reads(&mut self, e: &Expr) -> Vec<u32> {
+        expr_reads(e).iter().map(|v| self.var(v)).collect()
     }
 
     fn source(&mut self, s: TaintSource) -> u32 {
@@ -411,8 +423,8 @@ struct BlockCode {
 }
 
 /// A function compiled to steps over dense ids.
-struct FuncCode {
-    ids: Ids,
+struct FuncCode<'a> {
+    ids: Ids<'a>,
     /// Words per taint row: `⌈sources / 64⌉`.
     words: usize,
     blocks: Vec<BlockCode>,
@@ -473,6 +485,14 @@ fn is_only(row: &[u64], bit: u32) -> bool {
 }
 
 impl Update {
+    fn reading(dst: u32, reads: Vec<u32>) -> Self {
+        Update {
+            dst,
+            reads,
+            consts: Vec::new(),
+        }
+    }
+
     fn eval(&self, state: &[u64], ctrl: &[u64], words: usize, out: &mut [u64]) {
         out.copy_from_slice(ctrl);
         for &l in &self.reads {
@@ -484,10 +504,10 @@ impl Update {
     }
 }
 
-impl FuncCode {
+impl<'a> FuncCode<'a> {
     /// Interns `f`'s locations and sources and compiles each block.
-    fn compile(p: &Program, f: &Function, flows: &[FuncFlow], cfg: &Cfg) -> Self {
-        let mut ids = Ids::default();
+    fn compile(p: &'a Program, f: &'a Function, flows: &[FuncFlow], cfg: &Cfg) -> Self {
+        let mut ids = Ids::new(p, f);
         let mut entry_bits = Vec::new();
         for param in &f.params {
             let kind = if param.by_ref {
@@ -505,7 +525,7 @@ impl FuncCode {
         let blocks: Vec<BlockCode> = f
             .blocks
             .iter()
-            .map(|block| compile_block(p, f, flows, block, &mut ids))
+            .map(|block| compile_block(flows, block, &mut ids))
             .collect();
 
         let words = ids.sources.len().div_ceil(64).max(1);
@@ -551,7 +571,8 @@ impl FuncCode {
     /// worklist, requeuing a block's successors when its out-state adds
     /// to theirs and its control-dependent blocks, in ascending order,
     /// when its condition taint grows.
-    fn fixpoint(&self, f: &Function, cfg: &Cfg) -> Fixpoint {
+    fn fixpoint(&self, cfg: &Cfg) -> Fixpoint {
+        let f = self.ids.f;
         let w = self.words;
         let len = self.state_len();
         let n = f.blocks.len();
@@ -706,14 +727,8 @@ impl FuncCode {
     /// The recording pass: states are at fixpoint; walk each reached
     /// block once to populate the per-instruction maps and, at the
     /// exit, the function's summary.
-    fn record(
-        &self,
-        p: &Program,
-        f: &Function,
-        flows: &[FuncFlow],
-        cfg: &Cfg,
-        fix: &Fixpoint,
-    ) -> FuncFlow {
+    fn record(&self, flows: &[FuncFlow], cfg: &Cfg, fix: &Fixpoint) -> FuncFlow {
+        let (p, f) = (self.ids.p, self.ids.f);
         let w = self.words;
         let len = self.state_len();
         let mut rec = Recorder {
@@ -738,7 +753,7 @@ impl FuncCode {
                 or_into(&mut rec.observed, &branch);
             }
             if b == f.exit {
-                self.record_exit(p, f, b.0, &state, &mut rec);
+                self.record_exit(b.0, &state, &mut rec);
             }
         }
 
@@ -760,7 +775,8 @@ impl FuncCode {
     }
 
     /// Records the exit block's `ret`, `ref_out` and `global_out`.
-    fn record_exit(&self, p: &Program, f: &Function, b: u32, state: &[u64], rec: &mut Recorder) {
+    fn record_exit(&self, b: u32, state: &[u64], rec: &mut Recorder) {
+        let (p, f) = (self.ids.p, self.ids.f);
         let w = self.words;
         if let Some(reads) = &self.blocks[b as usize].ret {
             let mut ret = vec![0u64; w];
@@ -792,75 +808,41 @@ impl FuncCode {
 }
 
 /// Compiles one block's instructions to steps, interning as it goes.
-fn compile_block(
-    p: &Program,
-    f: &Function,
-    flows: &[FuncFlow],
-    block: &ocelot_ir::Block,
-    ids: &mut Ids,
-) -> BlockCode {
+fn compile_block(flows: &[FuncFlow], block: &ocelot_ir::Block, ids: &mut Ids) -> BlockCode {
     let mut steps = Vec::new();
     for inst in &block.instrs {
         let step = match &inst.op {
             Op::Skip | Op::AtomStart { .. } | Op::AtomEnd { .. } | Op::Output { .. } => continue,
             Op::Bind { var, src } => {
-                let reads = ids.reads(p, f, src);
-                let dst = ids.var(p, f, var);
-                Step::Strong(
-                    inst.label,
-                    Update {
-                        dst,
-                        reads,
-                        consts: Vec::new(),
-                    },
-                )
+                let reads = ids.reads(src);
+                let dst = ids.var(var);
+                Step::Strong(inst.label, Update::reading(dst, reads))
             }
             Op::Assign { place, src } => {
-                let mut reads = ids.reads(p, f, src);
+                let mut reads = ids.reads(src);
                 match place {
                     Place::Var(x) => {
-                        let dst = ids.var(p, f, x);
-                        Step::Strong(
-                            inst.label,
-                            Update {
-                                dst,
-                                reads,
-                                consts: Vec::new(),
-                            },
-                        )
+                        let dst = ids.var(x);
+                        Step::Strong(inst.label, Update::reading(dst, reads))
                     }
                     Place::Index(a, i) => {
-                        reads.extend(ids.reads(p, f, i));
+                        reads.extend(ids.reads(i));
                         let dst = ids.loc(LocKind::Global, a);
-                        Step::Weak(
-                            inst.label,
-                            Update {
-                                dst,
-                                reads,
-                                consts: Vec::new(),
-                            },
-                        )
+                        Step::Weak(inst.label, Update::reading(dst, reads))
                     }
                     Place::Deref(x) => {
                         let dst = ids.loc(LocKind::DerefParam, x);
-                        Step::Strong(
-                            inst.label,
-                            Update {
-                                dst,
-                                reads,
-                                consts: Vec::new(),
-                            },
-                        )
+                        Step::Strong(inst.label, Update::reading(dst, reads))
                     }
                 }
             }
             Op::Input { var, .. } => {
                 let site = InstrRef {
-                    func: f.id,
+                    func: ids.f.id,
                     label: inst.label,
                 };
                 let input = ids.source(TaintSource::Input(vec![site]));
-                let dst = ids.var(p, f, var);
+                let dst = ids.var(var);
                 Step::Strong(
                     inst.label,
                     Update {
@@ -871,8 +853,6 @@ fn compile_block(
                 )
             }
             Op::Call { dst, callee, args } => Step::Call(Box::new(compile_call(
-                p,
-                f,
                 flows,
                 inst.label,
                 dst.as_deref(),
@@ -886,13 +866,13 @@ fn compile_block(
                 kind: ocelot_ir::AnnotKind::Bound(_),
                 ..
             } => continue,
-            Op::Annot { var, .. } => Step::Annot(inst.label, ids.var(p, f, var)),
+            Op::Annot { var, .. } => Step::Annot(inst.label, ids.var(var)),
         };
         steps.push(step);
     }
     let (cond, ret) = match &block.term {
-        Terminator::Branch { cond, .. } => (Some(ids.reads(p, f, cond)), None),
-        Terminator::Ret(Some(e)) => (None, Some(ids.reads(p, f, e))),
+        Terminator::Branch { cond, .. } => (Some(ids.reads(cond)), None),
+        Terminator::Ret(Some(e)) => (None, Some(ids.reads(e))),
         _ => (None, None),
     };
     BlockCode { steps, cond, ret }
@@ -900,10 +880,7 @@ fn compile_block(
 
 /// Compiles a call site: binds argument locations and substitutes the
 /// callee's summaries.
-#[allow(clippy::too_many_arguments)]
 fn compile_call(
-    p: &Program,
-    f: &Function,
     flows: &[FuncFlow],
     label: Label,
     dst: Option<&str>,
@@ -911,6 +888,7 @@ fn compile_call(
     args: &[Arg],
     ids: &mut Ids,
 ) -> CallStep {
+    let (p, f) = (ids.p, ids.f);
     let site = InstrRef { func: f.id, label };
     let callee_fn = p.func(callee);
     let callee_flow = &flows[callee.0 as usize];
@@ -919,7 +897,7 @@ fn compile_call(
     for (i, a) in args.iter().enumerate() {
         arg_steps.push(match a {
             Arg::Value(e) => ArgStep {
-                reads: ids.reads(p, f, e),
+                reads: ids.reads(e),
                 by_value: true,
             },
             Arg::Ref(x) => {
@@ -931,18 +909,14 @@ fn compile_call(
                     forwards.push(ids.source(TaintSource::Param(x.clone())));
                 }
                 ArgStep {
-                    reads: vec![ids.var(p, f, x)],
+                    reads: vec![ids.var(x)],
                     by_value: false,
                 }
             }
         });
     }
     let subst = |dst: u32, ts: &TaintSet, ids: &mut Ids| {
-        let mut u = Update {
-            dst,
-            reads: Vec::new(),
-            consts: Vec::new(),
-        };
+        let mut u = Update::reading(dst, Vec::new());
         for s in ts {
             match s {
                 TaintSource::Input(suffix) => {
@@ -968,13 +942,13 @@ fn compile_call(
     for (i, a) in args.iter().enumerate() {
         if let Arg::Ref(x) = a {
             if let Some(out_t) = callee_flow.ref_out.get(&callee_fn.params[i].name) {
-                let dst = ids.var(p, f, x);
+                let dst = ids.var(x);
                 updates.push(subst(dst, out_t, ids));
             }
         }
     }
     if let Some(d) = dst {
-        let dst = ids.var(p, f, d);
+        let dst = ids.var(d);
         updates.push(subst(dst, &callee_flow.ret, ids));
     }
     CallStep {
@@ -1265,8 +1239,8 @@ mod tests {
         // Control-dependent blocks are requeued in ascending order, so
         // the visit count the convergence guard counts is the same on
         // every run, not only the result. The `while` loops are a shape
-        // whose count depends on that order (requeuing in hash order
-        // varied it between runs); `tire` is a whole app.
+        // whose count depends on the requeue order; `tire` is a whole
+        // app.
         let while_loops = r#"
             sensor s0;
             nv g0 = 3; nv g1 = 0; nv arr[4];
@@ -1292,7 +1266,7 @@ mod tests {
                 let visits = || {
                     let cfg = Cfg::new(f);
                     FuncCode::compile(&p, f, &t.flows, &cfg)
-                        .fixpoint(f, &cfg)
+                        .fixpoint(&cfg)
                         .visits
                 };
                 let first = visits();

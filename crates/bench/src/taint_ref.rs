@@ -14,11 +14,10 @@
 use ocelot_analysis::dom::DomTree;
 use ocelot_analysis::effects::{expr_reads, op_reads};
 use ocelot_analysis::taint::{FuncFlow, TaintAnalysis, TaintSet, TaintSource};
-use ocelot_core::ocelot_transform_with;
 use ocelot_ir::ast::{Arg, Expr};
 use ocelot_ir::cfg::Cfg;
 use ocelot_ir::{CallGraph, Function, InstrRef, Op, Place, Program, Terminator};
-use ocelot_serve::verify::{program_hash, Verdict};
+use ocelot_serve::verify::{verify_with, Verdict};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// A memory location tracked by the per-function analysis.
@@ -51,28 +50,14 @@ pub fn run(p: &Program) -> TaintAnalysis {
 }
 
 /// A from-scratch verify of `src` on the reference fixpoint: the steps
-/// of `ocelot_serve::verify::full_verify` (compile and validate, the
-/// taint analysis, `ocelot_transform_with`, the program hashes) with
-/// [`run`] as the taint analysis.
+/// of `ocelot_serve::verify::full_verify` with [`run`] as the taint
+/// analysis.
 ///
 /// # Errors
 ///
 /// Returns a one-line `compile:`/`validate:`/`transform:` message.
 pub fn verify(src: &str) -> Result<Verdict, String> {
-    let p = ocelot_ir::compile(src).map_err(|e| format!("compile: {e}"))?;
-    ocelot_ir::validate(&p).map_err(|e| format!("validate: {e}"))?;
-    let taint = run(&p);
-    let source_hash = program_hash(&p);
-    let funcs = p.funcs.len();
-    let compiled = ocelot_transform_with(p, &taint).map_err(|e| format!("transform: {e}"))?;
-    Ok(Verdict {
-        source_hash,
-        transformed_hash: program_hash(&compiled.program),
-        funcs,
-        policies: compiled.policies.len(),
-        regions: compiled.regions.len(),
-        passes: compiled.check.passes(),
-    })
+    verify_with(src, run).map(|(_, verdict)| verdict)
 }
 
 /// The per-function flow of `f`, given the flows of its callees.

@@ -158,8 +158,23 @@ impl Session {
 /// Same contract as [`Session::verify`].
 pub fn full_verify(src: &str) -> Result<(Compiled, Verdict), String> {
     ocelot_telemetry::metrics::VERIFY_FULL.incr();
+    verify_with(src, TaintAnalysis::run)
+}
+
+/// The steps of [`full_verify`] with `analyze` as the taint analysis:
+/// compile and validate, `analyze`, transform and self-check, and the
+/// program hashes. The evaluation harness passes its reference taint
+/// fixpoint to time a from-scratch verify against.
+///
+/// # Errors
+///
+/// Same contract as [`Session::verify`].
+pub fn verify_with(
+    src: &str,
+    analyze: impl FnOnce(&Program) -> TaintAnalysis,
+) -> Result<(Compiled, Verdict), String> {
     let p = compile(src)?;
-    let taint = TaintAnalysis::run(&p);
+    let taint = analyze(&p);
     verify_program(program_hash(&p), p, &taint)
 }
 
