@@ -17,10 +17,9 @@
 //! The *edit-trace workload* is a large program of branch-heavy worker
 //! functions plus a handful of annotated sensor functions, and a
 //! deterministic stream of one-line single-function edits, each
-//! rewriting one constant. On this shape the analysis dominates parsing,
-//! and a constant edit reuses every cached flow, so incremental
-//! re-verification beats a from-scratch verify on the harness's
-//! reference taint fixpoint by well over 10×.
+//! rewriting one constant. A constant edit reuses every cached flow, so
+//! incremental re-verification beats a from-scratch verify on the
+//! harness's reference taint fixpoint by well over 10×.
 
 use ocelot_analysis::incremental::{FlowCache, IncrementalStats};
 use ocelot_analysis::taint::TaintAnalysis;
