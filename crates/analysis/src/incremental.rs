@@ -46,12 +46,21 @@ use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 
 /// An FNV-1a accumulator, written to as a [`fmt::Write`] sink so text
-/// is hashed as it is rendered.
-struct Fnv(u64);
+/// is hashed as it is rendered: writing `s` and then calling
+/// [`Fnv::finish`] gives [`fnv1a`] of `s`'s bytes.
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    /// The empty-input state.
+    fn default() -> Self {
+        Fnv(0xcbf29ce484222325)
+    }
+}
 
 impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
+    /// The hash of everything written so far.
+    pub fn finish(&self) -> u64 {
+        self.0
     }
 
     fn bytes(&mut self, bytes: &[u8]) {
@@ -76,7 +85,7 @@ impl fmt::Write for Fnv {
 
 /// FNV-1a over bytes: the workspace's no-deps stable fingerprint.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv::default();
     h.bytes(bytes);
     h.0
 }
@@ -84,7 +93,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// The program-level declaration header every function's analysis can
 /// observe: sensors and non-volatile globals, in declaration order.
 fn decl_signature(p: &Program) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv::default();
     for sensor in &p.sensors {
         let _ = writeln!(h, "sensor {sensor};");
     }
@@ -116,7 +125,7 @@ pub fn input_fingerprints(p: &Program) -> Vec<u64> {
     let decl = decl_signature(p);
     let mut keys = vec![0u64; p.funcs.len()];
     for f in order {
-        let mut h = Fnv::new();
+        let mut h = Fnv::default();
         let _ = write_function(&mut h, p, p.func(f), Literals::Masked);
         h.fold(decl);
         h.fold(u64::from(f.0));

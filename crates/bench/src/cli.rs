@@ -19,7 +19,7 @@
 use crate::artifact::Artifact;
 use crate::drivers::{self, Driver, DriverOpts};
 use ocelot_runtime::pool;
-use ocelot_runtime::{ExecBackend, OptLevel};
+use ocelot_runtime::ExecBackend;
 use ocelot_telemetry::json::Json;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -43,10 +43,6 @@ pub struct BenchArgs {
     /// Execution backend for simulated cells (`--backend`, default
     /// `interp`).
     pub backend: ExecBackend,
-    /// Middle-end optimization level for the compiled backend
-    /// (`--opt 0|2`, default `2`; ignored by the interpreter, which
-    /// is always the unoptimized oracle).
-    pub opt: OptLevel,
     /// Persist (or, with `--replay`, re-render) raw observation traces.
     pub traces: bool,
     /// Record telemetry spans and write a Chrome `trace_event` JSON
@@ -82,8 +78,6 @@ pub struct GivenFlags {
     pub seed: bool,
     /// `--backend` appeared.
     pub backend: bool,
-    /// `--opt` appeared.
-    pub opt: bool,
 }
 
 impl Default for BenchArgs {
@@ -95,7 +89,6 @@ impl Default for BenchArgs {
             runs: None,
             seed: None,
             backend: ExecBackend::Interp,
-            opt: OptLevel::default(),
             traces: false,
             trace_out: None,
             metrics: false,
@@ -149,12 +142,6 @@ impl BenchArgs {
                         .ok_or_else(|| format!("bad --backend value `{v}` (interp|compiled)"))?;
                     out.given.backend = true;
                 }
-                "--opt" => {
-                    let v = it.next().ok_or("--opt needs `0` or `2`")?;
-                    out.opt = OptLevel::parse(&v)
-                        .ok_or_else(|| format!("bad --opt value `{v}` (0|2)"))?;
-                    out.given.opt = true;
-                }
                 "--traces" => out.traces = true,
                 "--trace-out" => {
                     out.trace_out =
@@ -175,7 +162,7 @@ fn usage(d: &Driver) -> String {
     format!(
         "{} — {}\n\n\
          usage: {} [--jobs N] [--out DIR] [--runs N] [--seed N]\n\
-                     [--backend interp|compiled] [--opt 0|2]\n\
+                     [--backend interp|compiled]\n\
                      [--traces] [--replay] [--trace-out PATH] [--metrics]\n\
                      [--force]\n\n\
          --jobs N    worker threads for the sweep (default: all cores)\n\
@@ -190,11 +177,6 @@ fn usage(d: &Driver) -> String {
                      (default) or `compiled`; results are identical, the\n\
                      compiled engine is faster, and the artifact records\n\
                      which one produced it\n\
-         --opt L     middle-end optimization level for the compiled\n\
-                     engine: 0 (direct), 1 (const-prop + dead stores) or\n\
-                     2 (default; adds taint-free evaluation and check\n\
-                     elision); observable results are identical at every\n\
-                     level, so artifacts do not record it\n\
          --traces    also persist raw per-cell observation logs to\n\
                      <out>/{}_traces.json (uniform cell sweeps only) and\n\
                      append their summary; with --replay, re-render the\n\
@@ -215,7 +197,7 @@ fn usage(d: &Driver) -> String {
 /// Cross-checks explicitly-passed simulation flags against a replayed
 /// artifact's recorded config. Replay renders recorded results without
 /// simulating, so a flag that conflicts with the recording (or that the
-/// artifact deliberately does not record, like `--opt` and `--jobs`)
+/// artifact deliberately does not record, like `--jobs`)
 /// is a hard error with a one-line diagnostic naming the file — never
 /// a silent override of what is on disk.
 ///
@@ -246,12 +228,6 @@ pub fn replay_flag_conflicts(
                 ));
             }
         }
-    }
-    if parsed.given.opt {
-        return Err(format!(
-            "replay of {path}: --opt has no effect on replay (artifacts are \
-             opt-level independent by design; drop the flag)"
-        ));
     }
     if parsed.given.jobs {
         return Err(format!(
@@ -368,7 +344,6 @@ pub fn run_driver(driver_name: &str, args: impl IntoIterator<Item = String>) -> 
             runs: parsed.runs,
             seed: parsed.seed,
             backend: parsed.backend,
-            opt: parsed.opt,
         };
         let (a, t) = match (parsed.traces, d.collect_traced) {
             (true, Some(traced)) => {
@@ -477,20 +452,11 @@ mod tests {
     }
 
     #[test]
-    fn opt_flag_parses_all_levels_and_rejects_junk() {
-        assert_eq!(
-            BenchArgs::parse(strings(&[])).unwrap().opt,
-            OptLevel::O2,
-            "full optimization is the default"
-        );
-        for (flag, want) in [("0", OptLevel::O0), ("2", OptLevel::O2)] {
-            let a = BenchArgs::parse(strings(&["--opt", flag])).unwrap();
-            assert_eq!(a.opt, want);
+    fn opt_flag_is_rejected() {
+        for level in ["0", "2"] {
+            let err = BenchArgs::parse(strings(&["--opt", level])).unwrap_err();
+            assert!(err.contains("unknown flag `--opt`"), "{err}");
         }
-        assert!(BenchArgs::parse(strings(&["--opt"])).is_err());
-        assert!(BenchArgs::parse(strings(&["--opt", "1"])).is_err());
-        assert!(BenchArgs::parse(strings(&["--opt", "3"])).is_err());
-        assert!(BenchArgs::parse(strings(&["--opt", "fast"])).is_err());
     }
 
     #[test]

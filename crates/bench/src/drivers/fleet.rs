@@ -40,7 +40,7 @@ fn plan(opts: &DriverOpts) -> FleetSpec {
         seed0: opts.seed_or(1),
         runs: crate::fleet::DEFAULT_FLEET_RUNS,
         backend: opts.backend,
-        opt: opts.opt,
+        opt: ocelot_runtime::OptLevel::O2,
     }
 }
 
@@ -74,7 +74,6 @@ mod tests {
             runs: Some(18),
             seed: Some(5),
             backend: ExecBackend::Compiled,
-            opt: ocelot_runtime::OptLevel::default(),
         }
     }
 
@@ -127,7 +126,6 @@ mod tests {
             runs: Some(9),
             seed: Some(1),
             backend: ExecBackend::Interp,
-            opt: ocelot_runtime::OptLevel::default(),
         });
         for cell in &a.cells {
             // Each scenario got exactly one device, whose stats must

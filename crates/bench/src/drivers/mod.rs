@@ -28,7 +28,7 @@ use crate::artifact::{Artifact, ArtifactError};
 use crate::harness::Workload;
 use ocelot_runtime::model::ExecModel;
 use ocelot_runtime::stats::Stats;
-use ocelot_runtime::{ExecBackend, OptLevel};
+use ocelot_runtime::ExecBackend;
 use ocelot_telemetry::json::Json;
 
 /// Options shared by every driver's `collect`.
@@ -48,12 +48,6 @@ pub struct DriverOpts {
     /// per-bench jobs rather than [`crate::harness::CellSpec`] sweeps
     /// ignore this (documented in `docs/bench.md`).
     pub backend: ExecBackend,
-    /// Optimization level for the compiled backend (`--opt`; the
-    /// interpreter ignores it). Levels are observationally identical by
-    /// construction, so — unlike the backend — the level is *not*
-    /// recorded in artifacts: the same sweep at `--opt 0` and `--opt 2`
-    /// must produce byte-identical files.
-    pub opt: OptLevel,
 }
 
 impl Default for DriverOpts {
@@ -63,7 +57,6 @@ impl Default for DriverOpts {
             runs: None,
             seed: None,
             backend: ExecBackend::Interp,
-            opt: OptLevel::from_env(),
         }
     }
 }
@@ -201,9 +194,7 @@ pub(crate) fn collect_sim_traced(
 
 /// Binds the sweep's uniform backend onto every spec and records it
 /// once in the config for provenance: a replayed artifact says which
-/// engine simulated it. The optimization level binds too but is
-/// deliberately NOT recorded — artifacts must be byte-identical across
-/// `--opt` levels.
+/// engine simulated it.
 fn bind_backend(
     specs: &[crate::harness::CellSpec],
     config: &mut Vec<(String, Json)>,
@@ -212,7 +203,7 @@ fn bind_backend(
     config.push(("backend".into(), Json::str(opts.backend.name())));
     specs
         .iter()
-        .map(|s| s.clone().with_backend(opts.backend).with_opt(opts.opt))
+        .map(|s| s.clone().with_backend(opts.backend))
         .collect()
 }
 

@@ -176,7 +176,6 @@ mod tests {
             runs: Some(1),
             seed: None,
             backend: ExecBackend::Interp,
-            opt: ocelot_runtime::OptLevel::default(),
         }
     }
 

@@ -59,9 +59,8 @@ pub struct FleetSpec {
     pub runs: u64,
     /// Execution engine every device runs on.
     pub backend: ExecBackend,
-    /// Compiled-engine optimization level — observationally inert
-    /// (every level produces identical aggregates; the oracle suite
-    /// holds that line) and never recorded in the artifact.
+    /// Unread: the compiled engine has one optimization level. Kept
+    /// only for perfbench, which sets it.
     pub opt: OptLevel,
 }
 
@@ -79,7 +78,6 @@ impl FleetSpec {
         )
         .with_scenario(scenario)
         .with_backend(self.backend)
-        .with_opt(self.opt)
     }
 
     /// Total device-runs (`devices × runs`) the sweep performs.
@@ -396,7 +394,6 @@ struct FleetArgs {
     seed: u64,
     jobs: usize,
     backend: ExecBackend,
-    opt: OptLevel,
     scenarios: Vec<String>,
     out: PathBuf,
     trace_out: Option<PathBuf>,
@@ -417,7 +414,6 @@ impl Default for FleetArgs {
             // throughput-bound, and the backends are observationally
             // identical (held by the oracle-equivalence suite).
             backend: ExecBackend::Compiled,
-            opt: OptLevel::from_env(),
             scenarios: Vec::new(),
             out: PathBuf::from(crate::cli::DEFAULT_OUT_DIR),
             trace_out: None,
@@ -474,7 +470,7 @@ const FLEET_USAGE: &str = "\
 fleet — million-device scenario sweep on one shared compiled program
 
 usage: ocelotc fleet [--app NAME] [--devices N] [--runs N] [--seed N]
-                     [--jobs N] [--backend interp|compiled] [--opt 0|2]
+                     [--jobs N] [--backend interp|compiled]
                      [--scenario NAME[@seed]]... [--out DIR]
                      [--trace-out PATH] [--metrics] [--force]
 
@@ -486,9 +482,6 @@ usage: ocelotc fleet [--app NAME] [--devices N] [--runs N] [--seed N]
   --jobs N          worker threads (default: all cores)
   --backend B       execution engine (default: compiled; interp is the
                     per-cell oracle and produces identical aggregates)
-  --opt L           compiled-engine optimization level (default: 2, or
-                    $OCELOT_OPT; every level produces identical
-                    aggregates and the artifact never records it)
   --scenario S      add one scenario to the distribution (repeatable;
                     default: the whole scenario registry)
   --out DIR         artifact directory for fleet.json (default:
@@ -537,11 +530,6 @@ fn parse_fleet_args(args: &[String]) -> Result<FleetArgs, String> {
                 if out.jobs == 0 {
                     return Err("--jobs must be at least 1".into());
                 }
-            }
-            "--opt" => {
-                let v = it.next().ok_or("--opt needs `0` or `2`")?;
-                out.opt =
-                    OptLevel::parse(v).ok_or_else(|| format!("bad --opt value `{v}` (0|2)"))?;
             }
             "--backend" => {
                 let v = it.next().ok_or("--backend needs `interp` or `compiled`")?;
@@ -644,7 +632,7 @@ pub fn fleet_main(args: &[String]) -> ExitCode {
         seed0: parsed.seed,
         runs: parsed.runs,
         backend: parsed.backend,
-        opt: parsed.opt,
+        opt: OptLevel::O2,
     };
     eprintln!(
         "fleet: {} device-runs of `{}` across {} scenario(s) on {} worker(s), {} backend",
@@ -931,7 +919,7 @@ mod tests {
             seed0: 100,
             runs: 2,
             backend: ExecBackend::Compiled,
-            opt: OptLevel::default(),
+            opt: OptLevel::O2,
         };
         let c0 = spec.device_spec(0);
         let c3 = spec.device_spec(3);
@@ -985,6 +973,7 @@ mod tests {
             vec!["--runs", "0"],
             vec!["--jobs", "0"],
             vec!["--backend", "jit"],
+            vec!["--opt", "2"],
             vec!["--frobnicate"],
             vec!["--fingerprint", "fp.json"],
             vec!["--no-fingerprint"],

@@ -2,7 +2,7 @@
 //!
 //! Moved out of the differential test so every randomized suite shares
 //! one grammar: the backend-differential sweep, the lint determinism
-//! proptests, and the lint-vs-`--opt 2` elision cross-validation all
+//! proptests, and the OC004-vs-execution cross-validation all
 //! draw from the same seeded distribution. The generator emits source
 //! from the full statement grammar — locals, globals, arrays, sensors,
 //! helpers with by-ref parameters, `repeat`/`while`/`if`, manual

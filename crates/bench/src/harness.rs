@@ -19,7 +19,7 @@ use ocelot_runtime::model::{build, Built, ExecModel};
 use ocelot_runtime::obs::Obs;
 use ocelot_runtime::pool::{self, Job};
 use ocelot_runtime::stats::Stats;
-use ocelot_runtime::{ExecBackend, OptLevel};
+use ocelot_runtime::ExecBackend;
 
 // The old home of the step budget, still imported by `perfbench/`.
 pub use ocelot_runtime::MAX_STEPS;
@@ -256,12 +256,6 @@ pub struct CellSpec {
     /// the same stats), so this only changes how fast the cell
     /// simulates — but artifacts record it for provenance.
     pub backend: ExecBackend,
-    /// Optimization level of the compiled backend (ignored by the
-    /// interpreter). Levels are observationally identical by
-    /// construction, so artifacts deliberately do NOT record it: the
-    /// same sweep at `--opt 0` and `--opt 2` must produce byte-identical
-    /// artifacts.
-    pub opt: OptLevel,
     /// When set, the cell's environment and power supply come from this
     /// scenario (an [`ocelot_scenario::parse`] spec, reseeded with the
     /// cell seed) instead of the benchmark's default world and the
@@ -282,7 +276,6 @@ impl CellSpec {
             workload,
             expiry_window_us: None,
             backend: ExecBackend::Interp,
-            opt: OptLevel::from_env(),
             scenario: None,
         }
     }
@@ -290,13 +283,6 @@ impl CellSpec {
     /// Selects the execution backend (builder-style).
     pub fn with_backend(mut self, backend: ExecBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Selects the compiled backend's optimization level
-    /// (builder-style; the interpreter ignores it).
-    pub fn with_opt(mut self, opt: OptLevel) -> Self {
-        self.opt = opt;
         self
     }
 
@@ -364,8 +350,7 @@ pub fn run_cell_full(spec: &CellSpec) -> CellRun {
         calibrated_costs(&b),
         supply,
     )
-    .with_backend(spec.backend)
-    .with_opt(spec.opt);
+    .with_backend(spec.backend);
     if pathological {
         m = m.with_injector(pathological_targets(&built.policies));
     }

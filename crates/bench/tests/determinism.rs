@@ -76,7 +76,6 @@ fn persisted_artifacts_are_byte_identical_across_jobs() {
                 runs: Some(runs),
                 seed: None,
                 backend: ExecBackend::Interp,
-                opt: ocelot_runtime::OptLevel::default(),
             };
             let artifact = (d.collect)(&opts);
             texts.push(artifact.render().expect("serializes"));
@@ -102,7 +101,6 @@ fn compiled_backend_artifacts_are_byte_identical_across_jobs() {
             runs: Some(2),
             seed: None,
             backend,
-            opt: ocelot_runtime::OptLevel::default(),
         };
         (d.collect)(&opts)
     };
@@ -146,7 +144,6 @@ fn scenario_sweep_is_byte_identical_across_jobs_and_backends() {
             runs: Some(1),
             seed: None,
             backend,
-            opt: ocelot_runtime::OptLevel::default(),
         };
         (d.collect)(&opts).render().expect("serializes")
     };
@@ -182,7 +179,6 @@ fn trace_artifacts_are_deterministic_and_replayable() {
             runs: Some(1),
             seed: None,
             backend: ExecBackend::Interp,
-            opt: ocelot_runtime::OptLevel::default(),
         };
         traced(&opts)
     };
@@ -204,7 +200,6 @@ fn trace_artifacts_are_deterministic_and_replayable() {
         runs: Some(1),
         seed: None,
         backend: ExecBackend::Interp,
-        opt: ocelot_runtime::OptLevel::default(),
     });
     assert_eq!(plain.cells, a1.cells, "tracing must not perturb results");
     // Identity parity: cell i of the traces artifact describes cell i
@@ -251,7 +246,6 @@ fn replay_renders_the_same_table_as_collection() {
         runs: Some(2),
         seed: None,
         backend: ExecBackend::Interp,
-        opt: ocelot_runtime::OptLevel::default(),
     };
     let collected = (d.collect)(&opts);
     let direct = (d.render)(&collected).expect("renders");

@@ -45,11 +45,8 @@ fn observe(
     runs: u64,
     inject: bool,
 ) -> Observed {
-    // `OCELOT_OPT` lets CI re-run the whole differential suite at a
-    // pinned optimization level (0 and 2); unset, the default applies.
-    let mut m = Machine::new(program, regions, policies.clone(), env, costs, supply)
-        .with_backend(backend)
-        .with_opt(ocelot_runtime::OptLevel::from_env());
+    let mut m =
+        Machine::new(program, regions, policies.clone(), env, costs, supply).with_backend(backend);
     if inject {
         m = m.with_injector(pathological_targets(policies));
     }
@@ -244,75 +241,26 @@ fn build_src(
     (program, regions, policies)
 }
 
-/// Every optimization level of the compiled engine is observationally
-/// identical to the interpreter oracle on the six paper apps: same
-/// `Stats`, same committed trace, same outcome sequence. The levels may
-/// only differ in *host* work (taint bookkeeping, check probes), never
-/// in anything the simulation records.
+/// The compiled engine skips no dynamic check: on continuous power,
+/// where every required input of a dominated use is already collected
+/// and no probe can fire, it still probes exactly as often as the
+/// interpreter oracle, with the same `Stats`, committed trace and
+/// outcome sequence.
 #[test]
-fn opt_levels_are_observationally_identical_on_paper_apps() {
-    for b in ocelot_apps::all() {
-        for model in ExecModel::all() {
-            let built = build_for(&b, model);
-            let mk = |backend, opt| {
-                let mut m = Machine::new(
-                    &built.program,
-                    &built.regions,
-                    built.policies.clone(),
-                    b.environment(7),
-                    calibrated_costs(&b),
-                    Supply::Reseeded(7).build(),
-                )
-                .with_backend(backend)
-                .with_opt(opt);
-                let outcomes: Vec<RunOutcome> = (0..2).map(|_| m.run_once(MAX_STEPS)).collect();
-                Observed {
-                    outcomes,
-                    stats: m.stats().clone(),
-                    trace: m.take_trace(),
-                }
-            };
-            let oracle = mk(ExecBackend::Interp, ocelot_runtime::OptLevel::O0);
-            for opt in ocelot_runtime::OptLevel::all() {
-                let compiled = mk(ExecBackend::Compiled, opt);
-                assert_eq!(
-                    oracle,
-                    compiled,
-                    "{} {:?} diverged at opt {}",
-                    b.name,
-                    model,
-                    opt.name()
-                );
-            }
-        }
-    }
-}
-
-/// The tentpole's measurable claim: on input-driven apps whose checked
-/// uses are dominated by must-collected chains, the optimizer at level
-/// 2 elides the dynamic probes — strictly fewer `checks_probed` than
-/// the interpreter oracle — while the committed observations stay
-/// identical. Level 0 must probe exactly as often as the interpreter.
-#[test]
-fn check_elision_strictly_reduces_probes_on_input_apps() {
-    // fusion and radiolog satisfy the ISSUE's "at least two input
-    // apps" bar; activity and send_photo come along for free.
+fn compiled_engine_probes_every_check_the_interpreter_probes() {
     for name in ["fusion", "radiolog", "activity", "send_photo"] {
         let b = ocelot_apps::by_name(name).unwrap();
         let built = build_for(&b, ExecModel::Ocelot);
-        let mk = |backend, opt| {
+        let mk = |backend| {
             let mut m = Machine::new(
                 &built.program,
                 &built.regions,
                 built.policies.clone(),
                 b.environment(7),
                 calibrated_costs(&b),
-                // Continuous supply: elision requires a run whose
-                // detector bits cannot be cleared mid-run.
                 Box::new(ContinuousPower) as Box<dyn PowerSupply>,
             )
-            .with_backend(backend)
-            .with_opt(opt);
+            .with_backend(backend);
             let outcomes: Vec<RunOutcome> = (0..3).map(|_| m.run_once(MAX_STEPS)).collect();
             let probes = m.checks_probed();
             (
@@ -324,19 +272,13 @@ fn check_elision_strictly_reduces_probes_on_input_apps() {
                 probes,
             )
         };
-        let (oracle, oracle_probes) = mk(ExecBackend::Interp, ocelot_runtime::OptLevel::O2);
-        let (direct, direct_probes) = mk(ExecBackend::Compiled, ocelot_runtime::OptLevel::O0);
-        let (optimized, optimized_probes) = mk(ExecBackend::Compiled, ocelot_runtime::OptLevel::O2);
-        assert_eq!(oracle, direct, "{name}: unoptimized backend diverged");
-        assert_eq!(oracle, optimized, "{name}: optimized backend diverged");
+        let (oracle, oracle_probes) = mk(ExecBackend::Interp);
+        let (compiled, compiled_probes) = mk(ExecBackend::Compiled);
+        assert_eq!(oracle, compiled, "{name}: compiled engine diverged");
         assert!(oracle_probes > 0, "{name}: the app actually probes checks");
         assert_eq!(
-            direct_probes, oracle_probes,
-            "{name}: level 0 must probe exactly like the interpreter"
-        );
-        assert!(
-            optimized_probes < oracle_probes,
-            "{name}: level 2 must elide probes ({optimized_probes} vs {oracle_probes})"
+            compiled_probes, oracle_probes,
+            "{name}: the compiled engine must probe exactly like the interpreter"
         );
     }
 }
@@ -346,7 +288,7 @@ fn check_elision_strictly_reduces_probes_on_input_apps() {
 /// used to fall back to a non-volatile write on assignment. SSA
 /// liveness proves no read observes the unbound value, so both engines
 /// now bind the volatile slot — byte-identical `Stats`/`Obs` across
-/// backends and levels, and zero scalar writes reaching NV. A control
+/// backends, and zero scalar writes reaching NV. A control
 /// program whose join read *can* observe the unbound value must keep
 /// the NV fallback.
 #[test]
@@ -358,7 +300,7 @@ fn reclassified_unbound_local_stores_agree_and_never_reach_nv() {
     // Here `a + 2` reads `a` while possibly unbound: the value is
     // observable, so the store must keep the non-volatile fallback.
     let observable = "nv g = 0; fn main() { if g { let a = 1; } a = a + 2; out(log, a); }";
-    let run = |src: &str, backend, opt| {
+    let run = |src: &str, backend| {
         let (program, regions, policies) = build_src(src);
         let mut m = Machine::new(
             &program,
@@ -368,8 +310,7 @@ fn reclassified_unbound_local_stores_agree_and_never_reach_nv() {
             CostModel::default(),
             Box::new(ContinuousPower) as Box<dyn PowerSupply>,
         )
-        .with_backend(backend)
-        .with_opt(opt);
+        .with_backend(backend);
         let outcomes: Vec<RunOutcome> = (0..3).map(|_| m.run_once(MAX_STEPS)).collect();
         let nv = m.nv_scalar_writes();
         (
@@ -381,32 +322,20 @@ fn reclassified_unbound_local_stores_agree_and_never_reach_nv() {
             nv,
         )
     };
-    for opt in ocelot_runtime::OptLevel::all() {
-        let (interp, nv_i) = run(reclassifiable, ExecBackend::Interp, opt);
-        let (compiled, nv_c) = run(reclassifiable, ExecBackend::Compiled, opt);
-        assert_eq!(
-            interp,
-            compiled,
-            "reclassified program diverged at opt {}",
-            opt.name()
-        );
-        assert_eq!(nv_i, 0, "interpreter: no unbound-local store leaks to NV");
-        assert_eq!(nv_c, 0, "compiled: no unbound-local store leaks to NV");
+    let (interp, nv_i) = run(reclassifiable, ExecBackend::Interp);
+    let (compiled, nv_c) = run(reclassifiable, ExecBackend::Compiled);
+    assert_eq!(interp, compiled, "reclassified program diverged");
+    assert_eq!(nv_i, 0, "interpreter: no unbound-local store leaks to NV");
+    assert_eq!(nv_c, 0, "compiled: no unbound-local store leaks to NV");
 
-        let (interp, nv_i) = run(observable, ExecBackend::Interp, opt);
-        let (compiled, nv_c) = run(observable, ExecBackend::Compiled, opt);
-        assert_eq!(
-            interp,
-            compiled,
-            "control program diverged at opt {}",
-            opt.name()
-        );
-        assert!(nv_i > 0, "control program's unbound store still reaches NV");
-        assert_eq!(
-            nv_i, nv_c,
-            "both engines count the control's NV writes alike"
-        );
-    }
+    let (interp, nv_i) = run(observable, ExecBackend::Interp);
+    let (compiled, nv_c) = run(observable, ExecBackend::Compiled);
+    assert_eq!(interp, compiled, "control program diverged");
+    assert!(nv_i > 0, "control program's unbound store still reaches NV");
+    assert_eq!(
+        nv_i, nv_c,
+        "both engines count the control's NV writes alike"
+    );
 }
 
 /// Hand-written nested-call app: collections at the bottom of a

@@ -49,7 +49,7 @@ fn spec_with(backend: ExecBackend, scenarios: Vec<String>, devices: u64, seed0: 
         seed0,
         runs: 1,
         backend,
-        opt: ocelot_runtime::OptLevel::from_env(),
+        opt: ocelot_runtime::OptLevel::O2,
     }
 }
 

@@ -58,7 +58,6 @@ fn collect(name: &str) -> ocelot_bench::artifact::Artifact {
         runs: Some(GOLDEN_RUNS),
         seed: None,
         backend: ocelot_runtime::ExecBackend::Interp,
-        opt: ocelot_runtime::OptLevel::default(),
     })
 }
 

@@ -35,7 +35,7 @@ fn small_fleet() -> FleetSpec {
         seed0: 1,
         runs: 2,
         backend: ExecBackend::Compiled,
-        opt: OptLevel::default(),
+        opt: OptLevel::O2,
     }
 }
 
@@ -47,7 +47,6 @@ fn artifacts_are_byte_identical_with_telemetry_enabled() {
         runs: Some(1),
         seed: None,
         backend: ExecBackend::Interp,
-        opt: OptLevel::default(),
     };
     let d = drivers::by_name("table2a").expect("driver exists");
     let spec = small_fleet();

@@ -27,11 +27,6 @@ pub trait PowerSupply: Send {
     /// storage as a side effect.
     fn recharge(&mut self) -> u64;
 
-    /// True for supplies that never fail (continuous power).
-    fn is_continuous(&self) -> bool {
-        false
-    }
-
     /// Draws `draws` in order, one [`PowerSupply::consume`] each, and
     /// stops at the first draw that reports [`PowerEvent::LowPower`],
     /// returning its index (`None`: every draw fit).
@@ -61,10 +56,6 @@ impl PowerSupply for ContinuousPower {
 
     fn recharge(&mut self) -> u64 {
         0
-    }
-
-    fn is_continuous(&self) -> bool {
-        true
     }
 
     fn consume_run(&mut self, _draws: &[f64]) -> Option<usize> {
@@ -242,7 +233,6 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(p.consume(1e9), PowerEvent::Ok);
         }
-        assert!(p.is_continuous());
         assert_eq!(p.recharge(), 0);
         assert_eq!(p.consume_run(&[1e12, 1e12]), None);
     }

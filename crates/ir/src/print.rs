@@ -192,25 +192,27 @@ pub fn function_to_string(p: &Program, f: &Function) -> String {
     s
 }
 
-/// Renders the whole program.
-pub fn program_to_string(p: &Program) -> String {
-    let mut s = String::new();
+/// Writes the whole program: declarations, then every function.
+pub fn write_program<W: Write>(w: &mut W, p: &Program) -> fmt::Result {
     for sensor in &p.sensors {
-        let _ = writeln!(s, "sensor {sensor};");
+        writeln!(w, "sensor {sensor};")?;
     }
     for g in &p.globals {
         match g.array_len {
-            Some(n) => {
-                let _ = writeln!(s, "nv {}[{n}];", g.name);
-            }
-            None => {
-                let _ = writeln!(s, "nv {} = {};", g.name, g.init);
-            }
+            Some(n) => writeln!(w, "nv {}[{n}];", g.name)?,
+            None => writeln!(w, "nv {} = {};", g.name, g.init)?,
         }
     }
     for f in &p.funcs {
-        let _ = write_function(&mut s, p, f, Literals::Shown);
+        write_function(w, p, f, Literals::Shown)?;
     }
+    Ok(())
+}
+
+/// Renders the whole program.
+pub fn program_to_string(p: &Program) -> String {
+    let mut s = String::new();
+    let _ = write_program(&mut s, p);
     s
 }
 

@@ -15,8 +15,8 @@ use std::fmt;
 /// Diagnostic severity, ordered least to most severe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
-    /// Informational — nothing is wrong, but the runtime will behave
-    /// differently than the source suggests (e.g. an elided check).
+    /// Informational — nothing is wrong, but the source says more than
+    /// it needs to (e.g. a check that can never fire).
     Note,
     /// The program runs, but some executions violate or waste work.
     Warning,
@@ -60,9 +60,8 @@ pub enum Code {
     /// input the policy constrains (or a consistent set relates fewer
     /// than two inputs).
     DeadPolicy,
-    /// OC004 — a dynamic staleness check that is statically redundant;
-    /// the `--opt 2` middle-end elides it (the dominating collection
-    /// site is named in a related label).
+    /// OC004 — a dynamic staleness check that is statically redundant
+    /// (the dominating collection site is named in a related label).
     RedundantCheck,
     /// OC005 — a fresh use reachable from its collection only through
     /// a loop the progress analysis cannot bound: the freshness

@@ -13,9 +13,11 @@
 //!   from minimum/worst-case interprocedural path costs
 //!   ([`ocelot_progress::FeasAnalysis`] / [`ocelot_progress::WcetAnalysis`]);
 //! * **OC003** — dead policies no realizable call stack feeds;
-//! * **OC004** — dynamic checks the `--opt 2` middle-end elides, named
-//!   with their dominating collection sites (one shared witness function
-//!   guarantees the lint report *equals* the elision set);
+//! * **OC004** — dynamic checks that are statically redundant (every
+//!   required input is already collected on all paths to the use),
+//!   named with their dominating collection sites. The runtime still
+//!   probes them; the note tells the author the check can never fire
+//!   on a run that does not lose power in between;
 //! * **OC005** — freshness obligations dischargeable only through loops
 //!   the progress analysis cannot bound;
 //! * **OC006/OC007** — atomic regions that can never (or may not) fit
@@ -65,8 +67,8 @@ mod tests {
     #[test]
     fn clean_program_stays_clean() {
         // Straight-line collect-then-use: the only finding allowed is
-        // the note that the check is elided (which --opt 2 indeed does);
-        // nothing reaches warning or error severity.
+        // the note that the check is statically redundant; nothing
+        // reaches warning or error severity.
         let r = lint(
             "sensor s; fn main() { let x = in(s); fresh(x); out(alarm, x); }",
             &LintOptions::default(),
@@ -162,21 +164,21 @@ mod tests {
 
     #[test]
     fn redundant_check_is_noted_with_dominating_site() {
-        // Straight-line collect-then-use: the bit is always set, the O2
-        // middle-end elides the probe, lint says so.
+        // Straight-line collect-then-use: the bit is always set when
+        // the use runs, and lint says so.
         let src = "sensor s; fn main() { let x = in(s); fresh(x); out(alarm, x); }";
         let opts = LintOptions::default();
         let r = lint_source(src, &opts).unwrap();
         // The clean-program test above expects zero findings; redundancy
         // notes only appear when a check exists AND is provably covered.
         // This program's one check is exactly that, but we keep apps
-        // clean by reporting elisions at note severity only.
+        // clean by reporting redundancy at note severity only.
         let notes: Vec<_> = r
             .findings
             .iter()
             .filter(|f| f.code == Code::RedundantCheck)
             .collect();
-        // Either the site is elidable (note present, spanned, with a
+        // Either the site is redundant (note present, spanned, with a
         // dominating witness) or the detector emitted no check at all.
         for n in &notes {
             assert_eq!(n.severity, Severity::Note);

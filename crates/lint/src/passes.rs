@@ -14,10 +14,10 @@
 //!    mitigation livelock §7 of the paper warns about.
 //! 2. **Dead policies** (OC003) — policies no realizable call stack
 //!    gives anything to enforce.
-//! 3. **Redundant dynamic checks** (OC004) — the dominated
-//!    must-collected condition the `--opt 2` middle-end elides,
-//!    reported with the dominating collection named. Lint and backend
-//!    share one witness function, so the two sets cannot drift.
+//! 3. **Redundant dynamic checks** (OC004) — checks whose every
+//!    required input is must-collected by a dominating site, so the
+//!    probe cannot report stale; reported with the dominating
+//!    collection named.
 //! 4. **Unbounded-loop-blocked obligations** (OC005) — a fresh use
 //!    whose every same-run path from its collection crosses the back
 //!    edge of a loop the progress analysis cannot bound.
@@ -27,17 +27,17 @@
 
 use crate::diag::{Code, Finding, Label, Report};
 use ocelot_analysis::chains::{all_contexts, unique_contexts};
-use ocelot_analysis::dom::Point;
-use ocelot_analysis::taint::TaintAnalysis;
+use ocelot_analysis::dom::{point_dominates, DomTree, Point};
+use ocelot_analysis::taint::{Prov, TaintAnalysis};
 use ocelot_core::{Compiled, PolicyKind};
 use ocelot_hw::energy::CostModel;
+use ocelot_ir::cfg::Cfg;
 use ocelot_ir::span::{SourceMap, Span};
-use ocelot_ir::{InstrRef, Program};
+use ocelot_ir::{FuncId, InstrRef, Program};
 use ocelot_progress::{EdgeSet, FeasAnalysis, WcetAnalysis};
 use ocelot_runtime::detect::DetectorConfig;
-use ocelot_runtime::elision_witnesses;
 use ocelot_runtime::ViolationKind;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Tuning knobs and the optional deployment facts passes check against.
@@ -141,7 +141,7 @@ pub fn lint_compiled(
 
     dead_policies(compiled, &label, &mut report);
     freshness_windows(p, &det, &feas, &wcet, opts, &label, &mut report);
-    redundant_checks(p, compiled, &det, &label, &mut report);
+    redundant_checks(p, &det, &label, &mut report);
     energy_regions(compiled, &feas, &wcet, opts, &label, &mut report);
 
     report.normalize();
@@ -326,36 +326,26 @@ fn keep_worst(
     }
 }
 
-/// OC004: dynamic checks the O2 middle-end elides, with the dominating
-/// collection sites named. Uses the same witness function as the
-/// runtime, so the reported set *is* the elision set.
+/// OC004: dynamic checks whose outcome is statically known, with the
+/// dominating collection sites named (see [`elision_witnesses`]).
 fn redundant_checks(
     p: &Program,
-    compiled: &Compiled,
     det: &DetectorConfig,
     label: &impl Fn(InstrRef, String) -> Label,
     out: &mut Report,
 ) {
-    // Mirror the runtime's site universe: checked sites plus fresh-use
-    // trace-logging sites (see `MachineCore` construction).
-    let mut sites: BTreeSet<InstrRef> = det.use_checks.keys().copied().collect();
-    for pol in compiled.policies.iter() {
-        if pol.kind == PolicyKind::Fresh && !pol.is_vacuous() {
-            sites.extend(pol.uses.iter().copied());
-        }
-    }
-    for (site, witnesses) in elision_witnesses(p, det, sites.into_iter()) {
-        // Logging-only sites carry no dynamic check to report on.
-        let has_check = det.use_checks.get(&site).is_some_and(|cs| !cs.is_empty());
-        if !has_check {
-            continue;
-        }
+    let sites = det
+        .use_checks
+        .iter()
+        .filter(|(_, checks)| !checks.is_empty())
+        .map(|(site, _)| *site);
+    for (site, witnesses) in elision_witnesses(p, det, sites) {
         let message = if witnesses.is_empty() {
-            "dynamic staleness check is statically redundant (elided at --opt 2): \
+            "dynamic staleness check is statically redundant: \
              no required chain can ever report stale"
                 .to_string()
         } else {
-            "dynamic staleness check is statically redundant (elided at --opt 2): \
+            "dynamic staleness check is statically redundant: \
              every required input is already collected on all paths here"
                 .to_string()
         };
@@ -371,6 +361,120 @@ fn redundant_checks(
             related,
         });
     }
+}
+
+/// Per-site witnesses that a dynamic probe is statically redundant.
+/// A site qualifies when every chain its checks require is
+/// *must-collected*: on every path of every run that reaches the site,
+/// the chain's input has already executed under exactly that call
+/// stack, so its §7.3 bit is set and
+/// [`ocelot_runtime::BitVector::run_resolved`] cannot report a
+/// violation unless power fails in between.
+///
+/// The proof obligation, for a site `S` (unique calling context `sctx`)
+/// and a required chain `ch = [c0 .. c(n-1)]` (call sites descending
+/// from `main`, ending at the input instruction):
+///
+/// * every function along `sctx` has a unique context (so dominance in
+///   one function's CFG translates into execution order of the whole
+///   interleaving);
+/// * with `k` the common prefix length of `ch`'s call-site part and
+///   `sctx`, the chain's divergence instruction `ch[k]` dominates the
+///   point where S's context continues (`sctx[k]`, or `S` itself when
+///   `k == sctx.len()`): every entry into that shared frame executes
+///   `ch[k]` before it can proceed toward `S`;
+/// * every deeper chain element `ch[k+1..]` dominates its function's
+///   exit: once the divergence call fires, the descent to the input is
+///   unavoidable before the callee can return.
+///
+/// For every redundant site the result holds the divergence
+/// instruction of each required chain: the `ch[k]` whose dominance
+/// carries the proof, i.e. the statically-earlier site whose execution
+/// guarantees the chain is collected. OC004 names these as related
+/// labels.
+fn elision_witnesses(
+    p: &Program,
+    det_cfg: &DetectorConfig,
+    sites: impl Iterator<Item = InstrRef>,
+) -> BTreeMap<InstrRef, Vec<InstrRef>> {
+    let uc = unique_contexts(p);
+    let doms: Vec<DomTree> = p
+        .funcs
+        .iter()
+        .map(|f| DomTree::dominators(f, &Cfg::new(f)))
+        .collect();
+    let point_of = |iref: InstrRef| -> Option<Point> {
+        p.func(iref.func)
+            .find_label(iref.label)
+            .map(|(b, i)| Point::new(b, i))
+    };
+    let exit_point = |f: FuncId| -> Point {
+        let func = p.func(f);
+        Point::new(func.exit, func.block(func.exit).instrs.len())
+    };
+
+    // On success, hands back the divergence instruction `ch[k]`.
+    let must_collected = |site: InstrRef, sctx: &Prov, ch: &Prov| -> Option<InstrRef> {
+        let n = ch.len();
+        if n == 0 {
+            return None;
+        }
+        let calls = &ch[..n - 1];
+        let k = calls
+            .iter()
+            .zip(sctx.iter())
+            .take_while(|(a, b)| a == b)
+            .count();
+        // Where S's side of the interleaving continues inside the
+        // deepest shared frame.
+        let (next_func, next) = if k < sctx.len() {
+            (sctx[k].func, point_of(sctx[k])?)
+        } else {
+            (site.func, point_of(site)?)
+        };
+        if ch[k].func != next_func {
+            return None; // malformed chain (hand-built IR): stay dynamic
+        }
+        let at = point_of(ch[k])?;
+        if at == next || !point_dominates(&doms[next_func.0 as usize], at, next) {
+            return None;
+        }
+        for el in &ch[k + 1..] {
+            let at = point_of(*el)?;
+            if !point_dominates(&doms[el.func.0 as usize], at, exit_point(el.func)) {
+                return None;
+            }
+        }
+        Some(ch[k])
+    };
+
+    let mut out = BTreeMap::new();
+    'site: for site in sites {
+        // Uniqueness along S's own context: `unique_contexts` already
+        // requires every prefix function to have a unique context.
+        let Some(sctx) = uc[site.func.0 as usize].as_ref() else {
+            continue;
+        };
+        let mut witnesses: Vec<InstrRef> = Vec::new();
+        for check in det_cfg.use_checks.get(&site).into_iter().flatten() {
+            for ch in &check.requires {
+                // Chains without a bit (or without a reporting op) are
+                // dropped by `DetectorConfig::resolve` and can never
+                // report stale.
+                if !det_cfg.bit_of.contains_key(ch) || ch.last().is_none() {
+                    continue;
+                }
+                match must_collected(site, sctx, ch) {
+                    Some(w) => witnesses.push(w),
+                    None => continue 'site,
+                }
+            }
+        }
+        witnesses.sort();
+        witnesses.dedup();
+        out.insert(site, witnesses);
+    }
+    out
 }
 
 /// OC006/OC007: atomic-region energy feasibility against the buffer.

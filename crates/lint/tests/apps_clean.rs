@@ -1,8 +1,8 @@
 //! The nine shipped apps are the lint's false-positive regression set:
 //! every one of them runs correctly under sweep, so any warning or
 //! error the linter raises on them would be a false alarm. Notes
-//! (elided checks) are fine — they describe an optimization, not a
-//! defect.
+//! (statically redundant checks) are fine — they describe a check
+//! that can never fire, not a defect.
 
 use ocelot_lint::{lint_source, LintOptions, Severity};
 

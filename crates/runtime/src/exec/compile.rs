@@ -42,7 +42,6 @@
 //! Accesses that cannot be proven fall back to [`Action::AssignDyn`] /
 //! [`CExpr::DynVar`], which run the interpreter's own resolution path.
 
-use super::OptLevel;
 use crate::machine::{eval_binop, Machine};
 use ocelot_analysis::chains::ChainId;
 use ocelot_analysis::dom::{point_dominates, DomTree, Point};
@@ -141,12 +140,6 @@ pub(crate) struct Step<'p> {
     /// True when detector checks, expiry checks, or fresh-use logging
     /// can fire at this site (pre-bound from the policy-derived maps).
     pub(crate) checked: bool,
-    /// True when this checked site's probe is provably redundant (every
-    /// required chain must-collected; see
-    /// `MachineCore::elidable_sites`) and the opt level elides it. The
-    /// runtime additionally gates on the per-run supply (bits must be
-    /// un-clearable mid-run).
-    pub(crate) elidable: bool,
     /// True when the pathological injector targets this site.
     pub(crate) inject: bool,
     /// What the step does.
@@ -400,7 +393,7 @@ pub(crate) enum CExpr<'p> {
     /// to untainted 0, as in the interpreter).
     RefArg,
     /// Evaluate the inner expression *by value only* and return it with
-    /// an empty dependency set. Emitted at `O2` where the optimizer
+    /// an empty dependency set. Emitted where the optimizer
     /// proved the dependency set is empty anyway (value purity) or can
     /// never reach an observation (dependency liveness) or is dropped
     /// by the consumer (store indices) — the taint-free fast path. A
@@ -525,15 +518,11 @@ impl<'p> Cx<'_, 'p> {
         action: Action<'p>,
     ) -> Step<'p> {
         let iref = InstrRef { func: f.id, label };
-        let checked = self.m.core.use_rt.contains_key(&iref);
         Step {
             iref,
             cost,
             cat,
-            checked,
-            elidable: checked
-                && self.m.opt == OptLevel::O2
-                && self.m.core.elidable_sites.contains(&iref),
+            checked: self.m.core.use_rt.contains_key(&iref),
             inject: self.m.injector_targets.contains(&iref),
             action,
         }
@@ -553,12 +542,12 @@ impl<'p> Cx<'_, 'p> {
         &self.m.core.ssa.funcs[f.id.0 as usize]
     }
 
-    /// At `O2`, wraps `e` for taint-free evaluation when `justified`
+    /// Wraps `e` for taint-free evaluation when `justified`
     /// holds (the two sound justifications are value purity and
     /// dependency deadness; consumers that drop dependency sets pass
     /// `|| true`).
     fn wrap_o2(&self, e: CExpr<'p>, justified: impl FnOnce() -> bool) -> CExpr<'p> {
-        if self.m.opt == OptLevel::O2 && justified() {
+        if justified() {
             pure_of(e)
         } else {
             e
@@ -577,10 +566,7 @@ impl<'p> Cx<'_, 'p> {
     /// the non-volatile fallback, which a later run could read.
     fn store_src(&self, f: &'p Function, label: Label, var: &str, src: &'p Expr) -> CExpr<'p> {
         let facts = self.facts(f);
-        if self.m.opt == OptLevel::O2
-            && facts.dead_defs.contains(&label)
-            && facts.always_bound.contains(var)
-        {
+        if facts.dead_defs.contains(&label) && facts.always_bound.contains(var) {
             return CExpr::Const(0);
         }
         let c = self.expr(f, label, src);
@@ -882,12 +868,12 @@ impl<'p> Cx<'_, 'p> {
                 else_bb,
             } => {
                 let c = self.expr(f, label, cond);
-                if let (true, CExpr::Const(k)) = (self.m.opt == OptLevel::O2, &c) {
+                if let CExpr::Const(k) = &c {
                     Action::Jump(if *k != 0 { *then_bb } else { *else_bb })
                 } else {
                     Action::Branch {
-                        // Evaluated by value at every level: the
-                        // condition's dependency set is never observed.
+                        // Evaluated by value: the condition's
+                        // dependency set is never observed.
                         cond: c,
                         then_bb: *then_bb,
                         else_bb: *else_bb,
@@ -912,10 +898,8 @@ impl<'p> Cx<'_, 'p> {
                 // SSA constant propagation: a use reached only by one
                 // constant-valued def (whose taint is provably pure)
                 // reads the literal directly.
-                if self.m.opt == OptLevel::O2 {
-                    if let Some(k) = self.facts(f).const_uses.get(&(label, x.clone())) {
-                        return CExpr::Const(*k);
-                    }
+                if let Some(k) = self.facts(f).const_uses.get(&(label, x.clone())) {
+                    return CExpr::Const(*k);
                 }
                 if f.is_by_ref_param(x) {
                     CExpr::RefParam(x)
@@ -939,16 +923,14 @@ impl<'p> Cx<'_, 'p> {
             },
             Expr::Binary(op, l, r) => {
                 let (lc, rc) = (self.expr(f, label, l), self.expr(f, label, r));
-                if let (true, CExpr::Const(a), CExpr::Const(b)) =
-                    (self.m.opt == OptLevel::O2, &lc, &rc)
-                {
+                if let (CExpr::Const(a), CExpr::Const(b)) = (&lc, &rc) {
                     return CExpr::Const(eval_binop(*op, *a, *b));
                 }
                 CExpr::Binary(*op, Box::new(lc), Box::new(rc))
             }
             Expr::Unary(op, x) => {
                 let xc = self.expr(f, label, x);
-                if let (true, CExpr::Const(a)) = (self.m.opt == OptLevel::O2, &xc) {
+                if let CExpr::Const(a) = &xc {
                     return CExpr::Const(match op {
                         UnOp::Neg => a.wrapping_neg(),
                         UnOp::Not => (*a == 0) as i64,
@@ -1278,7 +1260,7 @@ mod tests {
     #[test]
     fn globals_resolve_to_their_nv_slots() {
         let p = irc("nv a = 1; nv arr[2]; nv b = 2; fn main() { b = a + arr[0]; }").unwrap();
-        let m = machine_for(&p).with_opt(OptLevel::O0);
+        let m = machine_for(&p);
         let cp = compile(&m);
         let mut found = false;
         for f in &cp.funcs {
@@ -1286,6 +1268,12 @@ mod tests {
                 for s in &blk.steps {
                     if let Action::AssignGlobal { slot, src } = &s.action {
                         assert_eq!(Some(*slot), m.dev.nv.scalar_slot("b"));
+                        // `b`'s dependency set is never observed, so the
+                        // store is evaluated taint-free.
+                        let src = match src {
+                            CExpr::PureOf(inner) => &**inner,
+                            other => other,
+                        };
                         let CExpr::Binary(_, l, r) = src else {
                             panic!("src shape")
                         };
@@ -1426,7 +1414,7 @@ mod tests {
     #[test]
     fn constants_propagate_and_fold_at_o2() {
         let p = irc("fn main() { let a = 2; let b = a * 3 + 1; out(log, b); }").unwrap();
-        let m = machine_for(&p).with_opt(OptLevel::O2);
+        let m = machine_for(&p);
         let cp = compile(&m);
         // `b`'s definition folds to the literal 7, and the output reads
         // it back as a propagated constant.
@@ -1451,111 +1439,82 @@ mod tests {
                 if matches!(args.as_slice(), [CExpr::Const(7)]))
         });
         assert!(out_const, "out(log, b) reads the propagated constant");
-        // O0 keeps the expression trees intact.
-        let m0 = machine_for(&p).with_opt(OptLevel::O0);
-        let cp0 = compile(&m0);
-        assert!(
-            main_actions(&cp0, &p)
-                .iter()
-                .flat_map(|a| action_exprs(a))
-                .all(|e| !matches!(e, CExpr::Const(7))),
-            "O0 performs no folding"
-        );
     }
 
     #[test]
     fn constant_branches_straighten_to_jumps_keeping_branch_cost() {
         let p = irc("nv g = 0; fn main() { let a = 1; if a { g = 2; } else { g = 3; } }").unwrap();
-        let m = machine_for(&p).with_opt(OptLevel::O2);
+        let m = machine_for(&p);
         let cp = compile(&m);
-        let m0 = machine_for(&p).with_opt(OptLevel::O0);
-        let cp0 = compile(&m0);
         let mut saw_fold = false;
-        let main_o2 = &cp.funcs[p.main.0 as usize].blocks;
-        let main_o0 = &cp0.funcs[p.main.0 as usize].blocks;
-        for (b1, b0) in main_o2.iter().zip(main_o0) {
-            for (s1, s0) in b1.steps.iter().zip(&b0.steps) {
-                if let Action::Branch { .. } = s0.action {
-                    if let Action::Jump(t) = s1.action {
-                        saw_fold = true;
-                        // The fold picked the then-edge (a == 1) and the
-                        // step still charges the Branch's cycles.
-                        let Action::Branch { then_bb, .. } = &s0.action else {
-                            unreachable!()
-                        };
-                        assert_eq!(t, *then_bb);
-                        match (&s1.cost, &s0.cost) {
-                            (Cost::Static { cycles: c1, .. }, Cost::Static { cycles: c0, .. }) => {
-                                assert_eq!(c1, c0, "folding never changes simulated cost")
-                            }
-                            _ => panic!("branch costs are static"),
-                        }
-                    }
+        let compiled = &cp.funcs[p.main.0 as usize].blocks;
+        for (cb, b) in compiled.iter().zip(&p.func(p.main).blocks) {
+            let Terminator::Branch { then_bb, .. } = &b.term else {
+                continue;
+            };
+            let term = cb.steps.last().expect("every block ends in its terminator");
+            let Action::Jump(t) = term.action else {
+                panic!("the constant branch became a jump");
+            };
+            saw_fold = true;
+            // The fold picked the then-edge (a == 1) and the step still
+            // charges the Branch's cycles.
+            assert_eq!(t, *then_bb);
+            let branch = m.core.costs.price(Priced::Term(&b.term), Facts::default());
+            match term.cost {
+                Cost::Static { cycles, .. } => {
+                    assert_eq!(cycles, branch, "folding never changes simulated cost")
                 }
+                _ => panic!("branch costs are static"),
             }
         }
-        assert!(saw_fold, "the constant branch became a jump");
+        assert!(saw_fold, "the program has a constant branch");
     }
 
     #[test]
     fn dead_stores_to_always_bound_locals_shrink_to_const_zero() {
         // `a` is never read again: the stored value is unobservable, so
-        // O2 shrinks the source to a literal (the slot write itself is
-        // kept — binding state and checkpoint size must not change).
+        // the compile pass shrinks the source to a literal (the slot
+        // write itself is kept — binding state and checkpoint size must
+        // not change).
         let p = irc("nv g = 5; fn main() { let a = g; out(log, 1); }").unwrap();
-        let zero_binds = |opt: OptLevel| {
-            let m = machine_for(&p).with_opt(opt);
-            let cp = compile(&m);
-            main_actions(&cp, &p)
-                .iter()
-                .filter(|a| {
-                    matches!(
-                        a,
-                        Action::Bind {
-                            src: CExpr::Const(0),
-                            ..
-                        }
-                    )
-                })
-                .count()
-        };
-        // The lowering's `let $ret = 0` is a literal zero bind at every
-        // level; the shrink adds `a`'s.
-        assert_eq!(zero_binds(OptLevel::O0), 1, "O0 keeps the full store");
-        assert_eq!(
-            zero_binds(OptLevel::O2),
-            2,
-            "the dead read of g was dropped"
-        );
+        let m = machine_for(&p);
+        let cp = compile(&m);
+        let zero_binds = main_actions(&cp, &p)
+            .iter()
+            .filter(|a| {
+                matches!(
+                    a,
+                    Action::Bind {
+                        src: CExpr::Const(0),
+                        ..
+                    }
+                )
+            })
+            .count();
+        // The lowering's `let $ret = 0` is a literal zero bind; the
+        // shrink adds `a`'s.
+        assert_eq!(zero_binds, 2, "the dead read of g was dropped");
     }
 
     #[test]
     fn pure_of_wraps_only_at_o2_and_never_observed_deps() {
         // g's dependency set is never observed (no output or fresh use
-        // reads it), so stores to it may skip the taint walk at O2.
+        // reads it), so stores to it may skip the taint walk.
         let p = irc("sensor s; nv g = 0; fn main() { let v = in(s); g = g + v; }").unwrap();
-        let m0 = machine_for(&p).with_opt(OptLevel::O0);
-        let cp0 = compile(&m0);
+        let m = machine_for(&p);
+        let cp = compile(&m);
         assert!(
-            main_actions(&cp0, &p)
-                .iter()
-                .flat_map(|a| action_exprs(a))
-                .all(|e| !contains_pure_of(e)),
-            "PureOf is an O2-only rewrite"
-        );
-        let m2 = machine_for(&p).with_opt(OptLevel::O2);
-        let cp2 = compile(&m2);
-        assert!(
-            main_actions(&cp2, &p)
+            main_actions(&cp, &p)
                 .iter()
                 .flat_map(|a| action_exprs(a))
                 .any(contains_pure_of),
-            "the dep-dead global store is evaluated taint-free at O2"
+            "the dep-dead global store is evaluated taint-free"
         );
         // An output argument's deps ARE observed: its expression must
         // keep the taint walk unless provably pure.
         let p2 = irc("sensor s; fn main() { let v = in(s); out(log, v); }").unwrap();
-        let m = machine_for(&p2).with_opt(OptLevel::O2);
+        let m = machine_for(&p2);
         let cp = compile(&m);
         for a in main_actions(&cp, &p2) {
             if let Action::Output { args, .. } = a {
@@ -1565,33 +1524,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn dominated_use_checks_are_elidable_only_at_o2() {
-        // Straight-line collect-then-use in one function: the input
-        // dominates the use, so the freshness probe's outcome is
-        // statically known under monotone detector bits.
-        let p = irc("sensor s; fn main() { let x = in(s); fresh(x); out(log, x); }").unwrap();
-        let count_elidable = |opt: OptLevel| {
-            let m = machine_for(&p).with_opt(opt);
-            let cp = compile(&m);
-            let mut checked = 0;
-            let mut elidable = 0;
-            for f in &cp.funcs {
-                for b in &f.blocks {
-                    for s in &b.steps {
-                        checked += s.checked as usize;
-                        elidable += s.elidable as usize;
-                    }
-                }
-            }
-            (checked, elidable)
-        };
-        let (checked, elidable) = count_elidable(OptLevel::O2);
-        assert!(checked > 0, "the fresh use is a check site");
-        assert_eq!(elidable, checked, "the dominated probe is elidable");
-        assert_eq!(count_elidable(OptLevel::O0), (checked, 0));
     }
 
     #[test]

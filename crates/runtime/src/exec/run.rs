@@ -49,7 +49,8 @@ impl<'p> Machine<'p> {
             // machines compile privately.
             let cp = if self.injector_targets.is_empty() {
                 Arc::clone(
-                    self.core.shared_compiled[self.opt.index()]
+                    self.core
+                        .shared_compiled
                         .get_or_init(|| Arc::new(compile::compile(self))),
                 )
             } else {
@@ -59,13 +60,6 @@ impl<'p> Machine<'p> {
         }
         let cp = Arc::clone(self.compiled.as_ref().expect("just compiled"));
         let violations_before = self.dev.stats.violations;
-        // Check elision leans on bit monotonicity: bits are only cleared
-        // by power failure, so a supply that can fail mid-run (or an
-        // injector that forces failures, or a TICS window whose expiry
-        // probe elision would also skip) keeps every probe dynamic.
-        self.elide_checks = self.supply.is_continuous()
-            && self.injector_targets.is_empty()
-            && self.expiry_window.is_none();
         let mut steps = 0u64;
         loop {
             if let Some(top) = self.dev.vol.top() {
@@ -213,19 +207,10 @@ impl<'p> Machine<'p> {
             return false;
         }
 
-        // 3. Detector / expiry checks, only at pre-bound sites. Probes
-        //    the optimizer proved redundant (see
-        //    `MachineCore::elidable_sites`) are skipped when this run's
-        //    supply cannot clear bits mid-run; the fresh-use trace
-        //    observations are still recorded identically.
-        if step.checked {
-            if step.elidable && self.elide_checks {
-                ocelot_telemetry::metrics::CHECKS_ELIDED.incr();
-                self.log_fresh_uses(here);
-            } else if self.run_checks(here) {
-                self.mitigation_restart();
-                return false;
-            }
+        // 3. Detector / expiry checks, only at pre-bound sites.
+        if step.checked && self.run_checks(here) {
+            self.mitigation_restart();
+            return false;
         }
 
         // 4. Execute.
@@ -469,9 +454,9 @@ impl<'p> Machine<'p> {
     }
 
     /// Stores `src` into the active frame's `slot`. A [`CExpr::PureOf`]
-    /// source — O2 proved its dependency set empty or unobservable — is
-    /// evaluated by value only and written in place, with no taint set
-    /// built or copied.
+    /// source — the flow analysis proved its dependency set empty or
+    /// unobservable — is evaluated by value only and written in place,
+    /// with no taint set built or copied.
     fn store_slot(&mut self, slot: u32, src: &CExpr<'p>) {
         match src {
             CExpr::PureOf(e) => {
@@ -591,7 +576,7 @@ impl<'p> Machine<'p> {
 
     /// Value-only twin of [`Machine::ceval`]: computes the same `i64`
     /// without touching dependency sets. Reached under [`CExpr::PureOf`],
-    /// i.e. when the O2 flow analysis justified dropping the taint, and
+    /// i.e. when the flow analysis justified dropping the taint, and
     /// for branch conditions, whose taint is never observed.
     fn ceval_value(&self, e: &CExpr<'p>) -> i64 {
         self.value_in(self.dev.vol.top(), e)

@@ -49,9 +49,7 @@ pub mod stats;
 pub use detect::{check_trace, BitVector, DetectorConfig, ViolationEvent, ViolationKind};
 pub use exec::{ExecBackend, OptLevel};
 pub use expiry::{evaluate_expiry, ExpiryReport};
-pub use machine::{
-    elision_witnesses, pathological_targets, DeviceState, Machine, MachineCore, RunOutcome,
-};
+pub use machine::{pathological_targets, DeviceState, Machine, MachineCore, RunOutcome};
 pub use model::{build, Built, ExecModel};
 pub use obs::{Obs, ObsLog};
 pub use samoyed::{run_scaled, samoyed_transform, ScaledApp, ScaledOutcome};

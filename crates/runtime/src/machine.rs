@@ -38,7 +38,6 @@ use crate::memory::{
 use crate::obs::{Obs, ObsLog};
 use crate::stats::Stats;
 use ocelot_analysis::chains::{ChainId, ChainTable};
-use ocelot_analysis::dom::{point_dominates, DomTree, Point};
 use ocelot_analysis::taint::Prov;
 use ocelot_analysis::{ProgramSsa, ValueFlow};
 use ocelot_core::{PolicyKind, PolicySet, RegionInfo};
@@ -46,7 +45,6 @@ use ocelot_hw::energy::{CostModel, Entry, Facts, PowerEvent, Priced};
 use ocelot_hw::power::PowerSupply;
 use ocelot_hw::sensors::Environment;
 use ocelot_ir::ast::{Arg, BinOp, Expr, UnOp};
-use ocelot_ir::cfg::Cfg;
 use ocelot_ir::{FuncId, InstrRef, Op, Place, Program, RegionId, Terminator};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
@@ -246,15 +244,11 @@ pub struct MachineCore<'p> {
     /// non-volatile memory, so both backends bind the volatile slot
     /// instead of falling back to an NV cell. Indexed by function id.
     pub(crate) reclass: Vec<BTreeSet<String>>,
-    /// Check sites whose every required chain is provably collected on
-    /// all paths before the use (the §7.3 bit is already set), making
-    /// the dynamic probe redundant under batching-compatible runs.
-    pub(crate) elidable_sites: BTreeSet<InstrRef>,
-    /// The compiled programs shared by every injector-free device on
-    /// this core, one per [`OptLevel`], each built once on the first
-    /// compiled run at that level. Machines with injector targets
-    /// compile privately (injection sites are baked into steps).
-    pub(crate) shared_compiled: [OnceLock<Arc<CompiledProgram<'p>>>; 2],
+    /// The compiled program shared by every injector-free device on
+    /// this core, built once on the first compiled run. Machines with
+    /// injector targets compile privately (injection sites are baked
+    /// into steps).
+    pub(crate) shared_compiled: OnceLock<Arc<CompiledProgram<'p>>>,
 }
 
 /// The per-device mutable half of a [`Machine`]: non-volatile memory,
@@ -298,9 +292,7 @@ pub struct DeviceState {
     pub(crate) spare_snap: Option<Box<VolState>>,
     /// Dynamic consistency-check probes actually executed (detector
     /// check sites reached and resolved against the bit vector). Not
-    /// part of [`Stats`]: the optimizing backend elides provably
-    /// redundant probes, and this counter is how the reduction is
-    /// measured against the interpreter oracle.
+    /// part of [`Stats`]; both backends count it alike.
     pub(crate) checks_probed: u64,
     /// Scalar writes that reached non-volatile memory through the
     /// unbound-local fallback or a global store. Not part of [`Stats`];
@@ -415,14 +407,6 @@ pub struct Machine<'p> {
     pub(crate) expiry_window: Option<u64>,
     /// Which engine `run_once` drives.
     pub(crate) backend: ExecBackend,
-    /// How aggressively the compiled backend optimizes. Ignored by the
-    /// interpreter (the unoptimized oracle).
-    pub(crate) opt: OptLevel,
-    /// Per-run latch: true while the current compiled run may skip
-    /// elidable check probes. Requires a continuous supply (detector
-    /// bits are only cleared by power failure), no injector, and no
-    /// TICS expiry window (elision skips the expiry probe too).
-    pub(crate) elide_checks: bool,
     /// The pre-resolved program, built lazily on the first compiled
     /// run and invalidated by builders that change what compilation
     /// bakes in (the injector target set). Injector-free machines
@@ -436,15 +420,6 @@ pub struct Machine<'p> {
 const EXPIRY_RESTART_CAP: u32 = 25;
 
 impl<'p> MachineCore<'p> {
-    /// The check sites whose dynamic probe this core elides under
-    /// batching-compatible runs (continuous supply, no injector, no
-    /// TICS window) — the set `--opt 2` removes. Exposed so the linter's
-    /// OC004 report can be cross-validated against the machine's own
-    /// elision decisions.
-    pub fn elidable_sites(&self) -> &BTreeSet<InstrRef> {
-        &self.elidable_sites
-    }
-
     /// Pre-resolves everything shareable about a program: region ω
     /// sets, the interned chain table, per-chain and per-site detector
     /// data, sensor channels, and interned names.
@@ -645,7 +620,6 @@ impl<'p> MachineCore<'p> {
         let flow = ValueFlow::analyze_observing(p, &observed);
         let reclass: Vec<BTreeSet<String>> =
             ssa.funcs.iter().map(|fs| fs.always_bound.clone()).collect();
-        let elidable_sites = elidable_check_sites(p, &det_cfg, use_rt.keys().copied());
 
         MachineCore {
             p,
@@ -663,137 +637,9 @@ impl<'p> MachineCore<'p> {
             ssa,
             flow,
             reclass,
-            elidable_sites,
-            shared_compiled: [OnceLock::new(), OnceLock::new()],
+            shared_compiled: OnceLock::new(),
         }
     }
-}
-
-/// Check sites whose dynamic probe is provably redundant: every chain a
-/// site's checks require is *must-collected* — on every path of every
-/// run that reaches the site, the chain's input has already executed
-/// under exactly that call stack, so its §7.3 bit is set and
-/// [`BitVector::run_resolved`] cannot report a violation.
-///
-/// Bits are only cleared by power failure, so the proof transfers to
-/// execution only when the supply cannot fail mid-run — the runtime
-/// gates elision on a continuous supply (and on no injector / no TICS
-/// window); see [`Machine::run_once`]'s compiled path.
-///
-/// The proof obligation, for a site `S` (unique calling context `sctx`)
-/// and a required chain `ch = [c0 .. c(n-1)]` (call sites descending
-/// from `main`, ending at the input instruction):
-///
-/// * every function along `sctx` has a unique context (so dominance in
-///   one function's CFG translates into execution order of the whole
-///   interleaving);
-/// * with `k` the common prefix length of `ch`'s call-site part and
-///   `sctx`, the chain's divergence instruction `ch[k]` dominates the
-///   point where S's context continues (`sctx[k]`, or `S` itself when
-///   `k == sctx.len()`): every entry into that shared frame executes
-///   `ch[k]` before it can proceed toward `S`;
-/// * every deeper chain element `ch[k+1..]` dominates its function's
-///   exit: once the divergence call fires, the descent to the input is
-///   unavoidable before the callee can return.
-///
-/// Per-site elision witnesses: for every provably redundant site, the
-/// *divergence instruction* of each required chain — the `ch[k]` whose
-/// dominance carries the proof, i.e. the statically-earlier site whose
-/// execution guarantees the chain is collected. This is what the O2
-/// middle-end elides and what the static linter reports (OC004 names
-/// the dominating site); both consume this one function, so the lint
-/// report and the elision set cannot drift apart.
-pub fn elision_witnesses(
-    p: &Program,
-    det_cfg: &DetectorConfig,
-    sites: impl Iterator<Item = InstrRef>,
-) -> BTreeMap<InstrRef, Vec<InstrRef>> {
-    let uc = ocelot_analysis::chains::unique_contexts(p);
-    let doms: Vec<DomTree> = p
-        .funcs
-        .iter()
-        .map(|f| DomTree::dominators(f, &Cfg::new(f)))
-        .collect();
-    let point_of = |iref: InstrRef| -> Option<Point> {
-        p.func(iref.func)
-            .find_label(iref.label)
-            .map(|(b, i)| Point::new(b, i))
-    };
-    let exit_point = |f: FuncId| -> Point {
-        let func = p.func(f);
-        Point::new(func.exit, func.block(func.exit).instrs.len())
-    };
-
-    // On success, hands back the divergence instruction `ch[k]`.
-    let must_collected = |site: InstrRef, sctx: &Prov, ch: &Prov| -> Option<InstrRef> {
-        let n = ch.len();
-        if n == 0 {
-            return None;
-        }
-        let calls = &ch[..n - 1];
-        let k = calls
-            .iter()
-            .zip(sctx.iter())
-            .take_while(|(a, b)| a == b)
-            .count();
-        // Where S's side of the interleaving continues inside the
-        // deepest shared frame.
-        let (next_func, next) = if k < sctx.len() {
-            (sctx[k].func, point_of(sctx[k])?)
-        } else {
-            (site.func, point_of(site)?)
-        };
-        if ch[k].func != next_func {
-            return None; // malformed chain (hand-built IR): stay dynamic
-        }
-        let at = point_of(ch[k])?;
-        if at == next || !point_dominates(&doms[next_func.0 as usize], at, next) {
-            return None;
-        }
-        for el in &ch[k + 1..] {
-            let at = point_of(*el)?;
-            if !point_dominates(&doms[el.func.0 as usize], at, exit_point(el.func)) {
-                return None;
-            }
-        }
-        Some(ch[k])
-    };
-
-    let mut out = BTreeMap::new();
-    'site: for site in sites {
-        // Uniqueness along S's own context: `unique_contexts` already
-        // requires every prefix function to have a unique context.
-        let Some(sctx) = uc[site.func.0 as usize].as_ref() else {
-            continue;
-        };
-        let mut witnesses: Vec<InstrRef> = Vec::new();
-        for check in det_cfg.use_checks.get(&site).into_iter().flatten() {
-            for ch in &check.requires {
-                // Chains without a bit (or without a reporting op) are
-                // dropped by `DetectorConfig::resolve` and can never
-                // report stale.
-                if !det_cfg.bit_of.contains_key(ch) || ch.last().is_none() {
-                    continue;
-                }
-                match must_collected(site, sctx, ch) {
-                    Some(w) => witnesses.push(w),
-                    None => continue 'site,
-                }
-            }
-        }
-        witnesses.sort();
-        witnesses.dedup();
-        out.insert(site, witnesses);
-    }
-    out
-}
-
-fn elidable_check_sites(
-    p: &Program,
-    det_cfg: &DetectorConfig,
-    sites: impl Iterator<Item = InstrRef>,
-) -> BTreeSet<InstrRef> {
-    elision_witnesses(p, det_cfg, sites).into_keys().collect()
 }
 
 impl<'p> Machine<'p> {
@@ -856,8 +702,6 @@ impl<'p> Machine<'p> {
             reexec_limit: None,
             expiry_window: None,
             backend: ExecBackend::Interp,
-            opt: OptLevel::default(),
-            elide_checks: false,
             compiled: None,
         }
     }
@@ -896,27 +740,15 @@ impl<'p> Machine<'p> {
         self.backend
     }
 
-    /// Selects the compiled backend's optimization level. Every level
-    /// is observably identical (same [`Stats`], traces, and
-    /// [`RunOutcome`]s); higher levels only remove host-side work. The
-    /// interpreter ignores the level.
-    pub fn with_opt(mut self, opt: OptLevel) -> Self {
-        if opt != self.opt {
-            // Optimization decisions are baked into compiled steps.
-            self.compiled = None;
-        }
-        self.opt = opt;
+    /// Returns the machine unchanged: the compiled engine has one
+    /// optimization level. Kept only for perfbench.
+    pub fn with_opt(self, _opt: OptLevel) -> Self {
         self
     }
 
-    /// The optimization level the compiled backend runs at.
-    pub fn opt(&self) -> OptLevel {
-        self.opt
-    }
-
     /// Dynamic consistency-check probes executed so far (not part of
-    /// [`Stats`]: check elision is *supposed* to change this, and only
-    /// this).
+    /// [`Stats`]). Both backends probe every checked site they reach, so
+    /// the count agrees between them.
     pub fn checks_probed(&self) -> u64 {
         self.dev.checks_probed
     }
@@ -1210,24 +1042,9 @@ impl<'p> Machine<'p> {
                 .run_resolved(&rt.checks, here, self.dev.tau, self.dev.era);
             self.record_violations(events);
         }
-        self.log_fresh_uses_rt(&rt, here);
-        false
-    }
-
-    /// Records a [`Obs::Use`] observation (with dynamic taint) for each
-    /// fresh-annotated variable at this site, for the formal trace
-    /// checker. Split from [`Machine::run_checks`] so an elided check
-    /// site — one whose probe the optimizer proved redundant — still
-    /// produces the identical observation trace.
-    pub(crate) fn log_fresh_uses(&mut self, here: InstrRef) {
-        let Some(rt) = self.core.use_rt.get(&here) else {
-            return;
-        };
-        let rt = Arc::clone(rt);
-        self.log_fresh_uses_rt(&rt, here);
-    }
-
-    fn log_fresh_uses_rt(&mut self, rt: &UseSiteRt, here: InstrRef) {
+        // Record an `Obs::Use` (with dynamic taint) for each
+        // fresh-annotated variable at this site, for the formal trace
+        // checker.
         for var in &rt.fresh_vars {
             let deps = self.read_var(var).deps;
             self.dev.obs.push(Obs::Use {
@@ -1238,6 +1055,7 @@ impl<'p> Machine<'p> {
                 deps,
             });
         }
+        false
     }
 
     /// True when TICS mode is on and any input collection this site

@@ -15,7 +15,7 @@ use ocelot_hw::Harvester;
 use ocelot_ir::{compile, Program};
 use ocelot_runtime::machine::{pathological_targets, Machine, RunOutcome};
 use ocelot_runtime::obs::Obs;
-use ocelot_runtime::{DeviceState, ExecBackend, ExecModel, MachineCore, OptLevel};
+use ocelot_runtime::{DeviceState, ExecBackend, ExecModel, MachineCore};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -582,12 +582,10 @@ fn run_on_core(
     env: Environment,
     supply: Box<dyn PowerSupply>,
     backend: ExecBackend,
-    opt: OptLevel,
     runs: u64,
 ) -> RunResult {
     let mut m = Machine::from_core(Arc::clone(core), DeviceState::default(), env, supply)
-        .with_backend(backend)
-        .with_opt(opt);
+        .with_backend(backend);
     let outcome = (0..runs).map(|_| m.run_once(1_000_000)).collect();
     RunResult {
         outcome,
@@ -625,47 +623,44 @@ fn batch_continuations_fail_at_every_offset() {
             &env,
             costs.clone(),
         ));
-        for opt in OptLevel::all() {
-            let mk = |supply: Box<dyn PowerSupply>, backend| {
-                run_on_core(&core, env.clone(), supply, backend, opt, 1)
-            };
-            let clean = mk(Box::new(ContinuousPower), ExecBackend::Interp);
-            let total_nj = costs.cycles_to_nj(clean.stats.on_cycles).ceil() as u64;
-            let mut failed_at = BTreeSet::new();
-            for budget in 1..=total_nj {
-                let scripted = || Box::new(ScriptedPower::new(vec![budget as f64], 500));
-                let interp = mk(scripted(), ExecBackend::Interp);
-                let compiled = mk(scripted(), ExecBackend::Compiled);
-                let at = format!("{mode} O{} budget {budget}", opt.name());
-                assert_eq!(interp.outcome, compiled.outcome, "{at}");
-                assert_eq!(interp.stats, compiled.stats, "{at}");
-                assert_eq!(interp.trace, compiled.trace, "{at}");
-                assert_eq!(interp.stats.reboots, 1, "{at} failed exactly once");
-                // Where the failure landed: the re-executed prefix of the
-                // region, the checkpointed footprint, and the failed
-                // step's cycles (charged once more on the retry).
-                failed_at.insert((
-                    interp.stats.instructions,
-                    interp.stats.ckpt_words,
-                    interp.stats.on_cycles,
-                ));
-            }
-            // Under JIT, 10 of the 13 offsets are told apart (a jump and
-            // the step after it can share a footprint and a price);
-            // inside the region every step re-executes one more step
-            // than the offset before it, so all of them are.
-            let min = if mode == "jit" {
-                10
-            } else {
-                clean.stats.instructions as usize
-            };
-            assert!(
-                failed_at.len() >= min,
-                "{mode} O{}: the walk reached {} offsets: {failed_at:?}",
-                opt.name(),
-                failed_at.len()
-            );
+        let mk = |supply: Box<dyn PowerSupply>, backend| {
+            run_on_core(&core, env.clone(), supply, backend, 1)
+        };
+        let clean = mk(Box::new(ContinuousPower), ExecBackend::Interp);
+        let total_nj = costs.cycles_to_nj(clean.stats.on_cycles).ceil() as u64;
+        let mut failed_at = BTreeSet::new();
+        for budget in 1..=total_nj {
+            let scripted = || Box::new(ScriptedPower::new(vec![budget as f64], 500));
+            let interp = mk(scripted(), ExecBackend::Interp);
+            let compiled = mk(scripted(), ExecBackend::Compiled);
+            let at = format!("{mode} budget {budget}");
+            assert_eq!(interp.outcome, compiled.outcome, "{at}");
+            assert_eq!(interp.stats, compiled.stats, "{at}");
+            assert_eq!(interp.trace, compiled.trace, "{at}");
+            assert_eq!(interp.stats.reboots, 1, "{at} failed exactly once");
+            // Where the failure landed: the re-executed prefix of the
+            // region, the checkpointed footprint, and the failed step's
+            // cycles (charged once more on the retry).
+            failed_at.insert((
+                interp.stats.instructions,
+                interp.stats.ckpt_words,
+                interp.stats.on_cycles,
+            ));
         }
+        // Under JIT, 10 of the 13 offsets are told apart (a jump and the
+        // step after it can share a footprint and a price); inside the
+        // region every step re-executes one more step than the offset
+        // before it, so all of them are.
+        let min = if mode == "jit" {
+            10
+        } else {
+            clean.stats.instructions as usize
+        };
+        assert!(
+            failed_at.len() >= min,
+            "{mode}: the walk reached {} offsets: {failed_at:?}",
+            failed_at.len()
+        );
     }
 }
 
@@ -673,32 +668,31 @@ fn batch_continuations_fail_at_every_offset() {
 fn harvested_boot_jitter_apps_agree_across_the_registry() {
     // Every app on every registry scenario (all harvested, with boot
     // jitter), plus the evaluation's own bank driven directly: the
-    // compiled engine at O2 batches through real comparator trips, so
+    // compiled engine batches through real comparator trips, so
     // its stats and committed traces must match the interpreter's run
     // for run, not only in the fleet aggregate.
     let mut reboots = 0;
     let mut reexecs = 0;
     for bench in ocelot_apps::all_with_extensions() {
         let built = ocelot_runtime::build(bench.annotated(), ExecModel::Ocelot).unwrap();
-        let mut check = |at: String,
-                         env: Environment,
-                         supply: &dyn Fn() -> Box<dyn PowerSupply>| {
-            let core = Arc::new(MachineCore::build(
-                &built.program,
-                &built.regions,
-                built.policies.clone(),
-                &env,
-                CostModel::default(),
-            ));
-            let mk = |backend| run_on_core(&core, env.clone(), supply(), backend, OptLevel::O2, 3);
-            let interp = mk(ExecBackend::Interp);
-            let compiled = mk(ExecBackend::Compiled);
-            assert_eq!(interp.outcome, compiled.outcome, "{at}");
-            assert_eq!(interp.stats, compiled.stats, "{at}");
-            assert_eq!(interp.trace, compiled.trace, "{at}");
-            reboots += interp.stats.reboots;
-            reexecs += interp.stats.region_reexecs;
-        };
+        let mut check =
+            |at: String, env: Environment, supply: &dyn Fn() -> Box<dyn PowerSupply>| {
+                let core = Arc::new(MachineCore::build(
+                    &built.program,
+                    &built.regions,
+                    built.policies.clone(),
+                    &env,
+                    CostModel::default(),
+                ));
+                let mk = |backend| run_on_core(&core, env.clone(), supply(), backend, 3);
+                let interp = mk(ExecBackend::Interp);
+                let compiled = mk(ExecBackend::Compiled);
+                assert_eq!(interp.outcome, compiled.outcome, "{at}");
+                assert_eq!(interp.stats, compiled.stats, "{at}");
+                assert_eq!(interp.trace, compiled.trace, "{at}");
+                reboots += interp.stats.reboots;
+                reexecs += interp.stats.region_reexecs;
+            };
         for (i, sc) in ocelot_scenario::all().into_iter().enumerate() {
             let sc = sc.reseeded(40 + i as u64);
             check(

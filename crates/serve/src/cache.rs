@@ -123,9 +123,8 @@ impl ProgramCache {
     /// memoizing it on first use. Cores are keyed by scenario *name*:
     /// the channel layout a core records is a pure function of the
     /// scenario shape (seeds only perturb signal values), so one core
-    /// serves every reseeding of the scenario — and, because levels and
-    /// backends are observationally identical, every `--opt` level and
-    /// both backends too.
+    /// serves every reseeding of the scenario — and, because the
+    /// backends are observationally identical, both backends too.
     ///
     /// # Errors
     ///

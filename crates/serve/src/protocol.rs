@@ -15,8 +15,8 @@
 //! | `ping` | — | `pong` |
 //! | `submit` | `source` | `program`, `cached`, `verdict` |
 //! | `verify` | `source`, `doc`? | `verdict`, `funcs`, `analyzed`, `reused` |
-//! | `run` | `program`, `scenario`, `runs`?, `seed`?, `backend`?, `opt`? | `scenario`, `stats` |
-//! | `sweep` | `program`, `scenarios`, `runs`?, `backend`?, `opt`? | `cells` |
+//! | `run` | `program`, `scenario`, `runs`?, `seed`?, `backend`? | `scenario`, `stats` |
+//! | `sweep` | `program`, `scenarios`, `runs`?, `backend`? | `cells` |
 //! | `lint` | `source`, `window_us`?, `capacity_nj`? | `program`, `cached`, `report` (`ocelot-lint-report` JSON, see `docs/lint.md`) |
 //! | `stats` | — | `programs`, `cores`, `docs`, `cached_funcs`, `requests`, then per-cache hit/miss counters in pinned order |
 //! | `metrics` | — | `metrics` (the process-wide telemetry snapshot) |
@@ -35,9 +35,9 @@
 //! analyzes only the functions none of them holds. `run`/`sweep` accept
 //! scenario specs (`name` or `name@seed`) and report the machine's
 //! violation/mitigation statistics. They simulate on the compiled
-//! engine at the default opt level (O2) unless the request names a
-//! `backend`/`opt`; `"backend": "interp"` selects the interpreter, the
-//! semantics oracle, which answers the same bytes.
+//! engine unless the request names a `backend`; `"backend": "interp"`
+//! selects the interpreter, the semantics oracle, which answers the
+//! same bytes.
 
 use crate::cache::ProgramCache;
 use crate::verify::{full_verify, program_hash, Session};
@@ -45,7 +45,7 @@ use ocelot_analysis::incremental::assemble;
 use ocelot_runtime::machine::{DeviceState, Machine, MachineCore};
 use ocelot_runtime::pool::{run_jobs, Job};
 use ocelot_runtime::stats::stats_to_json;
-use ocelot_runtime::{ExecBackend, OptLevel, MAX_STEPS};
+use ocelot_runtime::{ExecBackend, MAX_STEPS};
 use ocelot_telemetry::json::Json;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -204,8 +204,8 @@ fn op_verify(state: &mut ServerState, req: &Json) -> OpResult {
 /// engine defaults to the compiled backend, as `ocelotc fleet` does:
 /// it answers the same bytes as the interpreter (`"backend":
 /// "interp"`, the semantics oracle), and every run shares the core's
-/// compiled program at its opt level.
-fn run_shape(req: &Json) -> Result<(u64, ExecBackend, OptLevel), String> {
+/// compiled program.
+fn run_shape(req: &Json) -> Result<(u64, ExecBackend), String> {
     let runs = req
         .get("runs")
         .and_then(Json::as_u64)
@@ -215,15 +215,7 @@ fn run_shape(req: &Json) -> Result<(u64, ExecBackend, OptLevel), String> {
         Some("interp") => ExecBackend::Interp,
         Some(b) => return Err(format!("unknown backend `{b}` (known: interp, compiled)")),
     };
-    let opt = match req.get("opt") {
-        None => OptLevel::default(),
-        Some(v) => {
-            let n = v.as_u64().ok_or("`opt` must be an integer")?;
-            OptLevel::parse(&n.to_string())
-                .ok_or_else(|| format!("invalid opt level {n} (accepted: 0, 2)"))?
-        }
-    };
-    Ok((runs, backend, opt))
+    Ok((runs, backend))
 }
 
 /// Simulates one scenario cell on a shared core and returns its stats
@@ -235,15 +227,13 @@ fn simulate_cell(
     seed: Option<u64>,
     runs: u64,
     backend: ExecBackend,
-    opt: OptLevel,
 ) -> Result<Json, String> {
     let mut sc = ocelot_scenario::parse(spec)?;
     if let Some(s) = seed {
         sc = sc.reseeded(s);
     }
     let mut m = Machine::from_core(core, DeviceState::default(), sc.environment(), sc.supply())
-        .with_backend(backend)
-        .with_opt(opt);
+        .with_backend(backend);
     for _ in 0..runs {
         // Harsh regimes may starve a run; no completion assertion, the
         // same rule the per-cell harness and fleet use.
@@ -259,10 +249,10 @@ fn op_run(state: &mut ServerState, req: &Json) -> OpResult {
         .ok_or("request needs a `program` hash member (from submit)")?;
     let spec = req_str(req, "scenario")?;
     let seed = req.get("seed").and_then(Json::as_u64);
-    let (runs, backend, opt) = run_shape(req)?;
+    let (runs, backend) = run_shape(req)?;
     let sc = ocelot_scenario::parse(spec)?;
     let core = state.cache.core(hash, &sc)?;
-    let stats = simulate_cell(core, spec, seed, runs, backend, opt)?;
+    let stats = simulate_cell(core, spec, seed, runs, backend)?;
     Ok(vec![("scenario", Json::str(spec)), ("stats", stats)])
 }
 
@@ -285,7 +275,7 @@ fn op_sweep(state: &mut ServerState, req: &Json) -> OpResult {
     if specs.is_empty() {
         return Err("a sweep needs at least one scenario".to_string());
     }
-    let (runs, backend, opt) = run_shape(req)?;
+    let (runs, backend) = run_shape(req)?;
     // Resolve every core up front (serially — cores memoize in the
     // cache), then shard the simulations onto the pool. `run_jobs`
     // returns results in job order, so the response is deterministic at
@@ -299,7 +289,7 @@ fn op_sweep(state: &mut ServerState, req: &Json) -> OpResult {
         .into_iter()
         .map(|(spec, core)| {
             Box::new(move || {
-                let stats = simulate_cell(core, spec, None, runs, backend, opt)?;
+                let stats = simulate_cell(core, spec, None, runs, backend)?;
                 Ok(Json::obj(vec![
                     ("scenario", Json::str(spec)),
                     ("runs", Json::u64(runs)),

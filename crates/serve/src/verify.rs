@@ -21,18 +21,22 @@
 //! incremental re-verification beats a from-scratch verify on the
 //! harness's reference taint fixpoint by well over 10×.
 
+use ocelot_analysis::incremental::Fnv;
 use ocelot_analysis::incremental::{FlowCache, IncrementalStats};
 use ocelot_analysis::taint::TaintAnalysis;
 use ocelot_core::{ocelot_transform_with, Compiled};
-use ocelot_ir::print::program_to_string;
+use ocelot_ir::print::write_program;
 use ocelot_ir::Program;
 use ocelot_telemetry::json::Json;
 
 /// FNV-1a 64 over a program's canonical printed form — the program
 /// hash the server keys its caches by, and the hash verdicts embed
-/// so byte-identity checks are one integer compare away.
+/// so byte-identity checks are one integer compare away. The form is
+/// hashed as it is printed, never built as a string.
 pub fn program_hash(p: &Program) -> u64 {
-    ocelot_analysis::incremental::fnv1a(program_to_string(p).as_bytes())
+    let mut h = Fnv::default();
+    let _ = write_program(&mut h, p);
+    h.finish()
 }
 
 /// The outcome of verifying (transforming + self-checking) one program

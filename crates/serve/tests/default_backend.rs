@@ -1,12 +1,11 @@
 //! The `run`/`sweep` default engine answers the oracle's bytes.
 //!
-//! A request that names no `backend` simulates on the compiled engine
-//! at the default opt level. These tests hold that choice invisible on
-//! the wire: for the nine apps under every registered scenario, and for
-//! generated programs under two, the default answer renders byte for
-//! byte like the interpreter's (`"backend": "interp"`, the semantics
-//! oracle) and like the unoptimized compiled engine's (`"compiled"`,
-//! `opt 0`).
+//! A request that names no `backend` simulates on the compiled engine.
+//! These tests hold that choice invisible on the wire: for the nine
+//! apps under every registered scenario, and for generated programs
+//! under two, the default answer renders byte for byte like the
+//! interpreter's (`"backend": "interp"`, the semantics oracle) and like
+//! the compiled engine's when named explicitly.
 
 use ocelot_bench::genprog::SourceGen;
 use ocelot_runtime::machine::{DeviceState, Machine, RunOutcome};
@@ -18,12 +17,12 @@ use ocelot_telemetry::json::Json;
 const RUNS: u64 = 2;
 
 /// The engine members every cell is asked under: none (the default),
-/// the oracle, and the compiled engine without optimizations.
+/// the oracle, and the compiled engine named explicitly.
 fn engines() -> [Vec<(&'static str, Json)>; 3] {
     [
         vec![],
         vec![("backend", Json::str("interp"))],
-        vec![("backend", Json::str("compiled")), ("opt", Json::u64(0))],
+        vec![("backend", Json::str("compiled"))],
     ]
 }
 

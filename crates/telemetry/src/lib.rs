@@ -151,7 +151,7 @@ mod tests {
         metrics::reset_metrics();
         set_metrics(true);
         metrics::CHECKS_EXECUTED.add(3);
-        metrics::CHECKS_ELIDED.add(2);
+        metrics::REBOOTS.add(2);
         set_metrics(false);
         let snap = metrics::snapshot();
         let keys: Vec<&str> = snap.iter().map(|(k, _)| *k).collect();
@@ -160,7 +160,7 @@ mod tests {
         assert_eq!(keys, sorted, "snapshot keys are sorted");
         let text = metrics::render_snapshot();
         assert!(text.contains("runtime.checks.executed 3"), "{text}");
-        assert!(text.contains("runtime.checks.elided 2"), "{text}");
+        assert!(text.contains("runtime.reboots 2"), "{text}");
         metrics::reset_metrics();
     }
 

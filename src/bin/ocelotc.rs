@@ -27,9 +27,6 @@
 //!     --jit                     skip region inference (JIT-only build)
 //!     --backend <interp|compiled> execution engine (default interp);
 //!                               identical results, compiled is faster
-//!     --opt <0|2>               compiled-engine optimization level
-//!                               (default 2, or $OCELOT_OPT; identical
-//!                               results at every level)
 //!     --tics <µs>               JIT + TICS-style expiry window with
 //!                               restart mitigation (implies --jit)
 //!     --runs <n>                complete program runs (default 10)
@@ -73,7 +70,7 @@
 //!                               results, and per-scenario machine
 //!                               cores stay cached between requests;
 //!                               run / sweep simulate on the compiled
-//!                               engine at O2 unless a request names
+//!                               engine unless a request names
 //!                               `"backend": "interp"`
 //!     --addr <host:port>        bind address (default 127.0.0.1:7433;
 //!                               port 0 picks an ephemeral port)
@@ -682,7 +679,6 @@ fn cmd_run(program: Program, opts: &[String]) -> ExitCode {
     let mut continuous = false;
     let mut jit = false;
     let mut backend = ExecBackend::Interp;
-    let mut opt = ocelot::runtime::OptLevel::from_env();
     let mut tics: Option<u64> = None;
     let mut env = Environment::new();
     let mut have_sensor = false;
@@ -696,10 +692,6 @@ fn cmd_run(program: Program, opts: &[String]) -> ExitCode {
             "--backend" => match it.next().map(|v| ExecBackend::parse(v)) {
                 Some(Some(b)) => backend = b,
                 _ => return usage_err("--backend needs `interp` or `compiled`"),
-            },
-            "--opt" => match it.next().map(|v| ocelot::runtime::OptLevel::parse(v)) {
-                Some(Some(l)) => opt = l,
-                _ => return usage_err("--opt needs `0` or `2`"),
             },
             "--tics" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(w) => {
@@ -777,8 +769,7 @@ fn cmd_run(program: Program, opts: &[String]) -> ExitCode {
         CostModel::default(),
         supply,
     )
-    .with_backend(backend)
-    .with_opt(opt);
+    .with_backend(backend);
     if let Some(w) = tics {
         machine = machine.with_expiry_window(w);
     }
