@@ -32,16 +32,10 @@
 //! downstream transform, policies, summaries, and verdicts cannot tell
 //! the difference (held by the equivalence tests here and byte-identity
 //! tests in the serve layer).
-//!
-//! [`assemble`] is the one callees-first loop behind both uses of the
-//! cache: [`FlowCache::run`] feeds it its own entries and stores the
-//! misses, while a caller holding several caches (the serve layer's
-//! `lint`, over every open document) feeds it a lookup across all of
-//! them and stores nothing.
 
 use crate::taint::{analyze_function, FuncFlow, TaintAnalysis};
 use ocelot_ir::print::{write_function, Literals};
-use ocelot_ir::{CallGraph, FuncId, Program};
+use ocelot_ir::{CallGraph, Program};
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 
@@ -138,51 +132,6 @@ pub fn input_fingerprints(p: &Program) -> Vec<u64> {
     keys
 }
 
-/// Runs the taint analysis over `p` callees-first, taking each
-/// function's flow from `lookup(name, fingerprint)` when it answers and
-/// computing it with the per-function fixpoint otherwise. The fingerprint is
-/// the function's [`input_fingerprints`] entry, so any flow a lookup
-/// keyed this way returns is valid verbatim and the result equals
-/// [`TaintAnalysis::run`] exactly.
-///
-/// Returns the analysis, the reuse statistics, and the functions whose
-/// flows were computed fresh with their fingerprints — what a cache
-/// stores to answer the next lookup.
-///
-/// # Panics
-///
-/// Panics on recursive programs; run [`ocelot_ir::validate()`] first.
-pub fn assemble<'c>(
-    p: &Program,
-    lookup: impl Fn(&str, u64) -> Option<&'c FuncFlow>,
-) -> (TaintAnalysis, IncrementalStats, Vec<(FuncId, u64)>) {
-    let cg = CallGraph::new(p);
-    let order = cg
-        .topo_callees_first(p)
-        .expect("taint analysis requires an acyclic call graph");
-    let keys = input_fingerprints(p);
-
-    let mut flows: Vec<FuncFlow> = vec![FuncFlow::default(); p.funcs.len()];
-    let mut misses = Vec::new();
-    for f in order {
-        let func = p.func(f);
-        let key = keys[f.0 as usize];
-        flows[f.0 as usize] = match lookup(&func.name, key) {
-            Some(flow) => flow.clone(),
-            None => {
-                misses.push((f, key));
-                analyze_function(p, func, &flows)
-            }
-        };
-    }
-    let stats = IncrementalStats {
-        funcs: p.funcs.len(),
-        analyzed: misses.len(),
-        reused: p.funcs.len() - misses.len(),
-    };
-    (TaintAnalysis::from_flows(p, flows), stats, misses)
-}
-
 /// What one incremental pass did: how much work the cache saved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IncrementalStats {
@@ -198,7 +147,7 @@ pub struct IncrementalStats {
 /// by [`input_fingerprints`]. One cache serves one logical *document*
 /// (an edit stream of versions of the same program); feeding it
 /// unrelated programs is correct but thrashes.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct FlowCache {
     entries: HashMap<String, (u64, FuncFlow)>,
 }
@@ -218,21 +167,42 @@ impl FlowCache {
     /// Panics on recursive programs; run [`ocelot_ir::validate()`]
     /// first.
     pub fn run(&mut self, p: &Program) -> (TaintAnalysis, IncrementalStats) {
-        let (taint, stats, misses) = assemble(p, |name, key| self.get(name, key));
-        for (f, key) in misses {
-            let flow = taint.flows[f.0 as usize].clone();
-            self.entries.insert(p.func(f).name.clone(), (key, flow));
+        let cg = CallGraph::new(p);
+        let order = cg
+            .topo_callees_first(p)
+            .expect("taint analysis requires an acyclic call graph");
+        let keys = input_fingerprints(p);
+
+        let mut flows: Vec<FuncFlow> = vec![FuncFlow::default(); p.funcs.len()];
+        let mut analyzed = 0;
+        for f in order {
+            let func = p.func(f);
+            let key = keys[f.0 as usize];
+            flows[f.0 as usize] = match self.get(&func.name, key) {
+                Some(flow) => flow.clone(),
+                None => {
+                    analyzed += 1;
+                    let flow = analyze_function(p, func, &flows);
+                    self.entries.insert(func.name.clone(), (key, flow.clone()));
+                    flow
+                }
+            };
         }
+        let stats = IncrementalStats {
+            funcs: p.funcs.len(),
+            analyzed,
+            reused: p.funcs.len() - analyzed,
+        };
         // Drop entries for functions the edit removed, so the cache
         // tracks the document instead of growing monotonically.
         self.entries
             .retain(|name, _| p.funcs.iter().any(|f| &f.name == name));
-        (taint, stats)
+        (TaintAnalysis::from_flows(p, flows), stats)
     }
 
     /// The cached flow of function `name` when its fingerprint is
     /// `key`.
-    pub fn get(&self, name: &str, key: u64) -> Option<&FuncFlow> {
+    fn get(&self, name: &str, key: u64) -> Option<&FuncFlow> {
         match self.entries.get(name) {
             Some((cached_key, flow)) if *cached_key == key => Some(flow),
             _ => None,
@@ -381,23 +351,36 @@ mod tests {
         }
     "#;
 
-    /// Warms a cache on `LITERALS`, re-assembles the analysis of the
-    /// edited program from it, checks the result equals a from-scratch
-    /// run, and returns the names of the functions it re-analyzed.
+    /// Warms a cache on `LITERALS`, runs it on the edited program,
+    /// checks the result equals a from-scratch run, and returns the
+    /// names of the functions it re-analyzed (those whose cached key
+    /// the run replaced).
     fn misses(edited: &Program) -> Vec<String> {
         let mut cache = FlowCache::new();
         cache.run(&program(LITERALS));
-        let (taint, stats, misses) = assemble(edited, |name, key| cache.get(name, key));
+        let keys = |cache: &FlowCache| -> HashMap<String, u64> {
+            cache
+                .entries
+                .iter()
+                .map(|(name, (key, _))| (name.clone(), *key))
+                .collect()
+        };
+        let before = keys(&cache);
+        let (taint, stats) = cache.run(edited);
         assert_eq!(
             taint,
             TaintAnalysis::run(edited),
             "reuse changed the analysis"
         );
-        assert_eq!(stats.analyzed, misses.len());
-        misses
-            .into_iter()
-            .map(|(f, _)| edited.func(f).name.clone())
-            .collect()
+        let after = keys(&cache);
+        let missed: Vec<String> = edited
+            .funcs
+            .iter()
+            .map(|f| f.name.clone())
+            .filter(|name| before.get(name) != after.get(name))
+            .collect();
+        assert_eq!(stats.analyzed, missed.len());
+        missed
     }
 
     fn edited(pairs: &[(&str, &str)]) -> Program {

@@ -44,7 +44,7 @@ pub use chains::{static_input_chains, unique_contexts, ChainId, ChainTable};
 pub use dom::{dominance_frontier, point_dominates, point_post_dominates, DomTree, Point};
 pub use effects::{global_effects, GlobalEffects};
 pub use flow::ValueFlow;
-pub use incremental::{assemble, input_fingerprints, FlowCache, IncrementalStats};
+pub use incremental::{input_fingerprints, FlowCache, IncrementalStats};
 pub use loops::LoopForest;
 pub use ssa::{analyze_func, FuncSsa, ProgramSsa};
 pub use summary::{build_summaries, FuncSummary};

@@ -73,7 +73,7 @@ pub fn replay_trace(trace: &EditTrace) -> Vec<EditMeasurement> {
     for n in 1..=trace.edits {
         let src = edited_source(trace, n);
         let t0 = std::time::Instant::now();
-        let (_, verdict, stats) = session.verify(&src).expect("edited program verifies");
+        let (verdict, stats) = session.verify(&src).expect("edited program verifies");
         let incr_ns = t0.elapsed().as_nanos() as u64;
         let t1 = std::time::Instant::now();
         let (_, full) = full_verify(&src).expect("full verify");

@@ -24,14 +24,11 @@ const RUNS: u64 = 3;
 /// Step budget per run, as in the differential suite.
 const MAX_STEPS: u64 = 200_000;
 
-/// The span the linter labels `r` with: the transformed program's span
-/// when non-empty, else the pre-erasure program's (annotation sites
-/// only survive there).
-fn span_of(p: &ocelot_ir::Program, p0: &ocelot_ir::Program, r: InstrRef) -> Span {
-    p.span_of(r)
-        .filter(|s| !s.is_empty())
-        .or_else(|| p0.span_of(r))
-        .unwrap_or_default()
+/// The span the linter labels the use site `r` with: the transformed
+/// program's span when non-empty. (Only annotation sites, which are
+/// never violation sites, take their span from a policy declaration.)
+fn span_of(p: &ocelot_ir::Program, r: InstrRef) -> Span {
+    p.span_of(r).filter(|s| !s.is_empty()).unwrap_or_default()
 }
 
 /// Byte-offset spans, the only currency the lint report speaks.
@@ -40,9 +37,9 @@ type SpanSet = BTreeSet<(usize, usize)>;
 /// Lints `src`, runs it under continuous power in `env`, and returns
 /// the OC004 primary spans and the spans of every recorded violation.
 fn both_sides(src: &str, env: Environment) -> (SpanSet, SpanSet) {
-    let p0 = ocelot_ir::compile(src).expect("source compiles");
-    let compiled = ocelot_core::ocelot_transform(p0.clone()).expect("transform succeeds");
-    let report = lint_compiled(&p0, &compiled, src, &LintOptions::default()).expect("lint runs");
+    let p = ocelot_ir::compile(src).expect("source compiles");
+    let compiled = ocelot_core::ocelot_transform(p).expect("transform succeeds");
+    let report = lint_compiled(&compiled, src, &LintOptions::default()).expect("lint runs");
     let redundant: SpanSet = report
         .findings
         .iter()
@@ -66,7 +63,7 @@ fn both_sides(src: &str, env: Environment) -> (SpanSet, SpanSet) {
         .iter()
         .filter_map(|o| match o {
             Obs::Violation(ev) => {
-                let s = span_of(&compiled.program, &p0, ev.at);
+                let s = span_of(&compiled.program, ev.at);
                 Some((s.start, s.end))
             }
             _ => None,

@@ -18,7 +18,6 @@ fn option_grid() -> Vec<LintOptions> {
             grid.push(LintOptions {
                 window_us,
                 capacity_nj,
-                ..LintOptions::default()
             });
         }
     }
@@ -58,7 +57,6 @@ proptest! {
         let opts = LintOptions {
             window_us: Some(150),
             capacity_nj: Some(50.0),
-            ..LintOptions::default()
         };
         let report = lint_source(&src, &opts).unwrap();
         let with_src = report.render_text("gen.oc", Some(&src));

@@ -20,7 +20,7 @@
 //! the full sweep (3,000 seeds × 3 perturbations), run in release:
 //! `cargo test --release -p ocelot-bench --test literal_reuse -- --ignored`.
 
-use ocelot_analysis::incremental::{assemble, FlowCache};
+use ocelot_analysis::incremental::FlowCache;
 use ocelot_analysis::taint::TaintAnalysis;
 use ocelot_bench::genprog::SourceGen;
 use ocelot_ir::ast::{Arg, Expr};
@@ -153,7 +153,7 @@ fn check(name: &str, src: &str, variants: u64, tally: &mut Tally) {
     for variant in 1..=variants {
         let mut edited = original.clone();
         perturb_ir(&mut edited, variant);
-        let (taint, stats, _) = assemble(&edited, |f, key| warm.get(f, key));
+        let (taint, stats) = warm.clone().run(&edited);
         assert_eq!(stats.analyzed, 0, "{name} IR variant {variant}");
         assert_eq!(
             taint,
@@ -165,7 +165,7 @@ fn check(name: &str, src: &str, variants: u64, tally: &mut Tally) {
             tally.skipped += 1;
             continue;
         };
-        let (taint, stats, _) = assemble(&perturbed, |f, key| warm.get(f, key));
+        let (taint, stats) = warm.clone().run(&perturbed);
         assert_eq!(
             taint,
             TaintAnalysis::run(&perturbed),

@@ -9,6 +9,7 @@
 //! placement.
 
 use ocelot_analysis::taint::{Prov, TaintAnalysis};
+use ocelot_ir::span::Span;
 use ocelot_ir::{AnnotKind, InstrRef, Program, RegionId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -32,6 +33,9 @@ pub enum PolicyKind {
 pub struct Decl {
     /// The annotation instruction.
     pub at: InstrRef,
+    /// The annotation's source span. The transform erases annotation
+    /// instructions, so the transformed program no longer has it.
+    pub span: Span,
     /// The annotated variable (post-renaming name).
     pub var: String,
     /// Full provenance chains of the inputs this variable depends on.
@@ -163,6 +167,7 @@ pub fn build_policies(p: &Program, taint: &TaintAnalysis) -> PolicySet {
 
     for (at, kind, var) in p.annotations() {
         let decl_inputs = taint.annotation_inputs(p, at);
+        let span = p.span_of(at).unwrap_or_default();
         match kind {
             AnnotKind::Fresh => {
                 let uses: BTreeSet<InstrRef> = taint
@@ -186,6 +191,7 @@ pub fn build_policies(p: &Program, taint: &TaintAnalysis) -> PolicySet {
                     inputs: decl_inputs.clone(),
                     decls: vec![Decl {
                         at,
+                        span,
                         var,
                         inputs: decl_inputs,
                     }],
@@ -195,6 +201,7 @@ pub fn build_policies(p: &Program, taint: &TaintAnalysis) -> PolicySet {
             AnnotKind::Consistent(id) => {
                 consistent_groups.entry(id).or_default().push(Decl {
                     at,
+                    span,
                     var,
                     inputs: decl_inputs,
                 });
@@ -324,6 +331,36 @@ mod tests {
         let op = ops.iter().next().unwrap();
         assert!(p.inst(*op).unwrap().op.is_input());
         assert_eq!(op.func, p.func_by_name("grab").unwrap());
+    }
+
+    #[test]
+    fn decl_spans_are_the_annotation_spans() {
+        let src = r#"
+            sensor a; sensor b;
+            fn grab() { let v = in(b); consistent(v, 1); return v; }
+            fn main() {
+                let x = in(a);
+                fresh(x);
+                consistent(x, 1);
+                let y = grab();
+                fresh(y);
+                out(log, x, y);
+            }
+        "#;
+        let (p, ps) = policies_of(src);
+        let decls: Vec<&Decl> = ps.iter().flat_map(|pol| &pol.decls).collect();
+        assert_eq!(decls.len(), 4);
+        for d in decls {
+            assert!(!d.span.is_empty(), "{d:?}");
+            assert_eq!(Some(d.span), p.span_of(d.at), "{d:?}");
+            assert!(src[d.span.start..d.span.end].contains(d.var.as_str()));
+        }
+        // The transform erases the annotations; the decls keep the spans.
+        let c = crate::ocelot_transform(p.clone()).unwrap();
+        for d in c.policies.iter().flat_map(|pol| &pol.decls) {
+            assert_eq!(c.program.span_of(d.at), None);
+            assert_eq!(Some(d.span), p.span_of(d.at));
+        }
     }
 
     #[test]

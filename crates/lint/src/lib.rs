@@ -49,12 +49,11 @@ pub mod json;
 pub mod passes;
 
 pub use diag::{Code, Finding, Label, Report, Severity, ALL_CODES};
-pub use passes::{lint_compiled, lint_program, lint_source, LintError, LintOptions};
+pub use passes::{lint_compiled, lint_source, LintError, LintOptions};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocelot_hw::energy::CostModel;
 
     fn lint(src: &str, opts: &LintOptions) -> Report {
         lint_source(src, opts).expect("source lints")
@@ -304,8 +303,6 @@ mod tests {
         let opts = LintOptions {
             window_us: Some(50),
             capacity_nj: Some(50_000.0),
-            costs: CostModel::default(),
-            context_cap: 512,
         };
         let a = lint(src, &opts);
         let b = lint(src, &opts);

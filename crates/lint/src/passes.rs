@@ -1,9 +1,10 @@
 //! The whole-program lint passes.
 //!
 //! Every pass runs over the *transformed* program (regions inserted,
-//! annotations erased) so the costs it reasons about are exactly the
-//! ones the runtime charges; spans for erased annotation sites are
-//! recovered from the pre-erasure program. The five passes:
+//! annotations erased), priced with the default [`CostModel`], so the
+//! costs it reasons about are exactly the ones the runtime charges;
+//! spans for erased annotation sites come from the policies'
+//! declarations. The five passes:
 //!
 //! 1. **Infeasible freshness windows** (OC001/OC002) — the minimum
 //!    collect-to-use path cost, over every calling context and across
@@ -28,7 +29,7 @@
 use crate::diag::{Code, Finding, Label, Report};
 use ocelot_analysis::chains::{all_contexts, unique_contexts};
 use ocelot_analysis::dom::{point_dominates, DomTree, Point};
-use ocelot_analysis::taint::{Prov, TaintAnalysis};
+use ocelot_analysis::taint::Prov;
 use ocelot_core::{Compiled, PolicyKind};
 use ocelot_hw::energy::CostModel;
 use ocelot_ir::cfg::Cfg;
@@ -40,30 +41,18 @@ use ocelot_runtime::ViolationKind;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Tuning knobs and the optional deployment facts passes check against.
-#[derive(Debug, Clone)]
+/// The optional deployment facts passes check against.
+#[derive(Debug, Clone, Default)]
 pub struct LintOptions {
     /// Freshness expiry window in µs; `None` disables OC001/OC002.
     pub window_us: Option<u64>,
     /// Energy buffer capacity in nJ; `None` disables OC006/OC007.
     pub capacity_nj: Option<f64>,
-    /// The cost model paths are priced with.
-    pub costs: CostModel,
-    /// Per-function calling-context enumeration cap; beyond it the
-    /// window passes degrade to unique-context sites only.
-    pub context_cap: usize,
 }
 
-impl Default for LintOptions {
-    fn default() -> Self {
-        LintOptions {
-            window_us: None,
-            capacity_nj: None,
-            costs: CostModel::default(),
-            context_cap: 512,
-        }
-    }
-}
+/// Per-function calling-context enumeration cap; beyond it the window
+/// passes degrade to unique-context sites only.
+const CONTEXT_CAP: usize = 512;
 
 /// A failure *of* the linter (as opposed to findings *from* it): the
 /// program did not compile, or an analysis prerequisite failed.
@@ -78,61 +67,49 @@ impl fmt::Display for LintError {
 
 impl std::error::Error for LintError {}
 
-/// Lints `src`, returning findings in deterministic source order.
+/// Lints `src`: compiles and transforms it (the transform validates
+/// first), then runs [`lint_compiled`]. Findings come in deterministic
+/// source order.
 ///
 /// # Errors
 ///
 /// [`LintError`] when `src` does not compile or the transform fails —
 /// the program never had a runnable form, so there is nothing to lint.
 pub fn lint_source(src: &str, opts: &LintOptions) -> Result<Report, LintError> {
-    let p0 = ocelot_ir::compile(src).map_err(|e| LintError(e.to_string()))?;
-    // Validation precedes the analysis, which requires an acyclic call
-    // graph.
-    ocelot_ir::validate(&p0).map_err(|e| LintError(e.to_string()))?;
-    let taint = TaintAnalysis::run(&p0);
-    lint_program(&p0, &taint, src, opts)
+    let p = ocelot_ir::compile(src).map_err(|e| LintError(e.to_string()))?;
+    let compiled = ocelot_core::ocelot_transform(p).map_err(|e| LintError(e.to_string()))?;
+    lint_compiled(&compiled, src, opts)
 }
 
-/// Lints the compiled-but-untransformed program `p0` of `src`, given
-/// its taint analysis: runs the transform on `taint`, then
-/// [`lint_compiled`]. `taint` must equal `TaintAnalysis::run(p0)` — an
-/// incrementally assembled analysis
-/// (`ocelot_analysis::incremental::assemble`) does by construction, so
-/// the report is the one [`lint_source`] renders.
+/// Lints `compiled`, the transform of `src`. Spans of erased annotation
+/// sites come from the policies' declarations.
 ///
 /// # Errors
 ///
-/// [`LintError`] when the transform fails.
-pub fn lint_program(
-    p0: &Program,
-    taint: &TaintAnalysis,
-    src: &str,
-    opts: &LintOptions,
-) -> Result<Report, LintError> {
-    let _span = ocelot_telemetry::span!("lint");
-    let compiled = ocelot_core::ocelot_transform_with(p0.clone(), taint)
-        .map_err(|e| LintError(e.to_string()))?;
-    lint_compiled(p0, &compiled, src, opts)
-}
-
-/// Lints an already-transformed program; `p0` is the pre-erasure form
-/// (spans for annotation sites live only there).
+/// [`LintError`] when the path-cost analysis cannot run.
 pub fn lint_compiled(
-    p0: &Program,
     compiled: &Compiled,
     src: &str,
     opts: &LintOptions,
 ) -> Result<Report, LintError> {
+    let _span = ocelot_telemetry::span!("lint");
     let p = &compiled.program;
+    let costs = CostModel::default();
     let sm = SourceMap::new(src);
     let det = DetectorConfig::from_policies(&compiled.policies);
-    let feas = FeasAnalysis::new(p, &opts.costs).map_err(|e| LintError(e.to_string()))?;
-    let wcet = WcetAnalysis::new(p, &opts.costs, &compiled.regions);
+    let feas = FeasAnalysis::new(p, &costs).map_err(|e| LintError(e.to_string()))?;
+    let wcet = WcetAnalysis::new(p, &costs, &compiled.regions);
 
+    let decl_spans: BTreeMap<InstrRef, Span> = compiled
+        .policies
+        .iter()
+        .flat_map(|pol| &pol.decls)
+        .map(|d| (d.at, d.span))
+        .collect();
     let span_of = |r: InstrRef| -> Span {
         p.span_of(r)
             .filter(|s| !s.is_empty())
-            .or_else(|| p0.span_of(r))
+            .or_else(|| decl_spans.get(&r).copied())
             .unwrap_or_default()
     };
     let label = |r: InstrRef, msg: String| Label::new(span_of(r), &sm, msg);
@@ -201,9 +178,10 @@ fn freshness_windows(
     label: &impl Fn(InstrRef, String) -> Label,
     out: &mut Report,
 ) {
+    let costs = CostModel::default();
     // Calling contexts of each use site's function; when enumeration
     // blows the cap, degrade to unique-context functions only.
-    let enumerated = all_contexts(p, opts.context_cap);
+    let enumerated = all_contexts(p, CONTEXT_CAP);
     let unique = unique_contexts(p);
     let ctxs_of = |f: ocelot_ir::FuncId| -> Vec<Vec<InstrRef>> {
         match &enumerated {
@@ -274,7 +252,7 @@ fn freshness_windows(
                     continue;
                 };
                 let Some(minc) = min_cycles else { continue };
-                let min_us = opts.costs.cycles_to_us(minc);
+                let min_us = costs.cycles_to_us(minc);
                 if min_us > window {
                     let f = Finding {
                         code: Code::InfeasibleWindow,
@@ -290,7 +268,7 @@ fn freshness_windows(
                     };
                     keep_worst(&mut worst, (Code::InfeasibleWindow, *site), min_us, f);
                 } else if let Some(maxc) = max_cycles {
-                    let max_us = opts.costs.cycles_to_us(maxc);
+                    let max_us = costs.cycles_to_us(maxc);
                     if max_us > window {
                         let f = Finding {
                             code: Code::BestCaseWindow,
@@ -489,6 +467,7 @@ fn energy_regions(
     let Some(capacity) = opts.capacity_nj else {
         return;
     };
+    let costs = CostModel::default();
     for r in &compiled.regions {
         let Some(start) = feas.point_of(r.start) else {
             continue;
@@ -501,7 +480,7 @@ fn energy_regions(
         let Some(min_body) = feas.min_between(r.func, body_from, body_to, EdgeSet::All) else {
             continue;
         };
-        let min_nj = opts.costs.cycles_to_nj(min_body);
+        let min_nj = costs.cycles_to_nj(min_body);
         let related = region_policy_labels(compiled, r, label);
         if min_nj > capacity {
             out.findings.push(Finding {
@@ -517,7 +496,7 @@ fn energy_regions(
             });
         } else if let Ok(body) = wcet.region_body_wcet(r) {
             let worst_cycles = body.saturating_add(wcet.region_entry_cycles(r));
-            let worst_nj = opts.costs.cycles_to_nj(worst_cycles);
+            let worst_nj = costs.cycles_to_nj(worst_cycles);
             if worst_nj > capacity {
                 out.findings.push(Finding {
                     code: Code::RegionMayExceed,

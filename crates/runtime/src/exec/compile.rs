@@ -554,19 +554,19 @@ impl<'p> Cx<'_, 'p> {
         }
     }
 
-    /// The compiled source of a store to slot-guaranteed local `var`
-    /// (`Bind`, or `Assign` classified as `AssignLocal`): a dead
-    /// definition of an always-bound local shrinks to an untainted 0
-    /// (the slot write still happens, keeping binding state and
-    /// checkpoint word counts identical, but the unread value's
-    /// evaluation is gone); otherwise the source compiles normally and
-    /// is taint-free-wrapped when the value is pure or its dependency
-    /// set provably unobservable. Always-boundedness matters for the
-    /// shrink: a dead store to a *possibly-unbound* local would reach
-    /// the non-volatile fallback, which a later run could read.
+    /// The compiled source of a store to local `var` that writes a
+    /// volatile slot: a dead definition shrinks to an untainted 0 (the
+    /// slot write still happens, keeping binding state and checkpoint
+    /// word counts identical, but the unread value's evaluation is
+    /// gone); otherwise the source compiles normally and is
+    /// taint-free-wrapped when the value is pure or its dependency set
+    /// provably unobservable. Only `Bind` stores and `AssignLocal`
+    /// stores (surely bound, or reclassified so the store binds the
+    /// slot) reach this point; an assignment to a possibly-unbound local
+    /// compiles to `AssignDyn`, whose store may reach the non-volatile
+    /// fallback a later run could read, and never shrinks.
     fn store_src(&self, f: &'p Function, label: Label, var: &str, src: &'p Expr) -> CExpr<'p> {
-        let facts = self.facts(f);
-        if facts.dead_defs.contains(&label) && facts.always_bound.contains(var) {
+        if self.facts(f).dead_defs.contains(&label) {
             return CExpr::Const(0);
         }
         let c = self.expr(f, label, src);
@@ -1494,6 +1494,34 @@ mod tests {
             .count();
         // The lowering's `let $ret = 0` is a literal zero bind; the
         // shrink adds `a`'s.
+        assert_eq!(zero_binds, 2, "the dead read of g was dropped");
+    }
+
+    #[test]
+    fn dead_stores_to_possibly_unbound_locals_shrink_to_const_zero() {
+        // `t` is bound on one arm only and read at the join, so it is
+        // not always bound; its `let` is still a dead def (the arm
+        // overwrites it before any read) and a `Bind`, which writes the
+        // volatile slot like any other, so its source shrinks too.
+        let p =
+            irc("nv g = 5; fn main() { if g > 0 { let t = g; t = g + 1; } out(log, t); }").unwrap();
+        let m = machine_for(&p);
+        let facts = &m.core.ssa.funcs[p.main.0 as usize];
+        assert!(!facts.always_bound.contains("t"));
+        let cp = compile(&m);
+        let zero_binds = main_actions(&cp, &p)
+            .iter()
+            .filter(|a| {
+                matches!(
+                    a,
+                    Action::Bind {
+                        src: CExpr::Const(0),
+                        ..
+                    }
+                )
+            })
+            .count();
+        // The lowering's `let $ret = 0`, plus `t`'s dead initializer.
         assert_eq!(zero_binds, 2, "the dead read of g was dropped");
     }
 

@@ -21,9 +21,9 @@
 //!   a `doc` re-verify incrementally: only functions whose body
 //!   fingerprint (taken modulo literal values) changed are re-analyzed
 //!   ([`ocelot_analysis::incremental`]), which is what makes a one-line
-//!   edit orders of magnitude cheaper than a full re-analysis; `lint`
-//!   requests assemble their analysis from every open document's
-//!   flows without storing into them.
+//!   edit orders of magnitude cheaper than a full re-analysis. Each
+//!   document also keeps its last transform output, which a `lint` of
+//!   the same program reuses instead of compiling again.
 //!
 //! Responses carry no timing, so they are byte-identical across worker
 //! counts, warm/cold caches, and execution backends — held by the
@@ -205,9 +205,9 @@ fn default_matches_oracle(
     ocelot_telemetry::json::parse(&line).map_err(|e| format!("{op}: bad response: {e}"))
 }
 
-/// Lints `src` through the server — which assembles the analysis from
-/// the open document's flows — and checks the report against an
-/// in-process [`ocelot_lint::lint_source`] byte for byte.
+/// Lints `src` through the server — which reuses the transform output
+/// of the document's verify of the same source — and checks the report
+/// against an in-process [`ocelot_lint::lint_source`] byte for byte.
 fn lint_matches_in_process(client: &mut Client, src: &str, edit: usize) -> Result<(), String> {
     const WINDOW_US: u64 = 100_000;
     let resp = client.request(&Json::obj(vec![

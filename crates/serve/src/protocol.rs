@@ -31,17 +31,17 @@
 //! `verify` with a `doc` name re-verifies incrementally against that
 //! document's per-function flow cache (see
 //! `ocelot_analysis::incremental`); without one it verifies from
-//! scratch. `lint` reads the flows of every open document and
-//! analyzes only the functions none of them holds. `run`/`sweep` accept
-//! scenario specs (`name` or `name@seed`) and report the machine's
-//! violation/mitigation statistics. They simulate on the compiled
+//! scratch. `lint` of a program an open document last verified lints
+//! that document's transform output; any other program is transformed
+//! from scratch. `run`/`sweep` accept scenario specs (`name` or
+//! `name@seed`) and report the machine's violation/mitigation
+//! statistics. They simulate on the compiled
 //! engine unless the request names a `backend`; `"backend": "interp"`
 //! selects the interpreter, the semantics oracle, which answers the
 //! same bytes.
 
 use crate::cache::ProgramCache;
 use crate::verify::{full_verify, program_hash, Session};
-use ocelot_analysis::incremental::assemble;
 use ocelot_runtime::machine::{DeviceState, Machine, MachineCore};
 use ocelot_runtime::pool::{run_jobs, Job};
 use ocelot_runtime::stats::stats_to_json;
@@ -183,7 +183,7 @@ fn op_verify(state: &mut ServerState, req: &Json) -> OpResult {
                 ocelot_telemetry::metrics::SERVE_DOCS_MISS.incr();
             }
             let session = state.docs.entry(doc.to_string()).or_default();
-            let (_, v, stats) = session.verify(src)?;
+            let (v, stats) = session.verify(src)?;
             (v, stats.funcs, stats.analyzed, stats.reused)
         }
         None => {
@@ -311,13 +311,12 @@ fn op_sweep(state: &mut ServerState, req: &Json) -> OpResult {
 /// byte-stable, so the cached answer is indistinguishable from a fresh
 /// one — the same timing-free contract every other op keeps.
 ///
-/// On a report-cache miss the taint analysis is assembled from the
-/// per-function flows every open document has cached
-/// ([`ocelot_analysis::incremental::assemble`]), analyzing only the
-/// functions none of them holds, and nothing is stored back — so an
-/// editor that verifies a document and then lints the same source
-/// re-analyzes nothing. The assembled analysis equals a from-scratch
-/// one, so the report bytes equal `ocelotc lint`'s.
+/// On a report-cache miss, when an open document's last successful
+/// `verify` compiled the same program (equal program hash), the passes
+/// run over that document's transform output: equal hashes give
+/// byte-equal transforms, so which document answers does not matter.
+/// Otherwise the program is transformed from scratch. The report bytes
+/// equal `ocelotc lint`'s either way.
 fn op_lint(state: &mut ServerState, req: &Json) -> OpResult {
     let src = req_str(req, "source")?;
     let window = match req.get("window_us") {
@@ -349,17 +348,17 @@ fn op_lint(state: &mut ServerState, req: &Json) -> OpResult {
     let opts = ocelot_lint::LintOptions {
         window_us: window,
         capacity_nj: capacity,
-        ..ocelot_lint::LintOptions::default()
     };
-    // Fingerprinting needs an acyclic call graph: validate first.
-    ocelot_ir::validate(&p).map_err(|e| format!("lint: {e}"))?;
-    let docs = &state.docs;
-    let (taint, _, _) = assemble(&p, |name, fingerprint| {
-        docs.values()
-            .find_map(|doc| doc.flows().get(name, fingerprint))
-    });
+    let fresh;
+    let compiled = match state.docs.values().find_map(|doc| doc.compiled(hash)) {
+        Some(compiled) => compiled,
+        None => {
+            fresh = ocelot_core::ocelot_transform(p).map_err(|e| format!("lint: {e}"))?;
+            &fresh
+        }
+    };
     let report =
-        ocelot_lint::lint_program(&p, &taint, src, &opts).map_err(|e| format!("lint: {e}"))?;
+        ocelot_lint::lint_compiled(compiled, src, &opts).map_err(|e| format!("lint: {e}"))?;
     let json = ocelot_lint::json::to_json(&report);
     state.lints.insert(key, json.clone());
     state.lints_misses += 1;

@@ -12,7 +12,8 @@
 //! a [`Verdict`] guaranteed identical to a from-scratch
 //! [`full_verify`] (the incremental assembly equals
 //! `TaintAnalysis::run` exactly; held by tests here and byte-identity
-//! tests in `tests/`).
+//! tests in `tests/`). The session keeps that transform output, which
+//! the serve `lint` op reuses for the same program.
 //!
 //! The *edit-trace workload* is a large program of branch-heavy worker
 //! functions plus a handful of annotated sensor functions, and a
@@ -111,10 +112,12 @@ pub(crate) fn verify_program(
 }
 
 /// One verification document: a flow cache that survives across edits
-/// of the same program so re-verification is incremental.
+/// of the same program so re-verification is incremental, and the
+/// transform output of its last successful verify.
 #[derive(Debug, Default)]
 pub struct Session {
     cache: FlowCache,
+    last: Option<(u64, Compiled)>,
 }
 
 impl Session {
@@ -124,30 +127,34 @@ impl Session {
     }
 
     /// Compiles and verifies `src` incrementally against this session's
-    /// cache. Returns the transform output, its verdict, and how much
-    /// analysis the cache saved.
+    /// cache, and keeps the transform output. Returns the verdict and
+    /// how much analysis the cache saved.
     ///
     /// # Errors
     ///
     /// Returns a one-line message for compile/validation/transform
     /// failures (the serve layer forwards it verbatim to the client).
-    pub fn verify(&mut self, src: &str) -> Result<(Compiled, Verdict, IncrementalStats), String> {
+    pub fn verify(&mut self, src: &str) -> Result<(Verdict, IncrementalStats), String> {
         ocelot_telemetry::metrics::VERIFY_INCREMENTAL.incr();
         let p = compile(src)?;
         let (taint, stats) = self.cache.run(&p);
         let (compiled, verdict) = verify_program(program_hash(&p), p, &taint)?;
-        Ok((compiled, verdict, stats))
+        self.last = Some((verdict.source_hash, compiled));
+        Ok((verdict, stats))
+    }
+
+    /// The transform output of the last successful verify, when the
+    /// submitted program hashed to `source_hash`.
+    pub fn compiled(&self, source_hash: u64) -> Option<&Compiled> {
+        match &self.last {
+            Some((hash, compiled)) if *hash == source_hash => Some(compiled),
+            _ => None,
+        }
     }
 
     /// Functions currently cached (for `stats` surfaces).
     pub fn cached_funcs(&self) -> usize {
         self.cache.len()
-    }
-
-    /// The document's per-function flow cache, for callers that
-    /// assemble an analysis from it without storing into it.
-    pub fn flows(&self) -> &FlowCache {
-        &self.cache
     }
 }
 
@@ -321,12 +328,12 @@ mod tests {
     #[test]
     fn incremental_verdicts_match_full_verify_across_a_trace() {
         let mut session = Session::new();
-        let (_, v0, s0) = session.verify(&workload_source(&SMALL)).unwrap();
+        let (v0, s0) = session.verify(&workload_source(&SMALL)).unwrap();
         assert_eq!(s0.analyzed, s0.funcs, "cold cache analyzes everything");
         assert_eq!(v0, full_verify(&workload_source(&SMALL)).unwrap().1);
         for n in 1..=SMALL.edits {
             let src = edited_source(&SMALL, n);
-            let (_, v, stats) = session.verify(&src).unwrap();
+            let (v, stats) = session.verify(&src).unwrap();
             assert_eq!(v, full_verify(&src).unwrap().1, "edit {n}");
             // Each edit changes one constant: every flow is reused.
             assert_eq!(stats.analyzed, 0, "edit {n} re-analyzed functions");

@@ -245,8 +245,8 @@ fn lint_req(src: &str, window_us: u64) -> Json {
 #[test]
 fn lint_after_doc_verify_answers_byte_identical_to_a_cold_server() {
     // Server A verifies a program in a document and then lints one, so
-    // its lint assembles the analysis from the document's cached flows;
-    // server B only lints, from no cache at all. Every lint line —
+    // a lint of what it just verified reuses the document's transform;
+    // server B only lints, transforming from scratch. Every lint line —
     // `cached` member included — must match. The edit trace lints
     // what it verified; the last pair lints a program whose functions
     // share their names, not their bodies, with the verified one.
@@ -306,7 +306,7 @@ fn lint_after_doc_verify_answers_byte_identical_to_a_cold_server() {
 fn lint_error_lines_are_pinned() {
     let handle = boot(1);
     let mut client = Client::connect(handle.addr).expect("connect");
-    // An open document whose flows a lint lookup walks past.
+    // An open document whose last transform a lint lookup walks past.
     client
         .request(&Json::obj(vec![
             ("op", Json::str("verify")),

@@ -1,132 +1,166 @@
 //! `ocelotc` — the Ocelot command-line toolchain.
 //!
-//! ```text
-//! ocelotc compile <file>        infer regions, print the transformed program
-//! ocelotc check   <file>        checker mode: validate existing regions (§8)
-//! ocelotc lint    <file> [opts] static policy-feasibility and
-//!                               check-placement analysis (docs/lint.md):
-//!                               infeasible freshness windows, dead
-//!                               policies, statically redundant checks,
-//!                               regions that cannot fit the buffer,
-//!                               obligations blocked by unbounded loops
-//!     --window-us <µs>          freshness expiry window to check
-//!                               (enables OC001/OC002)
-//!     --capacity-nj <nj>        energy buffer to check regions against
-//!                               (enables OC006/OC007)
-//!     --format <text|json>      output format (default text)
-//!     --deny-warnings           exit nonzero on warnings, not just errors
-//! ocelotc policies <file>       print the derived policy declarations
-//! ocelotc summaries <file>      print Figure-5 function summaries (FS)
-//! ocelotc progress <file> [opts] forward-progress report: worst-case
-//!                               region energy vs. the buffer (§5.3/§10)
-//!     --capacity <nj>           capacitor capacity (default Capybara 50 µJ)
-//!     --trigger <nj>            comparator trigger (default 4 µJ)
-//!     --jit                     analyze without region inference
-//! ocelotc run     <file> [opts] execute on simulated harvested power
-//!     --continuous              bench power instead of harvesting
-//!     --jit                     skip region inference (JIT-only build)
-//!     --backend <interp|compiled> execution engine (default interp);
-//!                               identical results, compiled is faster
-//!     --tics <µs>               JIT + TICS-style expiry window with
-//!                               restart mitigation (implies --jit)
-//!     --runs <n>                complete program runs (default 10)
-//!     --seed <n>                environment/harvester seed (default 1)
-//!     --sensor <name>=<value>   constant sensor value (repeatable)
-//!     --trace-out <path>        write a Chrome trace_event JSON of the
-//!                               pipeline + execution spans (load it at
-//!                               ui.perfetto.dev)
-//!     --metrics                 print the telemetry counter snapshot
-//!                               after the runs
-//! ocelotc bench <driver> [opts] run one evaluation driver (Table 2(a),
-//!                               Figure 7, ...) through the parallel
-//!                               harness, or re-render it from its
-//!                               persisted artifact
-//!     --list                    list the available drivers
-//!     --jobs <n>                worker threads for the sweep
-//!     --out <dir>               artifact directory
-//!                               (default target/bench-results)
-//!     --runs <n> / --seed <n>   scale/seed overrides
-//!     --traces                  persist raw per-cell observation logs
-//!                               (uniform sweeps; composes with --replay)
-//!     --replay                  render from the persisted artifact
-//!                               without re-simulating
-//! ocelotc fleet [opts]          fleet-scale sweep: a million devices
-//!                               running one app across the scenario
-//!                               registry on one shared compiled
-//!                               program, aggregated per scenario
-//!     --app <name>              benchmark to deploy (default tire)
-//!     --devices <n>             fleet size (default 200000)
-//!     --runs <n>                program runs per device (default 5)
-//!     --seed <n>                seed-range start (default 1)
-//!     --jobs <n>                worker threads (default all cores)
-//!     --backend <interp|compiled> execution engine (default compiled)
-//!     --scenario <name[@seed]>  scenario distribution (repeatable;
-//!                               default: the whole registry)
-//!     --out <dir>               artifact directory
-//! ocelotc serve [opts]          always-on enforcement server: clients
-//!                               speak line-delimited JSON over TCP
-//!                               (submit / verify / lint / run / sweep,
-//!                               see docs/serve.md); programs, analysis
-//!                               results, and per-scenario machine
-//!                               cores stay cached between requests;
-//!                               run / sweep simulate on the compiled
-//!                               engine unless a request names
-//!                               `"backend": "interp"`
-//!     --addr <host:port>        bind address (default 127.0.0.1:7433;
-//!                               port 0 picks an ephemeral port)
-//!     --jobs <n>                worker threads for sweep fan-out
-//!                               (default all cores)
-//!     --max-programs <n>        program-cache capacity; submissions
-//!                               past it are refused (default 64)
-//!     --max-inflight <n>        concurrent requests before `server
-//!                               busy` replies (default 32)
-//!     --self-test               boot on an ephemeral port, replay an
-//!                               edit-trace workload through a real
-//!                               client (verifying and linting each
-//!                               edit, and checking run / sweep against
-//!                               the interpreter), report, and exit
-//!     --trace-out <path>        record per-request `serve.request`
-//!                               spans and write the Chrome trace when
-//!                               the server stops
-//!     --metrics                 print the telemetry counter snapshot
-//!                               when the server stops (clients can
-//!                               also poll the `metrics` op live)
-//! ocelotc trace-check <file> [span...]
-//!                               validate a --trace-out file: parse it
-//!                               with the strict JSON reader, list the
-//!                               distinct span names, and fail unless
-//!                               every named span is present (the CI
-//!                               trace-smoke step)
-//! ocelotc scenario <action>     the declarative scenario library
-//!     list                      enumerate the registered scenarios
-//!     describe <name[@seed]>    channels, supply, and workload binding
-//!     run <name[@seed]> [opts]  run an app under the scenario's world
-//!                               and supply
-//!       --app <name>            app to run (default: the scenario's
-//!                               suggested app; any paper or extension
-//!                               app works)
-//!       --jit                   skip region inference (JIT-only build)
-//!       --backend <interp|compiled> execution engine (default interp)
-//!       --runs <n>              complete program runs (default: the
-//!                               scenario's binding)
-//!       --seed <n>              reseed the scenario
-//! ```
+//! `ocelotc --help` prints every command's usage ([`COMMANDS`]) and
+//! `ocelotc <command> --help` one command's; `fleet` and
+//! `bench <driver>` print their own fuller usage.
 
 use ocelot::prelude::*;
 use std::process::ExitCode;
+
+/// The one-line synopsis, printed alone when no command is given.
+const USAGE: &str =
+    "usage: ocelotc <compile|check|lint|policies|summaries|progress|run|bench|fleet\
+                     |scenario|serve|trace-check> <file> [options]";
+
+/// Every command's usage, in `ocelotc --help` order. A command's
+/// section runs from its `ocelotc <command>` line to the next one.
+const COMMANDS: &str = "\
+ocelotc compile <file>        infer regions, print the transformed program
+ocelotc check   <file>        checker mode: validate existing regions (§8)
+ocelotc lint    <file> [opts] static policy-feasibility and
+                              check-placement analysis (docs/lint.md):
+                              infeasible freshness windows, dead
+                              policies, statically redundant checks,
+                              regions that cannot fit the buffer,
+                              obligations blocked by unbounded loops
+    --window-us <µs>          freshness expiry window to check
+                              (enables OC001/OC002)
+    --capacity-nj <nj>        energy buffer to check regions against
+                              (enables OC006/OC007)
+    --format <text|json>      output format (default text)
+    --deny-warnings           exit nonzero on warnings, not just errors
+ocelotc policies <file>       print the derived policy declarations
+ocelotc summaries <file>      print Figure-5 function summaries (FS)
+ocelotc progress <file> [opts] forward-progress report: worst-case
+                              region energy vs. the buffer (§5.3/§10)
+    --capacity <nj>           capacitor capacity (default Capybara 50 µJ)
+    --trigger <nj>            comparator trigger (default 4 µJ)
+    --jit                     analyze without region inference
+ocelotc run     <file> [opts] execute on simulated harvested power
+    --continuous              bench power instead of harvesting
+    --jit                     skip region inference (JIT-only build)
+    --backend <interp|compiled> execution engine (default interp);
+                              identical results, compiled is faster
+    --tics <µs>               JIT + TICS-style expiry window with
+                              restart mitigation (implies --jit)
+    --runs <n>                complete program runs (default 10)
+    --seed <n>                environment/harvester seed (default 1)
+    --sensor <name>=<value>   constant sensor value (repeatable)
+    --trace-out <path>        write a Chrome trace_event JSON of the
+                              pipeline + execution spans (load it at
+                              ui.perfetto.dev)
+    --metrics                 print the telemetry counter snapshot
+                              after the runs
+ocelotc bench <driver> [opts] run one evaluation driver (Table 2(a),
+                              Figure 7, ...) through the parallel
+                              harness, or re-render it from its
+                              persisted artifact
+    --list                    list the available drivers
+    --jobs <n>                worker threads for the sweep
+    --out <dir>               artifact directory
+                              (default target/bench-results)
+    --runs <n> / --seed <n>   scale/seed overrides
+    --traces                  persist raw per-cell observation logs
+                              (uniform sweeps; composes with --replay)
+    --replay                  render from the persisted artifact
+                              without re-simulating
+ocelotc fleet [opts]          fleet-scale sweep: a million devices
+                              running one app across the scenario
+                              registry on one shared compiled
+                              program, aggregated per scenario
+    --app <name>              benchmark to deploy (default tire)
+    --devices <n>             fleet size (default 200000)
+    --runs <n>                program runs per device (default 5)
+    --seed <n>                seed-range start (default 1)
+    --jobs <n>                worker threads (default all cores)
+    --backend <interp|compiled> execution engine (default compiled)
+    --scenario <name[@seed]>  scenario distribution (repeatable;
+                              default: the whole registry)
+    --out <dir>               artifact directory
+ocelotc serve [opts]          always-on enforcement server: clients
+                              speak line-delimited JSON over TCP
+                              (submit / verify / lint / run / sweep,
+                              see docs/serve.md); programs, analysis
+                              results, and per-scenario machine
+                              cores stay cached between requests;
+                              run / sweep simulate on the compiled
+                              engine unless a request names
+                              `\"backend\": \"interp\"`
+    --addr <host:port>        bind address (default 127.0.0.1:7433;
+                              port 0 picks an ephemeral port)
+    --jobs <n>                worker threads for sweep fan-out
+                              (default all cores)
+    --max-programs <n>        program-cache capacity; submissions
+                              past it are refused (default 64)
+    --max-inflight <n>        concurrent requests before `server
+                              busy` replies (default 32)
+    --self-test               boot on an ephemeral port, replay an
+                              edit-trace workload through a real
+                              client (verifying and linting each
+                              edit, and checking run / sweep against
+                              the interpreter), report, and exit
+    --trace-out <path>        record per-request `serve.request`
+                              spans and write the Chrome trace when
+                              the server stops
+    --metrics                 print the telemetry counter snapshot
+                              when the server stops (clients can
+                              also poll the `metrics` op live)
+ocelotc trace-check <file> [span...]
+                              validate a --trace-out file: parse it
+                              with the strict JSON reader, list the
+                              distinct span names, and fail unless
+                              every named span is present (the CI
+                              trace-smoke step)
+ocelotc scenario <action>     the declarative scenario library
+    list                      enumerate the registered scenarios
+    describe <name[@seed]>    channels, supply, and workload binding
+    run <name[@seed]> [opts]  run an app under the scenario's world
+                              and supply
+      --app <name>            app to run (default: the scenario's
+                              suggested app; any paper or extension
+                              app works)
+      --jit                   skip region inference (JIT-only build)
+      --backend <interp|compiled> execution engine (default interp)
+      --runs <n>              complete program runs (default: the
+                              scenario's binding)
+      --seed <n>              reseed the scenario
+";
+
+/// The section of [`COMMANDS`] that documents `cmd`.
+fn command_usage(cmd: &str) -> Option<&'static str> {
+    let head = format!("ocelotc {cmd} ");
+    let start = COMMANDS
+        .match_indices(&head)
+        .map(|(i, _)| i)
+        .find(|&i| i == 0 || COMMANDS.as_bytes()[i - 1] == b'\n')?;
+    let end = COMMANDS[start..]
+        .find("\nocelotc ")
+        .map_or(COMMANDS.len(), |n| start + n + 1);
+    Some(&COMMANDS[start..end])
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cmd, rest) = match args.split_first() {
         Some((c, r)) => (c.as_str(), r),
         None => {
-            eprintln!(
-                "usage: ocelotc <compile|check|lint|policies|run|bench|fleet|scenario|serve\
-                 |trace-check> <file> [options]"
-            );
+            eprintln!("{USAGE}");
             return ExitCode::from(2);
         }
     };
+    let is_help = |a: &String| a == "--help" || a == "-h";
+    if is_help(&args[0]) {
+        print!("{USAGE}\n\n{COMMANDS}");
+        return ExitCode::SUCCESS;
+    }
+    // `fleet` and `bench <driver>` parse their own `--help`.
+    let own_help = cmd == "fleet" || (cmd == "bench" && !rest.first().is_some_and(is_help));
+    if !own_help && rest.iter().any(is_help) {
+        if let Some(usage) = command_usage(cmd) {
+            print!("{usage}");
+            return ExitCode::SUCCESS;
+        }
+    }
     // `bench`, `fleet`, and `scenario` take registry names, not source
     // files.
     if cmd == "bench" {

@@ -326,6 +326,66 @@ fn scenario_run_rejects_unknown_app() {
     assert!(stderr.contains("fusion"), "lists known apps: {stderr}");
 }
 
+/// The commands whose `--help` the dispatcher answers from its usage
+/// table (`fleet` and `bench <driver>` print their own).
+const HELPED: [&str; 11] = [
+    "compile",
+    "check",
+    "lint",
+    "policies",
+    "summaries",
+    "progress",
+    "run",
+    "bench",
+    "scenario",
+    "serve",
+    "trace-check",
+];
+
+#[test]
+fn top_level_help_prints_every_command_and_exits_zero() {
+    for flag in ["--help", "-h"] {
+        let (ok, stdout, stderr) = ocelotc(&[flag]);
+        assert!(ok, "{flag}: {stderr}");
+        assert!(stdout.starts_with("usage: ocelotc <"), "{stdout}");
+        for cmd in HELPED.iter().chain(&["fleet"]) {
+            assert!(
+                stdout.contains(&format!("\nocelotc {cmd} ")),
+                "{flag} lacks `{cmd}`: {stdout}"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_command_help_prints_its_own_usage_and_exits_zero() {
+    for cmd in HELPED {
+        for args in [vec![cmd, "--help"], vec![cmd, "-h"]] {
+            let (ok, stdout, stderr) = ocelotc(&args);
+            assert!(ok, "{args:?}: {stderr}");
+            assert!(
+                stdout.starts_with(&format!("ocelotc {cmd} ")),
+                "{args:?}: {stdout}"
+            );
+            assert_eq!(stdout.matches("\nocelotc ").count(), 0, "{stdout}");
+        }
+    }
+    // After a file argument too.
+    let (ok, stdout, stderr) = ocelotc(&["run", "examples/programs/weather.oc", "--help"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.starts_with("ocelotc run "), "{stdout}");
+}
+
+#[test]
+fn bare_usage_line_lists_every_dispatched_command() {
+    let (ok, stdout, stderr) = ocelotc(&[]);
+    assert!(!ok);
+    assert!(stdout.is_empty(), "{stdout}");
+    for cmd in HELPED.iter().chain(&["fleet"]) {
+        assert!(stderr.contains(cmd), "usage lacks `{cmd}`: {stderr}");
+    }
+}
+
 #[test]
 fn bad_input_yields_error_not_panic() {
     let tmp = std::env::temp_dir().join("ocelot_cli_bad.oc");
