@@ -11,7 +11,7 @@ use ocelot_analysis::dom::{DomTree, Point};
 use ocelot_analysis::war::{region_effects, RegionEffects};
 use ocelot_ir::cfg::Cfg;
 use ocelot_ir::{BlockId, CallGraph, FuncId, InstrRef, Op, Program, RegionId};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Metadata for one atomic region.
 #[derive(Debug, Clone)]
@@ -41,8 +41,10 @@ pub struct RegionInfo {
 pub fn collect_regions(p: &Program) -> Result<Vec<RegionInfo>, CoreError> {
     let mut out = Vec::new();
     for f in &p.funcs {
-        let mut starts: HashMap<RegionId, InstrRef> = HashMap::new();
-        let mut ends: HashMap<RegionId, InstrRef> = HashMap::new();
+        // Ordered by id, so a malformed program always reports its
+        // lowest-numbered bad region.
+        let mut starts: BTreeMap<RegionId, InstrRef> = BTreeMap::new();
+        let mut ends: BTreeMap<RegionId, InstrRef> = BTreeMap::new();
         for (_, inst) in f.iter_insts() {
             match inst.op {
                 Op::AtomStart { region } => {
@@ -213,6 +215,31 @@ pub fn covered_refs(p: &Program, info: &RegionInfo) -> BTreeSet<InstrRef> {
 mod tests {
     use super::*;
     use ocelot_ir::compile;
+
+    #[test]
+    fn a_program_with_several_bad_regions_always_reports_the_lowest_id() {
+        let mut p = crate::ocelot_transform(
+            compile(
+                "sensor s; nv g = 0; fn main() { \
+                 atomic { g = 1; } atomic { g = 2; } atomic { g = 3; } }",
+            )
+            .unwrap(),
+        )
+        .unwrap()
+        .program;
+        for f in &mut p.funcs {
+            for b in &mut f.blocks {
+                b.instrs.retain(|i| !matches!(i.op, Op::AtomEnd { .. }));
+            }
+        }
+        for _ in 0..50 {
+            let err = collect_regions(&p).unwrap_err().to_string();
+            assert_eq!(
+                err,
+                "malformed region: region r0 has a start but no end in `main`"
+            );
+        }
+    }
 
     #[test]
     fn manual_region_extent_and_omega() {

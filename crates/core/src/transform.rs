@@ -61,22 +61,25 @@ pub fn ocelot_transform(program: Program) -> Result<Compiled, CoreError> {
 /// guaranteed identical to `TaintAnalysis::run`, so the output here is
 /// identical to [`ocelot_transform`].
 ///
+/// The program must already have passed [`ocelot_ir::validate`]: the
+/// taint analysis needs a valid program too, so every caller validates
+/// before it computes `taint`, and this entry does not validate again.
+///
 /// # Errors
 ///
-/// Same as [`ocelot_transform`], minus the up-front validation errors
-/// (this entry still validates, so malformed programs are caught).
+/// Same as [`ocelot_transform`], minus the up-front validation errors.
 pub fn ocelot_transform_with(
     mut program: Program,
     taint: &TaintAnalysis,
 ) -> Result<Compiled, CoreError> {
     let _span = ocelot_telemetry::span!("transform");
-    ocelot_ir::validate(&program)?;
     let policies = build_policies(&program, taint);
     let Inference { policy_map, .. } = {
         let _infer = ocelot_telemetry::span!("infer");
         infer_atomics(&mut program, &policies)?
     };
     program.erase_annotations();
+    // The output this time: inference must leave a valid program.
     ocelot_ir::validate(&program)?;
     let regions = collect_regions(&program)?;
     let check = check_with_regions(&program, &regions, &policies);
@@ -114,17 +117,16 @@ pub fn ocelot_check(program: &Program) -> Result<CheckReport, CoreError> {
 }
 
 /// [`ocelot_check`] with a caller-supplied taint analysis (see
-/// [`ocelot_transform_with`] for the contract).
+/// [`ocelot_transform_with`] for the contract: the program is already
+/// validated).
 ///
 /// # Errors
 ///
-/// Returns [`CoreError`] on structural problems (validation, malformed
-/// regions).
+/// Returns [`CoreError`] on malformed regions.
 pub fn ocelot_check_with(
     program: &Program,
     taint: &TaintAnalysis,
 ) -> Result<CheckReport, CoreError> {
-    ocelot_ir::validate(program)?;
     let policies = build_policies(program, taint);
     check_regions(program, &policies)
 }

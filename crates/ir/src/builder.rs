@@ -115,7 +115,7 @@ impl ProgramBuilder {
     ///
     /// Propagates lowering errors (e.g. calls to undeclared functions).
     pub fn build(self) -> Result<Program> {
-        lower::lower(&self.ast)
+        lower::lower(self.ast)
     }
 
     /// Lowers and validates the program.
@@ -124,7 +124,7 @@ impl ProgramBuilder {
     ///
     /// Propagates lowering and validation errors.
     pub fn build_validated(self) -> Result<Program> {
-        let p = lower::lower(&self.ast)?;
+        let p = lower::lower(self.ast)?;
         crate::validate::validate(&p)?;
         Ok(p)
     }
@@ -385,9 +385,9 @@ fn parse_expr_str(src: &str) -> Result<Expr> {
     let wrapped = format!("fn main() {{ let $e = {src}; }}");
     // `$` is not lexable, so use a plain name and fish the initializer out.
     let wrapped = wrapped.replace("$e", "__builder_expr");
-    let ast = crate::parser::parse(&wrapped)?;
-    match &ast.funcs[0].body.stmts[0] {
-        Stmt::Let(_, e, _) => Ok(e.clone()),
+    let mut ast = crate::parser::parse(&wrapped)?;
+    match ast.funcs.swap_remove(0).body.stmts.swap_remove(0) {
+        Stmt::Let(_, e, _) => Ok(e),
         _ => unreachable!("wrapper always parses to a let"),
     }
 }

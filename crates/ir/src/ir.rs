@@ -411,6 +411,19 @@ impl Program {
         next_region: u32,
     ) -> Self {
         let name_to_id = funcs.iter().map(|f| (f.name.clone(), f.id)).collect();
+        Self::with_index(funcs, globals, sensors, main, next_region, name_to_id)
+    }
+
+    /// [`Program::from_parts`] with the name → id index already built
+    /// (lowering builds it to resolve calls).
+    pub(crate) fn with_index(
+        funcs: Vec<Function>,
+        globals: Vec<IrGlobal>,
+        sensors: Vec<Ident>,
+        main: FuncId,
+        next_region: u32,
+        name_to_id: HashMap<Ident, FuncId>,
+    ) -> Self {
         Program {
             funcs,
             globals,

@@ -1,4 +1,7 @@
 //! Hand-written lexer for the Ocelot modeling language.
+//!
+//! Tokens borrow identifier and string text from the source (see
+//! [`crate::token`]); the only allocation is the token vector itself.
 
 use crate::error::{IrError, Result};
 use crate::span::Span;
@@ -10,7 +13,7 @@ use crate::token::{Token, TokenKind};
 ///
 /// Returns [`IrError::Lex`] on unrecognized characters, unterminated string
 /// literals, or integer literals that do not fit in `i64`.
-pub fn lex(src: &str) -> Result<Vec<Token>> {
+pub fn lex(src: &str) -> Result<Vec<Token<'_>>> {
     Lexer::new(src).run()
 }
 
@@ -18,7 +21,7 @@ struct Lexer<'s> {
     src: &'s str,
     bytes: &'s [u8],
     pos: usize,
-    tokens: Vec<Token>,
+    tokens: Vec<Token<'s>>,
 }
 
 impl<'s> Lexer<'s> {
@@ -27,11 +30,13 @@ impl<'s> Lexer<'s> {
             src,
             bytes: src.as_bytes(),
             pos: 0,
-            tokens: Vec::new(),
+            // Modeling-language sources average well over four bytes per
+            // token, so this one reservation is usually the only one.
+            tokens: Vec::with_capacity(src.len() / 4 + 1),
         }
     }
 
-    fn run(mut self) -> Result<Vec<Token>> {
+    fn run(mut self) -> Result<Vec<Token<'s>>> {
         while self.pos < self.bytes.len() {
             let start = self.pos;
             let b = self.bytes[self.pos];
@@ -61,7 +66,7 @@ impl<'s> Lexer<'s> {
         self.bytes.get(self.pos + ahead).copied()
     }
 
-    fn push(&mut self, kind: TokenKind, start: usize) {
+    fn push(&mut self, kind: TokenKind<'s>, start: usize) {
         self.tokens.push(Token {
             kind,
             span: Span::new(start, self.pos),
@@ -89,11 +94,7 @@ impl<'s> Lexer<'s> {
             self.pos += 1;
         }
         let text = &self.src[start..self.pos];
-        let kind = match text {
-            "true" => TokenKind::True,
-            "false" => TokenKind::False,
-            _ => TokenKind::keyword(text).unwrap_or_else(|| TokenKind::Ident(text.to_owned())),
-        };
+        let kind = TokenKind::keyword(text).unwrap_or(TokenKind::Ident(text));
         self.push(kind, start);
     }
 
@@ -102,7 +103,7 @@ impl<'s> Lexer<'s> {
         let content_start = self.pos;
         while let Some(b) = self.peek(0) {
             if b == b'"' {
-                let text = self.src[content_start..self.pos].to_owned();
+                let text = &self.src[content_start..self.pos];
                 self.pos += 1; // closing quote
                 self.push(TokenKind::Str(text), start);
                 return Ok(());
@@ -167,7 +168,7 @@ impl<'s> Lexer<'s> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -176,7 +177,7 @@ mod tests {
         assert_eq!(
             kinds("x = 42;"),
             vec![
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident("x"),
                 TokenKind::Eq,
                 TokenKind::Int(42),
                 TokenKind::Semi,
@@ -207,9 +208,9 @@ mod tests {
             kinds("&x && y"),
             vec![
                 TokenKind::Amp,
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident("x"),
                 TokenKind::AmpAmp,
-                TokenKind::Ident("y".into()),
+                TokenKind::Ident("y"),
                 TokenKind::Eof,
             ]
         );
@@ -220,7 +221,7 @@ mod tests {
         assert_eq!(
             kinds("x // the variable\n= 1;"),
             vec![
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident("x"),
                 TokenKind::Eq,
                 TokenKind::Int(1),
                 TokenKind::Semi,
@@ -236,9 +237,9 @@ mod tests {
             vec![
                 TokenKind::Fn,
                 TokenKind::Fresh,
-                TokenKind::Ident("freshx".into()),
+                TokenKind::Ident("freshx"),
                 TokenKind::In,
-                TokenKind::Ident("input".into()),
+                TokenKind::Ident("input"),
                 TokenKind::Eof,
             ]
         );
@@ -251,9 +252,9 @@ mod tests {
             vec![
                 TokenKind::Out,
                 TokenKind::LParen,
-                TokenKind::Ident("uart".into()),
+                TokenKind::Ident("uart"),
                 TokenKind::Comma,
-                TokenKind::Str("storm".into()),
+                TokenKind::Str("storm"),
                 TokenKind::RParen,
                 TokenKind::Semi,
                 TokenKind::Eof,

@@ -13,7 +13,7 @@
 //! * **region numbering** — manual `atomic { }` blocks get program-unique
 //!   [`RegionId`]s.
 
-use crate::ast::{self, Arg, AstProgram, Block as AstBlock, Expr, Ident, Stmt};
+use crate::ast::{self, Arg, AstProgram, Expr, FunDecl, Ident, Stmt};
 use crate::error::{IrError, Result};
 use crate::ir::*;
 use crate::span::Span;
@@ -22,15 +22,21 @@ use std::collections::HashMap;
 /// Name of the synthetic return slot. User identifiers cannot contain `$`.
 pub const RET_SLOT: &str = "$ret";
 
-/// Lowers a parsed program to IR.
+/// Lowers a parsed program to IR, consuming it: names, expressions and
+/// spans move from the AST into the instructions that use them.
 ///
 /// # Errors
 ///
 /// Returns [`IrError::Lower`] when the program references undeclared
 /// functions or has no `main`.
-pub fn lower(ast: &AstProgram) -> Result<Program> {
-    let mut name_to_id = HashMap::new();
-    for (i, f) in ast.funcs.iter().enumerate() {
+pub fn lower(ast: AstProgram) -> Result<Program> {
+    let AstProgram {
+        sensors,
+        globals,
+        funcs,
+    } = ast;
+    let mut name_to_id = HashMap::with_capacity(funcs.len());
+    for (i, f) in funcs.iter().enumerate() {
         if name_to_id
             .insert(f.name.clone(), FuncId(i as u32))
             .is_some()
@@ -46,31 +52,35 @@ pub fn lower(ast: &AstProgram) -> Result<Program> {
         .ok_or_else(|| IrError::lower("program has no `main` function"))?;
 
     let mut next_region = 0u32;
-    let mut funcs = Vec::with_capacity(ast.funcs.len());
-    for (i, f) in ast.funcs.iter().enumerate() {
-        let mut ctx = FnLower::new(FuncId(i as u32), f, &name_to_id, next_region);
-        let lowered = ctx.run()?;
-        next_region = ctx.next_region;
-        funcs.push(lowered);
+    let mut names = Names::default();
+    let mut lowered = Vec::with_capacity(funcs.len());
+    for (i, f) in funcs.into_iter().enumerate() {
+        lowered.push(FnLower::run(
+            FuncId(i as u32),
+            f,
+            &name_to_id,
+            &mut next_region,
+            &mut names,
+        )?);
     }
 
-    let globals = ast
-        .globals
-        .iter()
+    let globals = globals
+        .into_iter()
         .map(|g| IrGlobal {
-            name: g.name.clone(),
+            name: g.name,
             array_len: g.array_len,
             init: g.init,
         })
         .collect();
-    let sensors = ast.sensors.iter().map(|s| s.name.clone()).collect();
+    let sensors = sensors.into_iter().map(|s| s.name).collect();
 
-    Ok(Program::from_parts(
-        funcs,
+    Ok(Program::with_index(
+        lowered,
         globals,
         sensors,
         main,
         next_region,
+        name_to_id,
     ))
 }
 
@@ -81,7 +91,7 @@ pub fn lower(ast: &AstProgram) -> Result<Program> {
 /// Propagates lexer, parser, and lowering errors.
 pub fn compile(src: &str) -> Result<Program> {
     let _span = ocelot_telemetry::span!("parse");
-    let p = lower(&crate::parser::parse(src)?)?;
+    let p = lower(crate::parser::parse(src)?)?;
     // Parsed statements always carry real spans, and lowering threads
     // them onto every instruction — the diagnostics layer depends on
     // this, so enforce it on the parse path (builder-made programs are
@@ -94,20 +104,135 @@ pub fn compile(src: &str) -> Result<Program> {
     Ok(p)
 }
 
-struct FnLower<'a> {
-    id: FuncId,
-    decl: &'a ast::FunDecl,
-    name_to_id: &'a HashMap<Ident, FuncId>,
-    next_region: u32,
+/// Lexical scopes for alpha-renaming, reused from one function to the
+/// next. Each distinct source name has a slot that counts how often the
+/// function has bound it and points at its innermost visible binding;
+/// each binding points at the one it shadows, so closing a scope pops
+/// its bindings and restores what they hid.
+#[derive(Default)]
+struct Names {
+    slot_of: HashMap<Ident, u32>,
+    slots: Vec<Slot>,
+    /// The bindings of the open scopes, innermost last.
+    stack: Vec<Binding>,
+    /// `stack.len()` when each inner scope opened.
+    marks: Vec<usize>,
+    /// The function's locals (unique names), in binding order.
+    locals: Vec<Ident>,
+}
 
-    blocks: Vec<Block>,
+struct Slot {
+    /// Renamed bindings so far: the next one is `name$binds`.
+    binds: u32,
+    /// Index in `Names::stack` of the innermost visible binding.
+    top: Option<u32>,
+}
+
+struct Binding {
+    slot: u32,
+    /// The binding this one hides.
+    shadows: Option<u32>,
+    /// Index in `Names::locals` of the unique name; `None` for a name
+    /// in scope under its own name.
+    local: Option<u32>,
+}
+
+impl Names {
+    fn reset(&mut self) {
+        self.slot_of.clear();
+        self.slots.clear();
+        self.stack.clear();
+        self.marks.clear();
+    }
+
+    /// Pushes a binding of `name` and returns its slot.
+    fn push(&mut self, name: &str, local: Option<u32>) -> usize {
+        let slot = match self.slot_of.get(name) {
+            Some(&i) => i,
+            None => {
+                let i = self.slots.len() as u32;
+                self.slot_of.insert(name.to_owned(), i);
+                self.slots.push(Slot {
+                    binds: 0,
+                    top: None,
+                });
+                i
+            }
+        };
+        let top = Some(self.stack.len() as u32);
+        let shadows = std::mem::replace(&mut self.slots[slot as usize].top, top);
+        self.stack.push(Binding {
+            slot,
+            shadows,
+            local,
+        });
+        slot as usize
+    }
+
+    /// Brings `name` into scope under its own name without counting it
+    /// as a binding (parameters and the return slot): a `let` of the
+    /// same name later reuses it.
+    fn declare(&mut self, name: &str) {
+        self.push(name, None);
+    }
+
+    /// Binds `name` in the innermost scope, records the unique name
+    /// among the locals and returns it.
+    fn bind(&mut self, name: Ident) -> Ident {
+        let slot = self.push(&name, Some(self.locals.len() as u32));
+        let binds = &mut self.slots[slot].binds;
+        let unique = match *binds {
+            0 => name,
+            n => format!("{name}${n}"),
+        };
+        *binds += 1;
+        self.locals.push(unique.clone());
+        unique
+    }
+
+    /// Rewrites a use of `name` to the binding in scope. Names with no
+    /// local binding (globals, sensors, channels) stay as they are;
+    /// validation reports the truly unknown ones.
+    fn resolve(&self, name: &mut Ident) {
+        let Some(&slot) = self.slot_of.get(name) else {
+            return;
+        };
+        let Some(top) = self.slots[slot as usize].top else {
+            return;
+        };
+        if let Some(local) = self.stack[top as usize].local {
+            let unique = &self.locals[local as usize];
+            if unique != name {
+                name.clone_from(unique);
+            }
+        }
+    }
+
+    fn open(&mut self) {
+        self.marks.push(self.stack.len());
+    }
+
+    fn close(&mut self) {
+        let mark = self.marks.pop().expect("close matches an open");
+        for b in self.stack.drain(mark..).rev() {
+            self.slots[b.slot as usize].top = b.shadows;
+        }
+    }
+}
+
+struct FnLower<'a> {
+    name: Ident,
+    name_to_id: &'a HashMap<Ident, FuncId>,
+    next_region: &'a mut u32,
+
+    /// Sealed blocks, indexed by id (ids are allocated by a counter;
+    /// `cur_id` starts at 0).
+    blocks: Vec<Option<Block>>,
     cur: Vec<Inst>,
     cur_id: BlockId,
     next_label: u32,
 
-    scopes: Vec<HashMap<Ident, Ident>>,
-    rename_counts: HashMap<Ident, u32>,
-    locals: Vec<Ident>,
+    names: &'a mut Names,
     /// Span of the statement currently being lowered; every emitted
     /// instruction and terminator inherits it. Starts at the function
     /// declaration header (covers the synthetic `$ret` init).
@@ -115,26 +240,77 @@ struct FnLower<'a> {
 }
 
 impl<'a> FnLower<'a> {
-    fn new(
+    fn run(
         id: FuncId,
-        decl: &'a ast::FunDecl,
+        decl: FunDecl,
         name_to_id: &'a HashMap<Ident, FuncId>,
-        next_region: u32,
-    ) -> Self {
-        FnLower {
-            id,
-            decl,
+        next_region: &'a mut u32,
+        names: &'a mut Names,
+    ) -> Result<Function> {
+        let FunDecl {
+            name,
+            params,
+            body,
+            span,
+        } = decl;
+        names.reset();
+        let mut lw = FnLower {
+            name,
             name_to_id,
             next_region,
-            blocks: Vec::new(),
+            blocks: vec![None],
             cur: Vec::new(),
             cur_id: BlockId(0),
             next_label: 0,
-            scopes: vec![HashMap::new()],
-            rename_counts: HashMap::new(),
-            locals: Vec::new(),
-            cur_span: decl.span,
+            names,
+            cur_span: span,
+        };
+
+        // Parameters are in scope under their own names.
+        for p in &params {
+            lw.names.declare(&p.name);
         }
+        // Synthetic return slot (carries the declaration-header span).
+        let ret_label = lw.fresh_label();
+        lw.cur.push(Inst {
+            label: ret_label,
+            op: Op::Bind {
+                var: RET_SLOT.into(),
+                src: Expr::Int(0),
+            },
+            span,
+        });
+        lw.names.locals.push(RET_SLOT.into());
+        lw.names.declare(RET_SLOT);
+
+        // Lower the whole body, then seal with the landing pad.
+        let exit = lw.fresh_block();
+        lw.lower_stmts(body.stmts, exit)?;
+        // Fall off the end: jump to the landing pad.
+        lw.seal(Terminator::Jump(exit));
+        // Emit the landing pad itself (spanned to the declaration: the
+        // synthetic return belongs to the function as a whole).
+        lw.cur_id = exit;
+        lw.cur_span = span;
+        lw.seal_to(Terminator::Ret(Some(Expr::Var(RET_SLOT.into()))), exit);
+
+        let (blocks, exit) = prune_unreachable(lw.blocks, exit);
+        Ok(Function {
+            id,
+            name: lw.name,
+            params: params
+                .into_iter()
+                .map(|p| IrParam {
+                    name: p.name,
+                    by_ref: p.by_ref,
+                })
+                .collect(),
+            blocks,
+            entry: BlockId(0),
+            exit,
+            locals: std::mem::take(&mut lw.names.locals),
+            next_label: lw.next_label,
+        })
     }
 
     fn fresh_label(&mut self) -> Label {
@@ -143,83 +319,28 @@ impl<'a> FnLower<'a> {
         l
     }
 
-    fn run(&mut self) -> Result<Function> {
-        // Block ids are allocated by a counter; `cur_id` starts at 0.
-        let mut alloc = BlockAlloc { next: 1 };
-
-        // Parameters are in scope under their own names.
-        for p in &self.decl.params {
-            self.scopes[0].insert(p.name.clone(), p.name.clone());
-            self.rename_counts.insert(p.name.clone(), 0);
-        }
-        // Synthetic return slot (carries the declaration-header span).
-        let ret_label = self.fresh_label();
-        self.cur.push(Inst {
-            label: ret_label,
-            op: Op::Bind {
-                var: RET_SLOT.into(),
-                src: Expr::Int(0),
-            },
-            span: self.decl.span,
-        });
-        self.locals.push(RET_SLOT.into());
-        self.scopes[0].insert(RET_SLOT.into(), RET_SLOT.into());
-
-        let exit = self.lower_block_into(&self.decl.body.clone(), &mut alloc)?;
-
-        let function = Function {
-            id: self.id,
-            name: self.decl.name.clone(),
-            params: self
-                .decl
-                .params
-                .iter()
-                .map(|p| IrParam {
-                    name: p.name.clone(),
-                    by_ref: p.by_ref,
-                })
-                .collect(),
-            blocks: std::mem::take(&mut self.blocks),
-            entry: BlockId(0),
-            exit,
-            locals: std::mem::take(&mut self.locals),
-            next_label: self.next_label,
-        };
-        Ok(prune_unreachable(function))
-    }
-
-    /// Lowers the whole function body, then seals with the landing pad.
-    /// Returns the exit block id.
-    fn lower_block_into(&mut self, body: &AstBlock, alloc: &mut BlockAlloc) -> Result<BlockId> {
-        let exit = alloc.fresh();
-        self.lower_stmts(&body.stmts, alloc, exit)?;
-        // Fall off the end: jump to the landing pad.
-        self.seal(Terminator::Jump(exit), alloc);
-        // Emit the landing pad itself (spanned to the declaration: the
-        // synthetic return belongs to the function as a whole).
-        self.cur_id = exit;
-        let term_label = self.fresh_label();
-        self.blocks.push(Block {
-            id: exit,
-            instrs: Vec::new(),
-            term: Terminator::Ret(Some(Expr::Var(RET_SLOT.into()))),
-            term_label,
-            term_span: self.decl.span,
-        });
-        Ok(exit)
+    fn fresh_block(&mut self) -> BlockId {
+        self.blocks.push(None);
+        BlockId(self.blocks.len() as u32 - 1)
     }
 
     /// Ends the current block with `term` and opens a new one.
-    fn seal(&mut self, term: Terminator, alloc: &mut BlockAlloc) {
+    fn seal(&mut self, term: Terminator) {
+        let next = self.fresh_block();
+        self.seal_to(term, next);
+    }
+
+    /// Ends the current block with `term`, continuing in `next`.
+    fn seal_to(&mut self, term: Terminator, next: BlockId) {
         let term_label = self.fresh_label();
-        self.blocks.push(Block {
+        self.blocks[self.cur_id.0 as usize] = Some(Block {
             id: self.cur_id,
             instrs: std::mem::take(&mut self.cur),
             term,
             term_label,
             term_span: self.cur_span,
         });
-        self.cur_id = alloc.fresh();
+        self.cur_id = next;
     }
 
     fn push(&mut self, op: Op) {
@@ -233,76 +354,73 @@ impl<'a> FnLower<'a> {
 
     // ---- naming --------------------------------------------------------
 
-    fn bind_name(&mut self, name: &Ident) -> Ident {
-        let n = self.rename_counts.entry(name.clone()).or_insert(0);
-        let unique = if *n == 0 {
-            name.clone()
-        } else {
-            format!("{name}${n}")
-        };
-        *n += 1;
-        self.scopes
-            .last_mut()
-            .expect("scope stack is never empty")
-            .insert(name.clone(), unique.clone());
-        self.locals.push(unique.clone());
-        unique
+    fn bind_name(&mut self, name: Ident) -> Ident {
+        self.names.bind(name)
     }
 
-    fn resolve(&self, name: &Ident) -> Ident {
-        for scope in self.scopes.iter().rev() {
-            if let Some(u) = scope.get(name) {
-                return u.clone();
-            }
-        }
-        // Not a local: global, sensor, or channel — keep as-is
-        // (validation reports truly-unknown names).
-        name.clone()
+    fn resolved(&self, mut name: Ident) -> Ident {
+        self.names.resolve(&mut name);
+        name
     }
 
-    fn rename_expr(&self, e: &Expr) -> Expr {
+    fn rename_expr(&self, e: &mut Expr) {
         match e {
-            Expr::Int(_) | Expr::Bool(_) => e.clone(),
-            Expr::Var(x) => Expr::Var(self.resolve(x)),
-            Expr::Deref(x) => Expr::Deref(self.resolve(x)),
-            Expr::Ref(x) => Expr::Ref(self.resolve(x)),
-            Expr::Index(a, i) => Expr::Index(self.resolve(a), Box::new(self.rename_expr(i))),
-            Expr::Binary(op, l, r) => Expr::Binary(
-                *op,
-                Box::new(self.rename_expr(l)),
-                Box::new(self.rename_expr(r)),
-            ),
-            Expr::Unary(op, x) => Expr::Unary(*op, Box::new(self.rename_expr(x))),
+            Expr::Int(_) | Expr::Bool(_) => {}
+            Expr::Var(x) | Expr::Deref(x) | Expr::Ref(x) => self.names.resolve(x),
+            Expr::Index(a, i) => {
+                self.names.resolve(a);
+                self.rename_expr(i);
+            }
+            Expr::Binary(_, l, r) => {
+                self.rename_expr(l);
+                self.rename_expr(r);
+            }
+            Expr::Unary(_, x) => self.rename_expr(x),
         }
     }
 
-    fn rename_arg(&self, a: &Arg) -> Arg {
-        match a {
-            Arg::Value(e) => Arg::Value(self.rename_expr(e)),
-            Arg::Ref(x) => Arg::Ref(self.resolve(x)),
+    fn renamed(&self, mut e: Expr) -> Expr {
+        self.rename_expr(&mut e);
+        e
+    }
+
+    fn rename_args(&self, args: &mut [Arg]) {
+        for a in args {
+            match a {
+                Arg::Value(e) => self.rename_expr(e),
+                Arg::Ref(x) => self.names.resolve(x),
+            }
         }
     }
 
     // ---- statements ------------------------------------------------------
 
-    fn lower_stmts(&mut self, stmts: &[Stmt], alloc: &mut BlockAlloc, exit: BlockId) -> Result<()> {
+    fn lower_stmts(&mut self, stmts: Vec<Stmt>, exit: BlockId) -> Result<()> {
         for s in stmts {
-            self.lower_stmt(s, alloc, exit)?;
+            self.lower_stmt(s, exit)?;
         }
         Ok(())
     }
 
-    fn lower_stmt(&mut self, s: &Stmt, alloc: &mut BlockAlloc, exit: BlockId) -> Result<()> {
+    /// Lowers `stmts` in a scope of their own.
+    fn lower_scoped(&mut self, stmts: Vec<Stmt>, exit: BlockId) -> Result<()> {
+        self.names.open();
+        self.lower_stmts(stmts, exit)?;
+        self.names.close();
+        Ok(())
+    }
+
+    fn lower_stmt(&mut self, s: Stmt, exit: BlockId) -> Result<()> {
         self.cur_span = s.span();
         match s {
             Stmt::Skip(_) => self.push(Op::Skip),
             Stmt::Let(x, e, _) => {
-                let src = self.rename_expr(e);
+                let src = self.renamed(e);
                 let var = self.bind_name(x);
                 self.push(Op::Bind { var, src });
             }
             Stmt::LetFresh(x, e, _) => {
-                let src = self.rename_expr(e);
+                let src = self.renamed(e);
                 let var = self.bind_name(x);
                 self.push(Op::Bind {
                     var: var.clone(),
@@ -314,27 +432,24 @@ impl<'a> FnLower<'a> {
                 });
             }
             Stmt::LetConsistent(id, x, e, _) => {
-                let src = self.rename_expr(e);
+                let src = self.renamed(e);
                 let var = self.bind_name(x);
                 self.push(Op::Bind {
                     var: var.clone(),
                     src,
                 });
                 self.push(Op::Annot {
-                    kind: AnnotKind::Consistent(*id),
+                    kind: AnnotKind::Consistent(id),
                     var,
                 });
             }
-            Stmt::LetInput(x, chan, _) => {
+            Stmt::LetInput(x, sensor, _) => {
                 let var = self.bind_name(x);
-                self.push(Op::Input {
-                    var,
-                    sensor: chan.clone(),
-                });
+                self.push(Op::Input { var, sensor });
             }
-            Stmt::LetCall(x, f, args, _) => {
-                let callee = self.lookup_fn(f)?;
-                let args = args.iter().map(|a| self.rename_arg(a)).collect();
+            Stmt::LetCall(x, f, mut args, _) => {
+                let callee = self.lookup_fn(&f)?;
+                self.rename_args(&mut args);
                 let var = self.bind_name(x);
                 self.push(Op::Call {
                     dst: Some(var),
@@ -342,9 +457,9 @@ impl<'a> FnLower<'a> {
                     args,
                 });
             }
-            Stmt::CallStmt(f, args, _) => {
-                let callee = self.lookup_fn(f)?;
-                let args = args.iter().map(|a| self.rename_arg(a)).collect();
+            Stmt::CallStmt(f, mut args, _) => {
+                let callee = self.lookup_fn(&f)?;
+                self.rename_args(&mut args);
                 self.push(Op::Call {
                     dst: None,
                     callee,
@@ -352,62 +467,61 @@ impl<'a> FnLower<'a> {
                 });
             }
             Stmt::Assign(x, e, _) => {
-                let src = self.rename_expr(e);
-                let place = Place::Var(self.resolve(x));
+                let src = self.renamed(e);
+                let place = Place::Var(self.resolved(x));
                 self.push(Op::Assign { place, src });
             }
             Stmt::AssignIndex(a, i, e, _) => {
-                let idx = self.rename_expr(i);
-                let src = self.rename_expr(e);
+                let idx = self.renamed(i);
+                let src = self.renamed(e);
                 self.push(Op::Assign {
-                    place: Place::Index(self.resolve(a), idx),
+                    place: Place::Index(self.resolved(a), idx),
                     src,
                 });
             }
             Stmt::AssignDeref(x, e, _) => {
-                let src = self.rename_expr(e);
+                let src = self.renamed(e);
                 self.push(Op::Assign {
-                    place: Place::Deref(self.resolve(x)),
+                    place: Place::Deref(self.resolved(x)),
                     src,
                 });
             }
             Stmt::FreshAnnot(x, _) => {
                 self.push(Op::Annot {
                     kind: AnnotKind::Fresh,
-                    var: self.resolve(x),
+                    var: self.resolved(x),
                 });
             }
             Stmt::ConsistentAnnot(x, id, _) => {
                 self.push(Op::Annot {
-                    kind: AnnotKind::Consistent(*id),
-                    var: self.resolve(x),
+                    kind: AnnotKind::Consistent(id),
+                    var: self.resolved(x),
                 });
             }
-            Stmt::Out(chan, args, _) => {
-                let args = args.iter().map(|e| self.rename_expr(e)).collect();
-                self.push(Op::Output {
-                    channel: chan.clone(),
-                    args,
-                });
+            Stmt::Out(channel, mut args, _) => {
+                for e in &mut args {
+                    self.rename_expr(e);
+                }
+                self.push(Op::Output { channel, args });
             }
             Stmt::Return(e, _) => {
                 let src = match e {
-                    Some(e) => self.rename_expr(e),
+                    Some(e) => self.renamed(e),
                     None => Expr::Int(0),
                 };
                 self.push(Op::Assign {
                     place: Place::Var(RET_SLOT.into()),
                     src,
                 });
-                self.seal(Terminator::Jump(exit), alloc);
+                self.seal(Terminator::Jump(exit));
                 // Statements after a return land in an unreachable block,
                 // pruned later.
             }
             Stmt::If(cond, then_b, else_b, _) => {
-                let cond = self.rename_expr(cond);
-                let then_id = alloc.fresh();
-                let else_id = alloc.fresh();
-                let join_id = alloc.fresh();
+                let cond = self.renamed(cond);
+                let then_id = self.fresh_block();
+                let else_id = self.fresh_block();
+                let join_id = self.fresh_block();
                 self.seal_to(
                     Terminator::Branch {
                         cond,
@@ -416,14 +530,10 @@ impl<'a> FnLower<'a> {
                     },
                     then_id,
                 );
-                self.scopes.push(HashMap::new());
-                self.lower_stmts(&then_b.stmts, alloc, exit)?;
-                self.scopes.pop();
+                self.lower_scoped(then_b.stmts, exit)?;
                 self.seal_to(Terminator::Jump(join_id), else_id);
                 if let Some(else_b) = else_b {
-                    self.scopes.push(HashMap::new());
-                    self.lower_stmts(&else_b.stmts, alloc, exit)?;
-                    self.scopes.pop();
+                    self.lower_scoped(else_b.stmts, exit)?;
                     self.seal_to(Terminator::Jump(join_id), join_id);
                 } else {
                     // `else_id` was never targeted; emit nothing for it and
@@ -434,30 +544,28 @@ impl<'a> FnLower<'a> {
             }
             Stmt::Repeat(n, body, _) => {
                 // i = 0; head: if i < n { body; i = i + 1; jump head } after
-                let counter = self.bind_name(&format!("$rep{}", self.next_label));
+                let counter = self.bind_name(format!("$rep{}", self.next_label));
                 self.push(Op::Bind {
                     var: counter.clone(),
                     src: Expr::Int(0),
                 });
-                let head = alloc.fresh();
-                let body_id = alloc.fresh();
-                let after = alloc.fresh();
+                let head = self.fresh_block();
+                let body_id = self.fresh_block();
+                let after = self.fresh_block();
                 self.seal_to(Terminator::Jump(head), head);
                 self.seal_to(
                     Terminator::Branch {
                         cond: Expr::Binary(
                             ast::BinOp::Lt,
                             Box::new(Expr::Var(counter.clone())),
-                            Box::new(Expr::Int(*n as i64)),
+                            Box::new(Expr::Int(n as i64)),
                         ),
                         then_bb: body_id,
                         else_bb: after,
                     },
                     body_id,
                 );
-                self.scopes.push(HashMap::new());
-                self.lower_stmts(&body.stmts, alloc, exit)?;
-                self.scopes.pop();
+                self.lower_scoped(body.stmts, exit)?;
                 self.push(Op::Assign {
                     place: Place::Var(counter.clone()),
                     src: Expr::Binary(
@@ -471,19 +579,19 @@ impl<'a> FnLower<'a> {
             Stmt::While(cond, bound, body, _) => {
                 // head: if cond { body; jump head } after — the condition
                 // re-evaluates every iteration (unbounded loop, §4.1).
-                let head = alloc.fresh();
-                let body_id = alloc.fresh();
-                let after = alloc.fresh();
+                let head = self.fresh_block();
+                let body_id = self.fresh_block();
+                let after = self.fresh_block();
                 self.seal_to(Terminator::Jump(head), head);
                 if let Some(k) = bound {
                     // The declared trip count rides in the header block
                     // where the bound recovery looks for it.
                     self.push(Op::Annot {
-                        kind: AnnotKind::Bound(*k),
+                        kind: AnnotKind::Bound(k),
                         var: "$bound".into(),
                     });
                 }
-                let cond = self.rename_expr(cond);
+                let cond = self.renamed(cond);
                 self.seal_to(
                     Terminator::Branch {
                         cond,
@@ -492,9 +600,7 @@ impl<'a> FnLower<'a> {
                     },
                     body_id,
                 );
-                self.scopes.push(HashMap::new());
-                self.lower_stmts(&body.stmts, alloc, exit)?;
-                self.scopes.pop();
+                self.lower_scoped(body.stmts, exit)?;
                 self.seal_to(Terminator::Jump(head), after);
             }
             Stmt::Atomic(body, _) => {
@@ -502,109 +608,79 @@ impl<'a> FnLower<'a> {
                 // `atomic { let x = ...; } out(log, x);` is legal (the
                 // paper's `startatom; c; endatom` does not delimit
                 // scope).
-                let region = RegionId(self.next_region);
-                self.next_region += 1;
+                let region = RegionId(*self.next_region);
+                *self.next_region += 1;
                 self.push(Op::AtomStart { region });
-                self.lower_stmts(&body.stmts, alloc, exit)?;
+                self.lower_stmts(body.stmts, exit)?;
                 self.push(Op::AtomEnd { region });
             }
         }
         Ok(())
     }
 
-    /// Ends the current block with `term`, continuing in `next`.
-    fn seal_to(&mut self, term: Terminator, next: BlockId) {
-        let term_label = self.fresh_label();
-        self.blocks.push(Block {
-            id: self.cur_id,
-            instrs: std::mem::take(&mut self.cur),
-            term,
-            term_label,
-            term_span: self.cur_span,
-        });
-        self.cur_id = next;
-    }
-
     fn lookup_fn(&self, name: &str) -> Result<FuncId> {
         self.name_to_id.get(name).copied().ok_or_else(|| {
             IrError::lower(format!(
                 "call to undeclared function `{name}` in `{}`",
-                self.decl.name
+                self.name
             ))
         })
     }
 }
 
-struct BlockAlloc {
-    next: u32,
-}
-
-impl BlockAlloc {
-    fn fresh(&mut self) -> BlockId {
-        let b = BlockId(self.next);
-        self.next += 1;
-        b
-    }
-}
-
-/// Removes blocks unreachable from the entry and renumbers the rest so
-/// that `blocks[i].id == BlockId(i)`.
-fn prune_unreachable(mut f: Function) -> Function {
-    use std::collections::{BTreeMap, VecDeque};
-
-    let by_id: BTreeMap<u32, Block> = f.blocks.drain(..).map(|b| (b.id.0, b)).collect();
-    let mut reachable = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    let mut queue = VecDeque::from([f.entry]);
-    // The exit landing pad is always kept so `Function::exit` stays valid
-    // even for bodies that loop forever (not expressible here, but cheap
-    // to be safe about).
-    queue.push_back(f.exit);
-    while let Some(b) = queue.pop_front() {
-        if !seen.insert(b) {
+/// Removes blocks unreachable from the entry (block 0) and renumbers
+/// the rest so that `blocks[i].id == BlockId(i)`; returns them with the
+/// exit's new id. `by_id` is indexed by block id, every map here is a
+/// vector, and each block moves once.
+fn prune_unreachable(mut by_id: Vec<Option<Block>>, exit: BlockId) -> (Vec<Block>, BlockId) {
+    const GONE: u32 = u32::MAX;
+    // First the reachable set (`remap[i] != GONE`), then the new ids.
+    // The exit landing pad is always kept so `Function::exit` stays
+    // valid even for bodies that loop forever (not expressible here,
+    // but cheap to be safe about).
+    let mut remap = vec![GONE; by_id.len()];
+    let mut stack = vec![exit, BlockId(0)];
+    while let Some(b) = stack.pop() {
+        let i = b.0 as usize;
+        if remap[i] != GONE {
             continue;
         }
-        reachable.push(b);
-        if let Some(block) = by_id.get(&b.0) {
-            for s in block.term.successors() {
-                queue.push_back(s);
-            }
+        remap[i] = 0;
+        match by_id[i].as_ref().map(|block| &block.term) {
+            Some(Terminator::Jump(t)) => stack.push(*t),
+            Some(Terminator::Branch {
+                then_bb, else_bb, ..
+            }) => stack.extend([*else_bb, *then_bb]),
+            Some(Terminator::Ret(_)) | None => {}
         }
     }
-    reachable.sort_by_key(|b| b.0);
+    let mut kept = 0;
+    for id in remap.iter_mut().filter(|id| **id != GONE) {
+        *id = kept;
+        kept += 1;
+    }
+    let new = |b: BlockId| BlockId(remap[b.0 as usize]);
 
-    let remap: HashMap<u32, u32> = reachable
-        .iter()
-        .enumerate()
-        .map(|(new, old)| (old.0, new as u32))
-        .collect();
-
-    let mut blocks = Vec::with_capacity(reachable.len());
-    for old in &reachable {
-        let mut b = by_id
-            .get(&old.0)
-            .expect("reachable block must exist")
-            .clone();
-        b.id = BlockId(remap[&old.0]);
-        b.term = match b.term {
-            Terminator::Jump(t) => Terminator::Jump(BlockId(remap[&t.0])),
+    let mut blocks = Vec::with_capacity(kept as usize);
+    for (i, slot) in by_id.iter_mut().enumerate() {
+        if remap[i] == GONE {
+            continue;
+        }
+        let mut b = slot.take().expect("reachable block must exist");
+        b.id = new(b.id);
+        match &mut b.term {
+            Terminator::Jump(t) => *t = new(*t),
             Terminator::Branch {
-                cond,
-                then_bb,
-                else_bb,
-            } => Terminator::Branch {
-                cond,
-                then_bb: BlockId(remap[&then_bb.0]),
-                else_bb: BlockId(remap[&else_bb.0]),
-            },
-            Terminator::Ret(e) => Terminator::Ret(e),
-        };
+                then_bb, else_bb, ..
+            } => {
+                *then_bb = new(*then_bb);
+                *else_bb = new(*else_bb);
+            }
+            Terminator::Ret(_) => {}
+        }
         blocks.push(b);
     }
-    f.entry = BlockId(remap[&f.entry.0]);
-    f.exit = BlockId(remap[&f.exit.0]);
-    f.blocks = blocks;
-    f
+    (blocks, new(exit))
 }
 
 #[cfg(test)]

@@ -45,12 +45,20 @@ use crate::lexer::lex;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 
+/// The deepest nesting the parser accepts, counted two ways: blocks,
+/// parentheses, index brackets and unary operands open at once, and the
+/// height of an expression tree (a chain `a + b + c` is as tall as it is
+/// long). Every later pass recurses over blocks and expressions, so the
+/// cap bounds their stack use as well as the parser's; a deeper source
+/// is a parse error at the token that crosses it, not a stack overflow.
+pub const MAX_NESTING: usize = 128;
+
 /// Parses a complete source program.
 ///
 /// # Errors
 ///
 /// Returns [`IrError::Lex`] or [`IrError::Parse`] describing the first
-/// malformed construct.
+/// malformed construct, including nesting past [`MAX_NESTING`].
 ///
 /// # Examples
 ///
@@ -68,37 +76,46 @@ use crate::token::{Token, TokenKind};
 /// ```
 pub fn parse(src: &str) -> Result<AstProgram> {
     let tokens = lex(src)?;
-    Parser { tokens, pos: 0 }.program()
+    Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    }
+    .program()
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// An expression and the height of its tree.
+type Tall = (Expr, usize);
+
+struct Parser<'s> {
+    tokens: Vec<Token<'s>>,
     pos: usize,
+    /// Blocks, parentheses, index brackets and unary operands open on
+    /// the parse stack.
+    depth: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
+impl<'s> Parser<'s> {
+    fn peek(&self) -> TokenKind<'s> {
+        self.tokens[self.pos].kind
     }
 
-    fn peek2(&self) -> &TokenKind {
+    fn peek2(&self) -> TokenKind<'s> {
         let i = (self.pos + 1).min(self.tokens.len() - 1);
-        &self.tokens[i].kind
+        self.tokens[i].kind
     }
 
     fn span(&self) -> Span {
         self.tokens[self.pos].span
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    fn eat(&mut self, kind: TokenKind<'_>) -> bool {
         if self.peek() == kind {
             self.bump();
             true
@@ -107,9 +124,9 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: TokenKind) -> Result<Token> {
-        if self.peek() == &kind {
-            Ok(self.bump())
+    fn expect(&mut self, kind: TokenKind<'_>) -> Result<()> {
+        if self.eat(kind) {
+            Ok(())
         } else {
             Err(self.unexpected(kind.describe()))
         }
@@ -122,22 +139,50 @@ impl Parser {
         }
     }
 
+    fn too_deep(span: Span) -> IrError {
+        IrError::Parse {
+            span,
+            message: format!("nesting exceeds the limit of {MAX_NESTING} levels"),
+        }
+    }
+
+    /// Opens one level of nesting; `span` is the token that opens it.
+    fn descend(&mut self, span: Span) -> Result<()> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(Self::too_deep(span));
+        }
+        Ok(())
+    }
+
+    fn ascend(&mut self) {
+        self.depth -= 1;
+    }
+
+    /// Checks a new expression node's height; `span` is its operator.
+    fn node(expr: Expr, height: usize, span: Span) -> Result<Tall> {
+        if height > MAX_NESTING {
+            return Err(Self::too_deep(span));
+        }
+        Ok((expr, height))
+    }
+
     fn ident(&mut self) -> Result<Ident> {
         match self.peek() {
-            TokenKind::Ident(_) => match self.bump().kind {
-                TokenKind::Ident(name) => Ok(name),
-                _ => unreachable!(),
-            },
+            TokenKind::Ident(name) => {
+                self.bump();
+                Ok(name.to_owned())
+            }
             _ => Err(self.unexpected("identifier")),
         }
     }
 
     fn int(&mut self) -> Result<i64> {
         match self.peek() {
-            TokenKind::Int(_) => match self.bump().kind {
-                TokenKind::Int(n) => Ok(n),
-                _ => unreachable!(),
-            },
+            TokenKind::Int(n) => {
+                self.bump();
+                Ok(n)
+            }
             _ => Err(self.unexpected("integer literal")),
         }
     }
@@ -164,7 +209,7 @@ impl Parser {
                     let start = self.span();
                     self.bump();
                     let name = self.ident()?;
-                    let array_len = if self.eat(&TokenKind::LBracket) {
+                    let array_len = if self.eat(TokenKind::LBracket) {
                         let n = self.int()?;
                         self.expect(TokenKind::RBracket)?;
                         if n < 0 {
@@ -177,8 +222,8 @@ impl Parser {
                     } else {
                         None
                     };
-                    let init = if self.eat(&TokenKind::Eq) {
-                        let neg = self.eat(&TokenKind::Minus);
+                    let init = if self.eat(TokenKind::Eq) {
+                        let neg = self.eat(TokenKind::Minus);
                         let n = self.int()?;
                         if neg {
                             -n
@@ -210,15 +255,15 @@ impl Parser {
         let name = self.ident()?;
         self.expect(TokenKind::LParen)?;
         let mut params = Vec::new();
-        if self.peek() != &TokenKind::RParen {
+        if self.peek() != TokenKind::RParen {
             loop {
-                let by_ref = self.eat(&TokenKind::Amp);
+                let by_ref = self.eat(TokenKind::Amp);
                 let pname = self.ident()?;
                 params.push(Param {
                     name: pname,
                     by_ref,
                 });
-                if !self.eat(&TokenKind::Comma) {
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
@@ -235,15 +280,18 @@ impl Parser {
     }
 
     fn block(&mut self) -> Result<Block> {
+        let open = self.span();
         self.expect(TokenKind::LBrace)?;
+        self.descend(open)?;
         let mut stmts = Vec::new();
-        while self.peek() != &TokenKind::RBrace {
-            if self.peek() == &TokenKind::Eof {
+        while self.peek() != TokenKind::RBrace {
+            if self.peek() == TokenKind::Eof {
                 return Err(self.unexpected("`}`"));
             }
             stmts.push(self.stmt()?);
         }
-        self.expect(TokenKind::RBrace)?;
+        self.bump();
+        self.ascend();
         Ok(Block::new(stmts))
     }
 
@@ -251,7 +299,7 @@ impl Parser {
 
     fn stmt(&mut self) -> Result<Stmt> {
         let start = self.span();
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Skip => {
                 self.bump();
                 let end = self.span();
@@ -283,7 +331,7 @@ impl Parser {
                 self.bump();
                 let cond = self.expr()?;
                 let then_b = self.block()?;
-                let else_b = if self.eat(&TokenKind::Else) {
+                let else_b = if self.eat(TokenKind::Else) {
                     Some(self.block()?)
                 } else {
                     None
@@ -308,7 +356,7 @@ impl Parser {
                 // `while e @bound k { .. }` declares the loop's trip
                 // count for the forward-progress analysis; the runtime
                 // semantics are unchanged.
-                let bound = if self.eat(&TokenKind::At) {
+                let bound = if self.eat(TokenKind::At) {
                     let word = self.ident()?;
                     if word != "bound" {
                         return Err(IrError::Parse {
@@ -337,13 +385,12 @@ impl Parser {
                 self.expect(TokenKind::LParen)?;
                 let chan = self.ident()?;
                 let mut args = Vec::new();
-                while self.eat(&TokenKind::Comma) {
+                while self.eat(TokenKind::Comma) {
                     // String payloads are modeled as their length: the
                     // runtime only needs a value with an output cost.
-                    if let TokenKind::Str(_) = self.peek() {
-                        if let TokenKind::Str(s) = self.bump().kind {
-                            args.push(Expr::Int(s.len() as i64));
-                        }
+                    if let TokenKind::Str(s) = self.peek() {
+                        self.bump();
+                        args.push(Expr::Int(s.len() as i64));
                     } else {
                         args.push(self.expr()?);
                     }
@@ -355,7 +402,7 @@ impl Parser {
             }
             TokenKind::Return => {
                 self.bump();
-                let value = if self.peek() == &TokenKind::Semi {
+                let value = if self.peek() == TokenKind::Semi {
                     None
                 } else {
                     Some(self.expr()?)
@@ -380,7 +427,7 @@ impl Parser {
 
     fn let_stmt(&mut self, start: Span) -> Result<Stmt> {
         self.expect(TokenKind::Let)?;
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Fresh => {
                 self.bump();
                 let x = self.ident()?;
@@ -405,7 +452,7 @@ impl Parser {
             TokenKind::Ident(_) => {
                 let x = self.ident()?;
                 self.expect(TokenKind::Eq)?;
-                match (self.peek().clone(), self.peek2().clone()) {
+                match (self.peek(), self.peek2()) {
                     (TokenKind::In, TokenKind::LParen) => {
                         self.bump();
                         self.bump();
@@ -422,7 +469,7 @@ impl Parser {
                         self.expect(TokenKind::RParen)?;
                         let end = self.span();
                         self.expect(TokenKind::Semi)?;
-                        Ok(Stmt::LetCall(x, f, args, start.merge(end)))
+                        Ok(Stmt::LetCall(x, f.to_owned(), args, start.merge(end)))
                     }
                     _ => {
                         let e = self.expr()?;
@@ -438,7 +485,7 @@ impl Parser {
 
     fn ident_stmt(&mut self, start: Span) -> Result<Stmt> {
         let name = self.ident()?;
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Eq => {
                 self.bump();
                 let e = self.expr()?;
@@ -470,18 +517,17 @@ impl Parser {
 
     fn args(&mut self) -> Result<Vec<Arg>> {
         let mut args = Vec::new();
-        if self.peek() == &TokenKind::RParen {
+        if self.peek() == TokenKind::RParen {
             return Ok(args);
         }
         loop {
-            if self.peek() == &TokenKind::Amp {
-                self.bump();
+            if self.eat(TokenKind::Amp) {
                 let x = self.ident()?;
                 args.push(Arg::Ref(x));
             } else {
                 args.push(Arg::Value(self.expr()?));
             }
-            if !self.eat(&TokenKind::Comma) {
+            if !self.eat(TokenKind::Comma) {
                 break;
             }
         }
@@ -491,28 +537,39 @@ impl Parser {
     // ---- expressions --------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+        Ok(self.or_expr()?.0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr> {
+    fn binary(op: BinOp, span: Span, (l, lh): Tall, (r, rh): Tall) -> Result<Tall> {
+        let expr = Expr::Binary(op, Box::new(l), Box::new(r));
+        Self::node(expr, 1 + lh.max(rh), span)
+    }
+
+    fn or_expr(&mut self) -> Result<Tall> {
         let mut lhs = self.and_expr()?;
-        while self.eat(&TokenKind::PipePipe) {
+        loop {
+            let span = self.span();
+            if !self.eat(TokenKind::PipePipe) {
+                return Ok(lhs);
+            }
             let rhs = self.and_expr()?;
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs));
+            lhs = Self::binary(BinOp::Or, span, lhs, rhs)?;
         }
-        Ok(lhs)
     }
 
-    fn and_expr(&mut self) -> Result<Expr> {
+    fn and_expr(&mut self) -> Result<Tall> {
         let mut lhs = self.cmp_expr()?;
-        while self.eat(&TokenKind::AmpAmp) {
+        loop {
+            let span = self.span();
+            if !self.eat(TokenKind::AmpAmp) {
+                return Ok(lhs);
+            }
             let rhs = self.cmp_expr()?;
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs));
+            lhs = Self::binary(BinOp::And, span, lhs, rhs)?;
         }
-        Ok(lhs)
     }
 
-    fn cmp_expr(&mut self) -> Result<Expr> {
+    fn cmp_expr(&mut self) -> Result<Tall> {
         let lhs = self.add_expr()?;
         let op = match self.peek() {
             TokenKind::EqEq => BinOp::Eq,
@@ -523,96 +580,103 @@ impl Parser {
             TokenKind::Ge => BinOp::Ge,
             _ => return Ok(lhs),
         };
+        let span = self.span();
         self.bump();
         let rhs = self.add_expr()?;
-        Ok(Expr::Binary(op, Box::new(lhs), Box::new(rhs)))
+        Self::binary(op, span, lhs, rhs)
     }
 
-    fn add_expr(&mut self) -> Result<Expr> {
+    fn add_expr(&mut self) -> Result<Tall> {
         let mut lhs = self.mul_expr()?;
         loop {
             let op = match self.peek() {
                 TokenKind::Plus => BinOp::Add,
                 TokenKind::Minus => BinOp::Sub,
-                _ => break,
+                _ => return Ok(lhs),
             };
+            let span = self.span();
             self.bump();
             let rhs = self.mul_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+            lhs = Self::binary(op, span, lhs, rhs)?;
         }
-        Ok(lhs)
     }
 
-    fn mul_expr(&mut self) -> Result<Expr> {
+    fn mul_expr(&mut self) -> Result<Tall> {
         let mut lhs = self.unary_expr()?;
         loop {
             let op = match self.peek() {
                 TokenKind::Star => BinOp::Mul,
                 TokenKind::Slash => BinOp::Div,
                 TokenKind::Percent => BinOp::Rem,
-                _ => break,
+                _ => return Ok(lhs),
             };
+            let span = self.span();
             self.bump();
             let rhs = self.unary_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn unary_expr(&mut self) -> Result<Expr> {
-        match self.peek() {
-            TokenKind::Minus => {
-                self.bump();
-                Ok(Expr::Unary(UnOp::Neg, Box::new(self.unary_expr()?)))
-            }
-            TokenKind::Bang => {
-                self.bump();
-                Ok(Expr::Unary(UnOp::Not, Box::new(self.unary_expr()?)))
-            }
-            _ => self.primary_expr(),
+            lhs = Self::binary(op, span, lhs, rhs)?;
         }
     }
 
-    fn primary_expr(&mut self) -> Result<Expr> {
-        match self.peek().clone() {
+    fn unary_expr(&mut self) -> Result<Tall> {
+        let op = match self.peek() {
+            TokenKind::Minus => UnOp::Neg,
+            TokenKind::Bang => UnOp::Not,
+            _ => return self.primary_expr(),
+        };
+        let span = self.span();
+        self.descend(span)?;
+        self.bump();
+        let (e, h) = self.unary_expr()?;
+        self.ascend();
+        Self::node(Expr::Unary(op, Box::new(e)), 1 + h, span)
+    }
+
+    fn primary_expr(&mut self) -> Result<Tall> {
+        let leaf = match self.peek() {
             TokenKind::Int(n) => {
                 self.bump();
-                Ok(Expr::Int(n))
+                Expr::Int(n)
             }
             TokenKind::True => {
                 self.bump();
-                Ok(Expr::Bool(true))
+                Expr::Bool(true)
             }
             TokenKind::False => {
                 self.bump();
-                Ok(Expr::Bool(false))
+                Expr::Bool(false)
             }
             TokenKind::Star => {
                 self.bump();
-                Ok(Expr::Deref(self.ident()?))
+                Expr::Deref(self.ident()?)
             }
             TokenKind::Amp => {
                 self.bump();
-                Ok(Expr::Ref(self.ident()?))
+                Expr::Ref(self.ident()?)
             }
             TokenKind::LParen => {
+                self.descend(self.span())?;
                 self.bump();
-                let e = self.expr()?;
+                let inner = self.or_expr()?;
                 self.expect(TokenKind::RParen)?;
-                Ok(e)
+                self.ascend();
+                return Ok(inner);
             }
             TokenKind::Ident(_) => {
                 let name = self.ident()?;
-                if self.eat(&TokenKind::LBracket) {
-                    let idx = self.expr()?;
-                    self.expect(TokenKind::RBracket)?;
-                    Ok(Expr::Index(name, Box::new(idx)))
-                } else {
-                    Ok(Expr::Var(name))
+                let span = self.span();
+                if self.peek() != TokenKind::LBracket {
+                    return Ok((Expr::Var(name), 1));
                 }
+                self.descend(span)?;
+                self.bump();
+                let (idx, h) = self.or_expr()?;
+                self.expect(TokenKind::RBracket)?;
+                self.ascend();
+                return Self::node(Expr::Index(name, Box::new(idx)), 1 + h, span);
             }
-            _ => Err(self.unexpected("expression")),
-        }
+            _ => return Err(self.unexpected("expression")),
+        };
+        Ok((leaf, 1))
     }
 }
 
@@ -823,6 +887,61 @@ mod tests {
             Stmt::Out(_, args, _) => assert_eq!(args[0], Expr::Int(3)),
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    /// The error `src` fails with, which must be the nesting cap's, and
+    /// the source text under its span.
+    fn too_deep(src: &str) -> &str {
+        match parse(src) {
+            Err(IrError::Parse { span, message }) => {
+                assert_eq!(message, "nesting exceeds the limit of 128 levels");
+                &src[span.start..span.end]
+            }
+            other => panic!("expected the nesting error, got {other:?}"),
+        }
+    }
+
+    /// `main` as `blocks` blocks nested inside each other.
+    fn nested_blocks(blocks: usize) -> String {
+        let open = "{ atomic ".repeat(blocks - 1);
+        format!("fn main() {open}{{ skip; }}{}", " }".repeat(blocks - 1))
+    }
+
+    fn nested_parens(parens: usize) -> String {
+        let (open, close) = ("(".repeat(parens), ")".repeat(parens));
+        format!("fn main() {{ let x = {open}1{close}; }}")
+    }
+
+    /// A chain nests no parser calls, but its tree is as tall as it is
+    /// long, and every later pass recurses over that tree.
+    fn chain(leaves: usize) -> String {
+        format!("fn main() {{ let x = 1{}; }}", " + 1".repeat(leaves - 1))
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_a_parse_error_at_the_token_that_crosses_it() {
+        let n = 100_000;
+        assert_eq!(too_deep(&nested_parens(n)), "(");
+        assert_eq!(too_deep(&nested_blocks(n)), "{");
+        assert_eq!(
+            too_deep(&format!("fn main() {{ let x = {}1; }}", "-".repeat(n))),
+            "-"
+        );
+        let (open, close) = ("a[".repeat(n), "]".repeat(n));
+        let index = format!("nv a[2]; fn main() {{ let x = {open}0{close}; }}");
+        assert_eq!(too_deep(&index), "[");
+        assert_eq!(too_deep(&chain(n)), "+");
+    }
+
+    #[test]
+    fn nesting_up_to_the_cap_is_accepted() {
+        // The function body is one level of its own.
+        assert!(crate::compile(&nested_parens(MAX_NESTING - 1)).is_ok());
+        assert_eq!(too_deep(&nested_parens(MAX_NESTING)), "(");
+        assert!(crate::compile(&nested_blocks(MAX_NESTING)).is_ok());
+        assert_eq!(too_deep(&nested_blocks(MAX_NESTING + 1)), "{");
+        assert!(crate::compile(&chain(MAX_NESTING)).is_ok());
+        assert_eq!(too_deep(&chain(MAX_NESTING + 1)), "+");
     }
 
     #[test]

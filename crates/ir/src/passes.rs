@@ -195,7 +195,7 @@ pub fn compile_unrolled(src: &str, max_stmts: usize) -> Result<crate::ir::Progra
     let ast = crate::parser::parse(src)?;
     let ast = unroll_repeats(&ast, max_stmts)?;
     let ast = fold_constants(&ast);
-    crate::lower::lower(&ast)
+    crate::lower::lower(ast)
 }
 
 #[cfg(test)]

@@ -281,7 +281,7 @@ mod tests {
         let src = "sensor s; fn main() { let v = in(s); fresh(v); if v > 2 { out(log, v); } }";
         let a = parse(src).unwrap();
         let printed = ast_to_source(&a);
-        let p1 = crate::lower::lower(&a).unwrap();
+        let p1 = crate::lower::lower(a).unwrap();
         let p2 = crate::lower::compile(&printed).unwrap();
         assert_eq!(
             crate::print::program_to_string(&p1),

@@ -1,17 +1,23 @@
 //! Token kinds produced by the [`lexer`](crate::lexer).
+//!
+//! Tokens borrow their text from the source they were lexed from, so a
+//! token is a few words of plain data: the parser copies them freely and
+//! allocates an identifier's `String` only when it builds the AST node
+//! that owns it.
 
 use std::fmt;
 
-/// A lexical token of the Ocelot modeling language.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+/// A lexical token of the Ocelot modeling language; `'s` is the source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TokenKind<'s> {
     // Literals and identifiers
     /// An integer literal, e.g. `42`.
     Int(i64),
     /// An identifier, e.g. `pressure`.
-    Ident(String),
-    /// A string literal (used by `out` channels' payloads), e.g. `"storm"`.
-    Str(String),
+    Ident(&'s str),
+    /// A string literal's contents (used by `out` channels' payloads),
+    /// e.g. `storm` for `"storm"`.
+    Str(&'s str),
 
     // Keywords
     /// `fn`
@@ -105,9 +111,9 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// Returns the keyword token for `word`, if it is a keyword.
-    pub fn keyword(word: &str) -> Option<TokenKind> {
+    pub fn keyword(word: &str) -> Option<TokenKind<'static>> {
         Some(match word {
             "fn" => TokenKind::Fn,
             "let" => TokenKind::Let,
@@ -183,7 +189,7 @@ impl TokenKind {
     }
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Int(n) => write!(f, "{n}"),
@@ -195,10 +201,10 @@ impl fmt::Display for TokenKind {
 }
 
 /// A token together with its source span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'s> {
     /// What kind of token this is.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'s>,
     /// Where in the source it came from.
     pub span: crate::span::Span,
 }
