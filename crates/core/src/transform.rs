@@ -61,7 +61,7 @@ pub fn ocelot_transform(program: Program) -> Result<Compiled, CoreError> {
 /// guaranteed identical to `TaintAnalysis::run`, so the output here is
 /// identical to [`ocelot_transform`].
 ///
-/// The program must already have passed [`ocelot_ir::validate`]: the
+/// The program must already have passed [`fn@ocelot_ir::validate`]: the
 /// taint analysis needs a valid program too, so every caller validates
 /// before it computes `taint`, and this entry does not validate again.
 ///

@@ -537,83 +537,45 @@ impl<'s> Parser<'s> {
     // ---- expressions --------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr> {
-        Ok(self.or_expr()?.0)
+        Ok(self.binary_expr(0)?.0)
     }
 
-    fn binary(op: BinOp, span: Span, (l, lh): Tall, (r, rh): Tall) -> Result<Tall> {
-        let expr = Expr::Binary(op, Box::new(l), Box::new(r));
-        Self::node(expr, 1 + lh.max(rh), span)
-    }
-
-    fn or_expr(&mut self) -> Result<Tall> {
-        let mut lhs = self.and_expr()?;
-        loop {
-            let span = self.span();
-            if !self.eat(TokenKind::PipePipe) {
-                return Ok(lhs);
-            }
-            let rhs = self.and_expr()?;
-            lhs = Self::binary(BinOp::Or, span, lhs, rhs)?;
+    /// One precedence level of binary operators (`or` is level 0, `mul`
+    /// the last): a left-associative chain of the next level's operands,
+    /// except that comparisons do not chain.
+    fn binary_expr(&mut self, level: usize) -> Result<Tall> {
+        const CMP: usize = 2;
+        const UNARY: usize = 5;
+        if level == UNARY {
+            return self.unary_expr();
         }
-    }
-
-    fn and_expr(&mut self) -> Result<Tall> {
-        let mut lhs = self.cmp_expr()?;
+        let mut lhs = self.binary_expr(level + 1)?;
         loop {
-            let span = self.span();
-            if !self.eat(TokenKind::AmpAmp) {
-                return Ok(lhs);
-            }
-            let rhs = self.cmp_expr()?;
-            lhs = Self::binary(BinOp::And, span, lhs, rhs)?;
-        }
-    }
-
-    fn cmp_expr(&mut self) -> Result<Tall> {
-        let lhs = self.add_expr()?;
-        let op = match self.peek() {
-            TokenKind::EqEq => BinOp::Eq,
-            TokenKind::NotEq => BinOp::Ne,
-            TokenKind::Lt => BinOp::Lt,
-            TokenKind::Le => BinOp::Le,
-            TokenKind::Gt => BinOp::Gt,
-            TokenKind::Ge => BinOp::Ge,
-            _ => return Ok(lhs),
-        };
-        let span = self.span();
-        self.bump();
-        let rhs = self.add_expr()?;
-        Self::binary(op, span, lhs, rhs)
-    }
-
-    fn add_expr(&mut self) -> Result<Tall> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
+            let op = match (level, self.peek()) {
+                (0, TokenKind::PipePipe) => BinOp::Or,
+                (1, TokenKind::AmpAmp) => BinOp::And,
+                (CMP, TokenKind::EqEq) => BinOp::Eq,
+                (CMP, TokenKind::NotEq) => BinOp::Ne,
+                (CMP, TokenKind::Lt) => BinOp::Lt,
+                (CMP, TokenKind::Le) => BinOp::Le,
+                (CMP, TokenKind::Gt) => BinOp::Gt,
+                (CMP, TokenKind::Ge) => BinOp::Ge,
+                (3, TokenKind::Plus) => BinOp::Add,
+                (3, TokenKind::Minus) => BinOp::Sub,
+                (4, TokenKind::Star) => BinOp::Mul,
+                (4, TokenKind::Slash) => BinOp::Div,
+                (4, TokenKind::Percent) => BinOp::Rem,
                 _ => return Ok(lhs),
             };
             let span = self.span();
             self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = Self::binary(op, span, lhs, rhs)?;
-        }
-    }
-
-    fn mul_expr(&mut self) -> Result<Tall> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Rem,
-                _ => return Ok(lhs),
-            };
-            let span = self.span();
-            self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = Self::binary(op, span, lhs, rhs)?;
+            let (r, rh) = self.binary_expr(level + 1)?;
+            let (l, lh) = lhs;
+            let expr = Expr::Binary(op, Box::new(l), Box::new(r));
+            lhs = Self::node(expr, 1 + lh.max(rh), span)?;
+            if level == CMP {
+                return Ok(lhs);
+            }
         }
     }
 
@@ -656,7 +618,7 @@ impl<'s> Parser<'s> {
             TokenKind::LParen => {
                 self.descend(self.span())?;
                 self.bump();
-                let inner = self.or_expr()?;
+                let inner = self.binary_expr(0)?;
                 self.expect(TokenKind::RParen)?;
                 self.ascend();
                 return Ok(inner);
@@ -669,7 +631,7 @@ impl<'s> Parser<'s> {
                 }
                 self.descend(span)?;
                 self.bump();
-                let (idx, h) = self.or_expr()?;
+                let (idx, h) = self.binary_expr(0)?;
                 self.expect(TokenKind::RBracket)?;
                 self.ascend();
                 return Self::node(Expr::Index(name, Box::new(idx)), 1 + h, span);
