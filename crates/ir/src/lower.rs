@@ -143,6 +143,7 @@ impl Names {
         self.slots.clear();
         self.stack.clear();
         self.marks.clear();
+        self.locals.clear();
     }
 
     /// Pushes a binding of `name` and returns its slot.
@@ -354,10 +355,6 @@ impl<'a> FnLower<'a> {
 
     // ---- naming --------------------------------------------------------
 
-    fn bind_name(&mut self, name: Ident) -> Ident {
-        self.names.bind(name)
-    }
-
     fn resolved(&self, mut name: Ident) -> Ident {
         self.names.resolve(&mut name);
         name
@@ -416,12 +413,12 @@ impl<'a> FnLower<'a> {
             Stmt::Skip(_) => self.push(Op::Skip),
             Stmt::Let(x, e, _) => {
                 let src = self.renamed(e);
-                let var = self.bind_name(x);
+                let var = self.names.bind(x);
                 self.push(Op::Bind { var, src });
             }
             Stmt::LetFresh(x, e, _) => {
                 let src = self.renamed(e);
-                let var = self.bind_name(x);
+                let var = self.names.bind(x);
                 self.push(Op::Bind {
                     var: var.clone(),
                     src,
@@ -433,7 +430,7 @@ impl<'a> FnLower<'a> {
             }
             Stmt::LetConsistent(id, x, e, _) => {
                 let src = self.renamed(e);
-                let var = self.bind_name(x);
+                let var = self.names.bind(x);
                 self.push(Op::Bind {
                     var: var.clone(),
                     src,
@@ -444,13 +441,13 @@ impl<'a> FnLower<'a> {
                 });
             }
             Stmt::LetInput(x, sensor, _) => {
-                let var = self.bind_name(x);
+                let var = self.names.bind(x);
                 self.push(Op::Input { var, sensor });
             }
             Stmt::LetCall(x, f, mut args, _) => {
                 let callee = self.lookup_fn(&f)?;
                 self.rename_args(&mut args);
-                let var = self.bind_name(x);
+                let var = self.names.bind(x);
                 self.push(Op::Call {
                     dst: Some(var),
                     callee,
@@ -544,7 +541,7 @@ impl<'a> FnLower<'a> {
             }
             Stmt::Repeat(n, body, _) => {
                 // i = 0; head: if i < n { body; i = i + 1; jump head } after
-                let counter = self.bind_name(format!("$rep{}", self.next_label));
+                let counter = self.names.bind(format!("$rep{}", self.next_label));
                 self.push(Op::Bind {
                     var: counter.clone(),
                     src: Expr::Int(0),
