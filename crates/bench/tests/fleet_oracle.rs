@@ -8,6 +8,11 @@
 //! histograms — on both execution backends, at any worker count,
 //! whether the read-only machine core is shared across workers or
 //! rebuilt inside each one.
+//!
+//! The fleet's cores are stats-only (`MachineCore::build`) while the
+//! harness runs each cell on a traced machine (`Machine::new`), so this
+//! suite also holds a stats-only sweep to traced per-cell runs — the
+//! same property `stats_only.rs` checks machine by machine.
 
 use ocelot_bench::fleet::{fleet_artifact, run_fleet, FleetAggregate, FleetOpts, FleetSpec};
 use ocelot_bench::harness::run_cells;

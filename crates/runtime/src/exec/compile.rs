@@ -45,7 +45,7 @@
 use crate::machine::{eval_binop, Machine};
 use ocelot_analysis::chains::ChainId;
 use ocelot_analysis::dom::{point_dominates, DomTree, Point};
-use ocelot_analysis::FuncSsa;
+use ocelot_analysis::{FuncSsa, ValueFlow};
 use ocelot_hw::energy::{Facts, Priced};
 use ocelot_ir::ast::{Arg, BinOp, Expr, UnOp};
 use ocelot_ir::cfg::Cfg;
@@ -542,12 +542,17 @@ impl<'p> Cx<'_, 'p> {
         &self.m.core.ssa.funcs[f.id.0 as usize]
     }
 
-    /// Wraps `e` for taint-free evaluation when `justified`
-    /// holds (the two sound justifications are value purity and
-    /// dependency deadness; consumers that drop dependency sets pass
-    /// `|| true`).
-    fn wrap_o2(&self, e: CExpr<'p>, justified: impl FnOnce() -> bool) -> CExpr<'p> {
-        if justified() {
+    /// Wraps `e` for taint-free evaluation when its dependency set is
+    /// unobservable: always on a stats-only core, which observes none,
+    /// and on a traced core when the value-flow facts show `justified`
+    /// (the two sound justifications are value purity and dependency
+    /// deadness; consumers that drop dependency sets pass `|_| true`).
+    fn wrap_o2(&self, e: CExpr<'p>, justified: impl FnOnce(&ValueFlow) -> bool) -> CExpr<'p> {
+        let unobservable = match &self.m.core.flow {
+            Some(flow) => justified(flow),
+            None => true,
+        };
+        if unobservable {
             pure_of(e)
         } else {
             e
@@ -570,9 +575,8 @@ impl<'p> Cx<'_, 'p> {
             return CExpr::Const(0);
         }
         let c = self.expr(f, label, src);
-        self.wrap_o2(c, || {
-            self.m.core.flow.expr_is_pure(f, src)
-                || (f.declares(var) && self.m.core.flow.var_deps_dead(f.id, var))
+        self.wrap_o2(c, |flow| {
+            flow.expr_is_pure(f, src) || (f.declares(var) && flow.var_deps_dead(f.id, var))
         })
     }
 
@@ -621,13 +625,9 @@ impl<'p> Cx<'_, 'p> {
                         // The argument's taint only matters through the
                         // callee parameter it binds; dead there, the
                         // walk is unobservable.
-                        self.wrap_o2(c, || {
-                            self.m.core.flow.expr_is_pure(f, e)
-                                || self
-                                    .m
-                                    .core
-                                    .flow
-                                    .var_deps_dead(callee, callee_layout.name(*slot))
+                        self.wrap_o2(c, |flow| {
+                            flow.expr_is_pure(f, e)
+                                || flow.var_deps_dead(callee, callee_layout.name(*slot))
                         })
                     },
                 },
@@ -639,7 +639,7 @@ impl<'p> Cx<'_, 'p> {
                 // mirrored for hand-built IR.
                 (Arg::Value(e), ParamBind::Ref(name)) => ArgBind::ValueSpill {
                     name: Arc::clone(name),
-                    src: self.expr(f, label, e),
+                    src: self.wrap_o2(self.expr(f, label, e), |_| false),
                 },
                 (Arg::Ref(x), ParamBind::Value(slot)) => ArgBind::Ref {
                     param: Arc::clone(callee_layout.name(*slot)),
@@ -680,7 +680,6 @@ impl<'p> Cx<'_, 'p> {
                 },
             ),
             Op::Assign { place, src } => {
-                let flow = &self.m.core.flow;
                 match place {
                     // Static local classification needs a dominating
                     // binding — or the reclassification proof that the
@@ -721,7 +720,7 @@ impl<'p> Cx<'_, 'p> {
                                 // The store may reach the NV fallback (a
                                 // later run could read the cell), so only
                                 // exact purity justifies the fast path.
-                                src: self.wrap_o2(src_c, || flow.expr_is_pure(f, src)),
+                                src: self.wrap_o2(src_c, |flow| flow.expr_is_pure(f, src)),
                             },
                         )
                     }
@@ -733,7 +732,7 @@ impl<'p> Cx<'_, 'p> {
                                 Cat::Compute,
                                 Action::AssignGlobal {
                                     slot,
-                                    src: self.wrap_o2(src_c, || {
+                                    src: self.wrap_o2(src_c, |flow| {
                                         flow.expr_is_pure(f, src) || flow.global_deps_dead(x)
                                     }),
                                 },
@@ -748,7 +747,7 @@ impl<'p> Cx<'_, 'p> {
                                 Cat::Compute,
                                 Action::AssignDyn {
                                     place,
-                                    src: self.wrap_o2(src_c, || flow.expr_is_pure(f, src)),
+                                    src: self.wrap_o2(src_c, |flow| flow.expr_is_pure(f, src)),
                                 },
                             )
                         }
@@ -760,7 +759,7 @@ impl<'p> Cx<'_, 'p> {
                         Cat::Compute,
                         Action::AssignDyn {
                             place,
-                            src: self.expr(f, label, src),
+                            src: self.wrap_o2(self.expr(f, label, src), |_| false),
                         },
                     ),
                     Place::Index(a, i) => {
@@ -774,8 +773,8 @@ impl<'p> Cx<'_, 'p> {
                                 slot: self.m.dev.nv.array_slot(a),
                                 // A store drops its index's dependency
                                 // set (only the value is consumed).
-                                idx: self.wrap_o2(idx_c, || true),
-                                src: self.wrap_o2(src_c, || {
+                                idx: self.wrap_o2(idx_c, |_| true),
+                                src: self.wrap_o2(src_c, |flow| {
                                     flow.expr_is_pure(f, src) || flow.global_deps_dead(a)
                                 }),
                             },
@@ -788,7 +787,7 @@ impl<'p> Cx<'_, 'p> {
                             Cat::Compute,
                             Action::AssignDeref {
                                 var: x,
-                                src: self.wrap_o2(src_c, || {
+                                src: self.wrap_o2(src_c, |flow| {
                                     flow.expr_is_pure(f, src) || flow.refout_deps_dead(f.id, x)
                                 }),
                             },
@@ -830,13 +829,13 @@ impl<'p> Cx<'_, 'p> {
                         None => Arc::from(channel.as_str()),
                     },
                     // Output argument dependency sets are observed (they
-                    // feed the fresh-use trace), so only exact purity
-                    // justifies skipping the taint walk.
+                    // feed the trace), so on a traced core only exact
+                    // purity justifies skipping the taint walk.
                     args: args
                         .iter()
                         .map(|e| {
                             let c = self.expr(f, label, e);
-                            self.wrap_o2(c, || self.m.core.flow.expr_is_pure(f, e))
+                            self.wrap_o2(c, |flow| flow.expr_is_pure(f, e))
                         })
                         .collect(),
                 },
@@ -882,8 +881,8 @@ impl<'p> Cx<'_, 'p> {
             }
             Terminator::Ret(e) => Action::Ret(e.as_ref().map(|e| {
                 let c = self.expr(f, label, e);
-                self.wrap_o2(c, || {
-                    self.m.core.flow.expr_is_pure(f, e) || self.m.core.flow.ret_deps_dead(f.id)
+                self.wrap_o2(c, |flow| {
+                    flow.expr_is_pure(f, e) || flow.ret_deps_dead(f.id)
                 })
             })),
         };

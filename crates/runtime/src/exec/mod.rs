@@ -28,7 +28,9 @@
 //! * an SSA middle-end folds constants, straightens constant branches,
 //!   shrinks dead stores, and evaluates local stores and branch
 //!   conditions whose dependency sets are provably empty or
-//!   unobservable by value only, with no taint temporary built.
+//!   unobservable by value only, with no taint temporary built — on a
+//!   stats-only core (see [`crate::machine::MachineCore::build`]) every
+//!   dependency set is unobservable.
 //!
 //! The seam between the backends is semantic, not structural: anything
 //! *checked or observable* — inputs, outputs, detector checks, region

@@ -331,6 +331,7 @@ impl<'p> Machine<'p> {
                     LocalDst::Slot(s) => (Some(*s), ""),
                     LocalDst::Spill(name) => (None, *name),
                 };
+                let sensor_name = |_: &Self| Arc::clone(sensor_name);
                 match chain {
                     // Fixed call stack: everything pre-resolved.
                     Some(id) => self.input_core(
@@ -338,7 +339,7 @@ impl<'p> Machine<'p> {
                         slot,
                         var,
                         sensor,
-                        Arc::clone(sensor_name),
+                        sensor_name,
                         *chan,
                         Some(*id),
                         None,
@@ -352,7 +353,7 @@ impl<'p> Machine<'p> {
                             slot,
                             var,
                             sensor,
-                            Arc::clone(sensor_name),
+                            sensor_name,
                             *chan,
                             id,
                             Some(chain),
@@ -390,18 +391,22 @@ impl<'p> Machine<'p> {
                 self.dev.vol.frames.push(frame);
             }
             Action::Output { channel, args } => {
-                let vals: Vec<Tainted> = args.iter().map(|e| self.ceval(e)).collect();
-                let mut deps = crate::memory::Deps::new();
-                for v in &vals {
-                    deps.extend(v.deps.iter().copied());
-                }
-                self.dev.obs.push(Obs::Output {
-                    at: here,
-                    tau: self.dev.tau,
-                    era: self.dev.era,
-                    channel: Arc::clone(channel),
-                    values: vals.iter().map(|v| v.value).collect(),
-                    deps,
+                // Every read is total and side-effect free, so a
+                // stats-only machine leaves the arguments unevaluated.
+                self.observe(|m| {
+                    let vals: Vec<Tainted> = args.iter().map(|e| m.ceval(e)).collect();
+                    let mut deps = crate::memory::Deps::new();
+                    for v in &vals {
+                        deps.extend(v.deps.iter().copied());
+                    }
+                    Obs::Output {
+                        at: here,
+                        tau: m.dev.tau,
+                        era: m.dev.era,
+                        channel: Arc::clone(channel),
+                        values: vals.iter().map(|v| v.value).collect(),
+                        deps,
+                    }
                 });
                 self.dev.stats.outputs += 1;
                 self.advance();

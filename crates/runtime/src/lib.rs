@@ -8,8 +8,8 @@
 //!
 //! Violations are detected two ways (§7.3): the paper's non-volatile
 //! bit-vector mechanism runs online, and the formal Definitions 2/3 are
-//! validated offline on the committed observation trace — the two are
-//! cross-checked in tests.
+//! validated offline on the committed observation trace a traced
+//! machine records — the two are cross-checked in tests.
 //!
 //! ## Examples
 //!

@@ -123,10 +123,11 @@ pub fn pathological_targets(policies: &PolicySet) -> BTreeSet<InstrRef> {
     targets
 }
 
-/// The unit of work for one step.
-enum WorkItem {
-    Inst(Op),
-    Term(Terminator),
+/// The unit of work for one step, borrowed from the program.
+#[derive(Clone, Copy)]
+enum WorkItem<'a> {
+    Inst(&'a Op),
+    Term(&'a Terminator),
 }
 
 /// Runtime data pre-resolved for one interned provenance chain: what
@@ -238,7 +239,9 @@ pub struct MachineCore<'p> {
     pub(crate) ssa: ProgramSsa,
     /// Data-only value-flow facts: which values provably carry empty
     /// dependency sets and which dependency sets are never observed.
-    pub(crate) flow: ValueFlow,
+    /// `Some` exactly on a traced core ([`MachineCore::traced`]): a
+    /// stats-only core observes no dependency set, so it needs none.
+    pub(crate) flow: Option<ValueFlow>,
     /// Per-function always-bound locals (declared, never address-taken,
     /// every read dominated by a write): stores to these never reach
     /// non-volatile memory, so both backends bind the volatile slot
@@ -423,6 +426,13 @@ impl<'p> MachineCore<'p> {
     /// Pre-resolves everything shareable about a program: region ω
     /// sets, the interned chain table, per-chain and per-site detector
     /// data, sensor channels, and interned names.
+    ///
+    /// The core is **stats-only**: its machines keep every [`Stats`]
+    /// counter, [`RunOutcome`], detector check and violation count, but
+    /// build no observation trace, and the compiled engine evaluates
+    /// every store, argument, return and output by value only (no
+    /// dependency set is ever read). Call [`MachineCore::traced`] when a
+    /// caller reads [`Machine::take_trace`].
     ///
     /// `regions` supplies each region's checkpoint set `ω` (from
     /// [`ocelot_core::collect_regions`]); `policies` configures the
@@ -609,15 +619,6 @@ impl<'p> MachineCore<'p> {
             .collect();
 
         let ssa = ProgramSsa::analyze(p);
-        // Fresh-use logging observes each fresh variable's dependency
-        // set at its use sites ([`Obs::Use`]); the region transforms may
-        // strip the annotation from the instruction stream, so the flow
-        // analysis is told about those observation points explicitly.
-        let observed: Vec<(FuncId, String)> = use_rt
-            .iter()
-            .flat_map(|(site, rt)| rt.fresh_vars.iter().map(|v| (site.func, v.clone())))
-            .collect();
-        let flow = ValueFlow::analyze_observing(p, &observed);
         let reclass: Vec<BTreeSet<String>> =
             ssa.funcs.iter().map(|fs| fs.always_bound.clone()).collect();
 
@@ -635,15 +636,40 @@ impl<'p> MachineCore<'p> {
             channel_names,
             channels,
             ssa,
-            flow,
+            flow: None,
             reclass,
             shared_compiled: OnceLock::new(),
         }
     }
+
+    /// Turns recording on: machines on the returned core build the
+    /// committed observation trace ([`Machine::take_trace`]) and track
+    /// every dependency set an [`Obs`] record reads, exactly as
+    /// [`Machine::new`]'s machines do. Computes the value-flow facts
+    /// the compile pass needs to keep observed dependency sets.
+    pub fn traced(mut self) -> Self {
+        // Fresh-use logging observes each fresh variable's dependency
+        // set at its use sites ([`Obs::Use`]); the region transforms may
+        // strip the annotation from the instruction stream, so the flow
+        // analysis is told about those observation points explicitly.
+        let observed: Vec<(FuncId, String)> = self
+            .use_rt
+            .iter()
+            .flat_map(|(site, rt)| rt.fresh_vars.iter().map(|v| (site.func, v.clone())))
+            .collect();
+        self.flow = Some(ValueFlow::analyze_observing(self.p, &observed));
+        self
+    }
+
+    /// True when machines on this core record the observation trace.
+    pub fn is_traced(&self) -> bool {
+        self.flow.is_some()
+    }
 }
 
 impl<'p> Machine<'p> {
-    /// Creates a machine over a compiled program.
+    /// Creates a machine over a compiled program, on a traced core
+    /// ([`MachineCore::traced`]): its observation trace is recorded.
     ///
     /// `regions` supplies each region's checkpoint set `ω` (from
     /// [`ocelot_core::collect_regions`]); `policies` configures the
@@ -656,7 +682,7 @@ impl<'p> Machine<'p> {
         costs: CostModel,
         supply: Box<dyn PowerSupply>,
     ) -> Self {
-        let core = Arc::new(MachineCore::build(p, regions, policies, &env, costs));
+        let core = Arc::new(MachineCore::build(p, regions, policies, &env, costs).traced());
         Machine::from_core(core, DeviceState::default(), env, supply)
     }
 
@@ -790,8 +816,33 @@ impl<'p> Machine<'p> {
     }
 
     /// Takes the committed observation trace accumulated so far.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a machine whose core is stats-only: it records no
+    /// trace, and an empty one would pass any check vacuously. Build
+    /// the core with [`MachineCore::traced`] (as [`Machine::new`] does).
     pub fn take_trace(&mut self) -> Vec<Obs> {
+        assert!(
+            self.core.is_traced(),
+            "take_trace on a stats-only machine: build its core with MachineCore::traced()"
+        );
         self.dev.obs.take()
+    }
+
+    /// Records the observation `build` makes, on a traced core only: a
+    /// stats-only machine never builds the record. Reboots bypass
+    /// region buffering (they are exactly what aborts the buffer).
+    pub(crate) fn observe(&mut self, build: impl FnOnce(&Self) -> Obs) {
+        if !self.core.is_traced() {
+            return;
+        }
+        let o = build(self);
+        if matches!(o, Obs::Reboot { .. }) {
+            self.dev.obs.push_unbuffered(o);
+        } else {
+            self.dev.obs.push(o);
+        }
     }
 
     /// The policies this machine checks.
@@ -869,7 +920,8 @@ impl<'p> Machine<'p> {
             return true;
         };
         let (top_func, top_block, top_index) = (top.func, top.block, top.index);
-        let func = self.core.p.func(top_func);
+        let p: &'p Program = self.core.p;
+        let func = p.func(top_func);
         let block = func.block(top_block);
         let at_term = top_index >= block.instrs.len();
         let label = if at_term {
@@ -893,15 +945,15 @@ impl<'p> Machine<'p> {
         // 2. Pay for the operation; energy exhaustion fails *before* the
         //    operation takes effect.
         let work = if at_term {
-            WorkItem::Term(block.term.clone())
+            WorkItem::Term(&block.term)
         } else {
-            WorkItem::Inst(block.instrs[top_index].op.clone())
+            WorkItem::Inst(&block.instrs[top_index].op)
         };
-        let cycles = match &work {
+        let cycles = match work {
             WorkItem::Term(t) => self.core.costs.price(Priced::Term(t), Facts::default()),
             WorkItem::Inst(op) => self.op_cost(op),
         };
-        match &work {
+        match work {
             WorkItem::Inst(Op::Input { .. }) => self.dev.stats.breakdown.input += cycles,
             WorkItem::Inst(Op::Output { .. }) => self.dev.stats.breakdown.output += cycles,
             WorkItem::Inst(Op::AtomStart { .. }) => {
@@ -926,9 +978,9 @@ impl<'p> Machine<'p> {
         self.dev.tau += 1;
         self.dev.stats.instructions += 1;
         match work {
-            WorkItem::Term(term) => self.exec_terminator(&term),
+            WorkItem::Term(term) => self.exec_terminator(term),
             WorkItem::Inst(op) => {
-                self.exec_op(here, &op);
+                self.exec_op(here, op);
                 false
             }
         }
@@ -1008,7 +1060,7 @@ impl<'p> Machine<'p> {
                 ViolationKind::Freshness => self.dev.stats.fresh_violations += 1,
                 ViolationKind::Consistency => self.dev.stats.consistency_violations += 1,
             }
-            self.dev.obs.push(Obs::Violation(ev));
+            self.observe(|_| Obs::Violation(ev));
         }
     }
 
@@ -1046,13 +1098,12 @@ impl<'p> Machine<'p> {
         // fresh-annotated variable at this site, for the formal trace
         // checker.
         for var in &rt.fresh_vars {
-            let deps = self.read_var(var).deps;
-            self.dev.obs.push(Obs::Use {
+            self.observe(|m| Obs::Use {
                 at: here,
-                tau: self.dev.tau,
-                time_us: self.dev.now_us,
-                era: self.dev.era,
-                deps,
+                tau: m.dev.tau,
+                time_us: m.dev.now_us,
+                era: m.dev.era,
+                deps: m.read_var(var).deps,
             });
         }
         false
@@ -1157,9 +1208,9 @@ impl<'p> Machine<'p> {
         self.dev.stats.reboots += 1;
         ocelot_telemetry::metrics::REBOOTS.incr();
         self.dev.bitvec.clear();
-        self.dev.obs.push_unbuffered(Obs::Reboot {
+        self.observe(|m| Obs::Reboot {
             off_us: off,
-            ended_era: self.dev.era,
+            ended_era: m.dev.era,
         });
         self.dev.era += 1;
 
@@ -1229,22 +1280,25 @@ impl<'p> Machine<'p> {
                 self.exec_call(here, dst.as_deref(), *callee, args);
             }
             Op::Output { channel, args } => {
+                // The oracle evaluates every argument with its taint on
+                // either kind of core; only the record is traced-only.
                 let vals: Vec<Tainted> = args.iter().map(|e| self.eval(e)).collect();
-                let mut deps = crate::memory::Deps::new();
-                for v in &vals {
-                    deps.extend(v.deps.iter().copied());
-                }
-                let channel = match self.core.channel_names.get(channel.as_str()) {
-                    Some(a) => Arc::clone(a),
-                    None => Arc::from(channel.as_str()),
-                };
-                self.dev.obs.push(Obs::Output {
-                    at: here,
-                    tau: self.dev.tau,
-                    era: self.dev.era,
-                    channel,
-                    values: vals.iter().map(|v| v.value).collect(),
-                    deps,
+                self.observe(|m| {
+                    let mut deps = crate::memory::Deps::new();
+                    for v in &vals {
+                        deps.extend(v.deps.iter().copied());
+                    }
+                    Obs::Output {
+                        at: here,
+                        tau: m.dev.tau,
+                        era: m.dev.era,
+                        channel: match m.core.channel_names.get(channel.as_str()) {
+                            Some(a) => Arc::clone(a),
+                            None => Arc::from(channel.as_str()),
+                        },
+                        values: vals.iter().map(|v| v.value).collect(),
+                        deps,
+                    }
                 });
                 self.dev.stats.outputs += 1;
                 self.advance();
@@ -1279,17 +1333,21 @@ impl<'p> Machine<'p> {
     }
 
     /// Executes one input operation on the interpreter: resolves the
-    /// destination slot, the interned sensor name, and the chain
-    /// dynamically, then runs the shared collection core.
+    /// destination slot, the sensor channel, and the chain dynamically,
+    /// then runs the shared collection core.
     pub(crate) fn exec_input(&mut self, here: InstrRef, var: &str, sensor: &str) {
         let func = self.dev.vol.top().expect("frame exists").func;
         let slot = self.core.layouts.slot(func, var);
-        let (sensor_name, chan) = match self.core.sensor_rt.get(sensor) {
-            Some(rt) => (Arc::clone(&rt.name), rt.chan),
-            None => (Arc::from(sensor), self.env.channel_index(sensor)),
+        let chan = match self.core.sensor_rt.get(sensor) {
+            Some(rt) => rt.chan,
+            None => self.env.channel_index(sensor),
         };
         let chain = self.dynamic_chain(here);
         let id = self.core.chains.lookup(&chain);
+        let sensor_name = |m: &Self| match m.core.sensor_rt.get(sensor) {
+            Some(rt) => Arc::clone(&rt.name),
+            None => Arc::from(sensor),
+        };
         self.input_core(here, slot, var, sensor, sensor_name, chan, id, Some(chain));
     }
 
@@ -1297,7 +1355,9 @@ impl<'p> Machine<'p> {
     /// run the consistency checks of this collection, set its bit,
     /// record the observation, and advance. For an interned chain every
     /// piece is a pre-resolved index; an uninterned chain belongs to no
-    /// policy, so only the observation remains.
+    /// policy, so only the observation remains. `sensor_name` supplies
+    /// the interned name the observation records, and is called only
+    /// on a traced core.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn input_core(
         &mut self,
@@ -1305,7 +1365,7 @@ impl<'p> Machine<'p> {
         slot: Option<u32>,
         var: &str,
         sensor: &str,
-        sensor_name: Arc<str>,
+        sensor_name: impl FnOnce(&Self) -> Arc<str>,
         chan: Option<usize>,
         id: Option<ChainId>,
         dyn_chain: Option<Prov>,
@@ -1324,43 +1384,38 @@ impl<'p> Machine<'p> {
                 .expect("frame exists")
                 .set_extra(var, t),
         }
-        let chain = match id {
-            Some(id) => {
-                let rt = &self.core.chain_rt[id as usize];
-                let chain = Arc::clone(&rt.chain);
-                let bit = rt.bit;
-                let timed = rt.timed;
-                let checks = Arc::clone(&rt.checks);
-                if timed && self.expiry_window.is_some() {
-                    // TICS's timekeeping hardware: stamp the collection.
-                    self.dev.chain_times[id as usize] = Some(self.dev.now_us);
-                }
-                // Consistency checks fire at the collection, before its
-                // own bit is set (§7.3).
-                if !checks.is_empty() {
-                    let events =
-                        self.dev
-                            .bitvec
-                            .run_resolved(&checks, here, self.dev.tau, self.dev.era);
-                    self.record_violations(events);
-                }
-                if let Some(b) = bit {
-                    self.dev.bitvec.set_bit(b as usize);
-                }
-                chain
+        // A chain outside the table tracks no policy: no bit, no
+        // checks, no timestamp — the observation still records it.
+        if let Some(id) = id {
+            let rt = &self.core.chain_rt[id as usize];
+            if rt.timed && self.expiry_window.is_some() {
+                // TICS's timekeeping hardware: stamp the collection.
+                self.dev.chain_times[id as usize] = Some(self.dev.now_us);
             }
-            // A chain outside the table tracks no policy: no bit, no
-            // checks, no timestamp — the observation still records it.
-            None => Arc::new(dyn_chain.expect("uninterned chains carry their dynamic rebuild")),
-        };
-        self.dev.obs.push(Obs::Input {
+            // Consistency checks fire at the collection, before its
+            // own bit is set (§7.3).
+            if !rt.checks.is_empty() {
+                let events =
+                    self.dev
+                        .bitvec
+                        .run_resolved(&rt.checks, here, self.dev.tau, self.dev.era);
+                self.record_violations(events);
+            }
+            if let Some(b) = self.core.chain_rt[id as usize].bit {
+                self.dev.bitvec.set_bit(b as usize);
+            }
+        }
+        self.observe(|m| Obs::Input {
             at: here,
-            tau: self.dev.tau,
-            time_us: self.dev.now_us,
-            era: self.dev.era,
-            sensor: sensor_name,
+            tau: m.dev.tau,
+            time_us: m.dev.now_us,
+            era: m.dev.era,
+            sensor: sensor_name(m),
             value,
-            chain,
+            chain: match id {
+                Some(id) => Arc::clone(&m.core.chain_rt[id as usize].chain),
+                None => Arc::new(dyn_chain.expect("uninterned chains carry their dynamic rebuild")),
+            },
         });
         self.advance();
     }
@@ -1433,9 +1488,9 @@ impl<'p> Machine<'p> {
         if let Some(rid) = commit {
             // Atom-End-Outer: commit, and pool the log's capacity for
             // the next region entry.
-            self.dev.obs.push(Obs::Commit {
+            self.observe(|m| Obs::Commit {
                 region: rid,
-                tau: self.dev.tau,
+                tau: m.dev.tau,
             });
             self.dev.obs.commit_region();
             self.dev.stats.region_commits += 1;

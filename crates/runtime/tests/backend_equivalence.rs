@@ -616,13 +616,8 @@ fn batch_continuations_fail_at_every_offset() {
         let (p, policies, regions) = build(&src);
         let env = Environment::new();
         let costs = CostModel::default();
-        let core = Arc::new(MachineCore::build(
-            &p,
-            &regions,
-            policies,
-            &env,
-            costs.clone(),
-        ));
+        let core =
+            Arc::new(MachineCore::build(&p, &regions, policies, &env, costs.clone()).traced());
         let mk = |supply: Box<dyn PowerSupply>, backend| {
             run_on_core(&core, env.clone(), supply, backend, 1)
         };
@@ -677,13 +672,16 @@ fn harvested_boot_jitter_apps_agree_across_the_registry() {
         let built = ocelot_runtime::build(bench.annotated(), ExecModel::Ocelot).unwrap();
         let mut check =
             |at: String, env: Environment, supply: &dyn Fn() -> Box<dyn PowerSupply>| {
-                let core = Arc::new(MachineCore::build(
-                    &built.program,
-                    &built.regions,
-                    built.policies.clone(),
-                    &env,
-                    CostModel::default(),
-                ));
+                let core = Arc::new(
+                    MachineCore::build(
+                        &built.program,
+                        &built.regions,
+                        built.policies.clone(),
+                        &env,
+                        CostModel::default(),
+                    )
+                    .traced(),
+                );
                 let mk = |backend| run_on_core(&core, env.clone(), supply(), backend, 3);
                 let interp = mk(ExecBackend::Interp);
                 let compiled = mk(ExecBackend::Compiled);
