@@ -1388,6 +1388,7 @@ impl<'p> Machine<'p> {
         // checks, no timestamp — the observation still records it.
         if let Some(id) = id {
             let rt = &self.core.chain_rt[id as usize];
+            let bit = rt.bit;
             if rt.timed && self.expiry_window.is_some() {
                 // TICS's timekeeping hardware: stamp the collection.
                 self.dev.chain_times[id as usize] = Some(self.dev.now_us);
@@ -1401,7 +1402,7 @@ impl<'p> Machine<'p> {
                         .run_resolved(&rt.checks, here, self.dev.tau, self.dev.era);
                 self.record_violations(events);
             }
-            if let Some(b) = self.core.chain_rt[id as usize].bit {
+            if let Some(b) = bit {
                 self.dev.bitvec.set_bit(b as usize);
             }
         }
