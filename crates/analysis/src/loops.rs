@@ -8,56 +8,116 @@
 use crate::dom::DomTree;
 use ocelot_ir::cfg::Cfg;
 use ocelot_ir::{BlockId, Function};
-use std::collections::HashSet;
 
 /// One natural loop.
 #[derive(Debug, Clone)]
 pub struct NaturalLoop {
     /// The loop header (dominates every block in the loop).
     pub header: BlockId,
-    /// All blocks in the loop, including the header.
-    pub body: HashSet<BlockId>,
+    /// Membership of every block of the function, indexed by [`BlockId`].
+    body: Vec<bool>,
+    /// Blocks in the loop.
+    len: usize,
 }
 
 impl NaturalLoop {
     /// True when `b` is inside this loop.
     pub fn contains(&self, b: BlockId) -> bool {
-        self.body.contains(&b)
+        self.body.get(b.0 as usize).copied().unwrap_or(false)
+    }
+
+    /// All blocks in the loop, including the header, in ascending order.
+    pub fn blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.body
+            .iter()
+            .enumerate()
+            .filter(|(_, &inside)| inside)
+            .map(|(i, _)| BlockId(i as u32))
+    }
+
+    /// Number of blocks in the loop.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Always false: a loop holds at least its header.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 }
 
-/// All natural loops of a function.
+/// All natural loops of a function, and each block's loop nest.
 #[derive(Debug, Clone)]
 pub struct LoopForest {
     loops: Vec<NaturalLoop>,
+    /// `nest[nest_at[b]..nest_at[b + 1]]`: indices into `loops` of the
+    /// loops containing `b`, outermost (largest body) first, ties in
+    /// loop order.
+    nest: Vec<usize>,
+    nest_at: Vec<usize>,
+    /// `headed[b]`: the index of the loop headed by `b`, if any.
+    headed: Vec<Option<usize>>,
 }
 
 impl LoopForest {
     /// Finds the natural loop of every back edge of `f`. Back edges
     /// sharing a header are merged into one loop.
-    pub fn new(_f: &Function, cfg: &Cfg, dom: &DomTree) -> Self {
+    pub fn new(f: &Function, cfg: &Cfg, dom: &DomTree) -> Self {
+        let n = f.blocks.len();
         let mut loops: Vec<NaturalLoop> = Vec::new();
+        let mut headed: Vec<Option<usize>> = vec![None; n];
+        let mut stack = Vec::new();
         for (latch, header) in cfg.back_edges() {
             // A true natural loop requires the header to dominate the latch.
             if !dom.dominates(header, latch) {
                 continue;
             }
-            let mut body = HashSet::from([header]);
-            let mut stack = vec![latch];
+            let li = *headed[header.0 as usize].get_or_insert_with(|| {
+                let mut body = vec![false; n];
+                body[header.0 as usize] = true;
+                loops.push(NaturalLoop {
+                    header,
+                    body,
+                    len: 1,
+                });
+                loops.len() - 1
+            });
+            let l = &mut loops[li];
+            stack.push(latch);
             while let Some(b) = stack.pop() {
-                if body.insert(b) {
-                    for &p in cfg.preds(b) {
-                        stack.push(p);
-                    }
+                let inside = &mut l.body[b.0 as usize];
+                if !*inside {
+                    *inside = true;
+                    l.len += 1;
+                    stack.extend_from_slice(cfg.preds(b));
                 }
             }
-            if let Some(existing) = loops.iter_mut().find(|l| l.header == header) {
-                existing.body.extend(body);
-            } else {
-                loops.push(NaturalLoop { header, body });
+        }
+        let mut order: Vec<usize> = (0..loops.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(loops[i].len));
+        let mut nest_at = vec![0; n + 1];
+        for l in &loops {
+            for b in l.blocks() {
+                nest_at[b.0 as usize + 1] += 1;
             }
         }
-        LoopForest { loops }
+        for i in 0..n {
+            nest_at[i + 1] += nest_at[i];
+        }
+        let mut fill = nest_at.clone();
+        let mut nest = vec![0; nest_at[n]];
+        for i in order {
+            for b in loops[i].blocks() {
+                nest[fill[b.0 as usize]] = i;
+                fill[b.0 as usize] += 1;
+            }
+        }
+        LoopForest {
+            loops,
+            nest,
+            nest_at,
+            headed,
+        }
     }
 
     /// All loops.
@@ -65,21 +125,16 @@ impl LoopForest {
         &self.loops
     }
 
-    /// The loops containing block `b`, innermost-last by body size.
-    pub fn loops_containing(&self, b: BlockId) -> Vec<&NaturalLoop> {
-        let mut ls: Vec<&NaturalLoop> = self.loops.iter().filter(|l| l.contains(b)).collect();
-        ls.sort_by_key(|l| std::cmp::Reverse(l.body.len()));
-        ls
+    /// Indices into [`Self::loops`] of the loops containing block `b`,
+    /// outermost first.
+    pub fn nest(&self, b: BlockId) -> &[usize] {
+        let b = b.0 as usize;
+        &self.nest[self.nest_at[b]..self.nest_at[b + 1]]
     }
 
-    /// The outermost loop containing `b`, if any.
-    pub fn outermost_containing(&self, b: BlockId) -> Option<&NaturalLoop> {
-        self.loops_containing(b).into_iter().next()
-    }
-
-    /// True when `b` is inside any loop.
-    pub fn in_loop(&self, b: BlockId) -> bool {
-        self.loops.iter().any(|l| l.contains(b))
+    /// The index into [`Self::loops`] of the loop headed by `b`, if any.
+    pub fn headed_by(&self, b: BlockId) -> Option<usize> {
+        self.headed[b.0 as usize]
     }
 }
 
@@ -109,7 +164,7 @@ mod tests {
         assert_eq!(lf.loops().len(), 1);
         let l = &lf.loops()[0];
         // Header + body + latch structure: at least 2 blocks.
-        assert!(l.body.len() >= 2);
+        assert!(l.len() >= 2);
         let f = p.func(p.main);
         assert!(!l.contains(f.entry), "entry precedes the loop");
         assert!(!l.contains(f.exit), "exit follows the loop");
@@ -117,27 +172,32 @@ mod tests {
 
     #[test]
     fn nested_repeats_yield_nested_loops() {
-        let (_, lf) = forest("sensor s; fn main() { repeat 2 { repeat 3 { let v = in(s); } } }");
+        let (p, lf) = forest("sensor s; fn main() { repeat 2 { repeat 3 { let v = in(s); } } }");
         assert_eq!(lf.loops().len(), 2);
         let sizes: Vec<usize> = {
-            let mut v: Vec<usize> = lf.loops().iter().map(|l| l.body.len()).collect();
+            let mut v: Vec<usize> = lf.loops().iter().map(NaturalLoop::len).collect();
             v.sort_unstable();
             v
         };
         assert!(sizes[0] < sizes[1], "inner loop strictly smaller");
         // Inner loop body is inside the outer loop.
-        let inner = lf.loops().iter().min_by_key(|l| l.body.len()).unwrap();
-        let outer = lf.loops().iter().max_by_key(|l| l.body.len()).unwrap();
-        assert!(inner.body.iter().all(|b| outer.contains(*b)));
-        // Outermost query returns the big loop for an inner block.
-        let some_inner_block = *inner.body.iter().next().unwrap();
+        let inner = lf.loops().iter().min_by_key(|l| l.len()).unwrap();
+        let outer = lf.loops().iter().max_by_key(|l| l.len()).unwrap();
+        assert!(inner.blocks().all(|b| outer.contains(b)));
+        // An inner block's nest lists the big loop, then the small one.
+        let some_inner_block = inner.blocks().next().unwrap();
+        let nest: Vec<usize> = lf
+            .nest(some_inner_block)
+            .iter()
+            .map(|&i| lf.loops()[i].len())
+            .collect();
+        assert_eq!(nest, [outer.len(), inner.len()]);
         assert_eq!(
-            lf.outermost_containing(some_inner_block)
-                .unwrap()
-                .body
-                .len(),
-            outer.body.len()
+            lf.headed_by(outer.header).map(|i| lf.loops()[i].len()),
+            Some(outer.len())
         );
+        // A block outside every loop has an empty nest.
+        assert!(lf.nest(p.func(p.main).entry).is_empty());
     }
 
     #[test]
@@ -147,6 +207,6 @@ mod tests {
         assert_eq!(lf.loops().len(), 1);
         // All non-entry/exit blocks of this program are inside the loop:
         // header, branch blocks, join, latch.
-        assert!(lf.loops()[0].body.len() >= 4);
+        assert!(lf.loops()[0].len() >= 4);
     }
 }

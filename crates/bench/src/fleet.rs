@@ -288,21 +288,25 @@ pub fn run_fleet(spec: &FleetSpec, opts: FleetOpts) -> Vec<FleetAggregate> {
         .iter()
         .map(|s| ocelot_scenario::parse(s).unwrap_or_else(|e| panic!("fleet scenario: {e}")))
         .collect();
+    // The channel layout recorded in a core is a pure function of the
+    // scenario shape (seeds only perturb signal values), so any device
+    // seed works here. The program-only facts are computed once: every
+    // further scenario's core derives from the first.
+    let env_of = |sc: &Scenario| sc.reseeded(spec.seed0).environment();
     let build_cores = || {
-        scenarios
+        let first = MachineCore::build(
+            &built.program,
+            &built.regions,
+            built.policies.clone(),
+            &env_of(&scenarios[0]),
+            calibrated_costs(&b),
+        );
+        let rest: Vec<_> = scenarios[1..]
             .iter()
-            .map(|sc| {
-                // The channel layout recorded in the core is a pure
-                // function of the scenario shape (seeds only perturb
-                // signal values), so any device seed works here.
-                Arc::new(MachineCore::build(
-                    &built.program,
-                    &built.regions,
-                    built.policies.clone(),
-                    &sc.reseeded(spec.seed0).environment(),
-                    calibrated_costs(&b),
-                ))
-            })
+            .map(|sc| Arc::new(first.for_environment(&env_of(sc))))
+            .collect();
+        std::iter::once(Arc::new(first))
+            .chain(rest)
             .collect::<Vec<_>>()
     };
     let shared_cores = build_cores();

@@ -15,10 +15,13 @@
 //! same property `stats_only.rs` checks machine by machine.
 
 use ocelot_bench::fleet::{fleet_artifact, run_fleet, FleetAggregate, FleetOpts, FleetSpec};
-use ocelot_bench::harness::run_cells;
+use ocelot_bench::harness::{build_for, calibrated_costs, run_cells, MAX_STEPS};
+use ocelot_runtime::machine::{DeviceState, Machine, MachineCore, RunOutcome};
 use ocelot_runtime::model::ExecModel;
+use ocelot_runtime::stats::stats_to_json;
 use ocelot_runtime::ExecBackend;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// All registry scenario names, for strategy indexing.
 fn scenario_names() -> Vec<String> {
@@ -190,4 +193,64 @@ fn fleet_artifact_round_trips_through_the_schema() {
         .map(|c| FleetAggregate::from_cell(c).unwrap())
         .collect();
     assert_eq!(back, aggs);
+}
+
+/// Stats bytes and run outcomes of `runs` runs of one device of `sc` on
+/// `core`.
+fn device_on(
+    core: &Arc<MachineCore<'_>>,
+    sc: &ocelot_scenario::Scenario,
+    backend: ExecBackend,
+    runs: u64,
+) -> (String, Vec<RunOutcome>) {
+    let mut m = Machine::from_core(
+        Arc::clone(core),
+        DeviceState::default(),
+        sc.environment(),
+        sc.supply(),
+    )
+    .with_backend(backend);
+    let outcomes = (0..runs).map(|_| m.run_once(MAX_STEPS)).collect();
+    (stats_to_json(m.stats()).render().unwrap(), outcomes)
+}
+
+/// A sweep builds its first scenario's core and derives the others with
+/// `MachineCore::for_environment`. Each derived core must run every
+/// device exactly as a core built from scratch against that scenario
+/// does: the nine apps on every registry scenario, on both engines. A
+/// traced core's derivations stay traced.
+#[test]
+fn cores_derived_per_scenario_equal_fresh_builds() {
+    let scenarios = ocelot_scenario::all();
+    for b in ocelot_apps::all_with_extensions() {
+        let built = build_for(&b, ExecModel::Ocelot);
+        let build = |sc: &ocelot_scenario::Scenario| {
+            MachineCore::build(
+                &built.program,
+                &built.regions,
+                built.policies.clone(),
+                &sc.environment(),
+                calibrated_costs(&b),
+            )
+        };
+        let first = build(&scenarios[0]);
+        for sc in &scenarios {
+            let derived = Arc::new(first.for_environment(&sc.environment()));
+            let fresh = Arc::new(build(sc));
+            assert!(!derived.is_traced());
+            for backend in [ExecBackend::Interp, ExecBackend::Compiled] {
+                assert_eq!(
+                    device_on(&derived, sc, backend, 3),
+                    device_on(&fresh, sc, backend, 3),
+                    "{} on {} ({backend:?})",
+                    b.name,
+                    sc.name
+                );
+            }
+        }
+        let traced = build(&scenarios[0]).traced();
+        assert!(traced
+            .for_environment(&scenarios[1].environment())
+            .is_traced());
+    }
 }

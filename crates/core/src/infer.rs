@@ -383,10 +383,10 @@ fn widen_loops(
                 grew = true;
             }
             // The enclosed blocks propagate widening to enclosing loops.
-            trigger.extend(l.body.iter().copied());
+            trigger.extend(l.blocks());
             trigger.extend(cfg.preds(l.header).iter().filter(|b| !l.contains(**b)));
-            for b in &l.body {
-                trigger.extend(cfg.succs(*b).iter().filter(|s| !l.contains(**s)));
+            for b in l.blocks() {
+                trigger.extend(cfg.succs(b).iter().filter(|s| !l.contains(**s)));
             }
         }
         if !grew {
@@ -405,16 +405,16 @@ fn enclose_loop(
     blocks: &mut BTreeSet<BlockId>,
 ) -> bool {
     let mut grew = false;
-    for b in &l.body {
-        grew |= blocks.insert(*b);
+    for b in l.blocks() {
+        grew |= blocks.insert(b);
     }
     for pred in cfg.preds(l.header) {
         if !l.contains(*pred) {
             grew |= blocks.insert(*pred);
         }
     }
-    for b in &l.body {
-        for s in cfg.succs(*b) {
+    for b in l.blocks() {
+        for s in cfg.succs(b) {
             if !l.contains(*s) {
                 grew |= blocks.insert(*s);
             }

@@ -46,7 +46,7 @@ pub use check::{check_regions, CheckReport, Violation};
 pub use error::CoreError;
 pub use infer::{infer_atomics, Inference};
 pub use policy::{build_policies, Policy, PolicyId, PolicyKind, PolicyMap, PolicySet};
-pub use region::{collect_regions, covered_refs, RegionInfo};
+pub use region::{collect_regions, covered_refs, visit_covered, RegionInfo};
 pub use rules::{check_declarations, Derivation, RuleId};
 pub use transform::{
     ocelot_check, ocelot_check_with, ocelot_transform, ocelot_transform_with, Compiled,

@@ -166,49 +166,48 @@ pub fn extent_points(f: &ocelot_ir::Function, cfg: &Cfg, start: Point, end: Poin
 /// of the transitively-called functions (a callee's whole body executes
 /// within the region).
 pub fn covered_refs(p: &Program, info: &RegionInfo) -> BTreeSet<InstrRef> {
+    let cfg = Cfg::new(p.func(info.func));
+    let mut out = BTreeSet::new();
+    visit_covered(p, &cfg, &CallGraph::new(p), info, |r| {
+        out.insert(r);
+    });
+    out
+}
+
+/// Calls `visit` on every instruction [`covered_refs`] returns, given
+/// the CFG of the region's host function and the program's call graph;
+/// an instruction may be visited more than once.
+pub fn visit_covered(
+    p: &Program,
+    cfg: &Cfg,
+    cg: &CallGraph,
+    info: &RegionInfo,
+    mut visit: impl FnMut(InstrRef),
+) {
     let f = p.func(info.func);
-    let cfg = Cfg::new(f);
     let (sb, si) = f.find_label(info.start.label).expect("start exists");
     let (eb, ei) = f.find_label(info.end.label).expect("end exists");
-    let points = extent_points(f, &cfg, Point::new(sb, si), Point::new(eb, ei));
-
-    let cg = CallGraph::new(p);
-    let mut out = BTreeSet::new();
     let mut callee_funcs: BTreeSet<FuncId> = BTreeSet::new();
-    for pt in &points {
+    for pt in extent_points(f, cfg, Point::new(sb, si), Point::new(eb, ei)) {
         let blk = f.block(pt.block);
-        if pt.index < blk.instrs.len() {
-            let inst = &blk.instrs[pt.index];
-            out.insert(InstrRef {
-                func: f.id,
-                label: inst.label,
-            });
-            if let Op::Call { callee, .. } = &inst.op {
-                callee_funcs.extend(cg.reachable_from(*callee));
+        let label = match blk.instrs.get(pt.index) {
+            Some(inst) => {
+                if let Op::Call { callee, .. } = &inst.op {
+                    callee_funcs.extend(cg.reachable_from(*callee));
+                }
+                inst.label
             }
-        } else {
-            out.insert(InstrRef {
-                func: f.id,
-                label: blk.term_label,
-            });
-        }
+            None => blk.term_label,
+        };
+        visit(InstrRef { func: f.id, label });
     }
     for cf in callee_funcs {
-        let cfn = p.func(cf);
-        for b in &cfn.blocks {
-            for inst in &b.instrs {
-                out.insert(InstrRef {
-                    func: cf,
-                    label: inst.label,
-                });
+        for b in &p.func(cf).blocks {
+            for label in b.instrs.iter().map(|i| i.label).chain([b.term_label]) {
+                visit(InstrRef { func: cf, label });
             }
-            out.insert(InstrRef {
-                func: cf,
-                label: b.term_label,
-            });
         }
     }
-    out
 }
 
 #[cfg(test)]

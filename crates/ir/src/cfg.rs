@@ -8,10 +8,15 @@ use std::collections::HashMap;
 /// Build once per function; all queries are O(1) or O(edges).
 #[derive(Debug, Clone)]
 pub struct Cfg {
-    /// `succs[b]` = successor blocks of `b`.
-    succs: Vec<Vec<BlockId>>,
-    /// `preds[b]` = predecessor blocks of `b`.
-    preds: Vec<Vec<BlockId>>,
+    /// Successor lists, concatenated in block order.
+    succ: Vec<BlockId>,
+    /// `succ[succ_at[b]..succ_at[b + 1]]` = successor blocks of `b`.
+    succ_at: Vec<usize>,
+    /// Predecessor lists, concatenated in block order.
+    pred: Vec<BlockId>,
+    /// `pred[pred_at[b]..pred_at[b + 1]]` = predecessor blocks of `b`,
+    /// in ascending order of the predecessor's block.
+    pred_at: Vec<usize>,
     /// Blocks in reverse post-order from the entry.
     rpo: Vec<BlockId>,
     /// `rpo_index[b]` = position of `b` in `rpo` (usize::MAX if unreachable).
@@ -24,22 +29,45 @@ impl Cfg {
     /// Builds the CFG tables for `f`.
     pub fn new(f: &Function) -> Self {
         let n = f.blocks.len();
-        let mut succs = vec![Vec::new(); n];
-        let mut preds = vec![Vec::new(); n];
+        let mut succ = Vec::with_capacity(2 * n);
+        let mut succ_at = Vec::with_capacity(n + 1);
+        succ_at.push(0);
         for b in &f.blocks {
-            for s in b.term.successors() {
-                succs[b.id.0 as usize].push(s);
-                preds[s.0 as usize].push(b.id);
+            match &b.term {
+                Terminator::Jump(t) => succ.push(*t),
+                Terminator::Branch {
+                    then_bb, else_bb, ..
+                } => succ.extend([*then_bb, *else_bb]),
+                Terminator::Ret(_) => {}
+            }
+            succ_at.push(succ.len());
+        }
+        // Counting sort of the edges by target, sources ascending.
+        let mut pred_at = vec![0; n + 1];
+        for s in &succ {
+            pred_at[s.0 as usize + 1] += 1;
+        }
+        for i in 0..n {
+            pred_at[i + 1] += pred_at[i];
+        }
+        let mut fill = pred_at.clone();
+        let mut pred = vec![BlockId(0); succ.len()];
+        for b in 0..n {
+            for s in &succ[succ_at[b]..succ_at[b + 1]] {
+                pred[fill[s.0 as usize]] = BlockId(b as u32);
+                fill[s.0 as usize] += 1;
             }
         }
-        let rpo = reverse_post_order(f.entry, &succs);
+        let rpo = reverse_post_order(f.entry, n, |b| &succ[succ_at[b]..succ_at[b + 1]]);
         let mut rpo_index = vec![usize::MAX; n];
         for (i, b) in rpo.iter().enumerate() {
             rpo_index[b.0 as usize] = i;
         }
         Cfg {
-            succs,
-            preds,
+            succ,
+            succ_at,
+            pred,
+            pred_at,
             rpo,
             rpo_index,
             entry: f.entry,
@@ -49,12 +77,14 @@ impl Cfg {
 
     /// Successor blocks of `b`.
     pub fn succs(&self, b: BlockId) -> &[BlockId] {
-        &self.succs[b.0 as usize]
+        let b = b.0 as usize;
+        &self.succ[self.succ_at[b]..self.succ_at[b + 1]]
     }
 
     /// Predecessor blocks of `b`.
     pub fn preds(&self, b: BlockId) -> &[BlockId] {
-        &self.preds[b.0 as usize]
+        let b = b.0 as usize;
+        &self.pred[self.pred_at[b]..self.pred_at[b + 1]]
     }
 
     /// Blocks in reverse post-order from the entry.
@@ -80,25 +110,25 @@ impl Cfg {
 
     /// Number of blocks.
     pub fn len(&self) -> usize {
-        self.succs.len()
+        self.rpo_index.len()
     }
 
     /// True when the function has no blocks (never the case for lowered
     /// functions, which always have at least entry and exit).
     pub fn is_empty(&self) -> bool {
-        self.succs.is_empty()
+        self.rpo_index.is_empty()
     }
 
     /// Back edges `(from, to)` where `to` appears no later than `from` in
     /// reverse post-order — i.e. loop edges.
     pub fn back_edges(&self) -> Vec<(BlockId, BlockId)> {
         let mut out = Vec::new();
-        for (bi, ss) in self.succs.iter().enumerate() {
+        for bi in 0..self.len() {
             let b = BlockId(bi as u32);
-            let (Some(bidx), ss) = (self.rpo_index(b), ss) else {
+            let Some(bidx) = self.rpo_index(b) else {
                 continue;
             };
-            for &s in ss {
+            for &s in self.succs(b) {
                 if let Some(sidx) = self.rpo_index(s) {
                     if sidx <= bidx {
                         out.push((b, s));
@@ -110,16 +140,20 @@ impl Cfg {
     }
 }
 
-/// Computes reverse post-order from `entry` given a successor table.
-fn reverse_post_order(entry: BlockId, succs: &[Vec<BlockId>]) -> Vec<BlockId> {
-    let n = succs.len();
+/// Computes reverse post-order from `entry` over `n` blocks given each
+/// block's successors.
+fn reverse_post_order<'a>(
+    entry: BlockId,
+    n: usize,
+    succs: impl Fn(usize) -> &'a [BlockId],
+) -> Vec<BlockId> {
     let mut visited = vec![false; n];
     let mut post = Vec::with_capacity(n);
     // Iterative DFS with an explicit stack of (block, next-successor-index).
     let mut stack: Vec<(BlockId, usize)> = vec![(entry, 0)];
     visited[entry.0 as usize] = true;
     while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-        let ss = &succs[b.0 as usize];
+        let ss = succs(b.0 as usize);
         if *i < ss.len() {
             let s = ss[*i];
             *i += 1;
@@ -164,7 +198,7 @@ impl ReverseCfg {
             succs[b] = cfg.preds(id).to_vec();
             preds[b] = cfg.succs(id).to_vec();
         }
-        let rpo = reverse_post_order(f.exit, &succs);
+        let rpo = reverse_post_order(f.exit, n, |b| &succs[b]);
         ReverseCfg {
             succs,
             preds,

@@ -28,14 +28,13 @@
 
 use crate::diag::{Code, Finding, Label, Report};
 use ocelot_analysis::chains::{all_contexts, unique_contexts};
-use ocelot_analysis::dom::{point_dominates, DomTree, Point};
+use ocelot_analysis::dom::{point_dominates, Point};
 use ocelot_analysis::taint::Prov;
 use ocelot_core::{Compiled, PolicyKind};
 use ocelot_hw::energy::CostModel;
-use ocelot_ir::cfg::Cfg;
 use ocelot_ir::span::{SourceMap, Span};
 use ocelot_ir::{FuncId, InstrRef, Program};
-use ocelot_progress::{EdgeSet, FeasAnalysis, WcetAnalysis};
+use ocelot_progress::{BlockGraphs, EdgeSet, FeasAnalysis, WcetAnalysis};
 use ocelot_runtime::detect::DetectorConfig;
 use ocelot_runtime::ViolationKind;
 use std::collections::BTreeMap;
@@ -97,8 +96,10 @@ pub fn lint_compiled(
     let costs = CostModel::default();
     let sm = SourceMap::new(src);
     let det = DetectorConfig::from_policies(&compiled.policies);
-    let feas = FeasAnalysis::new(p, &costs).map_err(|e| LintError(e.to_string()))?;
-    let wcet = WcetAnalysis::new(p, &costs, &compiled.regions);
+    let graphs = BlockGraphs::new(p);
+    let feas =
+        FeasAnalysis::with_graphs(p, &costs, &graphs).map_err(|e| LintError(e.to_string()))?;
+    let wcet = WcetAnalysis::with_graphs(p, &costs, &compiled.regions, &graphs);
 
     let decl_spans: BTreeMap<InstrRef, Span> = compiled
         .policies
@@ -118,7 +119,7 @@ pub fn lint_compiled(
 
     dead_policies(compiled, &label, &mut report);
     freshness_windows(p, &det, &feas, &wcet, opts, &label, &mut report);
-    redundant_checks(p, &det, &label, &mut report);
+    redundant_checks(p, &graphs, &det, &label, &mut report);
     energy_regions(compiled, &feas, &wcet, opts, &label, &mut report);
 
     report.normalize();
@@ -308,6 +309,7 @@ fn keep_worst(
 /// dominating collection sites named (see [`elision_witnesses`]).
 fn redundant_checks(
     p: &Program,
+    graphs: &BlockGraphs,
     det: &DetectorConfig,
     label: &impl Fn(InstrRef, String) -> Label,
     out: &mut Report,
@@ -317,7 +319,7 @@ fn redundant_checks(
         .iter()
         .filter(|(_, checks)| !checks.is_empty())
         .map(|(site, _)| *site);
-    for (site, witnesses) in elision_witnesses(p, det, sites) {
+    for (site, witnesses) in elision_witnesses(p, graphs, det, sites) {
         let message = if witnesses.is_empty() {
             "dynamic staleness check is statically redundant: \
              no required chain can ever report stale"
@@ -372,15 +374,11 @@ fn redundant_checks(
 /// labels.
 fn elision_witnesses(
     p: &Program,
+    graphs: &BlockGraphs,
     det_cfg: &DetectorConfig,
     sites: impl Iterator<Item = InstrRef>,
 ) -> BTreeMap<InstrRef, Vec<InstrRef>> {
     let uc = unique_contexts(p);
-    let doms: Vec<DomTree> = p
-        .funcs
-        .iter()
-        .map(|f| DomTree::dominators(f, &Cfg::new(f)))
-        .collect();
     let point_of = |iref: InstrRef| -> Option<Point> {
         p.func(iref.func)
             .find_label(iref.label)
@@ -414,12 +412,12 @@ fn elision_witnesses(
             return None; // malformed chain (hand-built IR): stay dynamic
         }
         let at = point_of(ch[k])?;
-        if at == next || !point_dominates(&doms[next_func.0 as usize], at, next) {
+        if at == next || !point_dominates(graphs.dominators(next_func), at, next) {
             return None;
         }
         for el in &ch[k + 1..] {
             let at = point_of(*el)?;
-            if !point_dominates(&doms[el.func.0 as usize], at, exit_point(el.func)) {
+            if !point_dominates(graphs.dominators(el.func), at, exit_point(el.func)) {
                 return None;
             }
         }

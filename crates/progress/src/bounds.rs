@@ -184,16 +184,16 @@ fn monotone_counter_bound(
     }
     // The step must execute on every trip around the loop: its block
     // dominates every back-edge source.
-    let latches = l.body.iter().filter(|b| {
-        matches!(&f.block(**b).term, Terminator::Jump(t) if *t == l.header)
+    let latches = l.blocks().filter(|b| {
+        matches!(&f.block(*b).term, Terminator::Jump(t) if *t == l.header)
             || matches!(
-                &f.block(**b).term,
+                &f.block(*b).term,
                 Terminator::Branch { then_bb, else_bb, .. }
                     if *then_bb == l.header || *else_bb == l.header
             )
     });
     for latch in latches {
-        if !dom.dominates(step_bb, *latch) {
+        if !dom.dominates(step_bb, latch) {
             return None;
         }
     }

@@ -27,13 +27,14 @@
 //! discharge (the linter's unbounded-loop-blocks-obligation pass).
 
 use crate::error::ProgressError;
-use crate::graph::{block_graphs, chain_to_use, point_of, points, BlockGraph, Run};
+use crate::graph::{chain_to_use, point_of, points, BlockGraph, BlockGraphs, Run};
 use ocelot_analysis::dom::Point;
 use ocelot_hw::energy::{CostModel, Facts, Priced};
 use ocelot_ir::callgraph::CallGraph;
 use ocelot_ir::{BlockId, FuncId, Function, InstrRef, Op, Place, Program};
+use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// Which CFG edges a minimum-path query may traverse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +50,7 @@ pub enum EdgeSet {
 pub struct FeasAnalysis<'p> {
     p: &'p Program,
     costs: CostModel,
-    graphs: Vec<BlockGraph>,
+    graphs: Cow<'p, BlockGraphs>,
     /// Cheapest full execution of each block including its terminator,
     /// indexed `[func][block]`.
     block_min: Vec<Vec<u64>>,
@@ -66,13 +67,35 @@ impl<'p> FeasAnalysis<'p> {
     /// Fails on a cyclic call graph (recursion has no finite best case
     /// either; `ocelot_ir::validate` rejects it upstream).
     pub fn new(p: &'p Program, costs: &CostModel) -> Result<Self, ProgressError> {
+        Self::build(p, costs, Cow::Owned(BlockGraphs::new(p)))
+    }
+
+    /// [`Self::new`] over block graphs the caller built for `p` and
+    /// shares with a [`WcetAnalysis`](crate::WcetAnalysis).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::new`].
+    pub fn with_graphs(
+        p: &'p Program,
+        costs: &CostModel,
+        graphs: &'p BlockGraphs,
+    ) -> Result<Self, ProgressError> {
+        Self::build(p, costs, Cow::Borrowed(graphs))
+    }
+
+    fn build(
+        p: &'p Program,
+        costs: &CostModel,
+        graphs: Cow<'p, BlockGraphs>,
+    ) -> Result<Self, ProgressError> {
         let order = CallGraph::new(p).topo_callees_first(p).map_err(|_| {
             ProgressError::unsupported("minimum-cost analysis requires an acyclic call graph")
         })?;
         let mut this = FeasAnalysis {
             p,
             costs: costs.clone(),
-            graphs: block_graphs(p),
+            graphs,
             block_min: vec![Vec::new(); p.funcs.len()],
             func_min: vec![0; p.funcs.len()],
         };
@@ -125,16 +148,14 @@ impl<'p> FeasAnalysis<'p> {
     /// reachable under `edges`.
     pub fn min_to_exit(&self, func: FuncId, from: Point, edges: EdgeSet) -> Option<u64> {
         let f = self.p.func(func);
-        let g = &self.graphs[func.0 as usize];
+        let g = self.graph(func);
         let suffix = self.range_min(f, from.block, from.index, usize::MAX);
-        if g.exit_blocks().contains(&from.block) {
+        if g.is_exit(from.block) {
             return Some(suffix);
         }
         let block_min = &self.block_min[func.0 as usize];
         let dist = self.dijkstra(func, edges, |b| {
-            g.exit_blocks()
-                .contains(&b)
-                .then(|| block_min[b.0 as usize])
+            g.is_exit(b).then(|| block_min[b.0 as usize])
         });
         self.via_succs(func, from.block, edges, &dist)
             .map(|d| suffix.saturating_add(d))
@@ -198,6 +219,10 @@ impl<'p> FeasAnalysis<'p> {
     // Internals
     // ------------------------------------------------------------------
 
+    fn graph(&self, func: FuncId) -> &BlockGraph {
+        self.graphs.get(func)
+    }
+
     /// The cheapest `dist` over the successors of `b` admissible under
     /// `edges`.
     fn via_succs(
@@ -205,50 +230,52 @@ impl<'p> FeasAnalysis<'p> {
         func: FuncId,
         b: BlockId,
         edges: EdgeSet,
-        dist: &BTreeMap<BlockId, u64>,
+        dist: &[Option<u64>],
     ) -> Option<u64> {
-        let g = &self.graphs[func.0 as usize];
+        let g = self.graph(func);
         g.cfg
             .succs(b)
             .iter()
             .filter(|&&s| edges == EdgeSet::All || !g.is_unbounded_back(b, s))
-            .filter_map(|s| dist.get(s).copied())
+            .filter_map(|s| dist[s.0 as usize])
             .min()
     }
 
     /// Single-target Dijkstra on the reversed block graph of `func` with
     /// node weights: `dist[b]` is the cheapest execution from the start
-    /// of `b` to a target. `seed(b)` gives a block's distance when it is
-    /// a target (its own cost if execution must pass through it).
+    /// of `b` to a target, `None` when no target is reachable. `seed(b)`
+    /// gives a block's distance when it is a target (its own cost if
+    /// execution must pass through it).
     fn dijkstra(
         &self,
         func: FuncId,
         edges: EdgeSet,
         seed: impl Fn(BlockId) -> Option<u64>,
-    ) -> BTreeMap<BlockId, u64> {
-        let g = &self.graphs[func.0 as usize];
+    ) -> Vec<Option<u64>> {
+        let g = self.graph(func);
         let block_min = &self.block_min[func.0 as usize];
-        let mut dist: BTreeMap<BlockId, u64> = BTreeMap::new();
-        let mut heap: BinaryHeap<(Reverse<u64>, BlockId)> = BinaryHeap::new();
-        for b in (0..block_min.len()).map(|i| BlockId(i as u32)) {
-            if let Some(d0) = seed(b) {
-                dist.insert(b, d0);
-                heap.push((Reverse(d0), b));
-            }
-        }
+        let mut dist: Vec<Option<u64>> = (0..block_min.len())
+            .map(|i| seed(BlockId(i as u32)))
+            .collect();
+        let mut heap: BinaryHeap<(Reverse<u64>, u32)> = dist
+            .iter()
+            .enumerate()
+            .filter_map(|(b, d)| d.map(|d| (Reverse(d), b as u32)))
+            .collect();
         while let Some((Reverse(d), b)) = heap.pop() {
-            if dist.get(&b) != Some(&d) {
+            if dist[b as usize] != Some(d) {
                 continue;
             }
             // Predecessors of a settled node improve.
-            for &p in g.cfg.preds(b) {
-                if edges == EdgeSet::BoundedOnly && g.is_unbounded_back(p, b) {
+            for &p in g.cfg.preds(BlockId(b)) {
+                if edges == EdgeSet::BoundedOnly && g.is_unbounded_back(p, BlockId(b)) {
                     continue;
                 }
                 let nd = d.saturating_add(block_min[p.0 as usize]);
-                if dist.get(&p).map_or(true, |&old| nd < old) {
-                    dist.insert(p, nd);
-                    heap.push((Reverse(nd), p));
+                let old = &mut dist[p.0 as usize];
+                if old.map_or(true, |old| nd < old) {
+                    *old = Some(nd);
+                    heap.push((Reverse(nd), p.0));
                 }
             }
         }

@@ -2,8 +2,9 @@
 //! walk they share.
 //!
 //! [`WcetAnalysis`](crate::WcetAnalysis) folds longest paths over a
-//! [`BlockGraph`] and [`FeasAnalysis`](crate::FeasAnalysis) runs
-//! Dijkstra on the same graph: two algorithms over one structure, each
+//! [`BlockGraphs`] set and [`FeasAnalysis`](crate::FeasAnalysis) runs
+//! Dijkstra on the same set, which a caller running both builds once:
+//! two algorithms over one structure, each
 //! pricing instructions through
 //! [`CostModel::price`](ocelot_hw::energy::CostModel::price) with its
 //! own facts. [`chain_to_use`] composes per-function segment costs into
@@ -16,78 +17,87 @@ use ocelot_analysis::loops::LoopForest;
 use ocelot_hw::energy::{CostModel, Facts, Priced};
 use ocelot_ir::cfg::Cfg;
 use ocelot_ir::{BlockId, FuncId, Function, InstrRef, Label, Op, Program, Terminator};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// One function's block graph: CFG successors and predecessors, the
-/// loop forest with each loop's trip bound, the back edges of loops
-/// with no recoverable bound, and the returning blocks.
+/// loop forest with each loop's trip bound, and which blocks return.
+/// Every table is indexed by block or loop index.
+#[derive(Debug, Clone)]
 pub(crate) struct BlockGraph {
     /// Successor and predecessor tables.
     pub(crate) cfg: Cfg,
-    /// The natural loops.
+    /// The dominator tree.
+    dom: DomTree,
+    /// The natural loops and each block's loop nest.
     pub(crate) loops: LoopForest,
-    /// Trip bound of each loop, by header.
-    bounds: BTreeMap<BlockId, LoopBound>,
-    /// Back edges (latch → header) of loops whose trip count the
-    /// [`crate::bounds`] analysis cannot recover.
-    unbounded_back: BTreeSet<(BlockId, BlockId)>,
-    /// Blocks ending in `ret`.
-    exit_blocks: Vec<BlockId>,
+    /// Trip bound of each loop, by loop index.
+    bounds: Vec<LoopBound>,
+    /// `is_exit[b]`: `b` ends in `ret`.
+    is_exit: Vec<bool>,
 }
 
 impl BlockGraph {
     /// Builds the graph of `f`.
-    pub(crate) fn new(f: &Function) -> Self {
+    fn new(f: &Function) -> Self {
         let cfg = Cfg::new(f);
         let dom = DomTree::dominators(f, &cfg);
         let loops = LoopForest::new(f, &cfg, &dom);
-        let mut bounds = BTreeMap::new();
-        let mut unbounded_back = BTreeSet::new();
-        for l in loops.loops() {
-            let bound = loop_bound(f, l);
-            if matches!(bound, LoopBound::Unknown(_)) {
-                for &latch in cfg.preds(l.header) {
-                    if l.contains(latch) {
-                        unbounded_back.insert((latch, l.header));
-                    }
-                }
-            }
-            bounds.insert(l.header, bound);
-        }
-        let exit_blocks = f
+        let bounds = loops.loops().iter().map(|l| loop_bound(f, l)).collect();
+        let is_exit = f
             .blocks
             .iter()
-            .filter(|b| matches!(b.term, Terminator::Ret(_)))
-            .map(|b| b.id)
+            .map(|b| matches!(b.term, Terminator::Ret(_)))
             .collect();
         BlockGraph {
             cfg,
+            dom,
             loops,
             bounds,
-            unbounded_back,
-            exit_blocks,
+            is_exit,
         }
     }
 
-    /// The trip bound of the loop headed by `header`.
-    pub(crate) fn bound(&self, header: BlockId) -> &LoopBound {
-        &self.bounds[&header]
+    /// The trip bound of loop `l` (an index into the loop forest).
+    pub(crate) fn bound(&self, l: usize) -> &LoopBound {
+        &self.bounds[l]
     }
 
-    /// True when `from → to` is the back edge of an unbounded loop.
+    /// True when `from → to` is the back edge of an unbounded loop:
+    /// `to` heads a loop with no recoverable trip count and `from` lies
+    /// inside it. Callers ask only about CFG edges.
     pub(crate) fn is_unbounded_back(&self, from: BlockId, to: BlockId) -> bool {
-        self.unbounded_back.contains(&(from, to))
+        self.loops.headed_by(to).is_some_and(|l| {
+            matches!(self.bounds[l], LoopBound::Unknown(_)) && self.loops.loops()[l].contains(from)
+        })
     }
 
-    /// The blocks ending in `ret`.
-    pub(crate) fn exit_blocks(&self) -> &[BlockId] {
-        &self.exit_blocks
+    /// True when `b` ends in `ret`.
+    pub(crate) fn is_exit(&self, b: BlockId) -> bool {
+        self.is_exit[b.0 as usize]
     }
 }
 
-/// The block graph of every function of `p`, indexed by [`FuncId`].
-pub(crate) fn block_graphs(p: &Program) -> Vec<BlockGraph> {
-    p.funcs.iter().map(BlockGraph::new).collect()
+/// The block graph of every function of a program: built once and
+/// shared by [`WcetAnalysis::with_graphs`](crate::WcetAnalysis::with_graphs)
+/// and [`FeasAnalysis::with_graphs`](crate::FeasAnalysis::with_graphs)
+/// when a caller runs both.
+#[derive(Debug, Clone)]
+pub struct BlockGraphs(Vec<BlockGraph>);
+
+impl BlockGraphs {
+    /// Builds the graph of every function of `p`.
+    pub fn new(p: &Program) -> Self {
+        BlockGraphs(p.funcs.iter().map(BlockGraph::new).collect())
+    }
+
+    /// The graph of `func`.
+    pub(crate) fn get(&self, func: FuncId) -> &BlockGraph {
+        &self.0[func.0 as usize]
+    }
+
+    /// The dominator tree of `func`.
+    pub fn dominators(&self, func: FuncId) -> &DomTree {
+        &self.get(func).dom
+    }
 }
 
 /// The labels and priced items at points `[lo, hi)` of block `b`; the

@@ -11,8 +11,8 @@
 //! 2. [`WcetAnalysis`] — worst-case active cycles of any single attempt
 //!    of a region body (branch maxima, bounded-loop multiplication,
 //!    callee inlining), and [`FeasAnalysis`], its best-case counterpart:
-//!    both fold over one shared block graph per function and price every
-//!    instruction through the runtime's own
+//!    both fold over one [`BlockGraphs`] set (a caller running both
+//!    builds it once) and price every instruction through the runtime's own
 //!    [`CostModel::price`](ocelot_hw::energy::CostModel::price);
 //! 3. [`ProgressReport`] — per-region energy budgets, feasibility
 //!    verdicts against a concrete
@@ -57,6 +57,7 @@ pub mod wcet;
 pub use bounds::{loop_bound, LoopBound};
 pub use error::ProgressError;
 pub use feas::{EdgeSet, FeasAnalysis};
+pub use graph::BlockGraphs;
 pub use report::{ProgressReport, RegionBudget, Verdict};
 pub use stack::StackModel;
 pub use wcet::WcetAnalysis;

@@ -21,31 +21,51 @@
 
 use crate::bounds::LoopBound;
 use crate::error::ProgressError;
-use crate::graph::{block_graphs, chain_to_use, points, BlockGraph, Run};
+use crate::graph::{chain_to_use, points, BlockGraph, BlockGraphs, Run};
 use crate::stack::StackModel;
 use ocelot_analysis::dom::Point;
-use ocelot_analysis::loops::NaturalLoop;
-use ocelot_core::{covered_refs, RegionInfo};
+use ocelot_core::{visit_covered, RegionInfo};
 use ocelot_hw::energy::{CostModel, Entry, Facts, Priced};
 use ocelot_ir::callgraph::CallGraph;
 use ocelot_ir::{BlockId, FuncId, Function, InstrRef, Label, Op, Place, Program, RegionId};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Worst-case cycle analysis over one program.
 pub struct WcetAnalysis<'p> {
     p: &'p Program,
     costs: CostModel,
     stack: StackModel,
-    graphs: Vec<BlockGraph>,
-    /// Instructions that execute inside some atomic region (including
-    /// transitively-called function bodies): NV writes there pay an
-    /// undo-log entry.
-    covered: BTreeSet<InstrRef>,
+    graphs: Cow<'p, BlockGraphs>,
+    /// `covered[func][label]`: the instruction executes inside some
+    /// atomic region (including transitively-called function bodies),
+    /// so an NV write there pays an undo-log entry.
+    covered: Vec<Vec<bool>>,
     /// Eager undo-log size per region.
     omega: BTreeMap<RegionId, usize>,
     /// Worst-case complete execution of each function, entry through
     /// the returning terminator, indexed by `FuncId`.
     func_wcet: Vec<Result<u64, ProgressError>>,
+    /// Worst-case full cost of each block, indexed `[func][block]`;
+    /// filled callees first, so calls price finished bounds.
+    block_wcet: Vec<Vec<Result<u64, ProgressError>>>,
+    /// Each bounded loop's total, indexed `[func][loop]`: it does not
+    /// depend on the context the loop is condensed in.
+    loop_wcet: Vec<Vec<OnceLock<Result<u64, ProgressError>>>>,
+    /// The longest paths out of each block, indexed `[func][block]`.
+    paths: Vec<Vec<OnceLock<Longest>>>,
+}
+
+/// Longest paths from one block through the loop-condensed DAG of its
+/// loop nest, to every node reachable from it.
+struct Longest {
+    /// `reach[b]`: node `b` is reachable from the start.
+    reach: Vec<bool>,
+    /// `dist[b]`: the cost of the intermediate nodes on the longest path
+    /// to node `b`; the first error met in topological order, or
+    /// irreducible flow, fails every query.
+    dist: Result<Vec<Option<u64>>, ProgressError>,
 }
 
 impl<'p> WcetAnalysis<'p> {
@@ -56,28 +76,86 @@ impl<'p> WcetAnalysis<'p> {
     /// Panics if `p` has recursive calls (rejected by validation before
     /// any analysis runs; see [`StackModel::new`]).
     pub fn new(p: &'p Program, costs: &CostModel, regions: &[RegionInfo]) -> Self {
-        let mut covered = BTreeSet::new();
+        Self::build(p, costs, regions, Cow::Owned(BlockGraphs::new(p)))
+    }
+
+    /// [`Self::new`] over block graphs the caller built for `p` and
+    /// shares with a [`FeasAnalysis`](crate::FeasAnalysis).
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::new`].
+    pub fn with_graphs(
+        p: &'p Program,
+        costs: &CostModel,
+        regions: &[RegionInfo],
+        graphs: &'p BlockGraphs,
+    ) -> Self {
+        Self::build(p, costs, regions, Cow::Borrowed(graphs))
+    }
+
+    fn build(
+        p: &'p Program,
+        costs: &CostModel,
+        regions: &[RegionInfo],
+        graphs: Cow<'p, BlockGraphs>,
+    ) -> Self {
+        let cg = CallGraph::new(p);
+        let mut covered: Vec<Vec<bool>> = p
+            .funcs
+            .iter()
+            .map(|f| {
+                let top = f
+                    .blocks
+                    .iter()
+                    .flat_map(|b| b.instrs.iter().map(|i| i.label).chain([b.term_label]))
+                    .map(|l| l.0 as usize + 1)
+                    .max();
+                vec![false; top.unwrap_or(0)]
+            })
+            .collect();
         let mut omega = BTreeMap::new();
         for r in regions {
-            covered.extend(covered_refs(p, r));
+            let cfg = &graphs.get(r.func).cfg;
+            visit_covered(p, cfg, &cg, r, |at| {
+                covered[at.func.0 as usize][at.label.0 as usize] = true;
+            });
             omega.insert(r.id, r.omega_words);
         }
+        let per_block = |f: &Function| -> Vec<OnceLock<Longest>> {
+            f.blocks.iter().map(|_| OnceLock::new()).collect()
+        };
         let mut this = WcetAnalysis {
             p,
             costs: costs.clone(),
             stack: StackModel::new(p),
-            graphs: block_graphs(p),
             covered,
             omega,
             func_wcet: vec![Ok(0); p.funcs.len()],
+            block_wcet: vec![Vec::new(); p.funcs.len()],
+            loop_wcet: p
+                .funcs
+                .iter()
+                .map(|f| {
+                    let loops = graphs.get(f.id).loops.loops().len();
+                    (0..loops).map(|_| OnceLock::new()).collect()
+                })
+                .collect(),
+            paths: p.funcs.iter().map(per_block).collect(),
+            graphs,
         };
         // Callees before callers, so every call looks up a finished
         // bound, never a placeholder.
-        let order = CallGraph::new(p)
+        let order = cg
             .topo_callees_first(p)
             .expect("validated programs are non-recursive");
         for func in order {
             let f = p.func(func);
+            this.block_wcet[func.0 as usize] = f
+                .blocks
+                .iter()
+                .map(|b| this.range_cost(f, b.id, 0, usize::MAX))
+                .collect();
             let bound = this.between(func, Point::new(f.entry, 0), this.exit_point(func));
             this.func_wcet[func.0 as usize] = bound;
         }
@@ -130,9 +208,7 @@ impl<'p> WcetAnalysis<'p> {
     /// different loop nests (no single-attempt forward path).
     pub fn between(&self, func: FuncId, from: Point, to: Point) -> Result<u64, ProgressError> {
         let f = self.p.func(func);
-        let g = &self.graphs[func.0 as usize];
-        let from_ctx = loop_context(g, from.block);
-        let to_ctx = loop_context(g, to.block);
+        let g = self.graphs.get(func);
         if from.block == to.block {
             if from.index > to.index {
                 return Err(ProgressError::unsupported(
@@ -141,7 +217,7 @@ impl<'p> WcetAnalysis<'p> {
             }
             return self.range_cost(f, from.block, from.index, to.index);
         }
-        if from_ctx != to_ctx {
+        if g.loops.nest(from.block) != g.loops.nest(to.block) {
             return Err(ProgressError::unsupported(format!(
                 "path endpoints lie in different loop nests in `{}` \
                  (a region must not straddle a loop boundary)",
@@ -151,7 +227,7 @@ impl<'p> WcetAnalysis<'p> {
 
         let suffix = self.range_cost(f, from.block, from.index, usize::MAX)?;
         let prefix = self.range_cost(f, to.block, 0, to.index)?;
-        let middle = self.dag_longest_path(f, g, &from_ctx, from.block, to.block)?;
+        let middle = self.dag_longest_path(f, g, from.block, to.block)?;
         Ok(suffix.saturating_add(middle).saturating_add(prefix))
     }
 
@@ -212,163 +288,170 @@ impl<'p> WcetAnalysis<'p> {
     // ------------------------------------------------------------------
 
     /// Longest path through the loop-condensed DAG from `from` to `to`,
-    /// summing the full cost of every *intermediate* node.
+    /// summing the full cost of every *intermediate* node. The DAG
+    /// condenses every loop outside `from`'s loop nest; `to` shares the
+    /// nest.
     fn dag_longest_path(
         &self,
         f: &Function,
         g: &BlockGraph,
-        context_headers: &BTreeSet<BlockId>,
         from: BlockId,
         to: BlockId,
     ) -> Result<u64, ProgressError> {
-        // Node representative: the header of the outermost condensable
-        // loop containing the block, or the block itself.
-        let node_of = |b: BlockId| -> BlockId {
-            g.loops
-                .loops_containing(b)
-                .into_iter()
-                .find(|l| !context_headers.contains(&l.header))
-                .map(|l| l.header)
-                .unwrap_or(b)
-        };
-        let n_from = node_of(from);
-        let n_to = node_of(to);
-        debug_assert_eq!(
-            n_from, from,
-            "path start cannot sit inside a condensed loop"
-        );
-        debug_assert_eq!(n_to, to, "path end cannot sit inside a condensed loop");
-
-        // Edges between condensed nodes, dropping intra-node edges and
-        // back edges into context loops (a path between two points of
-        // the same iteration never takes the back edge).
-        let mut succs: BTreeMap<BlockId, BTreeSet<BlockId>> = BTreeMap::new();
-        for b in f.blocks.iter().map(|b| b.id) {
-            let u = node_of(b);
-            for &s in g.cfg.succs(b) {
-                let v = node_of(s);
-                if u == v {
-                    continue;
-                }
-                let is_context_back_edge = context_headers.contains(&s)
-                    && g.loops.loops_containing(b).iter().any(|l| l.header == s);
-                if is_context_back_edge {
-                    continue;
-                }
-                succs.entry(u).or_default().insert(v);
-            }
-        }
-
-        // Restrict to nodes reachable from the start.
-        let mut reach: BTreeSet<BlockId> = BTreeSet::new();
-        let mut queue = VecDeque::from([n_from]);
-        while let Some(u) = queue.pop_front() {
-            if !reach.insert(u) {
-                continue;
-            }
-            if let Some(vs) = succs.get(&u) {
-                queue.extend(vs.iter().copied());
-            }
-        }
+        let longest =
+            self.paths[f.id.0 as usize][from.0 as usize].get_or_init(|| self.longest(f, g, from));
         let no_path = || {
             ProgressError::unsupported(format!(
                 "no forward path between the analyzed points in `{}`",
                 f.name
             ))
         };
-        if !reach.contains(&n_to) {
+        if !longest.reach[to.0 as usize] {
             return Err(no_path());
+        }
+        match &longest.dist {
+            Ok(dist) => dist[to.0 as usize].ok_or_else(no_path),
+            Err(e) => Err(e.clone()),
+        }
+    }
+
+    /// The longest paths out of `from` (see [`Longest`]). Nodes are
+    /// blocks: each block outside the context loops (those containing
+    /// `from`) stands for the header of its outermost condensed loop.
+    /// Edges inside one node and back edges into context loops (a path
+    /// between two points of the same iteration never takes them) are
+    /// dropped. Node costs are evaluated in Kahn order over the nodes
+    /// reachable from `from`, successors ascending.
+    fn longest(&self, f: &Function, g: &BlockGraph, from: BlockId) -> Longest {
+        let forest = &g.loops;
+        let ctx = forest.nest(from);
+        let n = f.blocks.len();
+        let node: Vec<u32> = (0..n as u32)
+            .map(|b| match condensed(g, ctx, BlockId(b)) {
+                Some(l) => forest.loops()[l].header.0,
+                None => b,
+            })
+            .collect();
+        debug_assert_eq!(
+            node[from.0 as usize], from.0,
+            "path start cannot sit inside a condensed loop"
+        );
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for b in 0..n {
+            let u = node[b];
+            for &s in g.cfg.succs(BlockId(b as u32)) {
+                let v = node[s.0 as usize];
+                let context_back_edge = forest.headed_by(s).is_some_and(|l| {
+                    ctx.contains(&l) && forest.loops()[l].contains(BlockId(b as u32))
+                });
+                if u != v && !context_back_edge {
+                    edges.push((u, v));
+                }
+            }
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        // `edges[first[u]..first[u + 1]]` are the edges out of `u`.
+        let mut first = vec![0usize; n + 1];
+        for &(u, _) in &edges {
+            first[u as usize + 1] += 1;
+        }
+        for i in 0..n {
+            first[i + 1] += first[i];
+        }
+        let succs = |u: u32| {
+            edges[first[u as usize]..first[u as usize + 1]]
+                .iter()
+                .map(|e| e.1)
+        };
+
+        let mut reach = vec![false; n];
+        let mut stack = vec![from.0];
+        reach[from.0 as usize] = true;
+        let mut reached = 1;
+        while let Some(u) = stack.pop() {
+            for v in succs(u) {
+                if !reach[v as usize] {
+                    reach[v as usize] = true;
+                    reached += 1;
+                    stack.push(v);
+                }
+            }
         }
 
         // Kahn topological order over the reachable subgraph.
-        let mut indeg: BTreeMap<BlockId, usize> = reach.iter().map(|&b| (b, 0)).collect();
-        for (&u, vs) in &succs {
-            if !reach.contains(&u) {
-                continue;
-            }
-            for v in vs {
-                if reach.contains(v) {
-                    *indeg.get_mut(v).expect("reachable node") += 1;
-                }
+        let mut indeg = vec![0usize; n];
+        for u in (0..n as u32).filter(|&u| reach[u as usize]) {
+            for v in succs(u) {
+                indeg[v as usize] += 1;
             }
         }
-        let mut ready: VecDeque<BlockId> = indeg
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&b, _)| b)
+        let mut topo: Vec<u32> = (0..n as u32)
+            .filter(|&u| reach[u as usize] && indeg[u as usize] == 0)
             .collect();
-        let mut topo = Vec::with_capacity(reach.len());
-        while let Some(u) = ready.pop_front() {
-            topo.push(u);
-            if let Some(vs) = succs.get(&u) {
-                for v in vs {
-                    if let Some(d) = indeg.get_mut(v) {
-                        *d -= 1;
-                        if *d == 0 {
-                            ready.push_back(*v);
-                        }
-                    }
+        let mut next = 0;
+        while let Some(&u) = topo.get(next) {
+            next += 1;
+            for v in succs(u) {
+                indeg[v as usize] -= 1;
+                if indeg[v as usize] == 0 {
+                    topo.push(v);
                 }
             }
         }
-        if topo.len() != reach.len() {
-            return Err(ProgressError::Irreducible {
+        if topo.len() != reached {
+            let dist = Err(ProgressError::Irreducible {
                 func: f.name.clone(),
             });
+            return Longest { reach, dist };
         }
 
         // Longest-path DP accumulating intermediate-node costs.
-        let mut dist: BTreeMap<BlockId, u64> = BTreeMap::new();
-        dist.insert(n_from, 0);
-        for &u in &topo {
-            let Some(&du) = dist.get(&u) else { continue };
-            let u_cost = if u == n_from {
-                0
-            } else {
-                self.node_cost(f, g, context_headers, u)?
-            };
-            if let Some(vs) = succs.get(&u) {
-                for &v in vs {
-                    let cand = du.saturating_add(u_cost);
-                    let e = dist.entry(v).or_insert(0);
+        let dist = (|| {
+            let mut dist: Vec<Option<u64>> = vec![None; n];
+            dist[from.0 as usize] = Some(0);
+            for &u in &topo {
+                let Some(du) = dist[u as usize] else { continue };
+                let u_cost = if u == from.0 {
+                    0
+                } else {
+                    self.node_cost(f, g, ctx, BlockId(u))?
+                };
+                let cand = du.saturating_add(u_cost);
+                for v in succs(u) {
+                    let e = dist[v as usize].get_or_insert(0);
                     *e = (*e).max(cand);
                 }
             }
-        }
-        dist.get(&n_to).copied().ok_or_else(no_path)
+            Ok(dist)
+        })();
+        Longest { reach, dist }
     }
 
-    /// Cost of one condensed node: a plain block's full cost, or a
-    /// condensed loop's bounded total.
+    /// Cost of one condensed node: a condensed loop's bounded total
+    /// when `node` heads one, else the block's full cost.
     fn node_cost(
         &self,
         f: &Function,
         g: &BlockGraph,
-        context_headers: &BTreeSet<BlockId>,
+        ctx: &[usize],
         node: BlockId,
     ) -> Result<u64, ProgressError> {
-        let condensed: Option<&NaturalLoop> = g
-            .loops
-            .loops_containing(node)
-            .into_iter()
-            .find(|l| !context_headers.contains(&l.header));
-        match condensed {
-            Some(l) if l.header == node => self.loop_cost(f, g, l),
+        match condensed(g, ctx, node) {
+            Some(l) if g.loops.loops()[l].header == node => self.loop_wcet[f.id.0 as usize][l]
+                .get_or_init(|| self.loop_cost(f, g, l))
+                .clone(),
             // A non-header block inside a condensed loop never becomes a
             // node, so `node` is plain.
-            _ => self.range_cost(f, node, 0, usize::MAX),
+            _ => self.block_wcet[f.id.0 as usize][node.0 as usize].clone(),
         }
     }
 
-    /// Total worst-case cost of a bounded loop: `k + 1` header checks
-    /// plus `k` worst iterations (body through latch).
-    fn loop_cost(
-        &self,
-        f: &Function,
-        g: &BlockGraph,
-        l: &NaturalLoop,
-    ) -> Result<u64, ProgressError> {
-        let k = match g.bound(l.header) {
+    /// Total worst-case cost of bounded loop `li`: `k + 1` header
+    /// checks plus `k` worst iterations (body through latch).
+    fn loop_cost(&self, f: &Function, g: &BlockGraph, li: usize) -> Result<u64, ProgressError> {
+        let l = &g.loops.loops()[li];
+        let k = match g.bound(li) {
             LoopBound::Exact(k) => *k,
             LoopBound::Unknown(detail) => {
                 return Err(ProgressError::UnboundedLoop {
@@ -377,7 +460,7 @@ impl<'p> WcetAnalysis<'p> {
                 })
             }
         };
-        let header_cost = self.range_cost(f, l.header, 0, usize::MAX)?;
+        let header_cost = self.block_wcet[f.id.0 as usize][l.header.0 as usize].clone()?;
         if k == 0 {
             return Ok(header_cost);
         }
@@ -445,7 +528,10 @@ impl<'p> WcetAnalysis<'p> {
     ) -> Result<u64, ProgressError> {
         let facts = match at {
             Priced::Op(Op::Assign { place, .. }) => {
-                let logged = self.covered.contains(&InstrRef { func: f.id, label });
+                let logged = self.covered[f.id.0 as usize]
+                    .get(label.0 as usize)
+                    .copied()
+                    .unwrap_or(false);
                 match place {
                     Place::Var(x) if f.declares(x) => {
                         Facts::store(false, logged && f.is_by_ref_param(x))
@@ -466,13 +552,10 @@ impl<'p> WcetAnalysis<'p> {
     }
 }
 
-/// The headers of every loop containing `b`.
-fn loop_context(g: &BlockGraph, b: BlockId) -> BTreeSet<BlockId> {
-    g.loops
-        .loops_containing(b)
-        .iter()
-        .map(|l| l.header)
-        .collect()
+/// The outermost loop containing `b` outside the context loops `ctx`,
+/// by index: the loop `b` is condensed into.
+fn condensed(g: &BlockGraph, ctx: &[usize], b: BlockId) -> Option<usize> {
+    g.loops.nest(b).iter().copied().find(|l| !ctx.contains(l))
 }
 
 #[cfg(test)]

@@ -235,8 +235,9 @@ pub struct MachineCore<'p> {
     pub(crate) channels: Vec<(String, usize)>,
     /// Whole-program SSA facts (constant uses, dead defs, always-bound
     /// locals) the optimizing compile passes consume, indexed by
-    /// [`ocelot_ir::ir::FuncId`].
-    pub(crate) ssa: ProgramSsa,
+    /// [`ocelot_ir::ir::FuncId`]. Shared by every core
+    /// [`MachineCore::for_environment`] derives.
+    pub(crate) ssa: Arc<ProgramSsa>,
     /// Data-only value-flow facts: which values provably carry empty
     /// dependency sets and which dependency sets are never observed.
     /// `Some` exactly on a traced core ([`MachineCore::traced`]): a
@@ -246,7 +247,7 @@ pub struct MachineCore<'p> {
     /// every read dominated by a write): stores to these never reach
     /// non-volatile memory, so both backends bind the volatile slot
     /// instead of falling back to an NV cell. Indexed by function id.
-    pub(crate) reclass: Vec<BTreeSet<String>>,
+    pub(crate) reclass: Arc<Vec<BTreeSet<String>>>,
     /// The compiled program shared by every injector-free device on
     /// this core, built once on the first compiled run. Machines with
     /// injector targets compile privately (injection sites are baked
@@ -609,18 +610,8 @@ impl<'p> MachineCore<'p> {
             }
         }
 
-        let channels: Vec<(String, usize)> = env
-            .channels()
-            .into_iter()
-            .map(|ch| {
-                let idx = env.channel_index(ch).expect("listed channel has an index");
-                (ch.to_string(), idx)
-            })
-            .collect();
-
         let ssa = ProgramSsa::analyze(p);
-        let reclass: Vec<BTreeSet<String>> =
-            ssa.funcs.iter().map(|fs| fs.always_bound.clone()).collect();
+        let reclass = Arc::new(ssa.funcs.iter().map(|fs| fs.always_bound.clone()).collect());
 
         MachineCore {
             p,
@@ -634,10 +625,41 @@ impl<'p> MachineCore<'p> {
             use_rt,
             sensor_rt,
             channel_names,
-            channels,
-            ssa,
+            channels: channel_layout(env),
+            ssa: Arc::new(ssa),
             flow: None,
             reclass,
+            shared_compiled: OnceLock::new(),
+        }
+    }
+
+    /// This core for devices in `env`: equal to [`MachineCore::build`]
+    /// with this core's program, regions, policies and costs and with
+    /// `env`, and traced when this core is. Only the channel layout is
+    /// resolved against `env`; everything else depends on the program
+    /// alone and is copied or shared (the SSA facts), not recomputed —
+    /// how a sweep builds one core per scenario of one program.
+    pub fn for_environment(&self, env: &Environment) -> Self {
+        let mut sensor_rt = self.sensor_rt.clone();
+        for (name, rt) in &mut sensor_rt {
+            rt.chan = env.channel_index(name);
+        }
+        MachineCore {
+            p: self.p,
+            policies: self.policies.clone(),
+            layouts: Arc::clone(&self.layouts),
+            region_omega: self.region_omega.clone(),
+            costs: self.costs.clone(),
+            chains: self.chains.clone(),
+            chain_rt: self.chain_rt.clone(),
+            static_chain_of: self.static_chain_of.clone(),
+            use_rt: self.use_rt.clone(),
+            sensor_rt,
+            channel_names: self.channel_names.clone(),
+            channels: channel_layout(env),
+            ssa: Arc::clone(&self.ssa),
+            flow: self.flow.clone(),
+            reclass: Arc::clone(&self.reclass),
             shared_compiled: OnceLock::new(),
         }
     }
@@ -665,6 +687,17 @@ impl<'p> MachineCore<'p> {
     pub fn is_traced(&self) -> bool {
         self.flow.is_some()
     }
+}
+
+/// The channel layout `(name, index)` of `env`.
+fn channel_layout(env: &Environment) -> Vec<(String, usize)> {
+    env.channels()
+        .into_iter()
+        .map(|ch| {
+            let idx = env.channel_index(ch).expect("listed channel has an index");
+            (ch.to_string(), idx)
+        })
+        .collect()
 }
 
 impl<'p> Machine<'p> {

@@ -31,9 +31,9 @@
 //! `verify` with a `doc` name re-verifies incrementally against that
 //! document's per-function flow cache (see
 //! `ocelot_analysis::incremental`); without one it verifies from
-//! scratch. `lint` of a program an open document last verified lints
-//! that document's transform output; any other program is transformed
-//! from scratch. `run`/`sweep` accept scenario specs (`name` or
+//! scratch. `lint` of the exact source text an open document last
+//! verified lints that document's transform output with no parse;
+//! any other text is compiled and transformed from scratch. `run`/`sweep` accept scenario specs (`name` or
 //! `name@seed`) and report the machine's violation/mitigation
 //! statistics. They simulate on the compiled
 //! engine unless the request names a `backend`; `"backend": "interp"`
@@ -61,10 +61,14 @@ pub struct ServerState {
     pub cache: ProgramCache,
     /// Incremental verification documents, by client-chosen name.
     pub docs: HashMap<String, Session>,
-    /// Cached lint reports, keyed by (program hash, window, capacity
-    /// bits) — a report is a pure function of those three, so a repeat
-    /// request with the same knobs answers without re-analysis.
-    pub lints: HashMap<(u64, Option<u64>, Option<u64>), Json>,
+    /// Cached lint reports, keyed by source text: each text's program
+    /// hash and its reports by (window, capacity bits). A report is a
+    /// pure function of the text and the two knobs, so a repeat request
+    /// answers without re-analysis. The key is the text, not the
+    /// program hash: the hash covers no spans, and two texts differing
+    /// only in whitespace or comments share it but not their report's
+    /// line and column numbers.
+    pub lints: HashMap<String, LintEntry>,
     /// Requests handled so far (any op, including failed ones).
     pub requests: u64,
     /// `verify` requests that named an already-open document.
@@ -93,6 +97,15 @@ impl ServerState {
             lints_misses: 0,
         }
     }
+}
+
+/// The lint reports of one source text.
+#[derive(Debug)]
+pub struct LintEntry {
+    /// The text's program hash (the response's `program` member).
+    pub program: u64,
+    /// Reports by (`window_us`, `capacity_nj` bits).
+    pub reports: HashMap<(Option<u64>, Option<u64>), Json>,
 }
 
 /// What the connection loop should do after a response.
@@ -306,17 +319,18 @@ fn op_sweep(state: &mut ServerState, req: &Json) -> OpResult {
 
 /// The `lint` op: run the static feasibility passes over `source` and
 /// answer the `ocelot-lint-report` document (`docs/lint.md`). Reports
-/// are cached by (program hash, `window_us`, `capacity_nj`): the report
-/// is a pure function of program and knobs, and normalization makes it
+/// are cached by (source text, `window_us`, `capacity_nj`): the report
+/// is a pure function of text and knobs, and normalization makes it
 /// byte-stable, so the cached answer is indistinguishable from a fresh
 /// one — the same timing-free contract every other op keeps.
 ///
 /// On a report-cache miss, when an open document's last successful
-/// `verify` compiled the same program (equal program hash), the passes
-/// run over that document's transform output: equal hashes give
-/// byte-equal transforms, so which document answers does not matter.
-/// Otherwise the program is transformed from scratch. The report bytes
-/// equal `ocelotc lint`'s either way.
+/// `verify` was of the same source text, the passes run over that
+/// document's transform output with no parse and no hash: equal texts
+/// give byte-equal transforms with equal spans, so which document
+/// answers does not matter. Otherwise the text is compiled and
+/// transformed from scratch. The report bytes equal `ocelotc lint`'s
+/// either way.
 fn op_lint(state: &mut ServerState, req: &Json) -> OpResult {
     let src = req_str(req, "source")?;
     let window = match req.get("window_us") {
@@ -333,34 +347,44 @@ fn op_lint(state: &mut ServerState, req: &Json) -> OpResult {
             _ => return Err("`capacity_nj` must be a positive number".to_string()),
         },
     };
-    let p = ocelot_ir::compile(src).map_err(|e| format!("compile: {e}"))?;
-    let hash = program_hash(&p);
-    let key = (hash, window, capacity.map(f64::to_bits));
-    if let Some(report) = state.lints.get(&key) {
-        state.lints_hits += 1;
-        ocelot_telemetry::metrics::SERVE_LINTS_HIT.incr();
-        return Ok(vec![
-            ("program", Json::u64(hash)),
-            ("cached", Json::Bool(true)),
-            ("report", report.clone()),
-        ]);
+    let knobs = (window, capacity.map(f64::to_bits));
+    if let Some(entry) = state.lints.get(src) {
+        if let Some(report) = entry.reports.get(&knobs) {
+            state.lints_hits += 1;
+            ocelot_telemetry::metrics::SERVE_LINTS_HIT.incr();
+            return Ok(vec![
+                ("program", Json::u64(entry.program)),
+                ("cached", Json::Bool(true)),
+                ("report", report.clone()),
+            ]);
+        }
     }
     let opts = ocelot_lint::LintOptions {
         window_us: window,
         capacity_nj: capacity,
     };
     let fresh;
-    let compiled = match state.docs.values().find_map(|doc| doc.compiled(hash)) {
-        Some(compiled) => compiled,
+    let (hash, compiled) = match state.docs.values().find_map(|doc| doc.verified(src)) {
+        Some(verified) => verified,
         None => {
+            let p = ocelot_ir::compile(src).map_err(|e| format!("compile: {e}"))?;
+            let hash = program_hash(&p);
             fresh = ocelot_core::ocelot_transform(p).map_err(|e| format!("lint: {e}"))?;
-            &fresh
+            (hash, &fresh)
         }
     };
     let report =
         ocelot_lint::lint_compiled(compiled, src, &opts).map_err(|e| format!("lint: {e}"))?;
     let json = ocelot_lint::json::to_json(&report);
-    state.lints.insert(key, json.clone());
+    state
+        .lints
+        .entry(src.to_string())
+        .or_insert_with(|| LintEntry {
+            program: hash,
+            reports: HashMap::new(),
+        })
+        .reports
+        .insert(knobs, json.clone());
     state.lints_misses += 1;
     ocelot_telemetry::metrics::SERVE_LINTS_MISS.incr();
     Ok(vec![

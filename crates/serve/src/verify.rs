@@ -113,11 +113,12 @@ pub(crate) fn verify_program(
 
 /// One verification document: a flow cache that survives across edits
 /// of the same program so re-verification is incremental, and the
-/// transform output of its last successful verify.
+/// source text, program hash and transform output of its last
+/// successful verify.
 #[derive(Debug, Default)]
 pub struct Session {
     cache: FlowCache,
-    last: Option<(u64, Compiled)>,
+    last: Option<(String, u64, Compiled)>,
 }
 
 impl Session {
@@ -139,15 +140,18 @@ impl Session {
         let p = compile(src)?;
         let (taint, stats) = self.cache.run(&p);
         let (compiled, verdict) = verify_program(program_hash(&p), p, &taint)?;
-        self.last = Some((verdict.source_hash, compiled));
+        self.last = Some((src.to_string(), verdict.source_hash, compiled));
         Ok((verdict, stats))
     }
 
-    /// The transform output of the last successful verify, when the
-    /// submitted program hashed to `source_hash`.
-    pub fn compiled(&self, source_hash: u64) -> Option<&Compiled> {
+    /// The program hash and transform output of the last successful
+    /// verify, when its source text was exactly `src`. Equal text, not
+    /// an equal program hash: the hash covers no source spans, so a
+    /// text differing only in whitespace or comments hashes alike but
+    /// places every span elsewhere.
+    pub fn verified(&self, src: &str) -> Option<(u64, &Compiled)> {
         match &self.last {
-            Some((hash, compiled)) if *hash == source_hash => Some(compiled),
+            Some((text, hash, compiled)) if text == src => Some((*hash, compiled)),
             _ => None,
         }
     }
