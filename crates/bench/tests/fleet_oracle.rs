@@ -16,6 +16,7 @@
 
 use ocelot_bench::fleet::{fleet_artifact, run_fleet, FleetAggregate, FleetOpts, FleetSpec};
 use ocelot_bench::harness::{build_for, calibrated_costs, run_cells, MAX_STEPS};
+use ocelot_hw::sensors::{Environment, Signal};
 use ocelot_runtime::machine::{DeviceState, Machine, MachineCore, RunOutcome};
 use ocelot_runtime::model::ExecModel;
 use ocelot_runtime::stats::stats_to_json;
@@ -195,10 +196,11 @@ fn fleet_artifact_round_trips_through_the_schema() {
     assert_eq!(back, aggs);
 }
 
-/// Stats bytes and run outcomes of `runs` runs of one device of `sc` on
-/// `core`.
+/// Stats bytes and run outcomes of `runs` runs of one device in `env`,
+/// powered by `sc`'s supply, on `core`.
 fn device_on(
     core: &Arc<MachineCore<'_>>,
+    env: &Environment,
     sc: &ocelot_scenario::Scenario,
     backend: ExecBackend,
     runs: u64,
@@ -206,7 +208,7 @@ fn device_on(
     let mut m = Machine::from_core(
         Arc::clone(core),
         DeviceState::default(),
-        sc.environment(),
+        env.clone(),
         sc.supply(),
     )
     .with_backend(backend);
@@ -216,39 +218,51 @@ fn device_on(
 
 /// A sweep builds its first scenario's core and derives the others with
 /// `MachineCore::for_environment`. Each derived core must run every
-/// device exactly as a core built from scratch against that scenario
-/// does: the nine apps on every registry scenario, on both engines. A
-/// traced core's derivations stay traced.
+/// device exactly as a core built from scratch against that environment
+/// does: the nine apps on every registry scenario, on both engines. The
+/// cores derive from one built against the first scenario's channels
+/// declared in reverse order, so a channel index carried over from the
+/// first core reads the wrong sensor. A traced core's derivations stay
+/// traced.
 #[test]
 fn cores_derived_per_scenario_equal_fresh_builds() {
     let scenarios = ocelot_scenario::all();
     for b in ocelot_apps::all_with_extensions() {
         let built = build_for(&b, ExecModel::Ocelot);
-        let build = |sc: &ocelot_scenario::Scenario| {
+        let build = |env: &Environment| {
             MachineCore::build(
                 &built.program,
                 &built.regions,
                 built.policies.clone(),
-                &sc.environment(),
+                env,
                 calibrated_costs(&b),
             )
         };
-        let first = build(&scenarios[0]);
+        let reversed = scenarios[0]
+            .environment()
+            .channels()
+            .into_iter()
+            .rev()
+            .fold(Environment::new(), |env, ch| {
+                env.with(ch, Signal::Constant(0))
+            });
+        let first = build(&reversed);
         for sc in &scenarios {
-            let derived = Arc::new(first.for_environment(&sc.environment()));
-            let fresh = Arc::new(build(sc));
+            let env = sc.environment();
+            let derived = Arc::new(first.for_environment(&env));
+            let fresh = Arc::new(build(&env));
             assert!(!derived.is_traced());
             for backend in [ExecBackend::Interp, ExecBackend::Compiled] {
                 assert_eq!(
-                    device_on(&derived, sc, backend, 3),
-                    device_on(&fresh, sc, backend, 3),
+                    device_on(&derived, &env, sc, backend, 3),
+                    device_on(&fresh, &env, sc, backend, 3),
                     "{} on {} ({backend:?})",
                     b.name,
                     sc.name
                 );
             }
         }
-        let traced = build(&scenarios[0]).traced();
+        let traced = build(&scenarios[0].environment()).traced();
         assert!(traced
             .for_environment(&scenarios[1].environment())
             .is_traced());

@@ -407,25 +407,33 @@ impl<'p> WcetAnalysis<'p> {
         }
 
         // Longest-path DP accumulating intermediate-node costs.
-        let dist = (|| {
-            let mut dist: Vec<Option<u64>> = vec![None; n];
-            dist[from.0 as usize] = Some(0);
-            for &u in &topo {
-                let Some(du) = dist[u as usize] else { continue };
-                let u_cost = if u == from.0 {
-                    0
-                } else {
-                    self.node_cost(f, g, ctx, BlockId(u))?
-                };
-                let cand = du.saturating_add(u_cost);
-                for v in succs(u) {
-                    let e = dist[v as usize].get_or_insert(0);
-                    *e = (*e).max(cand);
+        let mut dist: Vec<Option<u64>> = vec![None; n];
+        dist[from.0 as usize] = Some(0);
+        for &u in &topo {
+            let Some(du) = dist[u as usize] else { continue };
+            let u_cost = if u == from.0 {
+                0
+            } else {
+                match self.node_cost(f, g, ctx, BlockId(u)) {
+                    Ok(c) => c,
+                    Err(e) => {
+                        return Longest {
+                            reach,
+                            dist: Err(e),
+                        }
+                    }
                 }
+            };
+            let cand = du.saturating_add(u_cost);
+            for v in succs(u) {
+                let e = dist[v as usize].get_or_insert(0);
+                *e = (*e).max(cand);
             }
-            Ok(dist)
-        })();
-        Longest { reach, dist }
+        }
+        Longest {
+            reach,
+            dist: Ok(dist),
+        }
     }
 
     /// Cost of one condensed node: a condensed loop's bounded total
