@@ -27,7 +27,7 @@
 //! discharge (the linter's unbounded-loop-blocks-obligation pass).
 
 use crate::error::ProgressError;
-use crate::graph::{chain_to_use, point_of, points, BlockGraph, BlockGraphs, Run};
+use crate::graph::{chain_to_use, point_of, points, BlockGraphs, Run};
 use ocelot_analysis::dom::Point;
 use ocelot_hw::energy::{CostModel, Facts, Priced};
 use ocelot_ir::callgraph::CallGraph;
@@ -148,7 +148,7 @@ impl<'p> FeasAnalysis<'p> {
     /// reachable under `edges`.
     pub fn min_to_exit(&self, func: FuncId, from: Point, edges: EdgeSet) -> Option<u64> {
         let f = self.p.func(func);
-        let g = self.graph(func);
+        let g = self.graphs.get(func);
         let suffix = self.range_min(f, from.block, from.index, usize::MAX);
         if g.is_exit(from.block) {
             return Some(suffix);
@@ -219,10 +219,6 @@ impl<'p> FeasAnalysis<'p> {
     // Internals
     // ------------------------------------------------------------------
 
-    fn graph(&self, func: FuncId) -> &BlockGraph {
-        self.graphs.get(func)
-    }
-
     /// The cheapest `dist` over the successors of `b` admissible under
     /// `edges`.
     fn via_succs(
@@ -232,7 +228,7 @@ impl<'p> FeasAnalysis<'p> {
         edges: EdgeSet,
         dist: &[Option<u64>],
     ) -> Option<u64> {
-        let g = self.graph(func);
+        let g = self.graphs.get(func);
         g.cfg
             .succs(b)
             .iter()
@@ -252,7 +248,7 @@ impl<'p> FeasAnalysis<'p> {
         edges: EdgeSet,
         seed: impl Fn(BlockId) -> Option<u64>,
     ) -> Vec<Option<u64>> {
-        let g = self.graph(func);
+        let g = self.graphs.get(func);
         let block_min = &self.block_min[func.0 as usize];
         let mut dist: Vec<Option<u64>> = (0..block_min.len())
             .map(|i| seed(BlockId(i as u32)))

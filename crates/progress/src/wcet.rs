@@ -53,19 +53,6 @@ pub struct WcetAnalysis<'p> {
     /// Each bounded loop's total, indexed `[func][loop]`: it does not
     /// depend on the context the loop is condensed in.
     loop_wcet: Vec<Vec<OnceLock<Result<u64, ProgressError>>>>,
-    /// The longest paths out of each block, indexed `[func][block]`.
-    paths: Vec<Vec<OnceLock<Longest>>>,
-}
-
-/// Longest paths from one block through the loop-condensed DAG of its
-/// loop nest, to every node reachable from it.
-struct Longest {
-    /// `reach[b]`: node `b` is reachable from the start.
-    reach: Vec<bool>,
-    /// `dist[b]`: the cost of the intermediate nodes on the longest path
-    /// to node `b`; the first error met in topological order, or
-    /// irreducible flow, fails every query.
-    dist: Result<Vec<Option<u64>>, ProgressError>,
 }
 
 impl<'p> WcetAnalysis<'p> {
@@ -122,9 +109,6 @@ impl<'p> WcetAnalysis<'p> {
             });
             omega.insert(r.id, r.omega_words);
         }
-        let per_block = |f: &Function| -> Vec<OnceLock<Longest>> {
-            f.blocks.iter().map(|_| OnceLock::new()).collect()
-        };
         let mut this = WcetAnalysis {
             p,
             costs: costs.clone(),
@@ -141,7 +125,6 @@ impl<'p> WcetAnalysis<'p> {
                     (0..loops).map(|_| OnceLock::new()).collect()
                 })
                 .collect(),
-            paths: p.funcs.iter().map(per_block).collect(),
             graphs,
         };
         // Callees before callers, so every call looks up a finished
@@ -288,9 +271,14 @@ impl<'p> WcetAnalysis<'p> {
     // ------------------------------------------------------------------
 
     /// Longest path through the loop-condensed DAG from `from` to `to`,
-    /// summing the full cost of every *intermediate* node. The DAG
-    /// condenses every loop outside `from`'s loop nest; `to` shares the
-    /// nest.
+    /// summing the full cost of every *intermediate* node. Nodes are
+    /// blocks: each block outside the context loops (those containing
+    /// `from`, and `to`) stands for the header of its outermost
+    /// condensed loop. Edges inside one node and back edges into
+    /// context loops (a path between two points of the same iteration
+    /// never takes them) are dropped. Every node reachable from `from`
+    /// is priced, in Kahn order with successors ascending, and the first
+    /// error fails the query.
     fn dag_longest_path(
         &self,
         f: &Function,
@@ -298,31 +286,6 @@ impl<'p> WcetAnalysis<'p> {
         from: BlockId,
         to: BlockId,
     ) -> Result<u64, ProgressError> {
-        let longest =
-            self.paths[f.id.0 as usize][from.0 as usize].get_or_init(|| self.longest(f, g, from));
-        let no_path = || {
-            ProgressError::unsupported(format!(
-                "no forward path between the analyzed points in `{}`",
-                f.name
-            ))
-        };
-        if !longest.reach[to.0 as usize] {
-            return Err(no_path());
-        }
-        match &longest.dist {
-            Ok(dist) => dist[to.0 as usize].ok_or_else(no_path),
-            Err(e) => Err(e.clone()),
-        }
-    }
-
-    /// The longest paths out of `from` (see [`Longest`]). Nodes are
-    /// blocks: each block outside the context loops (those containing
-    /// `from`) stands for the header of its outermost condensed loop.
-    /// Edges inside one node and back edges into context loops (a path
-    /// between two points of the same iteration never takes them) are
-    /// dropped. Node costs are evaluated in Kahn order over the nodes
-    /// reachable from `from`, successors ascending.
-    fn longest(&self, f: &Function, g: &BlockGraph, from: BlockId) -> Longest {
         let forest = &g.loops;
         let ctx = forest.nest(from);
         let n = f.blocks.len();
@@ -365,6 +328,7 @@ impl<'p> WcetAnalysis<'p> {
                 .map(|e| e.1)
         };
 
+        // Restrict to nodes reachable from the start.
         let mut reach = vec![false; n];
         let mut stack = vec![from.0];
         reach[from.0 as usize] = true;
@@ -377,6 +341,15 @@ impl<'p> WcetAnalysis<'p> {
                     stack.push(v);
                 }
             }
+        }
+        let no_path = || {
+            ProgressError::unsupported(format!(
+                "no forward path between the analyzed points in `{}`",
+                f.name
+            ))
+        };
+        if !reach[to.0 as usize] {
+            return Err(no_path());
         }
 
         // Kahn topological order over the reachable subgraph.
@@ -400,10 +373,9 @@ impl<'p> WcetAnalysis<'p> {
             }
         }
         if topo.len() != reached {
-            let dist = Err(ProgressError::Irreducible {
+            return Err(ProgressError::Irreducible {
                 func: f.name.clone(),
             });
-            return Longest { reach, dist };
         }
 
         // Longest-path DP accumulating intermediate-node costs.
@@ -414,15 +386,7 @@ impl<'p> WcetAnalysis<'p> {
             let u_cost = if u == from.0 {
                 0
             } else {
-                match self.node_cost(f, g, ctx, BlockId(u)) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        return Longest {
-                            reach,
-                            dist: Err(e),
-                        }
-                    }
-                }
+                self.node_cost(f, g, ctx, BlockId(u))?
             };
             let cand = du.saturating_add(u_cost);
             for v in succs(u) {
@@ -430,10 +394,7 @@ impl<'p> WcetAnalysis<'p> {
                 *e = (*e).max(cand);
             }
         }
-        Longest {
-            reach,
-            dist: Ok(dist),
-        }
+        dist[to.0 as usize].ok_or_else(no_path)
     }
 
     /// Cost of one condensed node: a condensed loop's bounded total

@@ -33,8 +33,8 @@
 //! `ocelot_analysis::incremental`); without one it verifies from
 //! scratch. `lint` of the exact source text an open document last
 //! verified lints that document's transform output with no parse;
-//! any other text is compiled and transformed from scratch. `run`/`sweep` accept scenario specs (`name` or
-//! `name@seed`) and report the machine's violation/mitigation
+//! any other text is compiled and transformed from scratch.
+//! `run`/`sweep` accept scenario specs (`name` or `name@seed`) and report the machine's violation/mitigation
 //! statistics. They simulate on the compiled
 //! engine unless the request names a `backend`; `"backend": "interp"`
 //! selects the interpreter, the semantics oracle, which answers the
