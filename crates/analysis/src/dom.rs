@@ -167,7 +167,7 @@ impl DomTree {
 /// where control-dependent effects merge (used by the control-dependence
 /// computation in [`crate::taint`] via post-dominators, and exposed for
 /// clients building SSA-style analyses).
-pub fn dominance_frontier(f: &Function, cfg: &Cfg, dom: &DomTree) -> Vec<Vec<BlockId>> {
+pub(crate) fn dominance_frontier(f: &Function, cfg: &Cfg, dom: &DomTree) -> Vec<Vec<BlockId>> {
     let n = f.blocks.len();
     let mut df: Vec<Vec<BlockId>> = vec![Vec::new(); n];
     for b in &f.blocks {
@@ -234,17 +234,6 @@ pub fn point_dominates(dom: &DomTree, a: Point, b: Point) -> bool {
         a.index <= b.index
     } else {
         dom.strictly_dominates(a.block, b.block)
-    }
-}
-
-/// Instruction-granularity post-dominance: `a` post-dominates `b` when
-/// `a`'s block strictly post-dominates `b`'s, or they share a block and
-/// `a` is not before `b`.
-pub fn point_post_dominates(pdom: &DomTree, a: Point, b: Point) -> bool {
-    if a.block == b.block {
-        a.index >= b.index
-    } else {
-        pdom.strictly_dominates(a.block, b.block)
     }
 }
 
@@ -334,20 +323,10 @@ mod tests {
 
     #[test]
     fn point_dominance_within_block_is_index_order() {
-        let (_, dom, pdom) = trees("fn main() { let x = 1; let y = 2; }");
+        let (_, dom, _) = trees("fn main() { let x = 1; let y = 2; }");
         let b = BlockId(0);
         assert!(point_dominates(&dom, Point::new(b, 0), Point::new(b, 1)));
         assert!(!point_dominates(&dom, Point::new(b, 2), Point::new(b, 1)));
-        assert!(point_post_dominates(
-            &pdom,
-            Point::new(b, 2),
-            Point::new(b, 1)
-        ));
-        assert!(!point_post_dominates(
-            &pdom,
-            Point::new(b, 0),
-            Point::new(b, 1)
-        ));
     }
 
     #[test]

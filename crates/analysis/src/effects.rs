@@ -64,7 +64,7 @@ pub fn op_reads(op: &Op) -> BTreeSet<String> {
 /// The local or global scalar directly written by an operation, if any
 /// (array writes report the array base; deref writes report the
 /// parameter).
-pub fn op_write(op: &Op) -> Option<String> {
+pub(crate) fn op_write(op: &Op) -> Option<String> {
     match op {
         Op::Bind { var, .. } | Op::Input { var, .. } => Some(var.clone()),
         Op::Assign { place, .. } => Some(place.base().clone()),
@@ -75,11 +75,11 @@ pub fn op_write(op: &Op) -> Option<String> {
 
 /// Transitive non-volatile global effects of each function.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GlobalEffects {
+pub(crate) struct GlobalEffects {
     /// Globals possibly read (directly or via callees).
-    pub reads: BTreeSet<String>,
+    pub(crate) reads: BTreeSet<String>,
     /// Globals possibly written (directly or via callees).
-    pub writes: BTreeSet<String>,
+    pub(crate) writes: BTreeSet<String>,
 }
 
 /// Computes [`GlobalEffects`] for every function, callees first.
@@ -88,7 +88,7 @@ pub struct GlobalEffects {
 ///
 /// Panics if the call graph is cyclic; run
 /// [`ocelot_ir::validate()`] first.
-pub fn global_effects(p: &Program) -> Vec<GlobalEffects> {
+pub(crate) fn global_effects(p: &Program) -> Vec<GlobalEffects> {
     let cg = CallGraph::new(p);
     let order = cg
         .topo_callees_first(p)

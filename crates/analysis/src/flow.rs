@@ -135,11 +135,6 @@ impl ValueFlow {
         !self.live.contains(&Node::Global(name.to_string()))
     }
 
-    /// True when global `name` provably never stores input-derived data.
-    pub fn global_is_pure(&self, name: &str) -> bool {
-        self.pure_globals.contains(name)
-    }
-
     // ------------------------------------------------------------------
     // Purity (forward)
     // ------------------------------------------------------------------
@@ -632,7 +627,6 @@ mod tests {
             vf.expr_is_pure(f, &Expr::Var("c".into())),
             "pure increments keep a counter global pure"
         );
-        assert!(vf.global_is_pure("c"));
     }
 
     #[test]

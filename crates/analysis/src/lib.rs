@@ -32,21 +32,20 @@
 pub mod chains;
 pub mod dom;
 pub mod effects;
-pub mod flow;
+pub(crate) mod flow;
 pub mod incremental;
 pub mod loops;
-pub mod ssa;
+pub(crate) mod ssa;
 pub mod summary;
 pub mod taint;
 pub mod war;
 
 pub use chains::{static_input_chains, unique_contexts, ChainId, ChainTable};
-pub use dom::{dominance_frontier, point_dominates, point_post_dominates, DomTree, Point};
-pub use effects::{global_effects, GlobalEffects};
+pub use dom::{point_dominates, DomTree, Point};
 pub use flow::ValueFlow;
 pub use incremental::{input_fingerprints, FlowCache, IncrementalStats};
 pub use loops::LoopForest;
-pub use ssa::{analyze_func, FuncSsa, ProgramSsa};
-pub use summary::{build_summaries, FuncSummary};
+pub use ssa::{FuncSsa, ProgramSsa};
+pub use summary::build_summaries;
 pub use taint::{Prov, TaintAnalysis, TaintSet, TaintSource};
 pub use war::{region_effects, whole_function_effects, RegionEffects};

@@ -84,9 +84,9 @@ pub struct FuncSsa {
     /// value, so they are safe to keep volatile.
     pub always_bound: BTreeSet<Ident>,
     /// Locals whose address escapes via `&x` call arguments.
-    pub address_taken: BTreeSet<Ident>,
+    pub(crate) address_taken: BTreeSet<Ident>,
     /// Number of phi nodes the lifting placed (diagnostic surface).
-    pub phis_placed: usize,
+    pub(crate) phis_placed: usize,
 }
 
 /// SSA facts for every function of a program, indexed by `FuncId`.
@@ -107,7 +107,7 @@ impl ProgramSsa {
 }
 
 /// Lifts `f` into SSA and extracts its facts.
-pub fn analyze_func(f: &Function) -> FuncSsa {
+pub(crate) fn analyze_func(f: &Function) -> FuncSsa {
     Builder::new(f).run()
 }
 
@@ -607,7 +607,7 @@ impl<'f> Builder<'f> {
 /// Constant folding with the runtime's exact arithmetic: wrapping
 /// two's-complement ops, division/remainder by zero evaluating to 0,
 /// comparisons and logicals producing 1/0 (non-short-circuit).
-pub fn fold_binop(op: BinOp, a: i64, b: i64) -> i64 {
+pub(crate) fn fold_binop(op: BinOp, a: i64, b: i64) -> i64 {
     match op {
         BinOp::Add => a.wrapping_add(b),
         BinOp::Sub => a.wrapping_sub(b),
@@ -638,7 +638,7 @@ pub fn fold_binop(op: BinOp, a: i64, b: i64) -> i64 {
 }
 
 /// Unary folding matching the runtime (`-` wraps, `!` maps 0 ↔ 1).
-pub fn fold_unop(op: UnOp, v: i64) -> i64 {
+pub(crate) fn fold_unop(op: UnOp, v: i64) -> i64 {
     match op {
         UnOp::Neg => v.wrapping_neg(),
         UnOp::Not => i64::from(v == 0),

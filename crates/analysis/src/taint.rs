@@ -28,7 +28,7 @@
 //!    exactly.
 //! 2. **Context enumeration** — every acyclic chain of call sites from
 //!    `main` to each function.
-//! 3. **Expansion** ([`TaintAnalysis::expand`]) — resolves symbolic
+//! 3. **Expansion** (`TaintAnalysis::expand`) — resolves symbolic
 //!    sources into full chains from `main`, fixpointing the taint stored
 //!    in non-volatile globals across the whole program.
 
@@ -95,9 +95,9 @@ pub struct TaintAnalysis {
     /// Calling contexts per function: each context is the chain of call
     /// sites from `main` (empty for `main` itself). Functions unreachable
     /// from `main` have no contexts.
-    pub contexts: Vec<Vec<Prov>>,
+    pub(crate) contexts: Vec<Vec<Prov>>,
     /// Fixpoint of full-provenance taint stored in each global.
-    pub global_taint: BTreeMap<String, BTreeSet<Prov>>,
+    pub(crate) global_taint: BTreeMap<String, BTreeSet<Prov>>,
 }
 
 impl TaintAnalysis {
@@ -183,7 +183,13 @@ impl TaintAnalysis {
 
     /// Expands a symbolic source observed in function `f` under context
     /// `ctx` into the set of full provenance chains from `main`.
-    pub fn expand(&self, p: &Program, f: FuncId, ctx: &Prov, src: &TaintSource) -> BTreeSet<Prov> {
+    pub(crate) fn expand(
+        &self,
+        p: &Program,
+        f: FuncId,
+        ctx: &Prov,
+        src: &TaintSource,
+    ) -> BTreeSet<Prov> {
         match src {
             TaintSource::Input(suffix) => {
                 let mut chain = ctx.clone();
@@ -218,7 +224,12 @@ impl TaintAnalysis {
     }
 
     /// Expands a whole taint set under every context of `f`.
-    pub fn expand_all_contexts(&self, p: &Program, f: FuncId, taints: &TaintSet) -> BTreeSet<Prov> {
+    pub(crate) fn expand_all_contexts(
+        &self,
+        p: &Program,
+        f: FuncId,
+        taints: &TaintSet,
+    ) -> BTreeSet<Prov> {
         let mut out = BTreeSet::new();
         for ctx in &self.contexts[f.0 as usize] {
             for src in taints {

@@ -24,7 +24,7 @@ pub struct RegionEffects {
     /// (conservatively, the exclusive may-write set).
     pub emw: BTreeSet<String>,
     /// All globals the region may read.
-    pub reads: BTreeSet<String>,
+    pub(crate) reads: BTreeSet<String>,
 }
 
 impl RegionEffects {

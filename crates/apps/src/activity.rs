@@ -105,7 +105,7 @@ fn main() {
 /// Atomics-only variant: sensing + featurization in one region,
 /// classification + counters in another (mirroring TICS's static
 /// checkpoint placement).
-pub const ATOMICS_ONLY: &str = r#"
+pub(crate) const ATOMICS_ONLY: &str = r#"
 sensor accel;
 
 nv stillc = 0;
@@ -201,7 +201,7 @@ fn main() {
 "#;
 
 /// The benchmark descriptor.
-pub fn benchmark() -> Benchmark {
+pub(crate) fn benchmark() -> Benchmark {
     Benchmark {
         name: "activity",
         origin: "TICS",

@@ -72,7 +72,7 @@ fn main() {
 /// program — including every iteration of the dictionary scan — into
 /// regions, even though none of that code needs re-execution for timing
 /// or memory correctness. Each entry pays a volatile checkpoint.
-pub const ATOMICS_ONLY: &str = r#"
+pub(crate) const ATOMICS_ONLY: &str = r#"
 sensor temp;
 
 nv dict[32];
@@ -145,7 +145,7 @@ fn environment(seed: u64) -> Environment {
 }
 
 /// The benchmark descriptor.
-pub fn benchmark() -> Benchmark {
+pub(crate) fn benchmark() -> Benchmark {
     Benchmark {
         name: "cem",
         origin: "DINO",

@@ -91,7 +91,7 @@ fn main() {
 /// Atomics-only variant: the whole sense-and-fuse phase is one manual
 /// region (covering the consistent set's three collections and every
 /// fresh-tilt use), followed by a logging phase and the UART guard.
-pub const ATOMICS_ONLY: &str = r#"
+pub(crate) const ATOMICS_ONLY: &str = r#"
 sensor accel;
 sensor gyro;
 sensor mag;
@@ -218,7 +218,7 @@ fn environment(seed: u64) -> Environment {
 }
 
 /// The benchmark descriptor.
-pub fn benchmark() -> Benchmark {
+pub(crate) fn benchmark() -> Benchmark {
     Benchmark {
         name: "fusion",
         origin: "extension",

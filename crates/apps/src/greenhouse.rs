@@ -75,7 +75,7 @@ fn main() {
 /// Atomics-only variant: the sensing phase and the control/log phase are
 /// manually wrapped whole, mirroring the statically-placed checkpoints
 /// of the TICS original (§7.2).
-pub const ATOMICS_ONLY: &str = r#"
+pub(crate) const ATOMICS_ONLY: &str = r#"
 sensor temp;
 sensor hum;
 
@@ -140,7 +140,7 @@ fn main() {
 "#;
 
 /// The benchmark descriptor.
-pub fn benchmark() -> Benchmark {
+pub(crate) fn benchmark() -> Benchmark {
     Benchmark {
         name: "greenhouse",
         origin: "TICS",

@@ -30,14 +30,14 @@
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod activity;
-pub mod cem;
-pub mod fusion;
-pub mod greenhouse;
-pub mod mlinfer;
-pub mod photo;
-pub mod radiolog;
-pub mod send_photo;
+pub(crate) mod activity;
+pub(crate) mod cem;
+pub(crate) mod fusion;
+pub(crate) mod greenhouse;
+pub(crate) mod mlinfer;
+pub(crate) mod photo;
+pub(crate) mod radiolog;
+pub(crate) mod send_photo;
 pub mod tire;
 
 use ocelot_hw::sensors::Environment;
@@ -61,7 +61,7 @@ pub struct Effort {
     /// scaling rule and a fallback under Samoyed).
     pub samoyed_loops: usize,
     /// Manually-placed regions in the atomics-only variant.
-    pub manual_regions: usize,
+    pub(crate) manual_regions: usize,
 }
 
 /// One benchmark: sources, Table 1 metadata, and effort-model inputs.

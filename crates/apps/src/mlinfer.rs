@@ -92,7 +92,7 @@ fn main() {
 /// Atomics-only variant: window collection + inference + every fresh
 /// use in one manual region, bias adaptation in a second, plus the
 /// UART guard.
-pub const ATOMICS_ONLY: &str = r#"
+pub(crate) const ATOMICS_ONLY: &str = r#"
 sensor mic;
 
 nv events = 0;
@@ -188,7 +188,7 @@ fn environment(seed: u64) -> Environment {
 }
 
 /// The benchmark descriptor.
-pub fn benchmark() -> Benchmark {
+pub(crate) fn benchmark() -> Benchmark {
     Benchmark {
         name: "mlinfer",
         origin: "extension",

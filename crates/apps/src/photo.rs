@@ -42,7 +42,7 @@ fn main() {
 /// region — essentially where the inferred region goes, so the two
 /// configurations track each other closely on this microbenchmark
 /// (Figure 7).
-pub const ATOMICS_ONLY: &str = r#"
+pub(crate) const ATOMICS_ONLY: &str = r#"
 sensor photo;
 
 nv reports = 0;
@@ -72,7 +72,7 @@ fn main() {
 "#;
 
 /// The benchmark descriptor.
-pub fn benchmark() -> Benchmark {
+pub(crate) fn benchmark() -> Benchmark {
     Benchmark {
         name: "photo",
         origin: "Samoyed",

@@ -93,7 +93,7 @@ fn main() {
 /// Atomics-only variant: the sense-decide-send phase (every fresh use
 /// and both collections) is one manual region, the backlog bookkeeping
 /// a second, plus the UART guard.
-pub const ATOMICS_ONLY: &str = r#"
+pub(crate) const ATOMICS_ONLY: &str = r#"
 sensor rssi;
 sensor vcap;
 
@@ -212,7 +212,7 @@ fn environment(seed: u64) -> Environment {
 }
 
 /// The benchmark descriptor.
-pub fn benchmark() -> Benchmark {
+pub(crate) fn benchmark() -> Benchmark {
     Benchmark {
         name: "radiolog",
         origin: "extension",

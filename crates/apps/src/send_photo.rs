@@ -59,7 +59,7 @@ fn main() {
 
 /// Atomics-only variant: sampling through transmission in one manual
 /// region (the Samoyed atomic-function shape).
-pub const ATOMICS_ONLY: &str = r#"
+pub(crate) const ATOMICS_ONLY: &str = r#"
 sensor photo;
 sensor rssi;
 sensor vcap;
@@ -128,7 +128,7 @@ fn environment(seed: u64) -> Environment {
 }
 
 /// The benchmark descriptor.
-pub fn benchmark() -> Benchmark {
+pub(crate) fn benchmark() -> Benchmark {
     Benchmark {
         name: "send_photo",
         origin: "Samoyed",

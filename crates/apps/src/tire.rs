@@ -187,7 +187,7 @@ fn main() {
 /// two overlapping fast-path regions — only the outermost bounds execute,
 /// so the region is entered once, making this variant slightly *faster*
 /// than Ocelot on this app (Figure 7's tire anomaly).
-pub const ATOMICS_ONLY: &str = r#"
+pub(crate) const ATOMICS_ONLY: &str = r#"
 sensor tirepres;
 sensor tiretemp;
 sensor wheelacc;
@@ -363,7 +363,7 @@ fn environment(seed: u64) -> Environment {
 }
 
 /// The benchmark descriptor.
-pub fn benchmark() -> Benchmark {
+pub(crate) fn benchmark() -> Benchmark {
     Benchmark {
         name: "tire",
         origin: "Ocelot",

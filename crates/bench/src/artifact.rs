@@ -38,7 +38,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Version written to and required from every artifact.
-pub const SCHEMA_VERSION: i128 = 1;
+pub(crate) const SCHEMA_VERSION: i128 = 1;
 
 /// One driver's persisted results.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,7 +46,7 @@ pub struct Artifact {
     /// The driver that produced (and can render) this artifact.
     pub driver: String,
     /// Sweep parameters, for provenance and captions.
-    pub config: Vec<(String, Json)>,
+    pub(crate) config: Vec<(String, Json)>,
     /// One object per cell, in deterministic (job-list) order.
     pub cells: Vec<Json>,
 }
@@ -79,7 +79,7 @@ impl ArtifactError {
     /// replay diagnostic for a truncated file or an unknown schema
     /// version names the file it came from. I/O errors already carry
     /// their path.
-    pub fn in_file(self, path: &Path) -> ArtifactError {
+    pub(crate) fn in_file(self, path: &Path) -> ArtifactError {
         match self {
             ArtifactError::Io(..) => self,
             ArtifactError::Json(e) => {
@@ -118,14 +118,14 @@ impl Artifact {
     /// # Errors
     ///
     /// [`ArtifactError::Schema`] when missing or not an integer.
-    pub fn config_u64(&self, key: &str) -> Result<u64, ArtifactError> {
+    pub(crate) fn config_u64(&self, key: &str) -> Result<u64, ArtifactError> {
         self.config_get(key)
             .and_then(Json::as_u64)
             .ok_or_else(|| ArtifactError::Schema(format!("config `{key}` missing or not a u64")))
     }
 
     /// The whole artifact as a JSON value (the envelope above).
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj(vec![
             ("schema_version", Json::Int(SCHEMA_VERSION)),
             ("driver", Json::str(&self.driver)),
@@ -148,7 +148,7 @@ impl Artifact {
     /// # Errors
     ///
     /// [`ArtifactError::Schema`] on version or shape mismatches.
-    pub fn from_json(v: &Json) -> Result<Artifact, ArtifactError> {
+    pub(crate) fn from_json(v: &Json) -> Result<Artifact, ArtifactError> {
         let version = v
             .get("schema_version")
             .and_then(Json::as_i64)
@@ -184,7 +184,7 @@ impl Artifact {
     ///
     /// # Errors
     ///
-    /// JSON or schema errors as for [`Artifact::from_json`].
+    /// JSON or schema errors as for `Artifact::from_json`.
     pub fn from_text(text: &str) -> Result<Artifact, ArtifactError> {
         Self::from_json(&json::parse(text)?)
     }
@@ -200,7 +200,7 @@ impl Artifact {
     /// # Errors
     ///
     /// I/O failures, or serializer errors on non-finite floats.
-    pub fn save(&self, dir: &Path) -> Result<PathBuf, ArtifactError> {
+    pub(crate) fn save(&self, dir: &Path) -> Result<PathBuf, ArtifactError> {
         std::fs::create_dir_all(dir)
             .map_err(|e| ArtifactError::Io(dir.display().to_string(), e))?;
         let path = Self::path_in(dir, &self.driver);

@@ -25,38 +25,38 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 /// Directory artifacts land in when `--out` is not given.
-pub const DEFAULT_OUT_DIR: &str = "target/bench-results";
+pub(crate) const DEFAULT_OUT_DIR: &str = "target/bench-results";
 
 /// Parsed driver flags.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchArgs {
     /// Worker threads (`--jobs`, default: available parallelism).
-    pub jobs: usize,
-    /// Artifact directory (`--out`, default [`DEFAULT_OUT_DIR`]).
-    pub out: PathBuf,
+    pub(crate) jobs: usize,
+    /// Artifact directory (`--out`, default `DEFAULT_OUT_DIR`).
+    pub(crate) out: PathBuf,
     /// Render from the persisted artifact instead of simulating.
-    pub replay: bool,
+    pub(crate) replay: bool,
     /// Scale override (`--runs`; seconds for duration-based drivers).
-    pub runs: Option<u64>,
+    pub(crate) runs: Option<u64>,
     /// Seed override (`--seed`).
-    pub seed: Option<u64>,
+    pub(crate) seed: Option<u64>,
     /// Execution backend for simulated cells (`--backend`, default
     /// `interp`).
     pub backend: ExecBackend,
     /// Persist (or, with `--replay`, re-render) raw observation traces.
-    pub traces: bool,
+    pub(crate) traces: bool,
     /// Record telemetry spans and write a Chrome `trace_event` JSON
     /// file here (`--trace-out`). Never touches the artifact.
-    pub trace_out: Option<PathBuf>,
+    pub(crate) trace_out: Option<PathBuf>,
     /// Count telemetry metrics and print the sorted snapshot after the
     /// rendered output (`--metrics`). Never touches the artifact.
-    pub metrics: bool,
+    pub(crate) metrics: bool,
     /// Collect even when the static lint pre-flight proves the driver's
     /// program infeasible under its scenario distribution (`--force`;
     /// fleet driver only — other drivers have no pre-flight).
-    pub force: bool,
+    pub(crate) force: bool,
     /// `--help` was requested.
-    pub help: bool,
+    pub(crate) help: bool,
     /// Which simulation-shaping flags were passed explicitly — replay
     /// cross-checks these against the artifact's recorded config instead
     /// of silently ignoring them.

@@ -29,7 +29,7 @@ use ocelot_telemetry::json::Json;
 // ---------------------------------------------------------------------
 
 /// §5.3/§8 ablation: inferred vs whole-`main` regions.
-pub static ABLATION_REGION_SIZE: Driver = Driver {
+pub(crate) static ABLATION_REGION_SIZE: Driver = Driver {
     name: "ablation_region_size",
     about: "ablation: smallest-region inference vs whole-main regions (§5.3, §8)",
     collect: collect_ablation,
@@ -175,7 +175,7 @@ fn render_ablation(a: &Artifact) -> Result<String, ArtifactError> {
 // ---------------------------------------------------------------------
 
 /// §5.3/§10 forward-progress report for all six benchmarks.
-pub static PROGRESS_REPORT: Driver = Driver {
+pub(crate) static PROGRESS_REPORT: Driver = Driver {
     name: "progress_report",
     about: "forward-progress report: worst-case region energy vs buffer (§5.3, §10)",
     collect: collect_progress,
@@ -280,7 +280,7 @@ fn render_progress(a: &Artifact) -> Result<String, ArtifactError> {
 // ---------------------------------------------------------------------
 
 /// §7.4/§9 Samoyed scaling/fallback sweep on the photo kernel.
-pub static SAMOYED_SCALING: Driver = Driver {
+pub(crate) static SAMOYED_SCALING: Driver = Driver {
     name: "samoyed_scaling",
     about: "Samoyed scaling rules and fallbacks vs Ocelot fixed regions (§7.4, §9)",
     collect: collect_samoyed,

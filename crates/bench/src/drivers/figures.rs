@@ -12,7 +12,7 @@ use ocelot_runtime::model::ExecModel;
 use ocelot_telemetry::json::Json;
 
 /// Figure 7 — continuous-power runtimes normalized to JIT.
-pub static FIG7: Driver = Driver {
+pub(crate) static FIG7: Driver = Driver {
     name: "fig7",
     about: "Figure 7: continuous-power runtimes (JIT / Atomics-only / Ocelot)",
     collect: collect_fig7,
@@ -84,7 +84,7 @@ fn render_fig7(a: &Artifact) -> Result<String, ArtifactError> {
 }
 
 /// Figure 8 — intermittent runtimes normalized to continuous JIT.
-pub static FIG8: Driver = Driver {
+pub(crate) static FIG8: Driver = Driver {
     name: "fig8",
     about: "Figure 8: intermittent runtimes with charging time, vs continuous JIT",
     collect: collect_fig8,
@@ -190,7 +190,7 @@ fn render_fig8(a: &Artifact) -> Result<String, ArtifactError> {
 }
 
 /// Extension: per-category active-cycle breakdown on harvested power.
-pub static ENERGY_BREAKDOWN: Driver = Driver {
+pub(crate) static ENERGY_BREAKDOWN: Driver = Driver {
     name: "energy_breakdown",
     about: "extension: per-category active-cycle breakdown behind Figures 7/8",
     collect: collect_energy,

@@ -17,7 +17,7 @@ use ocelot_runtime::model::ExecModel;
 const DEFAULT_DEVICES: u64 = 1_800;
 
 /// The fleet sweep driver.
-pub static FLEET: Driver = Driver {
+pub(crate) static FLEET: Driver = Driver {
     name: "fleet",
     about: "extension: fleet-scale device sweep on one shared compiled program",
     collect,

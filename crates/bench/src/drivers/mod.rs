@@ -20,7 +20,6 @@ mod figures;
 mod fleet;
 mod runtime_tables;
 mod scenarios;
-pub mod serve;
 mod tables;
 mod tics;
 
@@ -75,14 +74,14 @@ impl DriverOpts {
 
 /// A traced collection: one simulated pass producing the result
 /// artifact and its `<name>_traces` companion.
-pub type CollectTraced = fn(&DriverOpts) -> (Artifact, Artifact);
+pub(crate) type CollectTraced = fn(&DriverOpts) -> (Artifact, Artifact);
 
 /// One registered driver.
 pub struct Driver {
     /// Registry name — also the binary name and the artifact file stem.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// One-line description for `--list` output.
-    pub about: &'static str,
+    pub(crate) about: &'static str,
     /// Runs the sweep and packs a persistable artifact.
     pub collect: fn(&DriverOpts) -> Artifact,
     /// Renders the table/figure purely from a (possibly reloaded)
@@ -98,7 +97,7 @@ pub struct Driver {
 
 /// Every driver, in the order the paper presents its artifacts (the
 /// extension sweeps follow).
-pub fn all() -> [&'static Driver; 16] {
+pub fn all() -> [&'static Driver; 15] {
     [
         &tables::TABLE1,
         &figures::FIG7,
@@ -115,7 +114,6 @@ pub fn all() -> [&'static Driver; 16] {
         &figures::ENERGY_BREAKDOWN,
         &scenarios::SCENARIO_SWEEP,
         &fleet::FLEET,
-        &serve::SERVE,
     ]
 }
 
@@ -356,7 +354,7 @@ mod tests {
     #[test]
     fn registry_names_are_unique_and_resolvable() {
         let names: Vec<&str> = all().iter().map(|d| d.name).collect();
-        assert_eq!(names.len(), 16, "all sixteen drivers registered");
+        assert_eq!(names.len(), 15, "all fifteen drivers registered");
         for n in &names {
             assert!(by_name(n).is_some());
             assert_eq!(

@@ -29,7 +29,7 @@ fn header() -> Vec<&'static str> {
 }
 
 /// Table 2(a) — violations under pathological power-failure points.
-pub static TABLE2A: Driver = Driver {
+pub(crate) static TABLE2A: Driver = Driver {
     name: "table2a",
     about: "Table 2(a): violating % with pathological power-failure points",
     collect: collect_table2a,
@@ -89,7 +89,7 @@ fn render_table2a(a: &Artifact) -> Result<String, ArtifactError> {
 }
 
 /// Table 2(b) — violations on simulated harvested power.
-pub static TABLE2B: Driver = Driver {
+pub(crate) static TABLE2B: Driver = Driver {
     name: "table2b",
     about: "Table 2(b): violating % on intermittent power (fixed simulated budget)",
     collect: collect_table2b,

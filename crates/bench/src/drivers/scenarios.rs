@@ -23,7 +23,7 @@ const MODELS: [ExecModel; 2] = [ExecModel::Jit, ExecModel::Ocelot];
 const SEEDS_PER_CELL: u64 = 2;
 
 /// Extension: the app × scenario × seed grid.
-pub static SCENARIO_SWEEP: Driver = Driver {
+pub(crate) static SCENARIO_SWEEP: Driver = Driver {
     name: "scenario_sweep",
     about: "extension: app × scenario × seed sweep across the scenario library",
     collect: collect_sweep,

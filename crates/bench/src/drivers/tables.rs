@@ -11,7 +11,7 @@ use crate::report::Table;
 use ocelot_telemetry::json::Json;
 
 /// Table 1 — benchmark characteristics.
-pub static TABLE1: Driver = Driver {
+pub(crate) static TABLE1: Driver = Driver {
     name: "table1",
     about: "Table 1: benchmark characteristics (origin, LoC, sensors, constraints)",
     collect: collect_table1,
@@ -61,7 +61,7 @@ fn render_table1(a: &Artifact) -> Result<String, ArtifactError> {
 }
 
 /// Table 3 — strategy/constructs comparison.
-pub static TABLE3: Driver = Driver {
+pub(crate) static TABLE3: Driver = Driver {
     name: "table3",
     about: "Table 3: what each system asks of the programmer (LoC formulas)",
     collect: collect_table3,
@@ -133,7 +133,7 @@ fn render_table3(a: &Artifact) -> Result<String, ArtifactError> {
 }
 
 /// Table 4 — LoC changes per benchmark per system.
-pub static TABLE4: Driver = Driver {
+pub(crate) static TABLE4: Driver = Driver {
     name: "table4",
     about: "Table 4: LoC changes to enable correct execution per system",
     collect: collect_table4,

@@ -17,7 +17,7 @@ use ocelot_telemetry::json::Json;
 
 /// §2.3 extension: expiry windows scored against the freshness
 /// definition on recorded traces.
-pub static TICS_EXPIRY: Driver = Driver {
+pub(crate) static TICS_EXPIRY: Driver = Driver {
     name: "tics_expiry",
     about: "extension: TICS-style expiry windows vs the freshness definition (§2.3)",
     collect: collect_expiry,
@@ -136,7 +136,7 @@ fn render_expiry(a: &Artifact) -> Result<String, ArtifactError> {
 
 /// §2.3 dynamic comparison: live expiry windows with restart mitigation
 /// vs JIT and Ocelot on harvested power.
-pub static TICS_DYNAMIC: Driver = Driver {
+pub(crate) static TICS_DYNAMIC: Driver = Driver {
     name: "tics_dynamic",
     about: "dynamic TICS expiry windows vs JIT and Ocelot on harvested power (§2.3)",
     collect: collect_dynamic,

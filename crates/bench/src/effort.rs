@@ -10,27 +10,15 @@ use ocelot_apps::Effort;
 /// LoC to use Ocelot: one annotation per input-generating function plus
 /// one per constrained datum (`1*(num inputs) + 1*(data with
 /// constraint)`).
-pub fn ocelot_loc(e: &Effort) -> usize {
+pub(crate) fn ocelot_loc(e: &Effort) -> usize {
     e.input_fns + e.fresh_data + e.consistent_data
-}
-
-/// LoC to use JIT checkpointing alone: nothing to write, nothing
-/// enforced.
-pub fn jit_loc(_e: &Effort) -> usize {
-    0
-}
-
-/// LoC to place atomic regions manually: annotate inputs plus two lines
-/// (start/end) per region (`1*(num inputs) + 2*(num atomic regions)`).
-pub fn atomics_loc(e: &Effort) -> usize {
-    e.input_fns + 2 * e.manual_regions
 }
 
 /// LoC to use TICS: each fresh datum needs an expiry, a timestamp
 /// alignment, and an expiration check (3 LoC) plus a ~5-line handler;
 /// each consistent datum needs an expiry and an alignment (2 LoC); each
 /// consistent set needs one expiration check plus one ~5-line handler.
-pub fn tics_loc(e: &Effort) -> usize {
+pub(crate) fn tics_loc(e: &Effort) -> usize {
     const HANDLER_LOC: usize = 5;
     e.fresh_data * (3 + HANDLER_LOC) + e.consistent_data * 2 + e.consistent_sets * (1 + HANDLER_LOC)
 }
@@ -39,26 +27,26 @@ pub fn tics_loc(e: &Effort) -> usize {
 /// (signature + call site) plus one per parameter; functions containing
 /// loops also need a scaling rule (3 LoC) and a software fallback
 /// (5 LoC).
-pub fn samoyed_loc(e: &Effort) -> usize {
+pub(crate) fn samoyed_loc(e: &Effort) -> usize {
     let fns: usize = e.samoyed_fn_params.iter().map(|p| 3 + p).sum();
     fns + e.samoyed_loops * (3 + 5)
 }
 
 /// One row of Table 4.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EffortRow {
+pub(crate) struct EffortRow {
     /// Benchmark name.
-    pub bench: &'static str,
+    pub(crate) bench: &'static str,
     /// Ocelot LoC changes.
-    pub ocelot: usize,
+    pub(crate) ocelot: usize,
     /// TICS LoC changes.
-    pub tics: usize,
+    pub(crate) tics: usize,
     /// Samoyed LoC changes.
-    pub samoyed: usize,
+    pub(crate) samoyed: usize,
 }
 
 /// Computes Table 4 for all benchmarks.
-pub fn table4() -> Vec<EffortRow> {
+pub(crate) fn table4() -> Vec<EffortRow> {
     ocelot_apps::all()
         .into_iter()
         .map(|b| EffortRow {
@@ -106,13 +94,5 @@ mod tests {
         let total_ocelot: usize = rows.iter().map(|r| r.ocelot).sum();
         let total_samoyed: usize = rows.iter().map(|r| r.samoyed).sum();
         assert!(total_ocelot < total_samoyed);
-    }
-
-    #[test]
-    fn jit_is_free_and_atomics_scale_with_regions() {
-        for b in ocelot_apps::all() {
-            assert_eq!(jit_loc(&b.effort), 0);
-            assert!(atomics_loc(&b.effort) >= 2 * b.effort.manual_regions);
-        }
     }
 }

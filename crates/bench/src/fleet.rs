@@ -32,6 +32,7 @@ use ocelot_runtime::stats::{stats_to_json, Stats};
 use ocelot_runtime::{ExecBackend, OptLevel, MAX_STEPS};
 use ocelot_scenario::Scenario;
 use ocelot_telemetry::json::Json;
+use ocelot_telemetry::{Histogram, HIST_BUCKETS};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -107,14 +108,12 @@ impl Default for FleetOpts {
     }
 }
 
-pub use ocelot_telemetry::{Histogram, HIST_BUCKETS};
-
 /// Artifact (de)serialization for the shared telemetry [`Histogram`].
 /// The histogram itself was generalized into `ocelot-telemetry` (a
 /// dependency leaf with no JSON layer), so its schema-v1 encoding —
 /// the raw 65-bucket array, unchanged since the fleet driver introduced
 /// it — lives here with the rest of the artifact schema.
-pub trait HistogramJson: Sized {
+pub(crate) trait HistogramJson: Sized {
     /// The histogram as a JSON array of bucket counts.
     fn to_json(&self) -> Json;
 
@@ -384,12 +383,12 @@ pub fn run_fleet(spec: &FleetSpec, opts: FleetOpts) -> Vec<FleetAggregate> {
 /// Default device count for `ocelotc fleet`. With
 /// [`DEFAULT_FLEET_RUNS`] runs per device this is the acceptance-scale
 /// sweep: 1M device-runs across the scenario registry.
-pub const DEFAULT_FLEET_DEVICES: u64 = 200_000;
+pub(crate) const DEFAULT_FLEET_DEVICES: u64 = 200_000;
 
 /// Default program runs per device for `ocelotc fleet` — enough that
 /// devices outlive their initial bank charge, so the reboot histograms
 /// and charge-time columns show each scenario's character.
-pub const DEFAULT_FLEET_RUNS: u64 = 5;
+pub(crate) const DEFAULT_FLEET_RUNS: u64 = 5;
 
 struct FleetArgs {
     app: String,

@@ -92,7 +92,7 @@ pub fn build_for(bench: &Benchmark, model: ExecModel) -> Built {
 ///
 /// Panics if `src` has no `fn main()` or fails to compile after
 /// wrapping (the apps' uniform formatting guarantees both).
-pub fn whole_main_variant(src: &str) -> ocelot_ir::Program {
+pub(crate) fn whole_main_variant(src: &str) -> ocelot_ir::Program {
     let marker = "fn main() {";
     let start = src.rfind(marker).expect("main exists") + marker.len();
     let end = src.trim_end().rfind('}').expect("closing brace");
@@ -103,100 +103,6 @@ pub fn whole_main_variant(src: &str) -> ocelot_ir::Program {
     out.push_str("}\n");
     out.push_str(&src[end..]);
     ocelot_ir::compile(&out).expect("wrapped source compiles")
-}
-
-fn machine<'a>(
-    bench: &Benchmark,
-    built: &'a Built,
-    supply: Box<dyn PowerSupply>,
-    seed: u64,
-    backend: ExecBackend,
-) -> Machine<'a> {
-    Machine::new(
-        &built.program,
-        &built.regions,
-        built.policies.clone(),
-        bench.environment(seed),
-        calibrated_costs(bench),
-        supply,
-    )
-    .with_backend(backend)
-}
-
-/// Runs `runs` back-to-back executions on continuous power (Figure 7's
-/// configuration) and returns the accumulated stats.
-pub fn run_continuous(
-    bench: &Benchmark,
-    built: &Built,
-    runs: u64,
-    seed: u64,
-    backend: ExecBackend,
-) -> Stats {
-    let mut m = machine(bench, built, Box::new(ContinuousPower), seed, backend);
-    for _ in 0..runs {
-        let out = m.run_once(MAX_STEPS);
-        assert!(
-            matches!(out, RunOutcome::Completed { .. }),
-            "{} did not complete on continuous power",
-            bench.name
-        );
-    }
-    m.stats().clone()
-}
-
-/// Runs `runs` executions on harvested intermittent power (Figure 8's
-/// configuration).
-pub fn run_intermittent(
-    bench: &Benchmark,
-    built: &Built,
-    runs: u64,
-    seed: u64,
-    backend: ExecBackend,
-) -> Stats {
-    let mut m = machine(bench, built, Box::new(bench_supply(seed)), seed, backend);
-    for _ in 0..runs {
-        let out = m.run_once(MAX_STEPS);
-        assert!(
-            matches!(out, RunOutcome::Completed { .. }),
-            "{} did not complete on intermittent power",
-            bench.name
-        );
-    }
-    m.stats().clone()
-}
-
-/// Runs repeatedly for `sim_duration_us` of simulated wall-clock time on
-/// harvested power, the Table 2(b) methodology, returning the stats
-/// (runs completed, runs violating).
-pub fn run_for_duration(
-    bench: &Benchmark,
-    built: &Built,
-    sim_duration_us: u64,
-    seed: u64,
-    backend: ExecBackend,
-) -> Stats {
-    let mut m = machine(bench, built, Box::new(bench_supply(seed)), seed, backend);
-    m.run_for(sim_duration_us, MAX_STEPS);
-    m.stats().clone()
-}
-
-/// Runs `runs` executions with pathological failures injected at the
-/// policy-critical points (§7.3, Table 2(a)).
-pub fn run_pathological(
-    bench: &Benchmark,
-    built: &Built,
-    runs: u64,
-    seed: u64,
-    backend: ExecBackend,
-) -> Stats {
-    let targets = pathological_targets(&built.policies);
-    let mut m =
-        machine(bench, built, Box::new(ContinuousPower), seed, backend).with_injector(targets);
-    for _ in 0..runs {
-        let out = m.run_once(MAX_STEPS);
-        assert!(matches!(out, RunOutcome::Completed { .. }));
-    }
-    m.stats().clone()
 }
 
 /// How one cell exercises its machine — the four measurement modes the
@@ -241,21 +147,21 @@ pub enum Workload {
 #[derive(Debug, Clone)]
 pub struct CellSpec {
     /// Benchmark name (resolved via [`ocelot_apps::by_name`]).
-    pub bench: String,
+    pub(crate) bench: String,
     /// Execution model to build.
-    pub model: ExecModel,
+    pub(crate) model: ExecModel,
     /// Environment/harvester seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Measurement mode.
-    pub workload: Workload,
+    pub(crate) workload: Workload,
     /// When set, attach a TICS-style expiry window of this many µs
     /// (with restart mitigation) to the machine.
-    pub expiry_window_us: Option<u64>,
+    pub(crate) expiry_window_us: Option<u64>,
     /// Execution engine the cell's machine runs on. Backends are
     /// observationally identical (the differential suite holds them to
     /// the same stats), so this only changes how fast the cell
     /// simulates — but artifacts record it for provenance.
-    pub backend: ExecBackend,
+    pub(crate) backend: ExecBackend,
     /// When set, the cell's environment and power supply come from this
     /// scenario (an [`ocelot_scenario::parse`] spec, reseeded with the
     /// cell seed) instead of the benchmark's default world and the
@@ -263,7 +169,7 @@ pub struct CellSpec {
     /// a harsh regime legitimately starves runs — and
     /// [`Workload::Pathological`] keeps continuous power so the
     /// injector's targeted failures stay the only failures.
-    pub scenario: Option<String>,
+    pub(crate) scenario: Option<String>,
 }
 
 impl CellSpec {
@@ -281,13 +187,13 @@ impl CellSpec {
     }
 
     /// Selects the execution backend (builder-style).
-    pub fn with_backend(mut self, backend: ExecBackend) -> Self {
+    pub(crate) fn with_backend(mut self, backend: ExecBackend) -> Self {
         self.backend = backend;
         self
     }
 
     /// Binds the cell to a named scenario (builder-style).
-    pub fn with_scenario(mut self, scenario: &str) -> Self {
+    pub(crate) fn with_scenario(mut self, scenario: &str) -> Self {
         self.scenario = Some(scenario.to_string());
         self
     }
@@ -297,11 +203,11 @@ impl CellSpec {
 /// committed observation trace (for `--traces` artifacts and the
 /// backend-differential suites).
 #[derive(Debug, Clone, PartialEq)]
-pub struct CellRun {
+pub(crate) struct CellRun {
     /// Accumulated statistics, as [`run_cell`] returns.
-    pub stats: Stats,
+    pub(crate) stats: Stats,
     /// The committed [`Obs`] trace of every run of the cell.
-    pub trace: Vec<Obs>,
+    pub(crate) trace: Vec<Obs>,
 }
 
 /// Runs one cell to completion and returns its stats *and* committed
@@ -310,9 +216,8 @@ pub struct CellRun {
 /// # Panics
 ///
 /// Panics if the benchmark or scenario name is unknown, the build
-/// fails, or an asserting workload fails to complete — the same
-/// failures the serial harness helpers raise.
-pub fn run_cell_full(spec: &CellSpec) -> CellRun {
+/// fails, or an asserting workload fails to complete.
+pub(crate) fn run_cell_full(spec: &CellSpec) -> CellRun {
     let b = ocelot_apps::by_name(&spec.bench)
         .unwrap_or_else(|| panic!("unknown benchmark `{}`", spec.bench));
     let built = build_for(&b, spec.model);
@@ -388,7 +293,7 @@ pub fn run_cell_full(spec: &CellSpec) -> CellRun {
 ///
 /// # Panics
 ///
-/// As for [`run_cell_full`].
+/// As for `run_cell_full`.
 pub fn run_cell(spec: &CellSpec) -> Stats {
     run_cell_full(spec).stats
 }
@@ -405,7 +310,7 @@ pub fn run_cells(specs: &[CellSpec], jobs: usize) -> Vec<Stats> {
 
 /// As [`run_cells`], but keeping each cell's observation trace — the
 /// `--traces` collection path.
-pub fn run_cells_full(specs: &[CellSpec], jobs: usize) -> Vec<CellRun> {
+pub(crate) fn run_cells_full(specs: &[CellSpec], jobs: usize) -> Vec<CellRun> {
     let work: Vec<Job<'_, CellRun>> = specs
         .iter()
         .map(|spec| Box::new(move || run_cell_full(spec)) as Job<'_, CellRun>)
@@ -417,12 +322,15 @@ pub fn run_cells_full(specs: &[CellSpec], jobs: usize) -> Vec<CellRun> {
 mod tests {
     use super::*;
 
+    fn cell(bench: &str, model: ExecModel, seed: u64, workload: Workload) -> Stats {
+        run_cell(&CellSpec::new(bench, model, seed, workload))
+    }
+
     #[test]
     fn continuous_runs_complete_for_all_models() {
         for b in ocelot_apps::all() {
             for model in [ExecModel::Jit, ExecModel::Ocelot, ExecModel::AtomicsOnly] {
-                let built = build_for(&b, model);
-                let s = run_continuous(&b, &built, 2, 7, ExecBackend::Interp);
+                let s = cell(b.name, model, 7, Workload::Continuous { runs: 2 });
                 assert_eq!(s.runs_completed, 2, "{} {:?}", b.name, model);
                 assert_eq!(s.reboots, 0, "continuous power never fails");
             }
@@ -431,21 +339,9 @@ mod tests {
 
     #[test]
     fn ocelot_overhead_is_small_but_nonzero() {
-        let b = ocelot_apps::by_name("greenhouse").unwrap();
-        let jit = run_continuous(
-            &b,
-            &build_for(&b, ExecModel::Jit),
-            10,
-            7,
-            ExecBackend::Interp,
-        );
-        let oce = run_continuous(
-            &b,
-            &build_for(&b, ExecModel::Ocelot),
-            10,
-            7,
-            ExecBackend::Interp,
-        );
+        let runs = Workload::Continuous { runs: 10 };
+        let jit = cell("greenhouse", ExecModel::Jit, 7, runs);
+        let oce = cell("greenhouse", ExecModel::Ocelot, 7, runs);
         let ratio = oce.on_cycles as f64 / jit.on_cycles as f64;
         assert!(ratio > 1.0, "regions cost something: {ratio}");
         assert!(ratio < 1.3, "but not much: {ratio}");
@@ -454,45 +350,20 @@ mod tests {
     #[test]
     fn pathological_violates_jit_not_ocelot() {
         for b in ocelot_apps::all() {
-            let jit = build_for(&b, ExecModel::Jit);
-            let s = run_pathological(&b, &jit, 3, 9, ExecBackend::Interp);
+            let runs = Workload::Pathological { runs: 3 };
+            let s = cell(b.name, ExecModel::Jit, 9, runs);
             assert!(
                 s.runs_with_violation > 0,
                 "{}: JIT must violate under targeted failures",
                 b.name
             );
-            let oce = build_for(&b, ExecModel::Ocelot);
-            let s = run_pathological(&b, &oce, 3, 9, ExecBackend::Interp);
+            let s = cell(b.name, ExecModel::Ocelot, 9, runs);
             assert_eq!(
                 s.runs_with_violation, 0,
                 "{}: Ocelot must survive targeted failures",
                 b.name
             );
         }
-    }
-
-    #[test]
-    fn cells_reproduce_the_serial_helpers() {
-        let b = ocelot_apps::by_name("greenhouse").unwrap();
-        let built = build_for(&b, ExecModel::Ocelot);
-        let serial = run_continuous(&b, &built, 3, 7, ExecBackend::Interp);
-        let cell = run_cell(&CellSpec::new(
-            "greenhouse",
-            ExecModel::Ocelot,
-            7,
-            Workload::Continuous { runs: 3 },
-        ));
-        assert_eq!(serial, cell);
-        // Harvested (non-asserting) matches run_intermittent when runs
-        // do complete.
-        let serial = run_intermittent(&b, &built, 2, 7, ExecBackend::Interp);
-        let cell = run_cell(&CellSpec::new(
-            "greenhouse",
-            ExecModel::Ocelot,
-            7,
-            Workload::Harvested { runs: 2 },
-        ));
-        assert_eq!(serial, cell);
     }
 
     #[test]
@@ -533,15 +404,14 @@ mod tests {
         // workloads: targeted failures at policy-critical points break
         // JIT and never break Ocelot.
         for b in ocelot_apps::extended() {
-            let jit = build_for(&b, ExecModel::Jit);
-            let s = run_pathological(&b, &jit, 3, 9, ExecBackend::Interp);
+            let runs = Workload::Pathological { runs: 3 };
+            let s = cell(b.name, ExecModel::Jit, 9, runs);
             assert!(
                 s.runs_with_violation > 0,
                 "{}: JIT must violate under targeted failures",
                 b.name
             );
-            let oce = build_for(&b, ExecModel::Ocelot);
-            let s = run_pathological(&b, &oce, 3, 9, ExecBackend::Interp);
+            let s = cell(b.name, ExecModel::Ocelot, 9, runs);
             assert_eq!(
                 s.runs_with_violation, 0,
                 "{}: Ocelot must survive targeted failures",
@@ -628,9 +498,12 @@ mod tests {
 
     #[test]
     fn intermittent_power_charges_most_of_the_time() {
-        let b = ocelot_apps::by_name("photo").unwrap();
-        let built = build_for(&b, ExecModel::Ocelot);
-        let s = run_intermittent(&b, &built, 5, 3, ExecBackend::Interp);
+        let s = cell(
+            "photo",
+            ExecModel::Ocelot,
+            3,
+            Workload::Intermittent { runs: 5 },
+        );
         assert!(s.reboots > 0, "harvested power must fail");
         assert!(
             s.off_time_us > s.on_time_us,

@@ -22,7 +22,6 @@
 //! | `energy_breakdown` | per-category cycle accounting behind Figures 7/8 |
 //! | `scenario_sweep` | extension — app × scenario × seed grid over the `ocelot-scenario` library |
 //! | `fleet` | extension — fleet-scale device sweep on one shared compiled program |
-//! | `serve` | extension — incremental re-verification latency over a recorded edit trace |
 //!
 //! Every driver accepts `--jobs N` (shard the sweep across the
 //! work-stealing [`ocelot_runtime::pool`]), `--out DIR` (persist a
@@ -39,11 +38,11 @@
 pub mod artifact;
 pub mod cli;
 pub mod drivers;
-pub mod effort;
+pub(crate) mod effort;
 pub mod fleet;
 pub mod genprog;
 pub mod harness;
-pub mod report;
+pub(crate) mod report;
 pub mod taint_ref;
 pub mod traces;
 

@@ -2,7 +2,7 @@
 //! figure/table harness binaries.
 
 /// Geometric mean of positive values; 0 for empty input.
-pub fn gmean(values: &[f64]) -> f64 {
+pub(crate) fn gmean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
@@ -12,14 +12,14 @@ pub fn gmean(values: &[f64]) -> f64 {
 
 /// A simple fixed-width text table.
 #[derive(Debug, Clone, Default)]
-pub struct Table {
+pub(crate) struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// Creates a table with the given column headers.
-    pub fn new(header: &[&str]) -> Self {
+    pub(crate) fn new(header: &[&str]) -> Self {
         Table {
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
@@ -31,7 +31,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics on column-count mismatch.
-    pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
+    pub(crate) fn row(&mut self, cells: Vec<String>) -> &mut Self {
         assert_eq!(cells.len(), self.header.len(), "column count mismatch");
         self.rows.push(cells);
         self
@@ -76,12 +76,12 @@ impl Table {
 }
 
 /// Formats a ratio like `1.07x`.
-pub fn ratio(v: f64) -> String {
+pub(crate) fn ratio(v: f64) -> String {
     format!("{v:.2}x")
 }
 
 /// Formats a percentage like `77%`.
-pub fn pct(v: f64) -> String {
+pub(crate) fn pct(v: f64) -> String {
     format!("{:.0}%", v * 100.0)
 }
 

@@ -71,7 +71,7 @@ pub fn verify(src: &str) -> Result<Verdict, String> {
 /// flows on bodies modulo literal values and relies on this; the
 /// literal-edit tests in `incremental` and the `literal_reuse` sweep
 /// hold it.
-pub fn analyze_function(p: &Program, f: &Function, flows: &[FuncFlow]) -> FuncFlow {
+pub(crate) fn analyze_function(p: &Program, f: &Function, flows: &[FuncFlow]) -> FuncFlow {
     let cfg = Cfg::new(f);
     let pdom = DomTree::post_dominators(f, &cfg);
     let ctrl_parents = control_dependence(f, &cfg, &pdom);

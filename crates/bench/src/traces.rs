@@ -22,7 +22,7 @@ use ocelot_telemetry::json::Json;
 
 /// The artifact name (and file stem) of the trace companion of
 /// `driver`.
-pub fn traces_driver_name(driver: &str) -> String {
+pub(crate) fn traces_driver_name(driver: &str) -> String {
     format!("{driver}_traces")
 }
 
@@ -81,7 +81,7 @@ fn deps_from_json(v: &Json) -> Result<ocelot_runtime::memory::Deps, ArtifactErro
 
 /// Serializes one committed observation. Every event is a tagged object
 /// (`"event"` names the variant); fields mirror [`Obs`] one-for-one.
-pub fn obs_to_json(o: &Obs) -> Json {
+pub(crate) fn obs_to_json(o: &Obs) -> Json {
     match o {
         Obs::Input {
             at,
@@ -187,7 +187,7 @@ fn req_str<'a>(v: &'a Json, key: &str, ev: &str) -> Result<&'a str, ArtifactErro
 
 /// Inverse of [`obs_to_json`]; strict — an unknown event tag or a
 /// missing/mistyped field is an error.
-pub fn obs_from_json(v: &Json) -> Result<Obs, ArtifactError> {
+pub(crate) fn obs_from_json(v: &Json) -> Result<Obs, ArtifactError> {
     let ev = v
         .get("event")
         .and_then(Json::as_str)
@@ -256,7 +256,7 @@ pub fn obs_from_json(v: &Json) -> Result<Obs, ArtifactError> {
 }
 
 /// Serializes a whole committed trace.
-pub fn trace_to_json(trace: &[Obs]) -> Json {
+pub(crate) fn trace_to_json(trace: &[Obs]) -> Json {
     Json::Arr(trace.iter().map(obs_to_json).collect())
 }
 

@@ -17,20 +17,71 @@
 //! The speedup is a wall-clock ratio a loaded machine can miss, so it
 //! lives in an `#[ignore]`d test run on its own in release:
 //! `cargo test --release -p ocelot-bench --test incremental_speedup -- --ignored`.
-//! The `serve` driver records the full-length version as an artifact.
 
-use ocelot_bench::drivers::serve::{replay_trace, EditMeasurement, DEFAULT_TRACE};
+use ocelot_analysis::incremental::IncrementalStats;
 use ocelot_bench::taint_ref;
-use ocelot_serve::verify::{edited_source, full_verify, EditTrace};
+use ocelot_serve::verify::{
+    edited_source, full_verify, workload_source, EditTrace, Session, Verdict,
+};
 use ocelot_telemetry::percentile;
 use std::time::Instant;
 
-/// A short replay of the standard edit trace.
+/// One measured edit replay: what changed, how much analysis the cache
+/// saved, the verdict hash, and the incremental vs full wall times.
+#[derive(Debug, Clone)]
+struct EditMeasurement {
+    /// 1-based edit index.
+    edit: usize,
+    /// Cache statistics for the incremental pass.
+    stats: IncrementalStats,
+    /// The incremental verdict (always equal to the full one).
+    verdict: Verdict,
+    /// Incremental re-verification wall time.
+    incr_ns: u64,
+    /// From-scratch re-verification wall time.
+    full_ns: u64,
+}
+
+/// Replays `trace` through a fresh [`Session`], measuring each edit's
+/// incremental re-verify against a from-scratch verify and asserting
+/// verdict equality along the way.
+///
+/// # Panics
+///
+/// Panics if any generated program fails to verify or an incremental
+/// verdict ever diverges from the from-scratch one — either is a bug,
+/// not a measurement.
+fn replay_trace(trace: &EditTrace) -> Vec<EditMeasurement> {
+    let mut session = Session::new();
+    let base = workload_source(trace);
+    session.verify(&base).expect("base program verifies");
+    let mut out = Vec::with_capacity(trace.edits);
+    for n in 1..=trace.edits {
+        let src = edited_source(trace, n);
+        let t0 = Instant::now();
+        let (verdict, stats) = session.verify(&src).expect("edited program verifies");
+        let incr_ns = t0.elapsed().as_nanos() as u64;
+        let t1 = Instant::now();
+        let (_, full) = full_verify(&src).expect("full verify");
+        let full_ns = t1.elapsed().as_nanos() as u64;
+        assert_eq!(verdict, full, "incremental verdict diverged at edit {n}");
+        out.push(EditMeasurement {
+            edit: n,
+            stats,
+            verdict,
+            incr_ns,
+            full_ns,
+        });
+    }
+    out
+}
+
+/// A short replay of the standard edit trace (36 workers, seed 11).
 fn short_replay() -> (EditTrace, Vec<EditMeasurement>) {
     let trace = EditTrace {
-        funcs: DEFAULT_TRACE.funcs,
+        funcs: 36,
         edits: 2,
-        seed: DEFAULT_TRACE.seed,
+        seed: 11,
     };
     let measurements = replay_trace(&trace);
     assert_eq!(measurements.len(), trace.edits);

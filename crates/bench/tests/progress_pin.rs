@@ -38,7 +38,7 @@ use ocelot_bench::genprog::SourceGen;
 use ocelot_hw::energy::CostModel;
 use ocelot_ir::FuncId;
 use ocelot_lint::{lint_compiled, LintOptions};
-use ocelot_progress::{EdgeSet, FeasAnalysis, WcetAnalysis};
+use ocelot_progress::{EdgeSet, FeasAnalysis, ProgressReport, WcetAnalysis};
 use ocelot_serve::verify::{edited_source, EditTrace};
 use std::fmt::Write;
 use std::path::{Path, PathBuf};
@@ -239,4 +239,42 @@ fn genprog_sweep_keeps_its_pinned_digest() {
         return;
     }
     assert_eq!(sweep.as_deref(), Some(actual.as_str()), "sweep drifted");
+}
+
+/// A region holding a counter `while` loop of `trips` iterations: the
+/// shape only the monotone-counter bound recovery reads (no app or
+/// example program has one), stepping `i` by `step`.
+fn counter_loop_source(trips: u32, step: &str) -> String {
+    format!(
+        "sensor s; fn main() {{ atomic {{ let i = 0; let acc = 0; \
+         while i < {trips} {{ let v = in(s); acc = acc + v; i = i {step}; }} \
+         out(log, acc); }} }}"
+    )
+}
+
+/// The region's `(entry, body)` worst-case cycles.
+fn counter_loop_budget(trips: u32, step: &str) -> Result<(u64, u64), String> {
+    let p = ocelot_ir::compile(&counter_loop_source(trips, step)).expect("compiles");
+    let compiled = ocelot_core::ocelot_transform(p).expect("transforms");
+    let report =
+        ProgressReport::analyze(&compiled.program, &compiled.regions, &CostModel::default())
+            .map_err(|e| e.to_string())?;
+    assert_eq!(report.regions.len(), 1);
+    Ok((
+        report.regions[0].entry_cycles,
+        report.regions[0].body_cycles,
+    ))
+}
+
+#[test]
+fn counter_while_loop_in_a_region_keeps_its_pinned_bound_and_wcet() {
+    let (entry, body8) = counter_loop_budget(8, "+ 1").expect("bounded");
+    assert_eq!((entry, body8), (592, 33674), "pinned region budget");
+    // The recovered bound is the trip count: the body WCET is affine in it.
+    let (_, body4) = counter_loop_budget(4, "+ 1").expect("bounded");
+    let (_, body16) = counter_loop_budget(16, "+ 1").expect("bounded");
+    assert_eq!(body16 - body8, 2 * (body8 - body4));
+    // A counter stepping away from the exit is not bounded.
+    let err = counter_loop_budget(8, "- 1").expect_err("unbounded");
+    assert!(err.contains("monotone"), "{err}");
 }

@@ -15,9 +15,8 @@
 //!   run it on a program with manually-placed `atomic { }` regions to
 //!   learn whether the placement enforces the annotations.
 
-use crate::policy::{build_policies, Policy, PolicyId, PolicySet};
+use crate::policy::{Policy, PolicyId, PolicySet};
 use crate::region::{collect_regions, covered_refs, RegionInfo};
-use ocelot_analysis::taint::TaintAnalysis;
 use ocelot_ir::{InstrRef, Program, RegionId};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -26,13 +25,11 @@ use std::fmt;
 #[derive(Debug, Clone)]
 pub struct Violation {
     /// The violated policy.
-    pub policy: PolicyId,
+    pub(crate) policy: PolicyId,
     /// Human-readable description of the policy.
-    pub describe: String,
+    pub(crate) describe: String,
     /// Operations not covered by the best candidate region.
     pub missing: Vec<InstrRef>,
-    /// The region that came closest, if any.
-    pub best_region: Option<RegionId>,
 }
 
 impl fmt::Display for Violation {
@@ -55,7 +52,7 @@ pub struct CheckReport {
     pub violations: Vec<Violation>,
     /// Policies that were vacuous (no input dependence) and hence
     /// trivially satisfied.
-    pub vacuous: Vec<PolicyId>,
+    pub(crate) vacuous: Vec<PolicyId>,
     /// For each satisfied policy, the region that encloses it.
     pub enforced_by: Vec<(PolicyId, RegionId)>,
 }
@@ -120,17 +117,15 @@ pub(crate) fn check_with_regions(
             Some((rid, missing)) if missing.is_empty() => {
                 report.enforced_by.push((pol.id, rid));
             }
-            Some((rid, missing)) => report.violations.push(Violation {
+            Some((_, missing)) => report.violations.push(Violation {
                 policy: pol.id,
                 describe: format!("{:?}", pol.kind),
                 missing,
-                best_region: Some(rid),
             }),
             None => report.violations.push(Violation {
                 policy: pol.id,
                 describe: format!("{:?}", pol.kind),
                 missing: required.into_iter().collect(),
-                best_region: None,
             }),
         }
     }
@@ -167,45 +162,6 @@ fn resolves(p: &Program, r: InstrRef) -> bool {
     p.funcs
         .get(r.func.0 as usize)
         .is_some_and(|f| f.find_label(r.label).is_some())
-}
-
-/// Re-derives policies from scratch and verifies that `claimed` covers
-/// them: every recomputed input chain and use must appear in the claimed
-/// policy with the same annotation site (the Appendix E containment
-/// direction). Returns the list of discrepancies, empty when `claimed`
-/// is adequate.
-pub fn verify_policy_declarations(p: &Program, claimed: &PolicySet) -> Vec<String> {
-    let taint = TaintAnalysis::run(p);
-    let fresh = build_policies(p, &taint);
-    let mut problems = Vec::new();
-    for want in fresh.iter() {
-        let Some(have) = claimed.iter().find(|c| {
-            c.kind == want.kind
-                && c.decls.iter().map(|d| d.at).collect::<BTreeSet<_>>()
-                    == want.decls.iter().map(|d| d.at).collect::<BTreeSet<_>>()
-        }) else {
-            problems.push(format!(
-                "no claimed policy matches {:?} declared at {:?}",
-                want.kind,
-                want.decls.iter().map(|d| d.at).collect::<Vec<_>>()
-            ));
-            continue;
-        };
-        for chain in &want.inputs {
-            if !have.inputs.contains(chain) {
-                problems.push(format!(
-                    "claimed {:?} policy is missing input chain {:?}",
-                    want.kind, chain
-                ));
-            }
-        }
-        for u in &want.uses {
-            if !have.uses.contains(u) {
-                problems.push(format!("claimed {:?} policy is missing use {u}", want.kind));
-            }
-        }
-    }
-    problems
 }
 
 #[cfg(test)]
@@ -248,7 +204,11 @@ mod tests {
         let report = check_regions(&p, &ps).unwrap();
         assert!(!report.passes());
         assert_eq!(report.violations.len(), 1);
-        assert!(report.violations[0].best_region.is_none());
+        assert_eq!(
+            report.violations[0].missing.len(),
+            3,
+            "no region: every required op"
+        );
     }
 
     #[test]
@@ -270,7 +230,6 @@ mod tests {
         assert!(!report.passes());
         let v = &report.violations[0];
         assert_eq!(v.missing.len(), 1, "exactly the escaped use");
-        assert!(v.best_region.is_some());
     }
 
     #[test]
@@ -315,20 +274,5 @@ mod tests {
         let report = check_regions(&p, &ps).unwrap();
         assert!(report.passes());
         assert_eq!(report.vacuous.len(), 1);
-    }
-
-    #[test]
-    fn verify_declarations_accepts_own_derivation() {
-        let (p, ps) = setup("sensor s; fn main() { let x = in(s); fresh(x); out(log, x); }");
-        assert!(verify_policy_declarations(&p, &ps).is_empty());
-    }
-
-    #[test]
-    fn verify_declarations_catches_pruned_inputs() {
-        let (p, mut ps) = setup("sensor s; fn main() { let x = in(s); fresh(x); out(log, x); }");
-        ps.policies[0].inputs.clear();
-        let problems = verify_policy_declarations(&p, &ps);
-        assert!(!problems.is_empty());
-        assert!(problems[0].contains("missing input chain"));
     }
 }

@@ -21,7 +21,7 @@ pub enum CoreError {
 
 impl CoreError {
     /// Convenience constructor for inference errors.
-    pub fn infer(message: impl Into<String>) -> Self {
+    pub(crate) fn infer(message: impl Into<String>) -> Self {
         CoreError::Infer {
             message: message.into(),
         }

@@ -41,11 +41,11 @@ use std::collections::{BTreeSet, HashMap};
 
 /// The outcome of region inference.
 #[derive(Debug, Clone, Default)]
-pub struct Inference {
+pub(crate) struct Inference {
     /// Region → policies it enforces (the paper's `PM`).
-    pub policy_map: PolicyMap,
+    pub(crate) policy_map: PolicyMap,
     /// Policies skipped because they constrain no inputs.
-    pub vacuous: Vec<PolicyId>,
+    pub(crate) vacuous: Vec<PolicyId>,
 }
 
 /// Runs Algorithm 1 over every policy, mutating `p` by inserting
@@ -56,7 +56,7 @@ pub struct Inference {
 /// Returns [`CoreError::Infer`] when no candidate function covers a
 /// policy's operations (e.g. they are unreachable from `main`) or a
 /// region boundary cannot be placed.
-pub fn infer_atomics(p: &mut Program, policies: &PolicySet) -> Result<Inference, CoreError> {
+pub(crate) fn infer_atomics(p: &mut Program, policies: &PolicySet) -> Result<Inference, CoreError> {
     let mut result = Inference::default();
     for pol in policies.iter() {
         if pol.is_vacuous() {

@@ -3,12 +3,12 @@
 //! The paper's primary contribution: from `Fresh(x)` / `Consistent(x, n)`
 //! annotations to correct-by-construction atomic-region placement.
 //!
-//! * [`policy`] — policy declarations built from annotations + taint
+//! * `policy` — policy declarations built from annotations + taint
 //!   provenance (the paper's `PD`).
-//! * [`infer`] — Algorithm 1: candidate-function selection, call-chain
+//! * `infer` — Algorithm 1: candidate-function selection, call-chain
 //!   hoisting, closest-common-(post)dominator placement, truncation.
 //! * [`region`] — region extents and undo-log checkpoint sets `ω`.
-//! * [`check`] — the §5.2 / Appendix D+E sanity checks behind Theorem 1,
+//! * `check` — the §5.2 / Appendix D+E sanity checks behind Theorem 1,
 //!   doubling as checker mode (§8) for manually-placed regions.
 //! * [`transform`] — the end-to-end pipeline of Figure 3.
 //!
@@ -34,20 +34,17 @@
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod check;
-pub mod error;
-pub mod infer;
-pub mod policy;
+pub(crate) mod check;
+pub(crate) mod error;
+pub(crate) mod infer;
+pub(crate) mod policy;
 pub mod region;
-pub mod rules;
+#[cfg(test)]
+mod rules;
 pub mod transform;
 
 pub use check::{check_regions, CheckReport, Violation};
 pub use error::CoreError;
-pub use infer::{infer_atomics, Inference};
-pub use policy::{build_policies, Policy, PolicyId, PolicyKind, PolicyMap, PolicySet};
+pub use policy::{build_policies, Decl, Policy, PolicyId, PolicyKind, PolicySet};
 pub use region::{collect_regions, covered_refs, visit_covered, RegionInfo};
-pub use rules::{check_declarations, Derivation, RuleId};
-pub use transform::{
-    ocelot_check, ocelot_check_with, ocelot_transform, ocelot_transform_with, Compiled,
-};
+pub use transform::{ocelot_check, ocelot_transform, ocelot_transform_with, Compiled};

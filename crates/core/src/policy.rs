@@ -39,7 +39,7 @@ pub struct Decl {
     /// The annotated variable (post-renaming name).
     pub var: String,
     /// Full provenance chains of the inputs this variable depends on.
-    pub inputs: BTreeSet<Prov>,
+    pub(crate) inputs: BTreeSet<Prov>,
 }
 
 /// One policy — the paper's `pol`.
@@ -65,7 +65,7 @@ impl Policy {
     /// every call site + input operation along each provenance chain.
     /// The chain call sites enable Algorithm 1's hoisting step (`if call
     /// ∈ set`, line 11).
-    pub fn items(&self) -> BTreeSet<InstrRef> {
+    pub(crate) fn items(&self) -> BTreeSet<InstrRef> {
         let mut out = BTreeSet::new();
         for d in &self.decls {
             out.insert(d.at);
@@ -83,7 +83,7 @@ impl Policy {
     /// operations; `findCandidate` reasons over the operations, per the
     /// paper's Figure 6(b) walk-through where `confirm`, not `app`, is
     /// the candidate).
-    pub fn core_items(&self) -> BTreeSet<InstrRef> {
+    pub(crate) fn core_items(&self) -> BTreeSet<InstrRef> {
         let mut out = BTreeSet::new();
         for d in &self.decls {
             if !d.inputs.is_empty() {
@@ -152,7 +152,7 @@ impl PolicySet {
 }
 
 /// Maps each atomic region to the policies it enforces — the paper's `PM`.
-pub type PolicyMap = BTreeMap<RegionId, Vec<PolicyId>>;
+pub(crate) type PolicyMap = BTreeMap<RegionId, Vec<PolicyId>>;
 
 /// Builds the policy set from a program's annotations (the
 /// `getAnnotations` + `buildPolicies` steps of Figure 3).

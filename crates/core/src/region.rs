@@ -126,7 +126,12 @@ fn point_post_dominates_region(
 /// Walks forward from the start block, not expanding past the end block;
 /// because the end post-dominates the start, every path is eventually cut
 /// off at the end block.
-pub fn extent_points(f: &ocelot_ir::Function, cfg: &Cfg, start: Point, end: Point) -> Vec<Point> {
+pub(crate) fn extent_points(
+    f: &ocelot_ir::Function,
+    cfg: &Cfg,
+    start: Point,
+    end: Point,
+) -> Vec<Point> {
     let mut points = Vec::new();
     if start.block == end.block {
         for i in (start.index + 1)..end.index {

@@ -5,10 +5,11 @@
 //! singleton under the Rust ownership discipline, §5.2) and the
 //! input-dependence map `I`, applying one rule per instruction form:
 //! **Input**, **Let**, **Call-nr**, **Call-r**, **Assign**,
-//! **Assign-Ref**, **Let-fresh**, **Let-consistent**, **Atomic**, and
-//! **Ret**.
+//! **Assign-Ref**, **Let-fresh**, **Let-consistent** and **Atomic**
+//! (the trace records these), plus **Ret** at each return terminator.
 //!
-//! This is a second, *independent* derivation of input dependence —
+//! The module is compiled for tests only: it is an oracle, not a pass.
+//! It is a second, *independent* derivation of input dependence —
 //! structured like the paper's rules rather than like the summary-based
 //! Algorithm 2 — so it cross-validates `ocelot-analysis::taint`: a
 //! policy that passes here has every input chain and every fresh use in
@@ -24,7 +25,7 @@ use std::fmt;
 
 /// Which judgment rule was applied (for the derivation trace).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuleId {
+pub(crate) enum RuleId {
     /// `let x = IN()` — taint generated locally.
     Input,
     /// `let x = e` — dependence propagation.
@@ -43,8 +44,6 @@ pub enum RuleId {
     LetConsistent,
     /// `startatom/endatom` pass-through.
     Atomic,
-    /// `ret e`.
-    Ret,
 }
 
 impl fmt::Display for RuleId {
@@ -59,7 +58,6 @@ impl fmt::Display for RuleId {
             RuleId::LetFresh => "Let-fresh",
             RuleId::LetConsistent => "Let-consistent",
             RuleId::Atomic => "Atomic",
-            RuleId::Ret => "Ret",
         };
         f.write_str(s)
     }
@@ -67,21 +65,21 @@ impl fmt::Display for RuleId {
 
 /// The derivation: every rule application, plus any failed premises.
 #[derive(Debug, Clone, Default)]
-pub struct Derivation {
+pub(crate) struct Derivation {
     /// `(rule, instruction)` in application order.
-    pub applications: Vec<(RuleId, InstrRef)>,
+    pub(crate) applications: Vec<(RuleId, InstrRef)>,
     /// Failed premises, human-readable.
-    pub problems: Vec<String>,
+    pub(crate) problems: Vec<String>,
 }
 
 impl Derivation {
     /// True when every premise held — the `⊩ ok` conclusion.
-    pub fn ok(&self) -> bool {
+    pub(crate) fn ok(&self) -> bool {
         self.problems.is_empty()
     }
 
     /// How many times `rule` was applied.
-    pub fn count(&self, rule: RuleId) -> usize {
+    pub(crate) fn count(&self, rule: RuleId) -> usize {
         self.applications.iter().filter(|(r, _)| *r == rule).count()
     }
 }
@@ -91,7 +89,7 @@ type DepMap = BTreeMap<String, BTreeSet<Prov>>;
 
 /// Checks the whole program: `FD; PD, FS ⊢ FS : ok` — every function
 /// under every calling context reachable from `main`.
-pub fn check_declarations(p: &Program, policies: &PolicySet) -> Derivation {
+pub(crate) fn check_declarations(p: &Program, policies: &PolicySet) -> Derivation {
     let mut d = Derivation::default();
     // Globals accumulate dependence across the walk (flow-insensitive
     // across contexts, like the fixpoint in the analysis).

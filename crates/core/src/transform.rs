@@ -123,7 +123,7 @@ pub fn ocelot_check(program: &Program) -> Result<CheckReport, CoreError> {
 /// # Errors
 ///
 /// Returns [`CoreError`] on malformed regions.
-pub fn ocelot_check_with(
+pub(crate) fn ocelot_check_with(
     program: &Program,
     taint: &TaintAnalysis,
 ) -> Result<CheckReport, CoreError> {

@@ -39,19 +39,19 @@ pub struct CostModel {
     /// widely (a photoresistor integrates light; a MEMS accelerometer
     /// wakes, settles, and converts; a TPMS pressure cell is nearly
     /// instant).
-    pub input_overrides: std::collections::BTreeMap<String, u64>,
+    pub(crate) input_overrides: std::collections::BTreeMap<String, u64>,
     /// Output (UART/radio) per word written.
     pub output_word: u64,
     /// Fixed part of saving volatile context (registers).
     pub ckpt_base: u64,
     /// Per word of volatile state (stack/locals) saved or restored.
-    pub ckpt_word: u64,
+    pub(crate) ckpt_word: u64,
     /// Per word copied into an atomic region's undo log.
     pub log_word: u64,
     /// Nanoseconds per cycle (125 ns at 8 MHz).
-    pub cycle_ns: u64,
+    pub(crate) cycle_ns: u64,
     /// Average active-mode energy per cycle, in nanojoules.
-    pub energy_per_cycle_nj: f64,
+    pub(crate) energy_per_cycle_nj: f64,
 }
 
 impl Default for CostModel {
@@ -74,7 +74,7 @@ impl Default for CostModel {
 
 impl CostModel {
     /// Sampling cost for `sensor`, honoring per-channel overrides.
-    pub fn input_cycles(&self, sensor: &str) -> u64 {
+    pub(crate) fn input_cycles(&self, sensor: &str) -> u64 {
         self.input_overrides
             .get(sensor)
             .copied()
@@ -108,14 +108,14 @@ impl CostModel {
     }
 
     /// Cycles to undo-log `words` of non-volatile data at region entry.
-    pub fn log_cycles(&self, words: usize) -> u64 {
+    pub(crate) fn log_cycles(&self, words: usize) -> u64 {
         self.log_word * words as u64
     }
 
     /// Cycles one operation or terminator costs, given the facts that
     /// decide its price. Only `Assign` reads [`Facts::store`], only
     /// `AtomStart` reads [`Facts::entry`], and only `Call` reads
-    /// [`Facts::callee_cycles`]; every other price is fixed by the
+    /// `Facts::callee_cycles`; every other price is fixed by the
     /// instruction alone.
     #[inline]
     pub fn price(&self, at: Priced<'_>, facts: Facts) -> u64 {
@@ -168,12 +168,12 @@ pub enum Priced<'a> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Facts {
     /// Where an `Assign` writes.
-    pub store: Store,
+    pub(crate) store: Store,
     /// How an `AtomStart` enters its region.
-    pub entry: Entry,
+    pub(crate) entry: Entry,
     /// Cycles of the callee body a `Call` pays on top of the call
     /// overhead.
-    pub callee_cycles: u64,
+    pub(crate) callee_cycles: u64,
 }
 
 impl Facts {
@@ -204,11 +204,11 @@ impl Facts {
 
 /// Where a store writes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Store {
+pub(crate) struct Store {
     /// Non-volatile memory (otherwise a volatile frame slot).
-    pub nv: bool,
+    pub(crate) nv: bool,
     /// The store also copies one word into a region's undo log.
-    pub logged: bool,
+    pub(crate) logged: bool,
 }
 
 /// How an `AtomStart` enters its region.
@@ -277,7 +277,7 @@ impl Capacitor {
     }
 
     /// Current charge level in nanojoules.
-    pub fn level_nj(&self) -> f64 {
+    pub(crate) fn level_nj(&self) -> f64 {
         self.level_nj
     }
 
@@ -303,18 +303,13 @@ impl Capacitor {
     }
 
     /// Energy needed to refill completely.
-    pub fn deficit_nj(&self) -> f64 {
+    pub(crate) fn deficit_nj(&self) -> f64 {
         (self.capacity_nj - self.level_nj).max(0.0)
-    }
-
-    /// Adds harvested energy (clamped at capacity).
-    pub fn charge(&mut self, energy_nj: f64) {
-        self.level_nj = (self.level_nj + energy_nj).min(self.capacity_nj);
     }
 
     /// Refills to capacity (used when the harvester model returns a
     /// closed-form charging time).
-    pub fn refill(&mut self) {
+    pub(crate) fn refill(&mut self) {
         self.level_nj = self.capacity_nj;
     }
 }
@@ -394,7 +389,7 @@ mod tests {
         let mut cap = Capacitor::new(100.0, 10.0);
         cap.consume(1000.0);
         assert_eq!(cap.level_nj(), 0.0);
-        cap.charge(5000.0);
+        cap.refill();
         assert_eq!(cap.level_nj(), 100.0);
     }
 

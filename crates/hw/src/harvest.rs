@@ -55,7 +55,7 @@ pub enum Harvester {
         /// `(from_us, power_nw)` segments, sorted by `from_us`.
         segments: Vec<(u64, f64)>,
         /// Charging time accrued so far (advanced by
-        /// [`Harvester::charge_time_us`]).
+        /// `Harvester::charge_time_us`).
         elapsed_us: u64,
     },
     /// Trace-scripted power: successive charging intervals read
@@ -73,7 +73,7 @@ impl Harvester {
     /// The paper's setup: PowerCast transmitter at 10 inches. Calibrated
     /// so a Capybara-scale bank (50 µJ) refills in roughly 50 ms —
     /// charging dominates runtime, as in Figure 8.
-    pub fn powercast_at_10in() -> Self {
+    pub(crate) fn powercast_at_10in() -> Self {
         // 1 nJ/µs at 10in → power_at_1in = 100 nJ/µs = 100_000 nW... using
         // nW: 1 nJ/µs = 1000 µW*? Keep units simple: nJ per µs.
         Harvester::Rf {
@@ -138,7 +138,7 @@ impl Harvester {
     /// Instantaneous harvesting power in nanojoules per microsecond for
     /// the next charging interval. Advances trace-scripted supplies by
     /// one sample.
-    pub fn sample_power(&mut self) -> f64 {
+    pub(crate) fn sample_power(&mut self) -> f64 {
         match self {
             Harvester::Constant { power_nw } => *power_nw,
             Harvester::Rf {
@@ -174,7 +174,7 @@ impl Harvester {
     /// 1 µs; infinite-power sources still take a reboot instant).
     /// [`Harvester::Schedule`] integrates across its segments and
     /// accrues the charging time it spends.
-    pub fn charge_time_us(&mut self, needed_nj: f64) -> u64 {
+    pub(crate) fn charge_time_us(&mut self, needed_nj: f64) -> u64 {
         if needed_nj <= 0.0 {
             if let Harvester::Schedule { elapsed_us, .. } = self {
                 *elapsed_us += 1;

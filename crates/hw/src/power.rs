@@ -68,9 +68,9 @@ impl PowerSupply for ContinuousPower {
 #[derive(Debug, Clone)]
 pub struct HarvestedPower {
     /// The storage bank.
-    pub capacitor: Capacitor,
+    pub(crate) capacitor: Capacitor,
     /// The ambient source.
-    pub harvester: Harvester,
+    pub(crate) harvester: Harvester,
     /// Boot-voltage jitter: on each reboot the bank restarts somewhere
     /// below full, modeling comparator hysteresis and ambient variation
     /// during the boot ramp. Without it, constant-length programs
@@ -147,11 +147,6 @@ impl ScriptedPower {
             off_time_us,
             exhausted_budgets: 0,
         }
-    }
-
-    /// Number of completed power-off cycles so far.
-    pub fn failures(&self) -> usize {
-        self.exhausted_budgets
     }
 }
 
@@ -380,7 +375,7 @@ mod tests {
         assert_eq!(p.consume(9.0), PowerEvent::Ok);
         assert_eq!(p.consume(2.0), PowerEvent::LowPower);
         assert_eq!(p.recharge(), 5);
-        assert_eq!(p.failures(), 1);
+        assert_eq!(p.exhausted_budgets, 1);
         assert_eq!(p.consume(19.0), PowerEvent::Ok);
         assert_eq!(p.consume(2.0), PowerEvent::LowPower);
         p.recharge();

@@ -114,7 +114,7 @@ pub enum Expr {
 impl Expr {
     /// Collects every variable mentioned by the expression into `out`,
     /// including array bases and dereferenced/referenced variables.
-    pub fn collect_vars(&self, out: &mut Vec<Ident>) {
+    pub(crate) fn collect_vars(&self, out: &mut Vec<Ident>) {
         match self {
             Expr::Int(_) | Expr::Bool(_) => {}
             Expr::Var(x) | Expr::Deref(x) | Expr::Ref(x) => out.push(x.clone()),
@@ -154,7 +154,7 @@ pub enum Arg {
 /// c` nesting; the two are interconvertible and the block form matches the
 /// Rust programs the paper's tool consumes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Stmt {
+pub(crate) enum Stmt {
     /// `skip;`
     Skip(Span),
     /// `let x = e;`
@@ -192,7 +192,7 @@ pub enum Stmt {
     /// `atomic { .. }` — a manually-placed atomic region (§8).
     Atomic(Block, Span),
     /// `f(args);` — call for effect, result discarded.
-    CallStmt(Ident, Vec<Arg>, Span),
+    Call(Ident, Vec<Arg>, Span),
     /// `out(chan, e...);` — output operation.
     Out(Ident, Vec<Expr>, Span),
     /// `return e;` / `return;`
@@ -218,7 +218,7 @@ impl Stmt {
             | Stmt::Repeat(_, _, s)
             | Stmt::While(_, _, _, s)
             | Stmt::Atomic(_, s)
-            | Stmt::CallStmt(_, _, s)
+            | Stmt::Call(_, _, s)
             | Stmt::Out(_, _, s)
             | Stmt::Return(_, s) => *s,
         }
@@ -229,19 +229,19 @@ impl Stmt {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Block {
     /// The statements, in order.
-    pub stmts: Vec<Stmt>,
+    pub(crate) stmts: Vec<Stmt>,
 }
 
 impl Block {
     /// Creates a block from statements.
-    pub fn new(stmts: Vec<Stmt>) -> Self {
+    pub(crate) fn new(stmts: Vec<Stmt>) -> Self {
         Block { stmts }
     }
 }
 
 /// A function parameter: by-value or by-mutable-reference.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Param {
+pub(crate) struct Param {
     /// Parameter name.
     pub name: Ident,
     /// True for `&x` reference parameters.
@@ -250,20 +250,20 @@ pub struct Param {
 
 /// A function declaration `fn f(params) { body }`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FunDecl {
+pub(crate) struct FunDecl {
     /// Function name.
     pub name: Ident,
     /// Parameters, in order.
-    pub params: Vec<Param>,
+    pub(crate) params: Vec<Param>,
     /// Function body.
-    pub body: Block,
+    pub(crate) body: Block,
     /// Source span of the declaration header.
-    pub span: Span,
+    pub(crate) span: Span,
 }
 
 /// A non-volatile global declaration `nv g = 0;` or `nv a[16];`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GlobalDecl {
+pub(crate) struct GlobalDecl {
     /// Global name.
     pub name: Ident,
     /// For arrays, the static length; scalars are `None`.
@@ -271,16 +271,16 @@ pub struct GlobalDecl {
     /// Initial value for scalars (arrays zero-initialize).
     pub init: i64,
     /// Source span.
-    pub span: Span,
+    pub(crate) span: Span,
 }
 
 /// A sensor (input channel) declaration `sensor temp;`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SensorDecl {
+pub(crate) struct SensorDecl {
     /// Channel name referenced by `in(name)`.
     pub name: Ident,
     /// Source span.
-    pub span: Span,
+    pub(crate) span: Span,
 }
 
 /// A complete source program: sensors, globals, and functions (one of
@@ -288,16 +288,17 @@ pub struct SensorDecl {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AstProgram {
     /// Declared input channels.
-    pub sensors: Vec<SensorDecl>,
+    pub(crate) sensors: Vec<SensorDecl>,
     /// Declared non-volatile globals.
-    pub globals: Vec<GlobalDecl>,
+    pub(crate) globals: Vec<GlobalDecl>,
     /// Declared functions.
-    pub funcs: Vec<FunDecl>,
+    pub(crate) funcs: Vec<FunDecl>,
 }
 
 impl AstProgram {
-    /// Looks up a function declaration by name.
-    pub fn func(&self, name: &str) -> Option<&FunDecl> {
+    /// Looks up a function declaration by name (unit tests).
+    #[cfg(test)]
+    pub(crate) fn func(&self, name: &str) -> Option<&FunDecl> {
         self.funcs.iter().find(|f| f.name == name)
     }
 }

@@ -68,11 +68,6 @@ impl CallGraph {
             .map(move |&i| &self.edges[i])
     }
 
-    /// Every call edge in the program.
-    pub fn edges(&self) -> &[CallEdge] {
-        &self.edges
-    }
-
     /// Functions reachable from `root` (including `root`), in BFS order.
     pub fn reachable_from(&self, root: FuncId) -> Vec<FuncId> {
         let mut seen = vec![false; self.callees.len()];
@@ -148,11 +143,6 @@ impl CallGraph {
         }
         Ok(order)
     }
-
-    /// True when the call graph is acyclic.
-    pub fn is_acyclic(&self, p: &Program) -> bool {
-        self.topo_callees_first(p).is_ok()
-    }
 }
 
 #[cfg(test)]
@@ -201,7 +191,7 @@ mod tests {
         let p =
             compile("fn ping() { pong(); } fn pong() { ping(); } fn main() { ping(); }").unwrap();
         let cg = CallGraph::new(&p);
-        assert!(!cg.is_acyclic(&p));
+        assert!(cg.topo_callees_first(&p).is_err());
         let err = cg.topo_callees_first(&p).unwrap_err();
         assert!(err.to_string().contains("recursi"));
     }
@@ -210,12 +200,12 @@ mod tests {
     fn detects_self_recursion() {
         let p = compile("fn f() { f(); } fn main() { f(); }").unwrap();
         let cg = CallGraph::new(&p);
-        assert!(!cg.is_acyclic(&p));
+        assert!(cg.topo_callees_first(&p).is_err());
     }
 
     #[test]
     fn acyclic_graph_is_ok() {
         let p = compile("fn main() { }").unwrap();
-        assert!(CallGraph::new(&p).is_acyclic(&p));
+        assert!(CallGraph::new(&p).topo_callees_first(&p).is_ok());
     }
 }

@@ -1,7 +1,6 @@
 //! Control-flow-graph queries over a lowered [`Function`].
 
 use crate::ir::{BlockId, Function, Terminator};
-use std::collections::HashMap;
 
 /// Predecessor/successor tables and traversal orders for one function.
 ///
@@ -93,7 +92,7 @@ impl Cfg {
     }
 
     /// Position of `b` in reverse post-order, or `None` if unreachable.
-    pub fn rpo_index(&self, b: BlockId) -> Option<usize> {
+    pub(crate) fn rpo_index(&self, b: BlockId) -> Option<usize> {
         let i = self.rpo_index[b.0 as usize];
         (i != usize::MAX).then_some(i)
     }
@@ -174,14 +173,10 @@ fn reverse_post_order<'a>(
 /// post-dominator construction.
 #[derive(Debug, Clone)]
 pub struct ReverseCfg {
-    /// Successors in the reversed graph (= predecessors in the original).
-    pub succs: Vec<Vec<BlockId>>,
     /// Predecessors in the reversed graph (= successors in the original).
     pub preds: Vec<Vec<BlockId>>,
     /// RPO of the reversed graph starting from the original exit.
     pub rpo: Vec<BlockId>,
-    /// Entry of the reversed graph (= original exit).
-    pub entry: BlockId,
 }
 
 impl ReverseCfg {
@@ -199,28 +194,8 @@ impl ReverseCfg {
             preds[b] = cfg.succs(id).to_vec();
         }
         let rpo = reverse_post_order(f.exit, n, |b| &succs[b]);
-        ReverseCfg {
-            succs,
-            preds,
-            rpo,
-            entry: f.exit,
-        }
+        ReverseCfg { preds, rpo }
     }
-}
-
-/// Maps every `(block, terminator-kind)` pair for quick structural tests.
-pub fn terminator_kinds(f: &Function) -> HashMap<BlockId, &'static str> {
-    f.blocks
-        .iter()
-        .map(|b| {
-            let k = match b.term {
-                Terminator::Jump(_) => "jump",
-                Terminator::Branch { .. } => "branch",
-                Terminator::Ret(_) => "ret",
-            };
-            (b.id, k)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -283,7 +258,6 @@ mod tests {
         let f = p.func(p.main);
         let cfg = Cfg::new(f);
         let rcfg = ReverseCfg::new(f, &cfg);
-        assert_eq!(rcfg.entry, f.exit);
         assert_eq!(rcfg.rpo[0], f.exit);
         // Reversed graph reaches every block (single landing pad).
         assert_eq!(rcfg.rpo.len(), f.blocks.len());

@@ -180,14 +180,13 @@ pub struct Inst {
     /// Synthesized instructions (return-slot init, loop counters,
     /// inferred region markers) carry the span of the construct that
     /// caused them. Programs lowered from parsed source never have an
-    /// empty span (see [`crate::validate::validate_spans`]); programs
-    /// assembled by [`crate::builder::ProgramBuilder`] or by hand may
-    /// use the empty default.
+    /// empty span (see `crate::validate::validate_spans`); programs
+    /// assembled by hand may use the empty default.
     pub span: Span,
 }
 
 impl Inst {
-    /// An instruction with no source span (builder/test construction).
+    /// An instruction with no source span (hand/test construction).
     pub fn new(label: Label, op: Op) -> Self {
         Inst {
             label,
@@ -245,7 +244,7 @@ pub struct Block {
     /// Source span of the terminator (the `if`/`while` statement for
     /// branches, the enclosing statement for fall-through jumps, the
     /// function declaration for the landing-pad return). Empty for
-    /// builder-made programs, like [`Inst::span`].
+    /// hand-made programs, like [`Inst::span`].
     pub term_span: Span,
 }
 
@@ -401,9 +400,9 @@ pub struct Program {
 }
 
 impl Program {
-    /// Assembles a program from lowered parts. Prefer [`fn@crate::lower::lower`] or
-    /// [`crate::builder::ProgramBuilder`] over calling this directly.
-    pub fn from_parts(
+    /// Assembles a program from hand-made parts (unit tests).
+    #[cfg(test)]
+    pub(crate) fn from_parts(
         funcs: Vec<Function>,
         globals: Vec<IrGlobal>,
         sensors: Vec<Ident>,
@@ -414,8 +413,8 @@ impl Program {
         Self::with_index(funcs, globals, sensors, main, next_region, name_to_id)
     }
 
-    /// [`Program::from_parts`] with the name → id index already built
-    /// (lowering builds it to resolve calls).
+    /// Assembles a program from lowered parts, with the name → id index
+    /// already built (lowering builds it to resolve calls).
     pub(crate) fn with_index(
         funcs: Vec<Function>,
         globals: Vec<IrGlobal>,
@@ -490,7 +489,7 @@ impl Program {
     }
 
     /// True if `name` is a declared sensor channel.
-    pub fn is_sensor(&self, name: &str) -> bool {
+    pub(crate) fn is_sensor(&self, name: &str) -> bool {
         self.sensors.iter().any(|s| s == name)
     }
 
@@ -550,14 +549,6 @@ impl Program {
             }
         }
         out
-    }
-
-    /// Counts instructions (including terminators) across all functions.
-    pub fn inst_count(&self) -> usize {
-        self.funcs
-            .iter()
-            .map(|f| f.blocks.iter().map(|b| b.instrs.len() + 1).sum::<usize>())
-            .sum()
     }
 
     /// Removes all `Annot` instructions (the transform does this after
@@ -658,7 +649,6 @@ mod tests {
         let p = Program::from_parts(vec![f], vec![], vec![], FuncId(0), 0);
         assert_eq!(p.func_by_name("main"), Some(FuncId(0)));
         assert_eq!(p.func_by_name("nope"), None);
-        assert_eq!(p.inst_count(), 3); // 1 instr + 2 terminators
     }
 
     #[test]

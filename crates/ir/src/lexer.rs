@@ -13,7 +13,7 @@ use crate::token::{Token, TokenKind};
 ///
 /// Returns [`IrError::Lex`] on unrecognized characters, unterminated string
 /// literals, or integer literals that do not fit in `i64`.
-pub fn lex(src: &str) -> Result<Vec<Token<'_>>> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Token<'_>>> {
     Lexer::new(src).run()
 }
 

@@ -38,32 +38,29 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod ast;
-pub mod builder;
 pub mod callgraph;
 pub mod cfg;
-pub mod error;
-pub mod ir;
-pub mod lexer;
+pub(crate) mod error;
+pub(crate) mod ir;
+pub(crate) mod lexer;
 pub mod lower;
 pub mod parser;
-pub mod passes;
+pub(crate) mod passes;
 pub mod print;
 pub mod print_ast;
 pub mod span;
-pub mod token;
+pub(crate) mod token;
 pub mod validate;
 
-pub use ast::AstProgram;
-pub use builder::ProgramBuilder;
 pub use callgraph::CallGraph;
 pub use cfg::Cfg;
 pub use error::{IrError, Result};
 pub use ir::{
-    AnnotKind, Block, BlockId, FuncId, Function, Inst, InstrRef, Label, Op, Place, Program,
-    RegionId, Terminator,
+    AnnotKind, Block, BlockId, FuncId, Function, Inst, InstrRef, IrGlobal, IrParam, Label, Op,
+    Place, Program, RegionId, Terminator,
 };
 pub use lower::{compile, lower};
 pub use parser::parse;
-pub use passes::{compile_unrolled, fold_constants, unroll_repeats};
+pub use passes::compile_unrolled;
 pub use print_ast::ast_to_source;
 pub use validate::validate;

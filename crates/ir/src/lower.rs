@@ -20,7 +20,7 @@ use crate::span::Span;
 use std::collections::HashMap;
 
 /// Name of the synthetic return slot. User identifiers cannot contain `$`.
-pub const RET_SLOT: &str = "$ret";
+pub(crate) const RET_SLOT: &str = "$ret";
 
 /// Lowers a parsed program to IR, consuming it: names, expressions and
 /// spans move from the AST into the instructions that use them.
@@ -94,8 +94,8 @@ pub fn compile(src: &str) -> Result<Program> {
     let p = lower(crate::parser::parse(src)?)?;
     // Parsed statements always carry real spans, and lowering threads
     // them onto every instruction — the diagnostics layer depends on
-    // this, so enforce it on the parse path (builder-made programs are
-    // exempt: their AST legitimately has empty spans).
+    // this, so enforce it on the parse path (hand-made programs are
+    // exempt: they legitimately have empty spans).
     debug_assert!(
         crate::validate::validate_spans(&p).is_ok(),
         "lowering dropped a source span: {:?}",
@@ -454,7 +454,7 @@ impl<'a> FnLower<'a> {
                     args,
                 });
             }
-            Stmt::CallStmt(f, mut args, _) => {
+            Stmt::Call(f, mut args, _) => {
                 let callee = self.lookup_fn(&f)?;
                 self.rename_args(&mut args);
                 self.push(Op::Call {

@@ -71,8 +71,9 @@ pub const MAX_NESTING: usize = 128;
 ///     }
 /// "#;
 /// let ast = ocelot_ir::parse(src).unwrap();
-/// assert_eq!(ast.funcs.len(), 1);
-/// assert_eq!(ast.sensors.len(), 1);
+/// let program = ocelot_ir::lower(ast).unwrap();
+/// assert_eq!(program.funcs.len(), 1);
+/// assert_eq!(program.sensors.len(), 1);
 /// ```
 pub fn parse(src: &str) -> Result<AstProgram> {
     let tokens = lex(src)?;
@@ -509,7 +510,7 @@ impl<'s> Parser<'s> {
                 self.expect(TokenKind::RParen)?;
                 let end = self.span();
                 self.expect(TokenKind::Semi)?;
-                Ok(Stmt::CallStmt(name, args, start.merge(end)))
+                Ok(Stmt::Call(name, args, start.merge(end)))
             }
             _ => Err(self.unexpected("`=`, `[`, or `(` after identifier")),
         }

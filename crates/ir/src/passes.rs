@@ -24,7 +24,7 @@ use crate::error::{IrError, Result};
 /// Returns [`IrError::Lower`] when the total unrolled statement count
 /// would exceed `max_stmts` — the same role as the paper's assumption
 /// that loops are *bounded*.
-pub fn unroll_repeats(ast: &AstProgram, max_stmts: usize) -> Result<AstProgram> {
+pub(crate) fn unroll_repeats(ast: &AstProgram, max_stmts: usize) -> Result<AstProgram> {
     let mut out = ast.clone();
     let mut budget = max_stmts;
     for f in &mut out.funcs {
@@ -82,7 +82,7 @@ fn unroll_block(block: &Block, budget: &mut usize) -> Result<Block> {
 /// Folds constant sub-expressions throughout the program
 /// (`1 + 2 * 3` → `7`, `!false` → `true`, `if true`-style conditions
 /// are left to the caller since branches carry control dependence).
-pub fn fold_constants(ast: &AstProgram) -> AstProgram {
+pub(crate) fn fold_constants(ast: &AstProgram) -> AstProgram {
     let mut out = ast.clone();
     for f in &mut out.funcs {
         f.body = fold_block(&f.body);
@@ -105,9 +105,7 @@ fn fold_stmt(s: &Stmt) -> Stmt {
             args.iter().map(fold_arg).collect(),
             *sp,
         ),
-        Stmt::CallStmt(f, args, sp) => {
-            Stmt::CallStmt(f.clone(), args.iter().map(fold_arg).collect(), *sp)
-        }
+        Stmt::Call(f, args, sp) => Stmt::Call(f.clone(), args.iter().map(fold_arg).collect(), *sp),
         Stmt::Assign(x, e, sp) => Stmt::Assign(x.clone(), fold_expr(e), *sp),
         Stmt::AssignIndex(a, i, e, sp) => {
             Stmt::AssignIndex(a.clone(), fold_expr(i), fold_expr(e), *sp)
@@ -133,7 +131,7 @@ fn fold_arg(a: &Arg) -> Arg {
 }
 
 /// Folds one expression bottom-up.
-pub fn fold_expr(e: &Expr) -> Expr {
+pub(crate) fn fold_expr(e: &Expr) -> Expr {
     match e {
         Expr::Binary(op, l, r) => {
             let l = fold_expr(l);

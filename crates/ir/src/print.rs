@@ -51,13 +51,6 @@ fn write_expr<W: Write>(w: &mut W, e: &Expr, lits: Literals) -> fmt::Result {
     }
 }
 
-/// Renders an expression in surface syntax.
-pub fn expr_to_string(e: &Expr) -> String {
-    let mut s = String::new();
-    let _ = write_expr(&mut s, e, Literals::Shown);
-    s
-}
-
 /// Writes `items` separated by `", "`.
 fn write_list<W: Write, T>(
     w: &mut W,
@@ -183,13 +176,6 @@ pub fn write_function<W: Write>(
         w.write_char('\n')?;
     }
     w.write_str("}\n")
-}
-
-/// Renders one function with block structure and labels.
-pub fn function_to_string(p: &Program, f: &Function) -> String {
-    let mut s = String::new();
-    let _ = write_function(&mut s, p, f, Literals::Shown);
-    s
 }
 
 /// Writes the whole program: declarations, then every function.

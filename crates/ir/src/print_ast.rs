@@ -125,7 +125,7 @@ fn write_stmt(s: &mut String, st: &Stmt, depth: usize) {
             indent(s, depth);
             s.push_str("}\n");
         }
-        Stmt::CallStmt(f, args, _) => {
+        Stmt::Call(f, args, _) => {
             let _ = writeln!(s, "{f}({});", arg_list(args));
         }
         Stmt::Out(chan, args, _) => {
@@ -156,7 +156,7 @@ fn arg_list(args: &[Arg]) -> String {
 /// Renders an expression, parenthesizing every binary operation so
 /// re-parsing cannot re-associate (`(a + b) * c` stays itself; the
 /// non-associative comparison level re-parses cleanly too).
-pub fn expr(e: &Expr) -> String {
+pub(crate) fn expr(e: &Expr) -> String {
     match e {
         Expr::Int(n) if *n < 0 => format!("(0 - {})", -(*n as i128)),
         Expr::Int(n) => n.to_string(),
@@ -204,7 +204,7 @@ fn erase_block(b: &mut Block) {
             | Stmt::AssignDeref(_, _, sp)
             | Stmt::FreshAnnot(_, sp)
             | Stmt::ConsistentAnnot(_, _, sp)
-            | Stmt::CallStmt(_, _, sp)
+            | Stmt::Call(_, _, sp)
             | Stmt::Out(_, _, sp)
             | Stmt::Return(_, sp) => *sp = z,
             Stmt::If(_, t, e, sp) => {

@@ -22,7 +22,7 @@ impl Span {
     }
 
     /// A zero-width span at `pos`, used for EOF diagnostics.
-    pub fn point(pos: usize) -> Self {
+    pub(crate) fn point(pos: usize) -> Self {
         Span {
             start: pos,
             end: pos,
@@ -30,7 +30,7 @@ impl Span {
     }
 
     /// The smallest span covering both `self` and `other`.
-    pub fn merge(self, other: Span) -> Span {
+    pub(crate) fn merge(self, other: Span) -> Span {
         Span {
             start: self.start.min(other.start),
             end: self.end.max(other.end),
@@ -97,7 +97,7 @@ impl SourceMap {
     /// Returns the 1-based line/column of byte offset `pos`.
     ///
     /// Offsets past the end of the source are clamped to the final position.
-    pub fn line_col(&self, pos: usize) -> LineCol {
+    pub(crate) fn line_col(&self, pos: usize) -> LineCol {
         let pos = pos.min(self.len);
         let line = match self.line_starts.binary_search(&pos) {
             Ok(exact) => exact,

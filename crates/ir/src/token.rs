@@ -9,7 +9,7 @@ use std::fmt;
 
 /// A lexical token of the Ocelot modeling language; `'s` is the source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokenKind<'s> {
+pub(crate) enum TokenKind<'s> {
     // Literals and identifiers
     /// An integer literal, e.g. `42`.
     Int(i64),
@@ -113,7 +113,7 @@ pub enum TokenKind<'s> {
 
 impl TokenKind<'_> {
     /// Returns the keyword token for `word`, if it is a keyword.
-    pub fn keyword(word: &str) -> Option<TokenKind<'static>> {
+    pub(crate) fn keyword(word: &str) -> Option<TokenKind<'static>> {
         Some(match word {
             "fn" => TokenKind::Fn,
             "let" => TokenKind::Let,
@@ -137,7 +137,7 @@ impl TokenKind<'_> {
     }
 
     /// A short human-readable name used in diagnostics.
-    pub fn describe(&self) -> &'static str {
+    pub(crate) fn describe(&self) -> &'static str {
         match self {
             TokenKind::Int(_) => "integer literal",
             TokenKind::Ident(_) => "identifier",
@@ -202,11 +202,11 @@ impl fmt::Display for TokenKind<'_> {
 
 /// A token together with its source span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Token<'s> {
+pub(crate) struct Token<'s> {
     /// What kind of token this is.
-    pub kind: TokenKind<'s>,
+    pub(crate) kind: TokenKind<'s>,
     /// Where in the source it came from.
-    pub span: crate::span::Span,
+    pub(crate) span: crate::span::Span,
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ pub fn validate(p: &Program) -> Result<()> {
 /// # Errors
 ///
 /// [`IrError::Validate`] naming the first unspanned instruction.
-pub fn validate_spans(p: &Program) -> Result<()> {
+pub(crate) fn validate_spans(p: &Program) -> Result<()> {
     for f in &p.funcs {
         for b in &f.blocks {
             for inst in &b.instrs {

@@ -28,7 +28,7 @@ pub enum Severity {
 impl Severity {
     /// The lowercase name used in both renderers (`error`, `warning`,
     /// `note`).
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Severity::Note => "note",
             Severity::Warning => "warning",
@@ -77,7 +77,7 @@ pub enum Code {
 }
 
 /// Every code, in registry order.
-pub const ALL_CODES: [Code; 7] = [
+pub(crate) const ALL_CODES: [Code; 7] = [
     Code::InfeasibleWindow,
     Code::BestCaseWindow,
     Code::DeadPolicy,
@@ -89,7 +89,7 @@ pub const ALL_CODES: [Code; 7] = [
 
 impl Code {
     /// The stable `OC0xx` string.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Code::InfeasibleWindow => "OC001",
             Code::BestCaseWindow => "OC002",
@@ -118,19 +118,6 @@ impl Code {
             Code::RedundantCheck => Severity::Note,
         }
     }
-
-    /// One-line registry description.
-    pub fn title(self) -> &'static str {
-        match self {
-            Code::InfeasibleWindow => "freshness window can never be met",
-            Code::BestCaseWindow => "freshness window met only in the best case",
-            Code::DeadPolicy => "policy constrains nothing",
-            Code::RedundantCheck => "dynamic check is statically redundant",
-            Code::UnboundedObligation => "freshness obligation blocked by an unbounded loop",
-            Code::RegionNeverFits => "atomic region can never fit the energy buffer",
-            Code::RegionMayExceed => "atomic region may exceed the energy buffer",
-        }
-    }
 }
 
 impl fmt::Display for Code {
@@ -149,7 +136,7 @@ pub struct Label {
     /// 1-based column (bytes) of `span.start`.
     pub col: usize,
     /// What this program point contributes to the finding.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl Label {
@@ -175,11 +162,11 @@ pub struct Finding {
     /// produces; carried explicitly so reports round-trip).
     pub severity: Severity,
     /// The headline message.
-    pub message: String,
+    pub(crate) message: String,
     /// Where the problem is.
     pub primary: Label,
     /// Supporting program points, in evidence order.
-    pub related: Vec<Label>,
+    pub(crate) related: Vec<Label>,
 }
 
 /// The result of linting one program: findings in source order.
@@ -192,7 +179,7 @@ pub struct Report {
 
 impl Report {
     /// Sorts findings into the canonical deterministic order.
-    pub fn normalize(&mut self) {
+    pub(crate) fn normalize(&mut self) {
         self.findings.sort_by(|a, b| {
             (a.primary.span.start, a.code, &a.message).cmp(&(
                 b.primary.span.start,
@@ -214,7 +201,7 @@ impl Report {
     }
 
     /// Number of note-severity findings.
-    pub fn note_count(&self) -> usize {
+    pub(crate) fn note_count(&self) -> usize {
         self.count(Severity::Note)
     }
 

@@ -4,7 +4,7 @@
 //!
 //! The encoding is *byte-stable*: a report renders to identical bytes
 //! across runs, platforms, and `--jobs` counts, because
-//! [`Report::normalize`] fixes the finding order and every field is
+//! `Report::normalize` fixes the finding order and every field is
 //! integral or a string.
 //!
 //! Schema (`docs/lint.md` documents it for external consumers):
@@ -26,9 +26,9 @@ use ocelot_ir::span::Span;
 use ocelot_telemetry::json::{parse, Json};
 
 /// Schema identifier carried in every encoded report.
-pub const SCHEMA: &str = "ocelot-lint-report";
+pub(crate) const SCHEMA: &str = "ocelot-lint-report";
 /// Current schema version.
-pub const VERSION: u64 = 1;
+pub(crate) const VERSION: u64 = 1;
 
 /// Encodes a (normalized) report as a [`Json`] value.
 pub fn to_json(report: &Report) -> Json {

@@ -44,11 +44,11 @@
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod diag;
+pub(crate) mod diag;
 pub mod json;
-pub mod passes;
+pub(crate) mod passes;
 
-pub use diag::{Code, Finding, Label, Report, Severity, ALL_CODES};
+pub use diag::{Code, Finding, Label, Report, Severity};
 pub use passes::{lint_compiled, lint_source, LintError, LintOptions};
 
 #[cfg(test)]

@@ -26,12 +26,11 @@
 use ocelot_analysis::dom::DomTree;
 use ocelot_analysis::loops::NaturalLoop;
 use ocelot_ir::ast::{Arg, BinOp, Expr};
-use ocelot_ir::cfg::Cfg;
 use ocelot_ir::{AnnotKind, Function, Op, Place, Terminator};
 
 /// The recovered bound of one natural loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LoopBound {
+pub(crate) enum LoopBound {
     /// The loop body executes at most `n` times (and the header check
     /// at most `n + 1` times).
     Exact(u64),
@@ -40,12 +39,12 @@ pub enum LoopBound {
 }
 
 /// Recovers the trip count of `l` from its header (see the module
-/// docs for the recognized shapes).
+/// docs for the recognized shapes). `dom` is `f`'s dominator tree.
 ///
 /// Bound recovery must run on the *un-erased* program: region
 /// transforms strip annotation markers, which would drop `@bound`
 /// declarations.
-pub fn loop_bound(f: &Function, l: &NaturalLoop) -> LoopBound {
+pub(crate) fn loop_bound(f: &Function, dom: &DomTree, l: &NaturalLoop) -> LoopBound {
     let header = f.block(l.header);
     // An explicit `@bound k` declaration wins outright.
     for inst in &header.instrs {
@@ -87,7 +86,7 @@ pub fn loop_bound(f: &Function, l: &NaturalLoop) -> LoopBound {
                     }
                 }
                 // General monotone-counter recovery for `while` shapes.
-                if let Some(n) = monotone_counter_bound(f, l, *op, c, *k) {
+                if let Some(n) = monotone_counter_bound(f, dom, l, *op, c, *k) {
                     return LoopBound::Exact(n);
                 }
             }
@@ -135,6 +134,7 @@ pub fn loop_bound(f: &Function, l: &NaturalLoop) -> LoopBound {
 /// count stays an upper bound.
 fn monotone_counter_bound(
     f: &Function,
+    dom: &DomTree,
     l: &NaturalLoop,
     op: BinOp,
     v: &str,
@@ -176,8 +176,6 @@ fn monotone_counter_bound(
     let (&[(init_bb, c0)], &[(step_bb, s)]) = (&init[..], &step[..]) else {
         return None;
     };
-    let cfg = Cfg::new(f);
-    let dom = DomTree::dominators(f, &cfg);
     // The initializer must reach the loop entry unconditionally.
     if !dom.dominates(init_bb, l.header) {
         return None;
@@ -258,6 +256,12 @@ mod tests {
     use ocelot_analysis::loops::LoopForest;
     use ocelot_ir::cfg::Cfg;
     use ocelot_ir::lower::compile;
+
+    /// [`super::loop_bound`] with `f`'s dominator tree built here.
+    fn loop_bound(f: &Function, l: &NaturalLoop) -> LoopBound {
+        let dom = DomTree::dominators(f, &Cfg::new(f));
+        super::loop_bound(f, &dom, l)
+    }
 
     fn main_loops(src: &str) -> (ocelot_ir::Program, LoopForest) {
         let p = compile(src).unwrap();

@@ -31,7 +31,7 @@ pub enum ProgressError {
 
 impl ProgressError {
     /// Convenience constructor for unsupported-shape errors.
-    pub fn unsupported(detail: impl Into<String>) -> Self {
+    pub(crate) fn unsupported(detail: impl Into<String>) -> Self {
         ProgressError::Unsupported {
             detail: detail.into(),
         }

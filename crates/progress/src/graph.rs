@@ -41,7 +41,11 @@ impl BlockGraph {
         let cfg = Cfg::new(f);
         let dom = DomTree::dominators(f, &cfg);
         let loops = LoopForest::new(f, &cfg, &dom);
-        let bounds = loops.loops().iter().map(|l| loop_bound(f, l)).collect();
+        let bounds = loops
+            .loops()
+            .iter()
+            .map(|l| loop_bound(f, &dom, l))
+            .collect();
         let is_exit = f
             .blocks
             .iter()

@@ -46,15 +46,14 @@
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod bounds;
-pub mod error;
-pub mod feas;
+pub(crate) mod bounds;
+pub(crate) mod error;
+pub(crate) mod feas;
 mod graph;
-pub mod report;
-pub mod stack;
-pub mod wcet;
+pub(crate) mod report;
+pub(crate) mod stack;
+pub(crate) mod wcet;
 
-pub use bounds::{loop_bound, LoopBound};
 pub use error::ProgressError;
 pub use feas::{EdgeSet, FeasAnalysis};
 pub use graph::BlockGraphs;

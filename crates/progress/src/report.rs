@@ -4,7 +4,7 @@
 //! that can be stored in the buffer"* — a region whose worst-case attempt
 //! exceeds the usable capacity rolls back forever and the program makes
 //! no forward progress. This module turns the worst-case cycle bounds of
-//! [`crate::wcet`] into per-region energy budgets, checks them against a
+//! `crate::wcet` into per-region energy budgets, checks them against a
 //! concrete capacitor, and derives the minimum buffer a program needs —
 //! the §10 "reasoning about forward progress" future work, built on
 //! Ocelot's minimal regions.
@@ -40,13 +40,13 @@ pub struct RegionBudget {
     /// Eager undo-log size in words.
     pub omega_words: usize,
     /// Energy of the binding (largest) phase, in nanojoules.
-    pub attempt_nj: f64,
+    pub(crate) attempt_nj: f64,
 }
 
 impl RegionBudget {
     /// The cycles of the binding phase: entry and body each get a fresh
     /// capacitor, so the larger of the two decides feasibility.
-    pub fn binding_cycles(&self) -> u64 {
+    pub(crate) fn binding_cycles(&self) -> u64 {
         self.entry_cycles.max(self.body_cycles)
     }
 }
@@ -72,7 +72,7 @@ pub enum Verdict {
 
 impl Verdict {
     /// True for [`Verdict::Feasible`].
-    pub fn is_feasible(&self) -> bool {
+    pub(crate) fn is_feasible(&self) -> bool {
         matches!(self, Verdict::Feasible { .. })
     }
 }
@@ -84,7 +84,7 @@ pub struct ProgressReport {
     pub regions: Vec<RegionBudget>,
     /// Worst-case JIT checkpoint anywhere, in cycles (the trigger
     /// reserve must cover this).
-    pub worst_jit_checkpoint_cycles: u64,
+    pub(crate) worst_jit_checkpoint_cycles: u64,
     /// The cost model used (for energy conversions when checking).
     costs: CostModel,
 }

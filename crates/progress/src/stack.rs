@@ -17,7 +17,7 @@
 //!   sizes" ([`program_peak_words`](StackModel::program_peak_words)
 //!   makes the check concrete).
 
-use ocelot_ir::{CallGraph, FuncId, Program};
+use ocelot_ir::{CallGraph, FuncId, Function, Program};
 
 /// Fixed register-file share per frame, matching the runtime's `Frame::words`.
 const FRAME_OVERHEAD: usize = 4;
@@ -27,7 +27,6 @@ const MACHINE_OVERHEAD: usize = 16;
 /// Static per-function and whole-program volatile-footprint bounds.
 #[derive(Debug, Clone)]
 pub struct StackModel {
-    frame_words: Vec<usize>,
     entry_words: Vec<usize>,
     chain_below: Vec<usize>,
 }
@@ -46,14 +45,7 @@ impl StackModel {
             .expect("validated programs are non-recursive");
         let n = p.funcs.len();
 
-        let frame_words: Vec<usize> = p
-            .funcs
-            .iter()
-            .map(|f| {
-                let by_value_params = f.params.iter().filter(|prm| !prm.by_ref).count();
-                f.locals.len() + by_value_params + FRAME_OVERHEAD
-            })
-            .collect();
+        let frame_words: Vec<usize> = p.funcs.iter().map(frame_words).collect();
 
         // Deepest chain of frames strictly below f (its callees), in words.
         let mut chain_below = vec![0usize; n];
@@ -89,26 +81,20 @@ impl StackModel {
         }
 
         StackModel {
-            frame_words,
             entry_words,
             chain_below,
         }
     }
 
-    /// Upper bound on one frame of `f`, in words.
-    pub fn frame_words(&self, f: FuncId) -> usize {
-        self.frame_words[f.0 as usize]
-    }
-
     /// Upper bound on the volatile state when a frame for `f` has just
     /// been pushed (worst caller chain from `main`).
-    pub fn entry_words(&self, f: FuncId) -> usize {
+    pub(crate) fn entry_words(&self, f: FuncId) -> usize {
         self.entry_words[f.0 as usize]
     }
 
     /// Upper bound on the volatile state at any point while `f` is
     /// executing, including its deepest callee chain.
-    pub fn peak_words(&self, f: FuncId) -> usize {
+    pub(crate) fn peak_words(&self, f: FuncId) -> usize {
         self.entry_words[f.0 as usize] + self.chain_below[f.0 as usize]
     }
 
@@ -117,6 +103,12 @@ impl StackModel {
     pub fn program_peak_words(&self, p: &Program) -> usize {
         self.peak_words(p.main)
     }
+}
+
+/// Upper bound on one frame of `f`, in words.
+fn frame_words(f: &Function) -> usize {
+    let by_value_params = f.params.iter().filter(|prm| !prm.by_ref).count();
+    f.locals.len() + by_value_params + FRAME_OVERHEAD
 }
 
 #[cfg(test)]
@@ -137,10 +129,10 @@ mod tests {
         let leaf = p.func_by_name("leaf").unwrap();
         // leaf: 2 locals (`a` + the synthetic `$ret`) + 1 by-value param
         // + 4 overhead.
-        assert_eq!(m.frame_words(leaf), 7);
+        assert_eq!(frame_words(p.func(leaf)), 7);
         assert_eq!(
             m.entry_words(leaf),
-            m.entry_words(p.main) + m.frame_words(leaf)
+            m.entry_words(p.main) + frame_words(p.func(leaf))
         );
     }
 
@@ -156,7 +148,8 @@ mod tests {
         let m = StackModel::new(&p);
         let put = p.func_by_name("put").unwrap();
         // put: 1 local (`$ret`) + 1 by-value param (v; &dst is a ref) + 4.
-        assert_eq!(m.frame_words(put), 6);
+        assert_eq!(frame_words(p.func(put)), 6);
+        assert_eq!(m.entry_words(put), m.entry_words(p.main) + 6);
     }
 
     #[test]
@@ -178,9 +171,9 @@ mod tests {
         // leaf's worst entry goes through mid, not the direct call.
         assert_eq!(
             m.entry_words(leaf),
-            m.entry_words(mid) + m.frame_words(leaf)
+            m.entry_words(mid) + frame_words(p.func(leaf))
         );
-        assert!(m.entry_words(leaf) > m.entry_words(p.main) + m.frame_words(leaf));
+        assert!(m.entry_words(leaf) > m.entry_words(p.main) + frame_words(p.func(leaf)));
     }
 
     #[test]
@@ -213,7 +206,7 @@ mod tests {
         let helper = p.func_by_name("helper").unwrap();
         assert_eq!(
             m.peak_words(p.main),
-            m.entry_words(p.main) + m.frame_words(helper)
+            m.entry_words(p.main) + frame_words(p.func(helper))
         );
         assert_eq!(m.program_peak_words(&p), m.entry_words(helper));
     }

@@ -74,7 +74,7 @@ pub struct DetectorConfig {
     /// Freshness checks keyed by the use instruction.
     pub use_checks: BTreeMap<InstrRef, Vec<Check>>,
     /// Consistency checks keyed by the executing collection's chain.
-    pub input_checks: BTreeMap<Prov, Vec<Check>>,
+    pub(crate) input_checks: BTreeMap<Prov, Vec<Check>>,
 }
 
 impl DetectorConfig {

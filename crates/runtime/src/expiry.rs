@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, BTreeSet};
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExpiryReport {
     /// Uses where the expiry check tripped (TICS would run a handler).
-    pub trips: usize,
+    pub(crate) trips: usize,
     /// Uses that really violated freshness (ground truth).
     pub true_freshness_violations: usize,
     /// Ground-truth freshness violations the expiry check *missed*
@@ -42,18 +42,6 @@ pub struct ExpiryReport {
     /// Ground-truth temporal-consistency violations, which no expiry
     /// window can express (always missed by TICS).
     pub consistency_violations_unexpressible: usize,
-}
-
-impl ExpiryReport {
-    /// Fraction of real freshness violations caught; 1.0 when there were
-    /// none to catch.
-    pub fn recall(&self) -> f64 {
-        if self.true_freshness_violations == 0 {
-            1.0
-        } else {
-            1.0 - self.missed as f64 / self.true_freshness_violations as f64
-        }
-    }
 }
 
 /// Replays `trace` with a TICS-style check: at each recorded use of a
@@ -198,7 +186,6 @@ mod tests {
         assert!(r.true_freshness_violations > 0);
         assert_eq!(r.missed, r.true_freshness_violations, "all missed");
         assert_eq!(r.trips, 0, "a huge window never trips");
-        assert_eq!(r.recall(), 0.0);
     }
 
     #[test]
@@ -212,7 +199,6 @@ mod tests {
             r.spurious > 0,
             "fresh uses also tripped: handlers for nothing"
         );
-        assert_eq!(r.recall(), 1.0);
     }
 
     #[test]
@@ -224,7 +210,6 @@ mod tests {
         assert!(r.true_freshness_violations > 0);
         assert_eq!(r.missed, 0, "10ms window sees 100ms gaps");
         assert_eq!(r.spurious, 0, "same-era uses are far younger than 10ms");
-        assert_eq!(r.recall(), 1.0);
     }
 
     #[test]
@@ -236,7 +221,6 @@ mod tests {
         let r = evaluate_expiry(&policies, &trace, 10_000);
         assert!(r.true_freshness_violations > 0);
         assert_eq!(r.missed, r.true_freshness_violations, "all missed");
-        assert_eq!(r.recall(), 0.0);
     }
 
     #[test]

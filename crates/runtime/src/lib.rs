@@ -36,7 +36,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod detect;
-pub mod exec;
+pub(crate) mod exec;
 pub mod expiry;
 pub mod machine;
 pub mod memory;
@@ -48,11 +48,11 @@ pub mod stats;
 
 pub use detect::{check_trace, BitVector, DetectorConfig, ViolationEvent, ViolationKind};
 pub use exec::{ExecBackend, OptLevel};
-pub use expiry::{evaluate_expiry, ExpiryReport};
+pub use expiry::evaluate_expiry;
 pub use machine::{pathological_targets, DeviceState, Machine, MachineCore, RunOutcome};
 pub use model::{build, Built, ExecModel};
-pub use obs::{Obs, ObsLog};
-pub use samoyed::{run_scaled, samoyed_transform, ScaledApp, ScaledOutcome};
+pub use obs::Obs;
+pub use samoyed::{run_scaled, samoyed_transform, ScaledApp};
 pub use stats::Stats;
 
 /// Step budget per program run for every sweep in the workspace (bench

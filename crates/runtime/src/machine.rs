@@ -392,7 +392,7 @@ impl DeviceState {
 /// power supply.
 ///
 /// Fields are crate-visible: the compiled execution backend
-/// ([`crate::exec`]) drives the same state through the same
+/// (`crate::exec`) drives the same state through the same
 /// checked/observable helpers, so the two backends cannot drift apart
 /// on anything the paper's semantics observe.
 pub struct Machine<'p> {
@@ -841,11 +841,6 @@ impl<'p> Machine<'p> {
     /// Execution statistics so far.
     pub fn stats(&self) -> &Stats {
         &self.dev.stats
-    }
-
-    /// Current simulated wall-clock time in µs.
-    pub fn now_us(&self) -> u64 {
-        self.dev.now_us
     }
 
     /// Takes the committed observation trace accumulated so far.

@@ -6,7 +6,7 @@
 //! operations the value depends on — that is what lets the trace checker
 //! validate Definitions 2 and 3 on real executions.
 //!
-//! Frame locals are **slot-indexed**: a [`FrameLayouts`] table (built
+//! Frame locals are **slot-indexed**: a `FrameLayouts` table (built
 //! once per program) assigns every by-value parameter and every lowered
 //! local of each function a dense slot, so the hot path reads and
 //! writes a `Vec` instead of probing a name-keyed map. Names remain the
@@ -55,7 +55,7 @@ impl Default for Deps {
 
 impl Deps {
     /// The empty set.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Deps(DepsRepr::Inline {
             len: 0,
             buf: [0; DEPS_INLINE],
@@ -75,16 +75,8 @@ impl Deps {
         self.len() == 0
     }
 
-    /// True when `t` is in the set.
-    pub fn contains(&self, t: u64) -> bool {
-        match &self.0 {
-            DepsRepr::Inline { len, buf } => buf[..*len as usize].binary_search(&t).is_ok(),
-            DepsRepr::Heap(s) => s.contains(&t),
-        }
-    }
-
     /// Inserts `t`, returning true when it was new.
-    pub fn insert(&mut self, t: u64) -> bool {
+    pub(crate) fn insert(&mut self, t: u64) -> bool {
         match &mut self.0 {
             DepsRepr::Inline { len, buf } => {
                 let n = *len as usize;
@@ -187,14 +179,14 @@ impl IntoIterator for Deps {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Tainted {
     /// The integer value (booleans are 0/1).
-    pub value: i64,
+    pub(crate) value: i64,
     /// Input timestamps this value depends on.
-    pub deps: Deps,
+    pub(crate) deps: Deps,
 }
 
 impl Tainted {
     /// An untainted constant.
-    pub fn pure(value: i64) -> Self {
+    pub(crate) fn pure(value: i64) -> Self {
         Tainted {
             value,
             deps: Deps::new(),
@@ -202,7 +194,7 @@ impl Tainted {
     }
 
     /// A freshly-sampled input collected at logical time `tau`.
-    pub fn input(value: i64, tau: u64) -> Self {
+    pub(crate) fn input(value: i64, tau: u64) -> Self {
         Tainted {
             value,
             deps: Deps::from([tau]),
@@ -210,7 +202,7 @@ impl Tainted {
     }
 
     /// Combines two operands: the result depends on both.
-    pub fn combine(value: i64, a: &Tainted, b: &Tainted) -> Self {
+    pub(crate) fn combine(value: i64, a: &Tainted, b: &Tainted) -> Self {
         let mut deps = a.deps.clone();
         deps.extend(b.deps.iter().copied());
         Tainted { value, deps }
@@ -230,7 +222,7 @@ impl Tainted {
 /// API is unchanged and remains the fallback for accesses that cannot
 /// be resolved statically.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct NvMem {
+pub(crate) struct NvMem {
     scalar_index: BTreeMap<String, usize>,
     scalar_names: Vec<Arc<str>>,
     scalars: Vec<Tainted>,
@@ -242,7 +234,7 @@ pub struct NvMem {
 impl NvMem {
     /// Initializes non-volatile memory from the program's global
     /// declarations (arrays zero-fill).
-    pub fn init(p: &Program) -> Self {
+    pub(crate) fn init(p: &Program) -> Self {
         let mut nv = NvMem::default();
         for g in &p.globals {
             match g.array_len {
@@ -276,7 +268,7 @@ impl NvMem {
     /// # Panics
     ///
     /// Panics if `slot` was not obtained from [`NvMem::scalar_slot`].
-    pub fn scalar_name(&self, slot: usize) -> &Arc<str> {
+    pub(crate) fn scalar_name(&self, slot: usize) -> &Arc<str> {
         &self.scalar_names[slot]
     }
 
@@ -285,13 +277,13 @@ impl NvMem {
     /// # Panics
     ///
     /// Panics if `slot` was not obtained from [`NvMem::array_slot`].
-    pub fn array_name(&self, slot: usize) -> &Arc<str> {
+    pub(crate) fn array_name(&self, slot: usize) -> &Arc<str> {
         &self.array_names[slot]
     }
 
     /// The slot of scalar `name`, allocating a fresh zeroed slot for
     /// unknown names (hand-built IR may store to undeclared names).
-    pub fn ensure_scalar(&mut self, name: &str) -> usize {
+    pub(crate) fn ensure_scalar(&mut self, name: &str) -> usize {
         match self.scalar_index.get(name) {
             Some(&i) => i,
             None => {
@@ -318,7 +310,7 @@ impl NvMem {
     /// # Panics
     ///
     /// Panics if `slot` was not obtained from [`NvMem::scalar_slot`].
-    pub fn read_slot(&self, slot: usize) -> Tainted {
+    pub(crate) fn read_slot(&self, slot: usize) -> Tainted {
         self.scalars[slot].clone()
     }
 
@@ -329,7 +321,7 @@ impl NvMem {
     /// # Panics
     ///
     /// Panics if `slot` was not obtained from [`NvMem::scalar_slot`].
-    pub fn read_slot_value(&self, slot: usize) -> i64 {
+    pub(crate) fn read_slot_value(&self, slot: usize) -> i64 {
         self.scalars[slot].value
     }
 
@@ -346,13 +338,13 @@ impl NvMem {
     /// # Panics
     ///
     /// Panics if `slot` was not obtained from [`NvMem::scalar_slot`].
-    pub fn write_slot(&mut self, slot: usize, v: Tainted) -> Tainted {
+    pub(crate) fn write_slot(&mut self, slot: usize, v: Tainted) -> Tainted {
         std::mem::replace(&mut self.scalars[slot], v)
     }
 
     /// Reads `name[idx]`; out-of-bounds indices clamp to the last cell
     /// (embedded-style saturation, keeping runs total).
-    pub fn read_idx(&self, name: &str, idx: i64) -> Tainted {
+    pub(crate) fn read_idx(&self, name: &str, idx: i64) -> Tainted {
         match self.array_index.get(name) {
             Some(&s) => self.read_idx_slot(s, idx),
             None => Tainted::default(),
@@ -364,7 +356,7 @@ impl NvMem {
     /// # Panics
     ///
     /// Panics if `slot` was not obtained from [`NvMem::array_slot`].
-    pub fn read_idx_slot(&self, slot: usize, idx: i64) -> Tainted {
+    pub(crate) fn read_idx_slot(&self, slot: usize, idx: i64) -> Tainted {
         let a = &self.arrays[slot];
         if a.is_empty() {
             return Tainted::default();
@@ -374,7 +366,7 @@ impl NvMem {
     }
 
     /// Value-only variant of [`NvMem::read_idx`].
-    pub fn read_idx_value(&self, name: &str, idx: i64) -> i64 {
+    pub(crate) fn read_idx_value(&self, name: &str, idx: i64) -> i64 {
         match self.array_index.get(name) {
             Some(&s) => self.read_idx_slot_value(s, idx),
             None => 0,
@@ -387,7 +379,7 @@ impl NvMem {
     /// # Panics
     ///
     /// Panics if `slot` was not obtained from [`NvMem::array_slot`].
-    pub fn read_idx_slot_value(&self, slot: usize, idx: i64) -> i64 {
+    pub(crate) fn read_idx_slot_value(&self, slot: usize, idx: i64) -> i64 {
         let a = &self.arrays[slot];
         if a.is_empty() {
             return 0;
@@ -397,7 +389,7 @@ impl NvMem {
     }
 
     /// Writes `name[idx]` (clamped), returning `(clamped_index, old)`.
-    pub fn write_idx(&mut self, name: &str, idx: i64, v: Tainted) -> (usize, Tainted) {
+    pub(crate) fn write_idx(&mut self, name: &str, idx: i64, v: Tainted) -> (usize, Tainted) {
         match self.array_index.get(name) {
             Some(&s) => self.write_idx_slot(s, idx, v),
             None => (0, Tainted::default()),
@@ -410,7 +402,7 @@ impl NvMem {
     /// # Panics
     ///
     /// Panics if `slot` was not obtained from [`NvMem::array_slot`].
-    pub fn write_idx_slot(&mut self, slot: usize, idx: i64, v: Tainted) -> (usize, Tainted) {
+    pub(crate) fn write_idx_slot(&mut self, slot: usize, idx: i64, v: Tainted) -> (usize, Tainted) {
         let a = &mut self.arrays[slot];
         if a.is_empty() {
             return (0, Tainted::default());
@@ -428,7 +420,7 @@ impl NvMem {
     /// prefix — so a pooled memory carries no state from one device to
     /// the next. When the declared prefix does not match `p` (a pooled
     /// memory crossing programs), the memory is rebuilt from scratch.
-    pub fn reset_from(&mut self, p: &Program) {
+    pub(crate) fn reset_from(&mut self, p: &Program) {
         let (mut ns, mut na) = (0usize, 0usize);
         let mut matches = true;
         for g in &p.globals {
@@ -471,11 +463,6 @@ impl NvMem {
         }
     }
 
-    /// True when `name` is an array.
-    pub fn is_array(&self, name: &str) -> bool {
-        self.array_index.contains_key(name)
-    }
-
     /// Restores one array cell without clamping (undo-log rollback
     /// targets the exact logged index; out-of-range indices are
     /// ignored, matching a log entry for a since-shrunk array).
@@ -490,7 +477,7 @@ impl NvMem {
 
 /// How one parameter of a function is bound at call time.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ParamBind {
+pub(crate) enum ParamBind {
     /// A by-value parameter: bound into this local slot.
     Value(u32),
     /// A by-mutable-reference parameter: resolved into the frame's
@@ -502,10 +489,10 @@ pub enum ParamBind {
 /// parameter order), then the lowered locals (in
 /// [`ocelot_ir::Function::locals`] order).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameLayout {
+pub(crate) struct FrameLayout {
     /// Entry block of the function (so frames can be created without a
     /// [`Program`] in hand).
-    pub entry: BlockId,
+    pub(crate) entry: BlockId,
     names: Vec<Arc<str>>,
     index: BTreeMap<Arc<str>, u32>,
     params: Vec<ParamBind>,
@@ -553,11 +540,6 @@ impl FrameLayout {
         self.names.len()
     }
 
-    /// True when the function has no by-value locals at all.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
     /// The shared name of `slot`.
     ///
     /// # Panics
@@ -568,7 +550,7 @@ impl FrameLayout {
     }
 
     /// Parameter bindings, in parameter order.
-    pub fn params(&self) -> &[ParamBind] {
+    pub(crate) fn params(&self) -> &[ParamBind] {
         &self.params
     }
 }
@@ -576,13 +558,13 @@ impl FrameLayout {
 /// The slot layouts of every function in a program, indexed by
 /// [`FuncId`]. Built once; shared by both execution backends.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameLayouts {
+pub(crate) struct FrameLayouts {
     funcs: Vec<FrameLayout>,
 }
 
 impl FrameLayouts {
     /// Computes the layout of every function of `p`.
-    pub fn new(p: &Program) -> Self {
+    pub(crate) fn new(p: &Program) -> Self {
         FrameLayouts {
             funcs: p.funcs.iter().map(FrameLayout::of).collect(),
         }
@@ -593,7 +575,7 @@ impl FrameLayouts {
     /// # Panics
     ///
     /// Panics if `f` is out of range.
-    pub fn layout(&self, f: FuncId) -> &FrameLayout {
+    pub(crate) fn layout(&self, f: FuncId) -> &FrameLayout {
         &self.funcs[f.0 as usize]
     }
 
@@ -606,7 +588,7 @@ impl FrameLayouts {
 /// Where a by-reference parameter ultimately points: resolved at call
 /// time (references cannot re-seat, so resolution is stable).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RefTarget {
+pub(crate) enum RefTarget {
     /// A local slot in an earlier frame (`frame` indexes the stack from
     /// the bottom).
     Local {
@@ -629,7 +611,7 @@ pub enum RefTarget {
 
 /// Where a callee's return value lands in the caller frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RetSlot {
+pub(crate) enum RetSlot {
     /// A pre-resolved caller slot.
     Slot(u32),
     /// A caller binding outside the layout (hand-built IR only).
@@ -644,14 +626,14 @@ pub enum RetSlot {
 /// local stores non-volatile. The frame's checkpoint footprint counts
 /// only bound slots, exactly like the name-keyed map it replaces.
 #[derive(Debug, PartialEq, Eq)]
-pub struct Frame {
+pub(crate) struct Frame {
     /// The executing function.
-    pub func: FuncId,
+    pub(crate) func: FuncId,
     /// Current basic block.
-    pub block: BlockId,
+    pub(crate) block: BlockId,
     /// Next instruction index within the block (`instrs.len()` = the
     /// terminator).
-    pub index: usize,
+    pub(crate) index: usize,
     /// Local slots (`None` = declared but not yet bound).
     slots: Vec<Option<Tainted>>,
     /// Number of bound slots (the volatile word count of `slots`).
@@ -660,12 +642,12 @@ pub struct Frame {
     /// lowered programs, a spill path for hand-built IR.
     extra: BTreeMap<String, Tainted>,
     /// Resolution of by-reference parameters.
-    pub refs: BTreeMap<Arc<str>, RefTarget>,
+    pub(crate) refs: BTreeMap<Arc<str>, RefTarget>,
     /// Where the caller wants the return value, if anywhere.
-    pub ret_dst: Option<RetSlot>,
+    pub(crate) ret_dst: Option<RetSlot>,
     /// The call instruction that created this frame (`None` for the
     /// bottom frame); the dynamic provenance chain is read off these.
-    pub call_site: Option<ocelot_ir::InstrRef>,
+    pub(crate) call_site: Option<ocelot_ir::InstrRef>,
 }
 
 impl Clone for Frame {
@@ -700,14 +682,14 @@ impl Clone for Frame {
 
 impl Frame {
     /// A frame at the entry of `func` with all slots unbound.
-    pub fn at_entry(layouts: &FrameLayouts, func: FuncId) -> Self {
+    pub(crate) fn at_entry(layouts: &FrameLayouts, func: FuncId) -> Self {
         let l = layouts.layout(func);
         Frame::raw(func, l.entry, l.len(), None, None)
     }
 
     /// A frame for a call into `func` at `entry` with `nslots` local
     /// slots; parameters are bound afterwards via [`Frame::set_slot`].
-    pub fn for_call(
+    pub(crate) fn for_call(
         func: FuncId,
         entry: BlockId,
         nslots: usize,
@@ -739,7 +721,7 @@ impl Frame {
 
     /// Re-initializes a recycled frame for a new call, keeping its
     /// allocations (slot vector capacity, map nodes are already empty).
-    pub fn reuse(
+    pub(crate) fn reuse(
         &mut self,
         func: FuncId,
         entry: BlockId,
@@ -782,7 +764,7 @@ impl Frame {
     /// # Panics
     ///
     /// Panics if `slot` is outside the frame's layout.
-    pub fn get_slot(&self, slot: u32) -> Option<&Tainted> {
+    pub(crate) fn get_slot(&self, slot: u32) -> Option<&Tainted> {
         self.slots[slot as usize].as_ref()
     }
 
@@ -791,7 +773,7 @@ impl Frame {
     /// # Panics
     ///
     /// Panics if `slot` is outside the frame's layout.
-    pub fn set_slot(&mut self, slot: u32, v: Tainted) {
+    pub(crate) fn set_slot(&mut self, slot: u32, v: Tainted) {
         let cell = &mut self.slots[slot as usize];
         if cell.is_none() {
             self.bound += 1;
@@ -820,18 +802,18 @@ impl Frame {
     }
 
     /// A binding outside the layout (hand-built IR only).
-    pub fn get_extra(&self, name: &str) -> Option<&Tainted> {
+    pub(crate) fn get_extra(&self, name: &str) -> Option<&Tainted> {
         self.extra.get(name)
     }
 
     /// Binds a name outside the layout (hand-built IR only).
-    pub fn set_extra(&mut self, name: &str, v: Tainted) {
+    pub(crate) fn set_extra(&mut self, name: &str, v: Tainted) {
         self.extra.insert(name.to_string(), v);
     }
 
     /// Number of words of volatile state this frame holds (bound locals
     /// plus a fixed register-file share).
-    pub fn words(&self) -> usize {
+    pub(crate) fn words(&self) -> usize {
         self.bound as usize + self.extra.len() + 4
     }
 }
@@ -839,9 +821,9 @@ impl Frame {
 /// The whole volatile machine state: the call stack. Lost on power
 /// failure unless checkpointed.
 #[derive(Debug, PartialEq, Eq, Default)]
-pub struct VolState {
+pub(crate) struct VolState {
     /// Call frames, bottom first.
-    pub frames: Vec<Frame>,
+    pub(crate) frames: Vec<Frame>,
 }
 
 impl Clone for VolState {
@@ -861,17 +843,17 @@ impl Clone for VolState {
 
 impl VolState {
     /// Volatile footprint in words (drives checkpoint cost).
-    pub fn words(&self) -> usize {
+    pub(crate) fn words(&self) -> usize {
         16 + self.frames.iter().map(Frame::words).sum::<usize>()
     }
 
     /// The active frame.
-    pub fn top(&self) -> Option<&Frame> {
+    pub(crate) fn top(&self) -> Option<&Frame> {
         self.frames.last()
     }
 
     /// The active frame, mutably.
-    pub fn top_mut(&mut self) -> Option<&mut Frame> {
+    pub(crate) fn top_mut(&mut self) -> Option<&mut Frame> {
         self.frames.last_mut()
     }
 }
@@ -879,7 +861,7 @@ impl VolState {
 /// A location key for undo logging. Names are shared [`Arc<str>`]s, so
 /// cloning a key costs a reference-count bump, not an allocation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum NvLoc {
+pub(crate) enum NvLoc {
     /// A scalar global.
     Scalar(Arc<str>),
     /// One array cell.
@@ -894,14 +876,14 @@ pub enum NvLoc {
 /// per entry. Restoration order is irrelevant (one entry per location),
 /// so the map's iteration order never becomes observable.
 #[derive(Debug, Clone, Default)]
-pub struct UndoLog {
+pub(crate) struct UndoLog {
     entries: HashMap<NvLoc, Tainted>,
 }
 
 impl UndoLog {
     /// Records the pre-state of `loc` unless already logged. Returns
     /// true when a new entry was added (for cost accounting).
-    pub fn save(&mut self, loc: NvLoc, old: Tainted) -> bool {
+    pub(crate) fn save(&mut self, loc: NvLoc, old: Tainted) -> bool {
         if let std::collections::hash_map::Entry::Vacant(e) = self.entries.entry(loc) {
             e.insert(old);
             true
@@ -911,12 +893,12 @@ impl UndoLog {
     }
 
     /// Number of logged words.
-    pub fn words(&self) -> usize {
+    pub(crate) fn words(&self) -> usize {
         self.entries.len()
     }
 
     /// Restores every logged location into `nv` — the paper's `N ◁ L`.
-    pub fn apply(&self, nv: &mut NvMem) {
+    pub(crate) fn apply(&self, nv: &mut NvMem) {
         for (loc, old) in &self.entries {
             match loc {
                 NvLoc::Scalar(name) => {
@@ -930,7 +912,7 @@ impl UndoLog {
     }
 
     /// Drops all entries, keeping the allocation (region committed).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
     }
 }
@@ -955,8 +937,8 @@ mod tests {
         let nv = NvMem::init(&p);
         assert_eq!(nv.read("g").value, 5);
         assert_eq!(nv.read_idx("a", 2).value, 0);
-        assert!(nv.is_array("a"));
-        assert!(!nv.is_array("g"));
+        assert!(nv.array_index.contains_key("a"));
+        assert!(!nv.array_index.contains_key("g"));
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub enum Obs {
 /// Buffers observations, holding back region-internal events until the
 /// region commits.
 #[derive(Debug, Clone, Default)]
-pub struct ObsLog {
+pub(crate) struct ObsLog {
     committed: Vec<Obs>,
     pending: Vec<Obs>,
     buffering: bool,
@@ -95,7 +95,7 @@ pub struct ObsLog {
 impl ObsLog {
     /// A log that keeps at most `capacity` committed events (0 =
     /// unlimited). Violations are always retained.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         ObsLog {
             capacity,
             ..Default::default()
@@ -103,12 +103,12 @@ impl ObsLog {
     }
 
     /// Starts buffering (atomic region entered).
-    pub fn begin_region(&mut self) {
+    pub(crate) fn begin_region(&mut self) {
         self.buffering = true;
     }
 
     /// Commits buffered events (region ended).
-    pub fn commit_region(&mut self) {
+    pub(crate) fn commit_region(&mut self) {
         self.buffering = false;
         // Drained rather than taken, so the buffer keeps its capacity
         // for the next region.
@@ -120,13 +120,13 @@ impl ObsLog {
     }
 
     /// Discards buffered events (region rolled back).
-    pub fn abort_region(&mut self) {
+    pub(crate) fn abort_region(&mut self) {
         self.buffering = false;
         self.pending.clear();
     }
 
     /// Records an event (buffered while a region is open).
-    pub fn push(&mut self, o: Obs) {
+    pub(crate) fn push(&mut self, o: Obs) {
         if self.buffering {
             self.pending.push(o);
         } else {
@@ -136,7 +136,7 @@ impl ObsLog {
 
     /// Records an event that bypasses buffering (reboots are visible
     /// immediately — they are exactly what aborts the buffer).
-    pub fn push_unbuffered(&mut self, o: Obs) {
+    pub(crate) fn push_unbuffered(&mut self, o: Obs) {
         self.push_committed(o);
     }
 
@@ -160,22 +160,17 @@ impl ObsLog {
         self.committed.push(o);
     }
 
-    /// The committed trace.
-    pub fn committed(&self) -> &[Obs] {
-        &self.committed
-    }
-
     /// Clears the log for reuse, keeping the committed vector's
     /// allocation and the configured capacity (unlike [`ObsLog::take`],
     /// which surrenders the buffer to the caller).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.committed.clear();
         self.pending.clear();
         self.buffering = false;
     }
 
     /// Takes the committed trace, resetting the log.
-    pub fn take(&mut self) -> Vec<Obs> {
+    pub(crate) fn take(&mut self) -> Vec<Obs> {
         self.pending.clear();
         self.buffering = false;
         std::mem::take(&mut self.committed)
@@ -217,7 +212,7 @@ mod tests {
         log.commit_region();
         log.push(use_obs(4));
         let taus: Vec<u64> = log
-            .committed()
+            .committed
             .iter()
             .map(|o| match o {
                 Obs::Use { tau, .. } => *tau,
@@ -234,8 +229,8 @@ mod tests {
         log.push(use_obs(2));
         log.push_unbuffered(reboot(0));
         log.abort_region();
-        assert_eq!(log.committed().len(), 1, "only the reboot is visible");
-        assert!(matches!(log.committed()[0], Obs::Reboot { .. }));
+        assert_eq!(log.committed.len(), 1, "only the reboot is visible");
+        assert!(matches!(log.committed[0], Obs::Reboot { .. }));
     }
 
     #[test]
@@ -244,7 +239,7 @@ mod tests {
         log.push(use_obs(1));
         log.push(use_obs(2));
         log.push(use_obs(3)); // dropped
-        assert_eq!(log.committed().len(), 2);
+        assert_eq!(log.committed.len(), 2);
         let v = Obs::Violation(crate::detect::ViolationEvent {
             policy: ocelot_core::PolicyId(0),
             kind: crate::detect::ViolationKind::Freshness,
@@ -257,9 +252,6 @@ mod tests {
             stale_ops: vec![],
         });
         log.push(v.clone());
-        assert!(log
-            .committed()
-            .iter()
-            .any(|o| matches!(o, Obs::Violation(_))));
+        assert!(log.committed.iter().any(|o| matches!(o, Obs::Violation(_))));
     }
 }

@@ -34,11 +34,11 @@ type JobDeque<'a, T> = Mutex<VecDeque<(usize, Job<'a, T>)>>;
 
 /// Counters describing one [`run_jobs_counting`] execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
+pub(crate) struct PoolStats {
     /// Worker threads actually spawned (0 for the inline fast path).
-    pub workers: usize,
+    pub(crate) workers: usize,
     /// Jobs that ran on a worker other than the one seeded with them.
-    pub steals: u64,
+    pub(crate) steals: u64,
 }
 
 /// Number of workers to use when `--jobs` is not given: the machine's
@@ -57,7 +57,7 @@ pub fn run_jobs<'a, T: Send>(jobs: Vec<Job<'a, T>>, workers: usize) -> Vec<T> {
 
 /// [`run_jobs`] that also reports scheduling counters, for tests that
 /// assert stealing actually happens.
-pub fn run_jobs_counting<'a, T: Send>(
+pub(crate) fn run_jobs_counting<'a, T: Send>(
     jobs: Vec<Job<'a, T>>,
     workers: usize,
 ) -> (Vec<T>, PoolStats) {

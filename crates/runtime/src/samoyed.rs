@@ -23,7 +23,6 @@
 
 use crate::machine::{Machine, RunOutcome};
 use crate::model::{build, Built, ExecModel};
-use crate::stats::Stats;
 use ocelot_core::CoreError;
 use ocelot_hw::energy::CostModel;
 use ocelot_hw::power::PowerSupply;
@@ -116,8 +115,6 @@ pub struct ScaledOutcome {
     /// Detector violations during the completing run (only the fallback
     /// can violate; atomic completions cannot).
     pub violations: u64,
-    /// Stats of the completing (or final) machine.
-    pub stats: Stats,
 }
 
 /// Runs `app` to completion under Samoyed semantics: execute atomically;
@@ -168,7 +165,6 @@ pub fn run_scaled(
                     scalings,
                     fell_back: false,
                     violations: violated as u64,
-                    stats: m.stats().clone(),
                 });
             }
             RunOutcome::Livelock { .. } if param / 2 >= app.min => {
@@ -187,7 +183,6 @@ pub fn run_scaled(
                     scalings,
                     fell_back: false,
                     violations: 0,
-                    stats: m.stats().clone(),
                 });
             }
         }
@@ -221,7 +216,6 @@ fn run_fallback(
         scalings,
         fell_back: true,
         violations: m.stats().violations,
-        stats: m.stats().clone(),
     })
 }
 

@@ -164,7 +164,7 @@ pub enum SupplySpec {
 
 impl SupplySpec {
     /// The evaluation's standard bank: ≈26 µJ usable, ≈2.6 µJ reserve.
-    pub fn standard_bank(harvester: HarvesterSpec) -> SupplySpec {
+    pub(crate) fn standard_bank(harvester: HarvesterSpec) -> SupplySpec {
         SupplySpec::Harvested {
             capacity_nj: 26_000.0,
             trigger_nj: 2_600.0,
@@ -174,7 +174,7 @@ impl SupplySpec {
     }
 
     /// Builds the concrete supply for `seed`.
-    pub fn build(&self, seed: u64) -> Box<dyn PowerSupply> {
+    pub(crate) fn build(&self, seed: u64) -> Box<dyn PowerSupply> {
         match self {
             SupplySpec::Continuous => Box::new(ContinuousPower),
             SupplySpec::Harvested {

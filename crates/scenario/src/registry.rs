@@ -3,7 +3,7 @@
 //!
 //! Scenarios must cover the channels of *every* app (paper and
 //! extension) so the sweep driver can cross any app with any scenario;
-//! [`world`] declares the full channel set once and each scenario
+//! `world` declares the full channel set once and each scenario
 //! overrides the channels its regime distorts. All noise is keyed off
 //! the scenario seed, so two different seeds always diverge somewhere
 //! in the sampled world.
@@ -24,7 +24,7 @@ fn noisy(base: Signal, amplitude: i64, seed: u64, salt: u64) -> Signal {
 /// The shared baseline world: one gently-varying signal per channel any
 /// app reads (weather, greenhouse, motion, light, tire, radio, audio).
 /// Scenario builders start here and override what their regime changes.
-pub fn world(seed: u64) -> Environment {
+pub(crate) fn world(seed: u64) -> Environment {
     let motion = Signal::Burst {
         base: Box::new(Signal::Constant(8)),
         amplitude: 40,

@@ -34,15 +34,15 @@ use std::sync::Arc;
 /// the global `ocelot_telemetry` registry (where it is subject to the
 /// metrics on/off gate).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheCounters {
+pub(crate) struct CacheCounters {
     /// Submissions answered from the program cache.
-    pub programs_hits: u64,
+    pub(crate) programs_hits: u64,
     /// Submissions that compiled, verified, and cached a fresh program.
-    pub programs_misses: u64,
+    pub(crate) programs_misses: u64,
     /// Per-scenario cores served from the memo table.
-    pub cores_hits: u64,
+    pub(crate) cores_hits: u64,
     /// Per-scenario cores built fresh.
-    pub cores_misses: u64,
+    pub(crate) cores_misses: u64,
 }
 
 /// One cached program: its leaked build and per-scenario cores.
@@ -65,7 +65,7 @@ pub struct ProgramCache {
 
 impl ProgramCache {
     /// A cache refusing submissions past `max` distinct programs.
-    pub fn new(max: usize) -> Self {
+    pub(crate) fn new(max: usize) -> Self {
         ProgramCache {
             max: max.max(1),
             entries: HashMap::new(),
@@ -155,12 +155,12 @@ impl ProgramCache {
     }
 
     /// This instance's hit/miss counters — for the `stats` op.
-    pub fn counters(&self) -> CacheCounters {
+    pub(crate) fn counters(&self) -> CacheCounters {
         self.counters
     }
 
     /// (cached programs, built cores) — for the `stats` op.
-    pub fn counts(&self) -> (usize, usize) {
+    pub(crate) fn counts(&self) -> (usize, usize) {
         (
             self.entries.len(),
             self.entries.values().map(|e| e.cores.len()).sum(),

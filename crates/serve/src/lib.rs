@@ -5,14 +5,14 @@
 //! [`ocelot_runtime::machine::MachineCore`]s resident between requests,
 //! so interactive clients (editors, CI bots, fleet dashboards) get
 //! sub-rebuild answers. Clients speak line-delimited JSON over TCP
-//! (see [`protocol`] for the op table): submit a program once, then
+//! (see `protocol` for the op table): submit a program once, then
 //! verify edits incrementally, run scenario cells, or sweep scenario
 //! lists that fan out over the work-stealing pool.
 //!
 //! Three caching layers, all keyed by content:
 //!
 //! * **program hash → leaked [`ocelot_runtime::model::Built`]** — the
-//!   transform runs once per distinct program ([`cache`]);
+//!   transform runs once per distinct program (`cache`);
 //! * **(program, scenario name) → shared `MachineCore`** — compiled
 //!   blocks, chain tables, and frame layouts built once and shared by
 //!   every run/sweep against that scenario (the PR-6 fleet sharing
@@ -33,9 +33,9 @@
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod cache;
-pub mod protocol;
-pub mod server;
+pub(crate) mod cache;
+pub(crate) mod protocol;
+pub(crate) mod server;
 pub mod verify;
 
 pub use cache::ProgramCache;

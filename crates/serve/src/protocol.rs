@@ -56,11 +56,11 @@ const DEFAULT_RUNS: u64 = 3;
 /// Mutable server state shared by every connection.
 pub struct ServerState {
     /// Worker threads `sweep` shards onto.
-    pub jobs: usize,
+    pub(crate) jobs: usize,
     /// The program-hash-keyed artifact cache.
     pub cache: ProgramCache,
     /// Incremental verification documents, by client-chosen name.
-    pub docs: HashMap<String, Session>,
+    pub(crate) docs: HashMap<String, Session>,
     /// Cached lint reports, keyed by source text: each text's program
     /// hash and its reports by (window, capacity bits). A report is a
     /// pure function of the text and the two knobs, so a repeat request
@@ -68,17 +68,17 @@ pub struct ServerState {
     /// program hash: the hash covers no spans, and two texts differing
     /// only in whitespace or comments share it but not their report's
     /// line and column numbers.
-    pub lints: HashMap<String, LintEntry>,
+    pub(crate) lints: HashMap<String, LintEntry>,
     /// Requests handled so far (any op, including failed ones).
-    pub requests: u64,
+    pub(crate) requests: u64,
     /// `verify` requests that named an already-open document.
-    pub docs_hits: u64,
+    pub(crate) docs_hits: u64,
     /// `verify` requests that opened a fresh document.
-    pub docs_misses: u64,
+    pub(crate) docs_misses: u64,
     /// `lint` requests answered from the report cache.
-    pub lints_hits: u64,
+    pub(crate) lints_hits: u64,
     /// `lint` requests that ran the passes fresh.
-    pub lints_misses: u64,
+    pub(crate) lints_misses: u64,
 }
 
 impl ServerState {
@@ -101,11 +101,11 @@ impl ServerState {
 
 /// The lint reports of one source text.
 #[derive(Debug)]
-pub struct LintEntry {
+pub(crate) struct LintEntry {
     /// The text's program hash (the response's `program` member).
-    pub program: u64,
+    pub(crate) program: u64,
     /// Reports by (`window_us`, `capacity_nj` bits).
-    pub reports: HashMap<(Option<u64>, Option<u64>), Json>,
+    pub(crate) reports: HashMap<(Option<u64>, Option<u64>), Json>,
 }
 
 /// What the connection loop should do after a response.

@@ -37,7 +37,7 @@ use std::time::Duration;
 /// The longest request line the server reads, newline excluded: far
 /// above any program a client sends (the 36-function edit-trace source
 /// is about 100 KB), and small enough that no line exhausts memory.
-pub const MAX_LINE_BYTES: usize = 8 << 20;
+pub(crate) const MAX_LINE_BYTES: usize = 8 << 20;
 
 /// Server configuration (CLI flags of `ocelotc serve`).
 #[derive(Debug, Clone)]

@@ -48,16 +48,16 @@ pub fn program_hash(p: &Program) -> u64 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Verdict {
     /// Hash of the *submitted* program (cache key).
-    pub source_hash: u64,
+    pub(crate) source_hash: u64,
     /// Hash of the transformed program (regions inserted, annotations
     /// erased) — the byte-identity witness.
     pub transformed_hash: u64,
     /// Functions in the program.
-    pub funcs: usize,
+    pub(crate) funcs: usize,
     /// Derived policies (the paper's `PD`).
-    pub policies: usize,
+    pub(crate) policies: usize,
     /// Atomic regions in the transformed program.
-    pub regions: usize,
+    pub(crate) regions: usize,
     /// Whether the post-transform self-check passes (always true for a
     /// successful transform — Theorem 1).
     pub passes: bool,
@@ -92,7 +92,7 @@ impl Verdict {
 /// Transforms and self-checks `p`, whose submitted-program hash is
 /// `source_hash`, against `taint` — the one verification path behind
 /// [`full_verify`], [`Session::verify`] and
-/// [`crate::ProgramCache::submit`].
+/// [`crate::cache::ProgramCache::submit`].
 pub(crate) fn verify_program(
     source_hash: u64,
     p: Program,
@@ -149,7 +149,7 @@ impl Session {
     /// an equal program hash: the hash covers no source spans, so a
     /// text differing only in whitespace or comments hashes alike but
     /// places every span elsewhere.
-    pub fn verified(&self, src: &str) -> Option<(u64, &Compiled)> {
+    pub(crate) fn verified(&self, src: &str) -> Option<(u64, &Compiled)> {
         match &self.last {
             Some((text, hash, compiled)) if text == src => Some((*hash, compiled)),
             _ => None,
@@ -157,7 +157,7 @@ impl Session {
     }
 
     /// Functions currently cached (for `stats` surfaces).
-    pub fn cached_funcs(&self) -> usize {
+    pub(crate) fn cached_funcs(&self) -> usize {
         self.cache.len()
     }
 }
@@ -313,12 +313,6 @@ pub fn edited_source(trace: &EditTrace, n: usize) -> String {
     src
 }
 
-/// The worker each edit in `1..=edits` touches, in order (for artifact
-/// provenance).
-pub fn edit_targets(trace: &EditTrace) -> Vec<usize> {
-    edits(trace).take(trace.edits).map(|(f, _)| f).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,7 +352,6 @@ mod tests {
         assert_eq!(base.lines().count(), e1.lines().count());
         // Deterministic: same trace, same text.
         assert_eq!(e1, edited_source(&SMALL, 1));
-        assert_eq!(edit_targets(&SMALL).len(), SMALL.edits);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! on or off.
 
 use crate::json::Json;
-use crate::SpanRec;
+use crate::trace::SpanRec;
 use std::path::Path;
 
 /// One span as a Chrome `trace_event` complete event.

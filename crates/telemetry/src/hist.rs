@@ -108,17 +108,17 @@ impl Histogram {
     }
 
     /// The median bucket's upper bound.
-    pub fn p50(&self) -> u64 {
+    pub(crate) fn p50(&self) -> u64 {
         self.percentile(50.0)
     }
 
     /// The 90th-percentile bucket's upper bound.
-    pub fn p90(&self) -> u64 {
+    pub(crate) fn p90(&self) -> u64 {
         self.percentile(90.0)
     }
 
     /// The 99th-percentile bucket's upper bound.
-    pub fn p99(&self) -> u64 {
+    pub(crate) fn p99(&self) -> u64 {
         self.percentile(99.0)
     }
 }

@@ -32,16 +32,13 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod chrome;
-pub mod hist;
+pub(crate) mod hist;
 pub mod json;
 pub mod metrics;
 pub mod trace;
 
 pub use hist::{percentile, Histogram, HIST_BUCKETS};
-pub use trace::{
-    drain_spans, dropped_spans, metrics_on, set_metrics, set_tracing, tracing_on, SpanGuard,
-    SpanRec,
-};
+pub use trace::{drain_spans, dropped_spans, metrics_on, set_metrics, set_tracing, SpanGuard};
 
 /// Emits the outputs a command's `--metrics`/`--trace-out` flags asked
 /// for: the sorted metrics snapshot to stdout, then the Chrome trace to

@@ -9,7 +9,7 @@
 //! on [`crate::metrics_on`]: one relaxed load while off, one sharded
 //! relaxed `fetch_add` while on.
 //!
-//! Snapshots ([`snapshot`] / [`render_snapshot`]) enumerate every
+//! Snapshots ([`snapshot`] / `render_snapshot`) enumerate every
 //! metric in sorted-name order with stable rendering, so `--metrics`
 //! output diffs cleanly across runs. Snapshot values are *monotonic
 //! process totals* (modulo [`reset_metrics`], which tests and overhead
@@ -42,11 +42,6 @@ impl Counter {
             name,
             shards: [ZERO; SHARDS],
         }
-    }
-
-    /// The metric's registry name.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 
     /// Adds `n` events (a no-op while metrics are off).
@@ -91,11 +86,6 @@ impl Gauge {
         }
     }
 
-    /// The metric's registry name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Raises the watermark to `v` if higher (a no-op while metrics
     /// are off).
     #[inline]
@@ -131,11 +121,6 @@ impl AtomicHist {
             name,
             buckets: [ZERO; crate::HIST_BUCKETS],
         }
-    }
-
-    /// The metric's registry name.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 
     /// Records one sample (a no-op while metrics are off).
@@ -279,7 +264,7 @@ fn leak_name(name: String) -> &'static str {
 }
 
 /// The snapshot as stable `name value` lines (one per metric, sorted).
-pub fn render_snapshot() -> String {
+pub(crate) fn render_snapshot() -> String {
     let mut out = String::new();
     for (name, v) in snapshot() {
         out.push_str(name);

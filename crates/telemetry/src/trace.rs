@@ -7,7 +7,7 @@
 //! pushes one [`SpanRec`] onto the calling thread's buffer (a mutex the
 //! owning thread almost always acquires uncontended — the only other
 //! taker is [`drain_spans`]). Buffers are capacity-capped: past
-//! [`BUF_CAP`] records a thread drops new spans and counts them in
+//! `BUF_CAP` records a thread drops new spans and counts them in
 //! [`dropped_spans`] instead of growing without bound.
 //!
 //! Timestamps are nanoseconds since a process-wide epoch (first probe
@@ -48,7 +48,7 @@ pub fn set_metrics(on: bool) {
 
 /// Whether spans are currently recorded.
 #[inline]
-pub fn tracing_on() -> bool {
+pub(crate) fn tracing_on() -> bool {
     MODE.load(Ordering::Relaxed) & TRACE != 0
 }
 
@@ -59,7 +59,7 @@ pub fn metrics_on() -> bool {
 }
 
 /// Nanoseconds since the process-wide trace epoch (the first probe).
-pub fn now_ns() -> u64 {
+pub(crate) fn now_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
@@ -67,7 +67,7 @@ pub fn now_ns() -> u64 {
 /// A small, dense per-thread ordinal (1, 2, …) used as the Chrome-trace
 /// `tid` and as the metric shard index — `std::thread::ThreadId` is
 /// neither small nor dense.
-pub fn thread_ord() -> u64 {
+pub(crate) fn thread_ord() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     thread_local! {
         static ORD: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
@@ -79,20 +79,20 @@ pub fn thread_ord() -> u64 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRec {
     /// Span name (a pipeline stage: `"parse"`, `"execute"`, …).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Chrome-trace category (`"pipeline"`, `"pool"`, `"serve"`, …).
-    pub cat: &'static str,
+    pub(crate) cat: &'static str,
     /// Recording thread's ordinal (Chrome-trace `tid`).
-    pub tid: u64,
+    pub(crate) tid: u64,
     /// Start, in nanoseconds since the trace epoch.
-    pub start_ns: u64,
+    pub(crate) start_ns: u64,
     /// Duration in nanoseconds.
-    pub dur_ns: u64,
+    pub(crate) dur_ns: u64,
 }
 
 /// Most spans one thread buffers before dropping the excess (counted,
 /// not silently lost): ~64k spans ≈ a few MB per busy thread.
-pub const BUF_CAP: usize = 1 << 16;
+pub(crate) const BUF_CAP: usize = 1 << 16;
 
 /// Every thread's span buffer, for [`drain_spans`]. Buffers are pushed
 /// once per thread and never removed — a dead thread's spans still
