@@ -26,18 +26,21 @@
 //! re-analyzes the edited function and its transitive callers.
 //!
 //! The cheap tail — context enumeration and the stored-global fixpoint
-//! — is recomputed from the (cached or fresh) flows by
-//! [`TaintAnalysis::from_flows`], which guarantees the assembled result
-//! is *identical* to a from-scratch [`TaintAnalysis::run`]: the
-//! downstream transform, policies, summaries, and verdicts cannot tell
-//! the difference (held by the equivalence tests here and byte-identity
-//! tests in the serve layer).
+//! — is recomputed from the (cached or fresh) flows by the steps of
+//! [`TaintAnalysis::from_flows`], over the call graph the run already
+//! built. Flows are shared by `Arc`, never copied: a reused flow is the
+//! cache's own allocation. The assembled result is *identical* to a
+//! from-scratch [`TaintAnalysis::run`]: the downstream transform,
+//! policies, summaries, and verdicts cannot tell the difference (held
+//! by the equivalence tests here and byte-identity tests in the serve
+//! layer).
 
-use crate::taint::{analyze_function, FuncFlow, TaintAnalysis};
+use crate::taint::{analyze_function, callees_first, FuncFlow, TaintAnalysis};
 use ocelot_ir::print::{write_function, Literals};
-use ocelot_ir::{CallGraph, Program};
+use ocelot_ir::{CallGraph, FuncId, Program};
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 /// An FNV-1a accumulator, written to as a [`fmt::Write`] sink so text
 /// is hashed as it is rendered: writing `s` and then calling
@@ -113,12 +116,15 @@ fn decl_signature(p: &Program) -> u64 {
 /// Panics on recursive programs; run [`ocelot_ir::validate()`] first.
 pub fn input_fingerprints(p: &Program) -> Vec<u64> {
     let cg = CallGraph::new(p);
-    let order = cg
-        .topo_callees_first(p)
-        .expect("fingerprints require an acyclic call graph");
+    fingerprints(p, &cg, &callees_first(&cg, p))
+}
+
+/// [`input_fingerprints`] over the call graph and callees-first order
+/// the caller already built.
+fn fingerprints(p: &Program, cg: &CallGraph, order: &[FuncId]) -> Vec<u64> {
     let decl = decl_signature(p);
     let mut keys = vec![0u64; p.funcs.len()];
-    for f in order {
+    for &f in order {
         let mut h = Fnv::default();
         let _ = write_function(&mut h, p, p.func(f), Literals::Masked);
         h.fold(decl);
@@ -147,9 +153,13 @@ pub struct IncrementalStats {
 /// by [`input_fingerprints`]. One cache serves one logical *document*
 /// (an edit stream of versions of the same program); feeding it
 /// unrelated programs is correct but thrashes.
+///
+/// Flows are shared, not copied: the cache and every
+/// [`TaintAnalysis`] it assembles hold the same `Arc<FuncFlow>`, so a
+/// hit costs a reference count and a miss builds its flow once.
 #[derive(Debug, Clone, Default)]
 pub struct FlowCache {
-    entries: HashMap<String, (u64, FuncFlow)>,
+    entries: HashMap<String, (u64, Arc<FuncFlow>)>,
 }
 
 impl FlowCache {
@@ -168,22 +178,21 @@ impl FlowCache {
     /// first.
     pub fn run(&mut self, p: &Program) -> (TaintAnalysis, IncrementalStats) {
         let cg = CallGraph::new(p);
-        let order = cg
-            .topo_callees_first(p)
-            .expect("taint analysis requires an acyclic call graph");
-        let keys = input_fingerprints(p);
+        let order = callees_first(&cg, p);
+        let keys = fingerprints(p, &cg, &order);
 
-        let mut flows: Vec<FuncFlow> = vec![FuncFlow::default(); p.funcs.len()];
+        let mut flows: Vec<Arc<FuncFlow>> = vec![Arc::default(); p.funcs.len()];
         let mut analyzed = 0;
-        for f in order {
+        for &f in &order {
             let func = p.func(f);
             let key = keys[f.0 as usize];
             flows[f.0 as usize] = match self.get(&func.name, key) {
-                Some(flow) => flow.clone(),
+                Some(flow) => Arc::clone(flow),
                 None => {
                     analyzed += 1;
-                    let flow = analyze_function(p, func, &flows);
-                    self.entries.insert(func.name.clone(), (key, flow.clone()));
+                    let flow = Arc::new(analyze_function(p, func, &flows));
+                    self.entries
+                        .insert(func.name.clone(), (key, Arc::clone(&flow)));
                     flow
                 }
             };
@@ -197,12 +206,12 @@ impl FlowCache {
         // tracks the document instead of growing monotonically.
         self.entries
             .retain(|name, _| p.funcs.iter().any(|f| &f.name == name));
-        (TaintAnalysis::from_flows(p, flows), stats)
+        (TaintAnalysis::assemble(p, &cg, &order, flows), stats)
     }
 
     /// The cached flow of function `name` when its fingerprint is
     /// `key`.
-    fn get(&self, name: &str, key: u64) -> Option<&FuncFlow> {
+    fn get(&self, name: &str, key: u64) -> Option<&Arc<FuncFlow>> {
         match self.entries.get(name) {
             Some((cached_key, flow)) if *cached_key == key => Some(flow),
             _ => None,
@@ -319,6 +328,95 @@ mod tests {
         // Removal prunes the cache back to the live set.
         let (_, _) = cache.run(&program(BASE));
         assert_eq!(cache.len(), 4);
+    }
+
+    /// The functions of `next` whose flow is not the very allocation
+    /// `prev` held under the same name.
+    fn fresh_flows(
+        prev: (&Program, &TaintAnalysis),
+        next: (&Program, &TaintAnalysis),
+    ) -> Vec<String> {
+        let held: HashMap<&str, &Arc<FuncFlow>> = prev
+            .0
+            .funcs
+            .iter()
+            .map(|f| f.name.as_str())
+            .zip(&prev.1.flows)
+            .collect();
+        next.0
+            .funcs
+            .iter()
+            .zip(&next.1.flows)
+            .filter(|(f, flow)| {
+                !held
+                    .get(f.name.as_str())
+                    .is_some_and(|h| Arc::ptr_eq(h, flow))
+            })
+            .map(|(f, _)| f.name.clone())
+            .collect()
+    }
+
+    /// The functions of `next` whose input fingerprint differs from the
+    /// one `prev` gave the same name, or that `prev` lacks.
+    fn changed_keys(prev: &Program, next: &Program) -> Vec<String> {
+        let held: HashMap<&str, u64> = prev
+            .funcs
+            .iter()
+            .map(|f| f.name.as_str())
+            .zip(input_fingerprints(prev))
+            .collect();
+        next.funcs
+            .iter()
+            .zip(input_fingerprints(next))
+            .filter(|(f, key)| held.get(f.name.as_str()) != Some(key))
+            .map(|(f, _)| f.name.clone())
+            .collect()
+    }
+
+    #[test]
+    fn reused_flows_are_shared_not_copied() {
+        let mut cache = FlowCache::new();
+        let base = program(BASE);
+        let (first, _) = cache.run(&base);
+        let edits = [
+            ("unchanged", BASE.to_string()),
+            ("constant-only", BASE.replace("v * 3", "v * 30")),
+        ];
+        for (what, src) in edits {
+            let p = program(&src);
+            let (next, stats) = cache.run(&p);
+            assert_eq!(stats.analyzed, 0, "{what}");
+            assert_eq!(
+                fresh_flows((&base, &first), (&p, &next)),
+                Vec::<String>::new(),
+                "{what}"
+            );
+            assert_eq!(next, TaintAnalysis::run(&p), "{what}");
+        }
+
+        // Structural edits: exactly the functions whose key changed
+        // hold new flows; every other flow is still the warm run's.
+        let structural = [
+            ("body", BASE.replace("return q;", "return q + 1;")),
+            (
+                "insertion",
+                BASE.replace(
+                    "fn read_pres()",
+                    "fn spare() { return 0; }\n        fn read_pres()",
+                ),
+            ),
+        ];
+        for (what, src) in structural {
+            let mut cache = FlowCache::new();
+            let (warm, _) = cache.run(&base);
+            let p = program(&src);
+            let (next, stats) = cache.run(&p);
+            let fresh = fresh_flows((&base, &warm), (&p, &next));
+            assert_eq!(fresh, changed_keys(&base, &p), "{what}");
+            assert_eq!(stats.analyzed, fresh.len(), "{what}");
+            assert!(fresh.len() < p.funcs.len(), "{what}: some flow is reused");
+            assert_eq!(next, TaintAnalysis::run(&p), "{what}");
+        }
     }
 
     /// Every literal position the printer renders, plus a by-ref

@@ -38,6 +38,7 @@ use ocelot_ir::ast::{Arg, Expr};
 use ocelot_ir::cfg::Cfg;
 use ocelot_ir::{CallGraph, FuncId, Function, InstrRef, Label, Op, Place, Program, Terminator};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::sync::Arc;
 
 /// A provenance chain: call sites descending from some scope, ending at
 /// the input instruction itself. A *full* chain starts in `main`.
@@ -90,8 +91,9 @@ pub struct FuncFlow {
 /// The whole-program analysis result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaintAnalysis {
-    /// Per-function flow summaries, indexed by [`FuncId`].
-    pub flows: Vec<FuncFlow>,
+    /// Per-function flow summaries, indexed by [`FuncId`]; shared, not
+    /// copied, with the [`crate::incremental::FlowCache`] that holds them.
+    pub flows: Vec<Arc<FuncFlow>>,
     /// Calling contexts per function: each context is the chain of call
     /// sites from `main` (empty for `main` itself). Functions unreachable
     /// from `main` have no contexts.
@@ -109,33 +111,42 @@ impl TaintAnalysis {
     pub fn run(p: &Program) -> Self {
         let _span = ocelot_telemetry::span!("analysis");
         let cg = CallGraph::new(p);
-        let order = cg
-            .topo_callees_first(p)
-            .expect("taint analysis requires an acyclic call graph");
-
-        let mut flows: Vec<FuncFlow> = vec![FuncFlow::default(); p.funcs.len()];
-        for f in order {
-            let flow = analyze_function(p, p.func(f), &flows);
-            flows[f.0 as usize] = flow;
+        let order = callees_first(&cg, p);
+        let mut flows: Vec<Arc<FuncFlow>> = vec![Arc::default(); p.funcs.len()];
+        for &f in &order {
+            flows[f.0 as usize] = Arc::new(analyze_function(p, p.func(f), &flows));
         }
-
-        Self::from_flows(p, flows)
+        Self::assemble(p, &cg, &order, flows)
     }
 
     /// Assembles the whole-program result from already-computed
     /// per-function flows: context enumeration plus the global-taint
     /// fixpoint. This is the non-incremental tail of [`TaintAnalysis::run`];
     /// [`crate::incremental::FlowCache`] feeds it a mix of cached and
-    /// freshly-analyzed flows and gets an identical result.
+    /// freshly-analyzed flows and gets an identical result. The flows
+    /// are shared, not copied: the result holds the very `Arc`s passed
+    /// in, so a flow the cache also holds is never cloned.
     ///
     /// # Panics
     ///
     /// Panics on recursive programs (context enumeration requires an
     /// acyclic call graph) or when `flows.len() != p.funcs.len()`.
-    pub fn from_flows(p: &Program, flows: Vec<FuncFlow>) -> Self {
-        assert_eq!(flows.len(), p.funcs.len(), "one flow per function");
+    pub fn from_flows(p: &Program, flows: Vec<Arc<FuncFlow>>) -> Self {
         let cg = CallGraph::new(p);
-        let contexts = enumerate_contexts(p, &cg);
+        let order = callees_first(&cg, p);
+        Self::assemble(p, &cg, &order, flows)
+    }
+
+    /// [`TaintAnalysis::from_flows`] over the call graph and
+    /// callees-first order the caller already built.
+    pub(crate) fn assemble(
+        p: &Program,
+        cg: &CallGraph,
+        order: &[FuncId],
+        flows: Vec<Arc<FuncFlow>>,
+    ) -> Self {
+        assert_eq!(flows.len(), p.funcs.len(), "one flow per function");
+        let contexts = enumerate_contexts(p, cg, order);
         let mut analysis = TaintAnalysis {
             flows,
             contexts,
@@ -152,14 +163,9 @@ impl TaintAnalysis {
         loop {
             let mut changed = false;
             for f in &p.funcs {
-                let outs: Vec<(String, TaintSet)> = self.flows[f.id.0 as usize]
-                    .global_out
-                    .iter()
-                    .map(|(g, t)| (g.clone(), t.clone()))
-                    .collect();
-                let ctxs = self.contexts[f.id.0 as usize].clone();
-                for ctx in &ctxs {
-                    for (g, taints) in &outs {
+                let flow = &self.flows[f.id.0 as usize];
+                for ctx in &self.contexts[f.id.0 as usize] {
+                    for (g, taints) in &flow.global_out {
                         for src in taints {
                             for chain in self.expand(p, f.id, ctx, src) {
                                 if self
@@ -263,16 +269,22 @@ fn param_index(p: &Program, f: FuncId, param: &str) -> Option<usize> {
     p.func(f).params.iter().position(|q| q.name == param)
 }
 
-/// Enumerates all call-site chains from `main` per function.
-fn enumerate_contexts(p: &Program, cg: &CallGraph) -> Vec<Vec<Prov>> {
+/// The callees-first order of `cg`.
+///
+/// # Panics
+///
+/// Panics on recursive programs.
+pub(crate) fn callees_first(cg: &CallGraph, p: &Program) -> Vec<FuncId> {
+    cg.topo_callees_first(p)
+        .expect("taint analysis requires an acyclic call graph")
+}
+
+/// Enumerates all call-site chains from `main` per function, walking
+/// the callees-first `order` backwards (callers before callees).
+fn enumerate_contexts(p: &Program, cg: &CallGraph, order: &[FuncId]) -> Vec<Vec<Prov>> {
     let mut ctxs: Vec<Vec<Prov>> = vec![Vec::new(); p.funcs.len()];
     ctxs[p.main.0 as usize].push(Vec::new());
-    // Process callers before callees.
-    let mut order = cg
-        .topo_callees_first(p)
-        .expect("contexts require an acyclic call graph");
-    order.reverse();
-    for f in order {
+    for &f in order.iter().rev() {
         let f_ctxs = ctxs[f.0 as usize].clone();
         for edge in cg.callees(f) {
             for ctx in &f_ctxs {
@@ -303,7 +315,7 @@ fn enumerate_contexts(p: &Program, cg: &CallGraph) -> Vec<Vec<Prov>> {
 /// [`crate::incremental::input_fingerprints`] keys cached flows on
 /// bodies modulo literal values and relies on this; the literal-edit
 /// tests in `incremental` and the `literal_reuse` sweep hold it.
-pub(crate) fn analyze_function(p: &Program, f: &Function, flows: &[FuncFlow]) -> FuncFlow {
+pub(crate) fn analyze_function(p: &Program, f: &Function, flows: &[Arc<FuncFlow>]) -> FuncFlow {
     let cfg = Cfg::new(f);
     let code = FuncCode::compile(p, f, flows, &cfg);
     let fix = code.fixpoint(&cfg);
@@ -517,7 +529,7 @@ impl Update {
 
 impl<'a> FuncCode<'a> {
     /// Interns `f`'s locations and sources and compiles each block.
-    fn compile(p: &'a Program, f: &'a Function, flows: &[FuncFlow], cfg: &Cfg) -> Self {
+    fn compile(p: &'a Program, f: &'a Function, flows: &[Arc<FuncFlow>], cfg: &Cfg) -> Self {
         let mut ids = Ids::new(p, f);
         let mut entry_bits = Vec::new();
         for param in &f.params {
@@ -738,7 +750,7 @@ impl<'a> FuncCode<'a> {
     /// The recording pass: states are at fixpoint; walk each reached
     /// block once to populate the per-instruction maps and, at the
     /// exit, the function's summary.
-    fn record(&self, flows: &[FuncFlow], cfg: &Cfg, fix: &Fixpoint) -> FuncFlow {
+    fn record(&self, flows: &[Arc<FuncFlow>], cfg: &Cfg, fix: &Fixpoint) -> FuncFlow {
         let (p, f) = (self.ids.p, self.ids.f);
         let w = self.words;
         let len = self.state_len();
@@ -819,7 +831,7 @@ impl<'a> FuncCode<'a> {
 }
 
 /// Compiles one block's instructions to steps, interning as it goes.
-fn compile_block(flows: &[FuncFlow], block: &ocelot_ir::Block, ids: &mut Ids) -> BlockCode {
+fn compile_block(flows: &[Arc<FuncFlow>], block: &ocelot_ir::Block, ids: &mut Ids) -> BlockCode {
     let mut steps = Vec::new();
     for inst in &block.instrs {
         let step = match &inst.op {
@@ -892,7 +904,7 @@ fn compile_block(flows: &[FuncFlow], block: &ocelot_ir::Block, ids: &mut Ids) ->
 /// Compiles a call site: binds argument locations and substitutes the
 /// callee's summaries.
 fn compile_call(
-    flows: &[FuncFlow],
+    flows: &[Arc<FuncFlow>],
     label: Label,
     dst: Option<&str>,
     callee: FuncId,
@@ -973,7 +985,12 @@ fn compile_call(
 
 /// Records the labels that use each variable in `block`. A `&x`
 /// argument is a use only when the callee may read the incoming value.
-fn record_uses(p: &Program, flows: &[FuncFlow], block: &ocelot_ir::Block, flow: &mut FuncFlow) {
+fn record_uses(
+    p: &Program,
+    flows: &[Arc<FuncFlow>],
+    block: &ocelot_ir::Block,
+    flow: &mut FuncFlow,
+) {
     let mut uses = |vars: BTreeSet<String>, label: Label| {
         for v in vars {
             flow.var_uses.entry(v).or_default().insert(label);

@@ -19,6 +19,7 @@ use ocelot_ir::cfg::Cfg;
 use ocelot_ir::{CallGraph, Function, InstrRef, Op, Place, Program, Terminator};
 use ocelot_serve::verify::{verify_with, Verdict};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::sync::Arc;
 
 /// A memory location tracked by the per-function analysis.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -46,7 +47,7 @@ pub fn run(p: &Program) -> TaintAnalysis {
         let flow = analyze_function(p, p.func(f), &flows);
         flows[f.0 as usize] = flow;
     }
-    TaintAnalysis::from_flows(p, flows)
+    TaintAnalysis::from_flows(p, flows.into_iter().map(Arc::new).collect())
 }
 
 /// A from-scratch verify of `src` on the reference fixpoint: the steps

@@ -1,14 +1,15 @@
 //! Incremental re-verification sessions and the edit-trace workload
-//! that `ocelotc serve --self-test` and the `serve` bench driver replay.
+//! that `ocelotc serve --self-test`, perfbench's `serve-edits` workload
+//! and `crates/bench/tests/incremental_speedup.rs` replay.
 //!
 //! A [`Session`] holds one logical *document*: an
 //! [`ocelot_analysis::incremental::FlowCache`] of per-function taint
 //! flows keyed by function-body fingerprints, taken modulo literal
 //! values. Each [`Session::verify`] call compiles the submitted source,
-//! reuses every flow whose fingerprint is unchanged, recomputes the
-//! rest (an edited function and its callers; none after an edit that
-//! only changes constants), and runs the full
-//! Ocelot transform + self-check on the assembled analysis — producing
+//! shares every cached flow whose fingerprint is unchanged (an `Arc`,
+//! never a copy), recomputes the rest (an edited function and its
+//! callers; none after an edit that only changes constants), and runs
+//! the full Ocelot transform + self-check on the assembled analysis — producing
 //! a [`Verdict`] guaranteed identical to a from-scratch
 //! [`full_verify`] (the incremental assembly equals
 //! `TaintAnalysis::run` exactly; held by tests here and byte-identity
