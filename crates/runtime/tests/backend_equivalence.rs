@@ -15,7 +15,7 @@ use ocelot_hw::Harvester;
 use ocelot_ir::{compile, Program};
 use ocelot_runtime::machine::{pathological_targets, Machine, RunOutcome};
 use ocelot_runtime::obs::Obs;
-use ocelot_runtime::{DeviceState, ExecBackend, ExecModel, MachineCore};
+use ocelot_runtime::{Built, DeviceState, ExecBackend, ExecModel, MachineCore, Stats};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -35,7 +35,7 @@ fn build(
 
 struct RunResult {
     outcome: Vec<RunOutcome>,
-    stats: ocelot_runtime::Stats,
+    stats: Stats,
     trace: Vec<Obs>,
 }
 
@@ -388,6 +388,15 @@ fn continuous_power_features_sweep_agrees() {
         interp.outcome[0],
         RunOutcome::Completed { violated: false }
     ));
+    for (name, src) in DEPENDENCY_CHANNELS {
+        let stats = assert_traced_core_agrees(
+            &format!("{name} on continuous power"),
+            &build_ocelot(src),
+            channel_env(),
+            &|| Box::new(ContinuousPower),
+        );
+        assert_eq!(stats.reboots, 0, "{name}");
+    }
 }
 
 #[test]
@@ -659,62 +668,200 @@ fn batch_continuations_fail_at_every_offset() {
     }
 }
 
+/// Hand-written programs, one per channel through which an input's
+/// dependency set can travel without ever reaching an observation: an
+/// NV global, a by-ref out parameter, a return value, a value argument,
+/// and a `fresh` variable whose annotation the transform strips (its
+/// set is read only by the `Obs::Use` records at its use sites). Each
+/// program also sends a twin of the unobserved value through the same
+/// kind of channel into an output, so an engine that dropped the set
+/// on that channel would show it in the trace. A traced compiled core
+/// must carry every set exactly as the interpreter does.
+const DEPENDENCY_CHANNELS: [(&str, &str); 5] = [
+    (
+        "nv accumulator never output",
+        r#"
+        nv acc = 0;
+        nv seen = 0;
+        nv hist[4];
+        sensor s;
+        fn main() {
+            let i = 0;
+            repeat 4 { let v = in(s); acc = acc + v; hist[i] = v; i = i + 1; }
+            let w = in(s);
+            seen = w + 1;
+            out(log, seen, hist[1]);
+        }
+        "#,
+    ),
+    (
+        "by-ref out parameter",
+        r#"
+        nv sink = 0;
+        sensor s;
+        fn fill(&dst) { let v = in(s); *dst = v + 1; }
+        fn copy(&dst) { let v = in(s); *dst = v * 3; }
+        fn main() {
+            let t = 0;
+            fill(&sink);
+            fill(&t);
+            if t > 3 { out(alarm, 1); }
+            let k = 0;
+            copy(&k);
+            out(log, k);
+        }
+        "#,
+    ),
+    (
+        "input-derived return value",
+        r#"
+        sensor s;
+        fn grab() { let v = in(s); return v * 2; }
+        fn sample() { let v = in(s); return v + 4; }
+        fn main() {
+            let r = grab();
+            if r > 9 { out(alarm, 1); } else { out(log, 0); }
+            let q = sample();
+            out(log, q);
+        }
+        "#,
+    ),
+    (
+        "value argument never observed in the callee",
+        r#"
+        nv flag = 0;
+        sensor s;
+        fn gate(a) { let b = a + 1; if b > 8 { flag = 1; } }
+        fn show(a) { out(log, a - 1); }
+        fn main() {
+            let v = in(s);
+            gate(v);
+            show(v);
+            out(log, flag);
+        }
+        "#,
+    ),
+    (
+        "stripped fresh annotation",
+        r#"
+        nv g = 0;
+        sensor s;
+        fn main() {
+            let x = in(s);
+            let y = x + 1;
+            fresh(y);
+            g = y;
+        }
+        "#,
+    ),
+];
+
+/// Builds `src` under the Ocelot model (annotations erased).
+fn build_ocelot(src: &str) -> Built {
+    ocelot_runtime::build(compile(src).unwrap(), ExecModel::Ocelot).unwrap()
+}
+
+/// The environment of the [`DEPENDENCY_CHANNELS`] programs: one noisy
+/// sensor, so input values (and the branches on them) vary.
+fn channel_env() -> Environment {
+    Environment::new().with(
+        "s",
+        Signal::Noisy {
+            base: Box::new(Signal::Constant(7)),
+            amplitude: 3,
+            seed: 9,
+        },
+    )
+}
+
+/// Runs three attempts of `built` per engine, each on a fresh device of
+/// one traced core, and asserts that outcomes, `Stats` and `Obs` traces
+/// are equal. Returns the interpreter's stats.
+fn assert_traced_core_agrees(
+    at: &str,
+    built: &Built,
+    env: Environment,
+    supply: &dyn Fn() -> Box<dyn PowerSupply>,
+) -> Stats {
+    let core = Arc::new(
+        MachineCore::build(
+            &built.program,
+            &built.regions,
+            built.policies.clone(),
+            &env,
+            CostModel::default(),
+        )
+        .traced(),
+    );
+    let mk = |backend| run_on_core(&core, env.clone(), supply(), backend, 3);
+    let interp = mk(ExecBackend::Interp);
+    let compiled = mk(ExecBackend::Compiled);
+    assert_eq!(interp.outcome, compiled.outcome, "{at}");
+    assert_eq!(interp.stats, compiled.stats, "{at}");
+    assert_eq!(interp.trace, compiled.trace, "{at}");
+    interp.stats
+}
+
+/// The evaluation's harvested bank with boot jitter, seeded.
+fn bank_supply(seed: u64) -> Box<dyn PowerSupply> {
+    Box::new(
+        HarvestedPower::new(
+            Capacitor::new(26_000.0, 2_600.0),
+            Harvester::powercast_noisy(seed),
+        )
+        .with_boot_jitter(seed ^ 0x9E37, 0.4),
+    )
+}
+
 #[test]
 fn harvested_boot_jitter_apps_agree_across_the_registry() {
     // Every app on every registry scenario (all harvested, with boot
     // jitter), plus the evaluation's own bank driven directly: the
     // compiled engine batches through real comparator trips, so
     // its stats and committed traces must match the interpreter's run
-    // for run, not only in the fleet aggregate.
+    // for run, not only in the fleet aggregate. The hand-written
+    // dependency-channel programs run on the bank too.
     let mut reboots = 0;
     let mut reexecs = 0;
+    let mut tally = |stats: Stats| {
+        reboots += stats.reboots;
+        reexecs += stats.region_reexecs;
+    };
     for bench in ocelot_apps::all_with_extensions() {
         let built = ocelot_runtime::build(bench.annotated(), ExecModel::Ocelot).unwrap();
-        let mut check =
-            |at: String, env: Environment, supply: &dyn Fn() -> Box<dyn PowerSupply>| {
-                let core = Arc::new(
-                    MachineCore::build(
-                        &built.program,
-                        &built.regions,
-                        built.policies.clone(),
-                        &env,
-                        CostModel::default(),
-                    )
-                    .traced(),
-                );
-                let mk = |backend| run_on_core(&core, env.clone(), supply(), backend, 3);
-                let interp = mk(ExecBackend::Interp);
-                let compiled = mk(ExecBackend::Compiled);
-                assert_eq!(interp.outcome, compiled.outcome, "{at}");
-                assert_eq!(interp.stats, compiled.stats, "{at}");
-                assert_eq!(interp.trace, compiled.trace, "{at}");
-                reboots += interp.stats.reboots;
-                reexecs += interp.stats.region_reexecs;
-            };
         for (i, sc) in ocelot_scenario::all().into_iter().enumerate() {
             let sc = sc.reseeded(40 + i as u64);
-            check(
-                format!("{} on {}", bench.name, sc.name),
+            tally(assert_traced_core_agrees(
+                &format!("{} on {}", bench.name, sc.name),
+                &built,
                 sc.environment(),
                 &|| sc.supply(),
-            );
+            ));
         }
-        check(
-            format!("{} on the bank", bench.name),
+        tally(assert_traced_core_agrees(
+            &format!("{} on the bank", bench.name),
+            &built,
             bench.environment(7),
-            &|| {
-                Box::new(
-                    HarvestedPower::new(
-                        Capacitor::new(26_000.0, 2_600.0),
-                        Harvester::powercast_noisy(7),
-                    )
-                    .with_boot_jitter(7 ^ 0x9E37, 0.4),
-                )
-            },
+            &|| bank_supply(7),
+        ));
+    }
+    let mut channel_reboots = 0;
+    for (name, src) in DEPENDENCY_CHANNELS {
+        let stats = assert_traced_core_agrees(
+            &format!("{name} on the bank"),
+            &build_ocelot(src),
+            channel_env(),
+            &|| bank_supply(7),
         );
+        channel_reboots += stats.reboots;
+        tally(stats);
     }
     assert!(
         reboots > 100 && reexecs > 0,
         "the sweep failed often enough to matter: {reboots} reboots, {reexecs} re-executions"
+    );
+    assert!(
+        channel_reboots > 0,
+        "the dependency-channel programs met power failures"
     );
 }
