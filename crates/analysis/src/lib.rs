@@ -32,7 +32,6 @@
 pub mod chains;
 pub mod dom;
 pub mod effects;
-pub(crate) mod flow;
 pub mod incremental;
 pub mod loops;
 pub(crate) mod ssa;
@@ -42,7 +41,6 @@ pub mod war;
 
 pub use chains::{static_input_chains, unique_contexts, ChainId, ChainTable};
 pub use dom::{point_dominates, DomTree, Point};
-pub use flow::ValueFlow;
 pub use incremental::{input_fingerprints, FlowCache, IncrementalStats};
 pub use loops::LoopForest;
 pub use ssa::{FuncSsa, ProgramSsa};

@@ -45,7 +45,7 @@
 use crate::machine::{eval_binop, Machine};
 use ocelot_analysis::chains::ChainId;
 use ocelot_analysis::dom::{point_dominates, DomTree, Point};
-use ocelot_analysis::{FuncSsa, ValueFlow};
+use ocelot_analysis::FuncSsa;
 use ocelot_hw::energy::{Facts, Priced};
 use ocelot_ir::ast::{Arg, BinOp, Expr, UnOp};
 use ocelot_ir::cfg::Cfg;
@@ -393,16 +393,16 @@ pub(crate) enum CExpr<'p> {
     /// to untainted 0, as in the interpreter).
     RefArg,
     /// Evaluate the inner expression *by value only* and return it with
-    /// an empty dependency set. Emitted where the optimizer
-    /// proved the dependency set is empty anyway (value purity) or can
-    /// never reach an observation (dependency liveness) or is dropped
-    /// by the consumer (store indices) — the taint-free fast path. A
+    /// an empty dependency set. Emitted where no consumer reads the set:
+    /// around every non-constant store, argument, return and output
+    /// source on a stats-only core, which observes no dependency set,
+    /// and around every store index, whose set the store drops. A
     /// local store of one writes its slot in place. (Branch conditions
     /// need no wrapper: the run loop always evaluates them by value.)
     PureOf(Box<CExpr<'p>>),
 }
 
-/// Wraps an expression for taint-free evaluation (no-op for constants,
+/// Wraps an expression for value-only evaluation (no-op for constants,
 /// which are already dependency-free).
 fn pure_of(e: CExpr<'_>) -> CExpr<'_> {
     match e {
@@ -542,42 +542,33 @@ impl<'p> Cx<'_, 'p> {
         &self.m.core.ssa.funcs[f.id.0 as usize]
     }
 
-    /// Wraps `e` for taint-free evaluation when its dependency set is
-    /// unobservable: always on a stats-only core, which observes none,
-    /// and on a traced core when the value-flow facts show `justified`
-    /// (the two sound justifications are value purity and dependency
-    /// deadness; consumers that drop dependency sets pass `|_| true`).
-    fn wrap_o2(&self, e: CExpr<'p>, justified: impl FnOnce(&ValueFlow) -> bool) -> CExpr<'p> {
-        let unobservable = match &self.m.core.flow {
-            Some(flow) => justified(flow),
-            None => true,
-        };
-        if unobservable {
-            pure_of(e)
+    /// `e` compiled from `f` at `label`, to be evaluated value-only on
+    /// a stats-only core, which observes no dependency set. A traced
+    /// core tracks every set the interpreter tracks, so there `e` is
+    /// left as it is.
+    fn value_src(&self, f: &'p Function, label: Label, e: &'p Expr) -> CExpr<'p> {
+        let c = self.expr(f, label, e);
+        if self.m.core.traced {
+            c
         } else {
-            e
+            pure_of(c)
         }
     }
 
-    /// The compiled source of a store to local `var` that writes a
-    /// volatile slot: a dead definition shrinks to an untainted 0 (the
-    /// slot write still happens, keeping binding state and checkpoint
-    /// word counts identical, but the unread value's evaluation is
-    /// gone); otherwise the source compiles normally and is
-    /// taint-free-wrapped when the value is pure or its dependency set
-    /// provably unobservable. Only `Bind` stores and `AssignLocal`
+    /// The compiled source of a store that writes a volatile slot: a
+    /// dead definition shrinks to an untainted 0 (the slot write still
+    /// happens, keeping binding state and checkpoint word counts
+    /// identical, but the unread value's evaluation is gone); otherwise
+    /// it is [`Cx::value_src`]. Only `Bind` stores and `AssignLocal`
     /// stores (surely bound, or reclassified so the store binds the
     /// slot) reach this point; an assignment to a possibly-unbound local
     /// compiles to `AssignDyn`, whose store may reach the non-volatile
     /// fallback a later run could read, and never shrinks.
-    fn store_src(&self, f: &'p Function, label: Label, var: &str, src: &'p Expr) -> CExpr<'p> {
+    fn store_src(&self, f: &'p Function, label: Label, src: &'p Expr) -> CExpr<'p> {
         if self.facts(f).dead_defs.contains(&label) {
             return CExpr::Const(0);
         }
-        let c = self.expr(f, label, src);
-        self.wrap_o2(c, |flow| {
-            flow.expr_is_pure(f, src) || (f.declares(var) && flow.var_deps_dead(f.id, var))
-        })
+        self.value_src(f, label, src)
     }
 
     fn local_dst(&self, f: &Function, var: &'p str) -> LocalDst<'p> {
@@ -620,16 +611,7 @@ impl<'p> Cx<'_, 'p> {
             .map(|(a, bind)| match (a, bind) {
                 (Arg::Value(e), ParamBind::Value(slot)) => ArgBind::Value {
                     slot: *slot,
-                    src: {
-                        let c = self.expr(f, label, e);
-                        // The argument's taint only matters through the
-                        // callee parameter it binds; dead there, the
-                        // walk is unobservable.
-                        self.wrap_o2(c, |flow| {
-                            flow.expr_is_pure(f, e)
-                                || flow.var_deps_dead(callee, callee_layout.name(*slot))
-                        })
-                    },
+                    src: self.value_src(f, label, e),
                 },
                 (Arg::Ref(x), ParamBind::Ref(name)) => ArgBind::Ref {
                     param: Arc::clone(name),
@@ -639,7 +621,7 @@ impl<'p> Cx<'_, 'p> {
                 // mirrored for hand-built IR.
                 (Arg::Value(e), ParamBind::Ref(name)) => ArgBind::ValueSpill {
                     name: Arc::clone(name),
-                    src: self.wrap_o2(self.expr(f, label, e), |_| false),
+                    src: self.value_src(f, label, e),
                 },
                 (Arg::Ref(x), ParamBind::Value(slot)) => ArgBind::Ref {
                     param: Arc::clone(callee_layout.name(*slot)),
@@ -676,7 +658,7 @@ impl<'p> Cx<'_, 'p> {
                 Cat::Compute,
                 Action::Bind {
                     dst: self.local_dst(f, var),
-                    src: self.store_src(f, label, var, src),
+                    src: self.store_src(f, label, src),
                 },
             ),
             Op::Assign { place, src } => {
@@ -706,93 +688,61 @@ impl<'p> Cx<'_, 'p> {
                                 slot,
                                 var: x,
                                 bind: self.m.core.reclass[f.id.0 as usize].contains(x.as_str()),
-                                src: self.store_src(f, label, x, src),
-                            },
-                        )
-                    }
-                    Place::Var(x) if f.declares(x) => {
-                        let src_c = self.expr(f, label, src);
-                        (
-                            Cost::Dynamic(op),
-                            Cat::Compute,
-                            Action::AssignDyn {
-                                place,
-                                // The store may reach the NV fallback (a
-                                // later run could read the cell), so only
-                                // exact purity justifies the fast path.
-                                src: self.wrap_o2(src_c, |flow| flow.expr_is_pure(f, src)),
+                                src: self.store_src(f, label, src),
                             },
                         )
                     }
                     Place::Var(x) if !f.declares(x) => match self.m.dev.nv.scalar_slot(x) {
-                        Some(slot) => {
-                            let src_c = self.expr(f, label, src);
-                            (
-                                fixed_store(true),
-                                Cat::Compute,
-                                Action::AssignGlobal {
-                                    slot,
-                                    src: self.wrap_o2(src_c, |flow| {
-                                        flow.expr_is_pure(f, src) || flow.global_deps_dead(x)
-                                    }),
-                                },
-                            )
-                        }
+                        Some(slot) => (
+                            fixed_store(true),
+                            Cat::Compute,
+                            Action::AssignGlobal {
+                                slot,
+                                src: self.value_src(f, label, src),
+                            },
+                        ),
                         // Undeclared destination: keep the interpreter's
                         // dynamic cost and store path.
-                        None => {
-                            let src_c = self.expr(f, label, src);
-                            (
-                                Cost::Dynamic(op),
-                                Cat::Compute,
-                                Action::AssignDyn {
-                                    place,
-                                    src: self.wrap_o2(src_c, |flow| flow.expr_is_pure(f, src)),
-                                },
-                            )
-                        }
+                        None => (
+                            Cost::Dynamic(op),
+                            Cat::Compute,
+                            Action::AssignDyn {
+                                place,
+                                src: self.value_src(f, label, src),
+                            },
+                        ),
                     },
-                    // A by-ref parameter reassignment is invalid in
-                    // validated programs; run it dynamically.
+                    // A possibly-unbound local, or a by-ref parameter
+                    // reassignment (invalid in validated programs): run
+                    // it dynamically.
                     Place::Var(_) => (
                         Cost::Dynamic(op),
                         Cat::Compute,
                         Action::AssignDyn {
                             place,
-                            src: self.wrap_o2(self.expr(f, label, src), |_| false),
+                            src: self.value_src(f, label, src),
                         },
                     ),
-                    Place::Index(a, i) => {
-                        let src_c = self.expr(f, label, src);
-                        let idx_c = self.expr(f, label, i);
-                        (
-                            fixed_store(true),
-                            Cat::Compute,
-                            Action::AssignIndex {
-                                name: a,
-                                slot: self.m.dev.nv.array_slot(a),
-                                // A store drops its index's dependency
-                                // set (only the value is consumed).
-                                idx: self.wrap_o2(idx_c, |_| true),
-                                src: self.wrap_o2(src_c, |flow| {
-                                    flow.expr_is_pure(f, src) || flow.global_deps_dead(a)
-                                }),
-                            },
-                        )
-                    }
-                    Place::Deref(x) => {
-                        let src_c = self.expr(f, label, src);
-                        (
-                            Cost::Dynamic(op),
-                            Cat::Compute,
-                            Action::AssignDeref {
-                                var: x,
-                                src: self.wrap_o2(src_c, |flow| {
-                                    flow.expr_is_pure(f, src) || flow.refout_deps_dead(f.id, x)
-                                }),
-                            },
-                        )
-                    }
+                    Place::Index(a, i) => (
+                        fixed_store(true),
+                        Cat::Compute,
+                        Action::AssignIndex {
+                            name: a,
+                            slot: self.m.dev.nv.array_slot(a),
+                            // A store drops its index's dependency set
+                            // (only the value is consumed).
+                            idx: pure_of(self.expr(f, label, i)),
+                            src: self.value_src(f, label, src),
+                        },
+                    ),
+                    Place::Deref(x) => (
+                        Cost::Dynamic(op),
+                        Cat::Compute,
+                        Action::AssignDeref {
+                            var: x,
+                            src: self.value_src(f, label, src),
+                        },
+                    ),
                 }
             }
             Op::Input { var, sensor } => {
@@ -828,16 +778,7 @@ impl<'p> Cx<'_, 'p> {
                         Some(a) => Arc::clone(a),
                         None => Arc::from(channel.as_str()),
                     },
-                    // Output argument dependency sets are observed (they
-                    // feed the trace), so on a traced core only exact
-                    // purity justifies skipping the taint walk.
-                    args: args
-                        .iter()
-                        .map(|e| {
-                            let c = self.expr(f, label, e);
-                            self.wrap_o2(c, |flow| flow.expr_is_pure(f, e))
-                        })
-                        .collect(),
+                    args: args.iter().map(|e| self.value_src(f, label, e)).collect(),
                 },
             ),
             Op::AtomStart { region } => (
@@ -879,12 +820,7 @@ impl<'p> Cx<'_, 'p> {
                     }
                 }
             }
-            Terminator::Ret(e) => Action::Ret(e.as_ref().map(|e| {
-                let c = self.expr(f, label, e);
-                self.wrap_o2(c, |flow| {
-                    flow.expr_is_pure(f, e) || flow.ret_deps_dead(f.id)
-                })
-            })),
+            Terminator::Ret(e) => Action::Ret(e.as_ref().map(|e| self.value_src(f, label, e))),
         };
         self.step(f, label, cost, Cat::Compute, action)
     }
@@ -1081,6 +1017,7 @@ fn transfers_control(a: &Action<'_>) -> bool {
 mod tests {
     use super::*;
     use crate::detect::DetectorConfig;
+    use crate::machine::{DeviceState, MachineCore};
     use ocelot_hw::energy::CostModel;
     use ocelot_hw::power::ContinuousPower;
     use ocelot_hw::sensors::Environment;
@@ -1267,12 +1204,7 @@ mod tests {
                 for s in &blk.steps {
                     if let Action::AssignGlobal { slot, src } = &s.action {
                         assert_eq!(Some(*slot), m.dev.nv.scalar_slot("b"));
-                        // `b`'s dependency set is never observed, so the
-                        // store is evaluated taint-free.
-                        let src = match src {
-                            CExpr::PureOf(inner) => &**inner,
-                            other => other,
-                        };
+                        // A traced core tracks the store's dependency set.
                         let CExpr::Binary(_, l, r) = src else {
                             panic!("src shape")
                         };
@@ -1369,7 +1301,7 @@ mod tests {
     // Optimizer passes
     // -----------------------------------------------------------------
 
-    /// Every `main` step of `p` compiled at `opt`.
+    /// Every `main` step of `cp`, the compiled `p`.
     fn main_actions<'a>(cp: &'a CompiledProgram<'a>, p: &Program) -> Vec<&'a Action<'a>> {
         cp.funcs[p.main.0 as usize]
             .blocks
@@ -1378,25 +1310,17 @@ mod tests {
             .collect()
     }
 
-    fn contains_pure_of(e: &CExpr<'_>) -> bool {
-        match e {
-            CExpr::PureOf(_) => true,
-            CExpr::Binary(_, l, r) => contains_pure_of(l) || contains_pure_of(r),
-            CExpr::Unary(_, x) | CExpr::Index { idx: x, .. } => contains_pure_of(x),
-            _ => false,
-        }
-    }
-
-    fn action_exprs<'a>(a: &'a Action<'a>) -> Vec<&'a CExpr<'a>> {
+    /// The store, argument, return and output sources of `a`: every
+    /// expression whose dependency set a traced core tracks.
+    fn value_sources<'a>(a: &'a Action<'a>) -> Vec<&'a CExpr<'a>> {
         match a {
             Action::Bind { src, .. }
             | Action::AssignLocal { src, .. }
             | Action::AssignGlobal { src, .. }
+            | Action::AssignIndex { src, .. }
             | Action::AssignDeref { src, .. }
             | Action::AssignDyn { src, .. } => vec![src],
-            Action::AssignIndex { idx, src, .. } => vec![idx, src],
             Action::Output { args, .. } => args.iter().collect(),
-            Action::Branch { cond, .. } => vec![cond],
             Action::Ret(e) => e.iter().collect(),
             Action::Call { plan } => plan
                 .binds
@@ -1411,7 +1335,7 @@ mod tests {
     }
 
     #[test]
-    fn constants_propagate_and_fold_at_o2() {
+    fn constants_propagate_and_fold() {
         let p = irc("fn main() { let a = 2; let b = a * 3 + 1; out(log, b); }").unwrap();
         let m = machine_for(&p);
         let cp = compile(&m);
@@ -1525,31 +1449,70 @@ mod tests {
     }
 
     #[test]
-    fn pure_of_wraps_only_at_o2_and_never_observed_deps() {
-        // g's dependency set is never observed (no output or fresh use
-        // reads it), so stores to it may skip the taint walk.
-        let p = irc("sensor s; nv g = 0; fn main() { let v = in(s); g = g + v; }").unwrap();
-        let m = machine_for(&p);
-        let cp = compile(&m);
-        assert!(
-            main_actions(&cp, &p)
-                .iter()
-                .flat_map(|a| action_exprs(a))
-                .any(contains_pure_of),
-            "the dep-dead global store is evaluated taint-free"
-        );
-        // An output argument's deps ARE observed: its expression must
-        // keep the taint walk unless provably pure.
-        let p2 = irc("sensor s; fn main() { let v = in(s); out(log, v); }").unwrap();
-        let m = machine_for(&p2);
-        let cp = compile(&m);
-        for a in main_actions(&cp, &p2) {
-            if let Action::Output { args, .. } = a {
-                assert!(
-                    args.iter().all(|e| !contains_pure_of(e)),
-                    "input-derived output args keep their taint"
-                );
+    fn pure_of_wraps_every_source_on_stats_only_cores_and_only_indices_on_traced_ones() {
+        // Every kind of value source, none of them constant or dead: a
+        // bind, a global, an indexed and a by-ref store, value
+        // arguments, a return and output arguments.
+        let p = irc(r#"
+            sensor s;
+            nv g = 0;
+            nv arr[4];
+            fn put(&dst, v) { *dst = v + 1; }
+            fn twice(a) { return a * 2; }
+            fn main() {
+                let v = in(s);
+                let u = v + 1;
+                let w = twice(u);
+                put(&g, w);
+                arr[v] = w;
+                g = g + w;
+                out(log, w, g);
             }
+            "#)
+        .unwrap();
+        let traced = machine_for(&p);
+        let core = MachineCore::build(
+            &p,
+            &[],
+            traced.core.policies.clone(),
+            &Environment::new(),
+            CostModel::default(),
+        );
+        let stats_only = Machine::from_core(
+            Arc::new(core),
+            DeviceState::default(),
+            Environment::new(),
+            Box::new(ContinuousPower),
+        );
+        for (m, is_traced) in [(&stats_only, false), (&traced, true)] {
+            assert_eq!(m.core.is_traced(), is_traced);
+            let cp = compile(m);
+            let mut indices = 0;
+            let mut sources = 0;
+            for f in &cp.funcs {
+                for a in f.blocks.iter().flat_map(|b| &b.steps).map(|s| &s.action) {
+                    if let Action::AssignIndex { idx, .. } = a {
+                        assert!(
+                            matches!(idx, CExpr::PureOf(_)),
+                            "a store drops its index's dependency set on every core"
+                        );
+                        indices += 1;
+                    }
+                    for e in value_sources(a) {
+                        if matches!(e, CExpr::Const(_)) {
+                            continue;
+                        }
+                        sources += 1;
+                        assert_eq!(
+                            matches!(e, CExpr::PureOf(_)),
+                            !is_traced,
+                            "value-only exactly on the stats-only core"
+                        );
+                    }
+                }
+            }
+            assert_eq!(indices, 1);
+            assert_eq!(sources, 10, "every kind of source was seen");
         }
     }
 

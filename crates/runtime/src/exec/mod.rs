@@ -25,12 +25,12 @@
 //!   reports which one tripped the comparator, so batching is exact on
 //!   every supply: a power failure lands on the same instruction as in
 //!   the interpreter;
-//! * an SSA middle-end folds constants, straightens constant branches,
-//!   shrinks dead stores, and evaluates local stores and branch
-//!   conditions whose dependency sets are provably empty or
-//!   unobservable by value only, with no taint temporary built — on a
-//!   stats-only core (see [`crate::machine::MachineCore::build`]) every
-//!   dependency set is unobservable.
+//! * an SSA middle-end folds constants, straightens constant branches
+//!   and shrinks dead stores; branch conditions and store indices are
+//!   evaluated by value only, with no taint temporary built, and so is
+//!   every source on a stats-only core (see
+//!   [`crate::machine::MachineCore::build`]), where every dependency
+//!   set is unobservable. A traced core tracks every other set.
 //!
 //! The seam between the backends is semantic, not structural: anything
 //! *checked or observable* — inputs, outputs, detector checks, region

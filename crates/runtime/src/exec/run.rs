@@ -459,9 +459,9 @@ impl<'p> Machine<'p> {
     }
 
     /// Stores `src` into the active frame's `slot`. A [`CExpr::PureOf`]
-    /// source — the flow analysis proved its dependency set empty or
-    /// unobservable — is evaluated by value only and written in place,
-    /// with no taint set built or copied.
+    /// source — a stats-only core observes no dependency set — is
+    /// evaluated by value only and written in place, with no taint set
+    /// built or copied.
     fn store_slot(&mut self, slot: u32, src: &CExpr<'p>) {
         match src {
             CExpr::PureOf(e) => {
@@ -572,17 +572,17 @@ impl<'p> Machine<'p> {
                 }
             }
             CExpr::RefArg => Tainted::pure(0),
-            // The optimizer proved this subtree's dependency set empty
-            // or unobservable at this consumption site: evaluate by
-            // value only, skipping every taint-set clone and merge.
+            // No consumer reads this subtree's dependency set:
+            // evaluate by value only, skipping every taint-set clone
+            // and merge.
             CExpr::PureOf(e) => Tainted::pure(self.ceval_value(e)),
         }
     }
 
     /// Value-only twin of [`Machine::ceval`]: computes the same `i64`
-    /// without touching dependency sets. Reached under [`CExpr::PureOf`],
-    /// i.e. when the flow analysis justified dropping the taint, and
-    /// for branch conditions, whose taint is never observed.
+    /// without touching dependency sets. Reached under [`CExpr::PureOf`]
+    /// and for branch conditions, whose dependency sets no consumer
+    /// reads.
     fn ceval_value(&self, e: &CExpr<'p>) -> i64 {
         self.value_in(self.dev.vol.top(), e)
     }

@@ -39,7 +39,7 @@ use crate::obs::{Obs, ObsLog};
 use crate::stats::Stats;
 use ocelot_analysis::chains::{ChainId, ChainTable};
 use ocelot_analysis::taint::Prov;
-use ocelot_analysis::{ProgramSsa, ValueFlow};
+use ocelot_analysis::ProgramSsa;
 use ocelot_core::{PolicyKind, PolicySet, RegionInfo};
 use ocelot_hw::energy::{CostModel, Entry, Facts, PowerEvent, Priced};
 use ocelot_hw::power::PowerSupply;
@@ -238,11 +238,11 @@ pub struct MachineCore<'p> {
     /// [`ocelot_ir::ir::FuncId`]. Shared by every core
     /// [`MachineCore::for_environment`] derives.
     pub(crate) ssa: Arc<ProgramSsa>,
-    /// Data-only value-flow facts: which values provably carry empty
-    /// dependency sets and which dependency sets are never observed.
-    /// `Some` exactly on a traced core ([`MachineCore::traced`]): a
-    /// stats-only core observes no dependency set, so it needs none.
-    pub(crate) flow: Option<ValueFlow>,
+    /// True on a traced core ([`MachineCore::traced`]): machines record
+    /// the `Obs` trace and both engines track every dependency set. A
+    /// stats-only core observes no dependency set, so the compile pass
+    /// evaluates its stores, arguments, returns and outputs value-only.
+    pub(crate) traced: bool,
     /// Per-function always-bound locals (declared, never address-taken,
     /// every read dominated by a write): stores to these never reach
     /// non-volatile memory, so both backends bind the volatile slot
@@ -627,7 +627,7 @@ impl<'p> MachineCore<'p> {
             channel_names,
             channels: channel_layout(env),
             ssa: Arc::new(ssa),
-            flow: None,
+            traced: false,
             reclass,
             shared_compiled: OnceLock::new(),
         }
@@ -658,34 +658,25 @@ impl<'p> MachineCore<'p> {
             channel_names: self.channel_names.clone(),
             channels: channel_layout(env),
             ssa: Arc::clone(&self.ssa),
-            flow: self.flow.clone(),
+            traced: self.traced,
             reclass: Arc::clone(&self.reclass),
             shared_compiled: OnceLock::new(),
         }
     }
 
     /// Turns recording on: machines on the returned core build the
-    /// committed observation trace ([`Machine::take_trace`]) and track
-    /// every dependency set an [`Obs`] record reads, exactly as
-    /// [`Machine::new`]'s machines do. Computes the value-flow facts
-    /// the compile pass needs to keep observed dependency sets.
+    /// committed observation trace ([`Machine::take_trace`]), and both
+    /// engines track every dependency set the interpreter tracks, so an
+    /// [`Obs`] record reads the same set on either, exactly as
+    /// [`Machine::new`]'s machines do.
     pub fn traced(mut self) -> Self {
-        // Fresh-use logging observes each fresh variable's dependency
-        // set at its use sites ([`Obs::Use`]); the region transforms may
-        // strip the annotation from the instruction stream, so the flow
-        // analysis is told about those observation points explicitly.
-        let observed: Vec<(FuncId, String)> = self
-            .use_rt
-            .iter()
-            .flat_map(|(site, rt)| rt.fresh_vars.iter().map(|v| (site.func, v.clone())))
-            .collect();
-        self.flow = Some(ValueFlow::analyze_observing(self.p, &observed));
+        self.traced = true;
         self
     }
 
     /// True when machines on this core record the observation trace.
     pub fn is_traced(&self) -> bool {
-        self.flow.is_some()
+        self.traced
     }
 }
 

@@ -315,8 +315,8 @@ impl NvMem {
     }
 
     /// Value-only read of the scalar at a pre-resolved slot — no
-    /// dependency-set clone. Used by the optimizer's taint-free
-    /// expression path, which has proven the deps unobservable.
+    /// dependency-set clone. Used by the compiled engine's value-only
+    /// expression path, where no consumer reads the deps.
     ///
     /// # Panics
     ///
