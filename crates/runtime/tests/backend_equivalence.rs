@@ -397,6 +397,15 @@ fn continuous_power_features_sweep_agrees() {
         );
         assert_eq!(stats.reboots, 0, "{name}");
     }
+    for (name, src) in STORAGE_PATHS {
+        let stats = assert_traced_core_agrees(
+            &format!("{name} on continuous power"),
+            &build_ocelot(src),
+            channel_env(),
+            &|| Box::new(ContinuousPower),
+        );
+        assert_eq!(stats.reboots, 0, "{name}");
+    }
 }
 
 #[test]
@@ -756,6 +765,82 @@ const DEPENDENCY_CHANNELS: [(&str, &str); 5] = [
     ),
 ];
 
+/// Hand-written programs for the storage paths a validated program can
+/// reach beside the slot-resolved ones: a local bound on one arm only
+/// (in scope but unbound at the join, so it stores to and reads from
+/// non-volatile memory under its own name), `&x` of such a local, a
+/// by-ref parameter forwarded two calls deep, and an atomic region
+/// whose WAR set holds an NV scalar and an NV array and which fails
+/// mid-region and rolls back on the harvested bank.
+const STORAGE_PATHS: [(&str, &str); 4] = [
+    (
+        "local bound on one arm, stored and read at the join",
+        r#"
+        nv g = 0;
+        sensor s;
+        fn main() {
+            let v = in(s);
+            if v > 7 { let t = v * 2; out(log, t); }
+            t = t + v;
+            out(log, t);
+            g = g + t;
+        }
+        "#,
+    ),
+    (
+        "reference to a possibly-unbound local",
+        r#"
+        sensor s;
+        fn put(&dst, v) { *dst = *dst + v; }
+        fn main() {
+            let v = in(s);
+            if v > 7 { let x = v; }
+            put(&x, v);
+            out(log, x);
+        }
+        "#,
+    ),
+    (
+        "by-ref parameter forwarded two calls deep",
+        r#"
+        nv total = 0;
+        sensor s;
+        fn leaf(&r, v) { *r = *r + v; }
+        fn mid(&r, v) { leaf(&r, v + 1); out(log, *r); *r = *r * 2; }
+        fn top(&r) { let v = in(s); mid(&r, v); }
+        fn main() {
+            let x = 1;
+            top(&x);
+            top(&total);
+            out(log, x, total);
+        }
+        "#,
+    ),
+    (
+        "region logging an NV scalar and array, rolled back",
+        r#"
+        nv count = 0;
+        nv hist[4];
+        sensor s;
+        fn main() {
+            let v = in(s);
+            if v > 8 { let spill = v; }
+            atomic {
+                let i = 0;
+                repeat 6 {
+                    let w = in(s);
+                    hist[i] = hist[i] + w;
+                    count = count + 1;
+                    spill = spill + w;
+                    i = i + 1;
+                }
+            }
+            out(log, count, hist[0], hist[3], spill);
+        }
+        "#,
+    ),
+];
+
 /// Builds `src` under the Ocelot model (annotations erased).
 fn build_ocelot(src: &str) -> Built {
     ocelot_runtime::build(compile(src).unwrap(), ExecModel::Ocelot).unwrap()
@@ -856,6 +941,26 @@ fn harvested_boot_jitter_apps_agree_across_the_registry() {
         channel_reboots += stats.reboots;
         tally(stats);
     }
+    let mut storage_reexecs = 0;
+    for (name, src) in STORAGE_PATHS {
+        let built = build_ocelot(src);
+        if name.starts_with("region") {
+            let war = &built.regions[0].effects.war;
+            assert!(war.contains("count") && war.contains("hist"), "{war:?}");
+        }
+        let stats = assert_traced_core_agrees(
+            &format!("{name} on the bank"),
+            &built,
+            channel_env(),
+            &|| bank_supply(7),
+        );
+        storage_reexecs += stats.region_reexecs;
+        tally(stats);
+    }
+    assert!(
+        storage_reexecs > 0,
+        "the logged region failed mid-region and rolled back"
+    );
     assert!(
         reboots > 100 && reexecs > 0,
         "the sweep failed often enough to matter: {reboots} reboots, {reexecs} re-executions"
