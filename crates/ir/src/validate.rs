@@ -5,12 +5,15 @@
 //!
 //! * no recursion (direct or mutual);
 //! * every `IN()` reads a declared sensor channel;
+//! * every `let`, input and call destination binds a declared local of
+//!   its function;
 //! * every variable read resolves to a parameter, local, or global;
 //! * dereferences only through by-mutable-reference parameters;
 //! * indexed stores/reads only on declared global arrays;
 //! * call-site arity and by-ref/by-value shape match the callee, and no
 //!   two reference arguments of a call alias the same location (Rust's
-//!   unique-mutable-borrow rule);
+//!   unique-mutable-borrow rule); `main`, which the runtime calls with
+//!   no arguments, takes no parameters;
 //! * `startatom`/`endatom` pairs match within each function.
 
 use crate::ast::{Arg, Expr};
@@ -27,6 +30,11 @@ use std::collections::{HashMap, HashSet};
 pub fn validate(p: &Program) -> Result<()> {
     let cg = CallGraph::new(p);
     cg.topo_callees_first(p)?;
+    if !p.func(p.main).params.is_empty() {
+        return Err(IrError::validate(
+            "`main` takes parameters, but the runtime calls it with none",
+        ));
+    }
     for f in &p.funcs {
         validate_function(p, f)?;
     }
@@ -73,6 +81,15 @@ fn validate_function(p: &Program, f: &Function) -> Result<()> {
 
     let known = |name: &String| -> bool {
         locals.contains(name) || params.contains_key(name) || p.is_global(name)
+    };
+    let check_binding = |var: &String| -> Result<()> {
+        if !locals.contains(var) {
+            return Err(IrError::validate(format!(
+                "`{var}` is bound in `{}` but not declared among its locals",
+                f.name
+            )));
+        }
+        Ok(())
     };
 
     let check_expr = |e: &Expr, where_: &str| -> Result<()> {
@@ -138,7 +155,10 @@ fn validate_function(p: &Program, f: &Function) -> Result<()> {
         for inst in &b.instrs {
             match &inst.op {
                 Op::Skip => {}
-                Op::Bind { src, .. } => check_expr(src, "binding")?,
+                Op::Bind { var, src } => {
+                    check_binding(var)?;
+                    check_expr(src, "binding")?;
+                }
                 Op::Assign { place, src } => {
                     check_expr(src, "assignment")?;
                     match place {
@@ -186,7 +206,8 @@ fn validate_function(p: &Program, f: &Function) -> Result<()> {
                         }
                     }
                 }
-                Op::Input { sensor, .. } => {
+                Op::Input { var, sensor } => {
+                    check_binding(var)?;
                     if !p.is_sensor(sensor) {
                         return Err(IrError::validate(format!(
                             "input from undeclared sensor `{sensor}` in `{}`",
@@ -194,7 +215,10 @@ fn validate_function(p: &Program, f: &Function) -> Result<()> {
                         )));
                     }
                 }
-                Op::Call { callee, args, .. } => {
+                Op::Call { dst, callee, args } => {
+                    if let Some(d) = dst {
+                        check_binding(d)?;
+                    }
                     let callee_fn = p.func(*callee);
                     if callee_fn.params.len() != args.len() {
                         return Err(IrError::validate(format!(
@@ -425,6 +449,32 @@ mod tests {
     fn rejects_reassigning_ref_param() {
         let err = check("fn f(&a) { a = 3; } fn main() { let x = 1; f(&x); }").unwrap_err();
         assert!(err.to_string().contains("store through"));
+    }
+
+    #[test]
+    fn rejects_main_with_parameters() {
+        let err = check("fn main(&r) { *r = 1; }").unwrap_err();
+        assert!(err.to_string().contains("`main` takes parameters"), "{err}");
+        assert!(check("fn main(a) { out(log, a); }").is_err());
+    }
+
+    #[test]
+    fn rejects_bindings_of_undeclared_locals() {
+        // An input, a `let` and a call destination, each stripped from
+        // the declared locals in turn.
+        let src =
+            "sensor s; fn f() { return 1; } fn main() { let x = in(s); let y = x; let z = f(); }";
+        for var in ["x", "y", "z"] {
+            let mut p = compile(src).unwrap();
+            validate(&p).unwrap();
+            let main = p.main;
+            p.func_mut(main).locals.retain(|l| l != var);
+            let err = validate(&p).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("`{var}` is bound in `main`")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@ pub enum ProgressError {
     /// A region-structure error from `ocelot-core`.
     Core(ocelot_core::CoreError),
     /// A loop with no recoverable static trip count lies on the analyzed
-    /// path. Surface-language `repeat n` loops are always bounded; this
-    /// arises only for hand-built IR.
+    /// path: any surface `while` loop that carries no `@bound k` and is
+    /// not a monotone counter loop (`while g > 0 { g = g - 1; }` over an
+    /// NV global is one). Surface `repeat n` loops are always bounded.
     UnboundedLoop {
         /// The function containing the loop.
         func: String,

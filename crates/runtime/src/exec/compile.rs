@@ -9,8 +9,8 @@
 //! * **storage resolution** — global scalars/arrays become
 //!   [`crate::memory::NvMem`] slot indices and frame locals become
 //!   dense [`crate::memory::FrameLayouts`] slots; variable reads are
-//!   classified local / by-ref / global / dynamic using the IR's
-//!   declaration metadata ([`ocelot_ir::Function::declares`]);
+//!   classified local / by-ref / global using the IR's declaration
+//!   metadata ([`ocelot_ir::Function::declares`]);
 //! * **input sites** — the sensor name is pre-interned and, for sites
 //!   whose enclosing call stack is statically fixed, the provenance
 //!   chain is pre-resolved to an interned
@@ -36,11 +36,16 @@
 //!   target block (cycle-guarded), so straight-line code split across
 //!   blocks still batches as one run.
 //!
-//! The classification is exact for lowered programs: alpha-renaming
-//! guarantees locals never shadow globals and are bound before any
-//! assignment, which is what licenses the static local/global split.
-//! Accesses that cannot be proven fall back to [`Action::AssignDyn`] /
-//! [`CExpr::DynVar`], which run the interpreter's own resolution path.
+//! The classification is total for the programs the runtime runs,
+//! which passed [`ocelot_ir::validate()`]: every name a function reads or
+//! stores is a declared local or parameter of it or a declared global,
+//! every binding site binds a declared local, every dereference goes
+//! through a by-ref parameter, every indexed access names a declared
+//! array, and every call matches its callee's parameter kinds. What
+//! stays dynamic is the paper model's "no block scoping" case: a store
+//! to a local that may still be unbound runs the interpreter's own
+//! store path ([`Action::AssignDyn`]), and an unbound local's read
+//! falls back to the non-volatile cell of its name ([`CExpr::Local`]).
 
 use crate::machine::{eval_binop, Machine};
 use ocelot_analysis::chains::ChainId;
@@ -53,7 +58,7 @@ use ocelot_ir::{BlockId, FuncId, Function, InstrRef, Label, Op, Place, RegionId,
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::memory::{ParamBind, RetSlot};
+use crate::memory::ParamBind;
 
 /// A program lowered to pre-resolved steps, indexed `[func][block]`.
 pub(crate) struct CompiledProgram<'p> {
@@ -177,30 +182,21 @@ pub(crate) enum Cat {
     Checkpoint,
 }
 
-/// A pre-resolved local destination.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum LocalDst<'p> {
-    /// A frame slot from the function's layout.
-    Slot(u32),
-    /// A name outside the layout (hand-built IR): spills by name.
-    Spill(&'p str),
-}
-
 /// How one by-ref argument resolves, classified at compile time.
 pub(crate) enum RefArgPlan<'p> {
     /// The argument is itself a by-ref parameter of the caller:
     /// forward its incoming target (dynamic probe).
     Forward(&'p str),
     /// A declared caller local: its slot when bound at call time,
-    /// otherwise the named global (the paper model's unbound-local
-    /// fallback).
+    /// otherwise the non-volatile scalar of its name (the paper model's
+    /// unbound-local fallback).
     LocalOrGlobal {
         /// Caller-frame slot.
         slot: u32,
-        /// Fallback global name (shared).
+        /// Fallback non-volatile name (shared).
         global: Arc<str>,
     },
-    /// An undeclared name: always the named global.
+    /// A global scalar the caller does not shadow.
     Global(Arc<str>),
 }
 
@@ -210,14 +206,6 @@ pub(crate) enum ArgBind<'p> {
     Value {
         /// Callee-frame slot.
         slot: u32,
-        /// Argument expression.
-        src: CExpr<'p>,
-    },
-    /// A by-value argument to a by-ref parameter (hand-built IR):
-    /// spills into the callee frame by name.
-    ValueSpill {
-        /// Callee parameter name (shared).
-        name: Arc<str>,
         /// Argument expression.
         src: CExpr<'p>,
     },
@@ -238,8 +226,8 @@ pub(crate) struct CallPlan<'p> {
     pub(crate) entry: BlockId,
     /// Callee local slot count.
     pub(crate) nslots: u32,
-    /// Caller-frame return destination.
-    pub(crate) ret_dst: Option<RetSlot>,
+    /// Caller-frame return destination slot.
+    pub(crate) ret_dst: Option<u32>,
     /// Argument bindings, in parameter order.
     pub(crate) binds: Vec<ArgBind<'p>>,
 }
@@ -250,24 +238,19 @@ pub(crate) enum Action<'p> {
     Skip,
     /// `let var = src`.
     Bind {
-        /// The local introduced.
-        dst: LocalDst<'p>,
+        /// The local's slot.
+        dst: u32,
         /// Its initializer.
         src: CExpr<'p>,
     },
     /// Store to a declared local or value parameter with a dominating
-    /// binding.
+    /// binding, or to a reclassified always-bound local, whose store
+    /// binds the slot when it is unbound instead of falling back to the
+    /// non-volatile cell (no read can observe the difference — every
+    /// read is dominated by a write).
     AssignLocal {
         /// The volatile destination slot.
         slot: u32,
-        /// Name, for the (unreachable in lowered programs) unbound
-        /// fallback.
-        var: &'p str,
-        /// True for a reclassified always-bound local: the store binds
-        /// the slot when it is unbound instead of falling back to the
-        /// non-volatile cell (no read can observe the difference — every
-        /// read is dominated by a write).
-        bind: bool,
         /// Stored value.
         src: CExpr<'p>,
     },
@@ -280,10 +263,8 @@ pub(crate) enum Action<'p> {
     },
     /// Store to an array cell.
     AssignIndex {
-        /// Array name, for the undo-log key fallback.
-        name: &'p str,
-        /// Pre-resolved [`crate::memory::NvMem`] array slot, if declared.
-        slot: Option<usize>,
+        /// Pre-resolved [`crate::memory::NvMem`] array slot.
+        slot: usize,
         /// Cell index expression.
         idx: CExpr<'p>,
         /// Stored value.
@@ -296,7 +277,9 @@ pub(crate) enum Action<'p> {
         /// Stored value.
         src: CExpr<'p>,
     },
-    /// Fallback store: runs the interpreter's dynamic `write_place`.
+    /// Store to a declared local that may still be unbound here: runs
+    /// the interpreter's dynamic `write_place`, which stores
+    /// non-volatile under the local's name while it is unbound.
     AssignDyn {
         /// The unresolved destination.
         place: &'p Place,
@@ -306,10 +289,8 @@ pub(crate) enum Action<'p> {
     /// `let var = IN(sensor)` — the collection core is shared with the
     /// interpreter; everything resolvable is resolved here.
     Input {
-        /// Receiving local.
-        dst: LocalDst<'p>,
-        /// Sensor channel (environment lookup key, fallback path).
-        sensor: &'p str,
+        /// Receiving local's slot.
+        dst: u32,
         /// Interned sensor name (what the observation records).
         sensor_name: Arc<str>,
         /// Pre-resolved environment channel index.
@@ -359,29 +340,25 @@ pub(crate) enum Action<'p> {
 pub(crate) enum CExpr<'p> {
     /// Integer or boolean literal.
     Const(i64),
-    /// A declared local or value parameter: read the frame slot (falls
-    /// back to the interpreter's resolution if unbound).
+    /// A declared local or value parameter: read the frame slot (an
+    /// unbound one falls back to the interpreter's resolution, which
+    /// ends at the non-volatile cell of its name).
     Local {
         /// Frame slot.
         slot: u32,
         /// Name, for the unbound fallback.
         name: &'p str,
     },
-    /// A by-reference parameter: read through the resolved target.
-    RefParam(&'p str),
     /// A declared scalar global: direct [`crate::memory::NvMem`] slot
     /// read.
     Global(usize),
-    /// Unresolvable name: the interpreter's full lookup order.
-    DynVar(&'p str),
-    /// `*x`.
+    /// `*x`, or a by-reference parameter `x` read by name: both read
+    /// through the target the call bound.
     Deref(&'p str),
     /// `a[idx]`.
     Index {
-        /// Array name (fallback path).
-        name: &'p str,
-        /// Pre-resolved array slot, if declared.
-        slot: Option<usize>,
+        /// Pre-resolved array slot.
+        slot: usize,
         /// Index expression.
         idx: Box<CExpr<'p>>,
     },
@@ -571,13 +548,6 @@ impl<'p> Cx<'_, 'p> {
         self.value_src(f, label, src)
     }
 
-    fn local_dst(&self, f: &Function, var: &'p str) -> LocalDst<'p> {
-        match self.m.core.layouts.slot(f.id, var) {
-            Some(s) => LocalDst::Slot(s),
-            None => LocalDst::Spill(var),
-        }
-    }
-
     /// Classifies a by-ref argument (see [`RefArgPlan`]).
     fn ref_arg(&self, f: &'p Function, x: &'p str) -> RefArgPlan<'p> {
         if f.is_by_ref_param(x) {
@@ -601,10 +571,7 @@ impl<'p> Cx<'_, 'p> {
         args: &'p [Arg],
     ) -> CallPlan<'p> {
         let callee_layout = self.m.core.layouts.layout(callee);
-        let ret_dst = dst.map(|d| match self.m.core.layouts.slot(f.id, d) {
-            Some(s) => RetSlot::Slot(s),
-            None => RetSlot::Spill(Arc::from(d)),
-        });
+        let ret_dst = dst.map(|d| self.m.core.layouts.local(f.id, d));
         let binds = args
             .iter()
             .zip(callee_layout.params())
@@ -617,16 +584,7 @@ impl<'p> Cx<'_, 'p> {
                     param: Arc::clone(name),
                     plan: self.ref_arg(f, x),
                 },
-                // Mismatched kinds: impossible in validated programs,
-                // mirrored for hand-built IR.
-                (Arg::Value(e), ParamBind::Ref(name)) => ArgBind::ValueSpill {
-                    name: Arc::clone(name),
-                    src: self.value_src(f, label, e),
-                },
-                (Arg::Ref(x), ParamBind::Value(slot)) => ArgBind::Ref {
-                    param: Arc::clone(callee_layout.name(*slot)),
-                    plan: self.ref_arg(f, x),
-                },
+                _ => unreachable!("validated calls match argument and parameter kinds"),
             })
             .collect();
         CallPlan {
@@ -657,7 +615,7 @@ impl<'p> Cx<'_, 'p> {
                 fixed_op(),
                 Cat::Compute,
                 Action::Bind {
-                    dst: self.local_dst(f, var),
+                    dst: self.m.core.layouts.local(f.id, var),
                     src: self.store_src(f, label, src),
                 },
             ),
@@ -671,51 +629,20 @@ impl<'p> Cx<'_, 'p> {
                     // over-conservative and is fixed to match).
                     Place::Var(x)
                         if f.declares(x)
-                            && !f.is_by_ref_param(x)
                             && (binds.surely_bound(f, x, at)
                                 || self.m.core.reclass[f.id.0 as usize].contains(x.as_str())) =>
                     {
-                        let slot = self
-                            .m
-                            .core
-                            .layouts
-                            .slot(f.id, x)
-                            .expect("declared locals have layout slots");
                         (
                             fixed_store(false),
                             Cat::Compute,
                             Action::AssignLocal {
-                                slot,
-                                var: x,
-                                bind: self.m.core.reclass[f.id.0 as usize].contains(x.as_str()),
+                                slot: self.m.core.layouts.local(f.id, x),
                                 src: self.store_src(f, label, src),
                             },
                         )
                     }
-                    Place::Var(x) if !f.declares(x) => match self.m.dev.nv.scalar_slot(x) {
-                        Some(slot) => (
-                            fixed_store(true),
-                            Cat::Compute,
-                            Action::AssignGlobal {
-                                slot,
-                                src: self.value_src(f, label, src),
-                            },
-                        ),
-                        // Undeclared destination: keep the interpreter's
-                        // dynamic cost and store path.
-                        None => (
-                            Cost::Dynamic(op),
-                            Cat::Compute,
-                            Action::AssignDyn {
-                                place,
-                                src: self.value_src(f, label, src),
-                            },
-                        ),
-                    },
-                    // A possibly-unbound local, or a by-ref parameter
-                    // reassignment (invalid in validated programs): run
-                    // it dynamically.
-                    Place::Var(_) => (
+                    // A possibly-unbound local: run it dynamically.
+                    Place::Var(x) if f.declares(x) => (
                         Cost::Dynamic(op),
                         Cat::Compute,
                         Action::AssignDyn {
@@ -723,11 +650,18 @@ impl<'p> Cx<'_, 'p> {
                             src: self.value_src(f, label, src),
                         },
                     ),
+                    Place::Var(x) => (
+                        fixed_store(true),
+                        Cat::Compute,
+                        Action::AssignGlobal {
+                            slot: self.m.dev.nv.global_slot(x),
+                            src: self.value_src(f, label, src),
+                        },
+                    ),
                     Place::Index(a, i) => (
                         fixed_store(true),
                         Cat::Compute,
                         Action::AssignIndex {
-                            name: a,
                             slot: self.m.dev.nv.array_slot(a),
                             // A store drops its index's dependency set
                             // (only the value is consumed).
@@ -747,18 +681,14 @@ impl<'p> Cx<'_, 'p> {
             }
             Op::Input { var, sensor } => {
                 let iref = InstrRef { func: f.id, label };
-                let (sensor_name, chan) = match self.m.core.sensor_rt.get(sensor.as_str()) {
-                    Some(rt) => (Arc::clone(&rt.name), rt.chan),
-                    None => (Arc::from(sensor.as_str()), self.m.env.channel_index(sensor)),
-                };
+                let rt = &self.m.core.sensor_rt[sensor.as_str()];
                 (
                     fixed_op(),
                     Cat::Input,
                     Action::Input {
-                        dst: self.local_dst(f, var),
-                        sensor,
-                        sensor_name,
-                        chan,
+                        dst: self.m.core.layouts.local(f.id, var),
+                        sensor_name: Arc::clone(&rt.name),
+                        chan: rt.chan,
                         chain: self.m.core.static_chain_of.get(&iref).copied(),
                     },
                 )
@@ -774,10 +704,7 @@ impl<'p> Cx<'_, 'p> {
                 fixed_op(),
                 Cat::Output,
                 Action::Output {
-                    channel: match self.m.core.channel_names.get(channel.as_str()) {
-                        Some(a) => Arc::clone(a),
-                        None => Arc::from(channel.as_str()),
-                    },
+                    channel: Arc::clone(&self.m.core.channel_names[channel.as_str()]),
                     args: args.iter().map(|e| self.value_src(f, label, e)).collect(),
                 },
             ),
@@ -837,22 +764,19 @@ impl<'p> Cx<'_, 'p> {
                     return CExpr::Const(*k);
                 }
                 if f.is_by_ref_param(x) {
-                    CExpr::RefParam(x)
+                    CExpr::Deref(x)
                 } else if f.declares(x) {
-                    match self.m.core.layouts.slot(f.id, x) {
-                        Some(slot) => CExpr::Local { slot, name: x },
-                        None => CExpr::DynVar(x),
+                    CExpr::Local {
+                        slot: self.m.core.layouts.local(f.id, x),
+                        name: x,
                     }
-                } else if let Some(slot) = self.m.dev.nv.scalar_slot(x) {
-                    CExpr::Global(slot)
                 } else {
-                    CExpr::DynVar(x)
+                    CExpr::Global(self.m.dev.nv.global_slot(x))
                 }
             }
             Expr::Deref(x) => CExpr::Deref(x),
             Expr::Ref(_) => CExpr::RefArg,
             Expr::Index(a, i) => CExpr::Index {
-                name: a,
                 slot: self.m.dev.nv.array_slot(a),
                 idx: Box::new(self.expr(f, label, i)),
             },
@@ -1212,7 +1136,7 @@ mod tests {
                             matches!(**l, CExpr::Global(s) if Some(s) == m.dev.nv.scalar_slot("a"))
                         );
                         assert!(
-                            matches!(&**r, CExpr::Index { slot: Some(s), .. } if Some(*s) == m.dev.nv.array_slot("arr"))
+                            matches!(&**r, CExpr::Index { slot, .. } if *slot == m.dev.nv.array_slot("arr"))
                         );
                         found = true;
                     }
@@ -1280,7 +1204,7 @@ mod tests {
                 for s in &b.steps {
                     if let Action::Call { plan } = &s.action {
                         saw_call = true;
-                        assert!(matches!(plan.ret_dst, Some(RetSlot::Slot(_))));
+                        assert!(plan.ret_dst.is_some());
                         assert_eq!(plan.binds.len(), 2);
                         assert!(plan
                             .binds
@@ -1326,7 +1250,7 @@ mod tests {
                 .binds
                 .iter()
                 .filter_map(|b| match b {
-                    ArgBind::Value { src, .. } | ArgBind::ValueSpill { src, .. } => Some(src),
+                    ArgBind::Value { src, .. } => Some(src),
                     ArgBind::Ref { .. } => None,
                 })
                 .collect(),
@@ -1528,7 +1452,7 @@ mod tests {
         let cp = compile(&m);
         let bound = main_actions(&cp, &p)
             .iter()
-            .any(|a| matches!(a, Action::AssignLocal { bind: true, .. }));
+            .any(|a| matches!(a, Action::AssignLocal { .. }));
         assert!(
             bound,
             "the unbound-on-entry store compiles to a binding slot write"

@@ -12,10 +12,10 @@
 //! shared `Machine` helpers, so both backends execute the paper's
 //! semantics through one implementation.
 
-use super::compile::{self, Action, ArgBind, Batch, CExpr, Cost, LocalDst, RefArgPlan, Step};
+use super::compile::{self, Action, ArgBind, Batch, CExpr, Cost, RefArgPlan, Step};
 use super::CompiledProgram;
 use crate::machine::{eval_binop, Machine, RunOutcome};
-use crate::memory::{Frame, RefTarget, RetSlot, Tainted};
+use crate::memory::{Frame, RefTarget, Tainted};
 use crate::obs::Obs;
 use ocelot_hw::energy::PowerEvent;
 use ocelot_ir::ast::UnOp;
@@ -245,40 +245,11 @@ impl<'p> Machine<'p> {
             Action::Skip => {
                 self.advance();
             }
-            Action::Bind { dst, src } => {
-                match dst {
-                    LocalDst::Slot(s) => self.store_slot(*s, src),
-                    LocalDst::Spill(name) => {
-                        let v = self.ceval(src);
-                        let top = self.dev.vol.top_mut().expect("frame exists");
-                        top.set_extra(name, v);
-                    }
-                }
-                self.advance();
-            }
-            Action::AssignLocal {
-                slot,
-                var,
-                bind,
-                src,
-            } => {
-                let top = self.dev.vol.top().expect("frame exists");
-                if *bind || top.get_slot(*slot).is_some() {
-                    // A reclassified always-bound local binds its slot
-                    // on first store (dead-on-reboot by SSA liveness).
-                    self.store_slot(*slot, src);
-                    self.advance();
-                    return false;
-                }
-                let v = self.ceval(src);
-                let top = self.dev.vol.top_mut().expect("frame exists");
-                if let Some(t) = top.refs.get(*var).cloned() {
-                    // Unreachable in validated programs (classification
-                    // excludes by-ref params), kept for exactness.
-                    self.write_target(&t, v);
-                } else {
-                    self.nv_write_scalar(var, v);
-                }
+            // A reclassified always-bound local binds its slot on first
+            // store (dead-on-reboot by SSA liveness); any other
+            // `AssignLocal` slot is already bound.
+            Action::Bind { dst: slot, src } | Action::AssignLocal { slot, src } => {
+                self.store_slot(*slot, src);
                 self.advance();
             }
             Action::AssignGlobal { slot, src } => {
@@ -286,32 +257,17 @@ impl<'p> Machine<'p> {
                 self.nv_write_scalar_slot(*slot, v);
                 self.advance();
             }
-            Action::AssignIndex {
-                name,
-                slot,
-                idx,
-                src,
-            } => {
+            Action::AssignIndex { slot, idx, src } => {
                 let v = self.ceval(src);
                 let i = self.ceval(idx);
-                match slot {
-                    Some(s) => {
-                        let (cell, old) = self.dev.nv.write_idx_slot(*s, i.value, v);
-                        let arc = Arc::clone(self.dev.nv.array_name(*s));
-                        self.log_cell_undo(arc, cell, old);
-                    }
-                    None => {
-                        let (cell, old) = self.dev.nv.write_idx(name, i.value, v);
-                        self.log_cell_undo(Arc::from(*name), cell, old);
-                    }
-                }
+                let (cell, old) = self.dev.nv.write_idx_slot(*slot, i.value, v);
+                let arc = Arc::clone(self.dev.nv.array_name(*slot));
+                self.log_cell_undo(arc, cell, old);
                 self.advance();
             }
             Action::AssignDeref { var, src } => {
                 let v = self.ceval(src);
-                let t = self
-                    .ref_target(var)
-                    .unwrap_or_else(|| RefTarget::Global(self.global_name(var)));
+                let t = self.ref_target(var);
                 self.write_target(&t, v);
                 self.advance();
             }
@@ -322,42 +278,19 @@ impl<'p> Machine<'p> {
             }
             Action::Input {
                 dst,
-                sensor,
                 sensor_name,
                 chan,
                 chain,
             } => {
-                let (slot, var) = match dst {
-                    LocalDst::Slot(s) => (Some(*s), ""),
-                    LocalDst::Spill(name) => (None, *name),
-                };
                 let sensor_name = |_: &Self| Arc::clone(sensor_name);
                 match chain {
                     // Fixed call stack: everything pre-resolved.
-                    Some(id) => self.input_core(
-                        here,
-                        slot,
-                        var,
-                        sensor,
-                        sensor_name,
-                        *chan,
-                        Some(*id),
-                        None,
-                    ),
+                    Some(id) => self.input_core(here, *dst, sensor_name, *chan, Some(*id), None),
                     // Data-dependent call path: rebuild and probe.
                     None => {
                         let chain = self.dynamic_chain(here);
                         let id = self.core.chains.lookup(&chain);
-                        self.input_core(
-                            here,
-                            slot,
-                            var,
-                            sensor,
-                            sensor_name,
-                            *chan,
-                            id,
-                            Some(chain),
-                        );
+                        self.input_core(here, *dst, sensor_name, *chan, id, Some(chain));
                     }
                 }
             }
@@ -367,7 +300,7 @@ impl<'p> Machine<'p> {
                     plan.callee,
                     plan.entry,
                     plan.nslots as usize,
-                    plan.ret_dst.clone(),
+                    plan.ret_dst,
                     here,
                 );
                 for bind in &plan.binds {
@@ -375,10 +308,6 @@ impl<'p> Machine<'p> {
                         ArgBind::Value { slot, src } => {
                             let v = self.ceval(src);
                             frame.set_slot(*slot, v);
-                        }
-                        ArgBind::ValueSpill { name, src } => {
-                            let v = self.ceval(src);
-                            frame.set_extra(name, v);
                         }
                         ArgBind::Ref { param, plan } => {
                             let target = self.resolve_ref_plan(caller_idx, plan);
@@ -443,14 +372,14 @@ impl<'p> Machine<'p> {
                     .map(|e| self.ceval(e))
                     .unwrap_or_else(|| Tainted::pure(0));
                 let done = self.dev.vol.frames.pop().expect("frame exists");
-                let ret_dst = done.ret_dst.clone();
+                let ret_dst = done.ret_dst;
                 self.recycle_frame(done);
                 match self.dev.vol.top_mut() {
-                    Some(caller) => match ret_dst {
-                        Some(RetSlot::Slot(s)) => caller.set_slot(s, v),
-                        Some(RetSlot::Spill(name)) => caller.set_extra(&name, v),
-                        None => {}
-                    },
+                    Some(caller) => {
+                        if let Some(s) = ret_dst {
+                            caller.set_slot(s, v);
+                        }
+                    }
                     None => return true, // main returned
                 }
             }
@@ -478,21 +407,14 @@ impl<'p> Machine<'p> {
     }
 
     /// Resolves a pre-classified by-ref argument against the live
-    /// caller frame, mirroring the interpreter's `resolve_ref` order
-    /// exactly (incoming references first, then bound locals and
-    /// spilled bindings, then the global) — the frame-dependent parts
-    /// are the only dynamic work left.
+    /// caller frame, as the interpreter's `resolve_ref` does: a
+    /// forwarded reference keeps its target, and a local is its slot
+    /// while bound — whether it is bound is the only dynamic work left.
     fn resolve_ref_plan(&self, caller_idx: usize, plan: &RefArgPlan<'p>) -> RefTarget {
         match plan {
             RefArgPlan::Forward(x) => self.resolve_ref(caller_idx, x),
             RefArgPlan::LocalOrGlobal { slot, global } => {
-                let caller = &self.dev.vol.frames[caller_idx];
-                if let Some(t) = caller.refs.get(&**global) {
-                    // Possible only in hand-built IR (a value-parameter
-                    // name seated in the reference map).
-                    return t.clone();
-                }
-                if caller.get_slot(*slot).is_some() {
+                if self.dev.vol.frames[caller_idx].get_slot(*slot).is_some() {
                     RefTarget::Local {
                         frame: caller_idx,
                         slot: *slot,
@@ -501,21 +423,7 @@ impl<'p> Machine<'p> {
                     RefTarget::Global(Arc::clone(global))
                 }
             }
-            RefArgPlan::Global(g) => {
-                let caller = &self.dev.vol.frames[caller_idx];
-                if let Some(t) = caller.refs.get(&**g) {
-                    return t.clone();
-                }
-                if caller.get_extra(g).is_some() {
-                    // A spilled (out-of-layout) caller binding:
-                    // hand-built IR only.
-                    return RefTarget::Extra {
-                        frame: caller_idx,
-                        name: Arc::clone(g),
-                    };
-                }
-                RefTarget::Global(Arc::clone(g))
-            }
+            RefArgPlan::Global(g) => RefTarget::Global(Arc::clone(g)),
         }
     }
 
@@ -532,22 +440,11 @@ impl<'p> Machine<'p> {
                     None => self.read_var(name),
                 }
             }
-            CExpr::RefParam(x) => match self.ref_target(x) {
-                Some(t) => self.read_target(&t),
-                None => self.read_var(x),
-            },
+            CExpr::Deref(x) => self.read_target(&self.ref_target(x)),
             CExpr::Global(slot) => self.dev.nv.read_slot(*slot),
-            CExpr::DynVar(x) => self.read_var(x),
-            CExpr::Deref(x) => match self.ref_target(x) {
-                Some(t) => self.read_target(&t),
-                None => self.dev.nv.read(x),
-            },
-            CExpr::Index { name, slot, idx } => {
+            CExpr::Index { slot, idx } => {
                 let i = self.ceval(idx);
-                let mut v = match slot {
-                    Some(s) => self.dev.nv.read_idx_slot(*s, i.value),
-                    None => self.dev.nv.read_idx(name, i.value),
-                };
+                let mut v = self.dev.nv.read_idx_slot(*slot, i.value);
                 v.deps.extend(i.deps.iter().copied());
                 v
             }
@@ -596,22 +493,11 @@ impl<'p> Machine<'p> {
                 Some(v) => v.value,
                 None => self.read_var(name).value,
             },
-            CExpr::RefParam(x) => match self.ref_target(x) {
-                Some(t) => self.read_target(&t).value,
-                None => self.read_var(x).value,
-            },
+            CExpr::Deref(x) => self.read_target(&self.ref_target(x)).value,
             CExpr::Global(slot) => self.dev.nv.read_slot_value(*slot),
-            CExpr::DynVar(x) => self.read_var(x).value,
-            CExpr::Deref(x) => match self.ref_target(x) {
-                Some(t) => self.read_target(&t).value,
-                None => self.dev.nv.read(x).value,
-            },
-            CExpr::Index { name, slot, idx } => {
+            CExpr::Index { slot, idx } => {
                 let i = self.operand(top, idx);
-                match slot {
-                    Some(s) => self.dev.nv.read_idx_slot_value(*s, i),
-                    None => self.dev.nv.read_idx_value(name, i),
-                }
+                self.dev.nv.read_idx_slot_value(*slot, i)
             }
             CExpr::Binary(op, l, r) => eval_binop(*op, self.operand(top, l), self.operand(top, r)),
             CExpr::Unary(op, x) => {

@@ -33,7 +33,7 @@
 use crate::detect::{BitVector, DetectorConfig, ResolvedCheck, ViolationKind};
 use crate::exec::{CompiledProgram, ExecBackend, OptLevel};
 use crate::memory::{
-    Frame, FrameLayouts, NvLoc, NvMem, ParamBind, RefTarget, RetSlot, Tainted, UndoLog, VolState,
+    Frame, FrameLayouts, NvLoc, NvMem, ParamBind, RefTarget, Tainted, UndoLog, VolState,
 };
 use crate::obs::{Obs, ObsLog};
 use crate::stats::Stats;
@@ -181,11 +181,6 @@ pub(crate) enum OmegaSlot {
     Scalar(usize),
     /// Cell `i` of the declared array at this slot.
     Cell(usize, usize),
-    /// A WAR name with no declaration at machine construction
-    /// (hand-built IR); re-read by name at region entry, capturing any
-    /// slot a runtime store has allocated since — exactly the
-    /// name-keyed lookup's behavior.
-    Missing,
 }
 
 /// One entry of a region's eager checkpoint set.
@@ -435,12 +430,19 @@ impl<'p> MachineCore<'p> {
     /// dependency set is ever read). Call [`MachineCore::traced`] when a
     /// caller reads [`Machine::take_trace`].
     ///
+    /// `p` must have passed [`ocelot_ir::validate()`], as every program
+    /// from [`crate::build`] and [`ocelot_core::ocelot_transform`] has:
+    /// both engines resolve every binding, argument, dereference,
+    /// indexed access, sensor and output channel of such a program
+    /// statically, and run no other. Debug builds assert it.
+    ///
     /// `regions` supplies each region's checkpoint set `ω` (from
-    /// [`ocelot_core::collect_regions`]); `policies` configures the
-    /// violation detectors (pass an empty set to disable detection).
-    /// `env` is only inspected for its channel layout — the core
-    /// records it and [`Machine::from_core`] checks each device's
-    /// environment against it.
+    /// [`ocelot_core::collect_regions`] over `p`, so it names declared
+    /// globals only); `policies` configures the violation detectors
+    /// (pass an empty set to disable detection). `env` is only
+    /// inspected for its channel layout — the core records it and
+    /// [`Machine::from_core`] checks each device's environment against
+    /// it.
     pub fn build(
         p: &'p Program,
         regions: &[RegionInfo],
@@ -448,6 +450,11 @@ impl<'p> MachineCore<'p> {
         env: &Environment,
         costs: CostModel,
     ) -> Self {
+        debug_assert!(
+            ocelot_ir::validate(p).is_ok(),
+            "MachineCore::build runs validated programs only: {:?}",
+            ocelot_ir::validate(p)
+        );
         let det_cfg = DetectorConfig::from_policies(&policies);
         let layouts = Arc::new(FrameLayouts::new(p));
         let nv = NvMem::init(p);
@@ -464,7 +471,7 @@ impl<'p> MachineCore<'p> {
             for g in &r.effects.war {
                 match p.global(g).and_then(|gl| gl.array_len) {
                     Some(n) => {
-                        let slot = nv.array_slot(g).expect("declared array has a slot");
+                        let slot = nv.array_slot(g);
                         let name = Arc::clone(nv.array_name(slot));
                         for i in 0..n {
                             locs.push(OmegaEntry {
@@ -473,16 +480,13 @@ impl<'p> MachineCore<'p> {
                             });
                         }
                     }
-                    None => match nv.scalar_slot(g) {
-                        Some(slot) => locs.push(OmegaEntry {
+                    None => {
+                        let slot = nv.global_slot(g);
+                        locs.push(OmegaEntry {
                             loc: NvLoc::Scalar(Arc::clone(nv.scalar_name(slot))),
                             resolved: OmegaSlot::Scalar(slot),
-                        }),
-                        None => locs.push(OmegaEntry {
-                            loc: NvLoc::Scalar(Arc::from(g.as_str())),
-                            resolved: OmegaSlot::Missing,
-                        }),
-                    },
+                        });
+                    }
                 }
             }
             region_omega.insert(r.id, locs);
@@ -694,6 +698,8 @@ fn channel_layout(env: &Environment) -> Vec<(String, usize)> {
 impl<'p> Machine<'p> {
     /// Creates a machine over a compiled program, on a traced core
     /// ([`MachineCore::traced`]): its observation trace is recorded.
+    /// `p` must have passed [`ocelot_ir::validate()`] (see
+    /// [`MachineCore::build`]).
     ///
     /// `regions` supplies each region's checkpoint set `ω` (from
     /// [`ocelot_core::collect_regions`]); `policies` configures the
@@ -1032,7 +1038,7 @@ impl<'p> Machine<'p> {
             Place::Var(x) if !self.is_local(x) => !self.reclassified_local(x),
             Place::Var(_) => false,
             Place::Index(..) => true,
-            Place::Deref(x) => matches!(self.ref_target(x), Some(RefTarget::Global(_))),
+            Place::Deref(x) => matches!(self.ref_target(x), RefTarget::Global(_)),
         }
     }
 
@@ -1311,10 +1317,7 @@ impl<'p> Machine<'p> {
                         at: here,
                         tau: m.dev.tau,
                         era: m.dev.era,
-                        channel: match m.core.channel_names.get(channel.as_str()) {
-                            Some(a) => Arc::clone(a),
-                            None => Arc::from(channel.as_str()),
-                        },
+                        channel: Arc::clone(&m.core.channel_names[channel.as_str()]),
                         values: vals.iter().map(|v| v.value).collect(),
                         deps,
                     }
@@ -1336,19 +1339,10 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Binds a local in the top frame (slot when the layout has one,
-    /// spill otherwise — the latter only for hand-built IR).
+    /// Binds the declared local `var` in the top frame.
     pub(crate) fn bind_local(&mut self, var: &str, v: Tainted) {
-        let func = self.dev.vol.top().expect("frame exists").func;
-        match self.core.layouts.slot(func, var) {
-            Some(s) => self.dev.vol.top_mut().expect("frame exists").set_slot(s, v),
-            None => self
-                .dev
-                .vol
-                .top_mut()
-                .expect("frame exists")
-                .set_extra(var, v),
-        }
+        let top = self.dev.vol.top_mut().expect("frame exists");
+        top.set_slot(self.core.layouts.local(top.func, var), v);
     }
 
     /// Executes one input operation on the interpreter: resolves the
@@ -1356,34 +1350,27 @@ impl<'p> Machine<'p> {
     /// then runs the shared collection core.
     pub(crate) fn exec_input(&mut self, here: InstrRef, var: &str, sensor: &str) {
         let func = self.dev.vol.top().expect("frame exists").func;
-        let slot = self.core.layouts.slot(func, var);
-        let chan = match self.core.sensor_rt.get(sensor) {
-            Some(rt) => rt.chan,
-            None => self.env.channel_index(sensor),
-        };
+        let slot = self.core.layouts.local(func, var);
+        let chan = self.core.sensor_rt[sensor].chan;
         let chain = self.dynamic_chain(here);
         let id = self.core.chains.lookup(&chain);
-        let sensor_name = |m: &Self| match m.core.sensor_rt.get(sensor) {
-            Some(rt) => Arc::clone(&rt.name),
-            None => Arc::from(sensor),
-        };
-        self.input_core(here, slot, var, sensor, sensor_name, chan, id, Some(chain));
+        let sensor_name = |m: &Self| Arc::clone(&m.core.sensor_rt[sensor].name);
+        self.input_core(here, slot, sensor_name, chan, id, Some(chain));
     }
 
     /// The collection core both backends share: sample, taint, stamp,
     /// run the consistency checks of this collection, set its bit,
     /// record the observation, and advance. For an interned chain every
     /// piece is a pre-resolved index; an uninterned chain belongs to no
-    /// policy, so only the observation remains. `sensor_name` supplies
-    /// the interned name the observation records, and is called only
-    /// on a traced core.
-    #[allow(clippy::too_many_arguments)]
+    /// policy, so only the observation remains. A sensor the
+    /// environment lacks (`chan` is `None`) reads 0, as
+    /// [`Environment::sample`] does. `sensor_name` supplies the interned
+    /// name the observation records, and is called only on a traced
+    /// core.
     pub(crate) fn input_core(
         &mut self,
         here: InstrRef,
-        slot: Option<u32>,
-        var: &str,
-        sensor: &str,
+        slot: u32,
         sensor_name: impl FnOnce(&Self) -> Arc<str>,
         chan: Option<usize>,
         id: Option<ChainId>,
@@ -1391,18 +1378,14 @@ impl<'p> Machine<'p> {
     ) {
         let value = match chan {
             Some(i) => self.env.sample_index(i, self.dev.now_us),
-            None => self.env.sample(sensor, self.dev.now_us),
+            None => 0,
         };
         let t = Tainted::input(value, self.dev.tau);
-        match slot {
-            Some(s) => self.dev.vol.top_mut().expect("frame exists").set_slot(s, t),
-            None => self
-                .dev
-                .vol
-                .top_mut()
-                .expect("frame exists")
-                .set_extra(var, t),
-        }
+        self.dev
+            .vol
+            .top_mut()
+            .expect("frame exists")
+            .set_slot(slot, t);
         // A chain outside the table tracks no policy: no bit, no
         // checks, no timestamp — the observation still records it.
         if let Some(id) = id {
@@ -1453,13 +1436,6 @@ impl<'p> Machine<'p> {
                         let old = match e.resolved {
                             OmegaSlot::Scalar(s) => self.dev.nv.read_slot(s),
                             OmegaSlot::Cell(s, i) => self.dev.nv.read_idx_slot(s, i as i64),
-                            // Undeclared at construction: resolve by
-                            // name, in case a runtime store allocated
-                            // the slot since.
-                            OmegaSlot::Missing => match &e.loc {
-                                NvLoc::Scalar(n) => self.dev.nv.read(n),
-                                NvLoc::Cell(n, i) => self.dev.nv.read_idx(n, *i as i64),
-                            },
                         };
                         if log.save(e.loc.clone(), old) {
                             new_words += 1;
@@ -1500,8 +1476,8 @@ impl<'p> Machine<'p> {
                 }
             }
             Ctx::Jit(_) => {
-                // endatom outside a region: no-op (can happen only in
-                // hand-built IR; validated programs pair regions).
+                // endatom outside a region: no-op (validation pairs a
+                // function's regions by count, not along every path).
                 None
             }
         };
@@ -1529,10 +1505,7 @@ impl<'p> Machine<'p> {
         let caller_idx = self.dev.vol.frames.len() - 1;
         let caller_func = self.dev.vol.frames[caller_idx].func;
         let layouts = Arc::clone(&self.core.layouts);
-        let ret_dst = dst.map(|d| match layouts.slot(caller_func, d) {
-            Some(s) => RetSlot::Slot(s),
-            None => RetSlot::Spill(Arc::from(d)),
-        });
+        let ret_dst = dst.map(|d| layouts.local(caller_func, d));
         let callee_layout = layouts.layout(callee);
         let mut frame = self.take_frame(
             callee,
@@ -1548,19 +1521,7 @@ impl<'p> Machine<'p> {
                     let target = self.resolve_ref(caller_idx, x);
                     frame.refs.insert(Arc::clone(name), target);
                 }
-                // Mismatched argument/parameter kinds are impossible in
-                // validated programs; mirror the name-keyed semantics
-                // for hand-built IR.
-                (Arg::Value(e), ParamBind::Ref(name)) => {
-                    let v = self.eval(e);
-                    frame.set_extra(name, v);
-                }
-                (Arg::Ref(x), ParamBind::Value(slot)) => {
-                    let target = self.resolve_ref(caller_idx, x);
-                    frame
-                        .refs
-                        .insert(Arc::clone(callee_layout.name(*slot)), target);
-                }
+                _ => unreachable!("validated calls match argument and parameter kinds"),
             }
         }
         // Resume point: after the call.
@@ -1575,7 +1536,7 @@ impl<'p> Machine<'p> {
         func: FuncId,
         entry: ocelot_ir::BlockId,
         nslots: usize,
-        ret_dst: Option<RetSlot>,
+        ret_dst: Option<u32>,
         call_site: InstrRef,
     ) -> Frame {
         match self.dev.frame_pool.pop() {
@@ -1619,14 +1580,12 @@ impl<'p> Machine<'p> {
                     .map(|e| self.eval(e))
                     .unwrap_or_else(|| Tainted::pure(0));
                 let done = self.dev.vol.frames.pop().expect("frame exists");
-                let ret_dst = done.ret_dst.clone();
+                let ret_dst = done.ret_dst;
                 self.recycle_frame(done);
                 match self.dev.vol.top_mut() {
                     Some(caller) => {
-                        match ret_dst {
-                            Some(RetSlot::Slot(s)) => caller.set_slot(s, v),
-                            Some(RetSlot::Spill(name)) => caller.set_extra(&name, v),
-                            None => {}
+                        if let Some(s) = ret_dst {
+                            caller.set_slot(s, v);
                         }
                         false
                     }
@@ -1659,20 +1618,21 @@ impl<'p> Machine<'p> {
         }
     }
 
+    /// True when `name` is a bound local of the current frame.
     pub(crate) fn is_local(&self, name: &str) -> bool {
         let Some(f) = self.dev.vol.top() else {
             return false;
         };
-        if let Some(slot) = self.core.layouts.slot(f.func, name) {
-            if f.get_slot(slot).is_some() {
-                return true;
-            }
-        }
-        f.get_extra(name).is_some() || f.refs.contains_key(name)
+        self.core
+            .layouts
+            .slot(f.func, name)
+            .is_some_and(|slot| f.get_slot(slot).is_some())
     }
 
-    pub(crate) fn ref_target(&self, name: &str) -> Option<RefTarget> {
-        self.dev.vol.top().and_then(|f| f.refs.get(name).cloned())
+    /// The target of the current frame's by-ref parameter `name`, bound
+    /// by the call that created the frame.
+    pub(crate) fn ref_target(&self, name: &str) -> RefTarget {
+        self.dev.vol.top().expect("frame exists").refs[name].clone()
     }
 
     pub(crate) fn resolve_ref(&self, caller_idx: usize, x: &str) -> RefTarget {
@@ -1688,17 +1648,12 @@ impl<'p> Machine<'p> {
                 };
             }
         }
-        if caller.get_extra(x).is_some() {
-            return RefTarget::Extra {
-                frame: caller_idx,
-                name: Arc::from(x),
-            };
-        }
         RefTarget::Global(self.global_name(x))
     }
 
-    /// The shared name of global `x` (its NV slot name when declared, a
-    /// fresh allocation otherwise).
+    /// The shared name of non-volatile scalar `x` (its NV slot name once
+    /// it has a slot, a fresh allocation for an unbound local's name
+    /// that has none yet).
     pub(crate) fn global_name(&self, x: &str) -> Arc<str> {
         match self.dev.nv.scalar_slot(x) {
             Some(s) => Arc::clone(self.dev.nv.scalar_name(s)),
@@ -1713,9 +1668,6 @@ impl<'p> Machine<'p> {
                     return v.clone();
                 }
             }
-            if let Some(v) = top.get_extra(name) {
-                return v.clone();
-            }
             if let Some(t) = top.refs.get(name) {
                 return self.read_target(t);
             }
@@ -1729,10 +1681,6 @@ impl<'p> Machine<'p> {
                 .get_slot(*slot)
                 .cloned()
                 .unwrap_or_default(),
-            RefTarget::Extra { frame, name } => self.dev.vol.frames[*frame]
-                .get_extra(name)
-                .cloned()
-                .unwrap_or_default(),
             RefTarget::Global(g) => self.dev.nv.read(g),
         }
     }
@@ -1741,9 +1689,6 @@ impl<'p> Machine<'p> {
         match t {
             RefTarget::Local { frame, slot } => {
                 self.dev.vol.frames[*frame].set_slot(*slot, v);
-            }
-            RefTarget::Extra { frame, name } => {
-                self.dev.vol.frames[*frame].set_extra(name, v);
             }
             RefTarget::Global(g) => {
                 let g = Arc::clone(g);
@@ -1809,38 +1754,26 @@ impl<'p> Machine<'p> {
                         return;
                     }
                 }
-                if top.get_extra(x).is_some() {
-                    top.set_extra(x, v);
-                } else if let Some(t) = top.refs.get(x.as_str()).cloned() {
-                    self.write_target(&t, v);
-                } else if let Some(s) =
+                if let Some(s) =
                     slot.filter(|_| self.core.reclass[func.0 as usize].contains(x.as_str()))
                 {
                     // Always-bound local: bind the slot (see
                     // [`Machine::reclassified_local`]); never NV.
-                    self.dev.vol.top_mut().expect("frame exists").set_slot(s, v);
+                    top.set_slot(s, v);
                 } else {
+                    // A global, or an in-scope but unbound local.
                     self.nv_write_scalar(x, v);
                 }
             }
             Place::Index(a, i) => {
                 let idx = self.eval(i);
-                match self.dev.nv.array_slot(a) {
-                    Some(s) => {
-                        let (cell, old) = self.dev.nv.write_idx_slot(s, idx.value, v);
-                        let name = Arc::clone(self.dev.nv.array_name(s));
-                        self.log_cell_undo(name, cell, old);
-                    }
-                    None => {
-                        let (cell, old) = self.dev.nv.write_idx(a, idx.value, v);
-                        self.log_cell_undo(Arc::from(a.as_str()), cell, old);
-                    }
-                }
+                let s = self.dev.nv.array_slot(a);
+                let (cell, old) = self.dev.nv.write_idx_slot(s, idx.value, v);
+                let name = Arc::clone(self.dev.nv.array_name(s));
+                self.log_cell_undo(name, cell, old);
             }
             Place::Deref(x) => {
-                let t = self
-                    .ref_target(x)
-                    .unwrap_or_else(|| RefTarget::Global(self.global_name(x)));
+                let t = self.ref_target(x);
                 self.write_target(&t, v);
             }
         }
@@ -1851,14 +1784,14 @@ impl<'p> Machine<'p> {
             Expr::Int(n) => Tainted::pure(*n),
             Expr::Bool(b) => Tainted::pure(*b as i64),
             Expr::Var(x) => self.read_var(x),
-            Expr::Deref(x) => match self.ref_target(x) {
-                Some(t) => self.read_target(&t),
-                None => self.dev.nv.read(x),
-            },
+            Expr::Deref(x) => self.read_target(&self.ref_target(x)),
             Expr::Ref(_) => Tainted::pure(0), // only valid in call args
             Expr::Index(a, i) => {
                 let idx = self.eval(i);
-                let mut v = self.dev.nv.read_idx(a, idx.value);
+                let mut v = self
+                    .dev
+                    .nv
+                    .read_idx_slot(self.dev.nv.array_slot(a), idx.value);
                 v.deps.extend(idx.deps);
                 v
             }
@@ -1941,6 +1874,34 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    /// Builds a core over `src`, which lowers but fails validation.
+    #[cfg(debug_assertions)]
+    fn build_unvalidated(src: &str) {
+        let p = compile(src).unwrap();
+        assert!(ocelot_ir::validate(&p).is_err());
+        MachineCore::build(
+            &p,
+            &[],
+            PolicySet::default(),
+            &Environment::new(),
+            CostModel::default(),
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "validated programs only")]
+    fn build_rejects_a_value_argument_to_a_reference_parameter() {
+        build_unvalidated("fn f(&r) { *r = 1; } fn main() { let x = 0; f(x); }");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "validated programs only")]
+    fn build_rejects_recursion() {
+        build_unvalidated("fn main() { main(); }");
     }
 
     #[test]

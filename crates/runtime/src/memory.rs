@@ -9,12 +9,12 @@
 //! Frame locals are **slot-indexed**: a `FrameLayouts` table (built
 //! once per program) assigns every by-value parameter and every lowered
 //! local of each function a dense slot, so the hot path reads and
-//! writes a `Vec` instead of probing a name-keyed map. Names remain the
-//! fallback — the interpreter resolves them through the layout, and
-//! bindings outside any layout (possible only in hand-built IR) spill
-//! into a side map so the semantics and the checkpoint-word accounting
-//! are unchanged: a frame's volatile footprint is still the number of
-//! *bound* locals plus the fixed register-file share.
+//! writes a `Vec` instead of probing a name-keyed map. The runtime runs
+//! programs that passed [`ocelot_ir::validate()`], whose every `let`,
+//! input and call destination binds a declared local, so every binding
+//! has a slot; the interpreter resolves names through the layout. A
+//! frame's volatile footprint is the number of *bound* locals plus the
+//! fixed register-file share.
 
 use ocelot_ir::{BlockId, FuncId, Program};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -218,9 +218,11 @@ impl Tainted {
 /// document — and slots are append-only, so a slot resolved once (by
 /// the compiled execution backend) stays valid for the lifetime of the
 /// memory. Every slot also carries its name as a shared [`Arc<str>`],
-/// which is what keeps undo-log keys allocation-free. The name-keyed
-/// API is unchanged and remains the fallback for accesses that cannot
-/// be resolved statically.
+/// which is what keeps undo-log keys allocation-free. Scalars are also
+/// read and written by name: a local that is in scope but unbound (the
+/// surface language has no block scoping) stores to and reads from
+/// non-volatile memory under its own name, and the undo log restores
+/// by name.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub(crate) struct NvMem {
     scalar_index: BTreeMap<String, usize>,
@@ -254,13 +256,26 @@ impl NvMem {
     }
 
     /// The stable slot of scalar `name`, if it exists.
-    pub fn scalar_slot(&self, name: &str) -> Option<usize> {
+    pub(crate) fn scalar_slot(&self, name: &str) -> Option<usize> {
         self.scalar_index.get(name).copied()
     }
 
-    /// The stable slot of array `name`, if it exists.
-    pub fn array_slot(&self, name: &str) -> Option<usize> {
-        self.array_index.get(name).copied()
+    /// The stable slot of the declared scalar global `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` has no scalar slot.
+    pub(crate) fn global_slot(&self, name: &str) -> usize {
+        self.scalar_index[name]
+    }
+
+    /// The stable slot of the declared array `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is not a declared array.
+    pub(crate) fn array_slot(&self, name: &str) -> usize {
+        self.array_index[name]
     }
 
     /// The shared name of the scalar at `slot`.
@@ -282,7 +297,7 @@ impl NvMem {
     }
 
     /// The slot of scalar `name`, allocating a fresh zeroed slot for
-    /// unknown names (hand-built IR may store to undeclared names).
+    /// an undeclared name: the store of an in-scope but unbound local.
     pub(crate) fn ensure_scalar(&mut self, name: &str) -> usize {
         match self.scalar_index.get(name) {
             Some(&i) => i,
@@ -296,8 +311,8 @@ impl NvMem {
         }
     }
 
-    /// Reads a scalar global. Missing globals read as untainted 0
-    /// (validation prevents this in checked programs).
+    /// Reads a scalar by name. A name never stored (an unbound local's)
+    /// reads as untainted 0.
     pub fn read(&self, name: &str) -> Tainted {
         match self.scalar_index.get(name) {
             Some(&i) => self.scalars[i].clone(),
@@ -342,16 +357,9 @@ impl NvMem {
         std::mem::replace(&mut self.scalars[slot], v)
     }
 
-    /// Reads `name[idx]`; out-of-bounds indices clamp to the last cell
-    /// (embedded-style saturation, keeping runs total).
-    pub(crate) fn read_idx(&self, name: &str, idx: i64) -> Tainted {
-        match self.array_index.get(name) {
-            Some(&s) => self.read_idx_slot(s, idx),
-            None => Tainted::default(),
-        }
-    }
-
-    /// Reads cell `idx` (clamped) of the array at a pre-resolved slot.
+    /// Reads cell `idx` of the array at a pre-resolved slot;
+    /// out-of-bounds indices clamp to the last cell (embedded-style
+    /// saturation, keeping runs total).
     ///
     /// # Panics
     ///
@@ -363,14 +371,6 @@ impl NvMem {
         }
         let i = (idx.max(0) as usize).min(a.len() - 1);
         a[i].clone()
-    }
-
-    /// Value-only variant of [`NvMem::read_idx`].
-    pub(crate) fn read_idx_value(&self, name: &str, idx: i64) -> i64 {
-        match self.array_index.get(name) {
-            Some(&s) => self.read_idx_slot_value(s, idx),
-            None => 0,
-        }
     }
 
     /// Value-only variant of [`NvMem::read_idx_slot`] — no
@@ -386,14 +386,6 @@ impl NvMem {
         }
         let i = (idx.max(0) as usize).min(a.len() - 1);
         a[i].value
-    }
-
-    /// Writes `name[idx]` (clamped), returning `(clamped_index, old)`.
-    pub(crate) fn write_idx(&mut self, name: &str, idx: i64, v: Tainted) -> (usize, Tainted) {
-        match self.array_index.get(name) {
-            Some(&s) => self.write_idx_slot(s, idx, v),
-            None => (0, Tainted::default()),
-        }
     }
 
     /// Writes cell `idx` (clamped) of the array at a pre-resolved slot,
@@ -415,11 +407,11 @@ impl NvMem {
     /// Resets this memory to the state [`NvMem::init`] would produce
     /// for `p`, reusing allocations where the declared layout matches.
     ///
-    /// Runtime-allocated scalar slots (stores to undeclared names in
-    /// hand-built IR) are dropped — they always sit after the declared
-    /// prefix — so a pooled memory carries no state from one device to
-    /// the next. When the declared prefix does not match `p` (a pooled
-    /// memory crossing programs), the memory is rebuilt from scratch.
+    /// Runtime-allocated scalar slots (the stores of unbound locals) are
+    /// dropped — they always sit after the declared prefix — so a pooled
+    /// memory carries no state from one device to the next. When the
+    /// declared prefix does not match `p` (a pooled memory crossing
+    /// programs), the memory is rebuilt from scratch.
     pub(crate) fn reset_from(&mut self, p: &Program) {
         let (mut ns, mut na) = (0usize, 0usize);
         let mut matches = true;
@@ -493,7 +485,6 @@ pub(crate) struct FrameLayout {
     /// Entry block of the function (so frames can be created without a
     /// [`Program`] in hand).
     pub(crate) entry: BlockId,
-    names: Vec<Arc<str>>,
     index: BTreeMap<Arc<str>, u32>,
     params: Vec<ParamBind>,
 }
@@ -502,7 +493,6 @@ impl FrameLayout {
     fn of(f: &ocelot_ir::Function) -> Self {
         let mut l = FrameLayout {
             entry: f.entry,
-            names: Vec::new(),
             index: BTreeMap::new(),
             params: Vec::new(),
         };
@@ -510,10 +500,8 @@ impl FrameLayout {
             if let Some(&s) = l.index.get(name) {
                 return s; // duplicate declaration: first slot wins
             }
-            let s = l.names.len() as u32;
-            let arc: Arc<str> = Arc::from(name);
-            l.names.push(Arc::clone(&arc));
-            l.index.insert(arc, s);
+            let s = l.index.len() as u32;
+            l.index.insert(Arc::from(name), s);
             s
         };
         for p in &f.params {
@@ -537,16 +525,7 @@ impl FrameLayout {
 
     /// Number of local slots.
     pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// The shared name of `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of range.
-    pub fn name(&self, slot: u32) -> &Arc<str> {
-        &self.names[slot as usize]
+        self.index.len()
     }
 
     /// Parameter bindings, in parameter order.
@@ -583,6 +562,17 @@ impl FrameLayouts {
     pub fn slot(&self, f: FuncId, name: &str) -> Option<u32> {
         self.layout(f).slot(name)
     }
+
+    /// The slot of `f`'s declared local or by-value parameter `name` —
+    /// what every `let`, input and call destination of a validated
+    /// program binds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` declares no such `name`.
+    pub(crate) fn local(&self, f: FuncId, name: &str) -> u32 {
+        self.layout(f).index[name]
+    }
 }
 
 /// Where a by-reference parameter ultimately points: resolved at call
@@ -597,25 +587,8 @@ pub(crate) enum RefTarget {
         /// Slot within that frame.
         slot: u32,
     },
-    /// A spilled (out-of-layout) binding in an earlier frame —
-    /// hand-built IR only.
-    Extra {
-        /// Stack index of the owning frame.
-        frame: usize,
-        /// Binding name within that frame's spill map.
-        name: Arc<str>,
-    },
-    /// A non-volatile scalar global.
+    /// A non-volatile scalar: a global, or an unbound local's name.
     Global(Arc<str>),
-}
-
-/// Where a callee's return value lands in the caller frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum RetSlot {
-    /// A pre-resolved caller slot.
-    Slot(u32),
-    /// A caller binding outside the layout (hand-built IR only).
-    Spill(Arc<str>),
 }
 
 /// One call frame: the program counter and slot-indexed local bindings.
@@ -638,13 +611,10 @@ pub(crate) struct Frame {
     slots: Vec<Option<Tainted>>,
     /// Number of bound slots (the volatile word count of `slots`).
     bound: u32,
-    /// Bindings for names outside the function's layout — empty for
-    /// lowered programs, a spill path for hand-built IR.
-    extra: BTreeMap<String, Tainted>,
     /// Resolution of by-reference parameters.
     pub(crate) refs: BTreeMap<Arc<str>, RefTarget>,
-    /// Where the caller wants the return value, if anywhere.
-    pub(crate) ret_dst: Option<RetSlot>,
+    /// The caller slot that receives the return value, if any.
+    pub(crate) ret_dst: Option<u32>,
     /// The call instruction that created this frame (`None` for the
     /// bottom frame); the dynamic provenance chain is read off these.
     pub(crate) call_site: Option<ocelot_ir::InstrRef>,
@@ -658,9 +628,8 @@ impl Clone for Frame {
             index: self.index,
             slots: self.slots.clone(),
             bound: self.bound,
-            extra: self.extra.clone(),
             refs: self.refs.clone(),
-            ret_dst: self.ret_dst.clone(),
+            ret_dst: self.ret_dst,
             call_site: self.call_site,
         }
     }
@@ -673,9 +642,8 @@ impl Clone for Frame {
         self.index = source.index;
         self.slots.clone_from(&source.slots);
         self.bound = source.bound;
-        self.extra.clone_from(&source.extra);
         self.refs.clone_from(&source.refs);
-        self.ret_dst.clone_from(&source.ret_dst);
+        self.ret_dst = source.ret_dst;
         self.call_site = source.call_site;
     }
 }
@@ -693,7 +661,7 @@ impl Frame {
         func: FuncId,
         entry: BlockId,
         nslots: usize,
-        ret_dst: Option<RetSlot>,
+        ret_dst: Option<u32>,
         call_site: ocelot_ir::InstrRef,
     ) -> Self {
         Frame::raw(func, entry, nslots, ret_dst, Some(call_site))
@@ -703,7 +671,7 @@ impl Frame {
         func: FuncId,
         block: BlockId,
         nslots: usize,
-        ret_dst: Option<RetSlot>,
+        ret_dst: Option<u32>,
         call_site: Option<ocelot_ir::InstrRef>,
     ) -> Self {
         Frame {
@@ -712,7 +680,6 @@ impl Frame {
             index: 0,
             slots: vec![None; nslots],
             bound: 0,
-            extra: BTreeMap::new(),
             refs: BTreeMap::new(),
             ret_dst,
             call_site,
@@ -726,7 +693,7 @@ impl Frame {
         func: FuncId,
         entry: BlockId,
         nslots: usize,
-        ret_dst: Option<RetSlot>,
+        ret_dst: Option<u32>,
         call_site: ocelot_ir::InstrRef,
     ) {
         self.reset(func, entry, nslots, ret_dst, Some(call_site));
@@ -744,7 +711,7 @@ impl Frame {
         func: FuncId,
         entry: BlockId,
         nslots: usize,
-        ret_dst: Option<RetSlot>,
+        ret_dst: Option<u32>,
         call_site: Option<ocelot_ir::InstrRef>,
     ) {
         self.func = func;
@@ -753,7 +720,6 @@ impl Frame {
         self.slots.clear();
         self.slots.resize(nslots, None);
         self.bound = 0;
-        self.extra.clear();
         self.refs.clear();
         self.ret_dst = ret_dst;
         self.call_site = call_site;
@@ -801,20 +767,10 @@ impl Frame {
         }
     }
 
-    /// A binding outside the layout (hand-built IR only).
-    pub(crate) fn get_extra(&self, name: &str) -> Option<&Tainted> {
-        self.extra.get(name)
-    }
-
-    /// Binds a name outside the layout (hand-built IR only).
-    pub(crate) fn set_extra(&mut self, name: &str, v: Tainted) {
-        self.extra.insert(name.to_string(), v);
-    }
-
     /// Number of words of volatile state this frame holds (bound locals
     /// plus a fixed register-file share).
     pub(crate) fn words(&self) -> usize {
-        self.bound as usize + self.extra.len() + 4
+        self.bound as usize + 4
     }
 }
 
@@ -936,7 +892,7 @@ mod tests {
         let p = compile("nv g = 5; nv a[3]; fn main() {}").unwrap();
         let nv = NvMem::init(&p);
         assert_eq!(nv.read("g").value, 5);
-        assert_eq!(nv.read_idx("a", 2).value, 0);
+        assert_eq!(nv.read_idx_slot(nv.array_slot("a"), 2).value, 0);
         assert!(nv.array_index.contains_key("a"));
         assert!(!nv.array_index.contains_key("g"));
     }
@@ -947,7 +903,12 @@ mod tests {
         let mut nv = NvMem::init(&p);
         for g in &p.globals {
             match g.array_len {
-                Some(_) => assert_eq!(nv.array_slot(&g.name), p.array_slot(&g.name), "{}", g.name),
+                Some(_) => assert_eq!(
+                    Some(nv.array_slot(&g.name)),
+                    p.array_slot(&g.name),
+                    "{}",
+                    g.name
+                ),
                 None => assert_eq!(
                     nv.scalar_slot(&g.name),
                     p.scalar_slot(&g.name),
@@ -958,9 +919,9 @@ mod tests {
         }
         let a = nv.scalar_slot("a").unwrap();
         assert_eq!(&**nv.scalar_name(a), "a");
-        assert_eq!(&**nv.array_name(nv.array_slot("arr").unwrap()), "arr");
-        // Runtime writes to undeclared names append; resolved slots
-        // never move.
+        assert_eq!(&**nv.array_name(nv.array_slot("arr")), "arr");
+        // An unbound local's non-volatile store appends a slot under its
+        // name; resolved slots never move.
         nv.write("later", Tainted::pure(9));
         assert_eq!(nv.scalar_slot("a"), Some(a));
         assert_eq!(nv.read_slot(a).value, 1);
@@ -975,8 +936,8 @@ mod tests {
         let p = compile("nv g = 5; nv a[3]; nv h = -2; fn main() {}").unwrap();
         let mut nv = NvMem::init(&p);
         nv.write("g", Tainted::input(9, 4));
-        nv.write_idx("a", 1, Tainted::input(7, 8));
-        // A runtime-allocated slot for an undeclared name must vanish.
+        nv.write_idx_slot(nv.array_slot("a"), 1, Tainted::input(7, 8));
+        // The slot an unbound local's store allocated must vanish.
         nv.write("ghost", Tainted::pure(1));
         assert!(nv.scalar_slot("ghost").is_some());
         nv.reset_from(&p);
@@ -989,29 +950,31 @@ mod tests {
     }
 
     #[test]
-    fn slot_indexed_array_access_matches_named_access() {
+    fn tainted_and_value_only_array_reads_clamp_alike() {
         let p = compile("nv arr[3]; fn main() {}").unwrap();
         let mut nv = NvMem::init(&p);
-        let s = nv.array_slot("arr").unwrap();
-        let (i, _) = nv.write_idx_slot(s, 1, Tainted::pure(5));
-        assert_eq!(i, 1);
-        assert_eq!(nv.read_idx("arr", 1).value, 5);
-        assert_eq!(nv.read_idx_slot(s, 99).value, 0, "clamps like read_idx");
-        assert_eq!(
-            nv.read_idx_slot(s, 99).value,
-            nv.read_idx("arr", 99).value,
-            "slot and name paths clamp identically"
-        );
+        let s = nv.array_slot("arr");
+        let (i, _) = nv.write_idx_slot(s, 2, Tainted::input(5, 3));
+        assert_eq!(i, 2);
+        for idx in [-4, 0, 2, 99] {
+            assert_eq!(
+                nv.read_idx_slot(s, idx).value,
+                nv.read_idx_slot_value(s, idx),
+                "index {idx}"
+            );
+        }
+        assert_eq!(nv.read_idx_slot_value(s, 99), 5, "clamps to the last cell");
     }
 
     #[test]
     fn array_indices_clamp() {
         let p = compile("nv a[2]; fn main() {}").unwrap();
         let mut nv = NvMem::init(&p);
-        nv.write_idx("a", 7, Tainted::pure(9));
-        assert_eq!(nv.read_idx("a", 100).value, 9, "both clamp to last cell");
-        nv.write_idx("a", -5, Tainted::pure(1));
-        assert_eq!(nv.read_idx("a", 0).value, 1);
+        let a = nv.array_slot("a");
+        nv.write_idx_slot(a, 7, Tainted::pure(9));
+        assert_eq!(nv.read_idx_slot(a, 100).value, 9, "both clamp to last cell");
+        nv.write_idx_slot(a, -5, Tainted::pure(1));
+        assert_eq!(nv.read_idx_slot(a, 0).value, 1);
     }
 
     #[test]
@@ -1034,10 +997,11 @@ mod tests {
         let p = compile("nv a[4]; fn main() {}").unwrap();
         let mut nv = NvMem::init(&p);
         let mut log = UndoLog::default();
-        let (i, old) = nv.write_idx("a", 2, Tainted::pure(42));
+        let a = nv.array_slot("a");
+        let (i, old) = nv.write_idx_slot(a, 2, Tainted::pure(42));
         log.save(NvLoc::Cell("a".into(), i), old);
         log.apply(&mut nv);
-        assert_eq!(nv.read_idx("a", 2).value, 0);
+        assert_eq!(nv.read_idx_slot(a, 2).value, 0);
     }
 
     #[test]
@@ -1070,7 +1034,7 @@ mod tests {
         let lm = layouts.layout(p.main);
         assert!(lm.slot("x").is_some());
         assert!(lm.slot("y").is_some());
-        assert_eq!(&**lm.name(lm.slot("x").unwrap()), "x");
+        assert_eq!(lm.len(), p.func(p.main).locals.len());
     }
 
     #[test]
@@ -1089,10 +1053,9 @@ mod tests {
         // Rebinding does not double-count.
         vol.top_mut().unwrap().set_slot(x, Tainted::pure(2));
         assert_eq!(vol.words(), base + 4 + 1);
-        // Spilled (out-of-layout) names count like bound slots.
-        vol.top_mut().unwrap().set_extra("ghost", Tainted::pure(9));
+        let y = layouts.local(p.main, "y");
+        vol.top_mut().unwrap().set_slot_pure(y, 3);
         assert_eq!(vol.words(), base + 4 + 2);
-        assert_eq!(vol.top().unwrap().get_extra("ghost").unwrap().value, 9);
     }
 
     #[test]

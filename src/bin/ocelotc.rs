@@ -447,25 +447,39 @@ fn cmd_scenario_run(args: &[String]) -> ExitCode {
         model.name(),
         sc.supply.describe()
     );
+    let hint = format!(
+        "under `{}` (supply too weak — see `ocelotc progress`)",
+        sc.name
+    );
+    if let Err(code) = run_and_report(&mut machine, runs, &hint) {
+        return code;
+    }
+    violations_exit(machine.stats())
+}
+
+/// Runs `machine` `runs` times, then prints every committed output to
+/// stdout and the run summary to stderr. A run that hits the step limit
+/// or livelocks ends it with the failure exit code; a livelock's
+/// message ends with `livelock_hint`.
+fn run_and_report(
+    machine: &mut Machine<'_>,
+    runs: u64,
+    livelock_hint: &str,
+) -> Result<(), ExitCode> {
     for _ in 0..runs {
         match machine.run_once(10_000_000) {
             RunOutcome::StepLimit => {
                 eprintln!("error: step limit exceeded");
-                return ExitCode::FAILURE;
+                return Err(ExitCode::FAILURE);
             }
             RunOutcome::Livelock { region } => {
-                eprintln!(
-                    "error: region r{} livelocked under `{}` (supply too weak — \
-                     see `ocelotc progress`)",
-                    region.0, sc.name
-                );
-                return ExitCode::FAILURE;
+                eprintln!("error: region r{} livelocked {livelock_hint}", region.0);
+                return Err(ExitCode::FAILURE);
             }
             RunOutcome::Completed { .. } => {}
         }
     }
-    let trace = machine.take_trace();
-    for o in &trace {
+    for o in &machine.take_trace() {
         if let ocelot::runtime::obs::Obs::Output {
             channel, values, ..
         } = o
@@ -484,6 +498,11 @@ fn cmd_scenario_run(args: &[String]) -> ExitCode {
         s.on_time_us as f64 / 1000.0,
         s.off_time_us as f64 / 1000.0,
     );
+    Ok(())
+}
+
+/// The exit code of a finished run: failure when it saw a violation.
+fn violations_exit(s: &ocelot::runtime::Stats) -> ExitCode {
     if s.violations > 0 {
         ExitCode::FAILURE
     } else {
@@ -807,43 +826,14 @@ fn cmd_run(program: Program, opts: &[String]) -> ExitCode {
     if let Some(w) = tics {
         machine = machine.with_expiry_window(w);
     }
-    for _ in 0..runs {
-        match machine.run_once(10_000_000) {
-            RunOutcome::StepLimit => {
-                eprintln!("error: step limit exceeded");
-                return ExitCode::FAILURE;
-            }
-            RunOutcome::Livelock { region } => {
-                eprintln!(
-                    "error: region r{} livelocked (buffer too small — see \
-                     `ocelotc progress`)",
-                    region.0
-                );
-                return ExitCode::FAILURE;
-            }
-            RunOutcome::Completed { .. } => {}
-        }
-    }
-    let trace = machine.take_trace();
-    for o in &trace {
-        if let ocelot::runtime::obs::Obs::Output {
-            channel, values, ..
-        } = o
-        {
-            println!("out({channel}) {values:?}");
-        }
+    if let Err(code) = run_and_report(
+        &mut machine,
+        runs,
+        "(buffer too small — see `ocelotc progress`)",
+    ) {
+        return code;
     }
     let s = machine.stats();
-    eprintln!(
-        "{} run(s): {} reboot(s), {} region re-execution(s), {} violation(s); \
-         on {:.2} ms, charging {:.2} ms",
-        s.runs_completed,
-        s.reboots,
-        s.region_reexecs,
-        s.violations,
-        s.on_time_us as f64 / 1000.0,
-        s.off_time_us as f64 / 1000.0,
-    );
     if tics.is_some() {
         eprintln!(
             "TICS: {} expiry trip(s), {} handler restart(s), {} giveup(s)",
@@ -853,11 +843,7 @@ fn cmd_run(program: Program, opts: &[String]) -> ExitCode {
     if !telemetry_finish(trace_out.as_deref(), metrics) {
         return ExitCode::FAILURE;
     }
-    if s.violations > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    violations_exit(s)
 }
 
 /// `ocelotc trace-check <file> [span...]`: the CI trace-smoke entry.
