@@ -6,7 +6,7 @@
 //! * no recursion (direct or mutual);
 //! * every `IN()` reads a declared sensor channel;
 //! * every `let`, input and call destination binds a declared local of
-//!   its function;
+//!   its function, never the name of one of its by-ref parameters;
 //! * every variable read resolves to a parameter, local, or global;
 //! * dereferences only through by-mutable-reference parameters;
 //! * indexed stores/reads only on declared global arrays;
@@ -86,6 +86,12 @@ fn validate_function(p: &Program, f: &Function) -> Result<()> {
         if !locals.contains(var) {
             return Err(IrError::validate(format!(
                 "`{var}` is bound in `{}` but not declared among its locals",
+                f.name
+            )));
+        }
+        if params.get(var) == Some(&true) {
+            return Err(IrError::validate(format!(
+                "`{var}` is bound in `{}`, which takes it as a reference parameter",
                 f.name
             )));
         }
@@ -475,6 +481,25 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn rejects_bindings_of_reference_parameter_names() {
+        // A `let`, an input and a call destination, each rebinding the
+        // name of the function's by-ref parameter `r`.
+        for body in ["let r = 1;", "let r = in(s);", "let r = g();"] {
+            let src = format!(
+                "sensor s; fn g() {{ return 1; }} fn f(&r) {{ {body} out(log, r); }} \
+                 fn main() {{ let x = 0; f(&x); }}"
+            );
+            let err = check(&src).unwrap_err().to_string();
+            assert!(
+                err.contains("`r` is bound in `f`, which takes it as a reference parameter"),
+                "{body}: {err}"
+            );
+        }
+        // A by-value parameter may still be rebound.
+        check("fn f(a) { let a = a + 1; out(log, a); } fn main() { f(1); }").unwrap();
     }
 
     #[test]

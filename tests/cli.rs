@@ -130,6 +130,37 @@ fn run_with_fixed_sensors_is_deterministic() {
 }
 
 #[test]
+fn run_rejects_a_let_of_a_reference_parameter_on_both_engines() {
+    // Rebinding `r` would leave the engines disagreeing on which `r` a
+    // later read means; validation refuses the program instead.
+    let tmp = std::env::temp_dir().join("ocelot_cli_ref_rebind.oc");
+    std::fs::write(
+        &tmp,
+        "sensor s; fn f(&r) { let r = in(s); out(log, r); } fn main() { let x = 0; f(&x); }",
+    )
+    .unwrap();
+    let mut errors = Vec::new();
+    for backend in ["interp", "compiled"] {
+        let (ok, stdout, stderr) = ocelotc(&[
+            "run",
+            tmp.to_str().unwrap(),
+            "--continuous",
+            "--sensor",
+            "s=7",
+            "--backend",
+            backend,
+        ]);
+        assert!(!ok, "{backend}: {stdout}");
+        assert!(
+            stderr.contains("`r` is bound in `f`, which takes it as a reference parameter"),
+            "{backend}: {stderr}"
+        );
+        errors.push(stderr);
+    }
+    assert_eq!(errors[0], errors[1]);
+}
+
+#[test]
 fn policies_lists_chains_and_uses() {
     let (ok, stdout, _) = ocelotc(&["policies", "examples/programs/confirm.oc"]);
     assert!(ok);
