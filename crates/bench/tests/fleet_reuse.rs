@@ -11,6 +11,7 @@ use ocelot_hw::energy::CostModel;
 use ocelot_hw::power::{ContinuousPower, ScriptedPower};
 use ocelot_hw::sensors::{Environment, Signal};
 use ocelot_runtime::model::ExecModel;
+use ocelot_runtime::obs::Obs;
 use ocelot_runtime::stats::Stats;
 use ocelot_runtime::{DeviceState, ExecBackend, Machine, MachineCore, MAX_STEPS};
 use std::sync::Arc;
@@ -208,4 +209,71 @@ fn thrash_behaviour_itself_survives_recycling() {
     assert!(fresh.expiry_restarts >= 100, "the regression shape held");
     let (again, _) = thrash_once(dev);
     assert_eq!(fresh, again, "recycled thrash run diverged");
+}
+
+/// Runs three attempts of `core`'s program on a machine attached with
+/// `dev`, on continuous power, and returns its stats, its trace and the
+/// recyclable state.
+fn run_traced(
+    core: &Arc<MachineCore<'_>>,
+    dev: DeviceState,
+    backend: ExecBackend,
+) -> (Stats, Vec<Obs>, DeviceState) {
+    let env = Environment::new().with("s", Signal::Constant(5));
+    let mut m = Machine::from_core(Arc::clone(core), dev, env, Box::new(ContinuousPower))
+        .with_backend(backend);
+    for _ in 0..3 {
+        m.run_once(1_000_000);
+    }
+    let (stats, trace) = (m.stats().clone(), m.take_trace());
+    (stats, trace, m.into_device())
+}
+
+#[test]
+fn unbound_local_nv_cells_never_outlive_their_device() {
+    // `acc` is in scope but unbound at its store, so it accumulates in a
+    // non-volatile cell of its own across runs. The second program
+    // declares globals in another layout, one of them named `acc`.
+    let stores_unbound = ocelot_ir::compile(
+        "nv g = 5; sensor s; fn main() { let v = in(s); if v > 100 { let acc = 0; } \
+         acc = acc + v; g = g + acc; out(log, acc, g); }",
+    )
+    .unwrap();
+    let other_layout = ocelot_ir::compile(
+        "nv arr[3]; nv h = -2; nv acc = 7; sensor s; fn main() { let v = in(s); \
+         arr[1] = arr[1] + v; h = h + arr[1]; acc = acc + 1; out(log, h, acc, arr[1]); }",
+    )
+    .unwrap();
+    let env = Environment::new().with("s", Signal::Constant(5));
+    let core = |p| {
+        Arc::new(
+            MachineCore::build(
+                p,
+                &[],
+                ocelot_core::PolicySet::default(),
+                &env,
+                CostModel::default(),
+            )
+            .traced(),
+        )
+    };
+    let (same, other) = (core(&stores_unbound), core(&other_layout));
+    for backend in [ExecBackend::Interp, ExecBackend::Compiled] {
+        let (fresh_same, fresh_same_trace, dev) =
+            run_traced(&same, DeviceState::default(), backend);
+        assert!(
+            fresh_same_trace
+                .iter()
+                .any(|o| matches!(o, Obs::Output { values, .. } if values[..] == [15, 35])),
+            "the unbound local accumulated across runs: {fresh_same_trace:?}"
+        );
+        let (fresh_other, fresh_other_trace, _) =
+            run_traced(&other, DeviceState::default(), backend);
+        let (recycled, trace, dev) = run_traced(&same, dev, backend);
+        assert_eq!(recycled, fresh_same, "same core on {backend:?}");
+        assert_eq!(trace, fresh_same_trace, "same core on {backend:?}");
+        let (recycled, trace, _) = run_traced(&other, dev, backend);
+        assert_eq!(recycled, fresh_other, "other layout on {backend:?}");
+        assert_eq!(trace, fresh_other_trace, "other layout on {backend:?}");
+    }
 }

@@ -769,10 +769,16 @@ const DEPENDENCY_CHANNELS: [(&str, &str); 5] = [
 /// reach beside the slot-resolved ones: a local bound on one arm only
 /// (in scope but unbound at the join, so it stores to and reads from
 /// non-volatile memory under its own name), `&x` of such a local, a
-/// by-ref parameter forwarded two calls deep, and an atomic region
+/// by-ref parameter forwarded two calls deep, a region that rolls back
+/// an unbound local's non-volatile store, which only the dynamic undo
+/// log restores (ω names declared globals only), and an atomic region
 /// whose WAR set holds an NV scalar and an NV array and which fails
-/// mid-region and rolls back on the harvested bank.
-const STORAGE_PATHS: [(&str, &str); 4] = [
+/// mid-region and rolls back on the harvested bank. The unbound-local
+/// region comes first: its loop is bounded, so an engine that forgot
+/// the store's undo-log entry fails there, before the last region's
+/// re-executions grow the unlogged accumulator's dependency set
+/// without end.
+const STORAGE_PATHS: [(&str, &str); 5] = [
     (
         "local bound on one arm, stored and read at the join",
         r#"
@@ -817,6 +823,23 @@ const STORAGE_PATHS: [(&str, &str); 4] = [
         "#,
     ),
     (
+        UNBOUND_IN_REGION,
+        r#"
+        sensor s;
+        fn main() {
+            let v = in(s);
+            if v > 100 { let acc = 0; }
+            atomic {
+                repeat 4 {
+                    let w = in(s);
+                    acc = acc + 1;
+                }
+            }
+            out(log, acc);
+        }
+        "#,
+    ),
+    (
         "region logging an NV scalar and array, rolled back",
         r#"
         nv count = 0;
@@ -840,6 +863,34 @@ const STORAGE_PATHS: [(&str, &str); 4] = [
         "#,
     ),
 ];
+
+/// The [`STORAGE_PATHS`] program whose region re-executes an unbound
+/// local's non-volatile store.
+const UNBOUND_IN_REGION: &str = "unbound local accumulated in a rolled-back region";
+
+/// The values of every output `built` commits over three attempts on a
+/// traced interpreter machine.
+fn committed_outputs(built: &Built, supply: Box<dyn PowerSupply>) -> Vec<Vec<i64>> {
+    let env = channel_env();
+    let core = Arc::new(
+        MachineCore::build(
+            &built.program,
+            &built.regions,
+            built.policies.clone(),
+            &env,
+            CostModel::default(),
+        )
+        .traced(),
+    );
+    run_on_core(&core, env, supply, ExecBackend::Interp, 3)
+        .trace
+        .into_iter()
+        .filter_map(|o| match o {
+            Obs::Output { values, .. } => Some(values),
+            _ => None,
+        })
+        .collect()
+}
 
 /// Builds `src` under the Ocelot model (annotations erased).
 fn build_ocelot(src: &str) -> Built {
@@ -955,6 +1006,16 @@ fn harvested_boot_jitter_apps_agree_across_the_registry() {
             &|| bank_supply(7),
         );
         storage_reexecs += stats.region_reexecs;
+        if name == UNBOUND_IN_REGION {
+            // Each run adds 4 to the NV cell whatever the failures: a
+            // rollback must undo the partial attempt's increments.
+            assert!(stats.region_reexecs > 0, "{name}: the region rolled back");
+            assert_eq!(
+                committed_outputs(&built, bank_supply(7)),
+                committed_outputs(&built, Box::new(ContinuousPower)),
+                "{name}"
+            );
+        }
         tally(stats);
     }
     assert!(
