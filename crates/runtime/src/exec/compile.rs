@@ -6,9 +6,10 @@
 //! * **operation shape** — each instruction/terminator is matched once
 //!   into an [`Action`], so the hot loop never touches [`Op`] again
 //!   (and never clones its expression trees);
-//! * **storage resolution** — global scalars/arrays become
-//!   [`crate::memory::NvMem`] slot indices and frame locals become
-//!   dense [`crate::memory::FrameLayouts`] slots; variable reads are
+//! * **storage resolution** — non-volatile cells and arrays become
+//!   the slots of the core's [`crate::memory::NvLayout`] and frame
+//!   locals become dense [`crate::memory::FrameLayouts`] slots;
+//!   variable reads are
 //!   classified local / by-ref / global using the IR's declaration
 //!   metadata ([`ocelot_ir::Function::declares`]);
 //! * **input sites** — the sensor name is pre-interned and, for sites
@@ -42,10 +43,11 @@
 //! every binding site binds a declared local, every dereference goes
 //! through a by-ref parameter, every indexed access names a declared
 //! array, and every call matches its callee's parameter kinds. What
-//! stays dynamic is the paper model's "no block scoping" case: a store
-//! to a local that may still be unbound runs the interpreter's own
-//! store path ([`Action::AssignDyn`]), and an unbound local's read
-//! falls back to the non-volatile cell of its name ([`CExpr::Local`]).
+//! stays dynamic is the paper model's "no block scoping" case: whether
+//! a local is bound yet. A store to a local that may still be unbound
+//! ([`Action::AssignDyn`]) and an unbound local's read
+//! ([`CExpr::Local`]) fall back to the non-volatile cell of its name,
+//! whose slot is resolved here too.
 
 use crate::machine::{eval_binop, Machine};
 use ocelot_analysis::chains::ChainId;
@@ -188,16 +190,17 @@ pub(crate) enum RefArgPlan<'p> {
     /// forward its incoming target (dynamic probe).
     Forward(&'p str),
     /// A declared caller local: its slot when bound at call time,
-    /// otherwise the non-volatile scalar of its name (the paper model's
+    /// otherwise the non-volatile cell of its name (the paper model's
     /// unbound-local fallback).
     LocalOrGlobal {
         /// Caller-frame slot.
         slot: u32,
-        /// Fallback non-volatile name (shared).
-        global: Arc<str>,
+        /// Fallback non-volatile cell.
+        nv: usize,
     },
-    /// A global scalar the caller does not shadow.
-    Global(Arc<str>),
+    /// The non-volatile cell of a global scalar the caller does not
+    /// shadow.
+    Global(usize),
 }
 
 /// One pre-resolved argument binding of a call.
@@ -256,14 +259,14 @@ pub(crate) enum Action<'p> {
     },
     /// Store to a declared scalar global, slot-resolved.
     AssignGlobal {
-        /// Pre-resolved [`crate::memory::NvMem`] scalar slot.
+        /// Non-volatile scalar slot.
         slot: usize,
         /// Stored value.
         src: CExpr<'p>,
     },
     /// Store to an array cell.
     AssignIndex {
-        /// Pre-resolved [`crate::memory::NvMem`] array slot.
+        /// Non-volatile array slot.
         slot: usize,
         /// Cell index expression.
         idx: CExpr<'p>,
@@ -277,12 +280,14 @@ pub(crate) enum Action<'p> {
         /// Stored value.
         src: CExpr<'p>,
     },
-    /// Store to a declared local that may still be unbound here: runs
-    /// the interpreter's dynamic `write_place`, which stores
-    /// non-volatile under the local's name while it is unbound.
+    /// Store to a declared local that may still be unbound here: the
+    /// frame slot while it is bound, otherwise the non-volatile cell of
+    /// the local's name.
     AssignDyn {
-        /// The unresolved destination.
-        place: &'p Place,
+        /// The volatile slot.
+        slot: u32,
+        /// The non-volatile fallback cell.
+        nv: usize,
         /// Stored value.
         src: CExpr<'p>,
     },
@@ -340,17 +345,15 @@ pub(crate) enum Action<'p> {
 pub(crate) enum CExpr<'p> {
     /// Integer or boolean literal.
     Const(i64),
-    /// A declared local or value parameter: read the frame slot (an
-    /// unbound one falls back to the interpreter's resolution, which
-    /// ends at the non-volatile cell of its name).
+    /// A declared local or value parameter: read the frame slot, or
+    /// the non-volatile cell of its name while the slot is unbound.
     Local {
         /// Frame slot.
         slot: u32,
-        /// Name, for the unbound fallback.
-        name: &'p str,
+        /// Non-volatile fallback cell.
+        nv: usize,
     },
-    /// A declared scalar global: direct [`crate::memory::NvMem`] slot
-    /// read.
+    /// A declared scalar global: its non-volatile slot.
     Global(usize),
     /// `*x`, or a by-reference parameter `x` read by name: both read
     /// through the target the call bound.
@@ -389,8 +392,8 @@ fn pure_of(e: CExpr<'_>) -> CExpr<'_> {
 }
 
 /// Compiles the machine's program against its detector configuration,
-/// check-site map, injector target set, non-volatile slot layout,
-/// frame layouts, chain table, and sensor interner.
+/// check-site map, injector target set, non-volatile layout, frame
+/// layouts, chain table, and sensor interner.
 pub(crate) fn compile<'p>(m: &Machine<'p>) -> CompiledProgram<'p> {
     let _span = ocelot_telemetry::span!("compile");
     let cx = Cx { m };
@@ -555,10 +558,10 @@ impl<'p> Cx<'_, 'p> {
         } else if let Some(slot) = self.m.core.layouts.slot(f.id, x) {
             RefArgPlan::LocalOrGlobal {
                 slot,
-                global: self.m.global_name(x),
+                nv: self.m.core.nv.scalar_slot(x),
             }
         } else {
-            RefArgPlan::Global(self.m.global_name(x))
+            RefArgPlan::Global(self.m.core.nv.scalar_slot(x))
         }
     }
 
@@ -646,7 +649,8 @@ impl<'p> Cx<'_, 'p> {
                         Cost::Dynamic(op),
                         Cat::Compute,
                         Action::AssignDyn {
-                            place,
+                            slot: self.m.core.layouts.local(f.id, x),
+                            nv: self.m.core.nv.scalar_slot(x),
                             src: self.value_src(f, label, src),
                         },
                     ),
@@ -654,7 +658,7 @@ impl<'p> Cx<'_, 'p> {
                         fixed_store(true),
                         Cat::Compute,
                         Action::AssignGlobal {
-                            slot: self.m.dev.nv.global_slot(x),
+                            slot: self.m.core.nv.scalar_slot(x),
                             src: self.value_src(f, label, src),
                         },
                     ),
@@ -662,7 +666,7 @@ impl<'p> Cx<'_, 'p> {
                         fixed_store(true),
                         Cat::Compute,
                         Action::AssignIndex {
-                            slot: self.m.dev.nv.array_slot(a),
+                            slot: self.m.core.nv.array_slot(a),
                             // A store drops its index's dependency set
                             // (only the value is consumed).
                             idx: pure_of(self.expr(f, label, i)),
@@ -768,16 +772,16 @@ impl<'p> Cx<'_, 'p> {
                 } else if f.declares(x) {
                     CExpr::Local {
                         slot: self.m.core.layouts.local(f.id, x),
-                        name: x,
+                        nv: self.m.core.nv.scalar_slot(x),
                     }
                 } else {
-                    CExpr::Global(self.m.dev.nv.global_slot(x))
+                    CExpr::Global(self.m.core.nv.scalar_slot(x))
                 }
             }
             Expr::Deref(x) => CExpr::Deref(x),
             Expr::Ref(_) => CExpr::RefArg,
             Expr::Index(a, i) => CExpr::Index {
-                slot: self.m.dev.nv.array_slot(a),
+                slot: self.m.core.nv.array_slot(a),
                 idx: Box::new(self.expr(f, label, i)),
             },
             Expr::Binary(op, l, r) => {
@@ -1127,16 +1131,14 @@ mod tests {
             for blk in &f.blocks {
                 for s in &blk.steps {
                     if let Action::AssignGlobal { slot, src } = &s.action {
-                        assert_eq!(Some(*slot), m.dev.nv.scalar_slot("b"));
+                        assert_eq!(Some(*slot), p.scalar_slot("b"));
                         // A traced core tracks the store's dependency set.
                         let CExpr::Binary(_, l, r) = src else {
                             panic!("src shape")
                         };
+                        assert!(matches!(**l, CExpr::Global(s) if Some(s) == p.scalar_slot("a")));
                         assert!(
-                            matches!(**l, CExpr::Global(s) if Some(s) == m.dev.nv.scalar_slot("a"))
-                        );
-                        assert!(
-                            matches!(&**r, CExpr::Index { slot, .. } if *slot == m.dev.nv.array_slot("arr"))
+                            matches!(&**r, CExpr::Index { slot, .. } if Some(*slot) == p.array_slot("arr"))
                         );
                         found = true;
                     }

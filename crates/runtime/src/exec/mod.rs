@@ -11,8 +11,9 @@
 //! resolving it **once per program**:
 //!
 //! * every instruction is pre-matched into a `compile::Action` with
-//!   globals resolved to [`crate::memory::NvMem`] slots and expressions
-//!   lowered to a pre-classified form (`compile::CExpr`);
+//!   non-volatile cells resolved to [`crate::memory::NvLayout`] slots
+//!   and expressions lowered to a pre-classified form
+//!   (`compile::CExpr`);
 //! * cycle costs and their µs conversions are pre-computed wherever the
 //!   interpreter's cost is static (everything except `startatom`'s
 //!   state-dependent checkpoint and stores through references);

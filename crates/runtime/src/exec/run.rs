@@ -43,10 +43,9 @@ impl<'p> Machine<'p> {
     pub(crate) fn run_once_compiled(&mut self, max_steps: u64) -> RunOutcome {
         if self.compiled.is_none() {
             // Injector-free machines share one compiled program per
-            // core (compilation bakes in only core data plus the NV
-            // slot layout, which is a pure function of the declared
-            // globals); injector targets are baked into steps, so those
-            // machines compile privately.
+            // core (compilation bakes in only core data); injector
+            // targets are baked into steps, so those machines compile
+            // privately.
             let cp = if self.injector_targets.is_empty() {
                 Arc::clone(
                     self.core
@@ -254,26 +253,29 @@ impl<'p> Machine<'p> {
             }
             Action::AssignGlobal { slot, src } => {
                 let v = self.ceval(src);
-                self.nv_write_scalar_slot(*slot, v);
+                self.nv_write_scalar(*slot, v);
                 self.advance();
             }
             Action::AssignIndex { slot, idx, src } => {
                 let v = self.ceval(src);
                 let i = self.ceval(idx);
                 let (cell, old) = self.dev.nv.write_idx_slot(*slot, i.value, v);
-                let arc = Arc::clone(self.dev.nv.array_name(*slot));
-                self.log_cell_undo(arc, cell, old);
+                self.log_cell_undo(*slot, cell, old);
                 self.advance();
             }
             Action::AssignDeref { var, src } => {
                 let v = self.ceval(src);
-                let t = self.ref_target(var);
-                self.write_target(&t, v);
+                self.write_target(self.ref_target(var), v);
                 self.advance();
             }
-            Action::AssignDyn { place, src } => {
+            Action::AssignDyn { slot, nv, src } => {
                 let v = self.ceval(src);
-                self.write_place(place, v);
+                let top = self.dev.vol.top_mut().expect("frame exists");
+                if top.get_slot(*slot).is_some() {
+                    top.set_slot(*slot, v);
+                } else {
+                    self.nv_write_scalar(*nv, v);
+                }
                 self.advance();
             }
             Action::Input {
@@ -413,17 +415,17 @@ impl<'p> Machine<'p> {
     fn resolve_ref_plan(&self, caller_idx: usize, plan: &RefArgPlan<'p>) -> RefTarget {
         match plan {
             RefArgPlan::Forward(x) => self.resolve_ref(caller_idx, x),
-            RefArgPlan::LocalOrGlobal { slot, global } => {
+            RefArgPlan::LocalOrGlobal { slot, nv } => {
                 if self.dev.vol.frames[caller_idx].get_slot(*slot).is_some() {
                     RefTarget::Local {
                         frame: caller_idx,
                         slot: *slot,
                     }
                 } else {
-                    RefTarget::Global(Arc::clone(global))
+                    RefTarget::Global(*nv)
                 }
             }
-            RefArgPlan::Global(g) => RefTarget::Global(Arc::clone(g)),
+            RefArgPlan::Global(nv) => RefTarget::Global(*nv),
         }
     }
 
@@ -432,15 +434,14 @@ impl<'p> Machine<'p> {
     fn ceval(&self, e: &CExpr<'p>) -> Tainted {
         match e {
             CExpr::Const(n) => Tainted::pure(*n),
-            CExpr::Local { slot, name } => {
+            CExpr::Local { slot, nv } => {
                 match self.dev.vol.top().and_then(|t| t.get_slot(*slot)) {
                     Some(v) => v.clone(),
-                    // Declared but unbound: the interpreter's full
-                    // lookup order (ends at the named global).
-                    None => self.read_var(name),
+                    // Declared but unbound: the cell of its name.
+                    None => self.dev.nv.read_slot(*nv),
                 }
             }
-            CExpr::Deref(x) => self.read_target(&self.ref_target(x)),
+            CExpr::Deref(x) => self.read_target(self.ref_target(x)),
             CExpr::Global(slot) => self.dev.nv.read_slot(*slot),
             CExpr::Index { slot, idx } => {
                 let i = self.ceval(idx);
@@ -489,11 +490,11 @@ impl<'p> Machine<'p> {
     fn value_in(&self, top: Option<&Frame>, e: &CExpr<'p>) -> i64 {
         match e {
             CExpr::Const(n) => *n,
-            CExpr::Local { slot, name } => match top.and_then(|t| t.get_slot(*slot)) {
+            CExpr::Local { slot, nv } => match top.and_then(|t| t.get_slot(*slot)) {
                 Some(v) => v.value,
-                None => self.read_var(name).value,
+                None => self.dev.nv.read_slot_value(*nv),
             },
-            CExpr::Deref(x) => self.read_target(&self.ref_target(x)).value,
+            CExpr::Deref(x) => self.read_target(self.ref_target(x)).value,
             CExpr::Global(slot) => self.dev.nv.read_slot_value(*slot),
             CExpr::Index { slot, idx } => {
                 let i = self.operand(top, idx);

@@ -33,7 +33,7 @@
 use crate::detect::{BitVector, DetectorConfig, ResolvedCheck, ViolationKind};
 use crate::exec::{CompiledProgram, ExecBackend, OptLevel};
 use crate::memory::{
-    Frame, FrameLayouts, NvLoc, NvMem, ParamBind, RefTarget, Tainted, UndoLog, VolState,
+    Frame, FrameLayouts, NvLayout, NvLoc, NvMem, ParamBind, RefTarget, Tainted, UndoLog, VolState,
 };
 use crate::obs::{Obs, ObsLog};
 use crate::stats::Stats;
@@ -173,30 +173,11 @@ pub(crate) struct SensorRt {
     pub(crate) chan: Option<usize>,
 }
 
-/// How one eagerly-logged ω location is read at region entry: slots
-/// resolved once, so entry never probes a name map.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum OmegaSlot {
-    /// A declared scalar at this [`NvMem`] slot.
-    Scalar(usize),
-    /// Cell `i` of the declared array at this slot.
-    Cell(usize, usize),
-}
-
-/// One entry of a region's eager checkpoint set.
-#[derive(Debug, Clone)]
-pub(crate) struct OmegaEntry {
-    /// The undo-log key (shared name: cloning is a refcount bump).
-    pub(crate) loc: NvLoc,
-    /// Pre-resolved storage.
-    pub(crate) resolved: OmegaSlot,
-}
-
 /// The shared, read-only half of a [`Machine`]: everything resolved
 /// once per (program, regions, policies, cost model, environment
-/// shape) and then only read — the chain table, frame layouts,
-/// pre-resolved check sites, interned names, and the lazily compiled
-/// program.
+/// shape) and then only read — the chain table, frame layouts, the
+/// non-volatile layout, pre-resolved check sites, interned names, and
+/// the lazily compiled program.
 ///
 /// Build one with [`MachineCore::build`], wrap it in an [`Arc`], and
 /// attach any number of devices via [`Machine::from_core`]. The fleet
@@ -207,7 +188,11 @@ pub struct MachineCore<'p> {
     pub(crate) policies: PolicySet,
     /// Per-function local slot layouts (shared with compiled frames).
     pub(crate) layouts: Arc<FrameLayouts>,
-    pub(crate) region_omega: BTreeMap<RegionId, Vec<OmegaEntry>>,
+    /// The non-volatile address space: every cell's slot and the image
+    /// each device starts from.
+    pub(crate) nv: Arc<NvLayout>,
+    /// Each region's eagerly logged ω set, as slots.
+    pub(crate) region_omega: BTreeMap<RegionId, Vec<NvLoc>>,
     pub(crate) costs: CostModel,
     /// Interned provenance chains: every policy chain plus every
     /// statically-fixed input-site chain. Fixed after construction.
@@ -326,13 +311,14 @@ impl Default for DeviceState {
 
 impl DeviceState {
     /// Resets this state to what a fresh device on `core` starts from,
-    /// keeping every reusable allocation: the NV memory is re-initialized
-    /// in place, drained frames return to the pool, and the observation
+    /// keeping every reusable allocation: the NV memory becomes a copy
+    /// of the core's initial image, written into the vectors already
+    /// here, drained frames return to the pool, and the observation
     /// buffer and undo log keep their capacity. After this, the state
     /// is observationally identical to [`DeviceState::default`] attached
-    /// to the same core.
+    /// to the same core, whatever program it ran before.
     pub(crate) fn reset_for(&mut self, core: &MachineCore<'_>) {
-        self.nv.reset_from(core.p);
+        self.nv.clone_from(core.nv.init());
         for f in self.vol.frames.drain(..) {
             if self.frame_pool.len() < 32 {
                 self.frame_pool.push(f);
@@ -457,14 +443,13 @@ impl<'p> MachineCore<'p> {
         );
         let det_cfg = DetectorConfig::from_policies(&policies);
         let layouts = Arc::new(FrameLayouts::new(p));
-        let nv = NvMem::init(p);
+        let nv = NvLayout::new(p);
         // Eagerly-logged set at region entry: the WAR locations, whose
         // pre-region values must be snapshotted before any read-then-
         // write corrupts them. EMW locations (written but never read
         // first) are logged dynamically on first write — the same split
         // prior work uses, and what keeps a write-only large structure
-        // (cem's log table) off the eager checkpoint path. Slots and
-        // undo-log keys are resolved here, once.
+        // (cem's log table) off the eager checkpoint path.
         let mut region_omega = BTreeMap::new();
         for r in regions {
             let mut locs = Vec::new();
@@ -472,21 +457,9 @@ impl<'p> MachineCore<'p> {
                 match p.global(g).and_then(|gl| gl.array_len) {
                     Some(n) => {
                         let slot = nv.array_slot(g);
-                        let name = Arc::clone(nv.array_name(slot));
-                        for i in 0..n {
-                            locs.push(OmegaEntry {
-                                loc: NvLoc::Cell(Arc::clone(&name), i),
-                                resolved: OmegaSlot::Cell(slot, i),
-                            });
-                        }
+                        locs.extend((0..n).map(|i| NvLoc::Cell(slot, i)));
                     }
-                    None => {
-                        let slot = nv.global_slot(g);
-                        locs.push(OmegaEntry {
-                            loc: NvLoc::Scalar(Arc::clone(nv.scalar_name(slot))),
-                            resolved: OmegaSlot::Scalar(slot),
-                        });
-                    }
+                    None => locs.push(NvLoc::Scalar(nv.scalar_slot(g))),
                 }
             }
             region_omega.insert(r.id, locs);
@@ -621,6 +594,7 @@ impl<'p> MachineCore<'p> {
             p,
             policies,
             layouts,
+            nv: Arc::new(nv),
             region_omega,
             costs,
             chains,
@@ -652,6 +626,7 @@ impl<'p> MachineCore<'p> {
             p: self.p,
             policies: self.policies.clone(),
             layouts: Arc::clone(&self.layouts),
+            nv: Arc::clone(&self.nv),
             region_omega: self.region_omega.clone(),
             costs: self.costs.clone(),
             chains: self.chains.clone(),
@@ -1431,13 +1406,9 @@ impl<'p> Machine<'p> {
                 // ω set is iterated in place with pre-resolved slots.
                 let mut log = std::mem::take(&mut self.dev.spare_log);
                 let mut new_words = 0u64;
-                if let Some(entries) = self.core.region_omega.get(&region) {
-                    for e in entries {
-                        let old = match e.resolved {
-                            OmegaSlot::Scalar(s) => self.dev.nv.read_slot(s),
-                            OmegaSlot::Cell(s, i) => self.dev.nv.read_idx_slot(s, i as i64),
-                        };
-                        if log.save(e.loc.clone(), old) {
+                if let Some(locs) = self.core.region_omega.get(&region) {
+                    for &loc in locs {
+                        if log.save(loc, self.dev.nv.read_loc(loc)) {
                             new_words += 1;
                         }
                     }
@@ -1632,13 +1603,13 @@ impl<'p> Machine<'p> {
     /// The target of the current frame's by-ref parameter `name`, bound
     /// by the call that created the frame.
     pub(crate) fn ref_target(&self, name: &str) -> RefTarget {
-        self.dev.vol.top().expect("frame exists").refs[name].clone()
+        self.dev.vol.top().expect("frame exists").refs[name]
     }
 
     pub(crate) fn resolve_ref(&self, caller_idx: usize, x: &str) -> RefTarget {
         let caller = &self.dev.vol.frames[caller_idx];
         if let Some(t) = caller.refs.get(x) {
-            return t.clone(); // forwarding an incoming reference
+            return *t; // forwarding an incoming reference
         }
         if let Some(slot) = self.core.layouts.slot(caller.func, x) {
             if caller.get_slot(slot).is_some() {
@@ -1648,17 +1619,7 @@ impl<'p> Machine<'p> {
                 };
             }
         }
-        RefTarget::Global(self.global_name(x))
-    }
-
-    /// The shared name of non-volatile scalar `x` (its NV slot name once
-    /// it has a slot, a fresh allocation for an unbound local's name
-    /// that has none yet).
-    pub(crate) fn global_name(&self, x: &str) -> Arc<str> {
-        match self.dev.nv.scalar_slot(x) {
-            Some(s) => Arc::clone(self.dev.nv.scalar_name(s)),
-            None => Arc::from(x),
-        }
+        RefTarget::Global(self.core.nv.scalar_slot(x))
     }
 
     pub(crate) fn read_var(&self, name: &str) -> Tainted {
@@ -1669,58 +1630,44 @@ impl<'p> Machine<'p> {
                 }
             }
             if let Some(t) = top.refs.get(name) {
-                return self.read_target(t);
+                return self.read_target(*t);
             }
         }
-        self.dev.nv.read(name)
+        // A global or an unbound local; a name with no cell (a fresh
+        // variable read outside the function declaring it) reads as an
+        // untainted 0, as a never-written cell would.
+        match self.core.nv.scalar(name) {
+            Some(s) => self.dev.nv.read_slot(s),
+            None => Tainted::default(),
+        }
     }
 
-    pub(crate) fn read_target(&self, t: &RefTarget) -> Tainted {
+    pub(crate) fn read_target(&self, t: RefTarget) -> Tainted {
         match t {
-            RefTarget::Local { frame, slot } => self.dev.vol.frames[*frame]
-                .get_slot(*slot)
+            RefTarget::Local { frame, slot } => self.dev.vol.frames[frame]
+                .get_slot(slot)
                 .cloned()
                 .unwrap_or_default(),
-            RefTarget::Global(g) => self.dev.nv.read(g),
+            RefTarget::Global(s) => self.dev.nv.read_slot(s),
         }
     }
 
-    pub(crate) fn write_target(&mut self, t: &RefTarget, v: Tainted) {
+    pub(crate) fn write_target(&mut self, t: RefTarget, v: Tainted) {
         match t {
-            RefTarget::Local { frame, slot } => {
-                self.dev.vol.frames[*frame].set_slot(*slot, v);
-            }
-            RefTarget::Global(g) => {
-                let g = Arc::clone(g);
-                self.nv_write_scalar(&g, v);
-            }
+            RefTarget::Local { frame, slot } => self.dev.vol.frames[frame].set_slot(slot, v),
+            RefTarget::Global(s) => self.nv_write_scalar(s, v),
         }
     }
 
-    /// Writes a non-volatile scalar, undo-logging inside atomic regions.
-    pub(crate) fn nv_write_scalar(&mut self, name: &str, v: Tainted) {
-        self.dev.nv_scalar_writes += 1;
-        let slot = self.dev.nv.ensure_scalar(name);
-        let old = self.dev.nv.write_slot(slot, v);
-        self.log_scalar_undo(slot, old);
-    }
-
-    /// Slot-resolved variant of [`Machine::nv_write_scalar`], used by
-    /// the compiled backend for declared globals.
-    pub(crate) fn nv_write_scalar_slot(&mut self, slot: usize, v: Tainted) {
+    /// Writes the non-volatile scalar cell at `slot`, undo-logging the
+    /// pre-write value inside an atomic region and charging the dynamic
+    /// log-write cost on a fresh entry: the one path behind both
+    /// backends' scalar NV stores.
+    pub(crate) fn nv_write_scalar(&mut self, slot: usize, v: Tainted) {
         self.dev.nv_scalar_writes += 1;
         let old = self.dev.nv.write_slot(slot, v);
-        self.log_scalar_undo(slot, old);
-    }
-
-    /// Undo-logs the pre-write value of the scalar at `slot` when inside
-    /// an atomic region, charging the dynamic log-write cost on a fresh
-    /// entry. The single charging path behind both backends' scalar NV
-    /// stores. The key reuses the slot's shared name — no allocation.
-    fn log_scalar_undo(&mut self, slot: usize, old: Tainted) {
         if let Ctx::Atom { log, .. } = &mut self.dev.ctx {
-            let key = NvLoc::Scalar(Arc::clone(self.dev.nv.scalar_name(slot)));
-            if log.save(key, old) {
+            if log.save(NvLoc::Scalar(slot), old) {
                 self.dev.stats.log_words += 1;
                 let c = self.core.costs.log_word;
                 // Dynamic log writes cost cycles too.
@@ -1733,10 +1680,11 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Undo-logs an array cell write (both backends' shared path).
-    pub(crate) fn log_cell_undo(&mut self, name: Arc<str>, cell: usize, old: Tainted) {
+    /// Undo-logs a write of cell `cell` of the array at `slot` (both
+    /// backends' shared path).
+    pub(crate) fn log_cell_undo(&mut self, slot: usize, cell: usize, old: Tainted) {
         if let Ctx::Atom { log, .. } = &mut self.dev.ctx {
-            if log.save(NvLoc::Cell(name, cell), old) {
+            if log.save(NvLoc::Cell(slot, cell), old) {
                 self.dev.stats.log_words += 1;
             }
         }
@@ -1762,19 +1710,17 @@ impl<'p> Machine<'p> {
                     top.set_slot(s, v);
                 } else {
                     // A global, or an in-scope but unbound local.
-                    self.nv_write_scalar(x, v);
+                    self.nv_write_scalar(self.core.nv.scalar_slot(x), v);
                 }
             }
             Place::Index(a, i) => {
                 let idx = self.eval(i);
-                let s = self.dev.nv.array_slot(a);
+                let s = self.core.nv.array_slot(a);
                 let (cell, old) = self.dev.nv.write_idx_slot(s, idx.value, v);
-                let name = Arc::clone(self.dev.nv.array_name(s));
-                self.log_cell_undo(name, cell, old);
+                self.log_cell_undo(s, cell, old);
             }
             Place::Deref(x) => {
-                let t = self.ref_target(x);
-                self.write_target(&t, v);
+                self.write_target(self.ref_target(x), v);
             }
         }
     }
@@ -1784,14 +1730,14 @@ impl<'p> Machine<'p> {
             Expr::Int(n) => Tainted::pure(*n),
             Expr::Bool(b) => Tainted::pure(*b as i64),
             Expr::Var(x) => self.read_var(x),
-            Expr::Deref(x) => self.read_target(&self.ref_target(x)),
+            Expr::Deref(x) => self.read_target(self.ref_target(x)),
             Expr::Ref(_) => Tainted::pure(0), // only valid in call args
             Expr::Index(a, i) => {
                 let idx = self.eval(i);
                 let mut v = self
                     .dev
                     .nv
-                    .read_idx_slot(self.dev.nv.array_slot(a), idx.value);
+                    .read_idx_slot(self.core.nv.array_slot(a), idx.value);
                 v.deps.extend(idx.deps);
                 v
             }

@@ -6,15 +6,19 @@
 //! operations the value depends on — that is what lets the trace checker
 //! validate Definitions 2 and 3 on real executions.
 //!
-//! Frame locals are **slot-indexed**: a `FrameLayouts` table (built
-//! once per program) assigns every by-value parameter and every lowered
-//! local of each function a dense slot, so the hot path reads and
-//! writes a `Vec` instead of probing a name-keyed map. The runtime runs
-//! programs that passed [`ocelot_ir::validate()`], whose every `let`,
-//! input and call destination binds a declared local, so every binding
-//! has a slot; the interpreter resolves names through the layout. A
-//! frame's volatile footprint is the number of *bound* locals plus the
-//! fixed register-file share.
+//! Both memories are **slot-indexed**, laid out once per program. A
+//! `FrameLayouts` table assigns every by-value parameter and every
+//! lowered local of each function a dense frame slot, so the hot path
+//! reads and writes a `Vec` instead of probing a name-keyed map. An
+//! [`NvLayout`] fixes the non-volatile address space — the paper's one
+//! map `N`: every global, array and unbound-local cell has its slot
+//! before any device runs, so a device's [`NvMem`] holds values only,
+//! and the undo log keys its entries by slot. The runtime runs programs
+//! that passed [`ocelot_ir::validate()`], whose every `let`, input and
+//! call destination binds a declared local, so every binding has a
+//! slot; the interpreter resolves names through the layouts. A frame's
+//! volatile footprint is the number of *bound* locals plus the fixed
+//! register-file share.
 
 use ocelot_ir::{BlockId, FuncId, Program};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -209,161 +213,149 @@ impl Tainted {
     }
 }
 
-/// Non-volatile memory: globals and arrays. Survives power failures.
+/// The non-volatile address space of one program, fixed when its core
+/// is built: the slot of every scalar cell and array, and the initial
+/// image each device starts from.
 ///
-/// Storage is slot-indexed: each kind (scalars, arrays) lives in a
-/// dense `Vec` with a name→slot map on the side. Declared globals get
-/// their slots in declaration order — the same numbering
-/// [`ocelot_ir::Program::scalar_slot`] / [`ocelot_ir::Program::array_slot`]
-/// document — and slots are append-only, so a slot resolved once (by
-/// the compiled execution backend) stays valid for the lifetime of the
-/// memory. Every slot also carries its name as a shared [`Arc<str>`],
-/// which is what keeps undo-log keys allocation-free. Scalars are also
-/// read and written by name: a local that is in scope but unbound (the
-/// surface language has no block scoping) stores to and reads from
-/// non-volatile memory under its own name, and the undo log restores
-/// by name.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub(crate) struct NvMem {
-    scalar_index: BTreeMap<String, usize>,
-    scalar_names: Vec<Arc<str>>,
-    scalars: Vec<Tainted>,
-    array_index: BTreeMap<String, usize>,
-    array_names: Vec<Arc<str>>,
-    arrays: Vec<Vec<Tainted>>,
+/// Declared globals keep the numbering of
+/// [`ocelot_ir::Program::scalar_slot`] / [`ocelot_ir::Program::array_slot`].
+/// After the scalar globals, each distinct name a function declares by
+/// value (a local or value parameter) that names no scalar global gets
+/// one zeroed cell: the surface language has no block scoping, so a
+/// local that is in scope but unbound stores to and reads from the
+/// non-volatile cell of its name, shared by every function declaring
+/// it.
+pub(crate) struct NvLayout {
+    scalars: BTreeMap<String, usize>,
+    arrays: BTreeMap<String, usize>,
+    init: NvMem,
 }
 
-impl NvMem {
-    /// Initializes non-volatile memory from the program's global
-    /// declarations (arrays zero-fill).
-    pub(crate) fn init(p: &Program) -> Self {
-        let mut nv = NvMem::default();
+impl NvLayout {
+    /// Lays out `p`'s non-volatile memory (arrays zero-fill).
+    pub(crate) fn new(p: &Program) -> Self {
+        let mut l = NvLayout {
+            scalars: BTreeMap::new(),
+            arrays: BTreeMap::new(),
+            init: NvMem::default(),
+        };
         for g in &p.globals {
             match g.array_len {
                 Some(n) => {
-                    nv.array_index.insert(g.name.clone(), nv.arrays.len());
-                    nv.array_names.push(Arc::from(g.name.as_str()));
-                    nv.arrays.push(vec![Tainted::pure(0); n]);
+                    l.arrays.insert(g.name.clone(), l.init.arrays.len());
+                    l.init.arrays.push(vec![Tainted::pure(0); n]);
                 }
                 None => {
-                    nv.scalar_index.insert(g.name.clone(), nv.scalars.len());
-                    nv.scalar_names.push(Arc::from(g.name.as_str()));
-                    nv.scalars.push(Tainted::pure(g.init));
+                    l.scalars.insert(g.name.clone(), l.init.scalars.len());
+                    l.init.scalars.push(Tainted::pure(g.init));
                 }
             }
         }
-        nv
+        for f in &p.funcs {
+            let values = f.params.iter().filter(|q| !q.by_ref).map(|q| &q.name);
+            for name in f.locals.iter().chain(values) {
+                if !l.scalars.contains_key(name) {
+                    l.scalars.insert(name.clone(), l.init.scalars.len());
+                    l.init.scalars.push(Tainted::default());
+                }
+            }
+        }
+        l
     }
 
-    /// The stable slot of scalar `name`, if it exists.
-    pub(crate) fn scalar_slot(&self, name: &str) -> Option<usize> {
-        self.scalar_index.get(name).copied()
+    /// The slot of scalar cell `name`, if the program has one.
+    pub(crate) fn scalar(&self, name: &str) -> Option<usize> {
+        self.scalars.get(name).copied()
     }
 
-    /// The stable slot of the declared scalar global `name`.
+    /// The slot of scalar cell `name`: a scalar global, or a name some
+    /// function declares by value.
     ///
     /// # Panics
     ///
-    /// Panics if `name` has no scalar slot.
-    pub(crate) fn global_slot(&self, name: &str) -> usize {
-        self.scalar_index[name]
+    /// Panics if `name` has no scalar cell.
+    pub(crate) fn scalar_slot(&self, name: &str) -> usize {
+        self.scalars[name]
     }
 
-    /// The stable slot of the declared array `name`.
+    /// The slot of the declared array `name`.
     ///
     /// # Panics
     ///
     /// Panics if `name` is not a declared array.
     pub(crate) fn array_slot(&self, name: &str) -> usize {
-        self.array_index[name]
+        self.arrays[name]
     }
 
-    /// The shared name of the scalar at `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` was not obtained from [`NvMem::scalar_slot`].
-    pub(crate) fn scalar_name(&self, slot: usize) -> &Arc<str> {
-        &self.scalar_names[slot]
+    /// The memory a fresh device starts from.
+    pub(crate) fn init(&self) -> &NvMem {
+        &self.init
     }
+}
 
-    /// The shared name of the array at `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` was not obtained from [`NvMem::array_slot`].
-    pub(crate) fn array_name(&self, slot: usize) -> &Arc<str> {
-        &self.array_names[slot]
-    }
+/// Non-volatile memory: the values of every scalar cell and array, at
+/// the slots the program's [`NvLayout`] assigns. Survives power
+/// failures.
+#[derive(Debug, PartialEq, Eq, Default)]
+pub(crate) struct NvMem {
+    scalars: Vec<Tainted>,
+    arrays: Vec<Vec<Tainted>>,
+}
 
-    /// The slot of scalar `name`, allocating a fresh zeroed slot for
-    /// an undeclared name: the store of an in-scope but unbound local.
-    pub(crate) fn ensure_scalar(&mut self, name: &str) -> usize {
-        match self.scalar_index.get(name) {
-            Some(&i) => i,
-            None => {
-                let i = self.scalars.len();
-                self.scalar_index.insert(name.to_string(), i);
-                self.scalar_names.push(Arc::from(name));
-                self.scalars.push(Tainted::default());
-                i
-            }
+impl Clone for NvMem {
+    fn clone(&self) -> Self {
+        NvMem {
+            scalars: self.scalars.clone(),
+            arrays: self.arrays.clone(),
         }
     }
 
-    /// Reads a scalar by name. A name never stored (an unbound local's)
-    /// reads as untainted 0.
-    pub fn read(&self, name: &str) -> Tainted {
-        match self.scalar_index.get(name) {
-            Some(&i) => self.scalars[i].clone(),
-            None => Tainted::default(),
-        }
+    /// Copies `source` into the vectors already here, so resetting a
+    /// recycled device to the initial image allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.scalars.clone_from(&source.scalars);
+        self.arrays.clone_from(&source.arrays);
     }
+}
 
-    /// Reads the scalar at a pre-resolved slot.
+impl NvMem {
+    /// Reads the scalar at `slot`.
     ///
     /// # Panics
     ///
-    /// Panics if `slot` was not obtained from [`NvMem::scalar_slot`].
+    /// Panics if `slot` was not obtained from [`NvLayout`].
     pub(crate) fn read_slot(&self, slot: usize) -> Tainted {
         self.scalars[slot].clone()
     }
 
-    /// Value-only read of the scalar at a pre-resolved slot — no
-    /// dependency-set clone. Used by the compiled engine's value-only
-    /// expression path, where no consumer reads the deps.
+    /// Value-only read of the scalar at `slot` — no dependency-set
+    /// clone. Used by the compiled engine's value-only expression path,
+    /// where no consumer reads the deps.
     ///
     /// # Panics
     ///
-    /// Panics if `slot` was not obtained from [`NvMem::scalar_slot`].
+    /// Panics if `slot` was not obtained from [`NvLayout`].
     pub(crate) fn read_slot_value(&self, slot: usize) -> i64 {
         self.scalars[slot].value
     }
 
-    /// Writes a scalar global, returning the previous value for undo
-    /// logging. Unknown names are allocated a fresh slot.
-    pub fn write(&mut self, name: &str, v: Tainted) -> Tainted {
-        let slot = self.ensure_scalar(name);
-        std::mem::replace(&mut self.scalars[slot], v)
-    }
-
-    /// Writes the scalar at a pre-resolved slot, returning the previous
-    /// value for undo logging.
+    /// Writes the scalar at `slot`, returning the previous value for
+    /// undo logging.
     ///
     /// # Panics
     ///
-    /// Panics if `slot` was not obtained from [`NvMem::scalar_slot`].
+    /// Panics if `slot` was not obtained from [`NvLayout`].
     pub(crate) fn write_slot(&mut self, slot: usize, v: Tainted) -> Tainted {
         std::mem::replace(&mut self.scalars[slot], v)
     }
 
-    /// Reads cell `idx` of the array at a pre-resolved slot;
-    /// out-of-bounds indices clamp to the last cell (embedded-style
-    /// saturation, keeping runs total).
+    /// Reads cell `idx` of the array at `slot`; out-of-bounds indices
+    /// clamp to the last cell (embedded-style saturation, keeping runs
+    /// total).
     ///
     /// # Panics
     ///
-    /// Panics if `slot` was not obtained from [`NvMem::array_slot`].
+    /// Panics if `slot` was not obtained from [`NvLayout::array_slot`].
     pub(crate) fn read_idx_slot(&self, slot: usize, idx: i64) -> Tainted {
         let a = &self.arrays[slot];
         if a.is_empty() {
@@ -378,7 +370,7 @@ impl NvMem {
     ///
     /// # Panics
     ///
-    /// Panics if `slot` was not obtained from [`NvMem::array_slot`].
+    /// Panics if `slot` was not obtained from [`NvLayout::array_slot`].
     pub(crate) fn read_idx_slot_value(&self, slot: usize, idx: i64) -> i64 {
         let a = &self.arrays[slot];
         if a.is_empty() {
@@ -388,12 +380,12 @@ impl NvMem {
         a[i].value
     }
 
-    /// Writes cell `idx` (clamped) of the array at a pre-resolved slot,
-    /// returning `(clamped_index, old)`.
+    /// Writes cell `idx` (clamped) of the array at `slot`, returning
+    /// `(clamped_index, old)`.
     ///
     /// # Panics
     ///
-    /// Panics if `slot` was not obtained from [`NvMem::array_slot`].
+    /// Panics if `slot` was not obtained from [`NvLayout::array_slot`].
     pub(crate) fn write_idx_slot(&mut self, slot: usize, idx: i64, v: Tainted) -> (usize, Tainted) {
         let a = &mut self.arrays[slot];
         if a.is_empty() {
@@ -404,65 +396,11 @@ impl NvMem {
         (i, old)
     }
 
-    /// Resets this memory to the state [`NvMem::init`] would produce
-    /// for `p`, reusing allocations where the declared layout matches.
-    ///
-    /// Runtime-allocated scalar slots (the stores of unbound locals) are
-    /// dropped — they always sit after the declared prefix — so a pooled
-    /// memory carries no state from one device to the next. When the
-    /// declared prefix does not match `p` (a pooled memory crossing
-    /// programs), the memory is rebuilt from scratch.
-    pub(crate) fn reset_from(&mut self, p: &Program) {
-        let (mut ns, mut na) = (0usize, 0usize);
-        let mut matches = true;
-        for g in &p.globals {
-            match g.array_len {
-                Some(n) => {
-                    matches &= self.array_names.get(na).map(|a| &**a) == Some(g.name.as_str())
-                        && self.arrays[na].len() == n;
-                    na += 1;
-                }
-                None => {
-                    matches &= self.scalar_names.get(ns).map(|a| &**a) == Some(g.name.as_str());
-                    ns += 1;
-                }
-            }
-            if !matches {
-                *self = NvMem::init(p);
-                return;
-            }
-        }
-        self.scalar_index.retain(|_, s| *s < ns);
-        self.scalar_names.truncate(ns);
-        self.scalars.truncate(ns);
-        self.array_index.retain(|_, s| *s < na);
-        self.array_names.truncate(na);
-        self.arrays.truncate(na);
-        let (mut ns, mut na) = (0usize, 0usize);
-        for g in &p.globals {
-            match g.array_len {
-                Some(_) => {
-                    for cell in self.arrays[na].iter_mut() {
-                        *cell = Tainted::pure(0);
-                    }
-                    na += 1;
-                }
-                None => {
-                    self.scalars[ns] = Tainted::pure(g.init);
-                    ns += 1;
-                }
-            }
-        }
-    }
-
-    /// Restores one array cell without clamping (undo-log rollback
-    /// targets the exact logged index; out-of-range indices are
-    /// ignored, matching a log entry for a since-shrunk array).
-    fn restore_cell(&mut self, name: &str, idx: usize, v: Tainted) {
-        if let Some(&s) = self.array_index.get(name) {
-            if let Some(cell) = self.arrays[s].get_mut(idx) {
-                *cell = v;
-            }
+    /// Reads the location `loc` (an ω entry read at region entry).
+    pub(crate) fn read_loc(&self, loc: NvLoc) -> Tainted {
+        match loc {
+            NvLoc::Scalar(s) => self.read_slot(s),
+            NvLoc::Cell(s, i) => self.read_idx_slot(s, i as i64),
         }
     }
 }
@@ -577,7 +515,7 @@ impl FrameLayouts {
 
 /// Where a by-reference parameter ultimately points: resolved at call
 /// time (references cannot re-seat, so resolution is stable).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RefTarget {
     /// A local slot in an earlier frame (`frame` indexes the stack from
     /// the bottom).
@@ -587,8 +525,9 @@ pub(crate) enum RefTarget {
         /// Slot within that frame.
         slot: u32,
     },
-    /// A non-volatile scalar: a global, or an unbound local's name.
-    Global(Arc<str>),
+    /// The non-volatile scalar cell at this slot: a global, or the cell
+    /// of an unbound local's name.
+    Global(usize),
 }
 
 /// One call frame: the program counter and slot-indexed local bindings.
@@ -814,14 +753,14 @@ impl VolState {
     }
 }
 
-/// A location key for undo logging. Names are shared [`Arc<str>`]s, so
-/// cloning a key costs a reference-count bump, not an allocation.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// A non-volatile location: the key of an undo-log entry and of a
+/// region's eagerly logged ω set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum NvLoc {
-    /// A scalar global.
-    Scalar(Arc<str>),
-    /// One array cell.
-    Cell(Arc<str>, usize),
+    /// The scalar cell at this slot.
+    Scalar(usize),
+    /// Cell `i` of the array at this slot.
+    Cell(usize, usize),
 }
 
 /// Undo log for an atomic region: first-write-wins snapshots of
@@ -855,13 +794,17 @@ impl UndoLog {
 
     /// Restores every logged location into `nv` — the paper's `N ◁ L`.
     pub(crate) fn apply(&self, nv: &mut NvMem) {
-        for (loc, old) in &self.entries {
+        for (&loc, old) in &self.entries {
             match loc {
-                NvLoc::Scalar(name) => {
-                    nv.write(name, old.clone());
+                NvLoc::Scalar(s) => {
+                    nv.write_slot(s, old.clone());
                 }
-                NvLoc::Cell(name, idx) => {
-                    nv.restore_cell(name, *idx, old.clone());
+                // A store to an empty array logs a cell 0 it does not
+                // have; there is nothing to restore.
+                NvLoc::Cell(s, i) => {
+                    if let Some(cell) = nv.arrays[s].get_mut(i) {
+                        *cell = old.clone();
+                    }
                 }
             }
         }
@@ -890,70 +833,75 @@ mod tests {
     #[test]
     fn nv_init_from_globals() {
         let p = compile("nv g = 5; nv a[3]; fn main() {}").unwrap();
-        let nv = NvMem::init(&p);
-        assert_eq!(nv.read("g").value, 5);
-        assert_eq!(nv.read_idx_slot(nv.array_slot("a"), 2).value, 0);
-        assert!(nv.array_index.contains_key("a"));
-        assert!(!nv.array_index.contains_key("g"));
+        let layout = NvLayout::new(&p);
+        let nv = layout.init();
+        assert_eq!(nv.read_slot(layout.scalar_slot("g")).value, 5);
+        assert_eq!(nv.read_idx_slot(layout.array_slot("a"), 2).value, 0);
+        assert!(layout.arrays.contains_key("a"));
+        assert!(!layout.arrays.contains_key("g"));
     }
 
     #[test]
     fn slots_agree_with_the_ir_numbering_and_stay_stable() {
-        let p = compile("nv a = 1; nv arr[2]; nv b = 2; fn main() {}").unwrap();
-        let mut nv = NvMem::init(&p);
+        let p = compile(
+            "nv a = 1; nv arr[2]; nv b = 2; \
+             fn f(v, &r) { let t = v; let a = t; } \
+             fn main() { let t = 3; let u = 4; }",
+        )
+        .unwrap();
+        let layout = NvLayout::new(&p);
         for g in &p.globals {
             match g.array_len {
                 Some(_) => assert_eq!(
-                    Some(nv.array_slot(&g.name)),
+                    Some(layout.array_slot(&g.name)),
                     p.array_slot(&g.name),
                     "{}",
                     g.name
                 ),
-                None => assert_eq!(
-                    nv.scalar_slot(&g.name),
-                    p.scalar_slot(&g.name),
-                    "{}",
-                    g.name
-                ),
+                None => assert_eq!(layout.scalar(&g.name), p.scalar_slot(&g.name), "{}", g.name),
             }
         }
-        let a = nv.scalar_slot("a").unwrap();
-        assert_eq!(&**nv.scalar_name(a), "a");
-        assert_eq!(&**nv.array_name(nv.array_slot("arr")), "arr");
-        // An unbound local's non-volatile store appends a slot under its
-        // name; resolved slots never move.
-        nv.write("later", Tainted::pure(9));
-        assert_eq!(nv.scalar_slot("a"), Some(a));
-        assert_eq!(nv.read_slot(a).value, 1);
-        let old = nv.write_slot(a, Tainted::pure(7));
-        assert_eq!(old.value, 1);
-        assert_eq!(nv.read("a").value, 7, "slot and name views are one store");
-        assert_eq!(nv.read("later").value, 9);
+        // One zeroed cell per distinct by-value name after the two
+        // scalar globals, shared across functions; a local named like a
+        // global uses the global's cell, and by-ref parameters get none.
+        let mut cells: Vec<usize> = ["$ret", "t", "v", "u"]
+            .iter()
+            .map(|n| layout.scalar_slot(n))
+            .collect();
+        cells.sort_unstable();
+        assert_eq!(cells, [2, 3, 4, 5]);
+        assert_eq!(layout.scalar("r"), None);
+        assert_eq!(layout.scalar_slot("a"), 0);
+        let mut nv = layout.init().clone();
+        assert!(cells.iter().all(|&c| nv.read_slot(c) == Tainted::default()));
+        let old = nv.write_slot(layout.scalar_slot("t"), Tainted::pure(9));
+        assert_eq!(old, Tainted::default());
+        assert_eq!(nv.read_slot_value(layout.scalar_slot("t")), 9);
     }
 
     #[test]
-    fn reset_from_restores_the_init_state_exactly() {
-        let p = compile("nv g = 5; nv a[3]; nv h = -2; fn main() {}").unwrap();
-        let mut nv = NvMem::init(&p);
-        nv.write("g", Tainted::input(9, 4));
-        nv.write_idx_slot(nv.array_slot("a"), 1, Tainted::input(7, 8));
-        // The slot an unbound local's store allocated must vanish.
-        nv.write("ghost", Tainted::pure(1));
-        assert!(nv.scalar_slot("ghost").is_some());
-        nv.reset_from(&p);
-        assert_eq!(nv, NvMem::init(&p), "reset is exactly re-init");
-        assert_eq!(nv.scalar_slot("ghost"), None);
-        // A different program rebuilds from scratch.
-        let q = compile("nv other = 1; fn main() {}").unwrap();
-        nv.reset_from(&q);
-        assert_eq!(nv, NvMem::init(&q));
+    fn clone_from_restores_the_initial_image_exactly() {
+        let p = compile("nv g = 5; nv a[3]; nv h = -2; fn main() { let x = 1; }").unwrap();
+        let layout = NvLayout::new(&p);
+        let mut nv = layout.init().clone();
+        nv.write_slot(layout.scalar_slot("g"), Tainted::input(9, 4));
+        nv.write_slot(layout.scalar_slot("x"), Tainted::input(1, 2));
+        nv.write_idx_slot(layout.array_slot("a"), 1, Tainted::input(7, 8));
+        nv.clone_from(layout.init());
+        assert_eq!(&nv, layout.init());
+        // An image of another layout is replaced wholesale.
+        let q = compile("nv other = 1; nv b[5]; nv c[1]; fn main() {}").unwrap();
+        let other = NvLayout::new(&q);
+        nv.clone_from(other.init());
+        assert_eq!(&nv, other.init());
     }
 
     #[test]
     fn tainted_and_value_only_array_reads_clamp_alike() {
         let p = compile("nv arr[3]; fn main() {}").unwrap();
-        let mut nv = NvMem::init(&p);
-        let s = nv.array_slot("arr");
+        let layout = NvLayout::new(&p);
+        let mut nv = layout.init().clone();
+        let s = layout.array_slot("arr");
         let (i, _) = nv.write_idx_slot(s, 2, Tainted::input(5, 3));
         assert_eq!(i, 2);
         for idx in [-4, 0, 2, 99] {
@@ -969,8 +917,9 @@ mod tests {
     #[test]
     fn array_indices_clamp() {
         let p = compile("nv a[2]; fn main() {}").unwrap();
-        let mut nv = NvMem::init(&p);
-        let a = nv.array_slot("a");
+        let layout = NvLayout::new(&p);
+        let mut nv = layout.init().clone();
+        let a = layout.array_slot("a");
         nv.write_idx_slot(a, 7, Tainted::pure(9));
         assert_eq!(nv.read_idx_slot(a, 100).value, 9, "both clamp to last cell");
         nv.write_idx_slot(a, -5, Tainted::pure(1));
@@ -980,28 +929,36 @@ mod tests {
     #[test]
     fn undo_log_first_write_wins_and_applies() {
         let p = compile("nv g = 5; fn main() {}").unwrap();
-        let mut nv = NvMem::init(&p);
+        let layout = NvLayout::new(&p);
+        let mut nv = layout.init().clone();
+        let g = layout.scalar_slot("g");
         let mut log = UndoLog::default();
-        let old = nv.write("g", Tainted::pure(6));
-        assert!(log.save(NvLoc::Scalar("g".into()), old));
-        let old2 = nv.write("g", Tainted::pure(7));
-        assert!(!log.save(NvLoc::Scalar("g".into()), old2), "already logged");
-        assert_eq!(nv.read("g").value, 7);
+        let old = nv.write_slot(g, Tainted::pure(6));
+        assert!(log.save(NvLoc::Scalar(g), old));
+        let old2 = nv.write_slot(g, Tainted::pure(7));
+        assert!(!log.save(NvLoc::Scalar(g), old2), "already logged");
+        assert_eq!(nv.read_slot(g).value, 7);
         log.apply(&mut nv);
-        assert_eq!(nv.read("g").value, 5, "rollback to pre-region value");
+        assert_eq!(nv.read_slot(g).value, 5, "rollback to pre-region value");
         assert_eq!(log.words(), 1);
     }
 
     #[test]
     fn undo_log_handles_array_cells() {
-        let p = compile("nv a[4]; fn main() {}").unwrap();
-        let mut nv = NvMem::init(&p);
+        let p = compile("nv a[4]; nv e[0]; fn main() {}").unwrap();
+        let layout = NvLayout::new(&p);
+        let mut nv = layout.init().clone();
         let mut log = UndoLog::default();
-        let a = nv.array_slot("a");
+        let a = layout.array_slot("a");
         let (i, old) = nv.write_idx_slot(a, 2, Tainted::pure(42));
-        log.save(NvLoc::Cell("a".into(), i), old);
+        log.save(NvLoc::Cell(a, i), old);
+        assert_eq!(nv.read_loc(NvLoc::Cell(a, 2)).value, 42);
+        // A store to an empty array logs a cell it does not have.
+        let e = layout.array_slot("e");
+        let (i, old) = nv.write_idx_slot(e, 3, Tainted::pure(1));
+        log.save(NvLoc::Cell(e, i), old);
         log.apply(&mut nv);
-        assert_eq!(nv.read_idx_slot(a, 2).value, 0);
+        assert_eq!(&nv, layout.init());
     }
 
     #[test]
