@@ -9,9 +9,8 @@
 //! * **storage resolution** — non-volatile cells and arrays become
 //!   the slots of the core's [`crate::memory::NvLayout`] and frame
 //!   locals become dense [`crate::memory::FrameLayouts`] slots;
-//!   variable reads are
-//!   classified local / by-ref / global using the IR's declaration
-//!   metadata ([`ocelot_ir::Function::declares`]);
+//!   variable reads are classified local / by-ref / global using the
+//!   IR's declaration metadata ([`ocelot_ir::Function::declares`]);
 //! * **input sites** — the sensor name is pre-interned and, for sites
 //!   whose enclosing call stack is statically fixed, the provenance
 //!   chain is pre-resolved to an interned

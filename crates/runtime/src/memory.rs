@@ -10,9 +10,9 @@
 //! `FrameLayouts` table assigns every by-value parameter and every
 //! lowered local of each function a dense frame slot, so the hot path
 //! reads and writes a `Vec` instead of probing a name-keyed map. An
-//! [`NvLayout`] fixes the non-volatile address space — the paper's one
+//! `NvLayout` fixes the non-volatile address space — the paper's one
 //! map `N`: every global, array and unbound-local cell has its slot
-//! before any device runs, so a device's [`NvMem`] holds values only,
+//! before any device runs, so a device's `NvMem` holds values only,
 //! and the undo log keys its entries by slot. The runtime runs programs
 //! that passed [`ocelot_ir::validate()`], whose every `let`, input and
 //! call destination binds a declared local, so every binding has a
