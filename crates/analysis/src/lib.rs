@@ -35,6 +35,7 @@ pub mod effects;
 pub mod incremental;
 pub mod loops;
 pub(crate) mod ssa;
+pub mod storage;
 pub mod summary;
 pub mod taint;
 pub mod war;
@@ -44,6 +45,7 @@ pub use dom::{point_dominates, DomTree, Point};
 pub use incremental::{input_fingerprints, FlowCache, IncrementalStats};
 pub use loops::LoopForest;
 pub use ssa::{FuncSsa, ProgramSsa};
+pub use storage::{StoreClass, StoreClasses};
 pub use summary::build_summaries;
 pub use taint::{Prov, TaintAnalysis, TaintSet, TaintSource};
 pub use war::{region_effects, whole_function_effects, RegionEffects};

@@ -15,16 +15,14 @@
 //!   conditional constant propagation, pessimistic over back edges);
 //! * [`FuncSsa::dead_defs`] — `Bind`/`Assign`-to-local definitions
 //!   whose value no later use (including phi arguments) ever observes;
-//! * [`FuncSsa::always_bound`] — declared locals provably never read
-//!   before a definition on any path (no SSA use can see the entry
-//!   `undef` value), the fact behind reclassifying "in-scope-but-
-//!   unbound" stores as volatile;
 //! * [`FuncSsa::address_taken`] — locals passed by `&x`; these escape
 //!   the rename and are excluded from every fact above.
 //!
 //! Everything here is *advisory*: the interpreter never reads these
 //! facts, so the differential suites hold the optimized compiled
-//! backend to the unoptimized oracle's observable behavior.
+//! backend to the unoptimized oracle's observable behavior. Where a
+//! store goes is not an SSA fact: both engines read it from
+//! [`crate::storage`].
 
 use crate::dom::{dominance_frontier, DomTree};
 use ocelot_ir::ast::{Arg, BinOp, Expr, Ident, UnOp};
@@ -36,32 +34,15 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct ValId(u32);
 
-/// The lattice value carried by one SSA definition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Lattice {
-    /// The entry value of a local before any definition.
-    Undef,
-    /// A run-time value the analysis cannot name.
-    Opaque,
-    /// A compile-time constant.
-    Const(i64),
-}
-
-/// One SSA value: its lattice element plus bookkeeping for the
-/// undef-reachability and use-count queries.
+/// One SSA value: the constant it always holds, if any, plus its use
+/// count.
 #[derive(Debug, Clone)]
 struct Val {
-    lattice: Lattice,
-    /// Phi operands (empty for ordinary definitions).
-    phi_args: Vec<ValId>,
+    /// `None` for a run-time value the analysis cannot name, including
+    /// a local's entry value before any definition.
+    konst: Option<i64>,
     /// Number of reads (operand uses + phi-argument positions).
     uses: u32,
-    /// Operand reads only (phi-argument positions excluded): the count
-    /// that decides whether a value is ever *observed* by an
-    /// instruction. A phi can carry an undef operand yet be killed by a
-    /// following definition before any read — that is not an undef
-    /// read.
-    read_uses: u32,
     /// The defining instruction, when it is a `Bind` or scalar
     /// `Assign` to a tracked local (the dead-store candidates).
     def_site: Option<Label>,
@@ -79,10 +60,6 @@ pub struct FuncSsa {
     /// used. The binding side effect may still matter; only the stored
     /// *value* is dead.
     pub dead_defs: BTreeSet<Label>,
-    /// Declared locals (params excluded) that no path reads before
-    /// defining. Writes to these can never leak a stale pre-reboot
-    /// value, so they are safe to keep volatile.
-    pub always_bound: BTreeSet<Ident>,
     /// Locals whose address escapes via `&x` call arguments.
     pub(crate) address_taken: BTreeSet<Ident>,
     /// Number of phi nodes the lifting placed (diagnostic surface).
@@ -124,25 +101,10 @@ fn tracked_vars(f: &Function) -> BTreeSet<Ident> {
     vars
 }
 
-/// The tracked variable directly (re)defined by `op`, if any. `&x`
-/// call arguments are *also* definitions (the callee may write back);
-/// those are handled separately because one call can define several.
-fn scalar_def(op: &Op) -> Option<&Ident> {
-    match op {
-        Op::Bind { var, .. } | Op::Input { var, .. } => Some(var),
-        Op::Assign {
-            place: Place::Var(x),
-            ..
-        } => Some(x),
-        Op::Call { dst, .. } => dst.as_ref(),
-        _ => None,
-    }
-}
-
 /// All tracked variables `op` defines, including `&x` arguments.
 fn op_defs<'a>(op: &'a Op, tracked: &BTreeSet<Ident>) -> Vec<&'a Ident> {
     let mut out = Vec::new();
-    if let Some(d) = scalar_def(op) {
+    if let Some(d) = op.def() {
         if tracked.contains(d) {
             out.push(d);
         }
@@ -169,8 +131,6 @@ struct Builder<'f> {
     stacks: HashMap<Ident, Vec<ValId>>,
     /// Phi nodes per block: `(var, value)` in placement order.
     phis: BTreeMap<BlockId, Vec<(Ident, ValId)>>,
-    /// Vars that have some use reaching the entry `undef`.
-    undef_read: BTreeSet<Ident>,
     out: FuncSsa,
 }
 
@@ -187,18 +147,15 @@ impl<'f> Builder<'f> {
             vals: Vec::new(),
             stacks: HashMap::new(),
             phis: BTreeMap::new(),
-            undef_read: BTreeSet::new(),
             out: FuncSsa::default(),
         }
     }
 
-    fn new_val(&mut self, lattice: Lattice, def_site: Option<Label>) -> ValId {
+    fn new_val(&mut self, konst: Option<i64>, def_site: Option<Label>) -> ValId {
         let id = ValId(self.vals.len() as u32);
         self.vals.push(Val {
-            lattice,
-            phi_args: Vec::new(),
+            konst,
             uses: 0,
-            read_uses: 0,
             def_site,
         });
         id
@@ -210,22 +167,9 @@ impl<'f> Builder<'f> {
         }
         self.place_phis();
 
-        // Entry state: params are opaque run-time values, locals undef.
-        let params: Vec<Ident> = self
-            .f
-            .params
-            .iter()
-            .filter(|p| !p.by_ref)
-            .map(|p| p.name.clone())
-            .collect();
+        // Entry state: params and unwritten locals are opaque.
         for v in self.tracked.clone() {
-            let is_param = params.contains(&v);
-            let lat = if is_param {
-                Lattice::Opaque
-            } else {
-                Lattice::Undef
-            };
-            let id = self.new_val(lat, None);
+            let id = self.new_val(None, None);
             self.stacks.insert(v, vec![id]);
         }
 
@@ -233,48 +177,16 @@ impl<'f> Builder<'f> {
         self.finish()
     }
 
+    /// Locals passed as `&x` call arguments: a validated program takes
+    /// an address nowhere else.
     fn address_taken_vars(&self) -> BTreeSet<Ident> {
-        fn expr_refs(e: &Expr, out: &mut BTreeSet<Ident>) {
-            match e {
-                Expr::Ref(x) => {
-                    out.insert(x.clone());
-                }
-                Expr::Index(_, i) => expr_refs(i, out),
-                Expr::Binary(_, l, r) => {
-                    expr_refs(l, out);
-                    expr_refs(r, out);
-                }
-                Expr::Unary(_, e) => expr_refs(e, out),
-                _ => {}
-            }
-        }
         let mut out = BTreeSet::new();
-        for b in &self.f.blocks {
-            for inst in &b.instrs {
-                match &inst.op {
-                    Op::Call { args, .. } => {
-                        for a in args {
-                            match a {
-                                Arg::Ref(x) => {
-                                    out.insert(x.clone());
-                                }
-                                Arg::Value(e) => expr_refs(e, &mut out),
-                            }
-                        }
-                    }
-                    Op::Bind { src, .. } | Op::Assign { src, .. } => expr_refs(src, &mut out),
-                    Op::Output { args, .. } => {
-                        for e in args {
-                            expr_refs(e, &mut out);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            match &b.term {
-                Terminator::Branch { cond, .. } => expr_refs(cond, &mut out),
-                Terminator::Ret(Some(e)) => expr_refs(e, &mut out),
-                _ => {}
+        for (_, inst) in self.f.iter_insts() {
+            if let Op::Call { args, .. } = &inst.op {
+                out.extend(args.iter().filter_map(|a| match a {
+                    Arg::Ref(x) => Some(x.clone()),
+                    Arg::Value(_) => None,
+                }));
             }
         }
         out
@@ -285,7 +197,7 @@ impl<'f> Builder<'f> {
     fn place_phis(&mut self) {
         let df = dominance_frontier(self.f, &self.cfg, &self.dom);
         // Definition blocks per tracked var (the entry block counts as
-        // a definition point: params/undef are "defined" there).
+        // a definition point: params and unwritten locals are "defined" there).
         let mut def_blocks: BTreeMap<Ident, BTreeSet<BlockId>> = BTreeMap::new();
         for v in &self.tracked {
             def_blocks
@@ -319,7 +231,7 @@ impl<'f> Builder<'f> {
             self.phis.iter().map(|(b, ps)| (*b, ps.len())).collect();
         for (b, n) in placements {
             for i in 0..n {
-                let id = self.new_val(Lattice::Opaque, None);
+                let id = self.new_val(None, None);
                 self.phis.get_mut(&b).expect("placed")[i].1 = id;
             }
         }
@@ -330,28 +242,24 @@ impl<'f> Builder<'f> {
         self.stacks.get(v).and_then(|s| s.last().copied())
     }
 
-    /// Records a read of `v` at use site `at`, returning its lattice
-    /// value.
-    fn use_var(&mut self, v: &str, at: Label) -> Lattice {
-        let Some(id) = self.top(v) else {
-            return Lattice::Opaque; // global / by-ref: not tracked
-        };
+    /// Records a read of `v` at use site `at`, returning its constant
+    /// value, if any.
+    fn use_var(&mut self, v: &str, at: Label) -> Option<i64> {
+        // Globals and by-ref params are not tracked.
+        let id = self.top(v)?;
         self.vals[id.0 as usize].uses += 1;
-        self.vals[id.0 as usize].read_uses += 1;
-        let lat = self.vals[id.0 as usize].lattice;
-        if let Lattice::Const(k) = lat {
-            self.out.const_uses.insert((at, v.to_string()), k);
-        }
-        lat
+        let k = self.vals[id.0 as usize].konst?;
+        self.out.const_uses.insert((at, v.to_string()), k);
+        Some(k)
     }
 
     /// Evaluates `e` over the current rename state. Reads of globals,
     /// arrays, and derefs are opaque but still walked (array index
     /// subexpressions contain variable uses).
-    fn eval(&mut self, e: &Expr, at: Label) -> Lattice {
+    fn eval(&mut self, e: &Expr, at: Label) -> Option<i64> {
         match e {
-            Expr::Int(k) => Lattice::Const(*k),
-            Expr::Bool(b) => Lattice::Const(i64::from(*b)),
+            Expr::Int(k) => Some(*k),
+            Expr::Bool(b) => Some(i64::from(*b)),
             Expr::Var(x) => {
                 if self.tracked.contains(x) && !self.out.address_taken.contains(x) {
                     self.use_var(x, at)
@@ -361,35 +269,29 @@ impl<'f> Builder<'f> {
                     // pins its def) but never fold.
                     self.use_var(x, at);
                     self.out.const_uses.remove(&(at, x.clone()));
-                    Lattice::Opaque
+                    None
                 }
             }
             Expr::Deref(x) | Expr::Ref(x) => {
                 self.use_var(x, at);
                 self.out.const_uses.remove(&(at, x.clone()));
-                Lattice::Opaque
+                None
             }
             Expr::Index(_, i) => {
                 self.eval(i, at);
-                Lattice::Opaque
+                None
             }
             Expr::Binary(op, l, r) => {
                 let a = self.eval(l, at);
                 let b = self.eval(r, at);
-                match (a, b) {
-                    (Lattice::Const(x), Lattice::Const(y)) => Lattice::Const(fold_binop(*op, x, y)),
-                    _ => Lattice::Opaque,
-                }
+                Some(fold_binop(*op, a?, b?))
             }
-            Expr::Unary(op, e) => match self.eval(e, at) {
-                Lattice::Const(x) => Lattice::Const(fold_unop(*op, x)),
-                _ => Lattice::Opaque,
-            },
+            Expr::Unary(op, e) => Some(fold_unop(*op, self.eval(e, at)?)),
         }
     }
 
-    fn define(&mut self, v: &Ident, lattice: Lattice, site: Option<Label>) {
-        let id = self.new_val(lattice, site);
+    fn define(&mut self, v: &Ident, konst: Option<i64>, site: Option<Label>) {
+        let id = self.new_val(konst, site);
         self.stacks.get_mut(v).expect("tracked var").push(id);
     }
 
@@ -411,17 +313,17 @@ impl<'f> Builder<'f> {
             match &inst.op {
                 Op::Skip | Op::AtomStart { .. } | Op::AtomEnd { .. } | Op::Annot { .. } => {}
                 Op::Bind { var, src } => {
-                    let lat = self.eval(src, at);
+                    let k = self.eval(src, at);
                     if self.tracked.contains(var) {
-                        self.define(var, lat, Some(at));
+                        self.define(var, k, Some(at));
                         pushed.push(var.clone());
                     }
                 }
                 Op::Assign { place, src } => {
-                    let lat = self.eval(src, at);
+                    let k = self.eval(src, at);
                     match place {
                         Place::Var(x) if self.tracked.contains(x) => {
-                            self.define(x, lat, Some(at));
+                            self.define(x, k, Some(at));
                             pushed.push(x.clone());
                         }
                         Place::Var(_) => {}
@@ -436,7 +338,7 @@ impl<'f> Builder<'f> {
                 }
                 Op::Input { var, .. } => {
                     if self.tracked.contains(var) {
-                        self.define(var, Lattice::Opaque, None);
+                        self.define(var, None, None);
                         pushed.push(var.clone());
                     }
                 }
@@ -452,7 +354,7 @@ impl<'f> Builder<'f> {
                                 // current value and write a new one.
                                 self.use_var(x, at);
                                 if self.tracked.contains(x) {
-                                    self.define(x, Lattice::Opaque, None);
+                                    self.define(x, None, None);
                                     pushed.push(x.clone());
                                 }
                             }
@@ -460,7 +362,7 @@ impl<'f> Builder<'f> {
                     }
                     if let Some(d) = dst {
                         if self.tracked.contains(d) {
-                            self.define(d, Lattice::Opaque, None);
+                            self.define(d, None, None);
                             pushed.push(d.clone());
                         }
                     }
@@ -488,10 +390,9 @@ impl<'f> Builder<'f> {
         // Fill phi arguments of successors from this block's exit state.
         for s in block.term.successors() {
             if let Some(phis) = self.phis.get(&s).cloned() {
-                for (v, phi_id) in phis {
+                for (v, _) in phis {
                     if let Some(arg) = self.top(&v) {
                         self.vals[arg.0 as usize].uses += 1;
-                        self.vals[phi_id.0 as usize].phi_args.push(arg);
                     }
                 }
             }
@@ -515,78 +416,13 @@ impl<'f> Builder<'f> {
     }
 
     fn finish(mut self) -> FuncSsa {
-        // Undef reachability through the phi graph (cycles default to
-        // "no undef" unless an operand proves otherwise).
-        let n = self.vals.len();
-        let mut reaches_undef = vec![false; n];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for i in 0..n {
-                if reaches_undef[i] {
-                    continue;
-                }
-                let hit = match self.vals[i].lattice {
-                    Lattice::Undef => true,
-                    _ => self.vals[i]
-                        .phi_args
-                        .iter()
-                        .any(|a| reaches_undef[a.0 as usize]),
-                };
-                if hit {
-                    reaches_undef[i] = true;
-                    changed = true;
-                }
-            }
-        }
-        // A use of var v observing an undef-reaching value marks v. The
-        // rename recorded uses against values, not vars, so re-derive:
-        // every value on v's stack belongs to v; simpler to re-walk?
-        // The mapping is already implicit: undef entry values carry
-        // def_site None and lattice Undef and were created per-var in
-        // run(); phi membership is per-var in self.phis. Walk both.
-        let mut var_of_val: HashMap<u32, Ident> = HashMap::new();
-        for (v, stack) in &self.stacks {
-            // Only the entry value remains on each stack after rename.
-            for id in stack {
-                var_of_val.insert(id.0, v.clone());
-            }
-        }
-        for phis in self.phis.values() {
-            for (v, id) in phis {
-                var_of_val.insert(id.0, v.clone());
-            }
-        }
-        // Only direct operand reads observe a value. A phi that merges
-        // undef but is overwritten before any read never exposes it —
-        // `reaches_undef` already propagated through phi chains, so any
-        // *read* phi downstream of undef is caught here.
-        for (i, val) in self.vals.iter().enumerate() {
-            if val.read_uses > 0 && reaches_undef[i] {
-                if let Some(v) = var_of_val.get(&(i as u32)) {
-                    self.undef_read.insert(v.clone());
-                }
-            }
-        }
-        // Values defined by Bind/Assign never reach undef themselves,
-        // but a *use* of such a def is attributed via phi chains only —
-        // an ordinary def used directly cannot observe undef. What can:
-        // entry values and phis, both covered above.
-
-        for v in &self.tracked {
-            let is_param = self.f.params.iter().any(|p| &p.name == v);
-            if !is_param && !self.undef_read.contains(v) && !self.out.address_taken.contains(v) {
-                self.out.always_bound.insert(v.clone());
-            }
-        }
-
         for val in &self.vals {
             if val.uses == 0 {
                 if let Some(site) = val.def_site {
                     let defines_escaping = self
                         .f
                         .inst(site)
-                        .and_then(|i| scalar_def(&i.op).cloned())
+                        .and_then(|i| i.op.def().cloned())
                         .is_some_and(|x| self.out.address_taken.contains(&x));
                     if !defines_escaping {
                         self.out.dead_defs.insert(site);
@@ -752,14 +588,6 @@ mod tests {
             None,
             "loop phis stay opaque"
         );
-        assert!(facts.always_bound.contains("i"));
-    }
-
-    #[test]
-    fn all_reads_dominated_by_defs_means_always_bound() {
-        let (_, facts) = ssa_main("fn main() { let a = 1; let b = a + 1; out(log, b); }");
-        assert!(facts.always_bound.contains("a"));
-        assert!(facts.always_bound.contains("b"));
     }
 
     #[test]
@@ -769,11 +597,7 @@ mod tests {
         // unbound local.
         let (p, facts) =
             ssa_main("fn main() { let c = 1; if c > 0 { let t = 5; out(log, t); } out(log, t); }");
-        assert!(
-            !facts.always_bound.contains("t"),
-            "the else path reads t before any def"
-        );
-        // And the partial def must not be folded at the join use.
+        // The partial def must not be folded at the join use.
         let out = p
             .func(p.main)
             .iter_insts()
@@ -793,7 +617,6 @@ mod tests {
              fn main() { let a = 3; bump(&a); out(log, a); }",
         );
         assert!(facts.address_taken.contains("a"));
-        assert!(!facts.always_bound.contains("a"));
         let out = label_of_out(&p);
         assert_eq!(
             facts.const_uses.get(&(out, "a".into())),
@@ -809,7 +632,6 @@ mod tests {
             compile("fn g(x) { out(log, x + 0); return 0; } fn main() { let r = g(2); }").unwrap();
         let g = p.func(p.func_by_name("g").unwrap());
         let facts = analyze_func(g);
-        assert!(!facts.always_bound.contains("x"), "params bind at entry");
         assert!(facts.const_uses.iter().all(|((_, v), _)| v != "x"));
     }
 
@@ -830,7 +652,6 @@ mod tests {
         // is the backend's call. Here we only assert the fact surface.
         let (_, facts) = ssa_main("fn main() { let a = 1 + 2; out(log, 9); }");
         assert_eq!(facts.dead_defs.len(), 1);
-        assert!(facts.always_bound.contains("a"));
     }
 
     #[test]
@@ -842,7 +663,13 @@ mod tests {
         .unwrap();
         let ssa = ProgramSsa::analyze(&p);
         assert_eq!(ssa.funcs.len(), p.funcs.len());
-        let h = p.func_by_name("helper").unwrap();
-        assert!(ssa.funcs[h.0 as usize].always_bound.contains("h"));
+        let h = p.func(p.func_by_name("helper").unwrap());
+        assert!(
+            ssa.funcs[h.id.0 as usize]
+                .const_uses
+                .iter()
+                .any(|((_, v), &k)| v == "h" && k == 2),
+            "helper's own facts fold its local"
+        );
     }
 }

@@ -468,9 +468,12 @@ impl Program {
 
     /// Stable slot number of a scalar global: its position among the
     /// *scalar* globals in declaration order. Slot numbering is the
-    /// contract between the IR and slot-indexed non-volatile stores
-    /// (`ocelot-runtime`'s `NvMem` assigns the same numbers), letting a
-    /// compiled backend pre-resolve global accesses to direct indices.
+    /// contract between the IR and slot-indexed non-volatile stores:
+    /// `ocelot-runtime`'s non-volatile layout gives the scalar globals
+    /// of a validated program, which declares each name once, the same
+    /// numbers (and numbers the cells of unbound locals after them),
+    /// letting a compiled backend pre-resolve global accesses to direct
+    /// indices.
     pub fn scalar_slot(&self, name: &str) -> Option<usize> {
         self.globals
             .iter()

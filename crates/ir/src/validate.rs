@@ -4,6 +4,7 @@
 //! (§3.3, §5.2, Appendix G):
 //!
 //! * no recursion (direct or mutual);
+//! * no two globals share a name, and no array has length zero;
 //! * every `IN()` reads a declared sensor channel;
 //! * every `let`, input and call destination binds a declared local of
 //!   its function, never the name of one of its by-ref parameters;
@@ -34,6 +35,21 @@ pub fn validate(p: &Program) -> Result<()> {
         return Err(IrError::validate(
             "`main` takes parameters, but the runtime calls it with none",
         ));
+    }
+    let mut globals = HashSet::new();
+    for g in &p.globals {
+        if !globals.insert(&g.name) {
+            return Err(IrError::validate(format!(
+                "global `{}` is declared twice",
+                g.name
+            )));
+        }
+        if g.array_len == Some(0) {
+            return Err(IrError::validate(format!(
+                "array `{}` is declared with length 0",
+                g.name
+            )));
+        }
     }
     for f in &p.funcs {
         validate_function(p, f)?;
@@ -500,6 +516,26 @@ mod tests {
         }
         // A by-value parameter may still be rebound.
         check("fn f(a) { let a = a + 1; out(log, a); } fn main() { f(1); }").unwrap();
+    }
+
+    #[test]
+    fn rejects_duplicate_globals() {
+        for src in [
+            "nv g = 1; nv g = 2; fn main() { g = g + 1; }",
+            "nv g = 1; nv g[2]; fn main() { g = 1; }",
+        ] {
+            let err = check(src).unwrap_err().to_string();
+            assert!(err.contains("global `g` is declared twice"), "{err}");
+        }
+    }
+
+    #[test]
+    fn rejects_zero_length_arrays() {
+        let err = check("nv a[0]; fn main() { a[0] = 1; }")
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("array `a` is declared with length 0"), "{err}");
+        check("nv a[1]; fn main() { a[0] = 1; }").unwrap();
     }
 
     #[test]

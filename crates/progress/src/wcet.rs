@@ -13,21 +13,23 @@
 //! continuous-power execution, the cycles the `ocelot-runtime` machine
 //! charges along the analyzed path are at most the value computed here
 //! (an integration property test checks exactly this). Conservatism
-//! comes from three places: both branch arms are maximized, every
-//! non-volatile write inside an atomic region is priced with an
-//! undo-log word (the runtime logs each location once), and region
-//! entries are priced as outer entries that checkpoint the worst-case
-//! stack of [`crate::stack`].
+//! comes from four places: both branch arms are maximized, a store
+//! that may find its local unbound ([`StoreClass::MaybeNv`]) is priced
+//! as the non-volatile write it may become, every non-volatile write
+//! inside an atomic region is priced with an undo-log word (the runtime
+//! logs each location once), and region entries are priced as outer
+//! entries that checkpoint the worst-case stack of [`crate::stack`].
 
 use crate::bounds::LoopBound;
 use crate::error::ProgressError;
 use crate::graph::{chain_to_use, points, BlockGraph, BlockGraphs, Run};
 use crate::stack::StackModel;
 use ocelot_analysis::dom::Point;
+use ocelot_analysis::{StoreClass, StoreClasses};
 use ocelot_core::{visit_covered, RegionInfo};
 use ocelot_hw::energy::{CostModel, Entry, Facts, Priced};
 use ocelot_ir::callgraph::CallGraph;
-use ocelot_ir::{BlockId, FuncId, Function, InstrRef, Label, Op, Place, Program, RegionId};
+use ocelot_ir::{BlockId, FuncId, Function, InstrRef, Label, Op, Program, RegionId};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -42,6 +44,8 @@ pub struct WcetAnalysis<'p> {
     /// atomic region (including transitively-called function bodies),
     /// so an NV write there pays an undo-log entry.
     covered: Vec<Vec<bool>>,
+    /// The storage class of every store to a declared local.
+    stores: StoreClasses,
     /// Eager undo-log size per region.
     omega: BTreeMap<RegionId, usize>,
     /// Worst-case complete execution of each function, entry through
@@ -114,6 +118,7 @@ impl<'p> WcetAnalysis<'p> {
             costs: costs.clone(),
             stack: StackModel::new(p),
             covered,
+            stores: StoreClasses::analyze(p),
             omega,
             func_wcet: vec![Ok(0); p.funcs.len()],
             block_wcet: vec![Vec::new(); p.funcs.len()],
@@ -482,13 +487,13 @@ impl<'p> WcetAnalysis<'p> {
     }
 
     /// The most the runtime can charge at one site: [`CostModel::price`]
-    /// under the worst-case facts. A store to anything but a declared
-    /// local is an NV write; inside a region, every NV write, and every
-    /// store through a by-ref parameter that may reach a global, pays an
-    /// undo-log word. A region entry is priced as an outer entry even
-    /// when nested (the runtime charges only an ALU bump when already
-    /// atomic), which is sound for functions reached both inside and
-    /// outside regions. A call adds the callee's whole-body bound.
+    /// under the worst-case facts. Only a [`StoreClass::Volatile`] store
+    /// is priced as a volatile write; every other store may be an NV
+    /// write, which inside a region pays an undo-log word. A region
+    /// entry is priced as an outer entry even when nested (the runtime
+    /// charges only an ALU bump when already atomic), which is sound
+    /// for functions reached both inside and outside regions. A call
+    /// adds the callee's whole-body bound.
     fn worst_price(
         &self,
         f: &Function,
@@ -496,18 +501,15 @@ impl<'p> WcetAnalysis<'p> {
         at: Priced<'_>,
     ) -> Result<u64, ProgressError> {
         let facts = match at {
-            Priced::Op(Op::Assign { place, .. }) => {
+            Priced::Op(Op::Assign { .. }) => {
                 let logged = self.covered[f.id.0 as usize]
                     .get(label.0 as usize)
                     .copied()
                     .unwrap_or(false);
-                match place {
-                    Place::Var(x) if f.declares(x) => {
-                        Facts::store(false, logged && f.is_by_ref_param(x))
-                    }
-                    Place::Var(_) | Place::Index(..) | Place::Deref(_) => {
-                        Facts::store(true, logged)
-                    }
+                let site = InstrRef { func: f.id, label };
+                match self.stores.class(site) {
+                    Some(StoreClass::Volatile) => Facts::store(false, false),
+                    Some(StoreClass::MaybeNv) | None => Facts::store(true, logged),
                 }
             }
             Priced::Op(Op::Call { callee, .. }) => Facts::callee(self.func_wcet(*callee)?),

@@ -50,13 +50,10 @@
 
 use crate::machine::{eval_binop, Machine};
 use ocelot_analysis::chains::ChainId;
-use ocelot_analysis::dom::{point_dominates, DomTree, Point};
-use ocelot_analysis::FuncSsa;
+use ocelot_analysis::{FuncSsa, StoreClass};
 use ocelot_hw::energy::{Facts, Priced};
 use ocelot_ir::ast::{Arg, BinOp, Expr, UnOp};
-use ocelot_ir::cfg::Cfg;
 use ocelot_ir::{BlockId, FuncId, Function, InstrRef, Label, Op, Place, RegionId, Terminator};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::memory::ParamBind;
@@ -245,11 +242,8 @@ pub(crate) enum Action<'p> {
         /// Its initializer.
         src: CExpr<'p>,
     },
-    /// Store to a declared local or value parameter with a dominating
-    /// binding, or to a reclassified always-bound local, whose store
-    /// binds the slot when it is unbound instead of falling back to the
-    /// non-volatile cell (no read can observe the difference — every
-    /// read is dominated by a write).
+    /// A [`StoreClass::Volatile`] store to a declared local or value
+    /// parameter: it writes the slot, binding it if need be.
     AssignLocal {
         /// The volatile destination slot.
         slot: u32,
@@ -279,9 +273,9 @@ pub(crate) enum Action<'p> {
         /// Stored value.
         src: CExpr<'p>,
     },
-    /// Store to a declared local that may still be unbound here: the
-    /// frame slot while it is bound, otherwise the non-volatile cell of
-    /// the local's name.
+    /// A [`StoreClass::MaybeNv`] store, to a declared local that may
+    /// still be unbound here: the frame slot while it is bound,
+    /// otherwise the non-volatile cell of the local's name.
     AssignDyn {
         /// The volatile slot.
         slot: u32,
@@ -403,57 +397,12 @@ pub(crate) fn compile<'p>(m: &Machine<'p>) -> CompiledProgram<'p> {
             .funcs
             .iter()
             .map(|f| {
-                let binds = Bindings::of(f);
                 let mut blocks: Vec<CompiledBlock<'p>> =
-                    f.blocks.iter().map(|b| cx.block(f, &binds, b)).collect();
+                    f.blocks.iter().map(|b| cx.block(f, b)).collect();
                 extend_batches_across_jumps(&mut blocks);
                 CompiledFunc { blocks }
             })
             .collect(),
-    }
-}
-
-/// Definite-assignment information for one function: where each local
-/// is bound (`let`, input, call destination). The surface language has
-/// no block scoping, so a local introduced inside a `repeat 0 { .. }`
-/// body is *in scope* but possibly never bound at a later assignment —
-/// the interpreter then charges an NV write and stores non-volatile.
-/// Static local classification is licensed only when a binding site
-/// dominates the store.
-struct Bindings {
-    dom: DomTree,
-    defs: BTreeMap<String, Vec<Point>>,
-}
-
-impl Bindings {
-    fn of(f: &Function) -> Self {
-        let cfg = Cfg::new(f);
-        let dom = DomTree::dominators(f, &cfg);
-        let mut defs: BTreeMap<String, Vec<Point>> = BTreeMap::new();
-        for b in &f.blocks {
-            for (i, inst) in b.instrs.iter().enumerate() {
-                let var = match &inst.op {
-                    Op::Bind { var, .. } | Op::Input { var, .. } => Some(var),
-                    Op::Call { dst: Some(d), .. } => Some(d),
-                    _ => None,
-                };
-                if let Some(v) = var {
-                    defs.entry(v.clone()).or_default().push(Point::new(b.id, i));
-                }
-            }
-        }
-        Bindings { dom, defs }
-    }
-
-    /// True when every path to `at` binds `x` first (a value parameter,
-    /// or a dominating binding site).
-    fn surely_bound(&self, f: &Function, x: &str, at: Point) -> bool {
-        if f.params.iter().any(|p| p.name == x && !p.by_ref) {
-            return true;
-        }
-        self.defs
-            .get(x)
-            .is_some_and(|ds| ds.iter().any(|d| point_dominates(&self.dom, *d, at)))
     }
 }
 
@@ -464,17 +413,11 @@ struct Cx<'a, 'p> {
 }
 
 impl<'p> Cx<'_, 'p> {
-    fn block(
-        &self,
-        f: &'p Function,
-        binds: &Bindings,
-        b: &'p ocelot_ir::Block,
-    ) -> CompiledBlock<'p> {
+    fn block(&self, f: &'p Function, b: &'p ocelot_ir::Block) -> CompiledBlock<'p> {
         let mut steps: Vec<Step<'p>> = b
             .instrs
             .iter()
-            .enumerate()
-            .map(|(i, inst)| self.instr(f, binds, Point::new(b.id, i), inst.label, &inst.op))
+            .map(|inst| self.instr(f, inst.label, &inst.op))
             .collect();
         steps.push(self.terminator(f, b.term_label, &b.term));
         let nj = steps
@@ -539,10 +482,10 @@ impl<'p> Cx<'_, 'p> {
     /// happens, keeping binding state and checkpoint word counts
     /// identical, but the unread value's evaluation is gone); otherwise
     /// it is [`Cx::value_src`]. Only `Bind` stores and `AssignLocal`
-    /// stores (surely bound, or reclassified so the store binds the
-    /// slot) reach this point; an assignment to a possibly-unbound local
-    /// compiles to `AssignDyn`, whose store may reach the non-volatile
-    /// fallback a later run could read, and never shrinks.
+    /// ([`StoreClass::Volatile`]) stores reach this point; a
+    /// [`StoreClass::MaybeNv`] store compiles to `AssignDyn`, whose store
+    /// may reach the non-volatile fallback a later run could read, and
+    /// never shrinks.
     fn store_src(&self, f: &'p Function, label: Label, src: &'p Expr) -> CExpr<'p> {
         if self.facts(f).dead_defs.contains(&label) {
             return CExpr::Const(0);
@@ -598,14 +541,7 @@ impl<'p> Cx<'_, 'p> {
         }
     }
 
-    fn instr(
-        &self,
-        f: &'p Function,
-        binds: &Bindings,
-        at: Point,
-        label: ocelot_ir::Label,
-        op: &'p Op,
-    ) -> Step<'p> {
+    fn instr(&self, f: &'p Function, label: ocelot_ir::Label, op: &'p Op) -> Step<'p> {
         // Every cost comes from the one price function the interpreter
         // charges through; stores the compiler classifies statically
         // supply their facts here, the rest are priced per execution.
@@ -622,29 +558,18 @@ impl<'p> Cx<'_, 'p> {
                 },
             ),
             Op::Assign { place, src } => {
+                let class = self.m.core.stores.class(InstrRef { func: f.id, label });
                 match place {
-                    // Static local classification needs a dominating
-                    // binding — or the reclassification proof that the
-                    // local is always bound before any read (then the
-                    // store itself binds the slot; the interpreter's NV
-                    // fallback for in-scope-but-unbound locals was
-                    // over-conservative and is fixed to match).
-                    Place::Var(x)
-                        if f.declares(x)
-                            && (binds.surely_bound(f, x, at)
-                                || self.m.core.reclass[f.id.0 as usize].contains(x.as_str())) =>
-                    {
-                        (
-                            fixed_store(false),
-                            Cat::Compute,
-                            Action::AssignLocal {
-                                slot: self.m.core.layouts.local(f.id, x),
-                                src: self.store_src(f, label, src),
-                            },
-                        )
-                    }
+                    Place::Var(x) if class == Some(StoreClass::Volatile) => (
+                        fixed_store(false),
+                        Cat::Compute,
+                        Action::AssignLocal {
+                            slot: self.m.core.layouts.local(f.id, x),
+                            src: self.store_src(f, label, src),
+                        },
+                    ),
                     // A possibly-unbound local: run it dynamically.
-                    Place::Var(x) if f.declares(x) => (
+                    Place::Var(x) if class == Some(StoreClass::MaybeNv) => (
                         Cost::Dynamic(op),
                         Cat::Compute,
                         Action::AssignDyn {
@@ -1319,16 +1244,34 @@ mod tests {
         assert!(saw_fold, "the program has a constant branch");
     }
 
+    /// The classes of `main`'s stores to its source-level locals.
+    fn main_store_classes(m: &Machine<'_>, p: &Program) -> Vec<Option<StoreClass>> {
+        let f = p.func(p.main);
+        f.iter_insts()
+            .filter(|(_, i)| {
+                matches!(&i.op, Op::Assign { place: Place::Var(x), .. } if !x.starts_with('$'))
+            })
+            .map(|(_, i)| {
+                m.core.stores.class(InstrRef {
+                    func: f.id,
+                    label: i.label,
+                })
+            })
+            .collect()
+    }
+
     #[test]
     fn dead_stores_to_always_bound_locals_shrink_to_const_zero() {
-        // `a` is never read again: the stored value is unobservable, so
-        // the compile pass shrinks the source to a literal (the slot
-        // write itself is kept — binding state and checkpoint size must
-        // not change).
-        let p = irc("nv g = 5; fn main() { let a = g; out(log, 1); }").unwrap();
+        // `a` is never read again: the stored values are unobservable,
+        // so the compile pass shrinks each source to a literal (the slot
+        // writes themselves are kept — binding state and checkpoint size
+        // must not change).
+        let p = irc("nv g = 5; fn main() { let a = g; a = g + 1; out(log, 1); }").unwrap();
         let m = machine_for(&p);
+        assert_eq!(main_store_classes(&m, &p), [Some(StoreClass::Volatile)]);
         let cp = compile(&m);
-        let zero_binds = main_actions(&cp, &p)
+        let actions = main_actions(&cp, &p);
+        let zero_binds = actions
             .iter()
             .filter(|a| {
                 matches!(
@@ -1343,19 +1286,29 @@ mod tests {
         // The lowering's `let $ret = 0` is a literal zero bind; the
         // shrink adds `a`'s.
         assert_eq!(zero_binds, 2, "the dead read of g was dropped");
+        assert!(
+            actions.iter().any(|a| matches!(
+                a,
+                Action::AssignLocal {
+                    src: CExpr::Const(0),
+                    ..
+                }
+            )),
+            "the dead volatile store shrank too"
+        );
     }
 
     #[test]
     fn dead_stores_to_possibly_unbound_locals_shrink_to_const_zero() {
         // `t` is bound on one arm only and read at the join, so it is
-        // not always bound; its `let` is still a dead def (the arm
-        // overwrites it before any read) and a `Bind`, which writes the
-        // volatile slot like any other, so its source shrinks too.
+        // not written before every read; its `let` is still a dead def
+        // (the arm overwrites it before any read) and a `Bind`, which
+        // writes the volatile slot like any other, so its source shrinks
+        // too. The overwrite is `Volatile` because the `let` reaches it.
         let p =
             irc("nv g = 5; fn main() { if g > 0 { let t = g; t = g + 1; } out(log, t); }").unwrap();
         let m = machine_for(&p);
-        let facts = &m.core.ssa.funcs[p.main.0 as usize];
-        assert!(!facts.always_bound.contains("t"));
+        assert_eq!(main_store_classes(&m, &p), [Some(StoreClass::Volatile)]);
         let cp = compile(&m);
         let zero_binds = main_actions(&cp, &p)
             .iter()
@@ -1442,21 +1395,59 @@ mod tests {
     }
 
     #[test]
+    fn dead_maybe_nv_stores_keep_their_value_for_the_next_run() {
+        // Nothing reads `a` after `a = g + 5` in a run, so the store is a
+        // dead def, but it is `MaybeNv`: with `a` unbound it writes `a`'s
+        // non-volatile cell, which the next run's `out(log, a)` reads.
+        let p = irc("nv g = 0; fn main() { if g { let a = 1; } out(log, a); a = g + 5; }").unwrap();
+        let traces = [crate::ExecBackend::Interp, crate::ExecBackend::Compiled].map(|b| {
+            let mut m = machine_for(&p).with_backend(b);
+            for _ in 0..2 {
+                m.run_once(crate::MAX_STEPS);
+            }
+            m.take_trace()
+        });
+        let outputs: Vec<i64> = traces[0]
+            .iter()
+            .filter_map(|o| match o {
+                crate::Obs::Output { values, .. } => Some(values[0]),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(outputs, [0, 5]);
+        assert_eq!(traces[0], traces[1]);
+    }
+
+    #[test]
     fn reclassified_locals_compile_to_binding_slot_stores() {
         // `a` is declared on one branch only, then assigned and read on
         // the join path: in-scope-but-unbound at the assignment, but
-        // provably dead-on-reboot (every read is preceded by the store),
-        // so it is reclassified as a volatile slot store that binds.
-        let p = irc("nv g = 0; fn main() { if g { let a = 1; out(log, a); } a = 2; out(log, a); }")
-            .unwrap();
-        let m = machine_for(&p);
-        let cp = compile(&m);
-        let bound = main_actions(&cp, &p)
-            .iter()
-            .any(|a| matches!(a, Action::AssignLocal { .. }));
-        assert!(
-            bound,
-            "the unbound-on-entry store compiles to a binding slot write"
-        );
+        // every read follows a write, so the store is `Volatile` and
+        // compiles to a slot write that binds. When a read can see `a`
+        // unbound, the store is `MaybeNv` and stays dynamic.
+        for (src, class) in [
+            (
+                "nv g = 0; fn main() { if g { let a = 1; out(log, a); } a = 2; out(log, a); }",
+                StoreClass::Volatile,
+            ),
+            (
+                "nv g = 0; fn main() { if g { let a = 1; } a = a + 2; out(log, a); }",
+                StoreClass::MaybeNv,
+            ),
+        ] {
+            let p = irc(src).unwrap();
+            let m = machine_for(&p);
+            assert_eq!(main_store_classes(&m, &p), [Some(class)], "{src}");
+            let cp = compile(&m);
+            let stores: Vec<bool> = main_actions(&cp, &p)
+                .iter()
+                .filter_map(|a| match a {
+                    Action::AssignLocal { .. } => Some(true),
+                    Action::AssignDyn { .. } => Some(false),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(stores, [class == StoreClass::Volatile], "{src}");
+        }
     }
 }

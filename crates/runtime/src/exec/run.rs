@@ -196,7 +196,7 @@ impl<'p> Machine<'p> {
                 self.supply.consume(self.core.costs.cycles_to_nj(cycles))
             }
             Cost::Dynamic(op) => {
-                let cycles = self.op_cost(op);
+                let cycles = self.op_cost(here, op);
                 self.book_breakdown(step, cycles);
                 self.charge(cycles)
             }
@@ -244,9 +244,7 @@ impl<'p> Machine<'p> {
             Action::Skip => {
                 self.advance();
             }
-            // A reclassified always-bound local binds its slot on first
-            // store (dead-on-reboot by SSA liveness); any other
-            // `AssignLocal` slot is already bound.
+            // A `Volatile` store binds its slot if no binding has yet.
             Action::Bind { dst: slot, src } | Action::AssignLocal { slot, src } => {
                 self.store_slot(*slot, src);
                 self.advance();

@@ -39,7 +39,7 @@ use crate::obs::{Obs, ObsLog};
 use crate::stats::Stats;
 use ocelot_analysis::chains::{ChainId, ChainTable};
 use ocelot_analysis::taint::Prov;
-use ocelot_analysis::ProgramSsa;
+use ocelot_analysis::{ProgramSsa, StoreClass, StoreClasses};
 use ocelot_core::{PolicyKind, PolicySet, RegionInfo};
 use ocelot_hw::energy::{CostModel, Entry, Facts, PowerEvent, Priced};
 use ocelot_hw::power::PowerSupply;
@@ -213,8 +213,8 @@ pub struct MachineCore<'p> {
     /// environments against it, because [`SensorRt::chan`] bakes these
     /// indexes into the input path.
     pub(crate) channels: Vec<(String, usize)>,
-    /// Whole-program SSA facts (constant uses, dead defs, always-bound
-    /// locals) the optimizing compile passes consume, indexed by
+    /// Whole-program SSA facts (constant uses, dead defs) the
+    /// optimizing compile passes consume, indexed by
     /// [`ocelot_ir::ir::FuncId`]. Shared by every core
     /// [`MachineCore::for_environment`] derives.
     pub(crate) ssa: Arc<ProgramSsa>,
@@ -223,11 +223,11 @@ pub struct MachineCore<'p> {
     /// stats-only core observes no dependency set, so the compile pass
     /// evaluates its stores, arguments, returns and outputs value-only.
     pub(crate) traced: bool,
-    /// Per-function always-bound locals (declared, never address-taken,
-    /// every read dominated by a write): stores to these never reach
-    /// non-volatile memory, so both backends bind the volatile slot
-    /// instead of falling back to an NV cell. Indexed by function id.
-    pub(crate) reclass: Arc<Vec<BTreeSet<String>>>,
+    /// The storage class of every store to a declared local, which
+    /// both engines read: a [`StoreClass::Volatile`] store writes (and
+    /// binds) its slot, a [`StoreClass::MaybeNv`] one checks at run time
+    /// whether the slot is bound.
+    pub(crate) stores: Arc<StoreClasses>,
     /// The compiled program shared by every injector-free device on
     /// this core, built once on the first compiled run. Machines with
     /// injector targets compile privately (injection sites are baked
@@ -278,9 +278,11 @@ pub struct DeviceState {
     /// check sites reached and resolved against the bit vector). Not
     /// part of [`Stats`]; both backends count it alike.
     pub(crate) checks_probed: u64,
-    /// Scalar writes that reached non-volatile memory through the
-    /// unbound-local fallback or a global store. Not part of [`Stats`];
-    /// measures the store-reclassification fix.
+    /// Scalar writes that reached non-volatile memory: stores to a
+    /// global, directly or through a reference, and
+    /// [`StoreClass::MaybeNv`] stores that found their local unbound.
+    /// Not part of [`Stats`]; a [`StoreClass::Volatile`] store never
+    /// counts here.
     pub(crate) nv_scalar_writes: u64,
 }
 
@@ -587,9 +589,6 @@ impl<'p> MachineCore<'p> {
             }
         }
 
-        let ssa = ProgramSsa::analyze(p);
-        let reclass = Arc::new(ssa.funcs.iter().map(|fs| fs.always_bound.clone()).collect());
-
         MachineCore {
             p,
             policies,
@@ -604,9 +603,9 @@ impl<'p> MachineCore<'p> {
             sensor_rt,
             channel_names,
             channels: channel_layout(env),
-            ssa: Arc::new(ssa),
+            ssa: Arc::new(ProgramSsa::analyze(p)),
             traced: false,
-            reclass,
+            stores: Arc::new(StoreClasses::analyze(p)),
             shared_compiled: OnceLock::new(),
         }
     }
@@ -638,7 +637,7 @@ impl<'p> MachineCore<'p> {
             channels: channel_layout(env),
             ssa: Arc::clone(&self.ssa),
             traced: self.traced,
-            reclass: Arc::clone(&self.reclass),
+            stores: Arc::clone(&self.stores),
             shared_compiled: OnceLock::new(),
         }
     }
@@ -951,7 +950,7 @@ impl<'p> Machine<'p> {
         };
         let cycles = match work {
             WorkItem::Term(t) => self.core.costs.price(Priced::Term(t), Facts::default()),
-            WorkItem::Inst(op) => self.op_cost(op),
+            WorkItem::Inst(op) => self.op_cost(here, op),
         };
         match work {
             WorkItem::Inst(Op::Input { .. }) => self.dev.stats.breakdown.input += cycles,
@@ -989,9 +988,9 @@ impl<'p> Machine<'p> {
     /// Cycles `op` costs in the current machine state: the shared
     /// [`CostModel::price`] over the facts this state decides. Both
     /// backends' state-dependent steps are charged here.
-    pub(crate) fn op_cost(&self, op: &Op) -> u64 {
+    pub(crate) fn op_cost(&self, here: InstrRef, op: &Op) -> u64 {
         let facts = match op {
-            Op::Assign { place, .. } => Facts::store(self.store_is_nv(place), false),
+            Op::Assign { place, .. } => Facts::store(self.store_is_nv(here, place), false),
             Op::AtomStart { region } => Facts::entry(self.region_entry(*region)),
             // The callee's body is charged as it runs.
             _ => Facts::default(),
@@ -999,19 +998,18 @@ impl<'p> Machine<'p> {
         self.core.costs.price(Priced::Op(op), facts)
     }
 
-    /// Whether a store to `place` in the current frame hits non-volatile
-    /// memory: an unbound destination or a reference into a global does.
-    /// The undo-log word is charged separately, on the first logged
-    /// write ([`Machine::nv_write_scalar`]).
-    fn store_is_nv(&self, place: &Place) -> bool {
+    /// Whether the store at `here` to `place` hits non-volatile memory: a
+    /// [`StoreClass::MaybeNv`] store whose local is unbound in the
+    /// current frame does, and so does a store to a global, directly or
+    /// through a reference. The undo-log word is charged separately, on
+    /// the first logged write ([`Machine::nv_write_scalar`]).
+    fn store_is_nv(&self, here: InstrRef, place: &Place) -> bool {
         match place {
-            // Always-bound locals (every read dominated by a write) bind
-            // their volatile slot on first store instead of leaking to
-            // NV — the store-reclassification fix. This is also what the
-            // WCET analysis assumes when it prices declared-local stores
-            // as volatile.
-            Place::Var(x) if !self.is_local(x) => !self.reclassified_local(x),
-            Place::Var(_) => false,
+            Place::Var(x) => match self.core.stores.class(here) {
+                Some(StoreClass::Volatile) => false,
+                Some(StoreClass::MaybeNv) => !self.is_local(x),
+                None => true,
+            },
             Place::Index(..) => true,
             Place::Deref(x) => matches!(self.ref_target(x), RefTarget::Global(_)),
         }
@@ -1270,7 +1268,7 @@ impl<'p> Machine<'p> {
             }
             Op::Assign { place, src } => {
                 let v = self.eval(src);
-                self.write_place(place, v);
+                self.write_place(here, place, v);
                 self.advance();
             }
             Op::Input { var, sensor } => {
@@ -1575,20 +1573,6 @@ impl<'p> Machine<'p> {
     // Values and memory
     // ------------------------------------------------------------------
 
-    /// True when `name` is an always-bound local of the current frame's
-    /// function (declared, never address-taken, no read can observe its
-    /// uninitialized entry value). Stores to these bind the volatile
-    /// slot even when it is not yet bound on this path — they can never
-    /// be read before a write, so the non-volatile fallback the
-    /// unbound-store path used to take was pure overhead (and leaked
-    /// the value into a same-named global's NV cell).
-    pub(crate) fn reclassified_local(&self, name: &str) -> bool {
-        match self.dev.vol.top() {
-            Some(f) => self.core.reclass[f.func.0 as usize].contains(name),
-            None => false,
-        }
-    }
-
     /// True when `name` is a bound local of the current frame.
     pub(crate) fn is_local(&self, name: &str) -> bool {
         let Some(f) = self.dev.vol.top() else {
@@ -1690,27 +1674,21 @@ impl<'p> Machine<'p> {
         }
     }
 
-    pub(crate) fn write_place(&mut self, place: &Place, v: Tainted) {
+    /// Stores `v` to `place` by the store at `here`.
+    pub(crate) fn write_place(&mut self, here: InstrRef, place: &Place, v: Tainted) {
         match place {
             Place::Var(x) => {
-                let func = self.dev.vol.top().expect("frame exists").func;
-                let slot = self.core.layouts.slot(func, x);
                 let top = self.dev.vol.top_mut().expect("frame exists");
-                if let Some(s) = slot {
-                    if top.get_slot(s).is_some() {
-                        top.set_slot(s, v);
-                        return;
-                    }
-                }
-                if let Some(s) =
-                    slot.filter(|_| self.core.reclass[func.0 as usize].contains(x.as_str()))
-                {
-                    // Always-bound local: bind the slot (see
-                    // [`Machine::reclassified_local`]); never NV.
-                    top.set_slot(s, v);
-                } else {
+                // A `Volatile` store writes its slot, binding it if need
+                // be; a `MaybeNv` one writes it only if it is bound.
+                let slot = self.core.stores.class(here).and_then(|class| {
+                    Some(self.core.layouts.local(top.func, x))
+                        .filter(|&s| class == StoreClass::Volatile || top.get_slot(s).is_some())
+                });
+                match slot {
+                    Some(s) => top.set_slot(s, v),
                     // A global, or an in-scope but unbound local.
-                    self.nv_write_scalar(self.core.nv.scalar_slot(x), v);
+                    None => self.nv_write_scalar(self.core.nv.scalar_slot(x), v),
                 }
             }
             Place::Index(a, i) => {

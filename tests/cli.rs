@@ -160,6 +160,36 @@ fn run_rejects_a_let_of_a_reference_parameter_on_both_engines() {
     assert_eq!(errors[0], errors[1]);
 }
 
+/// Runs `src` on continuous power and expects validation to refuse it
+/// with `message`.
+fn run_is_refused(file: &str, src: &str, message: &str) {
+    let tmp = std::env::temp_dir().join(file);
+    std::fs::write(&tmp, src).unwrap();
+    let (ok, stdout, stderr) = ocelotc(&["run", tmp.to_str().unwrap(), "--continuous"]);
+    assert!(!ok, "{stdout}");
+    assert!(stderr.contains(message), "{stderr}");
+}
+
+#[test]
+fn run_rejects_duplicate_globals() {
+    // Once accepted: the runtime read and wrote the second `g`'s cell.
+    run_is_refused(
+        "ocelot_cli_dup_global.oc",
+        "nv g = 1; nv g = 2; fn main() { g = g + 1; out(log, g); }",
+        "global `g` is declared twice",
+    );
+}
+
+#[test]
+fn run_rejects_zero_length_arrays() {
+    // Once accepted: the store was dropped and the read gave 0.
+    run_is_refused(
+        "ocelot_cli_empty_array.oc",
+        "nv a[0]; fn main() { a[0] = 1; out(log, a[0]); }",
+        "array `a` is declared with length 0",
+    );
+}
+
 #[test]
 fn policies_lists_chains_and_uses() {
     let (ok, stdout, _) = ocelotc(&["policies", "examples/programs/confirm.oc"]);
