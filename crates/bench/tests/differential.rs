@@ -133,6 +133,21 @@ fn backends_agree_on_all_six_paper_apps() {
 // Generated programs
 // ---------------------------------------------------------------------
 
+/// The sensors of a generated program: a noisy `s0` seeded by the
+/// program's seed and a constant `s1`.
+fn generated_env(seed: u64) -> ocelot_hw::sensors::Environment {
+    ocelot_hw::sensors::Environment::new()
+        .with(
+            "s0",
+            ocelot_hw::sensors::Signal::Noisy {
+                base: Box::new(ocelot_hw::sensors::Signal::Constant(15)),
+                amplitude: 6,
+                seed,
+            },
+        )
+        .with("s1", ocelot_hw::sensors::Signal::Constant(4))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -162,13 +177,7 @@ proptest! {
         let budgets: Vec<f64> = (0..budget_count)
             .map(|i| (100 + (seed.rotate_left(i as u32 * 7) % 90) * budget_scale) as f64)
             .collect();
-        let env = ocelot_hw::sensors::Environment::new()
-            .with("s0", ocelot_hw::sensors::Signal::Noisy {
-                base: Box::new(ocelot_hw::sensors::Signal::Constant(15)),
-                amplitude: 6,
-                seed,
-            })
-            .with("s1", ocelot_hw::sensors::Signal::Constant(4));
+        let env = generated_env(seed);
 
         for supply in [
             Supply::Continuous,
@@ -189,6 +198,42 @@ proptest! {
             );
         }
     }
+}
+
+/// Generated program 1911's second run never leaves a loop that
+/// samples `s0` and folds each sample into the global `g1` through a
+/// by-ref call, so it ends at the step budget with a dependency set
+/// that grew by one timestamp per iteration, and every combine unions
+/// that set. Both engines, on traced cores, still agree at the full
+/// budget.
+#[test]
+fn folding_every_sample_into_one_global_agrees_at_the_full_budget() {
+    let seed = 1911;
+    let src = SourceGen::generate(seed);
+    let (program, regions, policies) = build_src(&src);
+    let mk = |backend| {
+        observe(
+            &program,
+            &regions,
+            &policies,
+            generated_env(seed),
+            CostModel::default(),
+            Supply::Continuous.build(),
+            backend,
+            2,
+            false,
+        )
+    };
+    let interp = mk(ExecBackend::Interp);
+    assert_eq!(
+        interp.outcomes,
+        [
+            RunOutcome::Completed { violated: false },
+            RunOutcome::StepLimit
+        ],
+        "the second run loops to the budget:\n{src}"
+    );
+    assert_eq!(interp, mk(ExecBackend::Compiled), "diverged on:\n{src}");
 }
 
 /// The generator itself stays honest: everything it emits compiles and

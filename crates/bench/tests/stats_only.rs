@@ -28,14 +28,10 @@ use ocelot_runtime::stats::stats_to_json;
 use ocelot_runtime::{ExecBackend, Stats};
 use std::sync::Arc;
 
-/// Step budget per run. Every app run and most generated programs
-/// finish far below it; it bounds the generated loops that never exit.
-/// The dependency-tracking machines (both traced ones and the
-/// stats-only interpreter) copy a dependency set per combine, so a
-/// step-limited loop that folds every sample into one global costs time
-/// quadratic in the budget: at 200,000 steps one such program (seed
-/// 1911) took ~37 s per cell in release.
-const MAX_STEPS: u64 = 50_000;
+/// Step budget per run, the differential suite's. Every app run and
+/// most generated programs finish far below it; it bounds the generated
+/// loops that never exit.
+const MAX_STEPS: u64 = 200_000;
 
 /// Runs per app cell: enough for the harvested supplies to drain.
 const APP_RUNS: u64 = 12;

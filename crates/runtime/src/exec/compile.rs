@@ -146,7 +146,7 @@ pub(crate) struct Step<'p> {
     /// True when the pathological injector targets this site.
     pub(crate) inject: bool,
     /// What the step does.
-    pub(crate) action: Action<'p>,
+    pub(crate) action: Action,
 }
 
 /// A step's cycle cost.
@@ -181,10 +181,11 @@ pub(crate) enum Cat {
 }
 
 /// How one by-ref argument resolves, classified at compile time.
-pub(crate) enum RefArgPlan<'p> {
-    /// The argument is itself a by-ref parameter of the caller:
-    /// forward its incoming target (dynamic probe).
-    Forward(&'p str),
+pub(crate) enum RefArgPlan {
+    /// The argument is itself a by-ref parameter of the caller, at this
+    /// position among the caller's references: forward its incoming
+    /// target.
+    Forward(u32),
     /// A declared caller local: its slot when bound at call time,
     /// otherwise the non-volatile cell of its name (the paper model's
     /// unbound-local fallback).
@@ -200,25 +201,25 @@ pub(crate) enum RefArgPlan<'p> {
 }
 
 /// One pre-resolved argument binding of a call.
-pub(crate) enum ArgBind<'p> {
+pub(crate) enum ArgBind {
     /// A by-value argument into a callee slot.
     Value {
         /// Callee-frame slot.
         slot: u32,
         /// Argument expression.
-        src: CExpr<'p>,
+        src: CExpr,
     },
-    /// A by-ref argument bound into the callee's reference map.
+    /// A by-ref argument bound into the callee's references.
     Ref {
-        /// Callee parameter name (shared, pre-interned).
-        param: Arc<str>,
+        /// The callee parameter's position among its references.
+        index: u32,
         /// Pre-classified target.
-        plan: RefArgPlan<'p>,
+        plan: RefArgPlan,
     },
 }
 
 /// Everything a call step needs, resolved once.
-pub(crate) struct CallPlan<'p> {
+pub(crate) struct CallPlan {
     /// Callee.
     pub(crate) callee: FuncId,
     /// Callee entry block.
@@ -228,11 +229,11 @@ pub(crate) struct CallPlan<'p> {
     /// Caller-frame return destination slot.
     pub(crate) ret_dst: Option<u32>,
     /// Argument bindings, in parameter order.
-    pub(crate) binds: Vec<ArgBind<'p>>,
+    pub(crate) binds: Vec<ArgBind>,
 }
 
 /// A pre-matched operation with pre-resolved storage.
-pub(crate) enum Action<'p> {
+pub(crate) enum Action {
     /// `skip` and (unerased) annotations.
     Skip,
     /// `let var = src`.
@@ -240,7 +241,7 @@ pub(crate) enum Action<'p> {
         /// The local's slot.
         dst: u32,
         /// Its initializer.
-        src: CExpr<'p>,
+        src: CExpr,
     },
     /// A [`StoreClass::Volatile`] store to a declared local or value
     /// parameter: it writes the slot, binding it if need be.
@@ -248,30 +249,31 @@ pub(crate) enum Action<'p> {
         /// The volatile destination slot.
         slot: u32,
         /// Stored value.
-        src: CExpr<'p>,
+        src: CExpr,
     },
     /// Store to a declared scalar global, slot-resolved.
     AssignGlobal {
         /// Non-volatile scalar slot.
         slot: usize,
         /// Stored value.
-        src: CExpr<'p>,
+        src: CExpr,
     },
     /// Store to an array cell.
     AssignIndex {
         /// Non-volatile array slot.
         slot: usize,
         /// Cell index expression.
-        idx: CExpr<'p>,
+        idx: CExpr,
         /// Stored value.
-        src: CExpr<'p>,
+        src: CExpr,
     },
     /// Store through a by-reference parameter (`*x = e`).
     AssignDeref {
-        /// The reference parameter.
-        var: &'p str,
+        /// The reference parameter's position among the frame's
+        /// references.
+        index: u32,
         /// Stored value.
-        src: CExpr<'p>,
+        src: CExpr,
     },
     /// A [`StoreClass::MaybeNv`] store, to a declared local that may
     /// still be unbound here: the frame slot while it is bound,
@@ -282,7 +284,7 @@ pub(crate) enum Action<'p> {
         /// The non-volatile fallback cell.
         nv: usize,
         /// Stored value.
-        src: CExpr<'p>,
+        src: CExpr,
     },
     /// `let var = IN(sensor)` — the collection core is shared with the
     /// interpreter; everything resolvable is resolved here.
@@ -300,14 +302,14 @@ pub(crate) enum Action<'p> {
     /// Function call, fully pre-planned.
     Call {
         /// The plan.
-        plan: CallPlan<'p>,
+        plan: CallPlan,
     },
     /// `out(channel, args)`.
     Output {
         /// Interned output channel name.
         channel: Arc<str>,
         /// Pre-lowered argument expressions.
-        args: Vec<CExpr<'p>>,
+        args: Vec<CExpr>,
     },
     /// `startatom` — delegated to the shared region-entry helper.
     AtomStart {
@@ -324,18 +326,18 @@ pub(crate) enum Action<'p> {
     /// Conditional branch.
     Branch {
         /// Branch condition.
-        cond: CExpr<'p>,
+        cond: CExpr,
         /// Target when true.
         then_bb: BlockId,
         /// Target when false.
         else_bb: BlockId,
     },
     /// Function return.
-    Ret(Option<CExpr<'p>>),
+    Ret(Option<CExpr>),
 }
 
 /// An expression with variable references classified at compile time.
-pub(crate) enum CExpr<'p> {
+pub(crate) enum CExpr {
     /// Integer or boolean literal.
     Const(i64),
     /// A declared local or value parameter: read the frame slot, or
@@ -349,19 +351,20 @@ pub(crate) enum CExpr<'p> {
     /// A declared scalar global: its non-volatile slot.
     Global(usize),
     /// `*x`, or a by-reference parameter `x` read by name: both read
-    /// through the target the call bound.
-    Deref(&'p str),
+    /// through the target the call bound, at this position among the
+    /// frame's references.
+    Deref(u32),
     /// `a[idx]`.
     Index {
         /// Pre-resolved array slot.
         slot: usize,
         /// Index expression.
-        idx: Box<CExpr<'p>>,
+        idx: Box<CExpr>,
     },
     /// Binary operation.
-    Binary(BinOp, Box<CExpr<'p>>, Box<CExpr<'p>>),
+    Binary(BinOp, Box<CExpr>, Box<CExpr>),
     /// Unary operation.
-    Unary(UnOp, Box<CExpr<'p>>),
+    Unary(UnOp, Box<CExpr>),
     /// `&x` in expression position (only valid in call args; evaluates
     /// to untainted 0, as in the interpreter).
     RefArg,
@@ -372,12 +375,12 @@ pub(crate) enum CExpr<'p> {
     /// and around every store index, whose set the store drops. A
     /// local store of one writes its slot in place. (Branch conditions
     /// need no wrapper: the run loop always evaluates them by value.)
-    PureOf(Box<CExpr<'p>>),
+    PureOf(Box<CExpr>),
 }
 
 /// Wraps an expression for value-only evaluation (no-op for constants,
 /// which are already dependency-free).
-fn pure_of(e: CExpr<'_>) -> CExpr<'_> {
+fn pure_of(e: CExpr) -> CExpr {
     match e {
         CExpr::Const(_) | CExpr::RefArg | CExpr::PureOf(_) => e,
         e => CExpr::PureOf(Box::new(e)),
@@ -437,7 +440,7 @@ impl<'p> Cx<'_, 'p> {
         label: ocelot_ir::Label,
         cost: Cost<'p>,
         cat: Cat,
-        action: Action<'p>,
+        action: Action,
     ) -> Step<'p> {
         let iref = InstrRef { func: f.id, label };
         Step {
@@ -468,7 +471,7 @@ impl<'p> Cx<'_, 'p> {
     /// a stats-only core, which observes no dependency set. A traced
     /// core tracks every set the interpreter tracks, so there `e` is
     /// left as it is.
-    fn value_src(&self, f: &'p Function, label: Label, e: &'p Expr) -> CExpr<'p> {
+    fn value_src(&self, f: &'p Function, label: Label, e: &'p Expr) -> CExpr {
         let c = self.expr(f, label, e);
         if self.m.core.traced {
             c
@@ -486,17 +489,23 @@ impl<'p> Cx<'_, 'p> {
     /// [`StoreClass::MaybeNv`] store compiles to `AssignDyn`, whose store
     /// may reach the non-volatile fallback a later run could read, and
     /// never shrinks.
-    fn store_src(&self, f: &'p Function, label: Label, src: &'p Expr) -> CExpr<'p> {
+    fn store_src(&self, f: &'p Function, label: Label, src: &'p Expr) -> CExpr {
         if self.facts(f).dead_defs.contains(&label) {
             return CExpr::Const(0);
         }
         self.value_src(f, label, src)
     }
 
+    /// The position of `x` among `f`'s references, if it is one of
+    /// `f`'s by-ref parameters.
+    fn ref_index(&self, f: &Function, x: &str) -> Option<u32> {
+        self.m.core.layouts.layout(f.id).ref_index(x)
+    }
+
     /// Classifies a by-ref argument (see [`RefArgPlan`]).
-    fn ref_arg(&self, f: &'p Function, x: &'p str) -> RefArgPlan<'p> {
-        if f.is_by_ref_param(x) {
-            RefArgPlan::Forward(x)
+    fn ref_arg(&self, f: &'p Function, x: &'p str) -> RefArgPlan {
+        if let Some(i) = self.ref_index(f, x) {
+            RefArgPlan::Forward(i)
         } else if let Some(slot) = self.m.core.layouts.slot(f.id, x) {
             RefArgPlan::LocalOrGlobal {
                 slot,
@@ -514,7 +523,7 @@ impl<'p> Cx<'_, 'p> {
         dst: Option<&'p str>,
         callee: FuncId,
         args: &'p [Arg],
-    ) -> CallPlan<'p> {
+    ) -> CallPlan {
         let callee_layout = self.m.core.layouts.layout(callee);
         let ret_dst = dst.map(|d| self.m.core.layouts.local(f.id, d));
         let binds = args
@@ -525,8 +534,8 @@ impl<'p> Cx<'_, 'p> {
                     slot: *slot,
                     src: self.value_src(f, label, e),
                 },
-                (Arg::Ref(x), ParamBind::Ref(name)) => ArgBind::Ref {
-                    param: Arc::clone(name),
+                (Arg::Ref(x), ParamBind::Ref(index)) => ArgBind::Ref {
+                    index: *index,
                     plan: self.ref_arg(f, x),
                 },
                 _ => unreachable!("validated calls match argument and parameter kinds"),
@@ -601,7 +610,7 @@ impl<'p> Cx<'_, 'p> {
                         Cost::Dynamic(op),
                         Cat::Compute,
                         Action::AssignDeref {
-                            var: x,
+                            index: self.ref_index(f, x).expect("`*x` names a by-ref parameter"),
                             src: self.value_src(f, label, src),
                         },
                     ),
@@ -680,7 +689,7 @@ impl<'p> Cx<'_, 'p> {
         self.step(f, label, cost, Cat::Compute, action)
     }
 
-    fn expr(&self, f: &'p Function, label: Label, e: &'p Expr) -> CExpr<'p> {
+    fn expr(&self, f: &'p Function, label: Label, e: &'p Expr) -> CExpr {
         match e {
             Expr::Int(n) => CExpr::Const(*n),
             Expr::Bool(b) => CExpr::Const(*b as i64),
@@ -691,8 +700,8 @@ impl<'p> Cx<'_, 'p> {
                 if let Some(k) = self.facts(f).const_uses.get(&(label, x.clone())) {
                     return CExpr::Const(*k);
                 }
-                if f.is_by_ref_param(x) {
-                    CExpr::Deref(x)
+                if let Some(i) = self.ref_index(f, x) {
+                    CExpr::Deref(i)
                 } else if f.declares(x) {
                     CExpr::Local {
                         slot: self.m.core.layouts.local(f.id, x),
@@ -702,7 +711,9 @@ impl<'p> Cx<'_, 'p> {
                     CExpr::Global(self.m.core.nv.scalar_slot(x))
                 }
             }
-            Expr::Deref(x) => CExpr::Deref(x),
+            Expr::Deref(x) => {
+                CExpr::Deref(self.ref_index(f, x).expect("`*x` names a by-ref parameter"))
+            }
             Expr::Ref(_) => CExpr::RefArg,
             Expr::Index(a, i) => CExpr::Index {
                 slot: self.m.core.nv.array_slot(a),
@@ -858,7 +869,7 @@ fn batchable(s: &Step<'_>) -> bool {
         && !matches!(s.action, Action::Input { .. } | Action::AtomStart { .. })
 }
 
-fn transfers_control(a: &Action<'_>) -> bool {
+fn transfers_control(a: &Action) -> bool {
     matches!(
         a,
         Action::Call { .. } | Action::Jump(_) | Action::Branch { .. } | Action::Ret(_)
@@ -1152,7 +1163,7 @@ mod tests {
     // -----------------------------------------------------------------
 
     /// Every `main` step of `cp`, the compiled `p`.
-    fn main_actions<'a>(cp: &'a CompiledProgram<'a>, p: &Program) -> Vec<&'a Action<'a>> {
+    fn main_actions<'a>(cp: &'a CompiledProgram<'a>, p: &Program) -> Vec<&'a Action> {
         cp.funcs[p.main.0 as usize]
             .blocks
             .iter()
@@ -1162,7 +1173,7 @@ mod tests {
 
     /// The store, argument, return and output sources of `a`: every
     /// expression whose dependency set a traced core tracks.
-    fn value_sources<'a>(a: &'a Action<'a>) -> Vec<&'a CExpr<'a>> {
+    fn value_sources(a: &Action) -> Vec<&CExpr> {
         match a {
             Action::Bind { src, .. }
             | Action::AssignLocal { src, .. }

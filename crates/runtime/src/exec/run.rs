@@ -261,9 +261,9 @@ impl<'p> Machine<'p> {
                 self.log_cell_undo(*slot, cell, old);
                 self.advance();
             }
-            Action::AssignDeref { var, src } => {
+            Action::AssignDeref { index, src } => {
                 let v = self.ceval(src);
-                self.write_target(self.ref_target(var), v);
+                self.write_target(self.ref_at(*index), v);
                 self.advance();
             }
             Action::AssignDyn { slot, nv, src } => {
@@ -309,9 +309,8 @@ impl<'p> Machine<'p> {
                             let v = self.ceval(src);
                             frame.set_slot(*slot, v);
                         }
-                        ArgBind::Ref { param, plan } => {
-                            let target = self.resolve_ref_plan(caller_idx, plan);
-                            frame.refs.insert(Arc::clone(param), target);
+                        ArgBind::Ref { index, plan } => {
+                            frame.bind_ref(*index, self.resolve_ref_plan(caller_idx, plan));
                         }
                     }
                 }
@@ -326,7 +325,7 @@ impl<'p> Machine<'p> {
                     let vals: Vec<Tainted> = args.iter().map(|e| m.ceval(e)).collect();
                     let mut deps = crate::memory::Deps::new();
                     for v in &vals {
-                        deps.extend(v.deps.iter().copied());
+                        deps.union_with(&v.deps);
                     }
                     Obs::Output {
                         at: here,
@@ -391,7 +390,7 @@ impl<'p> Machine<'p> {
     /// source — a stats-only core observes no dependency set — is
     /// evaluated by value only and written in place, with no taint set
     /// built or copied.
-    fn store_slot(&mut self, slot: u32, src: &CExpr<'p>) {
+    fn store_slot(&mut self, slot: u32, src: &CExpr) {
         match src {
             CExpr::PureOf(e) => {
                 let v = self.ceval_value(e);
@@ -410,9 +409,9 @@ impl<'p> Machine<'p> {
     /// caller frame, as the interpreter's `resolve_ref` does: a
     /// forwarded reference keeps its target, and a local is its slot
     /// while bound — whether it is bound is the only dynamic work left.
-    fn resolve_ref_plan(&self, caller_idx: usize, plan: &RefArgPlan<'p>) -> RefTarget {
+    fn resolve_ref_plan(&self, caller_idx: usize, plan: &RefArgPlan) -> RefTarget {
         match plan {
-            RefArgPlan::Forward(x) => self.resolve_ref(caller_idx, x),
+            RefArgPlan::Forward(i) => self.dev.vol.frames[caller_idx].ref_at(*i),
             RefArgPlan::LocalOrGlobal { slot, nv } => {
                 if self.dev.vol.frames[caller_idx].get_slot(*slot).is_some() {
                     RefTarget::Local {
@@ -429,7 +428,7 @@ impl<'p> Machine<'p> {
 
     /// Evaluates a pre-classified expression; equivalent to the
     /// interpreter's `eval` over the original [`ocelot_ir::ast::Expr`].
-    fn ceval(&self, e: &CExpr<'p>) -> Tainted {
+    fn ceval(&self, e: &CExpr) -> Tainted {
         match e {
             CExpr::Const(n) => Tainted::pure(*n),
             CExpr::Local { slot, nv } => {
@@ -439,21 +438,19 @@ impl<'p> Machine<'p> {
                     None => self.dev.nv.read_slot(*nv),
                 }
             }
-            CExpr::Deref(x) => self.read_target(self.ref_target(x)),
+            CExpr::Deref(i) => self.read_target(self.ref_at(*i)),
             CExpr::Global(slot) => self.dev.nv.read_slot(*slot),
             CExpr::Index { slot, idx } => {
                 let i = self.ceval(idx);
                 let mut v = self.dev.nv.read_idx_slot(*slot, i.value);
-                v.deps.extend(i.deps.iter().copied());
+                v.deps.union_with(&i.deps);
                 v
             }
             CExpr::Binary(op, l, r) => {
-                // The left operand's set is owned: extend it in place
-                // rather than cloning it as `Tainted::combine` would.
                 let mut a = self.ceval(l);
                 let b = self.ceval(r);
                 a.value = eval_binop(*op, a.value, b.value);
-                a.deps.extend(b.deps.iter().copied());
+                a.deps.union_with(&b.deps);
                 a
             }
             CExpr::Unary(op, x) => {
@@ -479,20 +476,20 @@ impl<'p> Machine<'p> {
     /// without touching dependency sets. Reached under [`CExpr::PureOf`]
     /// and for branch conditions, whose dependency sets no consumer
     /// reads.
-    fn ceval_value(&self, e: &CExpr<'p>) -> i64 {
+    fn ceval_value(&self, e: &CExpr) -> i64 {
         self.value_in(self.dev.vol.top(), e)
     }
 
     /// [`Machine::ceval_value`] against the active frame `top`, looked
     /// up once per expression instead of once per local read.
-    fn value_in(&self, top: Option<&Frame>, e: &CExpr<'p>) -> i64 {
+    fn value_in(&self, top: Option<&Frame>, e: &CExpr) -> i64 {
         match e {
             CExpr::Const(n) => *n,
             CExpr::Local { slot, nv } => match top.and_then(|t| t.get_slot(*slot)) {
                 Some(v) => v.value,
                 None => self.dev.nv.read_slot_value(*nv),
             },
-            CExpr::Deref(x) => self.read_target(self.ref_target(x)).value,
+            CExpr::Deref(i) => self.read_target(self.ref_at(*i)).value,
             CExpr::Global(slot) => self.dev.nv.read_slot_value(*slot),
             CExpr::Index { slot, idx } => {
                 let i = self.operand(top, idx);
@@ -514,7 +511,7 @@ impl<'p> Machine<'p> {
     /// An operand of [`Machine::value_in`]: constants and bound locals,
     /// most operands, are read in place; anything else recurses.
     #[inline(always)]
-    fn operand(&self, top: Option<&Frame>, e: &CExpr<'p>) -> i64 {
+    fn operand(&self, top: Option<&Frame>, e: &CExpr) -> i64 {
         match e {
             CExpr::Const(n) => *n,
             CExpr::Local { slot, .. } => match top.and_then(|t| t.get_slot(*slot)) {

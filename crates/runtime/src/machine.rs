@@ -1284,7 +1284,7 @@ impl<'p> Machine<'p> {
                 self.observe(|m| {
                     let mut deps = crate::memory::Deps::new();
                     for v in &vals {
-                        deps.extend(v.deps.iter().copied());
+                        deps.union_with(&v.deps);
                     }
                     Obs::Output {
                         at: here,
@@ -1486,9 +1486,8 @@ impl<'p> Machine<'p> {
         for (a, bind) in args.iter().zip(callee_layout.params()) {
             match (a, bind) {
                 (Arg::Value(e), ParamBind::Value(slot)) => frame.set_slot(*slot, self.eval(e)),
-                (Arg::Ref(x), ParamBind::Ref(name)) => {
-                    let target = self.resolve_ref(caller_idx, x);
-                    frame.refs.insert(Arc::clone(name), target);
+                (Arg::Ref(x), ParamBind::Ref(index)) => {
+                    frame.bind_ref(*index, self.resolve_ref(caller_idx, x));
                 }
                 _ => unreachable!("validated calls match argument and parameter kinds"),
             }
@@ -1587,13 +1586,21 @@ impl<'p> Machine<'p> {
     /// The target of the current frame's by-ref parameter `name`, bound
     /// by the call that created the frame.
     pub(crate) fn ref_target(&self, name: &str) -> RefTarget {
-        self.dev.vol.top().expect("frame exists").refs[name]
+        let func = self.dev.vol.top().expect("frame exists").func;
+        let index = self.core.layouts.layout(func).ref_index(name);
+        self.ref_at(index.expect("a by-ref parameter of the active function"))
+    }
+
+    /// The target of the current frame's by-ref parameter at position
+    /// `index`.
+    pub(crate) fn ref_at(&self, index: u32) -> RefTarget {
+        self.dev.vol.top().expect("frame exists").ref_at(index)
     }
 
     pub(crate) fn resolve_ref(&self, caller_idx: usize, x: &str) -> RefTarget {
         let caller = &self.dev.vol.frames[caller_idx];
-        if let Some(t) = caller.refs.get(x) {
-            return *t; // forwarding an incoming reference
+        if let Some(i) = self.core.layouts.layout(caller.func).ref_index(x) {
+            return caller.ref_at(i); // forwarding an incoming reference
         }
         if let Some(slot) = self.core.layouts.slot(caller.func, x) {
             if caller.get_slot(slot).is_some() {
@@ -1613,8 +1620,8 @@ impl<'p> Machine<'p> {
                     return v.clone();
                 }
             }
-            if let Some(t) = top.refs.get(name) {
-                return self.read_target(*t);
+            if let Some(i) = self.core.layouts.layout(top.func).ref_index(name) {
+                return self.read_target(top.ref_at(i));
             }
         }
         // A global or an unbound local; a name with no cell (a fresh
@@ -1716,7 +1723,7 @@ impl<'p> Machine<'p> {
                     .dev
                     .nv
                     .read_idx_slot(self.core.nv.array_slot(a), idx.value);
-                v.deps.extend(idx.deps);
+                v.deps.union_with(&idx.deps);
                 v
             }
             Expr::Binary(op, l, r) => {

@@ -4,7 +4,12 @@
 //! Following the paper's taint-augmented semantics (Appendix B), every
 //! location stores its value *and* the logical timestamps of the input
 //! operations the value depends on — that is what lets the trace checker
-//! validate Definitions 2 and 3 on real executions.
+//! validate Definitions 2 and 3 on real executions. A dependency set
+//! ([`Deps`]) is pointer-sized and copy-on-write: the empty set and one
+//! timestamp are inline, a larger set is shared behind an [`Arc`], so
+//! copying a value (a slot, an NV cell, an undo-log entry, a snapshot)
+//! bumps a count, and a union is one linear merge that keeps an
+//! operand's allocation when the other adds nothing.
 //!
 //! Both memories are **slot-indexed**, laid out once per program. A
 //! `FrameLayouts` table assigns every by-value parameter and every
@@ -17,131 +22,186 @@
 //! that passed [`ocelot_ir::validate()`], whose every `let`, input and
 //! call destination binds a declared local, so every binding has a
 //! slot; the interpreter resolves names through the layouts. A frame's
-//! volatile footprint is the number of *bound* locals plus the fixed
-//! register-file share.
+//! by-ref targets are indexed by the parameter's position among the
+//! function's by-ref parameters. A frame's volatile footprint is the
+//! number of *bound* locals plus the fixed register-file share.
 
 use ocelot_ir::{BlockId, FuncId, Program};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-
-/// Inline capacity of a [`Deps`] set: dependency sets are almost always
-/// tiny (one sample, or a handful combined into an average), so they
-/// live in the value itself and cost no allocation until they outgrow
-/// this.
-const DEPS_INLINE: usize = 8;
-
-#[derive(Debug, Clone)]
-enum DepsRepr {
-    /// Sorted, deduplicated prefix of `buf`.
-    Inline { len: u8, buf: [u64; DEPS_INLINE] },
-    /// Spill representation for large sets (keeps ordered-set
-    /// semantics). A set spills only by growing past the inline
-    /// capacity, so representations stay canonical: ≤ 8 elements is
-    /// always `Inline`.
-    Heap(BTreeSet<u64>),
-}
 
 /// Logical timestamps of input operations a value depends on — the
 /// paper's `I`.
 ///
-/// Semantically an ordered `u64` set (what [`BTreeSet`] provided); the
-/// representation keeps up to eight timestamps inline because the
-/// hot path creates, clones, and unions one of these for every tainted
-/// value the machine touches.
-#[derive(Debug, Clone)]
+/// Semantically an ordered `u64` set. The representation is a tag and
+/// one word: the empty set and a single timestamp (one sample, the
+/// common case) are stored inline, and a larger set is a sorted,
+/// deduplicated vector shared behind an [`Arc`]. Cloning a set bumps a
+/// reference count; writing to a shared set copies it first. A union
+/// (`Deps::union_with`) is one linear merge, and when one operand
+/// adds nothing to the other (it is empty, a subset, or the same
+/// allocation) the result keeps the other's allocation.
+#[derive(Clone, Default)]
 pub struct Deps(DepsRepr);
 
-impl Default for Deps {
-    fn default() -> Self {
-        Deps::new()
-    }
+#[derive(Clone, Default)]
+enum DepsRepr {
+    #[default]
+    Empty,
+    One(u64),
+    /// Two or more timestamps, ascending and distinct: a set that
+    /// shrinks (only [`Deps::clear`] does) leaves this form, so each
+    /// set has one representation.
+    Many(Arc<Vec<u64>>),
 }
 
 impl Deps {
     /// The empty set.
     pub(crate) const fn new() -> Self {
-        Deps(DepsRepr::Inline {
-            len: 0,
-            buf: [0; DEPS_INLINE],
-        })
+        Deps(DepsRepr::Empty)
+    }
+
+    /// The timestamps, ascending.
+    fn as_slice(&self) -> &[u64] {
+        match &self.0 {
+            DepsRepr::Empty => &[],
+            DepsRepr::One(t) => std::slice::from_ref(t),
+            DepsRepr::Many(v) => v,
+        }
     }
 
     /// Number of timestamps.
     pub fn len(&self) -> usize {
-        match &self.0 {
-            DepsRepr::Inline { len, .. } => *len as usize,
-            DepsRepr::Heap(s) => s.len(),
-        }
+        self.as_slice().len()
     }
 
     /// True when no input is depended on.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        matches!(self.0, DepsRepr::Empty)
     }
 
     /// Inserts `t`, returning true when it was new.
     pub(crate) fn insert(&mut self, t: u64) -> bool {
         match &mut self.0 {
-            DepsRepr::Inline { len, buf } => {
-                let n = *len as usize;
-                match buf[..n].binary_search(&t) {
-                    Ok(_) => false,
-                    Err(pos) => {
-                        if n < DEPS_INLINE {
-                            buf.copy_within(pos..n, pos + 1);
-                            buf[pos] = t;
-                            *len += 1;
-                        } else {
-                            let mut s: BTreeSet<u64> = buf.iter().copied().collect();
-                            s.insert(t);
-                            self.0 = DepsRepr::Heap(s);
-                        }
-                        true
+            DepsRepr::Empty => self.0 = DepsRepr::One(t),
+            DepsRepr::One(u) if *u == t => return false,
+            DepsRepr::One(u) => {
+                let pair = if *u < t { vec![*u, t] } else { vec![t, *u] };
+                self.0 = DepsRepr::Many(Arc::new(pair));
+            }
+            DepsRepr::Many(v) => {
+                let Err(pos) = v.binary_search(&t) else {
+                    return false;
+                };
+                match Arc::get_mut(v) {
+                    Some(owned) => owned.insert(pos, t),
+                    None => {
+                        let mut copy = Vec::with_capacity(v.len() + 1);
+                        copy.extend_from_slice(&v[..pos]);
+                        copy.push(t);
+                        copy.extend_from_slice(&v[pos..]);
+                        *v = Arc::new(copy);
                     }
                 }
             }
-            DepsRepr::Heap(s) => s.insert(t),
+        }
+        true
+    }
+
+    /// Adds every timestamp of `other`: one linear merge. When `other`
+    /// adds nothing this set is left as it is, and when this set adds
+    /// nothing to `other` it becomes a clone of `other`, sharing its
+    /// allocation.
+    pub(crate) fn union_with(&mut self, other: &Deps) {
+        match &other.0 {
+            DepsRepr::Empty => {}
+            DepsRepr::One(t) => {
+                self.insert(*t);
+            }
+            DepsRepr::Many(b) => {
+                if matches!(&self.0, DepsRepr::Many(a) if Arc::ptr_eq(a, b)) {
+                    return;
+                }
+                let a = self.as_slice();
+                let (a_only, b_only) = exclusive_counts(a, b);
+                if b_only == 0 {
+                    return;
+                }
+                if a_only == 0 {
+                    *self = other.clone();
+                    return;
+                }
+                self.0 = DepsRepr::Many(Arc::new(merge(a, b, a.len() + b_only)));
+            }
         }
     }
 
-    /// Empties the set (a spilled set returns to the inline form).
+    /// Empties the set, releasing a shared allocation.
     pub(crate) fn clear(&mut self) {
-        match &mut self.0 {
-            DepsRepr::Inline { len, .. } => *len = 0,
-            DepsRepr::Heap(_) => *self = Deps::new(),
-        }
+        self.0 = DepsRepr::Empty;
     }
 
     /// Iterates the timestamps in ascending order.
-    pub fn iter(&self) -> DepsIter<'_> {
-        match &self.0 {
-            DepsRepr::Inline { len, buf } => DepsIter::Inline(buf[..*len as usize].iter()),
-            DepsRepr::Heap(s) => DepsIter::Heap(s.iter()),
-        }
+    pub fn iter(&self) -> std::slice::Iter<'_, u64> {
+        self.as_slice().iter()
     }
 }
 
-/// Borrowing iterator over a [`Deps`] set, ascending.
-pub enum DepsIter<'a> {
-    /// Inline storage.
-    Inline(std::slice::Iter<'a, u64>),
-    /// Spilled storage.
-    Heap(std::collections::btree_set::Iter<'a, u64>),
+/// How many elements of the ascending, distinct `a` and `b` the other
+/// lacks, in one walk.
+fn exclusive_counts(a: &[u64], b: &[u64]) -> (usize, usize) {
+    let (mut i, mut j, mut common) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                common += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    (a.len() - common, b.len() - common)
 }
 
-impl<'a> Iterator for DepsIter<'a> {
-    type Item = &'a u64;
-    fn next(&mut self) -> Option<&'a u64> {
-        match self {
-            DepsIter::Inline(i) => i.next(),
-            DepsIter::Heap(i) => i.next(),
+/// The ascending, distinct union of the ascending, distinct `a` and
+/// `b`, into a vector of capacity `cap` (its exact length).
+fn merge(a: &[u64], b: &[u64], cap: usize) -> Vec<u64> {
+    let mut out = Vec::with_capacity(cap);
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
         }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
+impl std::fmt::Debug for Deps {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
 impl PartialEq for Deps {
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().zip(other.iter()).all(|(a, b)| a == b)
+        self.as_slice() == other.as_slice()
     }
 }
 
@@ -166,16 +226,6 @@ impl Extend<u64> for Deps {
         for t in iter {
             self.insert(t);
         }
-    }
-}
-
-impl IntoIterator for Deps {
-    type Item = u64;
-    type IntoIter = std::vec::IntoIter<u64>;
-    fn into_iter(self) -> Self::IntoIter {
-        // Only used on cold paths (set unions through `Extend` stay
-        // borrow-based); collecting keeps the iterator type simple.
-        self.iter().copied().collect::<Vec<u64>>().into_iter()
     }
 }
 
@@ -205,10 +255,12 @@ impl Tainted {
         }
     }
 
-    /// Combines two operands: the result depends on both.
+    /// Combines two operands: the result depends on both. The sets are
+    /// merged, not copied: when one operand's set adds nothing to the
+    /// other's, the result shares that allocation.
     pub(crate) fn combine(value: i64, a: &Tainted, b: &Tainted) -> Self {
         let mut deps = a.deps.clone();
-        deps.extend(b.deps.iter().copied());
+        deps.union_with(&b.deps);
         Tainted { value, deps }
     }
 }
@@ -242,6 +294,7 @@ impl NvLayout {
         for g in &p.globals {
             match g.array_len {
                 Some(n) => {
+                    debug_assert!(n > 0, "validated programs declare no empty array");
                     l.arrays.insert(g.name.clone(), l.init.arrays.len());
                     l.init.arrays.push(vec![Tainted::pure(0); n]);
                 }
@@ -358,9 +411,6 @@ impl NvMem {
     /// Panics if `slot` was not obtained from [`NvLayout::array_slot`].
     pub(crate) fn read_idx_slot(&self, slot: usize, idx: i64) -> Tainted {
         let a = &self.arrays[slot];
-        if a.is_empty() {
-            return Tainted::default();
-        }
         let i = (idx.max(0) as usize).min(a.len() - 1);
         a[i].clone()
     }
@@ -373,9 +423,6 @@ impl NvMem {
     /// Panics if `slot` was not obtained from [`NvLayout::array_slot`].
     pub(crate) fn read_idx_slot_value(&self, slot: usize, idx: i64) -> i64 {
         let a = &self.arrays[slot];
-        if a.is_empty() {
-            return 0;
-        }
         let i = (idx.max(0) as usize).min(a.len() - 1);
         a[i].value
     }
@@ -388,9 +435,6 @@ impl NvMem {
     /// Panics if `slot` was not obtained from [`NvLayout::array_slot`].
     pub(crate) fn write_idx_slot(&mut self, slot: usize, idx: i64, v: Tainted) -> (usize, Tainted) {
         let a = &mut self.arrays[slot];
-        if a.is_empty() {
-            return (0, Tainted::default());
-        }
         let i = (idx.max(0) as usize).min(a.len() - 1);
         let old = std::mem::replace(&mut a[i], v);
         (i, old)
@@ -410,20 +454,24 @@ impl NvMem {
 pub(crate) enum ParamBind {
     /// A by-value parameter: bound into this local slot.
     Value(u32),
-    /// A by-mutable-reference parameter: resolved into the frame's
-    /// reference map under this (shared) name.
-    Ref(Arc<str>),
+    /// A by-mutable-reference parameter: its target is the frame's
+    /// reference at this position (the parameter's index among the
+    /// function's by-ref parameters).
+    Ref(u32),
 }
 
 /// One function's local slot layout: by-value parameters first (in
 /// parameter order), then the lowered locals (in
-/// [`ocelot_ir::Function::locals`] order).
+/// [`ocelot_ir::Function::locals`] order); and the position of each
+/// by-ref parameter among the frame's references.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct FrameLayout {
     /// Entry block of the function (so frames can be created without a
     /// [`Program`] in hand).
     pub(crate) entry: BlockId,
     index: BTreeMap<Arc<str>, u32>,
+    /// By-ref parameter names, in parameter order.
+    refs: Vec<String>,
     params: Vec<ParamBind>,
 }
 
@@ -432,6 +480,7 @@ impl FrameLayout {
         let mut l = FrameLayout {
             entry: f.entry,
             index: BTreeMap::new(),
+            refs: Vec::new(),
             params: Vec::new(),
         };
         let add = |l: &mut FrameLayout, name: &str| -> u32 {
@@ -444,7 +493,8 @@ impl FrameLayout {
         };
         for p in &f.params {
             if p.by_ref {
-                l.params.push(ParamBind::Ref(Arc::from(p.name.as_str())));
+                l.params.push(ParamBind::Ref(l.refs.len() as u32));
+                l.refs.push(p.name.clone());
             } else {
                 let s = add(&mut l, &p.name);
                 l.params.push(ParamBind::Value(s));
@@ -459,6 +509,12 @@ impl FrameLayout {
     /// The slot of `name`, if this function declares it by value.
     pub fn slot(&self, name: &str) -> Option<u32> {
         self.index.get(name).copied()
+    }
+
+    /// The position of `name` among the frame's references, if it is a
+    /// by-ref parameter of this function.
+    pub(crate) fn ref_index(&self, name: &str) -> Option<u32> {
+        self.refs.iter().position(|r| r == name).map(|i| i as u32)
     }
 
     /// Number of local slots.
@@ -550,8 +606,9 @@ pub(crate) struct Frame {
     slots: Vec<Option<Tainted>>,
     /// Number of bound slots (the volatile word count of `slots`).
     bound: u32,
-    /// Resolution of by-reference parameters.
-    pub(crate) refs: BTreeMap<Arc<str>, RefTarget>,
+    /// Resolution of by-reference parameters, by position (see
+    /// [`ParamBind::Ref`]).
+    refs: Vec<RefTarget>,
     /// The caller slot that receives the return value, if any.
     pub(crate) ret_dst: Option<u32>,
     /// The call instruction that created this frame (`None` for the
@@ -619,14 +676,14 @@ impl Frame {
             index: 0,
             slots: vec![None; nslots],
             bound: 0,
-            refs: BTreeMap::new(),
+            refs: Vec::new(),
             ret_dst,
             call_site,
         }
     }
 
     /// Re-initializes a recycled frame for a new call, keeping its
-    /// allocations (slot vector capacity, map nodes are already empty).
+    /// allocations (slot and reference vector capacity).
     pub(crate) fn reuse(
         &mut self,
         func: FuncId,
@@ -704,6 +761,26 @@ impl Frame {
                 self.bound += 1;
             }
         }
+    }
+
+    /// The target of the by-ref parameter at position `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the call that made this frame bound no such parameter.
+    pub(crate) fn ref_at(&self, index: u32) -> RefTarget {
+        self.refs[index as usize]
+    }
+
+    /// Binds the by-ref parameter at position `index` to `t`. A call
+    /// binds its by-ref parameters in parameter order.
+    pub(crate) fn bind_ref(&mut self, index: u32, t: RefTarget) {
+        debug_assert_eq!(
+            index as usize,
+            self.refs.len(),
+            "by-ref parameters bind in order"
+        );
+        self.refs.push(t);
     }
 
     /// Number of words of volatile state this frame holds (bound locals
@@ -799,13 +876,7 @@ impl UndoLog {
                 NvLoc::Scalar(s) => {
                     nv.write_slot(s, old.clone());
                 }
-                // A store to an empty array logs a cell 0 it does not
-                // have; there is nothing to restore.
-                NvLoc::Cell(s, i) => {
-                    if let Some(cell) = nv.arrays[s].get_mut(i) {
-                        *cell = old.clone();
-                    }
-                }
+                NvLoc::Cell(s, i) => nv.arrays[s][i] = old.clone(),
             }
         }
     }
@@ -820,6 +891,125 @@ impl UndoLog {
 mod tests {
     use super::*;
     use ocelot_ir::compile;
+
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// True when both sets are one shared allocation.
+    fn shares(a: &Deps, b: &Deps) -> bool {
+        matches!((&a.0, &b.0), (DepsRepr::Many(x), DepsRepr::Many(y)) if Arc::ptr_eq(x, y))
+    }
+
+    /// True when the representation is the canonical one for its size.
+    fn canonical(d: &Deps) -> bool {
+        match &d.0 {
+            DepsRepr::Empty | DepsRepr::One(_) => true,
+            DepsRepr::Many(v) => v.len() >= 2 && v.windows(2).all(|w| w[0] < w[1]),
+        }
+    }
+
+    #[test]
+    fn values_are_three_words_and_options_cost_nothing() {
+        assert_eq!(std::mem::size_of::<Deps>(), 16);
+        assert_eq!(std::mem::size_of::<Tainted>(), 24);
+        assert_eq!(std::mem::size_of::<Option<Tainted>>(), 24);
+    }
+
+    #[test]
+    fn clones_and_unions_that_add_nothing_share_the_allocation() {
+        let big: Deps = (0..10).collect();
+        let c = big.clone();
+        assert!(shares(&big, &c), "a clone bumps a count");
+        // Union with an empty set, a subset (one timestamp or many), or
+        // the same allocation keeps the larger operand's allocation, on
+        // either side.
+        let union = |a: &Deps, b: &Deps| {
+            let mut u = a.clone();
+            u.union_with(b);
+            u
+        };
+        let subsets = [Deps::new(), Deps::from([4]), [2, 5, 9].into(), c.clone()];
+        for sub in &subsets {
+            assert!(shares(&union(&big, sub), &big), "{big:?} ∪ {sub:?}");
+            assert!(shares(&union(sub, &big), &big), "{sub:?} ∪ {big:?}");
+        }
+        let mut grown = big.clone();
+        grown.union_with(&Deps::from([3, 10]));
+        assert!(!shares(&grown, &big));
+        assert_eq!(grown, (0..11).collect());
+        assert_eq!(big, (0..10).collect(), "the shared original is untouched");
+    }
+
+    /// One step of the model test, applied to sets `a` and `b` of a
+    /// pool of four.
+    #[derive(Debug, Clone)]
+    enum SetOp {
+        Insert(u64),
+        Extend(Vec<u64>),
+        Union,
+        Clear,
+        Clone,
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every operation on a pool of sets agrees with a
+        /// `BTreeSet<u64>` model, and writing to a set never changes
+        /// another that shares its allocation.
+        #[test]
+        fn deps_behave_like_an_ordered_set(
+            ops in proptest::collection::vec(
+                (
+                    prop_oneof![
+                        3 => (0u64..24).prop_map(SetOp::Insert),
+                        2 => proptest::collection::vec(0u64..24, 0..6).prop_map(SetOp::Extend),
+                        3 => Just(SetOp::Union),
+                        1 => Just(SetOp::Clear),
+                        2 => Just(SetOp::Clone),
+                    ],
+                    0usize..4,
+                    0usize..4,
+                ),
+                0..40,
+            )
+        ) {
+            let mut sets: Vec<Deps> = vec![Deps::new(); 4];
+            let mut model: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); 4];
+            for (op, a, b) in ops {
+                match op {
+                    SetOp::Insert(t) => {
+                        prop_assert_eq!(sets[a].insert(t), model[a].insert(t));
+                    }
+                    SetOp::Extend(ts) => {
+                        sets[a].extend(ts.iter().copied());
+                        model[a].extend(ts);
+                    }
+                    SetOp::Union => {
+                        let other = sets[b].clone();
+                        sets[a].union_with(&other);
+                        let other = model[b].clone();
+                        model[a].extend(other);
+                    }
+                    SetOp::Clear => {
+                        sets[a].clear();
+                        model[a].clear();
+                    }
+                    SetOp::Clone => {
+                        sets[a] = sets[b].clone();
+                        model[a] = model[b].clone();
+                    }
+                }
+                for (d, m) in sets.iter().zip(&model) {
+                    prop_assert!(canonical(d), "{:?} is not canonical", d);
+                    prop_assert_eq!(d.len(), m.len());
+                    prop_assert_eq!(d.is_empty(), m.is_empty());
+                    prop_assert!(d.iter().eq(m.iter()), "{:?} != {:?}", d, m);
+                    prop_assert_eq!(d, &m.iter().copied().collect::<Deps>());
+                }
+            }
+        }
+    }
 
     #[test]
     fn tainted_combine_unions_deps() {
@@ -945,7 +1135,7 @@ mod tests {
 
     #[test]
     fn undo_log_handles_array_cells() {
-        let p = compile("nv a[4]; nv e[0]; fn main() {}").unwrap();
+        let p = compile("nv a[4]; fn main() {}").unwrap();
         let layout = NvLayout::new(&p);
         let mut nv = layout.init().clone();
         let mut log = UndoLog::default();
@@ -953,10 +1143,6 @@ mod tests {
         let (i, old) = nv.write_idx_slot(a, 2, Tainted::pure(42));
         log.save(NvLoc::Cell(a, i), old);
         assert_eq!(nv.read_loc(NvLoc::Cell(a, 2)).value, 42);
-        // A store to an empty array logs a cell it does not have.
-        let e = layout.array_slot("e");
-        let (i, old) = nv.write_idx_slot(e, 3, Tainted::pure(1));
-        log.save(NvLoc::Cell(e, i), old);
         log.apply(&mut nv);
         assert_eq!(&nv, layout.init());
     }
@@ -979,13 +1165,15 @@ mod tests {
             .unwrap();
         let l = layouts.layout(add);
         // Value params a and b get the first slots (param order); the
-        // by-ref param resolves through the refs map instead.
+        // by-ref param is the frame's first reference instead.
         assert_eq!(l.slot("a"), Some(0));
         assert_eq!(l.slot("b"), Some(1));
         assert_eq!(l.slot("res"), None);
+        assert_eq!(l.ref_index("res"), Some(0));
+        assert_eq!(l.ref_index("a"), None);
         assert_eq!(l.params().len(), 3);
         assert!(matches!(l.params()[0], ParamBind::Value(0)));
-        assert!(matches!(l.params()[1], ParamBind::Ref(ref n) if &**n == "res"));
+        assert!(matches!(l.params()[1], ParamBind::Ref(0)));
         assert!(matches!(l.params()[2], ParamBind::Value(1)));
         // main's layout names every lowered local.
         let lm = layouts.layout(p.main);
@@ -1025,9 +1213,9 @@ mod tests {
         );
         let mut plain = Frame::at_entry(&layouts, p.main);
         let mut pure = plain.clone();
-        // A spilled dependency set (past the inline capacity) and an
-        // unbound slot: the in-place store must empty the one and bind
-        // the other, exactly like a store of `Tainted::pure`.
+        // A shared dependency set and an unbound slot: the in-place
+        // store must empty the one and bind the other, exactly like a
+        // store of `Tainted::pure`.
         let wide = Tainted {
             value: 5,
             deps: (0..20).collect(),
