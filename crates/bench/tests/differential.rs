@@ -200,6 +200,54 @@ proptest! {
     }
 }
 
+/// Generated program `seed` on continuous power, a scripted supply
+/// whose budgets the seed picks and a reseeded harvester, with the
+/// injector armed on odd seeds (when the policies give it targets):
+/// the interpreter and a traced compiled core must agree on outcomes,
+/// `Stats` and the committed trace.
+fn generated_program_agrees(seed: u64) {
+    let src = SourceGen::generate(seed);
+    let (program, regions, policies) = build_src(&src);
+    let inject = seed % 2 == 1 && !pathological_targets(&policies).is_empty();
+    let budgets: Vec<f64> = (0..4)
+        .map(|i| (100 + (seed.rotate_left(i * 7) % 90) * (1 + seed % 40)) as f64)
+        .collect();
+    for supply in [
+        Supply::Continuous,
+        Supply::Scripted(budgets),
+        Supply::Reseeded(seed),
+    ] {
+        let mk = |backend| {
+            observe(
+                &program,
+                &regions,
+                &policies,
+                generated_env(seed),
+                CostModel::default(),
+                supply.build(),
+                backend,
+                2,
+                inject,
+            )
+        };
+        assert_eq!(
+            mk(ExecBackend::Interp),
+            mk(ExecBackend::Compiled),
+            "seed {seed} diverged under {supply:?} (inject={inject}):\n{src}"
+        );
+    }
+}
+
+/// The fixed-seed sweep; run it in release:
+/// `cargo test --release -p ocelot-bench --test differential -- --ignored`.
+#[test]
+#[ignore = "3,000-seed sweep; run in release"]
+fn generated_programs_agree_over_a_fixed_seed_sweep() {
+    for seed in 0..3000 {
+        generated_program_agrees(seed);
+    }
+}
+
 /// Generated program 1911's second run never leaves a loop that
 /// samples `s0` and folds each sample into the global `g1` through a
 /// by-ref call, so it ends at the step budget with a dependency set

@@ -49,6 +49,7 @@
 //! whose slot is resolved here too.
 
 use crate::machine::{eval_binop, Machine};
+use crate::names::{Resolver, Storage};
 use ocelot_analysis::chains::ChainId;
 use ocelot_analysis::{FuncSsa, StoreClass};
 use ocelot_hw::energy::{Facts, Priced};
@@ -180,26 +181,6 @@ pub(crate) enum Cat {
     Checkpoint,
 }
 
-/// How one by-ref argument resolves, classified at compile time.
-pub(crate) enum RefArgPlan {
-    /// The argument is itself a by-ref parameter of the caller, at this
-    /// position among the caller's references: forward its incoming
-    /// target.
-    Forward(u32),
-    /// A declared caller local: its slot when bound at call time,
-    /// otherwise the non-volatile cell of its name (the paper model's
-    /// unbound-local fallback).
-    LocalOrGlobal {
-        /// Caller-frame slot.
-        slot: u32,
-        /// Fallback non-volatile cell.
-        nv: usize,
-    },
-    /// The non-volatile cell of a global scalar the caller does not
-    /// shadow.
-    Global(usize),
-}
-
 /// One pre-resolved argument binding of a call.
 pub(crate) enum ArgBind {
     /// A by-value argument into a callee slot.
@@ -213,8 +194,9 @@ pub(crate) enum ArgBind {
     Ref {
         /// The callee parameter's position among its references.
         index: u32,
-        /// Pre-classified target.
-        plan: RefArgPlan,
+        /// Where the argument `&x` resolves in the caller (see
+        /// [`Machine::resolve_ref`]).
+        arg: Storage,
     },
 }
 
@@ -230,6 +212,18 @@ pub(crate) struct CallPlan {
     pub(crate) ret_dst: Option<u32>,
     /// Argument bindings, in parameter order.
     pub(crate) binds: Vec<ArgBind>,
+}
+
+impl Action {
+    /// Where a store priced per execution (`Cost::Dynamic`) writes,
+    /// which decides whether it reaches non-volatile memory.
+    pub(crate) fn store(&self) -> Option<Storage> {
+        match *self {
+            Action::AssignDyn { slot, nv, .. } => Some(Storage::Local { slot, nv: Some(nv) }),
+            Action::AssignDeref { index, .. } => Some(Storage::Ref(index)),
+            _ => None,
+        }
+    }
 }
 
 /// A pre-matched operation with pre-resolved storage.
@@ -447,7 +441,7 @@ impl<'p> Cx<'_, 'p> {
             iref,
             cost,
             cat,
-            checked: self.m.core.use_rt.contains_key(&iref),
+            checked: self.m.core.check_sites.get(iref).is_some(),
             inject: self.m.injector_targets.contains(&iref),
             action,
         }
@@ -502,20 +496,6 @@ impl<'p> Cx<'_, 'p> {
         self.m.core.layouts.layout(f.id).ref_index(x)
     }
 
-    /// Classifies a by-ref argument (see [`RefArgPlan`]).
-    fn ref_arg(&self, f: &'p Function, x: &'p str) -> RefArgPlan {
-        if let Some(i) = self.ref_index(f, x) {
-            RefArgPlan::Forward(i)
-        } else if let Some(slot) = self.m.core.layouts.slot(f.id, x) {
-            RefArgPlan::LocalOrGlobal {
-                slot,
-                nv: self.m.core.nv.scalar_slot(x),
-            }
-        } else {
-            RefArgPlan::Global(self.m.core.nv.scalar_slot(x))
-        }
-    }
-
     fn call_plan(
         &self,
         f: &'p Function,
@@ -536,7 +516,11 @@ impl<'p> Cx<'_, 'p> {
                 },
                 (Arg::Ref(x), ParamBind::Ref(index)) => ArgBind::Ref {
                     index: *index,
-                    plan: self.ref_arg(f, x),
+                    arg: Resolver {
+                        layouts: &self.m.core.layouts,
+                        nv: &self.m.core.nv,
+                    }
+                    .ref_arg(f.id, x),
                 },
                 _ => unreachable!("validated calls match argument and parameter kinds"),
             })
@@ -616,9 +600,9 @@ impl<'p> Cx<'_, 'p> {
                     ),
                 }
             }
-            Op::Input { var, sensor } => {
+            Op::Input { var, .. } => {
                 let iref = InstrRef { func: f.id, label };
-                let rt = &self.m.core.sensor_rt[sensor.as_str()];
+                let rt = self.m.core.sensor(iref);
                 (
                     fixed_op(),
                     Cat::Input,
@@ -637,11 +621,11 @@ impl<'p> Cx<'_, 'p> {
                     plan: self.call_plan(f, label, dst.as_deref(), *callee, args),
                 },
             ),
-            Op::Output { channel, args } => (
+            Op::Output { args, .. } => (
                 fixed_op(),
                 Cat::Output,
                 Action::Output {
-                    channel: Arc::clone(&self.m.core.channel_names[channel.as_str()]),
+                    channel: Arc::clone(self.m.core.channel(InstrRef { func: f.id, label })),
                     args: args.iter().map(|e| self.value_src(f, label, e)).collect(),
                 },
             ),

@@ -3,9 +3,9 @@
 //! The paper's evaluation simulates millions of instruction steps per
 //! (benchmark, model, seed) cell. The interpreter in
 //! [`crate::machine`] re-dispatches every step through nested matches
-//! on the IR — cloning the operation, re-deriving its cycle cost, and
-//! probing three `BTreeMap`s (injector targets, detector check sites,
-//! fresh-use logging) that are almost always empty at the current site.
+//! on the IR, re-pricing the operation, probing the injector targets
+//! and the detector check sites, and resolving each name it meets
+//! through the core's [`crate::names`] table.
 //!
 //! The compiled backend removes all of that from the hot path by
 //! resolving it **once per program**:

@@ -12,10 +12,10 @@
 //! shared `Machine` helpers, so both backends execute the paper's
 //! semantics through one implementation.
 
-use super::compile::{self, Action, ArgBind, Batch, CExpr, Cost, RefArgPlan, Step};
+use super::compile::{self, Action, ArgBind, Batch, CExpr, Cost, Step};
 use super::CompiledProgram;
 use crate::machine::{eval_binop, Machine, RunOutcome};
-use crate::memory::{Frame, RefTarget, Tainted};
+use crate::memory::{Frame, Tainted};
 use crate::obs::Obs;
 use ocelot_hw::energy::PowerEvent;
 use ocelot_ir::ast::UnOp;
@@ -196,7 +196,7 @@ impl<'p> Machine<'p> {
                 self.supply.consume(self.core.costs.cycles_to_nj(cycles))
             }
             Cost::Dynamic(op) => {
-                let cycles = self.op_cost(here, op);
+                let cycles = self.op_cost(op, step.action.store());
                 self.book_breakdown(step, cycles);
                 self.charge(cycles)
             }
@@ -309,8 +309,8 @@ impl<'p> Machine<'p> {
                             let v = self.ceval(src);
                             frame.set_slot(*slot, v);
                         }
-                        ArgBind::Ref { index, plan } => {
-                            frame.bind_ref(*index, self.resolve_ref_plan(caller_idx, plan));
+                        ArgBind::Ref { index, arg } => {
+                            frame.bind_ref(*index, self.resolve_ref(caller_idx, *arg));
                         }
                     }
                 }
@@ -402,27 +402,6 @@ impl<'p> Machine<'p> {
                 let top = self.dev.vol.top_mut().expect("frame exists");
                 top.set_slot(slot, v);
             }
-        }
-    }
-
-    /// Resolves a pre-classified by-ref argument against the live
-    /// caller frame, as the interpreter's `resolve_ref` does: a
-    /// forwarded reference keeps its target, and a local is its slot
-    /// while bound — whether it is bound is the only dynamic work left.
-    fn resolve_ref_plan(&self, caller_idx: usize, plan: &RefArgPlan) -> RefTarget {
-        match plan {
-            RefArgPlan::Forward(i) => self.dev.vol.frames[caller_idx].ref_at(*i),
-            RefArgPlan::LocalOrGlobal { slot, nv } => {
-                if self.dev.vol.frames[caller_idx].get_slot(*slot).is_some() {
-                    RefTarget::Local {
-                        frame: caller_idx,
-                        slot: *slot,
-                    }
-                } else {
-                    RefTarget::Global(*nv)
-                }
-            }
-            RefArgPlan::Global(nv) => RefTarget::Global(*nv),
         }
     }
 

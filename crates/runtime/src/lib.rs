@@ -41,6 +41,7 @@ pub mod expiry;
 pub mod machine;
 pub mod memory;
 pub mod model;
+pub mod names;
 pub mod obs;
 pub mod pool;
 pub mod samoyed;

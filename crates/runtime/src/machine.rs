@@ -35,11 +35,12 @@ use crate::exec::{CompiledProgram, ExecBackend, OptLevel};
 use crate::memory::{
     Frame, FrameLayouts, NvLayout, NvLoc, NvMem, ParamBind, RefTarget, Tainted, UndoLog, VolState,
 };
+use crate::names::{NameTable, Resolver, Site, SiteMap, Storage};
 use crate::obs::{Obs, ObsLog};
 use crate::stats::Stats;
 use ocelot_analysis::chains::{ChainId, ChainTable};
 use ocelot_analysis::taint::Prov;
-use ocelot_analysis::{ProgramSsa, StoreClass, StoreClasses};
+use ocelot_analysis::{ProgramSsa, StoreClasses};
 use ocelot_core::{PolicyKind, PolicySet, RegionInfo};
 use ocelot_hw::energy::{CostModel, Entry, Facts, PowerEvent, Priced};
 use ocelot_hw::power::PowerSupply;
@@ -158,9 +159,10 @@ pub(crate) struct UseSiteRt {
     /// Interned chains whose collection timestamps the TICS expiry
     /// check compares against the window.
     pub(crate) expiry_requires: Vec<ChainId>,
-    /// Fresh-annotated variables whose dependencies are logged as
-    /// [`Obs::Use`].
-    pub(crate) fresh_vars: Vec<String>,
+    /// Where each fresh-annotated variable whose dependencies are logged
+    /// as [`Obs::Use`] is read, resolved in the site's function (`None`:
+    /// the name has no cell there and reads as an untainted 0).
+    pub(crate) fresh_reads: Vec<Option<Storage>>,
 }
 
 /// Pre-resolved per-sensor data: the interned name (one shared
@@ -202,12 +204,14 @@ pub struct MachineCore<'p> {
     /// Input sites whose call stack is fixed, pre-resolved to their
     /// interned chain (what the compile pass bakes into input steps).
     pub(crate) static_chain_of: BTreeMap<InstrRef, ChainId>,
-    /// Pre-resolved detector check sites, keyed by use instruction.
-    pub(crate) use_rt: BTreeMap<InstrRef, Arc<UseSiteRt>>,
-    /// Interned sensor names + pre-resolved environment channels.
-    pub(crate) sensor_rt: BTreeMap<String, SensorRt>,
-    /// Interned output channel names.
-    pub(crate) channel_names: BTreeMap<String, Arc<str>>,
+    /// Pre-resolved detector check sites, by use instruction: what both
+    /// engines' [`Machine::run_checks`] reads at every site it reaches.
+    pub(crate) check_sites: Arc<SiteMap<Arc<UseSiteRt>>>,
+    /// Interned sensor names + pre-resolved environment channels, by
+    /// input instruction.
+    pub(crate) sensor_rt: SiteMap<SensorRt>,
+    /// Interned output channel names, by output instruction.
+    pub(crate) channel_names: Arc<SiteMap<Arc<str>>>,
     /// The channel layout `(name, index)` of the environment the core
     /// was built against. [`Machine::from_core`] validates device
     /// environments against it, because [`SensorRt::chan`] bakes these
@@ -233,6 +237,11 @@ pub struct MachineCore<'p> {
     /// injector targets compile privately (injection sites are baked
     /// into steps).
     pub(crate) shared_compiled: OnceLock<Arc<CompiledProgram<'p>>>,
+    /// The storage of every name occurrence the interpreter touches,
+    /// built once on the first interpreter run and shared with every
+    /// core [`MachineCore::for_environment`] derives; a compiled-only
+    /// core never builds it.
+    pub(crate) names: Arc<OnceLock<NameTable>>,
 }
 
 /// The per-device mutable half of a [`Machine`]: non-volatile memory,
@@ -540,7 +549,11 @@ impl<'p> MachineCore<'p> {
             .chain(fresh_use_vars.keys())
             .copied()
             .collect();
-        let mut use_rt = BTreeMap::new();
+        let resolve = Resolver {
+            layouts: &layouts,
+            nv: &nv,
+        };
+        let mut check_sites = SiteMap::new(p);
         for site in sites {
             let src = det_cfg.use_checks.get(&site);
             let checks = src
@@ -555,35 +568,43 @@ impl<'p> MachineCore<'p> {
                         .collect()
                 })
                 .unwrap_or_default();
-            let fresh_vars = fresh_use_vars.remove(&site).unwrap_or_default();
-            use_rt.insert(
-                site,
-                Arc::new(UseSiteRt {
-                    checks,
-                    expiry_requires,
-                    fresh_vars,
-                }),
-            );
+            let fresh_reads = fresh_use_vars
+                .remove(&site)
+                .unwrap_or_default()
+                .iter()
+                .map(|var| resolve.read(site.func, var))
+                .collect();
+            let rt = UseSiteRt {
+                checks,
+                expiry_requires,
+                fresh_reads,
+            };
+            check_sites.insert(site, Arc::new(rt));
         }
 
         // One shared allocation per sensor / output channel name, and
-        // the sensor's environment index resolved once.
-        let mut sensor_rt: BTreeMap<String, SensorRt> = BTreeMap::new();
-        let mut channel_names: BTreeMap<String, Arc<str>> = BTreeMap::new();
+        // the sensor's environment index resolved once, for each input
+        // and output.
+        let mut interned: BTreeMap<&'p str, Arc<str>> = BTreeMap::new();
+        let mut intern =
+            |name: &'p str| Arc::clone(interned.entry(name).or_insert_with(|| name.into()));
+        let mut sensor_rt = SiteMap::new(p);
+        let mut channel_names = SiteMap::new(p);
         for f in &p.funcs {
             for (_, inst) in f.iter_insts() {
+                let at = InstrRef {
+                    func: f.id,
+                    label: inst.label,
+                };
                 match &inst.op {
                     Op::Input { sensor, .. } => {
-                        sensor_rt.entry(sensor.clone()).or_insert_with(|| SensorRt {
-                            name: Arc::from(sensor.as_str()),
+                        let rt = SensorRt {
+                            name: intern(sensor),
                             chan: env.channel_index(sensor),
-                        });
+                        };
+                        sensor_rt.insert(at, rt);
                     }
-                    Op::Output { channel, .. } => {
-                        channel_names
-                            .entry(channel.clone())
-                            .or_insert_with(|| Arc::from(channel.as_str()));
-                    }
+                    Op::Output { channel, .. } => channel_names.insert(at, intern(channel)),
                     _ => {}
                 }
             }
@@ -599,14 +620,15 @@ impl<'p> MachineCore<'p> {
             chains,
             chain_rt,
             static_chain_of,
-            use_rt,
+            check_sites: Arc::new(check_sites),
             sensor_rt,
-            channel_names,
+            channel_names: Arc::new(channel_names),
             channels: channel_layout(env),
             ssa: Arc::new(ProgramSsa::analyze(p)),
             traced: false,
             stores: Arc::new(StoreClasses::analyze(p)),
             shared_compiled: OnceLock::new(),
+            names: Arc::default(),
         }
     }
 
@@ -618,8 +640,8 @@ impl<'p> MachineCore<'p> {
     /// how a sweep builds one core per scenario of one program.
     pub fn for_environment(&self, env: &Environment) -> Self {
         let mut sensor_rt = self.sensor_rt.clone();
-        for (name, rt) in &mut sensor_rt {
-            rt.chan = env.channel_index(name);
+        for rt in sensor_rt.values_mut() {
+            rt.chan = env.channel_index(&rt.name);
         }
         MachineCore {
             p: self.p,
@@ -631,14 +653,15 @@ impl<'p> MachineCore<'p> {
             chains: self.chains.clone(),
             chain_rt: self.chain_rt.clone(),
             static_chain_of: self.static_chain_of.clone(),
-            use_rt: self.use_rt.clone(),
+            check_sites: Arc::clone(&self.check_sites),
             sensor_rt,
-            channel_names: self.channel_names.clone(),
+            channel_names: Arc::clone(&self.channel_names),
             channels: channel_layout(env),
             ssa: Arc::clone(&self.ssa),
             traced: self.traced,
             stores: Arc::clone(&self.stores),
             shared_compiled: OnceLock::new(),
+            names: Arc::clone(&self.names),
         }
     }
 
@@ -655,6 +678,49 @@ impl<'p> MachineCore<'p> {
     /// True when machines on this core record the observation trace.
     pub fn is_traced(&self) -> bool {
         self.traced
+    }
+
+    /// The interpreter's name table, built on first use.
+    fn names(&self) -> &NameTable {
+        self.names.get_or_init(|| self.name_table())
+    }
+
+    /// Builds the interpreter's name table.
+    fn name_table(&self) -> NameTable {
+        let resolve = Resolver {
+            layouts: &self.layouts,
+            nv: &self.nv,
+        };
+        NameTable::build(self.p, resolve, &self.stores)
+    }
+
+    /// Where the interpreter keeps the name occurrence `name` of the
+    /// instruction or terminator at `at`, a `String` inside this core's
+    /// program: a read, store place, binding or `&x` argument. `None`
+    /// for any other string (an annotation's variable, a sensor or
+    /// channel name, a string outside the site). Builds the
+    /// interpreter's name table on first use.
+    #[allow(clippy::ptr_arg)]
+    pub fn storage_of(&self, at: InstrRef, name: &String) -> Option<Storage> {
+        self.names().site(at).find(name)
+    }
+
+    /// Where the fresh-use logging at `at` reads each fresh variable,
+    /// resolved in `at`'s function (`None` for a name with no cell
+    /// there, which reads as an untainted 0), or `None` when `at` is
+    /// not a detector check site.
+    pub fn fresh_reads(&self, at: InstrRef) -> Option<&[Option<Storage>]> {
+        self.check_sites.get(at).map(|rt| &rt.fresh_reads[..])
+    }
+
+    /// The sensor data of the input at `at`.
+    pub(crate) fn sensor(&self, at: InstrRef) -> &SensorRt {
+        self.sensor_rt.get(at).expect("an input instruction")
+    }
+
+    /// The interned channel of the output at `at`.
+    pub(crate) fn channel(&self, at: InstrRef) -> &Arc<str> {
+        self.channel_names.get(at).expect("an output instruction")
     }
 }
 
@@ -856,6 +922,8 @@ impl<'p> Machine<'p> {
         if self.backend == ExecBackend::Compiled {
             return self.run_once_compiled(max_steps);
         }
+        let table = Arc::clone(&self.core.names);
+        let names = table.get_or_init(|| self.core.name_table());
         let violations_before = self.dev.stats.violations;
         let mut steps = 0u64;
         loop {
@@ -863,7 +931,7 @@ impl<'p> Machine<'p> {
             if steps > max_steps {
                 return RunOutcome::StepLimit;
             }
-            if self.step() {
+            if self.step(names) {
                 return self.complete_run(violations_before);
             }
             if let Some(region) = self.dev.livelocked {
@@ -912,9 +980,9 @@ impl<'p> Machine<'p> {
     // Stepping
     // ------------------------------------------------------------------
 
-    /// Executes one instruction or terminator. Returns true when the
-    /// program run completed.
-    fn step(&mut self) -> bool {
+    /// Executes one instruction or terminator, resolving its names in
+    /// `names`. Returns true when the program run completed.
+    fn step(&mut self, names: &NameTable) -> bool {
         let Some(top) = self.dev.vol.top() else {
             return true;
         };
@@ -948,9 +1016,14 @@ impl<'p> Machine<'p> {
         } else {
             WorkItem::Inst(&block.instrs[top_index].op)
         };
+        let ops = names.site(here);
+        let store = match work {
+            WorkItem::Inst(Op::Assign { place, .. }) => Some(ops.place(place)),
+            _ => None,
+        };
         let cycles = match work {
             WorkItem::Term(t) => self.core.costs.price(Priced::Term(t), Facts::default()),
-            WorkItem::Inst(op) => self.op_cost(here, op),
+            WorkItem::Inst(op) => self.op_cost(op, store),
         };
         match work {
             WorkItem::Inst(Op::Input { .. }) => self.dev.stats.breakdown.input += cycles,
@@ -977,9 +1050,9 @@ impl<'p> Machine<'p> {
         self.dev.tau += 1;
         self.dev.stats.instructions += 1;
         match work {
-            WorkItem::Term(term) => self.exec_terminator(term),
+            WorkItem::Term(term) => self.exec_terminator(ops, term),
             WorkItem::Inst(op) => {
-                self.exec_op(here, op);
+                self.exec_op(here, ops, op, store);
                 false
             }
         }
@@ -987,10 +1060,14 @@ impl<'p> Machine<'p> {
 
     /// Cycles `op` costs in the current machine state: the shared
     /// [`CostModel::price`] over the facts this state decides. Both
-    /// backends' state-dependent steps are charged here.
-    pub(crate) fn op_cost(&self, here: InstrRef, op: &Op) -> u64 {
+    /// backends' state-dependent steps are charged here; `store` is
+    /// where a store op writes.
+    pub(crate) fn op_cost(&self, op: &Op, store: Option<Storage>) -> u64 {
         let facts = match op {
-            Op::Assign { place, .. } => Facts::store(self.store_is_nv(here, place), false),
+            Op::Assign { .. } => {
+                let to = store.expect("a store is priced with its destination");
+                Facts::store(self.store_is_nv(to), false)
+            }
             Op::AtomStart { region } => Facts::entry(self.region_entry(*region)),
             // The callee's body is charged as it runs.
             _ => Facts::default(),
@@ -998,20 +1075,21 @@ impl<'p> Machine<'p> {
         self.core.costs.price(Priced::Op(op), facts)
     }
 
-    /// Whether the store at `here` to `place` hits non-volatile memory: a
-    /// [`StoreClass::MaybeNv`] store whose local is unbound in the
-    /// current frame does, and so does a store to a global, directly or
-    /// through a reference. The undo-log word is charged separately, on
-    /// the first logged write ([`Machine::nv_write_scalar`]).
-    fn store_is_nv(&self, here: InstrRef, place: &Place) -> bool {
-        match place {
-            Place::Var(x) => match self.core.stores.class(here) {
-                Some(StoreClass::Volatile) => false,
-                Some(StoreClass::MaybeNv) => !self.is_local(x),
-                None => true,
-            },
-            Place::Index(..) => true,
-            Place::Deref(x) => matches!(self.ref_target(x), RefTarget::Global(_)),
+    /// Whether a store to `to` hits non-volatile memory: a store to a
+    /// local whose slot is unbound in the current frame (and which does
+    /// not bind it) does, and so does a store to a global or an array,
+    /// directly or through a reference. The undo-log word is charged
+    /// separately, on the first logged write
+    /// ([`Machine::nv_write_scalar`]).
+    fn store_is_nv(&self, to: Storage) -> bool {
+        match to {
+            Storage::Local { nv: None, .. } => false,
+            Storage::Local { slot, nv: Some(_) } => {
+                let top = self.dev.vol.top().expect("frame exists");
+                top.get_slot(slot).is_none()
+            }
+            Storage::Ref(i) => matches!(self.ref_at(i), RefTarget::Global(_)),
+            Storage::Global(_) | Storage::Array(_) => true,
         }
     }
 
@@ -1067,7 +1145,7 @@ impl<'p> Machine<'p> {
     /// this operation. One pre-resolved map probe covers the expiry
     /// check, the bit checks, and the fresh-use trace logging.
     pub(crate) fn run_checks(&mut self, here: InstrRef) -> bool {
-        let Some(rt) = self.core.use_rt.get(&here) else {
+        let Some(rt) = self.core.check_sites.get(here) else {
             return false;
         };
         let rt = Arc::clone(rt);
@@ -1095,13 +1173,13 @@ impl<'p> Machine<'p> {
         // Record an `Obs::Use` (with dynamic taint) for each
         // fresh-annotated variable at this site, for the formal trace
         // checker.
-        for var in &rt.fresh_vars {
+        for &at in &rt.fresh_reads {
             self.observe(|m| Obs::Use {
                 at: here,
                 tau: m.dev.tau,
                 time_us: m.dev.now_us,
                 era: m.dev.era,
-                deps: m.read_var(var).deps,
+                deps: at.map(|s| m.read(s)).unwrap_or_default().deps,
             });
         }
         false
@@ -1256,31 +1334,39 @@ impl<'p> Machine<'p> {
     // Operation execution
     // ------------------------------------------------------------------
 
-    fn exec_op(&mut self, here: InstrRef, op: &Op) {
+    /// Executes `op`, whose names resolve in `ops`; `store` is where a
+    /// store op writes.
+    fn exec_op(&mut self, here: InstrRef, ops: Site<'_>, op: &Op, store: Option<Storage>) {
         match op {
             Op::Skip | Op::Annot { .. } => {
                 self.advance();
             }
             Op::Bind { var, src } => {
-                let v = self.eval(src);
-                self.bind_local(var, v);
+                let v = self.eval(ops, src);
+                let slot = ops.binding(var);
+                self.dev
+                    .vol
+                    .top_mut()
+                    .expect("frame exists")
+                    .set_slot(slot, v);
                 self.advance();
             }
             Op::Assign { place, src } => {
-                let v = self.eval(src);
-                self.write_place(here, place, v);
+                let v = self.eval(ops, src);
+                let to = store.expect("a store executes with its destination");
+                self.write_place(ops, to, place, v);
                 self.advance();
             }
-            Op::Input { var, sensor } => {
-                self.exec_input(here, var, sensor);
+            Op::Input { var, .. } => {
+                self.exec_input(here, ops.binding(var));
             }
             Op::Call { dst, callee, args } => {
-                self.exec_call(here, dst.as_deref(), *callee, args);
+                self.exec_call(here, ops, dst.as_ref(), *callee, args);
             }
-            Op::Output { channel, args } => {
+            Op::Output { args, .. } => {
                 // The oracle evaluates every argument with its taint on
                 // either kind of core; only the record is traced-only.
-                let vals: Vec<Tainted> = args.iter().map(|e| self.eval(e)).collect();
+                let vals: Vec<Tainted> = args.iter().map(|e| self.eval(ops, e)).collect();
                 self.observe(|m| {
                     let mut deps = crate::memory::Deps::new();
                     for v in &vals {
@@ -1290,7 +1376,7 @@ impl<'p> Machine<'p> {
                         at: here,
                         tau: m.dev.tau,
                         era: m.dev.era,
-                        channel: Arc::clone(&m.core.channel_names[channel.as_str()]),
+                        channel: Arc::clone(m.core.channel(here)),
                         values: vals.iter().map(|v| v.value).collect(),
                         deps,
                     }
@@ -1312,22 +1398,23 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Binds the declared local `var` in the top frame.
-    pub(crate) fn bind_local(&mut self, var: &str, v: Tainted) {
-        let top = self.dev.vol.top_mut().expect("frame exists");
-        top.set_slot(self.core.layouts.local(top.func, var), v);
-    }
-
-    /// Executes one input operation on the interpreter: resolves the
-    /// destination slot, the sensor channel, and the chain dynamically,
-    /// then runs the shared collection core.
-    pub(crate) fn exec_input(&mut self, here: InstrRef, var: &str, sensor: &str) {
-        let func = self.dev.vol.top().expect("frame exists").func;
-        let slot = self.core.layouts.local(func, var);
-        let chan = self.core.sensor_rt[sensor].chan;
+    /// Executes the input at `here` into `slot` on the interpreter: the
+    /// chain is rebuilt from the live stack, then the shared collection
+    /// core runs.
+    fn exec_input(&mut self, here: InstrRef, slot: u32) {
+        let chan = self.core.sensor(here).chan;
         let chain = self.dynamic_chain(here);
         let id = self.core.chains.lookup(&chain);
-        let sensor_name = |m: &Self| Arc::clone(&m.core.sensor_rt[sensor].name);
+        // A fixed call stack was interned when the core was built, and
+        // the compiled engine bakes that id into the step.
+        debug_assert!(
+            self.core
+                .static_chain_of
+                .get(&here)
+                .map_or(true, |&s| id == Some(s)),
+            "the rebuilt chain at {here:?} disagrees with its static chain"
+        );
+        let sensor_name = |m: &Self| Arc::clone(&m.core.sensor(here).name);
         self.input_core(here, slot, sensor_name, chan, id, Some(chain));
     }
 
@@ -1464,17 +1551,17 @@ impl<'p> Machine<'p> {
         }
     }
 
-    pub(crate) fn exec_call(
+    fn exec_call(
         &mut self,
         here: InstrRef,
-        dst: Option<&str>,
+        ops: Site<'_>,
+        dst: Option<&String>,
         callee: FuncId,
         args: &[Arg],
     ) {
         let caller_idx = self.dev.vol.frames.len() - 1;
-        let caller_func = self.dev.vol.frames[caller_idx].func;
         let layouts = Arc::clone(&self.core.layouts);
-        let ret_dst = dst.map(|d| layouts.local(caller_func, d));
+        let ret_dst = dst.map(|d| ops.binding(d));
         let callee_layout = layouts.layout(callee);
         let mut frame = self.take_frame(
             callee,
@@ -1485,9 +1572,9 @@ impl<'p> Machine<'p> {
         );
         for (a, bind) in args.iter().zip(callee_layout.params()) {
             match (a, bind) {
-                (Arg::Value(e), ParamBind::Value(slot)) => frame.set_slot(*slot, self.eval(e)),
+                (Arg::Value(e), ParamBind::Value(slot)) => frame.set_slot(*slot, self.eval(ops, e)),
                 (Arg::Ref(x), ParamBind::Ref(index)) => {
-                    frame.bind_ref(*index, self.resolve_ref(caller_idx, x));
+                    frame.bind_ref(*index, self.resolve_ref(caller_idx, ops.get(x)));
                 }
                 _ => unreachable!("validated calls match argument and parameter kinds"),
             }
@@ -1523,7 +1610,8 @@ impl<'p> Machine<'p> {
         }
     }
 
-    pub(crate) fn exec_terminator(&mut self, term: &Terminator) -> bool {
+    /// Executes `term`, whose names resolve in `ops`.
+    fn exec_terminator(&mut self, ops: Site<'_>, term: &Terminator) -> bool {
         match term {
             Terminator::Jump(b) => {
                 let top = self.dev.vol.top_mut().expect("frame exists");
@@ -1536,7 +1624,7 @@ impl<'p> Machine<'p> {
                 then_bb,
                 else_bb,
             } => {
-                let v = self.eval(cond);
+                let v = self.eval(ops, cond);
                 let top = self.dev.vol.top_mut().expect("frame exists");
                 top.block = if v.value != 0 { *then_bb } else { *else_bb };
                 top.index = 0;
@@ -1545,7 +1633,7 @@ impl<'p> Machine<'p> {
             Terminator::Ret(e) => {
                 let v = e
                     .as_ref()
-                    .map(|e| self.eval(e))
+                    .map(|e| self.eval(ops, e))
                     .unwrap_or_else(|| Tainted::pure(0));
                 let done = self.dev.vol.frames.pop().expect("frame exists");
                 let ret_dst = done.ret_dst;
@@ -1572,64 +1660,47 @@ impl<'p> Machine<'p> {
     // Values and memory
     // ------------------------------------------------------------------
 
-    /// True when `name` is a bound local of the current frame.
-    pub(crate) fn is_local(&self, name: &str) -> bool {
-        let Some(f) = self.dev.vol.top() else {
-            return false;
-        };
-        self.core
-            .layouts
-            .slot(f.func, name)
-            .is_some_and(|slot| f.get_slot(slot).is_some())
-    }
-
-    /// The target of the current frame's by-ref parameter `name`, bound
-    /// by the call that created the frame.
-    pub(crate) fn ref_target(&self, name: &str) -> RefTarget {
-        let func = self.dev.vol.top().expect("frame exists").func;
-        let index = self.core.layouts.layout(func).ref_index(name);
-        self.ref_at(index.expect("a by-ref parameter of the active function"))
-    }
-
     /// The target of the current frame's by-ref parameter at position
     /// `index`.
     pub(crate) fn ref_at(&self, index: u32) -> RefTarget {
         self.dev.vol.top().expect("frame exists").ref_at(index)
     }
 
-    pub(crate) fn resolve_ref(&self, caller_idx: usize, x: &str) -> RefTarget {
+    /// The target a `&x` argument passes, where `x` resolves to `arg` in
+    /// the frame at `caller_idx`: a forwarded reference keeps its target,
+    /// and a local is its slot while bound, otherwise the cell of its
+    /// name. Both engines bind by-ref parameters here.
+    pub(crate) fn resolve_ref(&self, caller_idx: usize, arg: Storage) -> RefTarget {
         let caller = &self.dev.vol.frames[caller_idx];
-        if let Some(i) = self.core.layouts.layout(caller.func).ref_index(x) {
-            return caller.ref_at(i); // forwarding an incoming reference
-        }
-        if let Some(slot) = self.core.layouts.slot(caller.func, x) {
-            if caller.get_slot(slot).is_some() {
-                return RefTarget::Local {
+        match arg {
+            Storage::Ref(i) => caller.ref_at(i),
+            Storage::Local { slot, nv } => match caller.get_slot(slot) {
+                Some(_) => RefTarget::Local {
                     frame: caller_idx,
                     slot,
-                };
-            }
+                },
+                None => RefTarget::Global(nv.expect("a `&x` argument falls back to its cell")),
+            },
+            Storage::Global(s) => RefTarget::Global(s),
+            Storage::Array(_) => unreachable!("validated programs pass no whole array"),
         }
-        RefTarget::Global(self.core.nv.scalar_slot(x))
     }
 
-    pub(crate) fn read_var(&self, name: &str) -> Tainted {
-        if let Some(top) = self.dev.vol.top() {
-            if let Some(slot) = self.core.layouts.slot(top.func, name) {
-                if let Some(v) = top.get_slot(slot) {
-                    return v.clone();
+    /// Reads the scalar at `at` in the current frame.
+    fn read(&self, at: Storage) -> Tainted {
+        match at {
+            Storage::Local { slot, nv } => {
+                match self.dev.vol.top().expect("frame exists").get_slot(slot) {
+                    Some(v) => v.clone(),
+                    None => self
+                        .dev
+                        .nv
+                        .read_slot(nv.expect("a read falls back to its cell")),
                 }
             }
-            if let Some(i) = self.core.layouts.layout(top.func).ref_index(name) {
-                return self.read_target(top.ref_at(i));
-            }
-        }
-        // A global or an unbound local; a name with no cell (a fresh
-        // variable read outside the function declaring it) reads as an
-        // untainted 0, as a never-written cell would.
-        match self.core.nv.scalar(name) {
-            Some(s) => self.dev.nv.read_slot(s),
-            None => Tainted::default(),
+            Storage::Ref(i) => self.read_target(self.ref_at(i)),
+            Storage::Global(s) => self.dev.nv.read_slot(s),
+            Storage::Array(_) => unreachable!("an array is read by index"),
         }
     }
 
@@ -1681,59 +1752,56 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Stores `v` to `place` by the store at `here`.
-    pub(crate) fn write_place(&mut self, here: InstrRef, place: &Place, v: Tainted) {
-        match place {
-            Place::Var(x) => {
+    /// Stores `v` to `place`, which resolves to `to`; the index of an
+    /// array store resolves its names in `ops`.
+    fn write_place(&mut self, ops: Site<'_>, to: Storage, place: &Place, v: Tainted) {
+        match to {
+            Storage::Local { slot, nv } => {
                 let top = self.dev.vol.top_mut().expect("frame exists");
-                // A `Volatile` store writes its slot, binding it if need
-                // be; a `MaybeNv` one writes it only if it is bound.
-                let slot = self.core.stores.class(here).and_then(|class| {
-                    Some(self.core.layouts.local(top.func, x))
-                        .filter(|&s| class == StoreClass::Volatile || top.get_slot(s).is_some())
-                });
-                match slot {
-                    Some(s) => top.set_slot(s, v),
-                    // A global, or an in-scope but unbound local.
-                    None => self.nv_write_scalar(self.core.nv.scalar_slot(x), v),
+                // A store that binds writes its slot; one with a
+                // fallback writes it only if it is bound.
+                match nv {
+                    Some(cell) if top.get_slot(slot).is_none() => self.nv_write_scalar(cell, v),
+                    _ => top.set_slot(slot, v),
                 }
             }
-            Place::Index(a, i) => {
-                let idx = self.eval(i);
-                let s = self.core.nv.array_slot(a);
+            Storage::Global(cell) => self.nv_write_scalar(cell, v),
+            Storage::Array(s) => {
+                let Place::Index(_, i) = place else {
+                    unreachable!("an array is stored by index")
+                };
+                let idx = self.eval(ops, i);
                 let (cell, old) = self.dev.nv.write_idx_slot(s, idx.value, v);
                 self.log_cell_undo(s, cell, old);
             }
-            Place::Deref(x) => {
-                self.write_target(self.ref_target(x), v);
-            }
+            Storage::Ref(i) => self.write_target(self.ref_at(i), v),
         }
     }
 
-    pub(crate) fn eval(&self, e: &Expr) -> Tainted {
+    /// Evaluates `e`, whose names resolve in `ops`.
+    fn eval(&self, ops: Site<'_>, e: &Expr) -> Tainted {
         match e {
             Expr::Int(n) => Tainted::pure(*n),
             Expr::Bool(b) => Tainted::pure(*b as i64),
-            Expr::Var(x) => self.read_var(x),
-            Expr::Deref(x) => self.read_target(self.ref_target(x)),
+            Expr::Var(x) | Expr::Deref(x) => self.read(ops.get(x)),
             Expr::Ref(_) => Tainted::pure(0), // only valid in call args
             Expr::Index(a, i) => {
-                let idx = self.eval(i);
-                let mut v = self
-                    .dev
-                    .nv
-                    .read_idx_slot(self.core.nv.array_slot(a), idx.value);
+                let Storage::Array(s) = ops.get(a) else {
+                    unreachable!("`{a}[..]` indexes an array")
+                };
+                let idx = self.eval(ops, i);
+                let mut v = self.dev.nv.read_idx_slot(s, idx.value);
                 v.deps.union_with(&idx.deps);
                 v
             }
             Expr::Binary(op, l, r) => {
-                let a = self.eval(l);
-                let b = self.eval(r);
+                let a = self.eval(ops, l);
+                let b = self.eval(ops, r);
                 let value = eval_binop(*op, a.value, b.value);
                 Tainted::combine(value, &a, &b)
             }
             Expr::Unary(op, x) => {
-                let a = self.eval(x);
+                let a = self.eval(ops, x);
                 let value = match op {
                     UnOp::Neg => a.value.wrapping_neg(),
                     UnOp::Not => (a.value == 0) as i64,

@@ -552,11 +552,6 @@ impl FrameLayouts {
         &self.funcs[f.0 as usize]
     }
 
-    /// The slot of `name` in function `f`, if declared by value.
-    pub fn slot(&self, f: FuncId, name: &str) -> Option<u32> {
-        self.layout(f).slot(name)
-    }
-
     /// The slot of `f`'s declared local or by-value parameter `name` —
     /// what every `let`, input and call destination of a validated
     /// program binds.
@@ -1192,7 +1187,7 @@ mod tests {
         // Unbound slots carry no volatile words — same accounting as
         // the name-keyed map this replaced.
         assert_eq!(vol.words(), base + 4);
-        let x = layouts.slot(p.main, "x").unwrap();
+        let x = layouts.local(p.main, "x");
         vol.top_mut().unwrap().set_slot(x, Tainted::pure(1));
         assert_eq!(vol.words(), base + 4 + 1);
         // Rebinding does not double-count.
@@ -1207,10 +1202,7 @@ mod tests {
     fn pure_slot_stores_and_snapshot_copies_match_their_plain_forms() {
         let p = compile("fn f(a) { let b = a; } fn main() { let x = 1; let y = 2; }").unwrap();
         let layouts = FrameLayouts::new(&p);
-        let (x, y) = (
-            layouts.slot(p.main, "x").unwrap(),
-            layouts.slot(p.main, "y").unwrap(),
-        );
+        let (x, y) = (layouts.local(p.main, "x"), layouts.local(p.main, "y"));
         let mut plain = Frame::at_entry(&layouts, p.main);
         let mut pure = plain.clone();
         // A shared dependency set and an unbound slot: the in-place

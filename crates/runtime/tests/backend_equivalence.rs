@@ -12,11 +12,13 @@ use ocelot_hw::energy::{Capacitor, CostModel};
 use ocelot_hw::power::{ContinuousPower, HarvestedPower, PowerSupply, ScriptedPower};
 use ocelot_hw::sensors::{Environment, Signal};
 use ocelot_hw::Harvester;
-use ocelot_ir::{compile, Program};
+use ocelot_ir::ast::{Arg, Expr};
+use ocelot_ir::{compile, Function, InstrRef, Op, Place, Program, Terminator};
 use ocelot_runtime::machine::{pathological_targets, Machine, RunOutcome};
+use ocelot_runtime::names::Storage;
 use ocelot_runtime::obs::Obs;
 use ocelot_runtime::{Built, DeviceState, ExecBackend, ExecModel, MachineCore, Stats};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 fn build(
@@ -1029,5 +1031,277 @@ fn harvested_boot_jitter_apps_agree_across_the_registry() {
     assert!(
         channel_reboots > 0,
         "the dependency-channel programs met power failures"
+    );
+}
+
+// ---------------------------------------------------------------------
+// The interpreter's name table
+// ---------------------------------------------------------------------
+
+/// Counts what [`assert_names_resolve`] checked, so the sweep can show
+/// it reached every kind of occurrence.
+#[derive(Debug, Default)]
+struct Resolved {
+    reads: usize,
+    /// Reads of a declared local or value parameter (each must keep its
+    /// non-volatile fallback).
+    local_reads: usize,
+    derefs: usize,
+    arrays: usize,
+    stores: usize,
+    /// Stores that may find their local unbound.
+    fallback_stores: usize,
+    bindings: usize,
+    ref_args: usize,
+    fresh_reads: usize,
+}
+
+/// True when `f` declares `x` by value (a local or value parameter).
+fn declares_by_value(f: &Function, x: &str) -> bool {
+    f.locals.iter().any(|l| l == x) || f.params.iter().any(|q| !q.by_ref && q.name == x)
+}
+
+/// Walks `p` independently of the runtime and requires that the core
+/// resolved every occurrence the interpreter reads or writes, each to
+/// the kind of storage its position allows.
+fn assert_names_resolve(
+    at: &str,
+    p: &Program,
+    policies: &ocelot_core::PolicySet,
+    n: &mut Resolved,
+) {
+    let core = MachineCore::build(
+        p,
+        &[],
+        policies.clone(),
+        &Environment::new(),
+        CostModel::default(),
+    );
+    for f in &p.funcs {
+        let mut site = InstrRef {
+            func: f.id,
+            label: f.block(f.entry).term_label,
+        };
+        let get = |site: InstrRef, x: &String| {
+            core.storage_of(site, x)
+                .unwrap_or_else(|| panic!("{at}: `{x}` at {site:?} has no storage"))
+        };
+        let read = |site: InstrRef, e: &Expr, n: &mut Resolved| {
+            let mut stack = vec![e];
+            while let Some(e) = stack.pop() {
+                match e {
+                    Expr::Var(x) => {
+                        n.reads += 1;
+                        match get(site, x) {
+                            Storage::Local { nv: Some(_), .. } => n.local_reads += 1,
+                            s @ Storage::Local { nv: None, .. } => {
+                                panic!(
+                                    "{at}: read of `{x}` in `{}` lost its fallback: {s:?}",
+                                    f.name
+                                )
+                            }
+                            Storage::Ref(_) | Storage::Global(_) => {
+                                assert!(!declares_by_value(f, x), "{at}: `{x}` in `{}`", f.name)
+                            }
+                            s => panic!("{at}: read of `{x}` resolved to {s:?}"),
+                        }
+                    }
+                    Expr::Deref(x) => {
+                        n.derefs += 1;
+                        assert!(matches!(get(site, x), Storage::Ref(_)), "{at}: `*{x}`");
+                    }
+                    Expr::Index(a, i) => {
+                        n.arrays += 1;
+                        assert!(matches!(get(site, a), Storage::Array(_)), "{at}: `{a}[..]`");
+                        stack.push(i);
+                    }
+                    Expr::Binary(_, l, r) => stack.extend([&**l, &**r]),
+                    Expr::Unary(_, x) => stack.push(x),
+                    Expr::Int(_) | Expr::Bool(_) | Expr::Ref(_) => {}
+                }
+            }
+        };
+        let binding = |site: InstrRef, x: &String, n: &mut Resolved| {
+            n.bindings += 1;
+            assert!(
+                matches!(get(site, x), Storage::Local { nv: None, .. }),
+                "{at}: binding of `{x}` in `{}`",
+                f.name
+            );
+        };
+        for b in &f.blocks {
+            for inst in &b.instrs {
+                site.label = inst.label;
+                match &inst.op {
+                    Op::Bind { var, src } => {
+                        read(site, src, n);
+                        binding(site, var, n);
+                    }
+                    Op::Assign { place, src } => {
+                        read(site, src, n);
+                        n.stores += 1;
+                        match (
+                            place,
+                            get(
+                                site,
+                                match place {
+                                    Place::Var(x) | Place::Deref(x) | Place::Index(x, _) => x,
+                                },
+                            ),
+                        ) {
+                            (Place::Var(x), Storage::Local { nv, .. }) => {
+                                assert!(declares_by_value(f, x), "{at}: `{x} =`");
+                                n.fallback_stores += nv.is_some() as usize;
+                            }
+                            (Place::Var(x), Storage::Global(_)) => {
+                                assert!(!declares_by_value(f, x), "{at}: `{x} =`")
+                            }
+                            (Place::Deref(_), Storage::Ref(_)) => {}
+                            (Place::Index(_, i), Storage::Array(_)) => read(site, i, n),
+                            (place, s) => panic!("{at}: {place:?} resolved to {s:?}"),
+                        }
+                    }
+                    Op::Input { var, .. } => binding(site, var, n),
+                    Op::Call { dst, args, .. } => {
+                        if let Some(d) = dst {
+                            binding(site, d, n);
+                        }
+                        for a in args {
+                            match a {
+                                Arg::Value(e) => read(site, e, n),
+                                Arg::Ref(x) => {
+                                    n.ref_args += 1;
+                                    match get(site, x) {
+                                        Storage::Local { nv: Some(_), .. }
+                                        | Storage::Ref(_)
+                                        | Storage::Global(_) => {}
+                                        s => panic!("{at}: `&{x}` resolved to {s:?}"),
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    Op::Output { args, .. } => args.iter().for_each(|e| read(site, e, n)),
+                    Op::Skip | Op::Annot { .. } | Op::AtomStart { .. } | Op::AtomEnd { .. } => {}
+                }
+            }
+            site.label = b.term_label;
+            match &b.term {
+                Terminator::Branch { cond, .. } => read(site, cond, n),
+                Terminator::Ret(Some(e)) => read(site, e, n),
+                Terminator::Jump(_) | Terminator::Ret(None) => {}
+            }
+        }
+    }
+    // Every fresh-use site logs each fresh variable from a resolved cell.
+    let mut fresh: BTreeMap<InstrRef, Vec<&str>> = BTreeMap::new();
+    for pol in policies.iter() {
+        if pol.kind == ocelot_core::PolicyKind::Fresh && !pol.is_vacuous() {
+            if let Some(d) = pol.decls.first() {
+                for u in &pol.uses {
+                    fresh.entry(*u).or_default().push(&d.var);
+                }
+            }
+        }
+    }
+    for (site, vars) in fresh {
+        let reads = core
+            .fresh_reads(site)
+            .unwrap_or_else(|| panic!("{at}: {site:?} is a check site"));
+        assert_eq!(reads.len(), vars.len(), "{at}: {site:?}");
+        let f = p.func(site.func);
+        for (var, s) in vars.iter().zip(reads) {
+            n.fresh_reads += 1;
+            if declares_by_value(f, var) {
+                assert!(
+                    matches!(s, Some(Storage::Local { nv: Some(_), .. })),
+                    "{at}: fresh `{var}` at {site:?}: {s:?}"
+                );
+            } else if f.is_by_ref_param(var) {
+                assert!(matches!(s, Some(Storage::Ref(_))), "{at}: fresh `{var}`");
+            }
+        }
+    }
+}
+
+/// The policies the runtime checks on `p` without a transform.
+fn policies_of(p: &Program) -> ocelot_core::PolicySet {
+    let taint = ocelot_analysis::taint::TaintAnalysis::run(p);
+    ocelot_core::build_policies(p, &taint)
+}
+
+/// `src` as written and, when the transform accepts it, as Ocelot
+/// builds it.
+fn programs_of(src: &str) -> Vec<(Program, ocelot_core::PolicySet)> {
+    let Ok(p) = compile(src) else {
+        return Vec::new();
+    };
+    if ocelot_ir::validate(&p).is_err() {
+        return Vec::new();
+    }
+    let mut out = vec![(p.clone(), policies_of(&p))];
+    if let Ok(built) = ocelot_runtime::build(p, ExecModel::Ocelot) {
+        out.push((built.program, built.policies));
+    }
+    out
+}
+
+/// The name table is total: on the nine apps (both sources), every
+/// example program, the storage-path and dependency-channel programs
+/// above and generated programs 0..300, every occurrence the interpreter
+/// reads or writes resolves, a read of a declared local keeps the cell
+/// it falls back to while unbound, and every fresh-use site resolves
+/// its logged variables.
+#[test]
+fn the_name_table_resolves_every_occurrence() {
+    let mut sources: Vec<(String, String)> = Vec::new();
+    for b in ocelot_apps::all_with_extensions() {
+        sources.push((format!("{} (annotated)", b.name), b.annotated_src.into()));
+        sources.push((format!("{} (atomics)", b.name), b.atomics_src.into()));
+    }
+    let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/programs");
+    let mut files: Vec<_> = std::fs::read_dir(examples)
+        .expect("examples/programs is readable")
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "oc"))
+        .collect();
+    files.sort();
+    assert!(files.len() >= 5, "{files:?}");
+    for f in files {
+        let src = std::fs::read_to_string(&f).unwrap();
+        sources.push((f.display().to_string(), src));
+    }
+    for (name, src) in STORAGE_PATHS.iter().chain(&DEPENDENCY_CHANNELS) {
+        sources.push((name.to_string(), src.to_string()));
+    }
+    for seed in 0..300 {
+        sources.push((
+            format!("genprog seed {seed}"),
+            ocelot_bench::genprog::SourceGen::generate(seed),
+        ));
+    }
+    let mut n = Resolved::default();
+    let mut programs = 0;
+    for (name, src) in &sources {
+        for (p, policies) in programs_of(src) {
+            assert_names_resolve(name, &p, &policies, &mut n);
+            programs += 1;
+        }
+    }
+    assert!(programs > 600, "{programs} programs");
+    let kinds = [
+        n.reads,
+        n.local_reads,
+        n.derefs,
+        n.arrays,
+        n.stores,
+        n.fallback_stores,
+        n.bindings,
+        n.ref_args,
+        n.fresh_reads,
+    ];
+    assert!(
+        kinds.iter().all(|&k| k > 0),
+        "every kind of occurrence was reached: {n:?}"
     );
 }
